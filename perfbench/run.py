@@ -72,10 +72,9 @@ def main():
     tmp = BUILD / "tmp"
     work.mkdir(exist_ok=True)
     tmp.mkdir(exist_ok=True)
-    # Keep the toolchain's temporaries and the compile caches inside the
-    # checkout.
-    env = dict(os.environ, TMPDIR=str(tmp),
-               PROPHET_CGEN_CACHE=str(work / "cgen-warm"))
+    # Keep the toolchain's temporaries inside the checkout; the compile
+    # cache goes under --work-dir.
+    env = dict(os.environ, TMPDIR=str(tmp))
     command = [str(BUILD / "perfbench"),
                "--workload", args.workload,
                "--seed", str(args.seed),

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,17 +24,12 @@ using Clock = std::chrono::steady_clock;
 /// Seconds elapsed since `start`.
 [[nodiscard]] double seconds_since(Clock::time_point start);
 
-/// One model of a sweep: a registry reference and its scenario grid.
-struct ModelGrid {
-  std::string reference;  ///< "@kernel6", "@kernel6-detailed(n=8,m=2)"
-  std::string grid;       ///< pipeline::ScenarioGrid spec
-};
-
-/// One sweep: what a user hands to one BatchRunner — one or more models,
-/// each over its grid.  `label` names the sweep in per-model metrics.
+/// One sweep: what a user hands to one BatchRunner — one model over its
+/// scenario grid.  `label` names the sweep in per-model metrics.
 struct Sweep {
   std::string label;
-  std::vector<ModelGrid> models;
+  std::string reference;  ///< "@kernel6", "@kernel6-detailed(n=8,m=2)"
+  std::string grid;       ///< pipeline::ScenarioGrid spec
 };
 
 /// A workload: a list of sweeps evaluated by one engine selection.
@@ -61,10 +57,10 @@ struct Workload {
 /// \name Statistics over samples
 ///@{
 [[nodiscard]] double median(std::vector<double> values);
-/// The 10th percentile (lower nearest rank): on a shared host, contention
-/// only ever adds time, so the fast decile of many short samples tracks
-/// the uncontended cost far more steadily than the median does.
-[[nodiscard]] double fast_decile(std::vector<double> values);
+/// The smallest sample: on a shared host, contention only ever adds
+/// time, so the fastest of many short samples tracks the uncontended
+/// cost far more steadily than the median does.
+[[nodiscard]] double fastest(const std::vector<double>& values);
 [[nodiscard]] double geomean(const std::vector<double>& values);
 ///@}
 
@@ -111,6 +107,9 @@ void pin_to_quietest_cpu();
 /// the toolchain on every compile), creating it.
 void use_cgen_cache(const std::string& dir);
 
+/// Runs one sweep of a timed round.
+using SweepStep = std::function<void(std::size_t sweep)>;
+
 /// The end-to-end half of the benchmark: set-up, the scalar reference
 /// and the closed-loop timed sweeps of one workload, with every timed
 /// prediction checked against the reference.
@@ -122,14 +121,20 @@ class SweepBench {
   [[nodiscard]] const Workload& workload() const { return workload_; }
   [[nodiscard]] const CheckTally& tally() const { return tally_; }
 
-  /// The warm compile cache every run after set-up uses.
-  [[nodiscard]] std::string warm_cache() const;
+  /// The run's compile cache (PROPHET_CGEN_CACHE).
+  [[nodiscard]] std::string cgen_cache() const;
 
-  /// Times one set-up — references to the first prediction of every
-  /// model, one scenario each — and returns its seconds.  crossval_wide
-  /// starts it from an empty compile cache and leaves the warm cache
-  /// selected afterwards.
-  double measure_setup();
+  /// Times one set-up of sweep `sweep`'s model: references to its first
+  /// prediction, one scenario through a fresh runner.
+  void time_setup(std::size_t sweep);
+
+  /// Times one set-up of every model, in round `rep`'s order.  On
+  /// crossval_wide it first empties the compile cache, so each set-up
+  /// includes the model's cold native compile and the cache ends warm.
+  void time_setups(int rep);
+
+  /// setup_s: the sum over models of each one's fastest timed set-up.
+  [[nodiscard]] double setup_seconds() const;
 
   /// Runs every sweep once at one lane (scalar) together with the
   /// simulator, keeping the predictions every timed job is checked
@@ -155,16 +160,13 @@ class SweepBench {
   /// The seed-shuffled order of the sweeps in round `round`.
   [[nodiscard]] std::vector<std::size_t> round_order(int round) const;
 
-  /// Closed loop: whole rounds of every sweep, each sweep starting after
-  /// the previous one completed, until `seconds` have passed.  Returns
-  /// per-sweep wall seconds, one entry per round.  When `setups` is set,
-  /// also takes `setup_samples` set-ups spread evenly over the run.
-  std::vector<std::vector<double>> run_rounds(
-      double seconds, int setup_samples = 0,
-      std::vector<double>* setups = nullptr);
+  /// Closed loop: whole rounds, each calling `step` once per sweep in the
+  /// round's order (each sweep starts after the previous one completed),
+  /// until `seconds` have passed and at least three rounds ran.
+  void run_rounds(double seconds, const SweepStep& step) const;
 
-  /// Geometric mean over sweeps of jobs / fast-decile wall seconds, so
-  /// every sweep weighs the same whatever its size.
+  /// Geometric mean over sweeps of jobs / fastest wall seconds, so every
+  /// sweep weighs the same whatever its size.
   [[nodiscard]] double jobs_per_second(
       const std::vector<std::vector<double>>& walls) const;
 
@@ -182,6 +184,7 @@ class SweepBench {
   RunConfig config_;
   Workload workload_;
   CheckTally tally_;
+  std::vector<double> fastest_setup_;  // per sweep, seconds
   std::vector<std::vector<JobReference>> references_;
   double rel_error_max_ = 0;
   double rel_error_mean_ = 0;
@@ -258,9 +261,9 @@ class SpanLog {
 };
 
 /// The traced run: timed rounds alternating untraced and traced sweeps,
-/// a host calibration loop per round, and per-layer probes calling each
-/// module's public functions inside spans.  Returns the per-layer
-/// metrics.
+/// a host calibration loop before each sweep, and per-layer probes
+/// calling each module's public functions inside spans.  Returns the
+/// per-layer metrics.
 [[nodiscard]] MetricSet run_traced(SweepBench& bench, SpanLog& spans);
 
 }  // namespace perfbench

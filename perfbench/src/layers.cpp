@@ -119,95 +119,92 @@ DirectSweep run_direct(const Sweep& sweep, bool crossval,
                        const Backends& backends, SpanLog& spans,
                        ChainCounts* counts) {
   const auto options = lean_options();
+  const std::string& ref = sweep.reference;
   DirectSweep result;
-  for (const ModelGrid& entry : sweep.models) {
-    const std::string& ref = entry.reference;
-    SpanLog::Scope chain(spans, "pipeline.chain", ref);
-    std::optional<prophet::uml::Model> made;
+  SpanLog::Scope chain(spans, "pipeline.chain", ref);
+  std::optional<prophet::uml::Model> made;
+  {
+    SpanLog::Scope span(spans, "models.make", ref);
+    made.emplace(prophet::models::Registry::builtin().make(ref));
+  }
+  std::string text;
+  {
+    SpanLog::Scope span(spans, "xmi.to_xml", ref);
+    text = prophet::xmi::to_xml(*made);
+  }
+  std::optional<prophet::uml::Model> parsed;
+  {
+    SpanLog::Scope span(spans, "xmi.from_xml", ref);
+    parsed.emplace(prophet::xmi::from_xml(text));
+  }
+  {
+    SpanLog::Scope span(spans, "check.check", ref);
+    const prophet::check::ModelChecker checker;
+    const auto diagnostics = checker.check(*parsed);
+  }
+  std::string generated;
+  {
+    SpanLog::Scope span(spans, "codegen.transform", ref);
+    generated = prophet::codegen::Transformer().transform(*parsed);
+  }
+  lower::ModelProgramPtr program;
+  {
+    SpanLog::Scope span(spans, "lower.lower", ref);
+    program = lower::lower(std::move(*parsed));
+  }
+  std::unique_ptr<estimator::PreparedModel> analytic;
+  std::unique_ptr<estimator::PreparedModel> sim;
+  std::unique_ptr<estimator::PreparedModel> native;
+  if (crossval) {
     {
-      SpanLog::Scope span(spans, "models.make", ref);
-      made.emplace(prophet::models::Registry::builtin().make(ref));
+      SpanLog::Scope span(spans, "sim.prepare", ref);
+      sim = backends.sim.prepare(program);
     }
-    std::string text;
-    {
-      SpanLog::Scope span(spans, "xmi.to_xml", ref);
-      text = prophet::xmi::to_xml(*made);
-    }
-    std::optional<prophet::uml::Model> parsed;
-    {
-      SpanLog::Scope span(spans, "xmi.from_xml", ref);
-      parsed.emplace(prophet::xmi::from_xml(text));
-    }
-    {
-      SpanLog::Scope span(spans, "check.check", ref);
-      const prophet::check::ModelChecker checker;
-      const auto diagnostics = checker.check(*parsed);
-    }
-    std::string generated;
-    {
-      SpanLog::Scope span(spans, "codegen.transform", ref);
-      generated = prophet::codegen::Transformer().transform(*parsed);
-    }
-    lower::ModelProgramPtr program;
-    {
-      SpanLog::Scope span(spans, "lower.lower", ref);
-      program = lower::lower(std::move(*parsed));
-    }
-    std::unique_ptr<estimator::PreparedModel> analytic;
-    std::unique_ptr<estimator::PreparedModel> sim;
-    std::unique_ptr<estimator::PreparedModel> native;
-    if (crossval) {
-      {
-        SpanLog::Scope span(spans, "sim.prepare", ref);
-        sim = backends.sim.prepare(program);
-      }
-      SpanLog::Scope span(spans, "cgen.prepare", ref);
-      native = backends.codegen.prepare(program);
-    }
-    {
-      SpanLog::Scope span(spans, "analytic.prepare", ref);
-      analytic = backends.analytic.prepare(program);
-    }
-    result.chain += chain.close();
+    SpanLog::Scope span(spans, "cgen.prepare", ref);
+    native = backends.codegen.prepare(program);
+  }
+  {
+    SpanLog::Scope span(spans, "analytic.prepare", ref);
+    analytic = backends.analytic.prepare(program);
+  }
+  result.chain = chain.close();
 
-    const auto params = expand(entry.grid);
-    SpanLog::Scope engines(spans, "pipeline.engines", ref, params.size());
-    if (crossval) {
-      {
-        SpanLog::Scope span(spans, "sim.estimate", ref, params.size());
-        for (const auto& p : params) {
-          (void)sim->estimate(p, options);
-        }
-      }
-      SpanLog::Scope span(spans, "cgen.estimate", ref, params.size());
+  const auto params = expand(sweep.grid);
+  SpanLog::Scope engines(spans, "pipeline.engines", ref, params.size());
+  if (crossval) {
+    {
+      SpanLog::Scope span(spans, "sim.estimate", ref, params.size());
       for (const auto& p : params) {
-        (void)native->estimate(p, options);
+        (void)sim->estimate(p, options);
       }
     }
-    {
-      SpanLog::Scope span(spans, "analytic.estimate_batch", ref,
-                          params.size());
-      for_each_chunk(params, [&](auto chunk) {
-        (void)analytic->estimate_batch(chunk, options);
-      });
+    SpanLog::Scope span(spans, "cgen.estimate", ref, params.size());
+    for (const auto& p : params) {
+      (void)native->estimate(p, options);
     }
-    result.engines += engines.close();
+  }
+  {
+    SpanLog::Scope span(spans, "analytic.estimate_batch", ref, params.size());
+    for_each_chunk(params, [&](auto chunk) {
+      (void)analytic->estimate_batch(chunk, options);
+    });
+  }
+  result.engines = engines.close();
 
-    // xmi::from_xml parses internally; the parser alone is timed apart
-    // from the chain, so the direct sweep does what the runner does.
-    {
-      SpanLog::Scope span(spans, "xml.parse", ref, text.size());
-      const auto document = prophet::xml::parse(text);
-    }
-    if (counts != nullptr) {
-      counts->xmi_bytes += static_cast<double>(text.size());
-      counts->generated_bytes += static_cast<double>(generated.size());
-      counts->bytecode_bytes +=
-          static_cast<double>(program->stats().bytecode_bytes);
-      counts->expr_programs +=
-          static_cast<double>(program->stats().expr_programs);
-      counts->programs.push_back(program);
-    }
+  // xmi::from_xml parses internally; the parser alone is timed apart
+  // from the chain, so the direct sweep does what the runner does.
+  {
+    SpanLog::Scope span(spans, "xml.parse", ref, text.size());
+    const auto document = prophet::xml::parse(text);
+  }
+  if (counts != nullptr) {
+    counts->xmi_bytes += static_cast<double>(text.size());
+    counts->generated_bytes += static_cast<double>(generated.size());
+    counts->bytecode_bytes +=
+        static_cast<double>(program->stats().bytecode_bytes);
+    counts->expr_programs +=
+        static_cast<double>(program->stats().expr_programs);
+    counts->programs.push_back(program);
   }
   return result;
 }
@@ -222,19 +219,19 @@ struct RoundResults {
   std::vector<std::vector<double>> traced;
   std::vector<std::vector<double>> chain;
   std::vector<std::vector<double>> direct;
-  std::vector<double> calibration_ns;  // per round
+  std::vector<double> calibration_ns;  // one per sweep run
   prophet::obs::Registry counters;     // the traced runners' exports
   std::uint64_t traced_jobs = 0;
   ChainCounts counts;
 };
 
-/// Closed-loop rounds; per sweep, back to back: the untraced runner, the
-/// traced runner, and the direct calls.  One calibration loop per round.
-RoundResults run_rounds(SweepBench& bench, SpanLog& spans, double seconds) {
-  constexpr int kMinRounds = 3;
+/// Closed-loop rounds; per sweep, back to back: a calibration loop, the
+/// untraced runner, the traced runner, and the direct calls.
+RoundResults traced_rounds(SweepBench& bench, SpanLog& spans,
+                           double seconds) {
   const Workload& workload = bench.workload();
   const bool crossval = workload.backend == estimator::BackendKind::All;
-  const Backends backends{{}, {}, codegen_backend(bench.warm_cache())};
+  const Backends backends{{}, {}, codegen_backend(bench.cgen_cache())};
   const pipeline::BatchOptions plain = bench.sweep_options();
   pipeline::BatchOptions traced = plain;
   traced.collect_metrics = true;
@@ -245,9 +242,7 @@ RoundResults run_rounds(SweepBench& bench, SpanLog& spans, double seconds) {
   results.traced.resize(sweeps);
   results.chain.resize(sweeps);
   results.direct.resize(sweeps);
-  const auto start = Clock::now();
-  for (int round = 0; round < kMinRounds || seconds_since(start) < seconds;
-       ++round) {
+  bench.run_rounds(seconds, [&](std::size_t s) {
     {
       SpanLog::Scope span(spans, "host.calibration");
       const auto kernel =
@@ -255,26 +250,25 @@ RoundResults run_rounds(SweepBench& bench, SpanLog& spans, double seconds) {
       (void)kernel.checksum;
       results.calibration_ns.push_back(span.close() * 1e9);
     }
-    for (const std::size_t s : bench.round_order(round)) {
-      const Sweep& sweep = workload.sweeps[s];
-      results.plain[s].push_back(bench.run_sweep(s, plain));
-      {
-        SpanLog::Scope span(spans, "pipeline.sweep", sweep.label,
-                            bench.jobs_in(s));
-        pipeline::BatchReport report;
-        results.traced[s].push_back(bench.run_sweep(s, traced, &report));
-        results.counters.merge(report.metrics);
-        results.traced_jobs += report.results.size();
-      }
-      SpanLog::Scope span(spans, "pipeline.direct", sweep.label,
+    const Sweep& sweep = workload.sweeps[s];
+    results.plain[s].push_back(bench.run_sweep(s, plain));
+    {
+      SpanLog::Scope span(spans, "pipeline.sweep", sweep.label,
                           bench.jobs_in(s));
-      const DirectSweep direct =
-          run_direct(sweep, crossval, backends, spans,
-                     round == 0 ? &results.counts : nullptr);
-      results.chain[s].push_back(direct.chain);
-      results.direct[s].push_back(direct.chain + direct.engines);
+      pipeline::BatchReport report;
+      results.traced[s].push_back(bench.run_sweep(s, traced, &report));
+      results.counters.merge(report.metrics);
+      results.traced_jobs += report.results.size();
     }
-  }
+    SpanLog::Scope span(spans, "pipeline.direct", sweep.label,
+                        bench.jobs_in(s));
+    const bool first_round = results.direct[s].empty();
+    const DirectSweep direct =
+        run_direct(sweep, crossval, backends, spans,
+                   first_round ? &results.counts : nullptr);
+    results.chain[s].push_back(direct.chain);
+    results.direct[s].push_back(direct.chain + direct.engines);
+  });
   return results;
 }
 
@@ -411,7 +405,7 @@ struct EngineResults {
 EngineResults probe_engines(const SweepBench& bench, SpanLog& spans) {
   const prophet::analytic::AnalyticBackend analytic_backend;
   const prophet::analytic::SimulationBackend sim_backend;
-  const auto cgen_backend = codegen_backend(bench.warm_cache());
+  const auto cgen_backend = codegen_backend(bench.cgen_cache());
   const auto options = lean_options();
 
   EngineResults results;
@@ -419,11 +413,10 @@ EngineResults probe_engines(const SweepBench& bench, SpanLog& spans) {
   double sim_events = 0;
   std::string compile_probe_source;
   for (const Sweep& sweep : registry_sweeps()) {
-    const ModelGrid& entry = sweep.models.front();
-    const auto params = expand(entry.grid);
+    const auto params = expand(sweep.grid);
     const double jobs = static_cast<double>(params.size());
     const auto program = lower::lower(
-        prophet::models::Registry::builtin().make(entry.reference));
+        prophet::models::Registry::builtin().make(sweep.reference));
     const auto analytic = analytic_backend.prepare(program);
     const auto sim = sim_backend.prepare(program);
     const prophet::analytic::AnalyticEstimator estimator(program);
@@ -528,7 +521,7 @@ EngineResults probe_engines(const SweepBench& bench, SpanLog& spans) {
 
 MetricSet run_traced(SweepBench& bench, SpanLog& spans) {
   const RoundResults rounds =
-      run_rounds(bench, spans, bench.config().seconds);
+      traced_rounds(bench, spans, bench.config().seconds);
   const ChainCounts& chain = rounds.counts;
   const VmResults vm = probe_vm(chain.programs, spans);
   const EngineResults engines = probe_engines(bench, spans);
@@ -611,9 +604,9 @@ MetricSet run_traced(SweepBench& bench, SpanLog& spans) {
   double chain_seconds = 0;
   double jobs = 0;
   for (std::size_t s = 0; s < rounds.plain.size(); ++s) {
-    runner_seconds += fast_decile(rounds.plain[s]);
-    direct_seconds += fast_decile(rounds.direct[s]);
-    chain_seconds += fast_decile(rounds.chain[s]);
+    runner_seconds += fastest(rounds.plain[s]);
+    direct_seconds += fastest(rounds.direct[s]);
+    chain_seconds += fastest(rounds.chain[s]);
     jobs += static_cast<double>(bench.jobs_in(s));
   }
   metrics.push_back({"pipeline.overhead_ns_per_job",

@@ -30,6 +30,10 @@ namespace {
 
 using namespace perfbench;
 
+/// Cold set-ups per model on crossval_wide: each is a native compile of
+/// about 2 s, so two keep a run near 80 s.
+constexpr int kColdSetupReps = 2;
+
 [[noreturn]] void usage(const std::string& problem) {
   std::cerr << "perfbench: " << problem << "\n"
             << "usage: perfbench --workload <";
@@ -126,9 +130,9 @@ int run(const RunConfig& config) {
       workload.backend == prophet::estimator::BackendKind::All;
   SweepBench bench(config, std::move(workload));
   pin_to_quietest_cpu();
+  use_cgen_cache(bench.cgen_cache());
 
   if (config.trace) {
-    use_cgen_cache(bench.warm_cache());
     bench.compute_references();
     SpanLog spans;
     const MetricSet metrics = run_traced(bench, spans);
@@ -144,22 +148,27 @@ int run(const RunConfig& config) {
     return 0;
   }
 
-  // The first set-up also finds any model that fails.  The analytic
-  // set-ups take milliseconds, so 21 more run between the timed rounds
-  // and their median is reported; a cold-compile set-up takes about 20 s
-  // and runs once, its ten compiles already averaging out.
-  std::vector<double> setups = {bench.measure_setup()};
-  bench.compute_references();
-  if (!crossval) {
-    setups.clear();
+  // A cold set-up compiles the model (about 2 s) into an emptied cache,
+  // so crossval_wide times them before the rounds.  An analytic set-up
+  // takes under a millisecond; one follows every timed sweep, so the
+  // set-ups see the same host phases the sweeps do rather than one
+  // burst at start.
+  for (int rep = 0; crossval && rep < kColdSetupReps; ++rep) {
+    bench.time_setups(rep);
   }
-  const auto walls = bench.run_rounds(config.seconds, 21,
-                                      crossval ? nullptr : &setups);
-  const double setup_s = median(setups);
+  bench.compute_references();
+  std::vector<std::vector<double>> walls(bench.workload().sweeps.size());
+  const auto options = bench.sweep_options();
+  bench.run_rounds(config.seconds, [&](std::size_t s) {
+    walls[s].push_back(bench.run_sweep(s, options));
+    if (!crossval) {
+      bench.time_setup(s);
+    }
+  });
 
   MetricSet metrics;
   metrics.push_back({"jobs_per_s", bench.jobs_per_second(walls), "1/s"});
-  metrics.push_back({"setup_s", setup_s, "s"});
+  metrics.push_back({"setup_s", bench.setup_seconds(), "s"});
   metrics.push_back({"peak_rss_mb", peak_rss_mb(), "MB"});
   metrics.push_back({"rel_error_max", bench.rel_error_max(), "ratio"});
   metrics.push_back({"rel_error_mean", bench.rel_error_mean(), "ratio"});

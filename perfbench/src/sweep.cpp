@@ -40,16 +40,11 @@ void use_cgen_cache(const std::string& dir) {
 }
 
 void pin_to_quietest_cpu() {
-  // The CPUs the process may use, captured before the first pin narrows
-  // the mask.
-  static const cpu_set_t allowed = [] {
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    if (sched_getaffinity(0, sizeof set, &set) != 0) {
-      CPU_ZERO(&set);
-    }
-    return set;
-  }();
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) {
+    return;
+  }
   int best_cpu = -1;
   double best_seconds = 0;
   for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
@@ -86,10 +81,12 @@ void pin_to_quietest_cpu() {
 SweepBench::SweepBench(RunConfig config, Workload workload)
     : config_(std::move(config)),
       workload_(std::move(workload)),
+      fastest_setup_(workload_.sweeps.size(),
+                     std::numeric_limits<double>::infinity()),
       perturb_pending_(config_.perturb) {}
 
-std::string SweepBench::warm_cache() const {
-  return config_.work_dir + "/cgen-warm";
+std::string SweepBench::cgen_cache() const {
+  return config_.work_dir + "/cgen-cache";
 }
 
 pipeline::BatchOptions SweepBench::sweep_options() const {
@@ -99,22 +96,28 @@ pipeline::BatchOptions SweepBench::sweep_options() const {
   return options;
 }
 
-double SweepBench::measure_setup() {
-  const bool cold_compiles = workload_.backend == BackendKind::All;
-  const std::string cold_cache = config_.work_dir + "/cgen-cold";
-  if (cold_compiles) {
-    fs::remove_all(cold_cache);
-    use_cgen_cache(cold_cache);
+void SweepBench::time_setups(int rep) {
+  if (workload_.backend == BackendKind::All) {
+    fs::remove_all(cgen_cache());
   }
+  for (const std::size_t s : round_order(rep)) {
+    time_setup(s);
+  }
+}
+
+double SweepBench::setup_seconds() const {
+  // Contention only ever adds time, so each model's fastest set-up is
+  // the steadiest estimate of its cost.
+  return std::accumulate(fastest_setup_.begin(), fastest_setup_.end(), 0.0);
+}
+
+void SweepBench::time_setup(std::size_t sweep) {
+  const Sweep& spec = workload_.sweeps[sweep];
   const auto start = Clock::now();
   pipeline::BatchRunner runner(sweep_options());
-  for (const Sweep& sweep : workload_.sweeps) {
-    for (const ModelGrid& model : sweep.models) {
-      const int index = runner.add_model_reference(model.reference);
-      runner.add_scenario(
-          index, pipeline::ScenarioGrid::parse(model.grid).expand().front());
-    }
-  }
+  const int index = runner.add_model_reference(spec.reference);
+  runner.add_scenario(index,
+                      pipeline::ScenarioGrid::parse(spec.grid).expand().front());
   const pipeline::BatchReport report = runner.run();
   const double wall = seconds_since(start);
   tally_.attempted += report.results.size();
@@ -125,11 +128,7 @@ double SweepBench::measure_setup() {
                 << ": " << result.error << "\n";
     }
   }
-  if (cold_compiles) {
-    fs::remove_all(cold_cache);
-    use_cgen_cache(warm_cache());
-  }
-  return wall;
+  fastest_setup_[sweep] = std::min(fastest_setup_[sweep], wall);
 }
 
 void SweepBench::compute_references() {
@@ -144,11 +143,10 @@ void SweepBench::compute_references() {
   double error_sum = 0;
   std::size_t compared = 0;
   for (std::size_t s = 0; s < workload_.sweeps.size(); ++s) {
+    const Sweep& sweep = workload_.sweeps[s];
     pipeline::BatchRunner runner(options);
-    for (const ModelGrid& model : workload_.sweeps[s].models) {
-      const int index = runner.add_model_reference(model.reference);
-      runner.add_sweep(index, pipeline::ScenarioGrid::parse(model.grid));
-    }
+    runner.add_sweep(runner.add_model_reference(sweep.reference),
+                     pipeline::ScenarioGrid::parse(sweep.grid));
     const pipeline::BatchReport report = runner.run();
     tally_.attempted += report.results.size();
     for (const auto& result : report.results) {
@@ -190,12 +188,11 @@ void SweepBench::compute_references() {
 double SweepBench::run_sweep(std::size_t sweep,
                              const pipeline::BatchOptions& options,
                              pipeline::BatchReport* report_out) {
+  const Sweep& spec = workload_.sweeps[sweep];
   const auto start = Clock::now();
   pipeline::BatchRunner runner(options);
-  for (const ModelGrid& model : workload_.sweeps[sweep].models) {
-    const int index = runner.add_model_reference(model.reference);
-    runner.add_sweep(index, pipeline::ScenarioGrid::parse(model.grid));
-  }
+  runner.add_sweep(runner.add_model_reference(spec.reference),
+                   pipeline::ScenarioGrid::parse(spec.grid));
   pipeline::BatchReport report = runner.run();
   const double wall = seconds_since(start);
   check(sweep, report);
@@ -243,44 +240,23 @@ std::vector<std::size_t> SweepBench::round_order(int round) const {
   return order;
 }
 
-std::vector<std::vector<double>> SweepBench::run_rounds(
-    double seconds, int setup_samples, std::vector<double>* setups) {
+void SweepBench::run_rounds(double seconds, const SweepStep& step) const {
   // At least three rounds, so every estimate has something to choose from.
   constexpr int kMinRounds = 3;
-  const pipeline::BatchOptions options = sweep_options();
-  std::vector<std::vector<double>> walls(workload_.sweeps.size());
-  // A busy neighbour can settle on the chosen CPU mid-run; moving to the
-  // quietest one every couple of seconds costs about 1% of the run.
-  constexpr double kRepinSeconds = 2;
   const auto start = Clock::now();
-  auto pinned = start;
   for (int round = 0;
        round < kMinRounds || seconds_since(start) < seconds; ++round) {
-    if (seconds_since(pinned) >= kRepinSeconds) {
-      pin_to_quietest_cpu();
-      pinned = Clock::now();
-    }
-    // Set-ups spread evenly over the run see the same host phases the
-    // sweeps do.
-    if (setups != nullptr &&
-        static_cast<int>(setups->size()) <
-            std::min(setup_samples,
-                     1 + static_cast<int>(seconds_since(start) / seconds *
-                                          setup_samples))) {
-      setups->push_back(measure_setup());
-    }
     for (const std::size_t s : round_order(round)) {
-      walls[s].push_back(run_sweep(s, options));
+      step(s);
     }
   }
-  return walls;
 }
 
 double SweepBench::jobs_per_second(
     const std::vector<std::vector<double>>& walls) const {
   std::vector<double> rates;
   for (std::size_t s = 0; s < walls.size(); ++s) {
-    rates.push_back(static_cast<double>(jobs_in(s)) / fast_decile(walls[s]));
+    rates.push_back(static_cast<double>(jobs_in(s)) / fastest(walls[s]));
   }
   return geomean(rates);
 }

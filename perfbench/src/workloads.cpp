@@ -21,12 +21,6 @@ constexpr const char* kWideGrid = "np=1..16 nodes=1..4 ppn=1..4";
 // contract, so its grid keeps np fixed.
 constexpr const char* kPingpongGrid = "np=2 nodes=1..4 ppn=1..4";
 
-Sweep single(std::string label, std::string reference,
-             std::string grid = kWideGrid) {
-  return Sweep{std::move(label), {ModelGrid{std::move(reference),
-                                            std::move(grid)}}};
-}
-
 }  // namespace
 
 double seconds_since(Clock::time_point start) {
@@ -50,12 +44,8 @@ double median(std::vector<double> values) {
                                  : 0.5 * (values[mid - 1] + values[mid]);
 }
 
-double fast_decile(std::vector<double> values) {
-  if (values.empty()) {
-    return 0;
-  }
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 10];
+double fastest(const std::vector<double>& values) {
+  return values.empty() ? 0 : *std::min_element(values.begin(), values.end());
 }
 
 double geomean(const std::vector<double>& values) {
@@ -81,18 +71,18 @@ std::vector<Sweep> registry_sweeps() {
   // its default shape: shapes differ up to 35x in simulated events, which
   // would make one sweep's rate a function of the seed.
   return {
-      single("sample", "@sample"),
-      single("kernel6", "@kernel6"),
+      {"sample", "@sample", kWideGrid},
+      {"kernel6", "@kernel6", kWideGrid},
       // The full loop nest simulates m*n*(n-1)/2 elements per process;
       // these knobs keep it from dominating a cross-validation round.
-      single("kernel6-detailed", "@kernel6-detailed(n=8,m=2)"),
-      single("pingpong", "@pingpong", kPingpongGrid),
-      single("synthetic", "@synthetic"),
-      single("random", "@random"),
-      single("stencil2d", "@stencil2d"),
-      single("allreduce", "@allreduce"),
-      single("masterworker", "@masterworker"),
-      single("pipeline", "@pipeline"),
+      {"kernel6-detailed", "@kernel6-detailed(n=8,m=2)", kWideGrid},
+      {"pingpong", "@pingpong", kPingpongGrid},
+      {"synthetic", "@synthetic", kWideGrid},
+      {"random", "@random", kWideGrid},
+      {"stencil2d", "@stencil2d", kWideGrid},
+      {"allreduce", "@allreduce", kWideGrid},
+      {"masterworker", "@masterworker", kWideGrid},
+      {"pipeline", "@pipeline", kWideGrid},
   };
 }
 
