@@ -54,6 +54,13 @@ struct Workload {
 /// SplitMix64 step: deterministic seed derivation.
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t value);
 
+/// One pass of the host calibration loop, Livermore kernel 6 at n=256,
+/// m=8 (arrays set up and the recurrence run), in seconds of the calling
+/// thread's CPU time.  The benchmark keeps its own copy of the loop
+/// instead of calling prophet::kernels, so no change to the program can
+/// move the yardstick its rates are scaled by.
+[[nodiscard]] double calibration_seconds();
+
 /// \name Statistics over samples
 ///@{
 [[nodiscard]] double median(std::vector<double> values);
@@ -98,9 +105,9 @@ struct CheckTally {
 };
 
 /// Pins the calling thread — and the threads and processes it starts
-/// later — to the allowed CPU that runs a fixed Livermore kernel 6 loop
-/// fastest right now.  On a shared host the neighbours load some cores
-/// more than others.
+/// later — to the allowed CPU that runs the calibration loop fastest
+/// right now, by wall time.  On a shared host the neighbours load some
+/// cores more than others.
 void pin_to_quietest_cpu();
 
 /// Points the cgen compile cache at `dir` (PROPHET_CGEN_CACHE, read by
@@ -162,11 +169,22 @@ class SweepBench {
 
   /// Closed loop: whole rounds, each calling `step` once per sweep in the
   /// round's order (each sweep starts after the previous one completed),
-  /// until `seconds` have passed and at least three rounds ran.
-  void run_rounds(double seconds, const SweepStep& step) const;
+  /// until `seconds` have passed and at least three rounds ran.  One
+  /// calibration loop runs before every step.
+  void run_rounds(double seconds, const SweepStep& step);
+
+  /// Seconds of every calibration loop the rounds ran.
+  [[nodiscard]] const std::vector<double>& calibrations() const {
+    return calibrations_;
+  }
+
+  /// The fastest calibration loop of the rounds over the reference
+  /// host's: below 1 when this host ran faster than the reference.
+  [[nodiscard]] double host_scale() const;
 
   /// Geometric mean over sweeps of jobs / fastest wall seconds, so every
-  /// sweep weighs the same whatever its size.
+  /// sweep weighs the same whatever its size, times host_scale(): the
+  /// rate the reference host would reach.
   [[nodiscard]] double jobs_per_second(
       const std::vector<std::vector<double>>& walls) const;
 
@@ -185,6 +203,7 @@ class SweepBench {
   Workload workload_;
   CheckTally tally_;
   std::vector<double> fastest_setup_;  // per sweep, seconds
+  std::vector<double> calibrations_;   // seconds, one per timed step
   std::vector<std::vector<JobReference>> references_;
   double rel_error_max_ = 0;
   double rel_error_mean_ = 0;
@@ -261,9 +280,8 @@ class SpanLog {
 };
 
 /// The traced run: timed rounds alternating untraced and traced sweeps,
-/// a host calibration loop before each sweep, and per-layer probes
-/// calling each module's public functions inside spans.  Returns the
-/// per-layer metrics.
+/// and per-layer probes calling each module's public functions inside
+/// spans.  Returns the per-layer metrics.
 [[nodiscard]] MetricSet run_traced(SweepBench& bench, SpanLog& spans);
 
 }  // namespace perfbench

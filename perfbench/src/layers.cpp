@@ -25,7 +25,6 @@
 #include "prophet/codegen/transformer.hpp"
 #include "prophet/expr/compile.hpp"
 #include "prophet/expr/parser.hpp"
-#include "prophet/kernels/livermore.hpp"
 #include "prophet/lower/lower.hpp"
 #include "prophet/models/registry.hpp"
 #include "prophet/pipeline/scenario.hpp"
@@ -47,9 +46,6 @@ using prophet::machine::SystemParameters;
 constexpr std::size_t kLanes = 8;
 /// Repetitions of each per-model engine probe; spans sum over them.
 constexpr int kProbeReps = 3;
-/// The host calibration loop: Livermore kernel 6 at a fixed size.
-constexpr std::size_t kCalibrationN = 256;
-constexpr std::size_t kCalibrationM = 8;
 
 /// Receives VM results so the timed evaluations stay observable.
 volatile double g_sink = 0;
@@ -219,14 +215,14 @@ struct RoundResults {
   std::vector<std::vector<double>> traced;
   std::vector<std::vector<double>> chain;
   std::vector<std::vector<double>> direct;
-  std::vector<double> calibration_ns;  // one per sweep run
-  prophet::obs::Registry counters;     // the traced runners' exports
+  prophet::obs::Registry counters;  // the traced runners' exports
   std::uint64_t traced_jobs = 0;
   ChainCounts counts;
 };
 
-/// Closed-loop rounds; per sweep, back to back: a calibration loop, the
-/// untraced runner, the traced runner, and the direct calls.
+/// Closed-loop rounds; per sweep, back to back after the round driver's
+/// calibration loop: the untraced runner, the traced runner, and the
+/// direct calls.
 RoundResults traced_rounds(SweepBench& bench, SpanLog& spans,
                            double seconds) {
   const Workload& workload = bench.workload();
@@ -243,13 +239,6 @@ RoundResults traced_rounds(SweepBench& bench, SpanLog& spans,
   results.chain.resize(sweeps);
   results.direct.resize(sweeps);
   bench.run_rounds(seconds, [&](std::size_t s) {
-    {
-      SpanLog::Scope span(spans, "host.calibration");
-      const auto kernel =
-          prophet::kernels::kernel6(kCalibrationN, kCalibrationM);
-      (void)kernel.checksum;
-      results.calibration_ns.push_back(span.close() * 1e9);
-    }
     const Sweep& sweep = workload.sweeps[s];
     results.plain[s].push_back(bench.run_sweep(s, plain));
     {
@@ -618,7 +607,8 @@ MetricSet run_traced(SweepBench& bench, SpanLog& spans) {
               bench.jobs_per_second(rounds.traced) /
                   bench.jobs_per_second(rounds.plain),
               "ratio"});
-  metrics.push_back({"host.calibration_ns", median(rounds.calibration_ns), "ns"});
+  metrics.push_back({"host.calibration_ns", median(bench.calibrations()) * 1e9,
+              "ns"});
   return metrics;
 }
 

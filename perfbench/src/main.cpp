@@ -26,6 +26,7 @@
 
 #include "bench.hpp"
 
+namespace perfbench { void print_diag(); }
 namespace {
 
 using namespace perfbench;
@@ -172,6 +173,11 @@ int run(const RunConfig& config) {
   metrics.push_back({"peak_rss_mb", peak_rss_mb(), "MB"});
   metrics.push_back({"rel_error_max", bench.rel_error_max(), "ratio"});
   metrics.push_back({"rel_error_mean", bench.rel_error_mean(), "ratio"});
+  std::cerr << "perfbench: fastest calibration loop "
+            << fastest(bench.calibrations()) * 1e6
+            << " us; jobs_per_s is the measured rate times "
+            << bench.host_scale() << "\n";
+  print_diag();
   print_result(metrics, bench.tally());
   return 0;
 }

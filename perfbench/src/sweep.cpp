@@ -8,14 +8,15 @@
 #include <filesystem>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <random>
 #include <stdexcept>
 
 #include <sched.h>
+#include <time.h>
 
 #include "bench.hpp"
-#include "prophet/kernels/livermore.hpp"
 #include "prophet/pipeline/scenario.hpp"
 
 namespace perfbench {
@@ -26,11 +27,51 @@ using prophet::estimator::BackendKind;
 
 namespace {
 
+/// The calibration loop's time on the reference host: about what a
+/// shared 4-vCPU Xeon VM takes when quiet (280-340 us).
+constexpr double kReferenceCalibrationSeconds = 300e-6;
+
+/// Receives the calibration checksum so the loop stays observable.
+volatile double g_calibration_sink = 0;
+
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+double thread_cpu_seconds() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         1e-9 * static_cast<double>(now.tv_nsec);
+}
+
 }  // namespace
+
+double calibration_seconds() {
+  constexpr std::size_t n = 256;
+  constexpr std::size_t m = 8;
+  const double start = thread_cpu_seconds();
+  std::vector<double> w(n);
+  std::vector<double> b(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    w[i] = 1e-4 * static_cast<double>(i + 1);
+    for (std::size_t k = 0; k < n; ++k) {
+      b[i * n + k] = 1e-6 * static_cast<double>((i + k) % 7 + 1);
+    }
+  }
+  for (std::size_t l = 0; l < m; ++l) {
+    for (std::size_t i = 1; i < n; ++i) {
+      double acc = w[i];
+      for (std::size_t k = 0; k < i; ++k) {
+        acc += b[i * n + k] * w[i - k - 1];
+      }
+      w[i] = acc;
+    }
+  }
+  const double seconds = thread_cpu_seconds() - start;
+  g_calibration_sink = std::accumulate(w.begin(), w.end(), 0.0);
+  return seconds;
+}
 
 void use_cgen_cache(const std::string& dir) {
   fs::create_directories(dir);
@@ -60,7 +101,7 @@ void pin_to_quietest_cpu() {
     std::vector<double> samples;
     for (int rep = 0; rep < 40; ++rep) {
       const auto start = Clock::now();
-      (void)prophet::kernels::kernel6(128, 8);
+      (void)calibration_seconds();
       samples.push_back(seconds_since(start));
     }
     const double seconds = median(samples);
@@ -240,16 +281,69 @@ std::vector<std::size_t> SweepBench::round_order(int round) const {
   return order;
 }
 
-void SweepBench::run_rounds(double seconds, const SweepStep& step) const {
+namespace {
+std::vector<double> g_diag[4];
+volatile std::uint64_t g_diag_sink = 0;
+double diag_chase() {
+  static const std::vector<std::uint32_t> next = [] {
+    constexpr std::uint32_t n = 1u << 21;
+    std::vector<std::uint32_t> v(n);
+    std::iota(v.begin(), v.end(), 0u);
+    std::mt19937 rng(7);
+    for (std::uint32_t i = n - 1; i > 0; --i) {
+      std::uniform_int_distribution<std::uint32_t> d(0, i - 1);
+      std::swap(v[i], v[d(rng)]);
+    }
+    return v;
+  }();
+  const double start = thread_cpu_seconds();
+  std::uint32_t i = 0;
+  for (int k = 0; k < 20000; ++k) i = next[i];
+  g_diag_sink = i;
+  return thread_cpu_seconds() - start;
+}
+double diag_map(std::uint64_t salt) {
+  const double start = thread_cpu_seconds();
+  std::map<std::uint64_t, double> m;
+  std::uint64_t x = 12345;
+  for (int k = 0; k < 3000; ++k) {
+    x = splitmix64(x + salt * 0);
+    m[x % 8192] += 1.0;
+    if (k % 3 == 0) m.erase(m.begin());
+  }
+  g_diag_sink = m.size();
+  return thread_cpu_seconds() - start;
+}
+}  // namespace
+
+void print_diag() {
+  std::cerr << "DIAG";
+  for (auto& v : g_diag) std::cerr << " " << fastest(v) * 1e6;
+  std::cerr << "\n";
+}
+
+void SweepBench::run_rounds(double seconds, const SweepStep& step) {
   // At least three rounds, so every estimate has something to choose from.
   constexpr int kMinRounds = 3;
   const auto start = Clock::now();
   for (int round = 0;
        round < kMinRounds || seconds_since(start) < seconds; ++round) {
     for (const std::size_t s : round_order(round)) {
+      {
+        const auto w0 = Clock::now();
+        (void)calibration_seconds();
+        g_diag[0].push_back(seconds_since(w0));
+      }
+      g_diag[1].push_back(diag_chase());
+      g_diag[2].push_back(diag_map(s));
+      calibrations_.push_back(calibration_seconds());
       step(s);
     }
   }
+}
+
+double SweepBench::host_scale() const {
+  return fastest(calibrations_) / kReferenceCalibrationSeconds;
 }
 
 double SweepBench::jobs_per_second(
@@ -258,7 +352,11 @@ double SweepBench::jobs_per_second(
   for (std::size_t s = 0; s < walls.size(); ++s) {
     rates.push_back(static_cast<double>(jobs_in(s)) / fastest(walls[s]));
   }
-  return geomean(rates);
+  // The shared host's speed drifts over minutes and slows the sweeps and
+  // the calibration loop alike, so even a run's fastest sweeps differ by
+  // 20-40% between runs; scaled by the loop, they agree within a few
+  // percent.
+  return geomean(rates) * host_scale();
 }
 
 }  // namespace perfbench
