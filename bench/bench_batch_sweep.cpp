@@ -1,17 +1,13 @@
 // The batch scenario-sweep pipeline: end-to-end jobs/second at different
-// worker-pool sizes and cache modes.
+// worker-pool sizes and backends.
 //
-// Cached mode (the default) compiles each model once — XMI parse, model
-// check, UML -> C++ transformation, Backend::prepare — and turns every
-// job into a parameter-only evaluation; isolated mode re-runs the whole
-// chain per job (PR 1's semantics).  BM_BatchSweep_Throughput measures
-// both at 1 / 2 / 4 / hardware_concurrency threads; the dedicated
-// BM_BatchSweep_CacheSpeedup reports the cached-vs-isolated jobs/s ratio
-// on the analytic @kernel6 grid — the acceptance bar for the
-// compiled-model cache is >= 20x.
+// The runner compiles each model once — model check, lowering,
+// Backend::prepare — and turns every job into a parameter-only
+// evaluation.  BM_BatchSweep_Throughput measures it at 1 / 2 / 4 /
+// hardware_concurrency threads; BM_BatchSweep_Backend compares the
+// engines on one sweep.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <thread>
 
 #include "prophet/pipeline/batch.hpp"
@@ -25,10 +21,9 @@ namespace pipeline = prophet::pipeline;
 namespace {
 
 // A mixed sweep: two models x (np in 1..8) x (nodes in 1,2) = 32 jobs.
-pipeline::BatchRunner make_runner(int threads, bool isolate) {
+pipeline::BatchRunner make_runner(int threads) {
   pipeline::BatchOptions options;
   options.threads = threads;
-  options.isolate_jobs = isolate;
   pipeline::BatchRunner runner(options);
   runner.add_model("sample", prophet::models::sample_model());
   runner.add_model("kernel6", prophet::models::kernel6_model(128, 32, 1e-8));
@@ -38,8 +33,7 @@ pipeline::BatchRunner make_runner(int threads, bool isolate) {
 
 void BM_BatchSweep_Throughput(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  const bool isolate = state.range(1) != 0;
-  const auto runner = make_runner(threads, isolate);
+  const auto runner = make_runner(threads);
   std::size_t jobs = 0;
   std::size_t failed = 0;
   for (auto _ : state) {
@@ -56,91 +50,17 @@ void BM_BatchSweep_Throughput(benchmark::State& state) {
       static_cast<double>(jobs), benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_BatchSweep_Throughput)
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({4, 0})
-    ->Args({static_cast<int>(std::thread::hardware_concurrency()), 0})
-    ->Args({1, 1})
-    ->Args({static_cast<int>(std::thread::hardware_concurrency()), 1})
-    ->ArgNames({"threads", "isolate"})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(static_cast<int>(std::thread::hardware_concurrency()))
+    ->ArgNames({"threads"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The headline number for the compiled-model cache: one iteration runs
-// the same analytic @kernel6 sweep cached and isolated; `speedup` is
-// their jobs/s ratio (cached wall includes the one-time prepare).
-void BM_BatchSweep_CacheSpeedup(benchmark::State& state) {
-  using clock = std::chrono::steady_clock;
-  const auto make = [](bool isolate) {
-    pipeline::BatchOptions options;
-    options.threads = 1;
-    options.isolate_jobs = isolate;
-    options.backend = prophet::estimator::BackendKind::Analytic;
-    pipeline::BatchRunner runner(options);
-    runner.add_model("kernel6", prophet::models::kernel6_model(64, 16, 1e-8));
-    runner.add_sweep(0, pipeline::ScenarioGrid::parse(
-                            "np=1..8 nodes=1..4 ppn=1,2"));
-    return runner;
-  };
-  const auto cached_runner = make(false);
-  const auto isolated_runner = make(true);
-  double cached_seconds = 0;
-  double isolated_seconds = 0;
-  std::size_t jobs = 0;
-  for (auto _ : state) {
-    const auto cached_start = clock::now();
-    const auto cached = cached_runner.run();
-    cached_seconds +=
-        std::chrono::duration<double>(clock::now() - cached_start).count();
-
-    const auto isolated_start = clock::now();
-    const auto isolated = isolated_runner.run();
-    isolated_seconds +=
-        std::chrono::duration<double>(clock::now() - isolated_start).count();
-
-    jobs = cached.results.size();
-    benchmark::DoNotOptimize(cached);
-    benchmark::DoNotOptimize(isolated);
-  }
-  const double total_jobs =
-      static_cast<double>(state.iterations()) * static_cast<double>(jobs);
-  state.counters["speedup"] =
-      cached_seconds > 0 ? isolated_seconds / cached_seconds : 0;
-  state.counters["cached_jobs_per_s"] =
-      cached_seconds > 0 ? total_jobs / cached_seconds : 0;
-  state.counters["isolated_jobs_per_s"] =
-      isolated_seconds > 0 ? total_jobs / isolated_seconds : 0;
-}
-BENCHMARK(BM_BatchSweep_CacheSpeedup)->Unit(benchmark::kMillisecond);
-
-// Stage ablation: what check and codegen add on top of parse+simulate.
-// Runs isolated so every job pays the stages being ablated (in cached
-// mode they are one-time, amortized costs).
-void BM_BatchSweep_Stages(benchmark::State& state) {
-  pipeline::BatchOptions options;
-  options.threads = 1;
-  options.isolate_jobs = true;
-  options.run_checker = state.range(0) != 0;
-  options.run_codegen = state.range(1) != 0;
-  pipeline::BatchRunner runner(options);
-  runner.add_model("sample", prophet::models::sample_model());
-  runner.add_sweep(0, pipeline::ScenarioGrid::parse("np=1..8"));
-  for (auto _ : state) {
-    const auto report = runner.run();
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(runner.job_count()));
-}
-BENCHMARK(BM_BatchSweep_Stages)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Unit(benchmark::kMillisecond);
-
 // Backend ablation: the same sweep through simulation, analytic and both
 // (cross-validation) — what `prophetc sweep --backend=...` costs per job
-// in its (cached) default shape.
+// in its default shape.
 void BM_BatchSweep_Backend(benchmark::State& state) {
   pipeline::BatchOptions options;
   options.threads = 1;

@@ -141,7 +141,6 @@ void BM_BatchVm_SweepSpeedup(benchmark::State& state) {
     options.threads = 1;
     options.batch_lanes = batch_lanes;
     options.backend = prophet::estimator::BackendKind::Analytic;
-    options.run_codegen = false;
     pipeline::BatchRunner runner(options);
     runner.add_model("kernel6", prophet::models::kernel6_model(64, 16, 1e-8));
     runner.add_sweep(0, pipeline::ScenarioGrid::parse(grid));

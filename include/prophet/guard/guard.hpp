@@ -254,9 +254,9 @@ class FaultInjected final : public std::runtime_error {
 ///               decided by a hash of (seed, site, visit) — the same
 ///               seed always fails the same visits
 ///
-/// Sites are plain names the pipeline visits ("parse", "check",
-/// "transform", "lower", "prepare", "estimate"); the special site
-/// "cancel@E" does not throw — the runner arms Budget::
+/// Sites are plain names the pipeline visits ("parse" for XMI inputs,
+/// at registration; "check", "lower", "prepare", "estimate"); the
+/// special site "cancel@E" does not throw — the runner arms Budget::
 /// cancel_at_sim_event(E) instead, exercising mid-simulation
 /// cancellation.  Visit counters are per-site and thread-safe.
 class FaultPlan {

@@ -2,25 +2,20 @@
 // model and evaluated many times over.
 //
 // The BatchRunner expands (model, SystemParameters) scenarios into jobs
-// and fans them out over a worker-thread pool.  By default it runs the
-// per-model half of the chain — XMI parse, model check, UML -> C++
-// transformation, Backend::prepare — exactly once per registered model
-// (the compiled-model cache), shares the immutable result read-only
-// across the pool, and turns each job into a parameter-only evaluation.
-// That is the source paper's own structure: the transformation is
-// automatic and per-model, only the estimation depends on the system
-// parameters.
+// and fans them out over a worker-thread pool.  It runs the per-model
+// half of the chain — model check, lowering, Backend::prepare — exactly
+// once per registered model (the compiled-model cache), shares the
+// immutable result read-only across the pool, and turns each job into a
+// parameter-only evaluation.  That is the source paper's own structure:
+// the transformation is automatic and per-model, only the estimation
+// depends on the system parameters.  Registered models are held in
+// memory; XMI text is parsed once, when it is registered.
 //
-// BatchOptions::isolate_jobs restores PR 1's fully isolated semantics:
-// every job re-parses its own uml::Model from the registered XMI text
-// and re-runs the whole chain.  Both modes produce bit-identical
-// predictions at any thread count — cached mode evaluates the same
-// parsed model through the same engines, just without re-deriving it per
-// job — and in both modes one failing model cannot poison the batch.
-// Each job also carries a seed derived from the batch base seed; the
-// current evaluation path draws no random numbers, so the seed is
-// recorded in the results as reserved job identity for future
-// stochastic model workloads (sim::Rng).
+// Every job runs through one path: consecutive same-model jobs form lane
+// chunks evaluated by one PreparedModel::estimate_batch call, and a
+// singleton is a chunk of one evaluated by the scalar
+// PreparedModel::estimate.  Predictions are bit-identical at any thread
+// count and lane width, and one failing model cannot poison the batch.
 //
 //   pipeline::BatchRunner runner;
 //   const int m = runner.add_model("sample", prophet::models::sample_model());
@@ -32,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,7 +42,7 @@
 namespace prophet::pipeline {
 
 /// One unit of work: a registered model evaluated under one parameter
-/// configuration with one RNG seed.
+/// configuration.
 struct BatchJob {
   /// Dense id in assignment order; results keep this order.
   int id = 0;
@@ -56,9 +52,6 @@ struct BatchJob {
   std::string model_name;
   /// The scenario's system parameters.
   machine::SystemParameters params;
-  /// Derived from BatchOptions::base_seed and id; reserved for stochastic
-  /// workloads (the current evaluation path is deterministic).
-  std::uint64_t seed = 0;
 };
 
 /// Outcome of one job.  `ok` is false when any pipeline stage failed; the
@@ -72,8 +65,6 @@ struct ScenarioResult {
   std::string model_name;
   /// The scenario's system parameters.
   machine::SystemParameters params;
-  /// The job's derived RNG seed.
-  std::uint64_t seed = 0;
 
   /// True when every pipeline stage succeeded.
   bool ok = false;
@@ -105,22 +96,10 @@ struct ScenarioResult {
   int processes = 0;
   /// Checker findings (errors fail the job).
   std::size_t check_warnings = 0;
-  /// Size of the generated C++ (when codegen is on).
-  std::size_t generated_bytes = 0;
-  /// Host time this job took.
+  /// Host time this job's evaluation took (a lane chunk's time is split
+  /// evenly over its lanes).  The per-model prepare is paid once, in
+  /// BatchReport::prepare_seconds.
   double wall_seconds = 0;
-
-  /// \name Per-stage host times (seconds)
-  /// In cached runs parse/check/transform happen once per model during
-  /// the batch prepare phase (BatchReport::prepare_seconds), so those
-  /// three stay 0 per job and estimate_seconds ~= wall_seconds; in
-  /// isolated runs every stage is paid — and visible — per job.
-  ///@{
-  double parse_seconds = 0;      ///< XMI parse time.
-  double check_seconds = 0;      ///< Model-check time.
-  double transform_seconds = 0;  ///< UML -> C++ transformation time.
-  double estimate_seconds = 0;   ///< Backend evaluation time.
-  ///@}
 };
 
 /// Aggregate statistics over the successful results of a batch.
@@ -151,16 +130,15 @@ struct BatchReport {
   int threads_used = 1;
   /// End-to-end host time for the batch.
   double wall_seconds = 0;
-  /// Compiled-model cache (cached runs only): how many models made it
-  /// through the whole compile chain — parse, check, transform,
-  /// Backend::prepare.  Zero in isolated runs.
+  /// Compiled-model cache: how many models made it through the whole
+  /// compile chain — check, lowering, Backend::prepare.
   int models_prepared = 0;
   /// One-time prepare-phase host time; includes models whose compile
-  /// failed.  Zero in isolated runs.
+  /// failed.
   double prepare_seconds = 0;
   /// The batch metric document: batch.* counts/timers derived from the
-  /// results (always), lower.* lowering stats (cached runs) and engine
-  /// counters — expr.*, sim.*, analytic.* — when the run had
+  /// results (always), plus lower.* lowering stats and engine counters —
+  /// expr.*, sim.*, analytic.* — when the run had
   /// BatchOptions::collect_metrics on.  summary() formats its aggregate
   /// line from this registry, so the printed counts and the exported
   /// JSON (`--metrics`) can never disagree.
@@ -194,8 +172,8 @@ struct BatchProgress {
   double elapsed_seconds = 0;  ///< Since run() started.
   double jobs_per_second = 0;  ///< done / elapsed.
   double eta_seconds = 0;      ///< (total - done) / jobs_per_second.
-  /// Worst analytic-vs-sim deviation over the finished both-mode jobs
-  /// (0 until one finishes).
+  /// Worst candidate-vs-reference deviation over the finished jobs of
+  /// any cross-validating backend kind (0 until one finishes).
   double worst_rel_error = 0;
   /// True for the one guaranteed callback after the last job.
   bool final = false;
@@ -205,36 +183,24 @@ struct BatchProgress {
 struct BatchOptions {
   /// Worker threads; <= 0 uses std::thread::hardware_concurrency().
   int threads = 0;
-  /// Model-check each job; checker errors fail the job.
+  /// Model-check each model once; checker errors fail its jobs.
   bool run_checker = true;
-  /// Run the UML -> C++ transformation per job.
-  bool run_codegen = true;
   /// Evaluation engine(s) per job: any single engine (simulation — the
   /// paper's estimator —, analytic, codegen) or a cross-validating
   /// selection (both, sim+codegen, analytic+codegen, all) that runs
   /// several engines and records the worst candidate-vs-reference
   /// relative error per scenario (estimator::BackendSet).
   estimator::BackendKind backend = estimator::BackendKind::Simulation;
-  /// Base of the per-job seed derivation (see derive_seed).
-  std::uint64_t base_seed = 0x9e3779b97f4a7c15ULL;
-  /// false (default): compile each referenced model once — XMI parse,
-  /// check, transform, Backend::prepare — and share the immutable result
-  /// read-only across the worker pool; jobs are parameter-only
-  /// evaluations.  true: every job re-runs the whole chain on its own
-  /// model copy (PR 1's isolation semantics — the escape hatch for
-  /// workloads that want per-job fault containment of the pipeline
-  /// stages themselves).  Predictions are bit-identical either way.
-  bool isolate_jobs = false;
-  /// Lane width for batched estimation (cached runs): consecutive
-  /// same-model jobs are grouped into chunks of up to this many lanes
-  /// and evaluated through one PreparedModel::estimate_batch call — one
-  /// batched analytic walk instead of N scalar ones.  0 picks the
-  /// default width (8); 1 disables batching.  Batching engages only on
-  /// the unlimited fast path (cached mode, no per-job limits or timeout,
-  /// no fault plan); a chunk that fails or is cancelled falls back to
-  /// per-job evaluation (counted in `batch.lanes_fallback`), so per-job
-  /// error isolation, budgets and tripped_limit reporting are unchanged.
-  /// Predictions are bit-identical at any lane width.
+  /// Lane width for batched estimation: consecutive same-model jobs are
+  /// grouped into chunks of up to this many lanes and evaluated through
+  /// one PreparedModel::estimate_batch call — one batched analytic walk
+  /// instead of N scalar ones.  0 picks the default width (8); 1
+  /// disables batching.  Batching engages only on the unlimited fast
+  /// path (no per-job limits or timeout, no fault plan); a chunk that
+  /// fails or is cancelled falls back to per-job evaluation (counted in
+  /// `batch.lanes_fallback`), so per-job error isolation, budgets and
+  /// tripped_limit reporting are unchanged.  Predictions are
+  /// bit-identical at any lane width.
   int batch_lanes = 0;
   /// Collect engine counters (expr.*, sim.*, analytic.*, lower.*) into
   /// BatchReport::metrics.  Each worker counts into its own registry and
@@ -272,10 +238,10 @@ struct BatchOptions {
   /// deadline: cooperative, partial results preserved.  Outlives run().
   guard::Budget* sweep_budget = nullptr;
   /// Deterministic fault plan (nullable, caller-owned, see
-  /// guard::FaultPlan).  Sites visited: "parse", "check", "transform",
-  /// "lower", "prepare" (once per compile chain — per model when cached,
-  /// per job when isolated) and "estimate" (per job); a "cancel@E" rule
-  /// arms a mid-simulation cancellation after E engine events.
+  /// guard::FaultPlan).  Sites visited: "parse" (XMI inputs, at
+  /// registration), "check", "lower", "prepare" (once per model) and
+  /// "estimate" (per job); a "cancel@E" rule arms a mid-simulation
+  /// cancellation after E engine events.
   guard::FaultPlan* fault_plan = nullptr;
 };
 
@@ -288,15 +254,18 @@ class BatchRunner {
   /// The options this runner was constructed with.
   [[nodiscard]] const BatchOptions& options() const { return options_; }
 
-  /// Registers a model (serialized to XMI text so every job can re-parse
-  /// its own isolated copy).  Returns the model index.
-  int add_model(std::string name, const uml::Model& model);
+  /// Registers a model, taking ownership of it.  Returns the model
+  /// index.
+  int add_model(std::string name, uml::Model model);
 
-  /// Registers a model from XMI text; parse errors surface per job.
+  /// Registers a model from XMI text, parsed here, once.  A parse
+  /// failure does not throw: it fails every job of the model with a
+  /// "parse: ..." error.
   int add_model_xml(std::string name, std::string xmi_text);
 
   /// Registers a model from an XMI file (read eagerly; throws on I/O
-  /// errors, parse errors surface per job).  The name is the file path.
+  /// errors, parse errors fail the model's jobs).  The name is the file
+  /// path.
   int add_model_file(const std::string& path);
 
   /// Registers a built-in workload by registry reference ("@kernel6",
@@ -326,46 +295,34 @@ class BatchRunner {
   [[nodiscard]] BatchReport run() const;
 
  private:
+  // A registered model, or the parse error of its XMI text.
   struct ModelEntry {
     std::string name;
-    std::string xmi;
+    // Null when parsing failed; heap-held so lowerings can borrow it.
+    std::unique_ptr<const uml::Model> model;
+    std::string error;  // "parse: ..." when model is null
   };
-  // One compiled model of a cached run: the parsed uml::Model plus the
-  // PreparedModel handle(s) for the selected backend(s); defined in the
-  // implementation file.
+  // One compiled model: the PreparedModel handle(s) for the selected
+  // backend(s); defined in the implementation file.
   struct CompiledEntry;
 
-  /// Isolated-mode job: the full chain on the job's own model copy.  The
-  /// backends are constructed once per worker and passed in (any may be
-  /// null when the selected BackendKind does not need it).  `metrics`
-  /// (nullable) receives the job's engine counters; `sim_trace`
-  /// (nullable) receives the job's simulated timeline.
-  [[nodiscard]] ScenarioResult run_job(
-      const BatchJob& job, const estimator::Backend* sim_backend,
-      const estimator::Backend* analytic_backend,
-      const estimator::Backend* codegen_backend, obs::Registry* metrics,
-      trace::Trace* sim_trace, const guard::Budget* sweep) const;
+  /// Evaluates `count` consecutive same-model jobs (`jobs[0..count)`)
+  /// against the shared compiled entry of their model, writing
+  /// `results[0..count)`.  A chunk of one calls the scalar
+  /// PreparedModel::estimate; a wider chunk calls estimate_batch once,
+  /// and any failure abandons it and re-runs every lane as a chunk of
+  /// one for exact per-job error attribution.  `metrics` (nullable)
+  /// receives the engine counters; `sim_trace` (nullable, chunks of one
+  /// only) receives the simulated timeline.
+  void run_chunk(const BatchJob* jobs, std::size_t count,
+                 const CompiledEntry& entry, obs::Registry* metrics,
+                 trace::Trace* sim_trace, const guard::Budget* sweep,
+                 ScenarioResult* results) const;
 
-  /// Cached-mode job: parameter-only evaluation against the shared
-  /// compiled entry of the job's model.
-  [[nodiscard]] ScenarioResult run_job_cached(
-      const BatchJob& job, const CompiledEntry& entry, obs::Registry* metrics,
-      trace::Trace* sim_trace, const guard::Budget* sweep) const;
-
-  /// Cached-mode lane chunk: `count` consecutive same-model jobs
-  /// (`jobs[0..count)`) evaluated through one
-  /// PreparedModel::estimate_batch call, writing `results[0..count)`.
-  /// Any failure abandons the chunk and re-runs every lane through
-  /// run_job_cached for exact per-job error attribution.
-  void run_chunk_cached(const BatchJob* jobs, std::size_t count,
-                        const CompiledEntry& entry, obs::Registry* metrics,
-                        const guard::Budget* sweep,
-                        ScenarioResult* results) const;
-
-  /// Compiles every model referenced by at least one job (parse -> check
-  /// -> transform -> prepare) on up to `threads` workers; per-model
-  /// failures land in the entry, not as exceptions.  `compiled` counts
-  /// the models that compiled successfully.  `trace_log` (nullable)
+  /// Compiles every model referenced by at least one job (check ->
+  /// lower -> prepare) on up to `threads` workers; per-model failures
+  /// land in the entry, not as exceptions.  `compiled` counts the
+  /// models that compiled successfully.  `trace_log` (nullable)
   /// receives one "compile <model>" span per model on the compiling
   /// worker's lane.
   [[nodiscard]] std::vector<CompiledEntry> compile_models(
@@ -374,21 +331,9 @@ class BatchRunner {
   /// One model's compile chain; writes the outcome into *out.
   void compile_one(std::size_t m, CompiledEntry* out) const;
 
-  /// The per-model stage chain both modes share: parse -> check ->
-  /// transform.  Returns a stage-prefixed error ("" on success); stage
-  /// timings land in the out-params (pass nullptr to skip timing).
-  [[nodiscard]] std::string run_model_stages(
-      std::size_t model_index, uml::Model* model, std::size_t* warnings,
-      std::size_t* generated_bytes, double* parse_seconds,
-      double* check_seconds, double* transform_seconds) const;
-
   BatchOptions options_;
   std::vector<ModelEntry> models_;
   std::vector<BatchJob> jobs_;
 };
-
-/// The per-job seed derivation (SplitMix64 over base_seed + job id);
-/// exposed so tests and tools can predict job seeds.
-[[nodiscard]] std::uint64_t derive_seed(std::uint64_t base_seed, int job_id);
 
 }  // namespace prophet::pipeline

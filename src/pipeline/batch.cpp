@@ -19,7 +19,6 @@
 #include "prophet/analytic/backend.hpp"
 #include "prophet/cgen/backend.hpp"
 #include "prophet/check/checker.hpp"
-#include "prophet/codegen/transformer.hpp"
 #include "prophet/estimator/estimator.hpp"
 #include "prophet/lower/lower.hpp"
 #include "prophet/models/registry.hpp"
@@ -75,15 +74,6 @@ void fold_codegen(obs::Registry* metrics,
 }
 
 }  // namespace
-
-std::uint64_t derive_seed(std::uint64_t base_seed, int job_id) {
-  // SplitMix64: uncorrelated per-job streams from one base seed.
-  std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ULL *
-                                    static_cast<std::uint64_t>(job_id + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 // --- BatchReport -------------------------------------------------------------
 
@@ -158,20 +148,6 @@ obs::Registry BatchReport::derived_metrics() const {
   reg.timer("batch.wall_seconds").add_seconds(wall_seconds);
   reg.timer("batch.prepare_seconds").add_seconds(prepare_seconds);
   reg.timer("batch.job_seconds").add_seconds(stats.total_job_seconds);
-  double parse = 0;
-  double check = 0;
-  double transform = 0;
-  double estimate = 0;
-  for (const auto& result : results) {
-    parse += result.parse_seconds;
-    check += result.check_seconds;
-    transform += result.transform_seconds;
-    estimate += result.estimate_seconds;
-  }
-  reg.timer("batch.parse_seconds").add_seconds(parse);
-  reg.timer("batch.check_seconds").add_seconds(check);
-  reg.timer("batch.transform_seconds").add_seconds(transform);
-  reg.timer("batch.estimate_seconds").add_seconds(estimate);
   return reg;
 }
 
@@ -193,8 +169,9 @@ std::string BatchReport::summary() const {
       << static_cast<int>(m->gauge_value("batch.threads")) << " thread(s), "
       << m->timer_seconds("batch.wall_seconds") << " s wall ("
       << m->gauge_value("batch.jobs_per_second") << " jobs/s)\n";
-  // prepare_seconds > 0 identifies a cached run even when every model
-  // failed to compile (models_prepared == 0).
+  // prepare_seconds > 0 identifies a run() report even when every model
+  // failed to compile (models_prepared == 0); hand-built reports have
+  // neither.
   if (m->counter_value("batch.models_prepared") > 0 ||
       m->timer_seconds("batch.prepare_seconds") > 0) {
     out << "compiled-model cache: prepared "
@@ -263,13 +240,12 @@ std::string BatchReport::summary() const {
 std::string BatchReport::to_csv() const {
   std::ostringstream out;
   out.precision(12);
-  // Columns 1-17 are deterministic (CI diffs them across thread counts
-  // and cache modes); wall_s and the per-stage timings are host times,
-  // error is free text and stays last.
-  out << "job,model,np,nn,ppn,nt,cpu_speed,seed,backend,ok,predicted_s,"
-         "analytic_s,codegen_s,rel_error,events,warnings,generated_bytes,"
-         "wall_s,parse_s,check_s,transform_s,estimate_s,tripped_limit,"
-         "error\n";
+  // Columns 1-15 are deterministic (CI diffs them across thread counts
+  // and lane widths); wall_s is host time, error is free text and stays
+  // last.
+  out << "job,model,np,nn,ppn,nt,cpu_speed,backend,ok,predicted_s,"
+         "analytic_s,codegen_s,rel_error,events,warnings,wall_s,"
+         "tripped_limit,error\n";
   // Free-text fields (the model name may be a file path; error messages
   // quote model content) are escaped per RFC 4180: a field containing a
   // comma, quote or line break is wrapped in quotes with embedded quotes
@@ -297,16 +273,14 @@ std::string BatchReport::to_csv() const {
         << result.params.processes << ',' << result.params.nodes << ','
         << result.params.processors_per_node << ','
         << result.params.threads_per_process << ','
-        << result.params.cpu_speed << ',' << result.seed << ','
+        << result.params.cpu_speed << ','
         << estimator::to_string(result.backend) << ','
         << (result.ok ? 1 : 0) << ',' << result.predicted_time << ','
         << result.analytic_predicted << ',' << result.codegen_predicted << ','
         << result.relative_error << ','
         << result.events << ',' << result.check_warnings << ','
-        << result.generated_bytes << ',' << result.wall_seconds << ','
-        << result.parse_seconds << ',' << result.check_seconds << ','
-        << result.transform_seconds << ',' << result.estimate_seconds << ','
-        << result.tripped_limit << ',' << error << '\n';
+        << result.wall_seconds << ',' << result.tripped_limit << ',' << error
+        << '\n';
   }
   return out.str();
 }
@@ -315,12 +289,24 @@ std::string BatchReport::to_csv() const {
 
 BatchRunner::BatchRunner(BatchOptions options) : options_(options) {}
 
-int BatchRunner::add_model(std::string name, const uml::Model& model) {
-  return add_model_xml(std::move(name), xmi::to_xml(model));
+int BatchRunner::add_model(std::string name, uml::Model model) {
+  models_.push_back(ModelEntry{
+      std::move(name), std::make_unique<const uml::Model>(std::move(model)),
+      ""});
+  return static_cast<int>(models_.size()) - 1;
 }
 
 int BatchRunner::add_model_xml(std::string name, std::string xmi_text) {
-  models_.push_back(ModelEntry{std::move(name), std::move(xmi_text)});
+  ModelEntry entry{std::move(name), nullptr, ""};
+  try {
+    if (options_.fault_plan != nullptr) {
+      options_.fault_plan->visit("parse");
+    }
+    entry.model = std::make_unique<const uml::Model>(xmi::from_xml(xmi_text));
+  } catch (const std::exception& error) {
+    entry.error = std::string("parse: ") + error.what();
+  }
+  models_.push_back(std::move(entry));
   return static_cast<int>(models_.size()) - 1;
 }
 
@@ -349,7 +335,6 @@ void BatchRunner::add_scenario(int model_index,
   job.model_index = model_index;
   job.model_name = models_[static_cast<std::size_t>(model_index)].name;
   job.params = params;
-  job.seed = derive_seed(options_.base_seed, job.id);
   jobs_.push_back(std::move(job));
 }
 
@@ -368,18 +353,14 @@ void BatchRunner::add_sweep_all(const ScenarioGrid& grid) {
   }
 }
 
-// One compiled model of a cached run.  Built once during the prepare
-// phase, then shared read-only by every worker: the parsed model is
-// immutable and the PreparedModel handles guarantee concurrent
-// estimate() safety, so no locking is needed on the hot path.
+// One compiled model.  Built once during the prepare phase, then shared
+// read-only by every worker: the PreparedModel handles guarantee
+// concurrent estimate() safety, so no locking is needed on the hot path.
+// They borrow the runner's registered model, which outlives the run.
 struct BatchRunner::CompiledEntry {
   bool ok = false;
   std::string error;  // stage-prefixed, e.g. "check: 2 error(s): ..."
   std::size_t check_warnings = 0;
-  std::size_t generated_bytes = 0;
-  // The prepared handles borrow `model`; member order keeps the model
-  // alive past their destruction.
-  std::unique_ptr<uml::Model> model;
   std::unique_ptr<estimator::PreparedModel> sim;
   std::unique_ptr<estimator::PreparedModel> analytic;
   std::unique_ptr<estimator::PreparedModel> codegen;
@@ -458,74 +439,6 @@ std::vector<BatchRunner::CompiledEntry> BatchRunner::compile_models(
   return entries;
 }
 
-std::string BatchRunner::run_model_stages(
-    std::size_t model_index, uml::Model* model, std::size_t* warnings,
-    std::size_t* generated_bytes, double* parse_seconds,
-    double* check_seconds, double* transform_seconds) const {
-  const auto record = [](double* slot,
-                         std::chrono::steady_clock::time_point since) {
-    if (slot != nullptr) {
-      *slot = seconds_since(since);
-    }
-  };
-
-  // Every stage records its elapsed time whether it succeeds or throws
-  // (same convention as the estimate stage), so the per-stage columns
-  // account for a failing job's wall time too.
-
-  // Stage 1: XMI parse.
-  auto stage_start = std::chrono::steady_clock::now();
-  try {
-    if (options_.fault_plan != nullptr) {
-      options_.fault_plan->visit("parse");
-    }
-    *model = xmi::from_xml(models_[model_index].xmi);
-  } catch (const std::exception& error) {
-    record(parse_seconds, stage_start);
-    return std::string("parse: ") + error.what();
-  }
-  record(parse_seconds, stage_start);
-
-  // Stage 2: model check.
-  if (options_.run_checker) {
-    stage_start = std::chrono::steady_clock::now();
-    try {
-      if (options_.fault_plan != nullptr) {
-        options_.fault_plan->visit("check");
-      }
-      const check::ModelChecker checker;
-      const check::Diagnostics diagnostics = checker.check(*model);
-      *warnings = diagnostics.warning_count();
-      if (!diagnostics.ok()) {
-        record(check_seconds, stage_start);
-        return "check: " + std::to_string(diagnostics.error_count()) +
-               " error(s): " + diagnostics.to_string();
-      }
-    } catch (const std::exception& error) {
-      record(check_seconds, stage_start);
-      return std::string("check: ") + error.what();
-    }
-    record(check_seconds, stage_start);
-  }
-
-  // Stage 3: UML -> C++ transformation (the paper's PMP element).
-  if (options_.run_codegen) {
-    stage_start = std::chrono::steady_clock::now();
-    try {
-      if (options_.fault_plan != nullptr) {
-        options_.fault_plan->visit("transform");
-      }
-      const codegen::Transformer transformer;
-      *generated_bytes = transformer.transform(*model).size();
-    } catch (const std::exception& error) {
-      record(transform_seconds, stage_start);
-      return std::string("transform: ") + error.what();
-    }
-    record(transform_seconds, stage_start);
-  }
-  return "";
-}
-
 namespace {
 
 /// Stable stage prefix of each engine, used by prepare and estimate
@@ -542,44 +455,38 @@ const char* engine_stage(estimator::BackendKind kind) {
   }
 }
 
-/// Backend::prepare for the selected engine(s); any backend pointer may
-/// be null.  The model is lowered exactly once (lower::lower) and the
-/// shared lower::ModelProgram fans out to every selected backend —
-/// cross-validating kinds pay one lowering, not one per engine.
-/// Returns a stage-prefixed error ("" on success) with the same stage
-/// names estimate failures use, so a model defect reports the same
-/// stage whether it surfaces at prepare or at evaluate, cached or
-/// isolated.
+/// Backend::prepare for the selected engine(s).  The model is lowered
+/// exactly once (lower::lower) and the shared lower::ModelProgram fans
+/// out to every selected backend — cross-validating kinds pay one
+/// lowering, not one per engine.  Returns a stage-prefixed error (""
+/// on success) with the same stage names estimate failures use, so a
+/// model defect reports the same stage whether it surfaces at prepare
+/// or at evaluate.
 std::string prepare_backends(
-    const uml::Model& model, const estimator::Backend* sim_backend,
-    const estimator::Backend* analytic_backend,
-    const estimator::Backend* codegen_backend,
+    const uml::Model& model, estimator::BackendSet set,
     std::unique_ptr<estimator::PreparedModel>* sim,
     std::unique_ptr<estimator::PreparedModel>* analytic,
     std::unique_ptr<estimator::PreparedModel>* codegen,
     guard::FaultPlan* fault_plan) {
+  const analytic::SimulationBackend sim_backend;
+  const analytic::AnalyticBackend analytic_backend;
+  cgen::CodegenOptions cgen_options;
+  cgen_options.toolchain.fault_plan = fault_plan;
+  const cgen::CodegenBackend codegen_backend(cgen_options);
   struct Engine {
+    bool selected;
     const estimator::Backend* backend;
     std::unique_ptr<estimator::PreparedModel>* prepared;
     estimator::BackendKind kind;
   };
-  // Reference-priority order (sim, codegen, analytic): lowering failures
-  // report under the first selected engine's stage name.
   const Engine engines[] = {
-      {sim_backend, sim, estimator::BackendKind::Simulation},
-      {codegen_backend, codegen, estimator::BackendKind::Codegen},
-      {analytic_backend, analytic, estimator::BackendKind::Analytic},
+      {set.sim, &sim_backend, sim, estimator::BackendKind::Simulation},
+      {set.codegen, &codegen_backend, codegen,
+       estimator::BackendKind::Codegen},
+      {set.analytic, &analytic_backend, analytic,
+       estimator::BackendKind::Analytic},
   };
-  const char* first_stage = nullptr;
-  for (const Engine& engine : engines) {
-    if (engine.backend != nullptr) {
-      first_stage = engine_stage(engine.kind);
-      break;
-    }
-  }
-  if (first_stage == nullptr) {
-    return "";
-  }
+  // Lowering failures report under the reference engine's stage name.
   lower::ModelProgramPtr program;
   try {
     if (fault_plan != nullptr) {
@@ -587,13 +494,12 @@ std::string prepare_backends(
     }
     program = lower::lower(model);
   } catch (const std::exception& error) {
-    return std::string(first_stage) + error.what();
+    return std::string(engine_stage(set.reference())) + error.what();
   }
-  // One "prepare" fault visit per compile chain, however many engines
-  // ride it.
+  // One "prepare" fault visit per model, however many engines ride it.
   bool visited_prepare = false;
   for (const Engine& engine : engines) {
-    if (engine.backend == nullptr) {
+    if (!engine.selected) {
       continue;
     }
     try {
@@ -617,117 +523,25 @@ std::string limit_name(const guard::GuardError& error) {
   return std::string(guard::to_string(error.limit()));
 }
 
-/// Stage 4, shared by both modes: run the selected backend(s) and fill
-/// the prediction fields.  The reference engine (BackendSet::reference)
-/// runs first and fills `predicted_time`; every other selected engine is
-/// a candidate filling its own field plus the worst-case
-/// `relative_error`.  Returns a stage-prefixed error ("" on success).
-/// `metrics` (nullable) receives the engines' activity counters;
-/// `sim_trace` (nullable) receives the simulated timeline.  Neither
-/// feeds back into the prediction.
+/// The estimate stage: run the selected backend(s) over `params` and
+/// fill each lane's prediction fields.  One lane calls the scalar
+/// PreparedModel::estimate — the lanes=1 bit-identity reference and the
+/// only call that carries the simulated trace; a wider span calls
+/// estimate_batch once per engine.  The reference engine
+/// (BackendSet::reference) runs first and fills `predicted_time`; every
+/// other selected engine is a candidate filling its own field plus the
+/// worst-case `relative_error`.  Returns a stage-prefixed error (""
+/// on success).  `metrics` (nullable) receives the engines' activity
+/// counters; `sim_trace` (nullable) receives the simulated timeline.
+/// Neither feeds back into the prediction.
 std::string estimate_stage(const estimator::PreparedModel* sim,
                            const estimator::PreparedModel* analytic,
                            const estimator::PreparedModel* codegen,
                            estimator::BackendKind kind,
-                           const machine::SystemParameters& params,
+                           std::span<const machine::SystemParameters> params,
                            obs::Registry* metrics, trace::Trace* sim_trace,
                            guard::Budget* budget, guard::FaultPlan* fault_plan,
-                           ScenarioResult* result) {
-  const estimator::BackendKind reference =
-      estimator::backends_of(kind).reference();
-  estimator::EstimationOptions estimation;
-  estimation.collect_trace = false;
-  estimation.collect_machine_report = false;
-  estimation.metrics = metrics;
-  estimation.budget = budget;
-
-  struct Engine {
-    const estimator::PreparedModel* prepared;
-    estimator::BackendKind kind;
-    double* candidate;  // engine-specific prediction field (null for sim)
-  };
-  // Reference first: candidates compare against its prediction.
-  Engine engines[3];
-  std::size_t count = 0;
-  const auto add = [&](const estimator::PreparedModel* prepared,
-                       estimator::BackendKind engine_kind,
-                       double* candidate) {
-    if (prepared == nullptr) {
-      return;
-    }
-    engines[count++] = Engine{prepared, engine_kind, candidate};
-    if (engine_kind == reference && count > 1) {
-      std::swap(engines[0], engines[count - 1]);
-    }
-  };
-  add(sim, estimator::BackendKind::Simulation, nullptr);
-  add(analytic, estimator::BackendKind::Analytic,
-      &result->analytic_predicted);
-  add(codegen, estimator::BackendKind::Codegen, &result->codegen_predicted);
-  if (count == 0) {
-    return "";
-  }
-
-  if (fault_plan != nullptr) {
-    try {
-      fault_plan->visit("estimate");
-    } catch (const std::exception& error) {
-      return std::string(engine_stage(engines[0].kind)) + error.what();
-    }
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    const Engine& engine = engines[i];
-    const char* stage = engine_stage(engine.kind);
-    try {
-      estimator::EstimationOptions options = estimation;
-      options.collect_trace = engine.kind ==
-                                  estimator::BackendKind::Simulation &&
-                              sim_trace != nullptr;
-      estimator::PredictionReport report =
-          engine.prepared->estimate(params, options);
-      if (engine.candidate != nullptr) {
-        *engine.candidate = report.predicted_time;
-      }
-      if (engine.kind == reference) {
-        result->predicted_time = report.predicted_time;
-        result->processes = report.processes;
-        if (engine.kind != estimator::BackendKind::Analytic) {
-          result->events = report.events;
-        }
-        if (options.collect_trace) {
-          *sim_trace = std::move(report.trace);
-        }
-      } else if (result->predicted_time > 0) {
-        result->relative_error = std::max(
-            result->relative_error,
-            std::abs(report.predicted_time - result->predicted_time) /
-                result->predicted_time);
-      } else if (report.predicted_time > 0) {
-        result->relative_error = std::numeric_limits<double>::infinity();
-      }
-    } catch (const guard::GuardError& error) {
-      result->tripped_limit = limit_name(error);
-      return std::string(stage) + error.what();
-    } catch (const std::exception& error) {
-      return std::string(stage) + error.what();
-    }
-  }
-  return "";
-}
-
-/// Stage 4 for a lane chunk: run the selected backend(s) once over the
-/// whole parameter span via PreparedModel::estimate_batch and fill each
-/// lane's prediction fields — the same reference/candidate logic as
-/// estimate_stage, applied per lane.  Any failure aborts the whole
-/// chunk (stage-prefixed error); the caller re-runs the lanes one by
-/// one, which attributes the error (and any tripped bound) to exactly
-/// the right job.
-std::string estimate_stage_batch(
-    const estimator::PreparedModel* sim,
-    const estimator::PreparedModel* analytic,
-    const estimator::PreparedModel* codegen, estimator::BackendKind kind,
-    std::span<const machine::SystemParameters> params, obs::Registry* metrics,
-    guard::Budget* budget, ScenarioResult* results) {
+                           ScenarioResult* results) {
   const estimator::BackendKind reference =
       estimator::backends_of(kind).reference();
   estimator::EstimationOptions estimation;
@@ -764,10 +578,51 @@ std::string estimate_stage_batch(
     return "";
   }
 
+  if (fault_plan != nullptr) {
+    try {
+      fault_plan->visit("estimate");
+    } catch (const std::exception& error) {
+      return std::string(engine_stage(engines[0].kind)) + error.what();
+    }
+  }
   for (std::size_t i = 0; i < count; ++i) {
     const Engine& engine = engines[i];
     const char* stage = engine_stage(engine.kind);
+    const auto fill = [&engine, reference](
+                          ScenarioResult& result,
+                          const estimator::PredictionReport& report) {
+      if (engine.candidate != nullptr) {
+        result.*engine.candidate = report.predicted_time;
+      }
+      if (engine.kind == reference) {
+        result.predicted_time = report.predicted_time;
+        result.processes = report.processes;
+        if (engine.kind != estimator::BackendKind::Analytic) {
+          result.events = report.events;
+        }
+      } else if (result.predicted_time > 0) {
+        result.relative_error = std::max(
+            result.relative_error,
+            std::abs(report.predicted_time - result.predicted_time) /
+                result.predicted_time);
+      } else if (report.predicted_time > 0) {
+        result.relative_error = std::numeric_limits<double>::infinity();
+      }
+    };
     try {
+      if (params.size() == 1) {
+        estimator::EstimationOptions options = estimation;
+        options.collect_trace = engine.kind ==
+                                    estimator::BackendKind::Simulation &&
+                                sim_trace != nullptr;
+        estimator::PredictionReport report =
+            engine.prepared->estimate(params[0], options);
+        fill(results[0], report);
+        if (options.collect_trace) {
+          *sim_trace = std::move(report.trace);
+        }
+        continue;
+      }
       const std::vector<estimator::PredictionReport> reports =
           engine.prepared->estimate_batch(params, estimation);
       if (reports.size() != params.size()) {
@@ -775,26 +630,12 @@ std::string estimate_stage_batch(
                "estimate_batch returned a wrong lane count";
       }
       for (std::size_t lane = 0; lane < reports.size(); ++lane) {
-        ScenarioResult& result = results[lane];
-        const estimator::PredictionReport& report = reports[lane];
-        if (engine.candidate != nullptr) {
-          result.*engine.candidate = report.predicted_time;
-        }
-        if (engine.kind == reference) {
-          result.predicted_time = report.predicted_time;
-          result.processes = report.processes;
-          if (engine.kind != estimator::BackendKind::Analytic) {
-            result.events = report.events;
-          }
-        } else if (result.predicted_time > 0) {
-          result.relative_error = std::max(
-              result.relative_error,
-              std::abs(report.predicted_time - result.predicted_time) /
-                  result.predicted_time);
-        } else if (report.predicted_time > 0) {
-          result.relative_error = std::numeric_limits<double>::infinity();
-        }
+        fill(results[lane], reports[lane]);
       }
+    } catch (const guard::GuardError& error) {
+      // A failed chunk re-runs lane by lane, which re-attributes this.
+      results[0].tripped_limit = limit_name(error);
+      return std::string(stage) + error.what();
     } catch (const std::exception& error) {
       return std::string(stage) + error.what();
     }
@@ -820,7 +661,6 @@ ScenarioResult result_for(const BatchJob& job) {
   result.model_index = job.model_index;
   result.model_name = job.model_name;
   result.params = job.params;
-  result.seed = job.seed;
   return result;
 }
 
@@ -828,49 +668,50 @@ ScenarioResult result_for(const BatchJob& job) {
 
 void BatchRunner::compile_one(std::size_t m, CompiledEntry* out) const {
   CompiledEntry& entry = *out;
-  // The same stage chain (and error text) as the isolated path, shared
-  // via run_model_stages/prepare_backends: a model failing at stage X
-  // reports the same stage-prefixed error in both modes.
-  entry.model = std::make_unique<uml::Model>("empty");
-  entry.error =
-      run_model_stages(m, entry.model.get(), &entry.check_warnings,
-                       &entry.generated_bytes, nullptr, nullptr, nullptr);
-  if (!entry.error.empty()) {
+  const ModelEntry& source = models_[m];
+  if (source.model == nullptr) {
+    entry.error = source.error;
     return;
   }
-  const estimator::BackendSet set = estimator::backends_of(options_.backend);
-  const analytic::SimulationBackend sim_backend;
-  const analytic::AnalyticBackend analytic_backend;
-  cgen::CodegenOptions cgen_options;
-  cgen_options.toolchain.fault_plan = options_.fault_plan;
-  const cgen::CodegenBackend codegen_backend(cgen_options);
+  if (options_.run_checker) {
+    try {
+      if (options_.fault_plan != nullptr) {
+        options_.fault_plan->visit("check");
+      }
+      const check::ModelChecker checker;
+      const check::Diagnostics diagnostics = checker.check(*source.model);
+      entry.check_warnings = diagnostics.warning_count();
+      if (!diagnostics.ok()) {
+        entry.error = "check: " + std::to_string(diagnostics.error_count()) +
+                      " error(s): " + diagnostics.to_string();
+        return;
+      }
+    } catch (const std::exception& error) {
+      entry.error = std::string("check: ") + error.what();
+      return;
+    }
+  }
   entry.error = prepare_backends(
-      *entry.model, set.sim ? &sim_backend : nullptr,
-      set.analytic ? &analytic_backend : nullptr,
-      set.codegen ? &codegen_backend : nullptr, &entry.sim, &entry.analytic,
-      &entry.codegen, options_.fault_plan);
-  if (!entry.error.empty()) {
-    return;
-  }
-  entry.ok = true;
+      *source.model, estimator::backends_of(options_.backend), &entry.sim,
+      &entry.analytic, &entry.codegen, options_.fault_plan);
+  entry.ok = entry.error.empty();
 }
 
-ScenarioResult BatchRunner::run_job(
-    const BatchJob& job, const estimator::Backend* sim_backend,
-    const estimator::Backend* analytic_backend,
-    const estimator::Backend* codegen_backend, obs::Registry* metrics,
-    trace::Trace* sim_trace, const guard::Budget* sweep) const {
-  ScenarioResult result = result_for(job);
-  result.backend = options_.backend;
-
-  // The job's budget: its deadline starts here, so `--job-timeout`
-  // covers the whole per-job chain; chaining to the sweep budget makes a
-  // sweep deadline / SIGINT cancel the job at its next check site.  The
-  // budget is only passed down when something actually bounds the run,
-  // so unguarded sweeps keep the engines' zero-check fast path.
+void BatchRunner::run_chunk(const BatchJob* jobs, std::size_t count,
+                            const CompiledEntry& entry,
+                            obs::Registry* metrics, trace::Trace* sim_trace,
+                            const guard::Budget* sweep,
+                            ScenarioResult* results) const {
+  // The chunk's budget: its deadline starts here, so `--job-timeout`
+  // covers the job's evaluation; chaining to the sweep budget makes a
+  // sweep deadline / SIGINT cancel it at its next check site.  It is
+  // only passed down when something actually bounds the run, so
+  // unguarded sweeps keep the engines' zero-check fast path.  Wider
+  // chunks form only without per-job limits and fault plans, so there
+  // its only duty is sweep cancellation, which is safe to share across
+  // the lanes.
   const guard::Limits limits = job_limits(options_);
   guard::Budget budget(limits, sweep);
-  const bool guarded = limits.any() || sweep != nullptr;
   bool armed = false;
   if (options_.fault_plan != nullptr) {
     if (const auto event = options_.fault_plan->cancel_at_event()) {
@@ -878,164 +719,52 @@ ScenarioResult BatchRunner::run_job(
       armed = true;
     }
   }
-  guard::Budget* job_budget = guarded || armed ? &budget : nullptr;
-
-  const auto start = std::chrono::steady_clock::now();
-  const auto fail = [&](const std::string& error) -> ScenarioResult {
-    result.ok = false;
-    result.error = error;
-    result.wall_seconds = seconds_since(start);
-    return result;
-  };
-
-  // Stages 1-3: parse, check, transform — every job its own model copy.
-  uml::Model model("empty");
-  std::string error = run_model_stages(
-      static_cast<std::size_t>(job.model_index), &model,
-      &result.check_warnings, &result.generated_bytes, &result.parse_seconds,
-      &result.check_seconds, &result.transform_seconds);
-  if (!error.empty()) {
-    return fail(error);
-  }
-
-  // Stage 4: prepare + estimate with the selected backend(s).  Isolation
-  // keeps prepare inside the job (the per-job chain is the point of this
-  // mode), but the stateless Backend objects themselves come from the
-  // worker, constructed once per thread instead of once per job.  Failed
-  // estimates still record their stage time (matching the cached path,
-  // which times the estimate whether or not it succeeds).
-  const auto stage_start = std::chrono::steady_clock::now();
-  std::unique_ptr<estimator::PreparedModel> sim;
-  std::unique_ptr<estimator::PreparedModel> analytic;
-  std::unique_ptr<estimator::PreparedModel> codegen;
-  error = prepare_backends(model, sim_backend, analytic_backend,
-                           codegen_backend, &sim, &analytic, &codegen,
-                           options_.fault_plan);
-  if (error.empty()) {
-    if (metrics != nullptr) {
-      // Isolated mode lowers per job, so the lowering work is counted
-      // per job too (cached mode counts it once per model instead).
-      const auto& prepared =
-          sim != nullptr ? sim : analytic != nullptr ? analytic : codegen;
-      fold_lowering(metrics, prepared->lowering()->stats());
-      fold_codegen(metrics, codegen.get());
-    }
-    error = estimate_stage(sim.get(), analytic.get(), codegen.get(),
-                           options_.backend, job.params, metrics, sim_trace,
-                           job_budget, options_.fault_plan, &result);
-  }
-  result.estimate_seconds = seconds_since(stage_start);
-  if (!error.empty()) {
-    return fail(error);
-  }
-
-  result.ok = true;
-  result.wall_seconds = seconds_since(start);
-  return result;
-}
-
-ScenarioResult BatchRunner::run_job_cached(const BatchJob& job,
-                                           const CompiledEntry& entry,
-                                           obs::Registry* metrics,
-                                           trace::Trace* sim_trace,
-                                           const guard::Budget* sweep) const {
-  ScenarioResult result = result_for(job);
-  result.backend = options_.backend;
-
-  // Same guard resolution as the isolated path (see run_job).
-  const guard::Limits limits = job_limits(options_);
-  guard::Budget budget(limits, sweep);
-  const bool guarded = limits.any() || sweep != nullptr;
-  bool armed = false;
-  if (options_.fault_plan != nullptr) {
-    if (const auto event = options_.fault_plan->cancel_at_event()) {
-      budget.cancel_at_sim_event(*event);
-      armed = true;
-    }
-  }
-  guard::Budget* job_budget = guarded || armed ? &budget : nullptr;
-
-  const auto start = std::chrono::steady_clock::now();
-  // Per-model facts are shared verbatim — also for failed entries, where
-  // the stages before the failing one produced them — so cached and
-  // isolated rows match column for column.
-  result.check_warnings = entry.check_warnings;
-  result.generated_bytes = entry.generated_bytes;
-  if (!entry.ok) {
-    // The model's one-time compile failed: every one of its jobs reports
-    // the same stage-prefixed error; other models are unaffected.
-    result.ok = false;
-    result.error = entry.error;
-    result.wall_seconds = seconds_since(start);
-    return result;
-  }
-
-  const std::string error = estimate_stage(
-      entry.sim.get(), entry.analytic.get(), entry.codegen.get(),
-      options_.backend, job.params, metrics, sim_trace, job_budget,
-      options_.fault_plan, &result);
-  result.estimate_seconds = seconds_since(start);
-  if (!error.empty()) {
-    result.ok = false;
-    result.error = error;
-    result.wall_seconds = seconds_since(start);
-    return result;
-  }
-
-  result.ok = true;
-  result.wall_seconds = seconds_since(start);
-  return result;
-}
-
-void BatchRunner::run_chunk_cached(const BatchJob* jobs, std::size_t count,
-                                   const CompiledEntry& entry,
-                                   obs::Registry* metrics,
-                                   const guard::Budget* sweep,
-                                   ScenarioResult* results) const {
-  // Chunks exist only on the unlimited fast path (see run()): no per-job
-  // limits, no timeout, no fault plan — so the chunk budget's only duty
-  // is cooperative sweep cancellation, which is safe to share across the
-  // lanes (a trip abandons the chunk and the per-lane fallback below
-  // re-attributes it with per-job budgets).
-  const guard::Limits limits = job_limits(options_);
-  guard::Budget budget(limits, sweep);
   guard::Budget* job_budget =
-      limits.any() || sweep != nullptr ? &budget : nullptr;
+      limits.any() || sweep != nullptr || armed ? &budget : nullptr;
 
   const auto start = std::chrono::steady_clock::now();
-  std::vector<machine::SystemParameters> params;
-  params.reserve(count);
   for (std::size_t lane = 0; lane < count; ++lane) {
     results[lane] = result_for(jobs[lane]);
     results[lane].backend = options_.backend;
     results[lane].check_warnings = entry.check_warnings;
-    results[lane].generated_bytes = entry.generated_bytes;
-    params.push_back(jobs[lane].params);
   }
-
-  const std::string error = estimate_stage_batch(
-      entry.sim.get(), entry.analytic.get(), entry.codegen.get(),
-      options_.backend, params, metrics, job_budget, results);
-  if (!error.empty()) {
+  // A failed compile fails every job of its model with the same
+  // stage-prefixed error; other models are unaffected.
+  std::string error = entry.error;
+  if (entry.ok) {
+    std::vector<machine::SystemParameters> lane_params;
+    std::span<const machine::SystemParameters> params(&jobs[0].params, 1);
+    if (count > 1) {
+      lane_params.reserve(count);
+      for (std::size_t lane = 0; lane < count; ++lane) {
+        lane_params.push_back(jobs[lane].params);
+      }
+      params = lane_params;
+    }
+    error = estimate_stage(entry.sim.get(), entry.analytic.get(),
+                           entry.codegen.get(), options_.backend, params,
+                           metrics, sim_trace, job_budget,
+                           options_.fault_plan, results);
+  }
+  if (!error.empty() && count > 1) {
     // Any lane failure (or a sweep cancellation) abandons the chunk:
-    // every lane re-runs through the scalar per-job path, which reports
-    // errors, budgets and tripped_limit for exactly the right job.
+    // every lane re-runs as a chunk of one, which reports errors,
+    // budgets and tripped_limit for exactly the right job.
     if (metrics != nullptr) {
       metrics->counter("batch.lanes_fallback").add(count);
     }
     for (std::size_t lane = 0; lane < count; ++lane) {
-      results[lane] =
-          run_job_cached(jobs[lane], entry, metrics, nullptr, sweep);
+      run_chunk(&jobs[lane], 1, entry, metrics, nullptr, sweep,
+                &results[lane]);
     }
     return;
   }
-  // Host times are the chunk's elapsed time split evenly — the lanes
-  // were evaluated together, so no finer attribution exists.  (These are
-  // the non-deterministic CSV columns; predictions are per lane.)
+  // A chunk's lanes were evaluated together, so its host time is split
+  // evenly — the non-deterministic CSV column; predictions are per lane.
   const double share = seconds_since(start) / static_cast<double>(count);
   for (std::size_t lane = 0; lane < count; ++lane) {
-    results[lane].ok = true;
-    results[lane].estimate_seconds = share;
+    results[lane].ok = error.empty();
+    results[lane].error = error;
     results[lane].wall_seconds = share;
   }
 }
@@ -1079,28 +808,23 @@ BatchReport BatchRunner::run() const {
           ? &deadline_budget
           : static_cast<const guard::Budget*>(options_.sweep_budget);
 
-  // Prepare phase (cached mode): compile every referenced model once —
-  // parse, check, transform, Backend::prepare — before the pool starts.
-  // The entries are immutable from here on; workers only read them.
-  std::vector<CompiledEntry> cache;
-  if (!options_.isolate_jobs) {
-    cache = compile_models(threads, &report.models_prepared,
-                           collect_trace ? &report.trace : nullptr);
-    report.prepare_seconds = seconds_since(start);
-    if (collect_metrics) {
-      // Cached mode pays the lowering (and any codegen compile) once per
-      // model; count it here rather than per job (isolated mode counts
-      // it inside run_job).
-      for (const auto& entry : cache) {
-        if (!entry.ok) {
-          continue;
-        }
-        const auto& prepared = entry.sim != nullptr        ? entry.sim
-                               : entry.analytic != nullptr ? entry.analytic
-                                                           : entry.codegen;
-        fold_lowering(&report.metrics, prepared->lowering()->stats());
-        fold_codegen(&report.metrics, entry.codegen.get());
+  // Prepare phase: compile every referenced model once — check, lower,
+  // Backend::prepare — before the pool starts.  The entries are
+  // immutable from here on; workers only read them.
+  const std::vector<CompiledEntry> cache = compile_models(
+      threads, &report.models_prepared, collect_trace ? &report.trace : nullptr);
+  report.prepare_seconds = seconds_since(start);
+  if (collect_metrics) {
+    // The lowering (and any codegen compile) is paid once per model.
+    for (const auto& entry : cache) {
+      if (!entry.ok) {
+        continue;
       }
+      const auto& prepared = entry.sim != nullptr        ? entry.sim
+                             : entry.analytic != nullptr ? entry.analytic
+                                                         : entry.codegen;
+      fold_lowering(&report.metrics, prepared->lowering()->stats());
+      fold_codegen(&report.metrics, entry.codegen.get());
     }
   }
 
@@ -1119,21 +843,20 @@ BatchReport BatchRunner::run() const {
     }
   }
 
-  // Lane chunking (cached mode): consecutive same-model jobs grouped up
-  // to the batch width evaluate through one PreparedModel::estimate_batch
-  // call per chunk.  Chunks form only on the unlimited fast path —
-  // per-job limits, timeouts and fault plans need per-job budgets, and a
-  // model's representative trace job needs its own estimate call —
-  // everything else stays a singleton.  A sweep deadline/cancellation
-  // does NOT disable chunking: it is checked between chunks, and a
-  // mid-chunk trip falls back to the per-lane path.
+  // Lane chunking: consecutive same-model jobs grouped up to the batch
+  // width evaluate through one PreparedModel::estimate_batch call per
+  // chunk.  Chunks form only on the unlimited fast path — per-job
+  // limits, timeouts and fault plans need per-job budgets, and a model's
+  // representative trace job needs its own estimate call — everything
+  // else stays a chunk of one.  A sweep deadline/cancellation does NOT
+  // disable chunking: it is checked between chunks, and a mid-chunk trip
+  // falls back to the per-lane path.
   struct Chunk {
     std::size_t begin = 0;
     std::size_t size = 1;
   };
   const int lanes = options_.batch_lanes == 0 ? 8 : options_.batch_lanes;
-  const bool batching = !options_.isolate_jobs && lanes >= 2 &&
-                        !job_limits(options_).any() &&
+  const bool batching = lanes >= 2 && !job_limits(options_).any() &&
                         options_.fault_plan == nullptr;
   std::vector<Chunk> chunks;
   chunks.reserve(jobs_.size());
@@ -1183,29 +906,6 @@ BatchReport BatchRunner::run() const {
   const auto worker = [this, &next, &report, &cache, &worker_metrics,
                        &worker_traces, &trace_job, &done, &worst_rel_bits,
                        &claimed, &chunks, sweep](int worker_id) {
-    // Isolated mode constructs the (stateless) backends once per worker
-    // thread, not once per job.
-    std::unique_ptr<estimator::Backend> sim_backend;
-    std::unique_ptr<estimator::Backend> analytic_backend;
-    std::unique_ptr<estimator::Backend> codegen_backend;
-    if (options_.isolate_jobs) {
-      const estimator::BackendSet set =
-          estimator::backends_of(options_.backend);
-      if (set.sim) {
-        sim_backend =
-            analytic::make_backend(estimator::BackendKind::Simulation);
-      }
-      if (set.analytic) {
-        analytic_backend =
-            analytic::make_backend(estimator::BackendKind::Analytic);
-      }
-      if (set.codegen) {
-        cgen::CodegenOptions cgen_options;
-        cgen_options.toolchain.fault_plan = options_.fault_plan;
-        codegen_backend = std::make_unique<cgen::CodegenBackend>(
-            std::move(cgen_options));
-      }
-    }
     obs::Registry* metrics =
         worker_metrics.empty()
             ? nullptr
@@ -1214,9 +914,6 @@ BatchReport BatchRunner::run() const {
         worker_traces.empty()
             ? nullptr
             : &worker_traces[static_cast<std::size_t>(worker_id)];
-    // Worst-rel-error bookkeeping shared by the singleton and chunk
-    // paths: max via CAS on the double's bit pattern (rel errors are
-    // non-negative, so the integer order matches the double order).
     const auto note_result = [&worst_rel_bits](const ScenarioResult& result) {
       if (!result.ok ||
           !estimator::backends_of(result.backend).cross_validates()) {
@@ -1244,52 +941,33 @@ BatchReport BatchRunner::run() const {
       for (std::size_t k = 0; k < chunk.size; ++k) {
         claimed[chunk.begin + k] = 1;
       }
-      if (chunk.size > 1) {
-        // Lane chunk: one estimate_batch call covers every job.
-        const BatchJob& first = jobs_[chunk.begin];
-        {
-          const obs::TraceLog::HostSpan span(
-              log, 0, worker_id,
-              "estimate " + first.model_name + " #" +
-                  std::to_string(first.id) + "-#" +
-                  std::to_string(jobs_[chunk.begin + chunk.size - 1].id),
-              "host.estimate");
-          run_chunk_cached(
-              &jobs_[chunk.begin], chunk.size,
-              cache[static_cast<std::size_t>(first.model_index)], metrics,
-              sweep, &report.results[chunk.begin]);
-        }
-        for (std::size_t k = 0; k < chunk.size; ++k) {
-          note_result(report.results[chunk.begin + k]);
-        }
-        done.fetch_add(chunk.size, std::memory_order_release);
-        continue;
-      }
-      const std::size_t index = chunk.begin;
-      const BatchJob& job = jobs_[index];
+      const BatchJob& first = jobs_[chunk.begin];
       trace::Trace sim_trace;
       trace::Trace* sim_trace_out =
-          (log != nullptr && trace_job[index] != 0) ? &sim_trace : nullptr;
+          (log != nullptr && trace_job[chunk.begin] != 0) ? &sim_trace
+                                                          : nullptr;
       {
-        const obs::TraceLog::HostSpan span(
-            log, 0, worker_id,
-            "estimate " + job.model_name + " #" + std::to_string(job.id),
-            "host.estimate");
-        report.results[index] =
-            options_.isolate_jobs
-                ? run_job(job, sim_backend.get(), analytic_backend.get(),
-                          codegen_backend.get(), metrics, sim_trace_out,
-                          sweep)
-                : run_job_cached(
-                      job, cache[static_cast<std::size_t>(job.model_index)],
-                      metrics, sim_trace_out, sweep);
+        std::string name =
+            "estimate " + first.model_name + " #" + std::to_string(first.id);
+        if (chunk.size > 1) {
+          name += "-#" +
+                  std::to_string(jobs_[chunk.begin + chunk.size - 1].id);
+        }
+        const obs::TraceLog::HostSpan span(log, 0, worker_id,
+                                           std::move(name), "host.estimate");
+        run_chunk(&first, chunk.size,
+                  cache[static_cast<std::size_t>(first.model_index)],
+                  metrics, sim_trace_out, sweep,
+                  &report.results[chunk.begin]);
       }
       if (sim_trace_out != nullptr) {
-        log->append_simulated(sim_trace, sim_pid_base(job.model_index),
-                              job.model_name);
+        log->append_simulated(sim_trace, sim_pid_base(first.model_index),
+                              first.model_name);
       }
-      note_result(report.results[index]);
-      done.fetch_add(1, std::memory_order_release);
+      for (std::size_t k = 0; k < chunk.size; ++k) {
+        note_result(report.results[chunk.begin + k]);
+      }
+      done.fetch_add(chunk.size, std::memory_order_release);
     }
   };
 
@@ -1386,17 +1064,15 @@ BatchReport BatchRunner::run() const {
   for (auto& log : worker_traces) {
     report.trace.merge(std::move(log));
   }
-  if (!options_.isolate_jobs) {
-    // A cache hit is a job answered from a successfully compiled shared
-    // entry (its model's one-time compile served it).
-    std::uint64_t hits = 0;
-    for (const auto& job : jobs_) {
-      if (cache[static_cast<std::size_t>(job.model_index)].ok) {
-        ++hits;
-      }
+  // A cache hit is a job answered from a successfully compiled shared
+  // entry (its model's one-time compile served it).
+  std::uint64_t hits = 0;
+  for (const auto& job : jobs_) {
+    if (cache[static_cast<std::size_t>(job.model_index)].ok) {
+      ++hits;
     }
-    report.metrics.counter("batch.cache_hits").add(hits);
   }
+  report.metrics.counter("batch.cache_hits").add(hits);
   report.metrics.merge(report.derived_metrics());
 
   if (options_.on_progress) {

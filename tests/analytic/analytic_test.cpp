@@ -344,7 +344,7 @@ TEST(Backend, PreparedEstimateSkipsMachineReportOnRequest) {
 }
 
 // One prepared handle, many threads: estimate() must be deterministic
-// under concurrency (the batch pipeline's cached mode leans on this).
+// under concurrency (the batch pipeline's worker pool leans on this).
 // The assertions check result identity; the sanitizer CI job adds
 // ASan/UBSan memory-error coverage.  Note neither detects data races —
 // race-freedom rests on the PreparedModel design (no mutable shared

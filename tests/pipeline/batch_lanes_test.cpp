@@ -1,8 +1,9 @@
 // Batched sweep evaluation (BatchOptions::batch_lanes): scalar and
 // batched runs must be bit-identical on every deterministic CSV column,
 // for every registered model, at several lane widths and thread counts;
-// chunking must respect the eligibility rules (isolation, per-job
-// limits, fault plans all fall back to singleton jobs); and the batch
+// chunking must respect the eligibility rules (per-job limits and fault
+// plans fall back to singleton jobs); models registered as XMI text must
+// predict exactly what their in-memory originals do; and the batch
 // observability signals must fire.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "prophet/estimator/backend.hpp"
 #include "prophet/models/registry.hpp"
 #include "prophet/pipeline/batch.hpp"
+#include "prophet/xmi/xmi.hpp"
 
 namespace {
 
@@ -24,20 +26,23 @@ using prophet::pipeline::BatchRunner;
 using prophet::pipeline::ScenarioGrid;
 
 /// Runs every registered model over its suggested grid with the given
-/// lane width and thread count.
+/// lane width and thread count.  `via_xmi` registers each model as the
+/// XMI text of its registry instance instead of by reference.
 BatchReport run_registry_sweep(int batch_lanes, int threads,
                                BackendKind backend = BackendKind::Analytic,
-                               bool isolate = false) {
+                               bool via_xmi = false) {
   BatchOptions options;
   options.threads = threads;
   options.batch_lanes = batch_lanes;
   options.backend = backend;
-  options.run_codegen = false;
-  options.isolate_jobs = isolate;
   BatchRunner runner(options);
   const auto& registry = prophet::models::Registry::builtin();
   for (const auto& name : registry.names()) {
-    const int index = runner.add_model_reference("@" + name);
+    const std::string reference = "@" + name;
+    const int index =
+        via_xmi ? runner.add_model_xml(
+                      reference, prophet::xmi::to_xml(registry.make(reference)))
+                : runner.add_model_reference(reference);
     const auto& info = registry.at(name);
     runner.add_sweep(index,
                      ScenarioGrid::parse(info.default_grid,
@@ -46,16 +51,16 @@ BatchReport run_registry_sweep(int batch_lanes, int threads,
   return runner.run();
 }
 
-/// The deterministic prefix of each CSV row: columns 1-17
-/// (job..generated_bytes), everything before the host-time and
-/// error-detail columns.
+/// The deterministic prefix of each CSV row: columns 1-15
+/// (job..warnings), everything before the host-time and error-detail
+/// columns.
 std::vector<std::string> deterministic_rows(const BatchReport& report) {
   std::vector<std::string> rows;
   std::istringstream csv(report.to_csv());
   std::string line;
   while (std::getline(csv, line)) {
     std::size_t at = 0;
-    for (int field = 0; field < 17 && at != std::string::npos; ++field) {
+    for (int field = 0; field < 15 && at != std::string::npos; ++field) {
       at = line.find(',', at + 1);
     }
     rows.push_back(line.substr(0, at == std::string::npos ? line.size() : at));
@@ -92,16 +97,19 @@ TEST(BatchLanes, CrossValidatingSweepsStayBitIdentical) {
   }
 }
 
-TEST(BatchLanes, IsolatedRunsIgnoreLaneWidth) {
-  // --isolate re-runs the whole pipeline per job; batching would reuse
-  // the compiled-model cache, so it must silently stand down.
-  const auto reference = deterministic_rows(
-      run_registry_sweep(1, 1, BackendKind::Analytic, true));
-  const auto batched = deterministic_rows(
-      run_registry_sweep(8, 1, BackendKind::Analytic, true));
-  ASSERT_EQ(batched.size(), reference.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i], reference[i]) << "row " << i;
+TEST(BatchLanes, XmiRegistrationMatchesInMemoryModels) {
+  // The file path (XMI text parsed once, at registration) and the
+  // in-memory path (the registry's model held directly) must agree on
+  // every deterministic column — predictions of both engines, event
+  // counts and checker warnings — for every registered model.
+  const auto in_memory =
+      deterministic_rows(run_registry_sweep(0, 1, BackendKind::Both));
+  const auto via_xmi =
+      deterministic_rows(run_registry_sweep(0, 1, BackendKind::Both, true));
+  ASSERT_GT(in_memory.size(), 1u);
+  ASSERT_EQ(via_xmi.size(), in_memory.size());
+  for (std::size_t i = 0; i < in_memory.size(); ++i) {
+    EXPECT_EQ(via_xmi[i], in_memory[i]) << "row " << i;
   }
 }
 
@@ -110,7 +118,6 @@ TEST(BatchLanes, MetricsReportBatchWidthAndBatchedEvals) {
   options.threads = 1;
   options.batch_lanes = 8;
   options.backend = BackendKind::Analytic;
-  options.run_codegen = false;
   options.collect_metrics = true;
   BatchRunner runner(options);
   const int index = runner.add_model_reference("@kernel6");
@@ -132,7 +139,6 @@ TEST(BatchLanes, PerJobLimitsDisableChunking) {
   BatchOptions base;
   base.threads = 1;
   base.backend = BackendKind::Analytic;
-  base.run_codegen = false;
 
   BatchOptions limited = base;
   limited.batch_lanes = 8;

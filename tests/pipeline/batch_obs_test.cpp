@@ -23,11 +23,10 @@ using prophet::pipeline::BatchRunner;
 using prophet::pipeline::ScenarioGrid;
 
 BatchReport run_registry_sweep(BackendKind backend, bool collect_metrics,
-                               bool collect_trace, bool isolate = false) {
+                               bool collect_trace) {
   BatchOptions options;
   options.threads = 2;
   options.backend = backend;
-  options.isolate_jobs = isolate;
   options.collect_metrics = collect_metrics;
   options.collect_trace = collect_trace;
   BatchRunner runner(options);
@@ -71,7 +70,7 @@ TEST(BatchObservability, MetricsAgreeWithResults) {
   EXPECT_EQ(m.counter_value("batch.events"), stats.total_events);
   EXPECT_EQ(m.counter_value("batch.compared"), stats.compared);
   EXPECT_DOUBLE_EQ(m.gauge_value("batch.rel_error_max"), stats.max_rel_error);
-  // Cached mode: every ok job was served from the compiled-model cache.
+  // Every ok job was served from the compiled-model cache.
   EXPECT_EQ(m.counter_value("batch.cache_hits"), stats.total);
   EXPECT_EQ(m.counter_value("batch.models_prepared"),
             static_cast<std::uint64_t>(report.models_prepared));
@@ -101,17 +100,6 @@ TEST(BatchObservability, MetricsOffStillDerivesBatchCells) {
             report.results.size());
   EXPECT_EQ(report.metrics.counter_value("expr.instructions"), 0U);
   EXPECT_EQ(report.metrics.counter_value("sim.runs"), 0U);
-}
-
-TEST(BatchObservability, IsolatedModeCountsLoweringPerJob) {
-  const BatchReport report =
-      run_registry_sweep(BackendKind::Analytic, true, false, true);
-  const auto stats = report.stats();
-  ASSERT_GT(stats.ok, 0U);
-  // Every job lowers its own model copy, so lower.* scales with jobs.
-  EXPECT_GE(report.metrics.counter_value("lower.expr_programs"), stats.ok);
-  // No shared cache in isolated mode.
-  EXPECT_EQ(report.metrics.counter_value("batch.cache_hits"), 0U);
 }
 
 TEST(BatchObservability, TraceCollectsHostAndSimulatedLanes) {

@@ -1,10 +1,9 @@
-// BatchRunner: thread-count determinism, per-job error isolation, seeds,
-// report aggregation, and the compiled-model cache (cached vs isolated
-// equivalence, prepare-failure containment, per-stage timings).
+// BatchRunner: thread-count determinism, per-job error isolation,
+// report aggregation, and the compiled-model cache (prepare-failure
+// containment, prepare timing).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 #include "prophet/pipeline/batch.hpp"
@@ -14,7 +13,6 @@
 
 namespace pipeline = prophet::pipeline;
 namespace machine = prophet::machine;
-using prophet::estimator::BackendKind;
 
 namespace {
 
@@ -59,7 +57,6 @@ TEST(BatchRunner, RunsEveryScenario) {
     EXPECT_TRUE(result.ok) << result.error;
     EXPECT_GT(result.predicted_time, 0.0) << result.model_name;
     EXPECT_GT(result.events, 0u);
-    EXPECT_GT(result.generated_bytes, 0u);  // codegen ran per job
   }
   const auto stats = report.stats();
   EXPECT_EQ(stats.ok, 12u);
@@ -78,7 +75,6 @@ TEST(BatchRunner, ResultsAreIdenticalAcrossThreadCounts) {
       const auto& b = parallel.results[i];
       EXPECT_EQ(a.job_id, b.job_id);
       EXPECT_EQ(a.model_name, b.model_name);
-      EXPECT_EQ(a.seed, b.seed);
       EXPECT_EQ(a.ok, b.ok);
       // Bit-identical simulation results, not just approximately equal.
       EXPECT_EQ(a.predicted_time, b.predicted_time)
@@ -127,21 +123,6 @@ TEST(BatchRunner, InvalidParametersFailOnlyTheirJob) {
   EXPECT_EQ(report.results[0].error.rfind("simulate:", 0), 0u)
       << report.results[0].error;
   EXPECT_TRUE(report.results[1].ok);
-}
-
-TEST(BatchRunner, SeedsAreDeterministicAndPerJob) {
-  EXPECT_EQ(pipeline::derive_seed(1, 0), pipeline::derive_seed(1, 0));
-  EXPECT_NE(pipeline::derive_seed(1, 0), pipeline::derive_seed(1, 1));
-  EXPECT_NE(pipeline::derive_seed(1, 0), pipeline::derive_seed(2, 0));
-
-  auto runner = sweep_runner(1);
-  std::set<std::uint64_t> seeds;
-  for (const auto& job : runner.jobs()) {
-    EXPECT_EQ(job.seed, pipeline::derive_seed(
-                            runner.options().base_seed, job.id));
-    seeds.insert(job.seed);
-  }
-  EXPECT_EQ(seeds.size(), runner.jobs().size());
 }
 
 TEST(BatchRunner, SweepAllCoversEveryModel) {
@@ -258,56 +239,12 @@ TEST(BatchRunner, BackendSelectionIsDeterministicAcrossThreads) {
 
 // --- Compiled-model cache ----------------------------------------------------
 
-pipeline::BatchReport run_sweep(int threads, bool isolate, BackendKind kind) {
-  pipeline::BatchOptions options;
-  options.threads = threads;
-  options.isolate_jobs = isolate;
-  options.backend = kind;
-  pipeline::BatchRunner runner(options);
-  runner.add_model("sample", prophet::models::sample_model());
-  runner.add_model("kernel6", prophet::models::kernel6_model(64, 16, 1e-8));
-  runner.add_sweep_all(pipeline::ScenarioGrid::parse("np=1..4:*2 nodes=1,2"));
-  return runner.run();
-}
-
-// The acceptance property: cached and isolated sweeps produce
-// bit-identical predictions for every backend at every thread count.
-TEST(BatchRunner, CachedMatchesIsolatedBitIdentical) {
-  for (const BackendKind kind :
-       {BackendKind::Simulation, BackendKind::Analytic, BackendKind::Both}) {
-    const auto isolated = run_sweep(1, /*isolate=*/true, kind);
-    for (const int threads : {1, 2, 4}) {
-      const auto cached = run_sweep(threads, /*isolate=*/false, kind);
-      ASSERT_EQ(cached.results.size(), isolated.results.size());
-      EXPECT_GT(cached.models_prepared, 0);
-      EXPECT_EQ(isolated.models_prepared, 0);
-      for (std::size_t i = 0; i < isolated.results.size(); ++i) {
-        const auto& a = isolated.results[i];
-        const auto& b = cached.results[i];
-        SCOPED_TRACE("backend " +
-                     std::string(prophet::estimator::to_string(kind)) +
-                     ", job " + std::to_string(i) + ", " +
-                     std::to_string(threads) + " thread(s)");
-        EXPECT_EQ(a.ok, b.ok);
-        EXPECT_EQ(a.backend, b.backend);
-        // Bit-identical, not approximately equal.
-        EXPECT_EQ(a.predicted_time, b.predicted_time);
-        EXPECT_EQ(a.analytic_predicted, b.analytic_predicted);
-        EXPECT_EQ(a.relative_error, b.relative_error);
-        EXPECT_EQ(a.events, b.events);
-        EXPECT_EQ(a.check_warnings, b.check_warnings);
-        EXPECT_EQ(a.generated_bytes, b.generated_bytes);
-      }
-    }
-  }
-}
-
 // A model whose compile fails marks all of its jobs failed with the
 // stage-prefixed error, without poisoning other models' jobs.
 TEST(BatchRunner, PrepareFailureIsContainedPerModel) {
   pipeline::BatchOptions options;
   options.threads = 2;
-  pipeline::BatchRunner runner(options);  // cached mode (default)
+  pipeline::BatchRunner runner(options);
   const int good = runner.add_model("good", prophet::models::sample_model());
   const int bad = runner.add_model_xml("bad", "<this is not xmi");
   runner.add_scenario(good, {});
@@ -329,39 +266,29 @@ TEST(BatchRunner, PrepareFailureIsContainedPerModel) {
   EXPECT_EQ(report.stats().failed, 2u);
 }
 
-// A model that parses but cannot be compiled by a backend fails with the
-// same stage-prefixed error text in cached and isolated mode (the stage
-// chain is shared, so the modes cannot diverge).
+// A model that passes the checker but cannot be compiled by a backend
+// fails its job with the backend's stage prefix.
 TEST(BatchRunner, PrepareFailureMatchesIsolatedStageAndError) {
-  const auto run_bad = [](bool isolate) {
-    pipeline::BatchOptions options;
-    options.threads = 1;
-    options.isolate_jobs = isolate;
-    // Skip the checker/transformer so the defect reaches Backend::prepare.
-    options.run_checker = false;
-    options.run_codegen = false;
-    pipeline::BatchRunner runner(options);
-    prophet::uml::ModelBuilder mb("bad");
-    prophet::uml::DiagramBuilder main = mb.diagram("main");
-    prophet::uml::NodeRef init = main.initial();
-    prophet::uml::NodeRef bad = main.action("Bad").cost("1 + ");
-    prophet::uml::NodeRef fin = main.final_node();
-    main.sequence({init, bad, fin});
-    runner.add_model("bad", std::move(mb).build());
-    runner.add_scenario(0, {});
-    return runner.run();
-  };
-  const auto cached = run_bad(false);
-  const auto isolated = run_bad(true);
-  ASSERT_EQ(cached.results.size(), 1u);
-  ASSERT_EQ(isolated.results.size(), 1u);
-  EXPECT_FALSE(cached.results[0].ok);
-  EXPECT_FALSE(isolated.results[0].ok);
-  EXPECT_EQ(cached.results[0].error.rfind("simulate:", 0), 0u)
-      << cached.results[0].error;
-  EXPECT_EQ(cached.results[0].error, isolated.results[0].error);
+  pipeline::BatchOptions options;
+  options.threads = 1;
+  // Skip the checker so the defect reaches Backend::prepare.
+  options.run_checker = false;
+  pipeline::BatchRunner runner(options);
+  prophet::uml::ModelBuilder mb("bad");
+  prophet::uml::DiagramBuilder main = mb.diagram("main");
+  prophet::uml::NodeRef init = main.initial();
+  prophet::uml::NodeRef bad = main.action("Bad").cost("1 + ");
+  prophet::uml::NodeRef fin = main.final_node();
+  main.sequence({init, bad, fin});
+  runner.add_model("bad", std::move(mb).build());
+  runner.add_scenario(0, {});
+  const auto report = runner.run();
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_FALSE(report.results[0].ok);
+  EXPECT_EQ(report.results[0].error.rfind("simulate:", 0), 0u)
+      << report.results[0].error;
   // A failed compile is not a prepared model.
-  EXPECT_EQ(cached.models_prepared, 0);
+  EXPECT_EQ(report.models_prepared, 0);
 }
 
 // Jobs land on the right cache entry even when earlier models have no
@@ -382,42 +309,17 @@ TEST(BatchRunner, CacheEntriesFollowModelIndices) {
 TEST(BatchRunner, StageTimingsFollowTheMode) {
   pipeline::BatchOptions options;
   options.threads = 1;
-  options.isolate_jobs = true;
-  pipeline::BatchRunner isolated_runner(options);
-  const int m = isolated_runner.add_model(
-      "sample", prophet::models::sample_model());
-  isolated_runner.add_sweep(m, pipeline::ScenarioGrid::parse("np=1,2"));
-  const auto isolated = isolated_runner.run();
-  EXPECT_EQ(isolated.models_prepared, 0);
-  EXPECT_EQ(isolated.prepare_seconds, 0.0);
-  for (const auto& result : isolated.results) {
-    ASSERT_TRUE(result.ok) << result.error;
-    // Isolated jobs pay every stage themselves.
-    EXPECT_GT(result.parse_seconds, 0.0);
-    EXPECT_GT(result.check_seconds, 0.0);
-    EXPECT_GT(result.transform_seconds, 0.0);
-    EXPECT_GT(result.estimate_seconds, 0.0);
-  }
-
-  options.isolate_jobs = false;
-  pipeline::BatchRunner cached_runner(options);
-  const int c = cached_runner.add_model(
-      "sample", prophet::models::sample_model());
-  cached_runner.add_sweep(c, pipeline::ScenarioGrid::parse("np=1,2"));
-  const auto cached = cached_runner.run();
-  EXPECT_EQ(cached.models_prepared, 1);
-  EXPECT_GT(cached.prepare_seconds, 0.0);
-  EXPECT_NE(cached.summary().find("compiled-model cache"),
+  pipeline::BatchRunner runner(options);
+  const int m = runner.add_model("sample", prophet::models::sample_model());
+  runner.add_sweep(m, pipeline::ScenarioGrid::parse("np=1,2"));
+  const auto report = runner.run();
+  // The per-model stages are paid once, in prepare_seconds.
+  EXPECT_EQ(report.models_prepared, 1);
+  EXPECT_GT(report.prepare_seconds, 0.0);
+  EXPECT_NE(report.summary().find("compiled-model cache"),
             std::string::npos);
-  for (const auto& result : cached.results) {
+  for (const auto& result : report.results) {
     ASSERT_TRUE(result.ok) << result.error;
-    // Cached jobs are parameter-only evaluations: the per-model stages
-    // were paid once, in prepare_seconds.
-    EXPECT_EQ(result.parse_seconds, 0.0);
-    EXPECT_EQ(result.check_seconds, 0.0);
-    EXPECT_EQ(result.transform_seconds, 0.0);
-    EXPECT_GT(result.estimate_seconds, 0.0);
-    EXPECT_LE(result.estimate_seconds, result.wall_seconds);
   }
 }
 
@@ -428,9 +330,11 @@ TEST(BatchRunner, CsvCarriesStageTimingColumns) {
   const int m = runner.add_model("sample", prophet::models::sample_model());
   runner.add_scenario(m, {});
   const std::string csv = runner.run().to_csv();
-  EXPECT_NE(csv.find(",wall_s,parse_s,check_s,transform_s,estimate_s,"
-                     "tripped_limit,error"),
-            std::string::npos)
+  EXPECT_EQ(csv.rfind("job,model,np,nn,ppn,nt,cpu_speed,backend,ok,"
+                      "predicted_s,analytic_s,codegen_s,rel_error,events,"
+                      "warnings,wall_s,tripped_limit,error\n",
+                      0),
+            0u)
       << csv;
 }
 

@@ -14,6 +14,7 @@
 #include "prophet/models/builtins.hpp"
 #include "prophet/models/registry.hpp"
 #include "prophet/pipeline/batch.hpp"
+#include "prophet/xmi/xmi.hpp"
 
 namespace {
 
@@ -177,7 +178,7 @@ TEST(BatchGuards, SweepDeadlineDrainsRemainingJobs) {
   EXPECT_LT(report.wall_seconds, 5.0);
 }
 
-TEST(BatchFaults, InjectedParseFaultFailsJobsNotTheBatch) {
+TEST(BatchFaults, InjectedEstimateFaultFailsJobsNotTheBatch) {
   guard::FaultPlan plan = guard::FaultPlan::parse("estimate@1");
   BatchOptions options;
   options.threads = 1;
@@ -209,6 +210,33 @@ TEST(BatchFaults, CompileStageFaultReportsStage) {
   EXPECT_FALSE(report.results[0].ok);
   EXPECT_NE(report.results[0].error.find("injected fault at site 'lower'"),
             std::string::npos);
+}
+
+TEST(BatchFaults, ParseFaultFailsXmiModelAtRegistration) {
+  // XMI text is parsed once, when it is registered: an injected parse
+  // fault fails that model's jobs, while in-memory models never visit
+  // the site.
+  guard::FaultPlan plan = guard::FaultPlan::parse("parse@1");
+  BatchOptions options;
+  options.threads = 1;
+  options.fault_plan = &plan;
+  BatchRunner runner(options);
+  const int sample = runner.add_model("sample", prophet::models::sample_model());
+  const int xmi = runner.add_model_xml(
+      "xmi", prophet::xmi::to_xml(prophet::models::sample_model()));
+  runner.add_sweep(xmi, ScenarioGrid::parse("np=1,2", {}));
+  runner.add_sweep(sample, ScenarioGrid::parse("np=1", {}));
+
+  const BatchReport report = runner.run();
+  ASSERT_EQ(report.results.size(), 3u);
+  for (const std::size_t i : {std::size_t{0}, std::size_t{1}}) {
+    EXPECT_FALSE(report.results[i].ok);
+    EXPECT_EQ(report.results[i].error.rfind(
+                  "parse: injected fault at site 'parse'", 0),
+              0u)
+        << report.results[i].error;
+  }
+  EXPECT_TRUE(report.results[2].ok) << report.results[2].error;
 }
 
 TEST(BatchFaults, MidSimulationCancelFault) {

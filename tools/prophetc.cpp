@@ -10,9 +10,9 @@
 //   prophetc models [--names] [--grid @name]
 //   prophetc sweep <model>... [--grid SPEC] [--sp <sp.xml>]
 //                  [--backend KIND] [--max-rel-error X]
-//                  [--threads N] [--batch-lanes N] [--csv out.csv] [--seed S]
-//                  [--no-check] [--no-codegen] [--isolate]
-//                  [--metrics out.json] [--trace-json out.json] [--progress]
+//                  [--threads N] [--batch-lanes N] [--csv out.csv]
+//                  [--no-check] [--metrics out.json] [--trace-json out.json]
+//                  [--progress]
 //                  [--job-timeout S] [--deadline S] [--limit-sim-events N]
 //                  [--limit-vm-instructions N] [--limit-replay-events N]
 //                  [--limit-loop-trips N] [--inject-faults SPEC]
@@ -35,14 +35,13 @@
 // engine as reference (sim when selected, else codegen) and report
 // every other engine's relative error (--max-rel-error fails a sweep
 // whose worst error exceeds the bound).  Sweeps compile each model once
-// (parse, check, transform, prepare) and evaluate all its scenarios
-// against the cached result; --isolate restores the
-// re-run-everything-per-job pipeline.  Predictions are bit-identical
-// either way.  --batch-lanes sets the sweep's lane width: same-model
-// scenario runs are grouped into chunks of N and evaluated through the
-// backends' batched path (0, the default, picks the width
-// automatically; 1 disables batching).  Batched and scalar sweeps are
-// bit-identical on every deterministic CSV column.  estimate --timings
+// (check, lower, prepare; XMI files are parsed once, when registered)
+// and evaluate all its scenarios against the cached result.
+// --batch-lanes sets the sweep's lane width: same-model scenario runs
+// are grouped into chunks of N and evaluated through the backends'
+// batched path (0, the default, picks the width automatically; 1
+// disables batching).  Batched and scalar sweeps are bit-identical on
+// every deterministic CSV column.  estimate --timings
 // reports the prepare/evaluate split, including the time prepare spent
 // compiling cost expressions to bytecode.
 //
@@ -62,10 +61,10 @@
 // Ctrl-C cancels cooperatively, draining workers and still writing the
 // partial CSV, metrics and the final progress line.  Unlimited runs pay
 // nothing and stay bit-identical.  --inject-faults "site[@N|%P], ..."
-// deterministically fails pipeline stages (parse, check, transform,
-// lower, prepare, estimate; "cancel@E" arms a mid-simulation
-// cancellation at event E) to exercise error paths; --fault-seed selects
-// the probabilistic-rule stream.
+// deterministically fails pipeline stages (parse for XMI inputs, at
+// registration; check, lower, prepare, estimate; "cancel@E" arms a
+// mid-simulation cancellation at event E) to exercise error paths;
+// --fault-seed selects the probabilistic-rule stream.
 //
 // Every parse error prints usage and exits non-zero; flags are accepted
 // as `--flag value` or `--flag=value`.
@@ -124,7 +123,7 @@ int usage() {
       "[--backend sim|analytic|codegen|both|sim+codegen|analytic+codegen|"
       "all] "
       "[--max-rel-error X] [--threads N] [--batch-lanes N] "
-      "[--csv out.csv] [--seed S] [--no-check] [--no-codegen] [--isolate] "
+      "[--csv out.csv] [--no-check] "
       "[--metrics out.json] [--trace-json out.json] [--progress] "
       "[--job-timeout S] [--deadline S] [--limit-sim-events N] "
       "[--limit-vm-instructions N] [--limit-replay-events N] "
@@ -728,20 +727,6 @@ int cmd_sweep(const std::vector<std::string>& args) {
         return parse_error("--csv requires a value");
       }
       csv_path = *value;
-    } else if (args[i] == "--seed") {
-      const auto value = flag_value(args, i);
-      if (!value) {
-        return parse_error("--seed requires a value");
-      }
-      char* end = nullptr;
-      errno = 0;
-      options.base_seed = std::strtoull(value->c_str(), &end, 10);
-      // strtoull wraps negative input instead of failing; reject it.
-      if (end == value->c_str() || *end != '\0' || errno == ERANGE ||
-          value->find('-') != std::string::npos) {
-        return parse_error("--seed: '" + *value +
-                           "' is not a 64-bit unsigned integer");
-      }
     } else if (args[i] == "--backend") {
       const auto value = flag_value(args, i);
       if (!value) {
@@ -768,10 +753,6 @@ int cmd_sweep(const std::vector<std::string>& args) {
       }
     } else if (args[i] == "--no-check") {
       options.run_checker = false;
-    } else if (args[i] == "--no-codegen") {
-      options.run_codegen = false;
-    } else if (args[i] == "--isolate") {
-      options.isolate_jobs = true;
     } else if (args[i] == "--metrics") {
       const auto value = flag_value(args, i);
       if (!value) {
