@@ -94,8 +94,9 @@ class AnalyticEstimator {
   /// Takes ownership of `model` (safe with temporaries).
   explicit AnalyticEstimator(uml::Model&& model);
 
-  /// Shares an existing lowering: construction is O(1) — no parsing, no
-  /// compilation.  Throws AnalyticError on null programs.
+  /// Shares an existing lowering: no parsing, no compilation — one pass
+  /// over the model's nodes and edges decides whether evaluate_batch may
+  /// batch it.  Throws AnalyticError on null programs.
   explicit AnalyticEstimator(lower::ModelProgramPtr program);
   ~AnalyticEstimator();
 
@@ -133,19 +134,22 @@ class AnalyticEstimator {
   /// bit-identical to what the scalar evaluate(params[i], counters,
   /// budget) loop would produce.
   ///
-  /// When the model's walk is parameter-structure-independent (the SPMD
-  /// fast path: uniform control flow across lanes, no pid/tid reads, no
-  /// fragments, no fork/parallel-region/probabilistic constructs), one
-  /// *batched* walk serves every lane — cost expressions evaluate
-  /// through the vectorized expr VM (Compiled::eval_batch) with one
-  /// value per lane — and only the cheap replay/bound assembly runs per
-  /// lane.  Anything else (lane-divergent guards or trip counts,
-  /// unsupported constructs, any evaluation error) falls back to the
-  /// scalar loop, adding the abandoned lane count to `*lanes_fallback`
-  /// when non-null.  Errors then propagate from the scalar path with
-  /// their exact per-lane messages.  Counter totals may differ between
-  /// the batched and scalar paths (batched dispatch counts instructions
-  /// once per lane group); predictions never do.
+  /// A model batches when no node-tag program, decision guard or local
+  /// initializer may read pid/tid and no node carries a code fragment,
+  /// decided once, when the estimator is built.  Then one *batched* walk
+  /// serves every process of every lane (forks, parallel regions,
+  /// critical sections and `prob` decisions included): cost expressions
+  /// evaluate through the vectorized expr VM (Compiled::eval_batch), one
+  /// value per lane, and only the replay/bound assembly runs per lane.
+  /// Ineligible models take the scalar loop, and so do eligible ones
+  /// whose lanes diverge at run time (guard truthiness, message peers or
+  /// region thread counts differ across lanes; lane-varying trip counts
+  /// mix zero with non-zero or feed a loop body that does not collapse)
+  /// or raise — errors then carry their exact per-lane messages.  Every
+  /// lane the scalar loop serves is added to `*lanes_fallback` (when
+  /// non-null and more than one lane was given).  Counter totals may
+  /// differ between the paths (batched dispatch counts instructions once
+  /// per lane group); predictions never do.
   [[nodiscard]] std::vector<AnalyticReport> evaluate_batch(
       std::span<const machine::SystemParameters> params,
       obs::AnalyticCounters* counters = nullptr,

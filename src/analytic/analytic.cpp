@@ -73,6 +73,14 @@ bool compute_only(const std::vector<Event>& events) {
   });
 }
 
+/// Adds `weight` times each critical section's lock-held demand in
+/// `from` to `into`.
+void add_criticals(WalkResult& into, const WalkResult& from, double weight) {
+  for (const auto& [name, demand] : from.critical_demand) {
+    into.critical_demand[name] += weight * demand;
+  }
+}
+
 workload::CollectiveKind collective_kind(const std::string& stereotype) {
   if (stereotype == uml::stereo::kBroadcast) {
     return workload::CollectiveKind::Broadcast;
@@ -101,6 +109,93 @@ struct LoopBinding {
   bool read = false;
 };
 
+/// Internal control-flow signal of the batched walk: the lanes stopped
+/// sharing one walk (a guard's truthiness, a message peer or a region's
+/// thread count differs across lanes, or a lane-varying trip count mixes
+/// zero with non-zero or has a body that does not collapse).
+/// evaluate_batch catches it, like any lane error, and re-runs every lane
+/// through the scalar walk, which is always exact — errors included.
+/// Never escapes the analytic layer.
+struct BatchDivergence {};
+
+/// Lane policy of the scalar walk: one scenario, one process per walk,
+/// Compiled::eval.  Lane arrays hold their single value inline, so the
+/// walk allocates nothing per node.
+struct ScalarLanes {
+  template <typename T>
+  struct Array {
+    explicit Array(std::size_t /*width*/) {}
+    T value{};
+    T& operator[](std::size_t /*lane*/) { return value; }
+    const T& operator[](std::size_t /*lane*/) const { return value; }
+    T* data() { return &value; }
+    const T* data() const { return &value; }
+  };
+  using Context = expr::EvalContext;
+  static constexpr std::size_t width(std::size_t /*lanes*/) { return 1; }
+  static Context context(std::size_t /*width*/) { return {}; }
+  static void eval(const expr::Compiled& program, const Context& ctx,
+                   double* out) {
+    *out = program.eval(ctx);
+  }
+};
+
+/// Lane policy of the batched walk: every scenario lane at once over a
+/// slot-major lane frame, Compiled::eval_batch.
+struct SoaLanes {
+  template <typename T>
+  using Array = std::vector<T>;
+  using Context = expr::BatchEvalContext;
+  static std::size_t width(std::size_t lanes) { return lanes; }
+  static Context context(std::size_t width) {
+    Context ctx;
+    ctx.width = width;
+    return ctx;
+  }
+  static void eval(const expr::Compiled& program, const Context& ctx,
+                   double* out) {
+    program.eval_batch(ctx, out);
+  }
+};
+
+/// True when one walk can serve every process of every scenario lane: no
+/// node-tag program, decision guard or local initializer may read pid or
+/// tid, and no node carries a code fragment.  This is the static form of
+/// the condition under which evaluate() shares the walk of process 0
+/// across processes, so the batched walk is exactly that shared walk.
+bool shares_one_walk(const lower::ModelProgram& program) {
+  for (const auto& variable : program.variables()) {
+    if (variable.scope == uml::VariableScope::Local &&
+        variable.initializer.has_value() &&
+        variable.initializer->may_read_pid_tid()) {
+      return false;
+    }
+  }
+  for (const auto& diagram : program.model().diagrams()) {
+    for (const auto& node : diagram->nodes()) {
+      const lower::NodePrograms& programs = program.at(*node);
+      if (!programs.fragment.empty()) {
+        return false;
+      }
+      for (const auto& tag : programs.tags) {
+        if (tag.has_value() && tag->may_read_pid_tid()) {
+          return false;
+        }
+      }
+      if (node->kind() != NodeKind::Decision) {
+        continue;
+      }
+      for (const auto* edge : diagram->outgoing(node->id())) {
+        const expr::Compiled* guard = program.guard(*edge);
+        if (guard != nullptr && guard->may_read_pid_tid()) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -116,15 +211,26 @@ struct AnalyticEstimator::Impl {
   /// can consume the same program concurrently.
   lower::ModelProgramPtr program;
   const Model* model = nullptr;  // == &program->model(), cached
+  /// Whether evaluate_batch may take the batched walk (shares_one_walk),
+  /// decided once, here.
+  bool batchable = false;
+  /// Walk steps per process before the walk is declared runaway.
+  std::uint64_t step_limit = 0;
 
-  /// Mutable state of one evaluate() call (evaluate is const + reentrant;
-  /// everything per-run lives here, including the run-level slot frame).
+  /// Mutable state of one evaluation over `lanes` scenarios: one lane
+  /// for evaluate(), all of them for the batched walk (evaluate is const
+  /// + reentrant; everything per-run lives here).  Storage is slot-major
+  /// — `width` lane values per slot — so the run frame is exactly what
+  /// expr::BatchEvalContext expects, and lane l's scalar view is every
+  /// bound pointer offset by l.
   struct EvalState {
-    machine::SystemParameters params;
-    std::vector<double> global_values;  // slot-indexed, shared by walks
-    std::vector<double*> run_frame;     // globals + structural template
-    double np = 1, nt = 1, nn = 1, ppn = 1;
-    std::uint64_t elements = 0;  // model elements walked
+    std::span<const machine::SystemParameters> lanes;
+    std::size_t width = 1;
+    // Globals and the np/nt/nn/ppn structural parameters, in their own
+    // slots: [slot * width + lane].
+    std::vector<double> global_values;
+    std::vector<double*> run_frame;  // slot -> lane array
+    std::uint64_t elements = 0;      // model elements walked
     std::uint64_t fragments_executed = 0;
     bool pid_queried = false;  // pid/tid reachable by an evaluated program
     int call_depth = 0;
@@ -132,20 +238,32 @@ struct AnalyticEstimator::Impl {
     guard::Budget* budget = nullptr;            // null: unguarded
   };
 
-  /// expr::UserFunctions adapter: cost-function bodies evaluate against
-  /// the run frame (globals + structural parameters) and the call's
-  /// argument span, with the tree walker's recursion guard.
-  struct FunctionCaller final : expr::UserFunctions {
+  /// Cost-function dispatch for both walks: function bodies evaluate
+  /// against the run frame (globals + structural parameters) and the
+  /// call's arguments, with the tree walker's recursion guard — across
+  /// all lanes at once when the vectorized VM can (call_batch), against
+  /// one lane's scalar view otherwise (call; call_lane when the VM falls
+  /// back lane by lane).
+  struct FunctionCaller final : expr::UserFunctions,
+                                expr::BatchUserFunctions {
     const Impl* impl = nullptr;
     EvalState* st = nullptr;
-    [[nodiscard]] double call(int id,
-                              std::span<const double> args) const override {
+    // The scalar view call() evaluates against; null is the run frame
+    // itself (lane 0).
+    const std::vector<double*>* lane_frame = nullptr;
+
+    void enter() const {
       if (st->call_depth > 64) {
         throw AnalyticError("cost-function call depth exceeded (cycle?)");
       }
       ++st->call_depth;
+    }
+
+    [[nodiscard]] double call(int id,
+                              std::span<const double> args) const override {
+      enter();
       expr::EvalContext ctx;
-      ctx.frame = st->run_frame;
+      ctx.frame = lane_frame != nullptr ? *lane_frame : st->run_frame;
       ctx.args = args;
       ctx.functions = this;
       ctx.counters = st->counters != nullptr ? &st->counters->expr : nullptr;
@@ -155,40 +273,10 @@ struct AnalyticEstimator::Impl {
       --st->call_depth;
       return result;
     }
-  };
-
-  /// Mutable state of one evaluate_batch() call: the lane-structured
-  /// analogue of EvalState.  Slot storage is slot-major (one lane array
-  /// of `width` doubles per slot), so the run frame is exactly what
-  /// expr::BatchEvalContext expects — and lane l's scalar view is every
-  /// bound pointer offset by l.
-  struct BatchState {
-    std::span<const machine::SystemParameters> lanes;
-    std::size_t width = 0;
-    // Structural parameters as lane arrays (np/nt/nn/ppn per scenario).
-    std::vector<double> np_lanes, nt_lanes, nn_lanes, ppn_lanes;
-    std::vector<double> global_values;  // [slot * width + lane]
-    std::vector<double*> run_frame;     // slot -> lane array
-    std::uint64_t elements = 0;  // model elements walked (lane-uniform)
-    int call_depth = 0;
-    obs::AnalyticCounters* counters = nullptr;
-    guard::Budget* budget = nullptr;
-  };
-
-  /// expr::BatchUserFunctions adapter: cost-function bodies evaluate
-  /// against the batch run frame, batched when the vectorized VM can
-  /// (call_batch) and against a single lane's scalar view when it falls
-  /// back (call_lane).  Same recursion guard as FunctionCaller.
-  struct BatchFunctionCaller final : expr::BatchUserFunctions {
-    const Impl* impl = nullptr;
-    BatchState* st = nullptr;
 
     void call_batch(int id, std::span<const double* const> args, double* out,
                     std::size_t width) const override {
-      if (st->call_depth > 64) {
-        throw AnalyticError("cost-function call depth exceeded (cycle?)");
-      }
-      ++st->call_depth;
+      enter();
       expr::BatchEvalContext ctx;
       ctx.frame = st->run_frame;
       ctx.width = width;
@@ -203,45 +291,33 @@ struct AnalyticEstimator::Impl {
 
     [[nodiscard]] double call_lane(int id, std::span<const double> args,
                                    std::size_t lane) const override {
-      if (st->call_depth > 64) {
-        throw AnalyticError("cost-function call depth exceeded (cycle?)");
+      // Lane view of the run frame: every bound slot offset by `lane`,
+      // so the scalar VM sees exactly that lane's bindings.
+      std::vector<double*> view(st->run_frame.size());
+      for (std::size_t slot = 0; slot < view.size(); ++slot) {
+        view[slot] = st->run_frame[slot] != nullptr
+                         ? st->run_frame[slot] + lane
+                         : nullptr;
       }
-      ++st->call_depth;
-      // Lane view of the batch run frame: every bound slot offset by
-      // `lane`, so the scalar VM sees exactly that lane's bindings.
-      std::vector<double*> frame(st->run_frame.size());
-      for (std::size_t slot = 0; slot < frame.size(); ++slot) {
-        frame[slot] = st->run_frame[slot] != nullptr
-                          ? st->run_frame[slot] + lane
-                          : nullptr;
-      }
-      struct LaneFunctions final : expr::UserFunctions {
-        const BatchFunctionCaller* parent;
-        std::size_t lane;
-        LaneFunctions(const BatchFunctionCaller* parent_in,
-                      std::size_t lane_in)
-            : parent(parent_in), lane(lane_in) {}
-        [[nodiscard]] double call(
-            int inner_id, std::span<const double> inner_args) const override {
-          return parent->call_lane(inner_id, inner_args, lane);
-        }
-      };
-      const LaneFunctions lane_functions(this, lane);
-      expr::EvalContext ctx;
-      ctx.frame = frame;
-      ctx.args = args;
-      ctx.functions = &lane_functions;
-      ctx.counters = st->counters != nullptr ? &st->counters->expr : nullptr;
-      ctx.budget = st->budget;
-      const double result =
-          impl->program->functions()[static_cast<std::size_t>(id)].eval(ctx);
-      --st->call_depth;
-      return result;
+      FunctionCaller lane_functions;
+      lane_functions.impl = impl;
+      lane_functions.st = st;
+      lane_functions.lane_frame = &view;
+      return lane_functions.call(id, args);
     }
   };
 
-  explicit Impl(lower::ModelProgramPtr p)
-      : program(std::move(p)), model(&program->model()) {}
+  explicit Impl(lower::ModelProgramPtr p);
+
+  /// Sizes `st`'s storage for its lanes and binds the run frame: the
+  /// structural parameters, then the global variables.
+  template <typename Lanes>
+  void start_run(EvalState& st, const FunctionCaller& functions) const;
+
+  /// Walks process `pid` into `out` (one WalkResult per lane).
+  template <typename Lanes>
+  void walk(EvalState& st, const FunctionCaller& functions, int pid,
+            WalkResult* out) const;
 
   AnalyticReport evaluate(const machine::SystemParameters& params,
                           obs::AnalyticCounters* counters,
@@ -251,16 +327,17 @@ struct AnalyticEstimator::Impl {
       std::span<const machine::SystemParameters> lanes,
       obs::AnalyticCounters* counters, guard::Budget* budget,
       std::size_t* lanes_fallback) const;
-
-  /// The all-lanes-at-once attempt: one batched SPMD walk, per-lane
-  /// replay/bounds.  Throws BatchDivergence (or any evaluation error)
-  /// when the batch cannot proceed; evaluate_batch catches and falls
-  /// back to the scalar loop.
-  std::vector<AnalyticReport> evaluate_batch_fast(
-      std::span<const machine::SystemParameters> lanes,
-      obs::AnalyticCounters* counters, guard::Budget* budget) const;
 };
 
+AnalyticEstimator::Impl::Impl(lower::ModelProgramPtr p)
+    : program(std::move(p)), model(&program->model()) {
+  batchable = shares_one_walk(*program);
+  std::size_t total_nodes = 0;
+  for (const auto& diagram : model->diagrams()) {
+    total_nodes += diagram->node_count();
+  }
+  step_limit = 1000000ULL + 1000ULL * total_nodes;
+}
 
 namespace {
 
@@ -268,39 +345,54 @@ namespace {
 // Symbolic walk
 // ---------------------------------------------------------------------------
 
-/// Walks one process's control flow, emitting Events.  Sub-walkers (fork
-/// branches, parallel-region threads, critical bodies, expectation
-/// branches) share the lexical state — slot frame, locals storage, loop
-/// bindings — but write to their own WalkResult so the parent can
-/// aggregate elapsed/demand.  The walk is strictly sequential, so the
-/// shared frame needs no snapshotting (unlike the coroutine
-/// interpreter's per-scope copies).
+/// Walks one process's control flow, emitting Events — for one scenario
+/// (ScalarLanes, run per process) or for every scenario lane at once
+/// (SoaLanes, one walk shared by every process of every lane).  Lanes
+/// walk in lockstep: each step emits one structurally identical Event per
+/// lane, so one coalescing decision covers all of them, and whatever
+/// would make the lanes' walks differ raises BatchDivergence.
+///
+/// Sub-walkers (fork branches, parallel-region threads, critical bodies,
+/// expectation branches, loop bodies) share the lexical state — slot
+/// frame, locals storage, loop bindings — but write to their own
+/// results so the parent can aggregate elapsed/demand.  The walk is
+/// strictly sequential, so the shared frame needs no snapshotting
+/// (unlike the coroutine interpreter's per-scope copies).
+template <typename Lanes>
 struct Walker {
   using Impl = AnalyticEstimator::Impl;
   using EvalState = Impl::EvalState;
   using NodePrograms = Impl::NodePrograms;
+  template <typename T>
+  using Array = typename Lanes::template Array<T>;
 
-  Walker(const Impl& impl_in, EvalState& st_in, WalkResult& out_in)
+  Walker(const Impl& impl_in, EvalState& st_in, WalkResult* out_in)
       : impl(impl_in), st(st_in), out(out_in) {}
 
   const Impl& impl;
   EvalState& st;
-  WalkResult& out;
+  WalkResult* out;  // one per lane
   int pid = 0;
   int tid = 0;
-  std::vector<double*>* frame = nullptr;   // shared per-process slot frame
-  double* locals = nullptr;                // slot-indexed local storage
+  std::vector<double*>* frame = nullptr;  // shared per-process slot frame
+  double* locals = nullptr;               // [slot * width + lane]
   std::vector<LoopBinding>* bindings = nullptr;
   const Impl::FunctionCaller* functions = nullptr;
   int region_threads = 0;  // > 0 inside an <<ompparallel>> region
   bool allow_comm = true;
   bool allow_fragments = true;
   std::uint64_t* steps = nullptr;
-  std::uint64_t step_limit = 0;
+
+  [[nodiscard]] std::size_t width() const { return Lanes::width(st.width); }
+
+  [[nodiscard]] const machine::SystemParameters& params(
+      std::size_t lane) const {
+    return st.lanes[lane];
+  }
 
   /// A sub-walker for nested concurrent constructs: shares the lexical
-  /// state, writes to its own result, and may not communicate.
-  [[nodiscard]] Walker sub(WalkResult& sub_out) const {
+  /// state, writes to its own results, and may not communicate.
+  [[nodiscard]] Walker sub(WalkResult* sub_out) const {
     Walker walker(impl, st, sub_out);
     walker.pid = pid;
     walker.tid = tid;
@@ -312,7 +404,6 @@ struct Walker {
     walker.allow_comm = false;
     walker.allow_fragments = allow_fragments;
     walker.steps = steps;
-    walker.step_limit = step_limit;
     return walker;
   }
 
@@ -336,13 +427,14 @@ struct Walker {
     }
   }
 
-  [[nodiscard]] double eval_program(const expr::Compiled& program,
-                                    int uid) const {
+  /// Evaluates `program` for every lane into `lanes` (width() doubles).
+  void eval_program(const expr::Compiled& program, int uid,
+                    double* lanes) const {
     if (program.may_read_pid_tid()) {
       st.pid_queried = true;
     }
     mark_loop_reads(program);
-    expr::EvalContext ctx;
+    typename Lanes::Context ctx = Lanes::context(width());
     ctx.frame = *frame;
     ctx.functions = functions;
     ctx.pid = static_cast<double>(pid);
@@ -350,27 +442,42 @@ struct Walker {
     ctx.uid = static_cast<double>(uid);
     ctx.counters = st.counters != nullptr ? &st.counters->expr : nullptr;
     ctx.budget = st.budget;
-    return program.eval(ctx);
+    Lanes::eval(program, ctx, lanes);
   }
 
   [[nodiscard]] const NodePrograms& programs_of(const Node& node) const {
     return impl.program->at(node);
   }
 
-  /// Evaluates an optional tag program; absent tags are 0.0, evaluation
-  /// errors carry the node/tag context (tree-walker message format).
-  [[nodiscard]] double eval_tag(const std::optional<expr::Compiled>& tag,
-                                std::string_view tag_name, const Node& node,
-                                int uid) const {
+  /// Evaluates an optional tag program across lanes; absent tags are 0.0,
+  /// evaluation errors carry the node/tag context (tree-walker message
+  /// format).
+  [[nodiscard]] Array<double> eval_tag(
+      const std::optional<expr::Compiled>& tag, std::string_view tag_name,
+      const Node& node, int uid) const {
+    Array<double> lanes(width());
     if (!tag.has_value()) {
-      return 0.0;
+      return lanes;
     }
     try {
-      return eval_program(*tag, uid);
+      eval_program(*tag, uid, lanes.data());
     } catch (const expr::EvalError& error) {
       throw AnalyticError("node " + node.id() + ", tag '" +
                           std::string(tag_name) + "': " + error.what());
     }
+    return lanes;
+  }
+
+  /// The lanes' common integer value: message peers and region thread
+  /// counts shape the event structure, so they must agree across lanes.
+  [[nodiscard]] int uniform_int(const Array<double>& lanes) const {
+    const int value = static_cast<int>(lanes[0]);
+    for (std::size_t lane = 1; lane < width(); ++lane) {
+      if (static_cast<int>(lanes[lane]) != value) {
+        throw BatchDivergence{};
+      }
+    }
+    return value;
   }
 
   void run_fragment(const NodePrograms& programs, const Node& node) {
@@ -383,57 +490,99 @@ struct Walker {
                           "probability-weighted branches");
     }
     ++st.fragments_executed;
+    Array<double> value(width());
     for (const auto& assignment : programs.fragment) {
-      double value = 0;
       try {
-        value = eval_program(assignment.value, programs.uid);
+        eval_program(assignment.value, programs.uid, value.data());
       } catch (const expr::EvalError& error) {
         throw AnalyticError("code fragment at node " + node.id() + ": " +
                             error.what());
       }
-      if (assignment.coerce_int) {
-        value = std::trunc(value);
-      }
+      double* target = nullptr;
       using Target = Impl::CompiledAssignment::Target;
       switch (assignment.target) {
         case Target::Local:
-          if (locals != nullptr) {
-            locals[assignment.slot] = value;
-            continue;
-          }
+          target = locals;
           break;
         case Target::Global:
-          st.global_values[assignment.slot] = value;
-          continue;
+          target = st.global_values.data();
+          break;
         case Target::Undeclared:
           break;
       }
-      throw AnalyticError("code fragment at node " + node.id() +
-                          " assigns undeclared variable '" +
-                          assignment.name + "'");
+      if (target == nullptr) {
+        throw AnalyticError("code fragment at node " + node.id() +
+                            " assigns undeclared variable '" +
+                            assignment.name + "'");
+      }
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        target[assignment.slot * width() + lane] =
+            assignment.coerce_int ? std::trunc(value[lane]) : value[lane];
+      }
     }
   }
 
-  // --- Event emission -----------------------------------------------------
+  // --- Event emission: lockstep across lanes ------------------------------
 
-  void emit_compute(double elapsed, double demand) {
-    if (std::isnan(elapsed) || elapsed < 0) {
-      throw AnalyticError("negative or NaN compute cost");
+  void emit_compute(const double* elapsed, const double* demand) {
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      if (std::isnan(elapsed[lane]) || elapsed[lane] < 0) {
+        throw AnalyticError("negative or NaN compute cost");
+      }
     }
-    if (!out.events.empty() && out.events.back().kind == EvKind::Compute) {
-      out.events.back().elapsed += elapsed;
-      out.events.back().demand += demand;
+    if (!out[0].events.empty() &&
+        out[0].events.back().kind == EvKind::Compute) {
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        out[lane].events.back().elapsed += elapsed[lane];
+        out[lane].events.back().demand += demand[lane];
+      }
       return;
     }
-    out.events.push_back({EvKind::Compute, elapsed, demand, 0, 0, 0});
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      out[lane].events.push_back(
+          {EvKind::Compute, elapsed[lane], demand[lane], 0, 0, 0});
+    }
   }
 
-  void emit_busy(double elapsed) {
-    if (!out.events.empty() && out.events.back().kind == EvKind::Busy) {
-      out.events.back().elapsed += elapsed;
+  void emit_busy(const double* elapsed) {
+    if (!out[0].events.empty() && out[0].events.back().kind == EvKind::Busy) {
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        out[lane].events.back().elapsed += elapsed[lane];
+      }
       return;
     }
-    out.events.push_back({EvKind::Busy, elapsed, 0, 0, 0, 0});
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      out[lane].events.push_back({EvKind::Busy, elapsed[lane], 0, 0, 0, 0});
+    }
+  }
+
+  /// Splices sub-results, re-coalescing adjacent Compute/Busy runs (event
+  /// i has the same kind in every lane).
+  void append_events(const WalkResult* from) {
+    Array<double> elapsed(width());
+    Array<double> demand(width());
+    for (std::size_t i = 0; i < from[0].events.size(); ++i) {
+      const EvKind kind = from[0].events[i].kind;
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        elapsed[lane] = from[lane].events[i].elapsed;
+        demand[lane] = from[lane].events[i].demand;
+      }
+      if (kind == EvKind::Compute) {
+        emit_compute(elapsed.data(), demand.data());
+      } else if (kind == EvKind::Busy) {
+        emit_busy(elapsed.data());
+      } else {
+        for (std::size_t lane = 0; lane < width(); ++lane) {
+          out[lane].events.push_back(from[lane].events[i]);
+        }
+      }
+    }
+  }
+
+  void merge_criticals(const WalkResult* from, double weight) {
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      add_criticals(out[lane], from[lane], weight);
+    }
   }
 
   void require_comm(const Node& node) const {
@@ -467,7 +616,7 @@ struct Walker {
     const Node* node = &start;
     int merge_debt = 0;
     while (node != nullptr) {
-      if (++*steps > step_limit) {
+      if (++*steps > impl.step_limit) {
         throw AnalyticError("diagram " + diagram.id() +
                             ": walk exceeded step limit (unstructured "
                             "cycle without <<loop+>>?)");
@@ -526,6 +675,7 @@ struct Walker {
       const uml::ControlFlow* chosen = nullptr;
       const uml::ControlFlow* fallback = nullptr;
       const int uid = programs_of(node).uid;
+      Array<double> value(width());
       for (const auto* edge : outgoing) {
         if (edge->is_else()) {
           if (fallback == nullptr) {
@@ -537,14 +687,19 @@ struct Walker {
         if (guard == nullptr) {
           continue;  // unguarded edge out of a decision: never taken
         }
-        double value = 0;
         try {
-          value = eval_program(*guard, uid);
+          eval_program(*guard, uid, value.data());
         } catch (const expr::EvalError& error) {
           throw AnalyticError("guard of edge " + edge->id() + ": " +
                               error.what());
         }
-        if (expr::truthy(value)) {
+        const bool taken = expr::truthy(value[0]);
+        for (std::size_t lane = 1; lane < width(); ++lane) {
+          if (expr::truthy(value[lane]) != taken) {
+            throw BatchDivergence{};  // lanes branch apart
+          }
+        }
+        if (taken) {
           chosen = edge;
           break;
         }
@@ -594,19 +749,22 @@ struct Walker {
                     std::string* join_out) {
     const auto outgoing = diagram.outgoing(node.id());
     std::vector<std::string> joins(outgoing.size());
-    double max_elapsed = 0;
-    double total_demand = 0;
+    Array<double> max_elapsed(width());
+    Array<double> total_demand(width());
     for (std::size_t i = 0; i < outgoing.size(); ++i) {
       const Node* target = diagram.node(outgoing[i]->target());
       if (target == nullptr) {
         throw AnalyticError("fork " + node.id() + ": dangling edge");
       }
-      WalkResult branch;
-      Walker walker = sub(branch);
+      Array<WalkResult> branch(width());
+      Walker walker = sub(branch.data());
       walker.walk(diagram, *target, NodeKind::Join, &joins[i]);
-      max_elapsed = std::max(max_elapsed, sum_elapsed(branch.events));
-      total_demand += sum_demand(branch.events);
-      merge_criticals(branch, 1.0);
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        max_elapsed[lane] =
+            std::max(max_elapsed[lane], sum_elapsed(branch[lane].events));
+        total_demand[lane] += sum_demand(branch[lane].events);
+      }
+      merge_criticals(branch.data(), 1.0);
     }
     for (std::size_t i = 1; i < joins.size(); ++i) {
       if (joins[i] != joins[0]) {
@@ -619,7 +777,7 @@ struct Walker {
       throw AnalyticError("fork " + node.id() +
                           ": branches do not reach a join");
     }
-    emit_compute(max_elapsed, total_demand);
+    emit_compute(max_elapsed.data(), total_demand.data());
     *join_out = joins[0];
   }
 
@@ -682,8 +840,8 @@ struct Walker {
     }
 
     std::string merge_id;
-    double expected_elapsed = 0;
-    double expected_demand = 0;
+    Array<double> expected_elapsed(width());
+    Array<double> expected_demand(width());
     for (std::size_t i = 0; i < outgoing.size(); ++i) {
       const Node* target = diagram.node(outgoing[i]->target());
       if (target == nullptr) {
@@ -691,8 +849,8 @@ struct Walker {
       }
       const double weight = weights[i] / norm;
       std::string branch_merge;
-      WalkResult branch;
-      Walker walker = sub(branch);
+      Array<WalkResult> branch(width());
+      Walker walker = sub(branch.data());
       walker.allow_fragments = false;
       walker.walk(diagram, *target, NodeKind::Merge, &branch_merge);
       if (branch_merge.empty()) {
@@ -707,11 +865,13 @@ struct Walker {
                             ": branches reach different merges ('" +
                             merge_id + "' vs '" + branch_merge + "')");
       }
-      expected_elapsed += weight * sum_elapsed(branch.events);
-      expected_demand += weight * sum_demand(branch.events);
-      merge_criticals(branch, weight);
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        expected_elapsed[lane] += weight * sum_elapsed(branch[lane].events);
+        expected_demand[lane] += weight * sum_demand(branch[lane].events);
+      }
+      merge_criticals(branch.data(), weight);
     }
-    emit_compute(expected_elapsed, expected_demand);
+    emit_compute(expected_elapsed.data(), expected_demand.data());
     const Node* merge = diagram.node(merge_id);
     ++st.elements;  // the consumed merge
     return next_node(diagram, *merge);
@@ -722,52 +882,69 @@ struct Walker {
     run_fragment(programs, node);
     const int uid = programs.uid;
     const std::string& stereotype = node.stereotype();
-    const auto& params = st.params;
+    Array<double> seconds(width());
     if (stereotype == uml::stereo::kActionPlus || stereotype.empty()) {
-      double cost = 0;
-      if (programs.cost().has_value()) {
-        cost = eval_tag(programs.cost(), uml::tag::kCost, node, uid);
-      } else if (auto time = node.tag_number(uml::tag::kTime)) {
-        cost = *time;
+      Array<double> cost = eval_tag(programs.cost(), uml::tag::kCost, node,
+                                    uid);
+      if (!programs.cost().has_value()) {
+        if (auto time = node.tag_number(uml::tag::kTime)) {
+          std::fill_n(cost.data(), width(), *time);
+        }
       }
-      const double seconds = machine::compute_time(params, cost);
-      emit_compute(seconds, seconds);
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        seconds[lane] = machine::compute_time(params(lane), cost[lane]);
+      }
+      emit_compute(seconds.data(), seconds.data());
     } else if (stereotype == uml::stereo::kSend) {
       require_comm(node);
-      const int dest = static_cast<int>(
-          eval_tag(programs.dest(), uml::tag::kDest, node, uid));
-      const double bytes = eval_tag(programs.size(), uml::tag::kSize, node,
-                                    uid);
+      const int dest =
+          uniform_int(eval_tag(programs.dest(), uml::tag::kDest, node, uid));
+      const Array<double> bytes =
+          eval_tag(programs.size(), uml::tag::kSize, node, uid);
       const int tag =
           static_cast<int>(node.tag_number(uml::tag::kMsgTag).value_or(0));
-      emit_busy(params.network_overhead);
-      out.events.push_back({EvKind::Send, 0, 0, bytes, dest, tag});
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        seconds[lane] = params(lane).network_overhead;
+      }
+      emit_busy(seconds.data());
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        out[lane].events.push_back(
+            {EvKind::Send, 0, 0, bytes[lane], dest, tag});
+      }
     } else if (stereotype == uml::stereo::kRecv) {
       require_comm(node);
-      const int source = static_cast<int>(
+      const int source = uniform_int(
           eval_tag(programs.source(), uml::tag::kSource, node, uid));
       const int tag =
           static_cast<int>(node.tag_number(uml::tag::kMsgTag).value_or(0));
-      out.events.push_back({EvKind::Recv, 0, 0, 0, source, tag});
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        out[lane].events.push_back({EvKind::Recv, 0, 0, 0, source, tag});
+      }
     } else if (stereotype == uml::stereo::kBarrier) {
       require_comm(node);
-      out.events.push_back(
-          {EvKind::Barrier, machine::barrier_time(params), 0, 0, 0, 0});
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        out[lane].events.push_back({EvKind::Barrier,
+                                    machine::barrier_time(params(lane)), 0, 0,
+                                    0, 0});
+      }
     } else if (stereotype == uml::stereo::kBroadcast ||
                stereotype == uml::stereo::kReduce ||
                stereotype == uml::stereo::kAllReduce ||
                stereotype == uml::stereo::kScatter ||
                stereotype == uml::stereo::kGather) {
       require_comm(node);
-      const double bytes = eval_tag(programs.size(), uml::tag::kSize, node,
-                                    uid);
-      const double hold = workload::CollectiveElement::model_time(
-          params, collective_kind(stereotype), params.processes, bytes);
-      out.events.push_back({EvKind::Barrier, hold, 0, 0, 0, 0});
+      const Array<double> bytes =
+          eval_tag(programs.size(), uml::tag::kSize, node, uid);
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        const double hold = workload::CollectiveElement::model_time(
+            params(lane), collective_kind(stereotype), params(lane).processes,
+            bytes[lane]);
+        out[lane].events.push_back({EvKind::Barrier, hold, 0, 0, 0, 0});
+      }
     } else if (stereotype == uml::stereo::kOmpFor) {
-      const double iterations =
+      const Array<double> iterations =
           eval_tag(programs.iterations(), uml::tag::kIterations, node, uid);
-      const double itercost =
+      const Array<double> itercost =
           eval_tag(programs.itercost(), uml::tag::kIterCost, node, uid);
       std::string schedule = node.tag_string(uml::tag::kSchedule);
       if (schedule.empty()) {
@@ -776,10 +953,12 @@ struct Walker {
       const auto chunk = static_cast<std::int64_t>(
           node.tag_number(uml::tag::kChunk).value_or(0));
       const int threads = region_threads > 0 ? region_threads : 1;
-      const double compute = workload::WorkshareElement::model_compute(
-          iterations, itercost, schedule, chunk, threads, tid);
-      const double seconds = machine::compute_time(params, compute);
-      emit_compute(seconds, seconds);
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        const double compute = workload::WorkshareElement::model_compute(
+            iterations[lane], itercost[lane], schedule, chunk, threads, tid);
+        seconds[lane] = machine::compute_time(params(lane), compute);
+      }
+      emit_compute(seconds.data(), seconds.data());
     } else if (stereotype == uml::stereo::kOmpBarrier) {
       // Region threads are modeled as aligned (the region advances at the
       // pace of its slowest thread), so an intra-region barrier costs
@@ -798,44 +977,51 @@ struct Walker {
         impl.model->diagram(node.subdiagram_id());
     const std::string& stereotype = node.stereotype();
     if (stereotype == uml::stereo::kOmpParallel) {
-      int threads = st.params.threads_per_process;
+      Array<double> requested(width());
       if (programs.num_threads().has_value()) {
-        threads = static_cast<int>(eval_tag(
-            programs.num_threads(), uml::tag::kNumThreads, node,
-            programs.uid));
+        requested = eval_tag(programs.num_threads(), uml::tag::kNumThreads,
+                             node, programs.uid);
+      } else {
+        for (std::size_t lane = 0; lane < width(); ++lane) {
+          requested[lane] = params(lane).threads_per_process;
+        }
       }
+      const int threads = uniform_int(requested);
       if (threads < 1) {
         throw AnalyticError("parallel region at node " + node.id() +
                             ": num_threads must be >= 1");
       }
-      double max_elapsed = 0;
-      double total_demand = 0;
+      Array<double> max_elapsed(width());
+      Array<double> total_demand(width());
       for (int thread = 0; thread < threads; ++thread) {
-        WalkResult thread_result;
-        Walker walker = sub(thread_result);
+        Array<WalkResult> thread_result(width());
+        Walker walker = sub(thread_result.data());
         walker.tid = thread;
         walker.region_threads = threads;
         walker.run_diagram(*sub_diagram);
-        max_elapsed = std::max(max_elapsed, sum_elapsed(thread_result.events));
-        total_demand += sum_demand(thread_result.events);
-        merge_criticals(thread_result, 1.0);
+        for (std::size_t lane = 0; lane < width(); ++lane) {
+          max_elapsed[lane] = std::max(
+              max_elapsed[lane], sum_elapsed(thread_result[lane].events));
+          total_demand[lane] += sum_demand(thread_result[lane].events);
+        }
+        merge_criticals(thread_result.data(), 1.0);
       }
-      emit_compute(max_elapsed, total_demand);
+      emit_compute(max_elapsed.data(), total_demand.data());
     } else if (stereotype == uml::stereo::kOmpCritical) {
       std::string lock = node.tag_string(uml::tag::kCriticalName);
       if (lock.empty()) {
         lock = "default";
       }
-      WalkResult body;
-      Walker walker = sub(body);
+      Array<WalkResult> body(width());
+      Walker walker = sub(body.data());
       walker.run_diagram(*sub_diagram);
       // The body runs on this process's critical path; the lock-held time
       // additionally serializes against every other holder of `lock`.
-      out.critical_demand[lock] += sum_elapsed(body.events);
-      merge_criticals(body, 1.0);
-      for (const auto& event : body.events) {
-        append_event(event);
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        out[lane].critical_demand[lock] += sum_elapsed(body[lane].events);
       }
+      merge_criticals(body.data(), 1.0);
+      append_events(body.data());
     } else {
       // <<activity+>> (or unstereotyped composite): inline content.
       run_diagram(*sub_diagram);
@@ -846,58 +1032,75 @@ struct Walker {
     const NodePrograms& programs = programs_of(node);
     run_fragment(programs, node);
     const ActivityDiagram* body = impl.model->diagram(node.subdiagram_id());
-    const double raw =
-        eval_tag(programs.iterations(), uml::tag::kIterations, node,
-                 programs.uid);
-    if (std::isnan(raw) || raw < 0) {
-      throw AnalyticError("loop " + node.id() +
-                          ": iteration count is negative or NaN");
+    const Array<double> raw = eval_tag(
+        programs.iterations(), uml::tag::kIterations, node, programs.uid);
+    Array<std::int64_t> iterations(width());
+    bool uniform = true;
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      if (std::isnan(raw[lane]) || raw[lane] < 0) {
+        throw AnalyticError("loop " + node.id() +
+                            ": iteration count is negative or NaN");
+      }
+      iterations[lane] = static_cast<std::int64_t>(raw[lane]);
+      uniform = uniform && iterations[lane] == iterations[0];
     }
-    const auto iterations = static_cast<std::int64_t>(raw);
-    if (iterations == 0) {
+    if (uniform && iterations[0] == 0) {
       return;
     }
+    if (!uniform) {
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        if (iterations[lane] == 0) {
+          throw BatchDivergence{};  // zero/nonzero mix: structure diverges
+        }
+      }
+    }
     bindings->push_back({programs.loop_var_slot, false});
-    double loop_value = 0;
+    Array<double> loop_value(width());
     double* const saved = (*frame)[programs.loop_var_slot];
-    (*frame)[programs.loop_var_slot] = &loop_value;
+    (*frame)[programs.loop_var_slot] = loop_value.data();
 
     // First iteration into a capture buffer: when the body provably does
     // not depend on the trip variable and has no side effects, the
     // remaining iterations are the first one times (n - 1) — the symbolic
     // trip-count resolution that keeps deep loop nests O(body), not
-    // O(body * n).
+    // O(body * n), and the one place lanes may differ in trip count.
     const std::uint64_t fragments_before = st.fragments_executed;
-    WalkResult first;
+    Array<WalkResult> first(width());
     {
-      Walker walker = sub(first);
+      Walker walker = sub(first.data());
       walker.allow_comm = allow_comm;
       walker.run_diagram(*body);
     }
     const bool collapsible = !bindings->back().read &&
                              st.fragments_executed == fragments_before &&
-                             compute_only(first.events);
+                             compute_only(first[0].events);
+    if (!uniform && !collapsible) {
+      throw BatchDivergence{};  // per-trip replay needs one shared count
+    }
     if (collapsible && st.counters != nullptr) {
       ++st.counters->loop_collapses;
     }
-    for (const auto& event : first.events) {
-      append_event(event);
-    }
-    merge_criticals(first, 1.0);
+    append_events(first.data());
+    merge_criticals(first.data(), 1.0);
     if (collapsible) {
-      const auto rest = static_cast<double>(iterations - 1);
-      emit_compute(rest * sum_elapsed(first.events),
-                   rest * sum_demand(first.events));
-      merge_criticals(first, rest);
+      Array<double> elapsed(width());
+      Array<double> demand(width());
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        const auto rest = static_cast<double>(iterations[lane] - 1);
+        elapsed[lane] = rest * sum_elapsed(first[lane].events);
+        demand[lane] = rest * sum_demand(first[lane].events);
+        add_criticals(out[lane], first[lane], rest);
+      }
+      emit_compute(elapsed.data(), demand.data());
     } else {
-      for (std::int64_t k = 1; k < iterations; ++k) {
+      for (std::int64_t k = 1; k < iterations[0]; ++k) {
         // Collapsed loops are O(1) and exempt; a non-collapsible body
         // replays per trip, so each trip is charged — this is where a
         // runaway trip count trips max_loop_trips (or the deadline).
         if (st.budget != nullptr) {
           st.budget->charge_loop_trips(1, "analytic-loop");
         }
-        loop_value = static_cast<double>(k);
+        std::fill_n(loop_value.data(), width(), static_cast<double>(k));
         run_diagram(*body);
       }
     }
@@ -905,43 +1108,35 @@ struct Walker {
     bindings->pop_back();
   }
 
-  void append_event(const Event& event) {
-    // Re-coalesce adjacent Compute/Busy runs when splicing sub-results.
-    if (event.kind == EvKind::Compute) {
-      emit_compute(event.elapsed, event.demand);
-    } else if (event.kind == EvKind::Busy) {
-      emit_busy(event.elapsed);
-    } else {
-      out.events.push_back(event);
-    }
-  }
-
-  void merge_criticals(const WalkResult& from, double weight) {
-    for (const auto& [name, demand] : from.critical_demand) {
-      out.critical_demand[name] += weight * demand;
-    }
-  }
-
-  void walk_process() {
-    // Per-process locals, initialized in declaration order and bound
-    // into the frame one by one (a forward reference falls through to
-    // globals/system parameters, like the tree walker's growing map).
+  /// Initializes the `scope` variables into `storage` ([slot * width +
+  /// lane]) in declaration order, binding each into the frame as it goes
+  /// (a forward reference falls through to globals/system parameters,
+  /// like the tree walker's growing map).
+  void bind_variables(uml::VariableScope scope, double* storage) {
+    Array<double> value(width());
     for (const auto& variable : impl.program->variables()) {
-      if (variable.scope != uml::VariableScope::Local) {
+      if (variable.scope != scope) {
         continue;
       }
-      double value = 0;
+      std::fill_n(value.data(), width(), 0.0);
       if (variable.initializer.has_value()) {
         try {
-          value = eval_program(*variable.initializer, 0);
+          eval_program(*variable.initializer, 0, value.data());
         } catch (const expr::EvalError& error) {
           throw AnalyticError("initializer of variable " + variable.name +
                               ": " + error.what());
         }
       }
-      locals[variable.slot] = coerce(variable.type, value);
-      (*frame)[variable.slot] = &locals[variable.slot];
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        storage[variable.slot * width() + lane] =
+            coerce(variable.type, value[lane]);
+      }
+      (*frame)[variable.slot] = &storage[variable.slot * width()];
     }
+  }
+
+  void walk_process() {
+    bind_variables(uml::VariableScope::Local, locals);
     run_diagram(*impl.model->main_diagram());
   }
 };
@@ -1239,619 +1434,86 @@ AnalyticReport assemble_report(const machine::SystemParameters& params,
   }
   return report;
 }
-
-// ---------------------------------------------------------------------------
-// Batched symbolic walk
-// ---------------------------------------------------------------------------
-
-/// Internal control-flow signal: the batched walk hit lane-divergent
-/// control, a construct outside the batched subset, or a condition the
-/// scalar walker would diagnose with an error.  evaluate_batch catches
-/// it (along with any evaluation error) and re-runs every lane through
-/// the scalar path, which is always exact — errors included.  Never
-/// escapes the analytic layer.
-struct BatchDivergence {};
-
-/// Walks one process's control flow across all scenario lanes at once,
-/// emitting one structurally identical Event per lane per step — the
-/// batched analogue of Walker, restricted to the rank-independent SPMD
-/// shared walk (pid 0, every rank identical).  Transient values are lane
-/// arrays; cost expressions evaluate through the vectorized expr VM
-/// against the slot-major batch frame.
-///
-/// Supported: plain/<<action+>> compute, send/recv/barrier/collectives
-/// with lane-uniform peers, <<ompfor>>/<<ompbarrier>>, guard-resolved
-/// decisions with lane-uniform truthiness, <<loop+>> (lane-uniform trip
-/// counts; lane-varying counts allowed when the body collapses and every
-/// lane iterates at least once), and inlined <<activity+>> composites.
-/// Everything else — forks, parallel regions, critical sections,
-/// probabilistic decisions, code fragments, pid/tid-reading expressions
-/// — raises BatchDivergence.
-struct BatchWalker {
-  using Impl = AnalyticEstimator::Impl;
-  using BatchState = Impl::BatchState;
-  using NodePrograms = Impl::NodePrograms;
-
-  BatchWalker(const Impl& impl_in, BatchState& st_in,
-              std::vector<WalkResult>& out_in)
-      : impl(impl_in), st(st_in), out(out_in) {}
-
-  const Impl& impl;
-  BatchState& st;
-  std::vector<WalkResult>& out;  // one per lane, lockstep structure
-  std::vector<double*>* frame = nullptr;  // slot -> lane array
-  double* locals = nullptr;               // slot-major local storage
-  std::vector<LoopBinding>* bindings = nullptr;
-  const Impl::BatchFunctionCaller* functions = nullptr;
-  bool allow_comm = true;
-  std::uint64_t* steps = nullptr;
-  std::uint64_t step_limit = 0;
-
-  [[nodiscard]] std::size_t width() const { return st.width; }
-
-  /// A sub-walker for loop bodies: shares the lexical state, writes to
-  /// its own lane results, and may not communicate (mirrors Walker::sub).
-  [[nodiscard]] BatchWalker sub(std::vector<WalkResult>& sub_out) const {
-    BatchWalker walker(impl, st, sub_out);
-    walker.frame = frame;
-    walker.locals = locals;
-    walker.bindings = bindings;
-    walker.functions = functions;
-    walker.allow_comm = false;
-    walker.steps = steps;
-    walker.step_limit = step_limit;
-    return walker;
-  }
-
-  // --- Expression evaluation ---------------------------------------------
-
-  void mark_loop_reads(const expr::Compiled& program) const {
-    for (auto it = bindings->rbegin(); it != bindings->rend(); ++it) {
-      bool shadowed = false;
-      for (auto inner = bindings->rbegin(); inner != it; ++inner) {
-        if (inner->slot == it->slot) {
-          shadowed = true;
-          break;
-        }
-      }
-      if (!shadowed && program.references_slot(it->slot)) {
-        it->read = true;
-      }
-    }
-  }
-
-  /// Evaluates `program` across all lanes into `out_lanes` (width
-  /// doubles).  pid/tid-reading programs diverge: the batch only covers
-  /// the rank-independent SPMD walk.
-  void eval_program(const expr::Compiled& program, int uid,
-                    double* out_lanes) const {
-    if (program.may_read_pid_tid()) {
-      throw BatchDivergence{};
-    }
-    mark_loop_reads(program);
-    expr::BatchEvalContext ctx;
-    ctx.frame = *frame;
-    ctx.width = st.width;
-    ctx.functions = functions;
-    ctx.uid = static_cast<double>(uid);
-    ctx.counters = st.counters != nullptr ? &st.counters->expr : nullptr;
-    ctx.budget = st.budget;
-    program.eval_batch(ctx, out_lanes);
-  }
-
-  [[nodiscard]] const NodePrograms& programs_of(const Node& node) const {
-    return impl.program->at(node);
-  }
-
-  /// Optional tag program across lanes; absent tags are 0.0 in every
-  /// lane.  Evaluation errors propagate raw — the fallback re-runs the
-  /// lanes through the scalar walker, which re-raises them with their
-  /// exact node/tag context.
-  void eval_tag(const std::optional<expr::Compiled>& tag, int uid,
-                double* out_lanes) const {
-    if (!tag.has_value()) {
-      std::fill_n(out_lanes, width(), 0.0);
-      return;
-    }
-    eval_program(*tag, uid, out_lanes);
-  }
-
-  void require_fragment_free(const NodePrograms& programs) const {
-    if (!programs.fragment.empty()) {
-      throw BatchDivergence{};  // fragments mutate run state per walk
-    }
-  }
-
-  /// A lane-uniform integer tag (message peers must match across lanes
-  /// for the lockstep event structure to hold).
-  [[nodiscard]] int uniform_int(const double* lanes) const {
-    const int value = static_cast<int>(lanes[0]);
-    for (std::size_t lane = 1; lane < width(); ++lane) {
-      if (static_cast<int>(lanes[lane]) != value) {
-        throw BatchDivergence{};
-      }
-    }
-    return value;
-  }
-
-  // --- Event emission: lockstep across lanes ------------------------------
-
-  void emit_compute(const double* elapsed, const double* demand) {
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      if (std::isnan(elapsed[lane]) || elapsed[lane] < 0) {
-        throw BatchDivergence{};  // scalar path raises the exact error
-      }
-    }
-    // Every lane shares one event structure, so one coalescing decision
-    // covers all of them (mirrors Walker::emit_compute per lane).
-    if (!out[0].events.empty() &&
-        out[0].events.back().kind == EvKind::Compute) {
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        out[lane].events.back().elapsed += elapsed[lane];
-        out[lane].events.back().demand += demand[lane];
-      }
-      return;
-    }
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      out[lane].events.push_back(
-          {EvKind::Compute, elapsed[lane], demand[lane], 0, 0, 0});
-    }
-  }
-
-  void emit_busy(const double* elapsed) {
-    if (!out[0].events.empty() && out[0].events.back().kind == EvKind::Busy) {
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        out[lane].events.back().elapsed += elapsed[lane];
-      }
-      return;
-    }
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      out[lane].events.push_back({EvKind::Busy, elapsed[lane], 0, 0, 0, 0});
-    }
-  }
-
-  /// Splices per-lane sub-results, re-coalescing Compute/Busy runs like
-  /// Walker::append_event (sub-results are lockstep, so event i has the
-  /// same kind in every lane).
-  void append_events(const std::vector<WalkResult>& from) {
-    std::vector<double> elapsed(width());
-    std::vector<double> demand(width());
-    for (std::size_t i = 0; i < from[0].events.size(); ++i) {
-      const EvKind kind = from[0].events[i].kind;
-      if (kind == EvKind::Compute) {
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          elapsed[lane] = from[lane].events[i].elapsed;
-          demand[lane] = from[lane].events[i].demand;
-        }
-        emit_compute(elapsed.data(), demand.data());
-      } else if (kind == EvKind::Busy) {
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          elapsed[lane] = from[lane].events[i].elapsed;
-        }
-        emit_busy(elapsed.data());
-      } else {
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          out[lane].events.push_back(from[lane].events[i]);
-        }
-      }
-    }
-  }
-
-  // --- Control flow -------------------------------------------------------
-
-  void run_diagram(const ActivityDiagram& diagram) {
-    const Node* initial = diagram.initial();
-    if (initial == nullptr) {
-      throw BatchDivergence{};  // scalar reports the missing initial node
-    }
-    walk(diagram, *initial);
-  }
-
-  /// Walks from `start` to a Final node.  Forks and probabilistic
-  /// decisions diverge, so no stop-kind machinery is needed here.
-  void walk(const ActivityDiagram& diagram, const Node& start) {
-    const Node* node = &start;
-    while (node != nullptr) {
-      if (++*steps > step_limit) {
-        throw BatchDivergence{};  // scalar raises the step-limit error
-      }
-      if (st.budget != nullptr && (*steps & 1023U) == 0) {
-        st.budget->checkpoint("analytic-walk");
-      }
-      if (node->kind() == NodeKind::Fork) {
-        throw BatchDivergence{};
-      }
-      if (node->kind() == NodeKind::Decision &&
-          decision_is_probabilistic(diagram, *node)) {
-        throw BatchDivergence{};
-      }
-      execute_node(*node);
-      if (node->kind() == NodeKind::Final) {
-        return;
-      }
-      node = next_node(diagram, *node);
-    }
-  }
-
-  [[nodiscard]] bool decision_is_probabilistic(const ActivityDiagram& diagram,
-                                               const Node& node) const {
-    for (const auto* edge : diagram.outgoing(node.id())) {
-      if (edge->tag_number(uml::tag::kProb).has_value()) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] const Node* next_node(const ActivityDiagram& diagram,
-                                      const Node& node) const {
-    const auto outgoing = diagram.outgoing(node.id());
-    if (node.kind() == NodeKind::Decision) {
-      const uml::ControlFlow* chosen = nullptr;
-      const uml::ControlFlow* fallback = nullptr;
-      const int uid = programs_of(node).uid;
-      std::vector<double> value(width());
-      for (const auto* edge : outgoing) {
-        if (edge->is_else()) {
-          if (fallback == nullptr) {
-            fallback = edge;
-          }
-          continue;
-        }
-        const expr::Compiled* guard = impl.program->guard(*edge);
-        if (guard == nullptr) {
-          continue;  // unguarded edge out of a decision: never taken
-        }
-        eval_program(*guard, uid, value.data());
-        const bool taken = expr::truthy(value[0]);
-        for (std::size_t lane = 1; lane < width(); ++lane) {
-          if (expr::truthy(value[lane]) != taken) {
-            throw BatchDivergence{};  // lanes branch apart
-          }
-        }
-        if (taken) {
-          chosen = edge;
-          break;
-        }
-      }
-      if (chosen == nullptr) {
-        chosen = fallback;
-      }
-      if (chosen == nullptr) {
-        throw BatchDivergence{};  // scalar raises the no-guard error
-      }
-      return diagram.node(chosen->target());
-    }
-    if (outgoing.empty()) {
-      return nullptr;
-    }
-    if (outgoing.size() > 1) {
-      throw BatchDivergence{};
-    }
-    return diagram.node(outgoing[0]->target());
-  }
-
-  void execute_node(const Node& node) {
-    ++st.elements;
-    switch (node.kind()) {
-      case NodeKind::Initial:
-      case NodeKind::Final:
-      case NodeKind::Merge:
-      case NodeKind::Join:
-      case NodeKind::Decision:
-        return;
-      case NodeKind::Fork:  // diverged by walk() before reaching here
-        throw BatchDivergence{};
-      case NodeKind::Action:
-        execute_action(node);
-        return;
-      case NodeKind::Activity:
-        execute_activity(node);
-        return;
-      case NodeKind::Loop:
-        execute_loop(node);
-        return;
-    }
-  }
-
-  void execute_action(const Node& node) {
-    const NodePrograms& programs = programs_of(node);
-    require_fragment_free(programs);
-    const int uid = programs.uid;
-    const std::string& stereotype = node.stereotype();
-    const std::size_t w = width();
-    std::vector<double> value(w);
-    std::vector<double> seconds(w);
-    if (stereotype == uml::stereo::kActionPlus || stereotype.empty()) {
-      if (programs.cost().has_value()) {
-        eval_tag(programs.cost(), uid, value.data());
-      } else if (const auto time = node.tag_number(uml::tag::kTime)) {
-        std::fill(value.begin(), value.end(), *time);
-      } else {
-        std::fill(value.begin(), value.end(), 0.0);
-      }
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        seconds[lane] = machine::compute_time(st.lanes[lane], value[lane]);
-      }
-      emit_compute(seconds.data(), seconds.data());
-    } else if (stereotype == uml::stereo::kSend) {
-      if (!allow_comm) {
-        throw BatchDivergence{};
-      }
-      eval_tag(programs.dest(), uid, value.data());
-      const int dest = uniform_int(value.data());
-      eval_tag(programs.size(), uid, value.data());  // bytes may vary
-      const int tag =
-          static_cast<int>(node.tag_number(uml::tag::kMsgTag).value_or(0));
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        seconds[lane] = st.lanes[lane].network_overhead;
-      }
-      emit_busy(seconds.data());
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        out[lane].events.push_back(
-            {EvKind::Send, 0, 0, value[lane], dest, tag});
-      }
-    } else if (stereotype == uml::stereo::kRecv) {
-      if (!allow_comm) {
-        throw BatchDivergence{};
-      }
-      eval_tag(programs.source(), uid, value.data());
-      const int source = uniform_int(value.data());
-      const int tag =
-          static_cast<int>(node.tag_number(uml::tag::kMsgTag).value_or(0));
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        out[lane].events.push_back({EvKind::Recv, 0, 0, 0, source, tag});
-      }
-    } else if (stereotype == uml::stereo::kBarrier) {
-      if (!allow_comm) {
-        throw BatchDivergence{};
-      }
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        out[lane].events.push_back(
-            {EvKind::Barrier, machine::barrier_time(st.lanes[lane]), 0, 0, 0,
-             0});
-      }
-    } else if (stereotype == uml::stereo::kBroadcast ||
-               stereotype == uml::stereo::kReduce ||
-               stereotype == uml::stereo::kAllReduce ||
-               stereotype == uml::stereo::kScatter ||
-               stereotype == uml::stereo::kGather) {
-      if (!allow_comm) {
-        throw BatchDivergence{};
-      }
-      eval_tag(programs.size(), uid, value.data());
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        const double hold = workload::CollectiveElement::model_time(
-            st.lanes[lane], collective_kind(stereotype),
-            st.lanes[lane].processes, value[lane]);
-        out[lane].events.push_back({EvKind::Barrier, hold, 0, 0, 0, 0});
-      }
-    } else if (stereotype == uml::stereo::kOmpFor) {
-      std::vector<double> itercost(w);
-      eval_tag(programs.iterations(), uid, value.data());
-      eval_tag(programs.itercost(), uid, itercost.data());
-      std::string schedule = node.tag_string(uml::tag::kSchedule);
-      if (schedule.empty()) {
-        schedule = "static";
-      }
-      const auto chunk = static_cast<std::int64_t>(
-          node.tag_number(uml::tag::kChunk).value_or(0));
-      // Parallel regions diverge, so a batched <<ompfor>> is always
-      // outside one: threads = 1, tid = 0 — the scalar walker's values.
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        const double compute = workload::WorkshareElement::model_compute(
-            value[lane], itercost[lane], schedule, chunk, /*threads=*/1,
-            /*tid=*/0);
-        seconds[lane] = machine::compute_time(st.lanes[lane], compute);
-      }
-      emit_compute(seconds.data(), seconds.data());
-    } else if (stereotype == uml::stereo::kOmpBarrier) {
-      // No cost, exactly like the scalar walker.
-    } else {
-      throw BatchDivergence{};  // scalar raises the unsupported-stereotype error
-    }
-  }
-
-  void execute_activity(const Node& node) {
-    const NodePrograms& programs = programs_of(node);
-    require_fragment_free(programs);
-    const std::string& stereotype = node.stereotype();
-    if (stereotype == uml::stereo::kOmpParallel ||
-        stereotype == uml::stereo::kOmpCritical) {
-      throw BatchDivergence{};
-    }
-    const ActivityDiagram* sub_diagram =
-        impl.model->diagram(node.subdiagram_id());
-    if (sub_diagram == nullptr) {
-      throw BatchDivergence{};
-    }
-    // <<activity+>> (or unstereotyped composite): inline content.
-    run_diagram(*sub_diagram);
-  }
-
-  void execute_loop(const Node& node) {
-    const NodePrograms& programs = programs_of(node);
-    require_fragment_free(programs);
-    const ActivityDiagram* body = impl.model->diagram(node.subdiagram_id());
-    if (body == nullptr) {
-      throw BatchDivergence{};
-    }
-    const std::size_t w = width();
-    std::vector<double> raw(w);
-    eval_tag(programs.iterations(), programs.uid, raw.data());
-    std::vector<std::int64_t> iterations(w);
-    bool uniform = true;
-    for (std::size_t lane = 0; lane < w; ++lane) {
-      if (std::isnan(raw[lane]) || raw[lane] < 0) {
-        throw BatchDivergence{};  // scalar raises the exact loop error
-      }
-      iterations[lane] = static_cast<std::int64_t>(raw[lane]);
-      uniform = uniform && iterations[lane] == iterations[0];
-    }
-    if (uniform && iterations[0] == 0) {
-      return;
-    }
-    if (!uniform) {
-      for (const auto trips : iterations) {
-        if (trips == 0) {
-          throw BatchDivergence{};  // zero/nonzero mix: structure diverges
-        }
-      }
-    }
-    bindings->push_back({programs.loop_var_slot, false});
-    std::vector<double> loop_lanes(w, 0.0);
-    double* const saved = (*frame)[programs.loop_var_slot];
-    (*frame)[programs.loop_var_slot] = loop_lanes.data();
-
-    // First iteration into capture buffers, exactly like the scalar
-    // walker: when the body never reads the trip variable and is pure
-    // compute, the remaining per-lane iterations are the first one times
-    // (n_lane - 1) — which also covers lane-varying trip counts, the one
-    // place batched control flow may differ per lane.
-    std::vector<WalkResult> first(w);
-    {
-      BatchWalker walker = sub(first);
-      walker.allow_comm = allow_comm;
-      walker.run_diagram(*body);
-    }
-    const bool collapsible =
-        !bindings->back().read && compute_only(first[0].events);
-    if (!uniform && !collapsible) {
-      throw BatchDivergence{};  // per-trip replay needs one shared count
-    }
-    if (collapsible && st.counters != nullptr) {
-      ++st.counters->loop_collapses;
-    }
-    append_events(first);
-    if (collapsible) {
-      std::vector<double> elapsed(w);
-      std::vector<double> demand(w);
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        const auto rest = static_cast<double>(iterations[lane] - 1);
-        elapsed[lane] = rest * sum_elapsed(first[lane].events);
-        demand[lane] = rest * sum_demand(first[lane].events);
-      }
-      emit_compute(elapsed.data(), demand.data());
-    } else {
-      for (std::int64_t k = 1; k < iterations[0]; ++k) {
-        if (st.budget != nullptr) {
-          st.budget->charge_loop_trips(1, "analytic-loop");
-        }
-        std::fill(loop_lanes.begin(), loop_lanes.end(),
-                  static_cast<double>(k));
-        run_diagram(*body);
-      }
-    }
-    (*frame)[programs.loop_var_slot] = saved;
-    bindings->pop_back();
-  }
-
-  void walk_process() {
-    // Per-process locals, initialized in declaration order across lanes
-    // and bound into the frame one by one (scalar walk_process order).
-    std::vector<double> value(width());
-    for (const auto& variable : impl.program->variables()) {
-      if (variable.scope != uml::VariableScope::Local) {
-        continue;
-      }
-      if (variable.initializer.has_value()) {
-        eval_program(*variable.initializer, 0, value.data());
-      } else {
-        std::fill(value.begin(), value.end(), 0.0);
-      }
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        locals[variable.slot * width() + lane] =
-            coerce(variable.type, value[lane]);
-      }
-      (*frame)[variable.slot] = &locals[variable.slot * width()];
-    }
-    run_diagram(*impl.model->main_diagram());
-  }
-};
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Impl::evaluate — walk, replay, bound
+// Impl: run set-up and the two drivers — walk, replay, bound
 // ---------------------------------------------------------------------------
+
+template <typename Lanes>
+void AnalyticEstimator::Impl::start_run(EvalState& st,
+                                        const FunctionCaller& functions) const {
+  const std::size_t width = Lanes::width(st.lanes.size());
+  st.width = width;
+  st.global_values.assign(program->slot_count() * width, 0.0);
+  st.run_frame.assign(program->slot_count(), nullptr);
+  for (std::size_t lane = 0; lane < width; ++lane) {
+    const machine::SystemParameters& params = st.lanes[lane];
+    st.global_values[program->np_slot() * width + lane] =
+        static_cast<double>(params.processes);
+    st.global_values[program->nt_slot() * width + lane] =
+        static_cast<double>(params.threads_per_process);
+    st.global_values[program->nn_slot() * width + lane] =
+        static_cast<double>(params.nodes);
+    st.global_values[program->ppn_slot() * width + lane] =
+        static_cast<double>(params.processors_per_node);
+  }
+  for (const expr::Slot slot : {program->np_slot(), program->nt_slot(),
+                                program->nn_slot(), program->ppn_slot()}) {
+    st.run_frame[slot] = &st.global_values[slot * width];
+  }
+  // Global variables, initialized in declaration order and bound into
+  // the run frame one by one (interpreter start_run semantics), with
+  // pid = tid = 0 for every process.
+  std::vector<LoopBinding> no_bindings;
+  Walker<Lanes> globals(*this, st, nullptr);
+  globals.frame = &st.run_frame;
+  globals.bindings = &no_bindings;
+  globals.functions = &functions;
+  globals.bind_variables(uml::VariableScope::Global, st.global_values.data());
+}
+
+template <typename Lanes>
+void AnalyticEstimator::Impl::walk(EvalState& st,
+                                   const FunctionCaller& functions, int pid,
+                                   WalkResult* out) const {
+  std::vector<double> locals(program->slot_count() * st.width, 0.0);
+  std::vector<double*> frame = st.run_frame;  // per-process frame
+  std::vector<LoopBinding> bindings;
+  std::uint64_t steps = 0;
+  Walker<Lanes> walker(*this, st, out);
+  walker.pid = pid;
+  walker.frame = &frame;
+  walker.locals = locals.data();
+  walker.bindings = &bindings;
+  walker.functions = &functions;
+  walker.steps = &steps;
+  walker.walk_process();
+}
 
 AnalyticReport AnalyticEstimator::Impl::evaluate(
     const machine::SystemParameters& params, obs::AnalyticCounters* counters,
     guard::Budget* budget) const {
   params.validate();
   EvalState st;
+  st.lanes = std::span(&params, 1);
   st.counters = counters;
   st.budget = budget;
-  st.params = params;
-  st.np = static_cast<double>(params.processes);
-  st.nt = static_cast<double>(params.threads_per_process);
-  st.nn = static_cast<double>(params.nodes);
-  st.ppn = static_cast<double>(params.processors_per_node);
-  st.global_values.assign(program->slot_count(), 0.0);
-  st.run_frame.assign(program->slot_count(), nullptr);
-  st.run_frame[program->np_slot()] = &st.np;
-  st.run_frame[program->nt_slot()] = &st.nt;
-  st.run_frame[program->nn_slot()] = &st.nn;
-  st.run_frame[program->ppn_slot()] = &st.ppn;
   FunctionCaller functions;
   functions.impl = this;
   functions.st = &st;
-
-  // Global variables, initialized in declaration order and bound into
-  // the run frame one by one (interpreter start_run semantics).
-  std::size_t total_nodes = 0;
-  for (const auto& diagram : model->diagrams()) {
-    total_nodes += diagram->node_count();
-  }
-  for (const auto& variable : program->variables()) {
-    if (variable.scope != uml::VariableScope::Global) {
-      continue;
-    }
-    double value = 0;
-    if (variable.initializer.has_value()) {
-      expr::EvalContext ctx;
-      ctx.frame = st.run_frame;
-      ctx.functions = &functions;
-      ctx.counters = counters != nullptr ? &counters->expr : nullptr;
-      ctx.budget = budget;
-      try {
-        value = variable.initializer->eval(ctx);
-      } catch (const expr::EvalError& error) {
-        throw AnalyticError("initializer of variable " + variable.name +
-                            ": " + error.what());
-      }
-    }
-    st.global_values[variable.slot] = coerce(variable.type, value);
-    st.run_frame[variable.slot] = &st.global_values[variable.slot];
-  }
+  start_run<ScalarLanes>(st, functions);
 
   const int np = params.processes;
   std::vector<WalkResult> storage;
   storage.reserve(static_cast<std::size_t>(np));
   std::vector<const WalkResult*> per_pid(static_cast<std::size_t>(np));
 
-  const auto walk_one = [&](int pid) -> WalkResult {
-    WalkResult result;
-    std::vector<double> locals(program->slot_count(), 0.0);
-    std::vector<double*> frame = st.run_frame;  // per-process frame
-    std::vector<LoopBinding> bindings;
-    std::uint64_t steps = 0;
-    Walker walker(*this, st, result);
-    walker.pid = pid;
-    walker.frame = &frame;
-    walker.locals = locals.data();
-    walker.bindings = &bindings;
-    walker.functions = &functions;
-    walker.steps = &steps;
-    walker.step_limit = 1000000ULL + 1000ULL * total_nodes;
-    walker.walk_process();
-    return result;
-  };
-
+  // Global initializers read pid = tid = 0 in every process; only the
+  // walk's own reads decide whether one walk serves them all.
   st.pid_queried = false;
-  const std::uint64_t fragments_before = st.fragments_executed;
-  storage.push_back(walk_one(0));
-  if (!st.pid_queried && st.fragments_executed == fragments_before) {
+  walk<ScalarLanes>(st, functions, 0, &storage.emplace_back());
+  if (!st.pid_queried && st.fragments_executed == 0) {
     // The walk is process-independent (no pid/tid reads, no state
     // mutation): every process repeats the same timeline, so one walk
     // serves all np — the SPMD fast path that makes grid sweeps cheap.
@@ -1863,7 +1525,7 @@ AnalyticReport AnalyticEstimator::Impl::evaluate(
     }
   } else {
     for (int pid = 1; pid < np; ++pid) {
-      storage.push_back(walk_one(pid));
+      walk<ScalarLanes>(st, functions, pid, &storage.emplace_back());
     }
     for (int pid = 0; pid < np; ++pid) {
       per_pid[static_cast<std::size_t>(pid)] =
@@ -1876,132 +1538,60 @@ AnalyticReport AnalyticEstimator::Impl::evaluate(
                          scratch);
 }
 
-// ---------------------------------------------------------------------------
-// Impl::evaluate_batch — one batched walk, per-lane finalize
-// ---------------------------------------------------------------------------
-
 std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch(
     std::span<const machine::SystemParameters> lanes,
     obs::AnalyticCounters* counters, guard::Budget* budget,
     std::size_t* lanes_fallback) const {
-  if (lanes.size() > 1) {
+  if (lanes.size() > 1 && batchable) {
     try {
-      return evaluate_batch_fast(lanes, counters, budget);
+      for (const auto& params : lanes) {
+        params.validate();
+      }
+      EvalState st;
+      st.lanes = lanes;
+      st.counters = counters;
+      st.budget = budget;
+      FunctionCaller functions;
+      functions.impl = this;
+      functions.st = &st;
+      start_run<SoaLanes>(st, functions);
+      // One batched walk covers every lane AND every rank: the model
+      // reads no pid/tid and runs no fragment, so this is exactly the
+      // walk the scalar SPMD fast path shares across all processes.
+      std::vector<WalkResult> lane_results(lanes.size());
+      walk<SoaLanes>(st, functions, 0, lane_results.data());
+
+      std::vector<AnalyticReport> reports;
+      reports.reserve(lanes.size());
+      // One scratch (and one per-pid pointer table) serves every lane's
+      // finalize — the replay working set recurs, so after the first
+      // lane the per-lane heap traffic is just the report itself.
+      ReplayScratch scratch;
+      std::vector<const WalkResult*> per_pid;
+      for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+        if (counters != nullptr) {
+          ++counters->spmd_fast_path;  // one shared walk per lane, as scalar
+        }
+        per_pid.assign(static_cast<std::size_t>(lanes[lane].processes),
+                       &lane_results[lane]);
+        reports.push_back(assemble_report(lanes[lane], per_pid, st.elements,
+                                          counters, budget, scratch));
+      }
+      return reports;
     } catch (const guard::GuardError&) {
       throw;  // tripped budgets propagate — retrying would double-charge
     } catch (...) {
       // Divergence or a lane error: the scalar loop below re-evaluates
       // every lane exactly, raising any error with its scalar message.
-      if (lanes_fallback != nullptr) {
-        *lanes_fallback += lanes.size();
-      }
     }
+  }
+  if (lanes.size() > 1 && lanes_fallback != nullptr) {
+    *lanes_fallback += lanes.size();
   }
   std::vector<AnalyticReport> reports;
   reports.reserve(lanes.size());
   for (const auto& params : lanes) {
     reports.push_back(evaluate(params, counters, budget));
-  }
-  return reports;
-}
-
-std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch_fast(
-    std::span<const machine::SystemParameters> lanes,
-    obs::AnalyticCounters* counters, guard::Budget* budget) const {
-  const std::size_t width = lanes.size();
-  for (const auto& params : lanes) {
-    params.validate();
-  }
-  BatchState st;
-  st.lanes = lanes;
-  st.width = width;
-  st.counters = counters;
-  st.budget = budget;
-  st.np_lanes.resize(width);
-  st.nt_lanes.resize(width);
-  st.nn_lanes.resize(width);
-  st.ppn_lanes.resize(width);
-  for (std::size_t lane = 0; lane < width; ++lane) {
-    st.np_lanes[lane] = static_cast<double>(lanes[lane].processes);
-    st.nt_lanes[lane] =
-        static_cast<double>(lanes[lane].threads_per_process);
-    st.nn_lanes[lane] = static_cast<double>(lanes[lane].nodes);
-    st.ppn_lanes[lane] =
-        static_cast<double>(lanes[lane].processors_per_node);
-  }
-  st.global_values.assign(program->slot_count() * width, 0.0);
-  st.run_frame.assign(program->slot_count(), nullptr);
-  st.run_frame[program->np_slot()] = st.np_lanes.data();
-  st.run_frame[program->nt_slot()] = st.nt_lanes.data();
-  st.run_frame[program->nn_slot()] = st.nn_lanes.data();
-  st.run_frame[program->ppn_slot()] = st.ppn_lanes.data();
-  BatchFunctionCaller functions;
-  functions.impl = this;
-  functions.st = &st;
-
-  std::size_t total_nodes = 0;
-  for (const auto& diagram : model->diagrams()) {
-    total_nodes += diagram->node_count();
-  }
-
-  // Global variables across lanes, initialized in declaration order and
-  // bound one by one (identical semantics to the scalar init loop; the
-  // scalar path evaluates them with pid = tid = 0 too).
-  std::vector<double> value(width);
-  for (const auto& variable : program->variables()) {
-    if (variable.scope != uml::VariableScope::Global) {
-      continue;
-    }
-    if (variable.initializer.has_value()) {
-      expr::BatchEvalContext ctx;
-      ctx.frame = st.run_frame;
-      ctx.width = width;
-      ctx.functions = &functions;
-      ctx.counters = counters != nullptr ? &counters->expr : nullptr;
-      ctx.budget = budget;
-      variable.initializer->eval_batch(ctx, value.data());
-    } else {
-      std::fill(value.begin(), value.end(), 0.0);
-    }
-    for (std::size_t lane = 0; lane < width; ++lane) {
-      st.global_values[variable.slot * width + lane] =
-          coerce(variable.type, value[lane]);
-    }
-    st.run_frame[variable.slot] = &st.global_values[variable.slot * width];
-  }
-
-  // One batched walk covers every lane AND every rank: pid/tid reads and
-  // fragments diverge inside, so a walk that completes is exactly the
-  // walk the scalar SPMD fast path would share across all processes.
-  std::vector<WalkResult> lane_results(width);
-  std::vector<double> locals(program->slot_count() * width, 0.0);
-  std::vector<double*> frame = st.run_frame;
-  std::vector<LoopBinding> bindings;
-  std::uint64_t steps = 0;
-  BatchWalker walker(*this, st, lane_results);
-  walker.frame = &frame;
-  walker.locals = locals.data();
-  walker.bindings = &bindings;
-  walker.functions = &functions;
-  walker.steps = &steps;
-  walker.step_limit = 1000000ULL + 1000ULL * total_nodes;
-  walker.walk_process();
-
-  std::vector<AnalyticReport> reports;
-  reports.reserve(width);
-  // One scratch (and one per-pid pointer table) serves every lane's
-  // finalize — the replay working set recurs, so after the first lane
-  // the per-lane heap traffic is just the report itself.
-  ReplayScratch scratch;
-  std::vector<const WalkResult*> per_pid;
-  for (std::size_t lane = 0; lane < width; ++lane) {
-    if (counters != nullptr) {
-      ++counters->spmd_fast_path;  // one shared walk per lane, as scalar
-    }
-    per_pid.assign(static_cast<std::size_t>(lanes[lane].processes),
-                   &lane_results[lane]);
-    reports.push_back(assemble_report(lanes[lane], per_pid, st.elements,
-                                      counters, budget, scratch));
   }
   return reports;
 }

@@ -728,6 +728,12 @@ void BatchRunner::run_chunk(const BatchJob* jobs, std::size_t count,
     results[lane].backend = options_.backend;
     results[lane].check_warnings = entry.check_warnings;
   }
+  // A wider chunk counts into its own registry, merged only if the chunk
+  // succeeds: a failed chunk re-runs lane by lane, which counts every
+  // job once.
+  obs::Registry chunk_metrics;
+  obs::Registry* stage_metrics =
+      count > 1 && metrics != nullptr ? &chunk_metrics : metrics;
   // A failed compile fails every job of its model with the same
   // stage-prefixed error; other models are unaffected.
   std::string error = entry.error;
@@ -743,7 +749,7 @@ void BatchRunner::run_chunk(const BatchJob* jobs, std::size_t count,
     }
     error = estimate_stage(entry.sim.get(), entry.analytic.get(),
                            entry.codegen.get(), options_.backend, params,
-                           metrics, sim_trace, job_budget,
+                           stage_metrics, sim_trace, job_budget,
                            options_.fault_plan, results);
   }
   if (!error.empty() && count > 1) {
@@ -758,6 +764,9 @@ void BatchRunner::run_chunk(const BatchJob* jobs, std::size_t count,
                 &results[lane]);
     }
     return;
+  }
+  if (stage_metrics != metrics) {
+    metrics->merge(chunk_metrics);
   }
   // A chunk's lanes were evaluated together, so its host time is split
   // evenly — the non-deterministic CSV column; predictions are per lane.

@@ -1,6 +1,7 @@
 // Batched sweep evaluation (BatchOptions::batch_lanes): scalar and
 // batched runs must be bit-identical on every deterministic CSV column,
-// for every registered model, at several lane widths and thread counts;
+// for every registered model, at several lane widths and thread counts,
+// on the suggested grids and on the benchmark's wide grid;
 // chunking must respect the eligibility rules (per-job limits and fault
 // plans fall back to singleton jobs); models registered as XMI text must
 // predict exactly what their in-memory originals do; and the batch
@@ -25,12 +26,22 @@ using prophet::pipeline::BatchReport;
 using prophet::pipeline::BatchRunner;
 using prophet::pipeline::ScenarioGrid;
 
-/// Runs every registered model over its suggested grid with the given
-/// lane width and thread count.  `via_xmi` registers each model as the
-/// XMI text of its registry instance instead of by reference.
+/// The benchmark's wide grid: three quarters of it oversubscribes the
+/// nodes, which the suggested grids barely do.  @pingpong is defined for
+/// exactly two ranks.
+ScenarioGrid wide_grid(const std::string& name) {
+  return ScenarioGrid::parse(name == "pingpong"
+                                 ? "np=2 nodes=1..4 ppn=1..4"
+                                 : "np=1..16 nodes=1..4 ppn=1..4");
+}
+
+/// Runs every registered model over its suggested grid (or the wide
+/// grid) with the given lane width and thread count.  `via_xmi`
+/// registers each model as the XMI text of its registry instance instead
+/// of by reference.
 BatchReport run_registry_sweep(int batch_lanes, int threads,
                                BackendKind backend = BackendKind::Analytic,
-                               bool via_xmi = false) {
+                               bool via_xmi = false, bool wide = false) {
   BatchOptions options;
   options.threads = threads;
   options.batch_lanes = batch_lanes;
@@ -44,9 +55,9 @@ BatchReport run_registry_sweep(int batch_lanes, int threads,
                       reference, prophet::xmi::to_xml(registry.make(reference)))
                 : runner.add_model_reference(reference);
     const auto& info = registry.at(name);
-    runner.add_sweep(index,
-                     ScenarioGrid::parse(info.default_grid,
-                                         info.default_params));
+    runner.add_sweep(index, wide ? wide_grid(name)
+                                 : ScenarioGrid::parse(info.default_grid,
+                                                       info.default_params));
   }
   return runner.run();
 }
@@ -81,6 +92,14 @@ TEST(BatchLanes, FullRegistryCsvIsBitIdenticalAcrossLaneWidthsAndThreads) {
             << "row " << i << " lanes " << lanes << " threads " << threads;
       }
     }
+  }
+  const auto wide_reference = deterministic_rows(
+      run_registry_sweep(1, 1, BackendKind::Analytic, false, true));
+  const auto wide_rows = deterministic_rows(
+      run_registry_sweep(8, 1, BackendKind::Analytic, false, true));
+  ASSERT_EQ(wide_rows.size(), wide_reference.size());
+  for (std::size_t i = 0; i < wide_rows.size(); ++i) {
+    EXPECT_EQ(wide_rows[i], wide_reference[i]) << "wide grid, row " << i;
   }
 }
 

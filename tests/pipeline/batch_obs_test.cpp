@@ -6,8 +6,12 @@
 
 #include <atomic>
 #include <cstddef>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "../obs/mini_json.hpp"
 
 #include "prophet/estimator/backend.hpp"
 #include "prophet/models/registry.hpp"
@@ -89,6 +93,40 @@ TEST(BatchObservability, MetricsAgreeWithResults) {
                 m.counter_value("analytic.capacity_wins") +
                 m.counter_value("analytic.critical_wins"),
             m.counter_value("analytic.runs"));
+}
+
+TEST(BatchObservability, ChunkFallbackCountsEachJobOnce) {
+  // @pingpong cannot run at np=1, so the 8-lane chunk fails and every
+  // lane re-runs as a chunk of one.  The abandoned attempt's engine
+  // counters must not stay in the registry: each job counts once, as in
+  // the unchunked sweep.
+  const auto engine_counters = [](int batch_lanes) {
+    BatchOptions options;
+    options.threads = 1;
+    options.batch_lanes = batch_lanes;
+    options.backend = BackendKind::Both;
+    options.collect_metrics = true;
+    BatchRunner runner(options);
+    const int index = runner.add_model_reference("@pingpong");
+    runner.add_sweep(index, ScenarioGrid::parse("np=1..4 nodes=1,2"));
+    const BatchReport report = runner.run();
+    const mini_json::Value doc = mini_json::parse(report.metrics.to_json());
+    std::map<std::string, double> engine;
+    for (const auto& [name, value] : doc.at("counters").object()) {
+      if (name.rfind("sim.", 0) == 0 || name.rfind("analytic.", 0) == 0 ||
+          name.rfind("expr.", 0) == 0) {
+        engine[name] = value.number();
+      }
+    }
+    return std::pair(engine,
+                     report.metrics.counter_value("batch.lanes_fallback"));
+  };
+  const auto [singletons, singleton_fallback] = engine_counters(1);
+  const auto [chunked, chunk_fallback] = engine_counters(8);
+  ASSERT_GT(singletons.count("sim.runs"), 0U);
+  EXPECT_EQ(chunked, singletons);
+  EXPECT_EQ(singleton_fallback, 0U);
+  EXPECT_EQ(chunk_fallback, 8U);  // the abandoned lanes are still counted
 }
 
 TEST(BatchObservability, MetricsOffStillDerivesBatchCells) {
