@@ -159,14 +159,6 @@ class AnalyticEstimator {
   /// The shared lowering this estimator evaluates (never null).
   [[nodiscard]] lower::ModelProgramPtr lowering() const;
 
-  /// Lowering time spent compiling cost expressions to bytecode
-  /// (lowering()->stats(); surfaced through
-  /// PreparedModel::prepare_stats / `--timings`).
-  [[nodiscard]] double expr_compile_seconds() const;
-
-  /// Number of bytecode programs the lowering produced.
-  [[nodiscard]] std::size_t expr_program_count() const;
-
   struct Impl;  // public so the walker/replay helpers in the TU can use it
 
  private:

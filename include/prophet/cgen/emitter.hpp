@@ -9,9 +9,11 @@
 //   * the model-wide slot space becomes a fixed-size pointer frame and
 //     thread_local global storage (concurrent estimates stay race-free),
 //   * each diagram becomes a coroutine state machine (`switch` over node
-//     indices) that replays the interpreter's walk exactly — decisions,
-//     fork/join discovery, loop trips, step limits and error messages
-//     included,
+//     indices) emitted from the lowered control-flow table
+//     (ModelProgram::diagrams(): each node's operation, successors and
+//     defects, each diagram's entry and step limit), so it replays the
+//     interpreter's walk exactly — decisions, fork/join discovery, loop
+//     trips, step limits and error messages included,
 //   * every expression tag, guard, initializer, fragment assignment and
 //     cost-function body is transliterated from its slot-resolved
 //     bytecode into straight-line C++ statements that reproduce the VM's

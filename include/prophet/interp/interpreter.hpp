@@ -1,9 +1,10 @@
 // Direct interpreter of UML performance models.
 //
 // This is the *human-usable* evaluation path the paper contrasts with the
-// machine-efficient generated C++: it walks the UML model tree at
-// simulation time, re-evaluating guards, cost expressions and code
-// fragments through the expression evaluator.  Its semantics define the
+// machine-efficient generated C++: it walks the lowered model
+// (lower::ModelProgram's control-flow table) at simulation time,
+// re-evaluating guards, cost expressions and code fragments through the
+// expression VM.  Its semantics define the
 // reference behaviour the code generator must reproduce; differential
 // tests (tests/integration) pit the two against each other, and
 // bench/bench_fig8_evaluation.cpp measures the efficiency gap that
@@ -56,21 +57,9 @@ class Interpreter final : public estimator::ProgramModel {
  public:
   /// The immutable lowered form of a model (see lower::ModelProgram):
   /// every expression in slot-resolved bytecode, uids assigned, diagram
-  /// references resolved.  Obtain one from compile() — or directly from
-  /// lower::lower() — and pass it to the sharing constructor.
+  /// references, operations and successors resolved.  Obtain one from
+  /// lower::lower() and pass it to the sharing constructor.
   using Program = lower::ModelProgram;
-
-  /// Lowers `model` into a shareable Program (lower::lower with the
-  /// error type rewrapped).  Borrows `model`; it must outlive every
-  /// interpreter running the program.  Throws InterpretError when any
-  /// expression fails to parse or a referenced diagram is missing.
-  [[nodiscard]] static std::shared_ptr<const Program> compile(
-      const uml::Model& model);
-
-  /// Owning overload (safe with temporaries): the program keeps the
-  /// model alive.
-  [[nodiscard]] static std::shared_ptr<const Program> compile(
-      uml::Model&& model);
 
   /// Borrows `model`; it must outlive the interpreter.  Throws
   /// InterpretError when any expression fails to parse or a referenced

@@ -7,15 +7,19 @@
 // checked `uml::Model` into an immutable `ModelProgram` — the model-wide
 // slot space, every expression tag/guard/initializer/function body
 // compiled to slot-resolved bytecode (expr::compile), code fragments
-// with statically resolved write targets, and the static metadata the
-// analytic backend's loop-collapse/SPMD legality checks read.
+// with statically resolved write targets, the static metadata the
+// analytic backend's loop-collapse/SPMD legality checks read, and each
+// node's resolved behaviour: its operation, constant tags, body diagram
+// and successors.
 //
 // Backends do not lower; they consume a `ModelProgram`
 // (`shared_ptr<const>` — any number of backends and threads share one
 // lowering without synchronization) and keep only their per-run state.
-// The interpreter (simulation backend), the analytic estimator, and any
-// future backend (native codegen) are consumers of this one module, so
-// their lowering semantics cannot drift apart.  docs/lowering.md
+// The interpreter (simulation backend), the analytic estimator and the
+// native-code emitter switch on the resolved operations and follow the
+// resolved successors, so none of them decodes a stereotype, reads a
+// tag by name or searches a diagram's edges, and their semantics cannot
+// drift apart.  docs/lowering.md
 // documents the phases, the slot-binding rules and the metadata
 // contract.
 #pragma once
@@ -30,10 +34,12 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "prophet/expr/compile.hpp"
 #include "prophet/uml/model.hpp"
+#include "prophet/workload/runtime.hpp"
 
 namespace prophet::lower {
 
@@ -49,7 +55,7 @@ class LowerError : public std::runtime_error {
 
 /// The expression-valued tags an evaluation site reads, as a dense enum.
 /// One table row in `lower.cpp` maps each tag name to its kind — adding
-/// a tag is one row there plus one accessor here, not an edit in every
+/// a tag is one row there plus its value here, not an edit in every
 /// backend.
 enum class TagKind : std::uint8_t {
   Cost,        ///< `cost` on <<action+>>
@@ -96,9 +102,54 @@ struct CompiledAssignment {
   expr::Compiled value;
 };
 
+/// What a node does when a walk reaches it: its NodeKind and, for
+/// actions and activities, its stereotype, decoded once by lower().
+enum class Operation : std::uint8_t {
+  Initial,      ///< starts a diagram walk
+  Final,        ///< ends the walk
+  Merge,        ///< passes control on
+  Decision,     ///< first holding guard wins, else the `else` edge
+  Fork,         ///< runs its branches up to their common join
+  Join,         ///< ends a fork branch; passes control on otherwise
+  Compute,      ///< <<action+>> or an unstereotyped action
+  Send,         ///< <<send>>
+  Recv,         ///< <<recv>>
+  Barrier,      ///< <<barrier>>
+  Collective,   ///< <<broadcast>>, <<reduce>>, <<allreduce>>, ...
+  OmpFor,       ///< <<ompfor>>
+  OmpBarrier,   ///< <<ompbarrier>>
+  Region,       ///< <<ompparallel>> activity: a parallel region
+  Critical,     ///< <<ompcritical>> activity: a critical section
+  Inline,       ///< any other activity: its body runs inline
+  Loop,         ///< <<loop+>>: counted trips of its body
+  Unsupported,  ///< an action with a stereotype no engine executes
+};
+
+/// The stereotype an action operation is decoded from (the inverse of
+/// lower()'s one decoding table, for diagnostics); empty for operations
+/// that are not actions.
+[[nodiscard]] std::string_view stereotype_name(
+    Operation op, workload::CollectiveKind collective);
+
+/// One outgoing edge of a decision or fork, resolved (edge order kept:
+/// it fixes guard evaluation order and branch order).
+struct Branch {
+  /// The edge (element id for diagnostics).
+  const uml::ControlFlow* edge = nullptr;
+  /// Index of the target node in the diagram; -1 when the edge dangles.
+  int target = -1;
+  /// Compiled guard; null for unguarded and `else` edges.
+  const expr::Compiled* guard = nullptr;
+  /// The edge is the `else` edge.
+  bool is_else = false;
+  /// The edge's `prob` tag (the analytic backend's branch weight).
+  std::optional<double> prob;
+};
+
 /// Everything an evaluation site needs at one node, pre-resolved: the
 /// node's uid, the compiled programs of its expression tags, its code
-/// fragment, and (for <<loop+>> nodes) the loop-variable slot.
+/// fragment, (for <<loop+>> nodes) the loop-variable slot, and its
+/// behaviour — operation, constant tags, body diagram and successors.
 struct NodePrograms {
   /// Numeric element uid (explicit `id` tag, else a stable 1-based
   /// index skipping claimed values).
@@ -111,6 +162,44 @@ struct NodePrograms {
   /// The node's code fragment as resolved assignments (execution order).
   std::vector<CompiledAssignment> fragment;
 
+  /// The lowered node (element id and name for diagnostics and records).
+  const uml::Node* node = nullptr;
+  /// What the node does.
+  Operation op = Operation::Unsupported;
+  /// Collective: which collective.
+  workload::CollectiveKind collective = workload::CollectiveKind::Broadcast;
+  /// Compute: the `time` tag, the cost when the node has no `cost`.
+  std::optional<double> time;
+  /// Send/Recv: the message `tag` (0 when absent).
+  int msgtag = 0;
+  /// OmpFor: the `schedule` ("static" when absent or empty).
+  std::string schedule;
+  /// OmpFor: the `chunk` size (0 when absent).
+  std::int64_t chunk = 0;
+  /// Critical: the lock name (`name` tag, "default" when absent or empty).
+  std::string lock;
+  /// Region/Critical/Inline/Loop: index of the body diagram in
+  /// ModelProgram::diagrams().
+  int body = -1;
+  /// Nodes other than decisions and forks: index of the one successor;
+  /// -1 when the walk ends here (no outgoing edge, or it dangles).
+  int next = -1;
+  /// Decisions and forks: every outgoing edge, in edge order.
+  std::vector<Branch> branches;
+  /// Decision: index in `branches` of the first `else` edge, -1 if none.
+  int fallback = -1;
+  /// Decision: some outgoing edge carries `prob`.
+  bool probabilistic = false;
+  /// The error a walk raises when it reaches this node's defect, empty
+  /// when there is none: an unsupported action (raised after the
+  /// fragment), several outgoing edges (raised after the node runs), a
+  /// decision without `else` (raised when no guard holds) or a fork with
+  /// a dangling edge (raised at that branch).
+  std::string defect;
+  /// Join with several outgoing edges: the error raised when a fork's
+  /// walk resumes past it (a plain walk over the join raises `defect`).
+  std::string join_defect;
+
   /// The compiled program of `kind`, absent when the node lacks the tag.
   [[nodiscard]] const std::optional<expr::Compiled>& tag(
       TagKind kind) const {
@@ -120,35 +209,34 @@ struct NodePrograms {
   [[nodiscard]] const std::optional<expr::Compiled>& cost() const {
     return tag(TagKind::Cost);
   }
-  /// `dest` program (TagKind::Dest).
-  [[nodiscard]] const std::optional<expr::Compiled>& dest() const {
-    return tag(TagKind::Dest);
-  }
-  /// `source` program (TagKind::Source).
-  [[nodiscard]] const std::optional<expr::Compiled>& source() const {
-    return tag(TagKind::Source);
-  }
-  /// `size` program (TagKind::Size).
-  [[nodiscard]] const std::optional<expr::Compiled>& size() const {
-    return tag(TagKind::Size);
-  }
-  /// `root` program (TagKind::Root).
-  [[nodiscard]] const std::optional<expr::Compiled>& root() const {
-    return tag(TagKind::Root);
-  }
-  /// `iterations` program (TagKind::Iterations).
-  [[nodiscard]] const std::optional<expr::Compiled>& iterations() const {
-    return tag(TagKind::Iterations);
-  }
-  /// `itercost` program (TagKind::IterCost).
-  [[nodiscard]] const std::optional<expr::Compiled>& itercost() const {
-    return tag(TagKind::IterCost);
-  }
   /// `num_threads` program (TagKind::NumThreads).
   [[nodiscard]] const std::optional<expr::Compiled>& num_threads() const {
     return tag(TagKind::NumThreads);
   }
 };
+
+/// One diagram's lowered control flow.
+struct DiagramProgram {
+  /// The lowered diagram (element id for diagnostics).
+  const uml::ActivityDiagram* diagram = nullptr;
+  /// Its nodes in diagram order; successor indices point into this.
+  std::vector<NodePrograms> nodes;
+  /// Index of the initial node; -1 when the diagram has none.
+  int initial = -1;
+  /// Steps one walk of this diagram may take before it is declared a
+  /// runaway (1e6 + 1000 per node); every engine counts per walk.
+  std::uint64_t step_limit = 0;
+  /// "diagram D has no initial node" when initial < 0, raised when a
+  /// walk of the diagram starts.
+  std::string defect;
+};
+
+/// The error a walk raises when fork `fork`'s branches did not all reach
+/// one join (`joins[i]`: index in `diagram` of the join branch i stopped
+/// at, -1 for none); empty when they did.
+[[nodiscard]] std::string fork_join_error(const DiagramProgram& diagram,
+                                          const NodePrograms& fork,
+                                          std::span<const int> joins);
 
 /// A model variable, pre-resolved (declaration order preserved — the
 /// run/process initialization order backends must follow).
@@ -159,8 +247,9 @@ struct CompiledVariable {
   expr::Slot slot = 0;
   /// Global (run-shared) or Local (per-process) storage.
   uml::VariableScope scope = uml::VariableScope::Global;
-  /// Integer-typed variables truncate on every assignment.
-  uml::VariableType type = uml::VariableType::Real;
+  /// True when the variable is Integer-typed: its initial value
+  /// truncates, like every assignment to it.
+  bool coerce_int = false;
   /// Compiled initializer; absent means zero-initialize.
   std::optional<expr::Compiled> initializer;
 };
@@ -201,8 +290,9 @@ struct LoweringStats {
 ///
 /// Node programs are keyed by `const uml::Node*` and guards by
 /// `const uml::ControlFlow*`; both are heap-allocated and owned through
-/// the model's diagram list, so the keys are stable for the model's
-/// lifetime (including across a move of the Model object itself).
+/// the model's diagram list, so the keys (and the Branch::edge
+/// pointers) are stable for the model's lifetime (including across a
+/// move of the Model object itself).
 class ModelProgram {
  public:
   /// Lowers `model`, borrowing it (see lower() for the owning form).
@@ -249,16 +339,20 @@ class ModelProgram {
   /// Function id of a cost function by name, if declared.
   [[nodiscard]] std::optional<int> function_id(std::string_view name) const;
 
-  /// The lowered programs of `node`.  Every node of every diagram of the
-  /// model has an entry; passing a foreign node throws std::out_of_range.
-  [[nodiscard]] const NodePrograms& at(const uml::Node& node) const {
-    return nodes_.at(&node);
+  /// Every diagram's lowered control flow, in model diagram order.
+  [[nodiscard]] std::span<const DiagramProgram> diagrams() const {
+    return diagrams_;
   }
 
-  /// The compiled guard of `edge`, or nullptr when the edge is
-  /// unguarded or an `else` edge.
-  [[nodiscard]] const expr::Compiled* guard(
-      const uml::ControlFlow& edge) const;
+  /// Index in diagrams() of the main diagram, where every process starts.
+  [[nodiscard]] int entry() const { return entry_; }
+
+  /// The lowered programs of `node` (keyed access; engines walk
+  /// diagrams() instead).  Every node of every diagram of the model has
+  /// an entry; passing a foreign node throws std::out_of_range.
+  [[nodiscard]] const NodePrograms& at(const uml::Node& node) const {
+    return *nodes_.at(&node);
+  }
 
   /// The uid assigned to the node with element id `node_id`.  Throws
   /// LowerError for unknown ids.
@@ -280,7 +374,9 @@ class ModelProgram {
   std::vector<CompiledVariable> variables_;
   std::vector<expr::Compiled> functions_;    // indexed by function id
   std::map<std::string, int, std::less<>> function_ids_;
-  std::map<const uml::Node*, NodePrograms> nodes_;
+  std::vector<DiagramProgram> diagrams_;
+  int entry_ = 0;
+  std::unordered_map<const uml::Node*, const NodePrograms*> nodes_;
   std::map<const uml::ControlFlow*, expr::Compiled> guards_;
   std::map<std::string, int> uids_;          // node element id -> uid
 

@@ -15,19 +15,9 @@
 namespace prophet::analytic {
 namespace {
 
-using uml::ActivityDiagram;
-using uml::Model;
-using uml::Node;
-using uml::NodeKind;
-
-/// Integer-typed model variables truncate on assignment, exactly like the
-/// interpreter and the generated C++.
-double coerce(uml::VariableType type, double value) {
-  if (type == uml::VariableType::Integer) {
-    return std::trunc(value);
-  }
-  return value;
-}
+using lower::DiagramProgram;
+using lower::NodePrograms;
+using lower::Operation;
 
 /// What one step of the abstract process timeline does.  Compute demands
 /// a node processor; Busy advances the clock without contending (send
@@ -79,22 +69,6 @@ void add_criticals(WalkResult& into, const WalkResult& from, double weight) {
   for (const auto& [name, demand] : from.critical_demand) {
     into.critical_demand[name] += weight * demand;
   }
-}
-
-workload::CollectiveKind collective_kind(const std::string& stereotype) {
-  if (stereotype == uml::stereo::kBroadcast) {
-    return workload::CollectiveKind::Broadcast;
-  }
-  if (stereotype == uml::stereo::kReduce) {
-    return workload::CollectiveKind::Reduce;
-  }
-  if (stereotype == uml::stereo::kAllReduce) {
-    return workload::CollectiveKind::AllReduce;
-  }
-  if (stereotype == uml::stereo::kScatter) {
-    return workload::CollectiveKind::Scatter;
-  }
-  return workload::CollectiveKind::Gather;
 }
 
 /// A loop variable binding on the walker's lexical stack.  `read` records
@@ -171,23 +145,21 @@ bool shares_one_walk(const lower::ModelProgram& program) {
       return false;
     }
   }
-  for (const auto& diagram : program.model().diagrams()) {
-    for (const auto& node : diagram->nodes()) {
-      const lower::NodePrograms& programs = program.at(*node);
-      if (!programs.fragment.empty()) {
+  for (const auto& diagram : program.diagrams()) {
+    for (const auto& node : diagram.nodes) {
+      if (!node.fragment.empty()) {
         return false;
       }
-      for (const auto& tag : programs.tags) {
+      for (const auto& tag : node.tags) {
         if (tag.has_value() && tag->may_read_pid_tid()) {
           return false;
         }
       }
-      if (node->kind() != NodeKind::Decision) {
+      if (node.op != Operation::Decision) {
         continue;
       }
-      for (const auto* edge : diagram->outgoing(node->id())) {
-        const expr::Compiled* guard = program.guard(*edge);
-        if (guard != nullptr && guard->may_read_pid_tid()) {
+      for (const auto& branch : node.branches) {
+        if (branch.guard != nullptr && branch.guard->may_read_pid_tid()) {
           return false;
         }
       }
@@ -204,18 +176,15 @@ bool shares_one_walk(const lower::ModelProgram& program) {
 
 struct AnalyticEstimator::Impl {
   using CompiledAssignment = lower::CompiledAssignment;
-  using NodePrograms = lower::NodePrograms;
 
-  /// The shared lowering (slot space, bytecode, resolved fragments).
-  /// Immutable, so any number of estimators — and the simulation backend —
-  /// can consume the same program concurrently.
+  /// The shared lowering (slot space, bytecode, resolved fragments,
+  /// operations and successors).  Immutable, so any number of estimators
+  /// — and the simulation backend — can consume the same program
+  /// concurrently.
   lower::ModelProgramPtr program;
-  const Model* model = nullptr;  // == &program->model(), cached
   /// Whether evaluate_batch may take the batched walk (shares_one_walk),
   /// decided once, here.
   bool batchable = false;
-  /// Walk steps per process before the walk is declared runaway.
-  std::uint64_t step_limit = 0;
 
   /// Mutable state of one evaluation over `lanes` scenarios: one lane
   /// for evaluate(), all of them for the batched walk (evaluate is const
@@ -330,14 +299,7 @@ struct AnalyticEstimator::Impl {
 };
 
 AnalyticEstimator::Impl::Impl(lower::ModelProgramPtr p)
-    : program(std::move(p)), model(&program->model()) {
-  batchable = shares_one_walk(*program);
-  std::size_t total_nodes = 0;
-  for (const auto& diagram : model->diagrams()) {
-    total_nodes += diagram->node_count();
-  }
-  step_limit = 1000000ULL + 1000ULL * total_nodes;
-}
+    : program(std::move(p)), batchable(shares_one_walk(*program)) {}
 
 namespace {
 
@@ -362,7 +324,6 @@ template <typename Lanes>
 struct Walker {
   using Impl = AnalyticEstimator::Impl;
   using EvalState = Impl::EvalState;
-  using NodePrograms = Impl::NodePrograms;
   template <typename T>
   using Array = typename Lanes::template Array<T>;
 
@@ -381,7 +342,9 @@ struct Walker {
   int region_threads = 0;  // > 0 inside an <<ompparallel>> region
   bool allow_comm = true;
   bool allow_fragments = true;
-  std::uint64_t* steps = nullptr;
+  // Steps of the whole process's walk, sub-walks included: paces the
+  // deadline checkpoint (the step limit counts per diagram walk).
+  std::uint64_t* process_steps = nullptr;
 
   [[nodiscard]] std::size_t width() const { return Lanes::width(st.width); }
 
@@ -403,7 +366,7 @@ struct Walker {
     walker.region_threads = region_threads;
     walker.allow_comm = false;
     walker.allow_fragments = allow_fragments;
-    walker.steps = steps;
+    walker.process_steps = process_steps;
     return walker;
   }
 
@@ -445,25 +408,22 @@ struct Walker {
     Lanes::eval(program, ctx, lanes);
   }
 
-  [[nodiscard]] const NodePrograms& programs_of(const Node& node) const {
-    return impl.program->at(node);
-  }
-
-  /// Evaluates an optional tag program across lanes; absent tags are 0.0,
-  /// evaluation errors carry the node/tag context (tree-walker message
-  /// format).
-  [[nodiscard]] Array<double> eval_tag(
-      const std::optional<expr::Compiled>& tag, std::string_view tag_name,
-      const Node& node, int uid) const {
+  /// Evaluates the node's `kind` tag program across lanes; absent tags
+  /// are 0.0, evaluation errors carry the node/tag context (tree-walker
+  /// message format).
+  [[nodiscard]] Array<double> eval_tag(const NodePrograms& node,
+                                       lower::TagKind kind) const {
     Array<double> lanes(width());
+    const auto& tag = node.tag(kind);
     if (!tag.has_value()) {
       return lanes;
     }
     try {
-      eval_program(*tag, uid, lanes.data());
+      eval_program(*tag, node.uid, lanes.data());
     } catch (const expr::EvalError& error) {
-      throw AnalyticError("node " + node.id() + ", tag '" +
-                          std::string(tag_name) + "': " + error.what());
+      throw AnalyticError("node " + node.node->id() + ", tag '" +
+                          std::string(lower::tag_name(kind)) +
+                          "': " + error.what());
     }
     return lanes;
   }
@@ -480,23 +440,23 @@ struct Walker {
     return value;
   }
 
-  void run_fragment(const NodePrograms& programs, const Node& node) {
-    if (programs.fragment.empty()) {
+  void run_fragment(const NodePrograms& node) {
+    if (node.fragment.empty()) {
       return;
     }
     if (!allow_fragments) {
-      throw AnalyticError("node " + node.id() +
+      throw AnalyticError("node " + node.node->id() +
                           ": code fragments are not supported inside "
                           "probability-weighted branches");
     }
     ++st.fragments_executed;
     Array<double> value(width());
-    for (const auto& assignment : programs.fragment) {
+    for (const auto& assignment : node.fragment) {
       try {
-        eval_program(assignment.value, programs.uid, value.data());
+        eval_program(assignment.value, node.uid, value.data());
       } catch (const expr::EvalError& error) {
-        throw AnalyticError("code fragment at node " + node.id() + ": " +
-                            error.what());
+        throw AnalyticError("code fragment at node " + node.node->id() +
+                            ": " + error.what());
       }
       double* target = nullptr;
       using Target = Impl::CompiledAssignment::Target;
@@ -511,7 +471,7 @@ struct Walker {
           break;
       }
       if (target == nullptr) {
-        throw AnalyticError("code fragment at node " + node.id() +
+        throw AnalyticError("code fragment at node " + node.node->id() +
                             " assigns undeclared variable '" +
                             assignment.name + "'");
       }
@@ -585,10 +545,11 @@ struct Walker {
     }
   }
 
-  void require_comm(const Node& node) const {
+  void require_comm(const NodePrograms& node) const {
     if (!allow_comm) {
       throw AnalyticError(
-          "node " + node.id() + " (<<" + node.stereotype() +
+          "node " + node.node->id() + " (<<" +
+          std::string(lower::stereotype_name(node.op, node.collective)) +
           ">>): cross-process communication inside fork branches, parallel "
           "regions, critical sections or probability-weighted branches is "
           "not supported by the analytic backend");
@@ -597,168 +558,122 @@ struct Walker {
 
   // --- Control flow -------------------------------------------------------
 
-  void run_diagram(const ActivityDiagram& diagram) {
-    const Node* initial = diagram.initial();
-    if (initial == nullptr) {
-      throw AnalyticError("diagram " + diagram.id() + " has no initial node");
+  void run_diagram(int index) {
+    const DiagramProgram& diagram =
+        impl.program->diagrams()[static_cast<std::size_t>(index)];
+    if (diagram.initial < 0) {
+      throw AnalyticError(diagram.defect);
     }
-    walk(diagram, *initial, /*stop_kind=*/std::nullopt, nullptr);
+    walk(diagram, diagram.initial, /*stop_op=*/std::nullopt, nullptr);
   }
 
-  /// Walks from `start` until a Final node (stop == nullptr) or until a
-  /// node of `stop_kind` is reached (its id is written to *stop, and the
-  /// node is not executed).  When stopping at a Merge, merges that close
-  /// a guard-resolved decision *inside* the walked stretch are passed
-  /// through (`merge_debt`), so only the branch's own reconvergence point
-  /// terminates it.
-  void walk(const ActivityDiagram& diagram, const Node& start,
-            std::optional<NodeKind> stop_kind, std::string* stop) {
-    const Node* node = &start;
+  /// Walks from node `start` until a Final node (stop == nullptr) or
+  /// until a node of `stop_op` is reached (its index is written to
+  /// *stop, and the node is not executed).  When stopping at a Merge,
+  /// merges that close a guard-resolved decision *inside* the walked
+  /// stretch are passed through (`merge_debt`), so only the branch's own
+  /// reconvergence point terminates it.  Each walk counts its own steps
+  /// against the diagram's step limit, like the interpreter's.
+  void walk(const DiagramProgram& diagram, int start,
+            std::optional<Operation> stop_op, int* stop) {
+    int index = start;
     int merge_debt = 0;
-    while (node != nullptr) {
-      if (++*steps > impl.step_limit) {
-        throw AnalyticError("diagram " + diagram.id() +
+    std::uint64_t steps = 0;
+    while (index >= 0) {
+      if (++steps > diagram.step_limit) {
+        throw AnalyticError("diagram " + diagram.diagram->id() +
                             ": walk exceeded step limit (unstructured "
                             "cycle without <<loop+>>?)");
       }
-      // Piggyback the cooperative deadline/cancel check on the existing
-      // step counter so a long symbolic walk stays interruptible.
-      if (st.budget != nullptr && (*steps & 1023U) == 0) {
+      // Piggyback the cooperative deadline/cancel check on the process's
+      // step count so a long symbolic walk stays interruptible.
+      if (st.budget != nullptr && (++*process_steps & 1023U) == 0) {
         st.budget->checkpoint("analytic-walk");
       }
-      if (stop != nullptr && stop_kind.has_value() &&
-          node->kind() == *stop_kind) {
-        if (*stop_kind == NodeKind::Merge && merge_debt > 0) {
+      const NodePrograms& node =
+          diagram.nodes[static_cast<std::size_t>(index)];
+      if (stop != nullptr && node.op == stop_op) {
+        if (node.op == Operation::Merge && merge_debt > 0) {
           --merge_debt;  // closes a nested decision, keep walking
         } else {
-          *stop = node->id();
+          *stop = index;
           return;
         }
       }
-      if (node->kind() == NodeKind::Fork) {
-        std::string join_id;
-        execute_fork(diagram, *node, &join_id);
-        const Node* join = diagram.node(join_id);
-        const auto after = diagram.outgoing(join->id());
-        if (after.empty()) {
-          return;
+      if (node.op == Operation::Fork) {
+        const NodePrograms& join = diagram.nodes[static_cast<std::size_t>(
+            execute_fork(diagram, node))];
+        if (!join.join_defect.empty()) {
+          throw AnalyticError(join.join_defect);
         }
-        if (after.size() > 1) {
-          throw AnalyticError("join " + join->id() +
-                              " has multiple outgoing edges");
-        }
-        node = diagram.node(after[0]->target());
+        index = join.next;
         continue;
       }
-      if (node->kind() == NodeKind::Decision) {
-        if (decision_is_probabilistic(diagram, *node)) {
+      if (node.op == Operation::Decision) {
+        if (node.probabilistic) {
           // Consumes the decision's merge inline and resumes after it.
-          node = execute_expected_decision(diagram, *node);
+          index = execute_expected_decision(diagram, node);
           continue;
         }
-        if (stop_kind == NodeKind::Merge) {
+        if (stop_op == Operation::Merge) {
           ++merge_debt;  // this decision's own merge is not ours
         }
       }
-      execute_node(*node);
-      if (node->kind() == NodeKind::Final) {
+      execute_node(node);
+      if (node.op == Operation::Final) {
         return;
       }
-      node = next_node(diagram, *node);
+      index = next_node(node);
     }
   }
 
-  [[nodiscard]] const Node* next_node(const ActivityDiagram& diagram,
-                                      const Node& node) const {
-    const auto outgoing = diagram.outgoing(node.id());
-    if (node.kind() == NodeKind::Decision) {
-      const uml::ControlFlow* chosen = nullptr;
-      const uml::ControlFlow* fallback = nullptr;
-      const int uid = programs_of(node).uid;
-      Array<double> value(width());
-      for (const auto* edge : outgoing) {
-        if (edge->is_else()) {
-          if (fallback == nullptr) {
-            fallback = edge;
-          }
-          continue;
-        }
-        const expr::Compiled* guard = impl.program->guard(*edge);
-        if (guard == nullptr) {
-          continue;  // unguarded edge out of a decision: never taken
-        }
-        try {
-          eval_program(*guard, uid, value.data());
-        } catch (const expr::EvalError& error) {
-          throw AnalyticError("guard of edge " + edge->id() + ": " +
-                              error.what());
-        }
-        const bool taken = expr::truthy(value[0]);
-        for (std::size_t lane = 1; lane < width(); ++lane) {
-          if (expr::truthy(value[lane]) != taken) {
-            throw BatchDivergence{};  // lanes branch apart
-          }
-        }
-        if (taken) {
-          chosen = edge;
-          break;
+  [[nodiscard]] int next_node(const NodePrograms& node) const {
+    if (node.op != Operation::Decision) {
+      if (!node.defect.empty()) {
+        throw AnalyticError(node.defect);
+      }
+      return node.next;
+    }
+    Array<double> value(width());
+    for (const auto& branch : node.branches) {
+      if (branch.guard == nullptr) {
+        continue;  // unguarded or `else` edge: never taken here
+      }
+      try {
+        eval_program(*branch.guard, node.uid, value.data());
+      } catch (const expr::EvalError& error) {
+        throw AnalyticError("guard of edge " + branch.edge->id() + ": " +
+                            error.what());
+      }
+      const bool taken = expr::truthy(value[0]);
+      for (std::size_t lane = 1; lane < width(); ++lane) {
+        if (expr::truthy(value[lane]) != taken) {
+          throw BatchDivergence{};  // lanes branch apart
         }
       }
-      if (chosen == nullptr) {
-        chosen = fallback;
+      if (taken) {
+        return branch.target;
       }
-      if (chosen == nullptr) {
-        throw AnalyticError("decision " + node.id() +
-                            ": no guard holds and no 'else' edge");
-      }
-      return diagram.node(chosen->target());
     }
-    if (outgoing.empty()) {
-      return nullptr;  // dead end; the checker's connectivity rule warns
+    if (node.fallback < 0) {
+      throw AnalyticError(node.defect);
     }
-    if (outgoing.size() > 1) {
-      throw AnalyticError("node " + node.id() +
-                          " has multiple unguarded outgoing edges");
-    }
-    return diagram.node(outgoing[0]->target());
+    return node.branches[static_cast<std::size_t>(node.fallback)].target;
   }
 
-  void execute_node(const Node& node) {
-    ++st.elements;
-    switch (node.kind()) {
-      case NodeKind::Initial:
-      case NodeKind::Final:
-      case NodeKind::Merge:
-      case NodeKind::Join:
-      case NodeKind::Decision:
-      case NodeKind::Fork:  // handled inline by walk()
-        return;
-      case NodeKind::Action:
-        execute_action(node);
-        return;
-      case NodeKind::Activity:
-        execute_activity(node);
-        return;
-      case NodeKind::Loop:
-        execute_loop(node);
-        return;
-    }
-  }
-
-  void execute_fork(const ActivityDiagram& diagram, const Node& node,
-                    std::string* join_out) {
-    const auto outgoing = diagram.outgoing(node.id());
-    std::vector<std::string> joins(outgoing.size());
+  /// Walks a fork's branches to their common join and returns the join.
+  int execute_fork(const DiagramProgram& diagram, const NodePrograms& node) {
+    std::vector<int> joins(node.branches.size(), -1);
     Array<double> max_elapsed(width());
     Array<double> total_demand(width());
-    for (std::size_t i = 0; i < outgoing.size(); ++i) {
-      const Node* target = diagram.node(outgoing[i]->target());
-      if (target == nullptr) {
-        throw AnalyticError("fork " + node.id() + ": dangling edge");
+    for (std::size_t i = 0; i < node.branches.size(); ++i) {
+      if (node.branches[i].target < 0) {
+        throw AnalyticError(node.defect);
       }
       Array<WalkResult> branch(width());
       Walker walker = sub(branch.data());
-      walker.walk(diagram, *target, NodeKind::Join, &joins[i]);
+      walker.walk(diagram, node.branches[i].target, Operation::Join,
+                  &joins[i]);
       for (std::size_t lane = 0; lane < width(); ++lane) {
         max_elapsed[lane] =
             std::max(max_elapsed[lane], sum_elapsed(branch[lane].events));
@@ -766,29 +681,12 @@ struct Walker {
       }
       merge_criticals(branch.data(), 1.0);
     }
-    for (std::size_t i = 1; i < joins.size(); ++i) {
-      if (joins[i] != joins[0]) {
-        throw AnalyticError("fork " + node.id() +
-                            ": branches reach different joins ('" + joins[0] +
-                            "' vs '" + joins[i] + "')");
-      }
-    }
-    if (joins.empty() || joins[0].empty()) {
-      throw AnalyticError("fork " + node.id() +
-                          ": branches do not reach a join");
+    if (std::string error = lower::fork_join_error(diagram, node, joins);
+        !error.empty()) {
+      throw AnalyticError(error);
     }
     emit_compute(max_elapsed.data(), total_demand.data());
-    *join_out = joins[0];
-  }
-
-  [[nodiscard]] bool decision_is_probabilistic(const ActivityDiagram& diagram,
-                                               const Node& node) const {
-    for (const auto* edge : diagram.outgoing(node.id())) {
-      if (edge->tag_number(uml::tag::kProb).has_value()) {
-        return true;
-      }
-    }
-    return false;
+    return joins[0];
   }
 
   /// Expectation over the branches of a `prob`-annotated decision: every
@@ -797,21 +695,19 @@ struct Walker {
   /// Returns the node after the merge to continue from (the merge itself
   /// is consumed here, so an enclosing branch walk never mistakes it for
   /// its own reconvergence point).
-  const Node* execute_expected_decision(const ActivityDiagram& diagram,
-                                        const Node& node) {
+  int execute_expected_decision(const DiagramProgram& diagram,
+                                const NodePrograms& node) {
     ++st.elements;
-    const auto outgoing = diagram.outgoing(node.id());
-    if (outgoing.empty()) {
-      throw AnalyticError("decision " + node.id() + " has no outgoing edges");
-    }
-    std::vector<double> weights(outgoing.size(), -1);
+    const auto& branches = node.branches;
+    std::vector<double> weights(branches.size(), -1);
     double tagged_sum = 0;
     std::size_t untagged = 0;
-    for (std::size_t i = 0; i < outgoing.size(); ++i) {
-      if (const auto prob = outgoing[i]->tag_number(uml::tag::kProb)) {
+    for (std::size_t i = 0; i < branches.size(); ++i) {
+      if (const auto prob = branches[i].prob) {
         if (*prob < 0 || *prob > 1 || std::isnan(*prob)) {
-          throw AnalyticError("decision " + node.id() + ": edge " +
-                              outgoing[i]->id() + " has prob outside [0, 1]");
+          throw AnalyticError("decision " + node.node->id() + ": edge " +
+                              branches[i].edge->id() +
+                              " has prob outside [0, 1]");
         }
         weights[i] = *prob;
         tagged_sum += *prob;
@@ -820,7 +716,7 @@ struct Walker {
       }
     }
     if (tagged_sum > 1 + 1e-9) {
-      throw AnalyticError("decision " + node.id() +
+      throw AnalyticError("decision " + node.node->id() +
                           ": branch probabilities sum to more than 1");
     }
     const double rest =
@@ -835,35 +731,40 @@ struct Walker {
       norm += weight;
     }
     if (norm <= 0) {
-      throw AnalyticError("decision " + node.id() +
+      throw AnalyticError("decision " + node.node->id() +
                           ": branch probabilities sum to zero");
     }
 
-    std::string merge_id;
+    int merge = -1;
     Array<double> expected_elapsed(width());
     Array<double> expected_demand(width());
-    for (std::size_t i = 0; i < outgoing.size(); ++i) {
-      const Node* target = diagram.node(outgoing[i]->target());
-      if (target == nullptr) {
-        throw AnalyticError("decision " + node.id() + ": dangling edge");
+    for (std::size_t i = 0; i < branches.size(); ++i) {
+      if (branches[i].target < 0) {
+        throw AnalyticError("decision " + node.node->id() +
+                            ": dangling edge");
       }
       const double weight = weights[i] / norm;
-      std::string branch_merge;
+      int branch_merge = -1;
       Array<WalkResult> branch(width());
       Walker walker = sub(branch.data());
       walker.allow_fragments = false;
-      walker.walk(diagram, *target, NodeKind::Merge, &branch_merge);
-      if (branch_merge.empty()) {
-        throw AnalyticError("decision " + node.id() +
+      walker.walk(diagram, branches[i].target, Operation::Merge,
+                  &branch_merge);
+      if (branch_merge < 0) {
+        throw AnalyticError("decision " + node.node->id() +
                             ": probability-weighted branches must "
                             "reconverge at a merge");
       }
-      if (merge_id.empty()) {
-        merge_id = branch_merge;
-      } else if (merge_id != branch_merge) {
-        throw AnalyticError("decision " + node.id() +
-                            ": branches reach different merges ('" +
-                            merge_id + "' vs '" + branch_merge + "')");
+      if (merge < 0) {
+        merge = branch_merge;
+      } else if (merge != branch_merge) {
+        throw AnalyticError(
+            "decision " + node.node->id() +
+            ": branches reach different merges ('" +
+            diagram.nodes[static_cast<std::size_t>(merge)].node->id() +
+            "' vs '" +
+            diagram.nodes[static_cast<std::size_t>(branch_merge)].node->id() +
+            "')");
       }
       for (std::size_t lane = 0; lane < width(); ++lane) {
         expected_elapsed[lane] += weight * sum_elapsed(branch[lane].events);
@@ -872,173 +773,166 @@ struct Walker {
       merge_criticals(branch.data(), weight);
     }
     emit_compute(expected_elapsed.data(), expected_demand.data());
-    const Node* merge = diagram.node(merge_id);
     ++st.elements;  // the consumed merge
-    return next_node(diagram, *merge);
+    return next_node(diagram.nodes[static_cast<std::size_t>(merge)]);
   }
 
-  void execute_action(const Node& node) {
-    const NodePrograms& programs = programs_of(node);
-    run_fragment(programs, node);
-    const int uid = programs.uid;
-    const std::string& stereotype = node.stereotype();
+  void execute_node(const NodePrograms& node) {
+    using lower::TagKind;
+    ++st.elements;
+    switch (node.op) {
+      case Operation::Initial:
+      case Operation::Final:
+      case Operation::Merge:
+      case Operation::Decision:
+      case Operation::Fork:  // handled inline by walk()
+      case Operation::Join:
+        return;
+      default:
+        break;
+    }
+    run_fragment(node);
     Array<double> seconds(width());
-    if (stereotype == uml::stereo::kActionPlus || stereotype.empty()) {
-      Array<double> cost = eval_tag(programs.cost(), uml::tag::kCost, node,
-                                    uid);
-      if (!programs.cost().has_value()) {
-        if (auto time = node.tag_number(uml::tag::kTime)) {
-          std::fill_n(cost.data(), width(), *time);
+    switch (node.op) {
+      case Operation::Compute: {
+        Array<double> cost = eval_tag(node, TagKind::Cost);
+        if (!node.cost().has_value() && node.time.has_value()) {
+          std::fill_n(cost.data(), width(), *node.time);
         }
+        for (std::size_t lane = 0; lane < width(); ++lane) {
+          seconds[lane] = machine::compute_time(params(lane), cost[lane]);
+        }
+        emit_compute(seconds.data(), seconds.data());
+        return;
       }
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        seconds[lane] = machine::compute_time(params(lane), cost[lane]);
+      case Operation::Send: {
+        require_comm(node);
+        const int dest = uniform_int(eval_tag(node, TagKind::Dest));
+        const Array<double> bytes = eval_tag(node, TagKind::Size);
+        for (std::size_t lane = 0; lane < width(); ++lane) {
+          seconds[lane] = params(lane).network_overhead;
+        }
+        emit_busy(seconds.data());
+        for (std::size_t lane = 0; lane < width(); ++lane) {
+          out[lane].events.push_back(
+              {EvKind::Send, 0, 0, bytes[lane], dest, node.msgtag});
+        }
+        return;
       }
-      emit_compute(seconds.data(), seconds.data());
-    } else if (stereotype == uml::stereo::kSend) {
-      require_comm(node);
-      const int dest =
-          uniform_int(eval_tag(programs.dest(), uml::tag::kDest, node, uid));
-      const Array<double> bytes =
-          eval_tag(programs.size(), uml::tag::kSize, node, uid);
-      const int tag =
-          static_cast<int>(node.tag_number(uml::tag::kMsgTag).value_or(0));
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        seconds[lane] = params(lane).network_overhead;
+      case Operation::Recv: {
+        require_comm(node);
+        const int source = uniform_int(eval_tag(node, TagKind::Source));
+        for (std::size_t lane = 0; lane < width(); ++lane) {
+          out[lane].events.push_back(
+              {EvKind::Recv, 0, 0, 0, source, node.msgtag});
+        }
+        return;
       }
-      emit_busy(seconds.data());
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        out[lane].events.push_back(
-            {EvKind::Send, 0, 0, bytes[lane], dest, tag});
+      case Operation::Barrier:
+        require_comm(node);
+        for (std::size_t lane = 0; lane < width(); ++lane) {
+          out[lane].events.push_back({EvKind::Barrier,
+                                      machine::barrier_time(params(lane)), 0,
+                                      0, 0, 0});
+        }
+        return;
+      case Operation::Collective: {
+        require_comm(node);
+        const Array<double> bytes = eval_tag(node, TagKind::Size);
+        for (std::size_t lane = 0; lane < width(); ++lane) {
+          const double hold = workload::CollectiveElement::model_time(
+              params(lane), node.collective, params(lane).processes,
+              bytes[lane]);
+          out[lane].events.push_back({EvKind::Barrier, hold, 0, 0, 0, 0});
+        }
+        return;
       }
-    } else if (stereotype == uml::stereo::kRecv) {
-      require_comm(node);
-      const int source = uniform_int(
-          eval_tag(programs.source(), uml::tag::kSource, node, uid));
-      const int tag =
-          static_cast<int>(node.tag_number(uml::tag::kMsgTag).value_or(0));
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        out[lane].events.push_back({EvKind::Recv, 0, 0, 0, source, tag});
+      case Operation::OmpFor: {
+        const Array<double> iterations = eval_tag(node, TagKind::Iterations);
+        const Array<double> itercost = eval_tag(node, TagKind::IterCost);
+        const int threads = region_threads > 0 ? region_threads : 1;
+        for (std::size_t lane = 0; lane < width(); ++lane) {
+          const double compute = workload::WorkshareElement::model_compute(
+              iterations[lane], itercost[lane], node.schedule, node.chunk,
+              threads, tid);
+          seconds[lane] = machine::compute_time(params(lane), compute);
+        }
+        emit_compute(seconds.data(), seconds.data());
+        return;
       }
-    } else if (stereotype == uml::stereo::kBarrier) {
-      require_comm(node);
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        out[lane].events.push_back({EvKind::Barrier,
-                                    machine::barrier_time(params(lane)), 0, 0,
-                                    0, 0});
+      case Operation::OmpBarrier:
+        // Region threads are modeled as aligned (the region advances at
+        // the pace of its slowest thread), so an intra-region barrier
+        // costs nothing extra here — exactly what the simulator charges.
+        return;
+      case Operation::Region:
+        execute_region(node);
+        return;
+      case Operation::Critical: {
+        Array<WalkResult> body(width());
+        Walker walker = sub(body.data());
+        walker.run_diagram(node.body);
+        // The body runs on this process's critical path; the lock-held
+        // time additionally serializes against every other holder of
+        // the lock.
+        for (std::size_t lane = 0; lane < width(); ++lane) {
+          out[lane].critical_demand[node.lock] +=
+              sum_elapsed(body[lane].events);
+        }
+        merge_criticals(body.data(), 1.0);
+        append_events(body.data());
+        return;
       }
-    } else if (stereotype == uml::stereo::kBroadcast ||
-               stereotype == uml::stereo::kReduce ||
-               stereotype == uml::stereo::kAllReduce ||
-               stereotype == uml::stereo::kScatter ||
-               stereotype == uml::stereo::kGather) {
-      require_comm(node);
-      const Array<double> bytes =
-          eval_tag(programs.size(), uml::tag::kSize, node, uid);
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        const double hold = workload::CollectiveElement::model_time(
-            params(lane), collective_kind(stereotype), params(lane).processes,
-            bytes[lane]);
-        out[lane].events.push_back({EvKind::Barrier, hold, 0, 0, 0, 0});
-      }
-    } else if (stereotype == uml::stereo::kOmpFor) {
-      const Array<double> iterations =
-          eval_tag(programs.iterations(), uml::tag::kIterations, node, uid);
-      const Array<double> itercost =
-          eval_tag(programs.itercost(), uml::tag::kIterCost, node, uid);
-      std::string schedule = node.tag_string(uml::tag::kSchedule);
-      if (schedule.empty()) {
-        schedule = "static";
-      }
-      const auto chunk = static_cast<std::int64_t>(
-          node.tag_number(uml::tag::kChunk).value_or(0));
-      const int threads = region_threads > 0 ? region_threads : 1;
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        const double compute = workload::WorkshareElement::model_compute(
-            iterations[lane], itercost[lane], schedule, chunk, threads, tid);
-        seconds[lane] = machine::compute_time(params(lane), compute);
-      }
-      emit_compute(seconds.data(), seconds.data());
-    } else if (stereotype == uml::stereo::kOmpBarrier) {
-      // Region threads are modeled as aligned (the region advances at the
-      // pace of its slowest thread), so an intra-region barrier costs
-      // nothing extra here — exactly what the simulator charges.
-    } else {
-      throw AnalyticError("node " + node.id() +
-                          ": unsupported stereotype <<" + stereotype +
-                          ">> on an action node");
+      case Operation::Inline:
+        run_diagram(node.body);  // <<activity+>>: inline content
+        return;
+      case Operation::Loop:
+        execute_loop(node);
+        return;
+      default:  // Operation::Unsupported
+        throw AnalyticError(node.defect);
     }
   }
 
-  void execute_activity(const Node& node) {
-    const NodePrograms& programs = programs_of(node);
-    run_fragment(programs, node);
-    const ActivityDiagram* sub_diagram =
-        impl.model->diagram(node.subdiagram_id());
-    const std::string& stereotype = node.stereotype();
-    if (stereotype == uml::stereo::kOmpParallel) {
-      Array<double> requested(width());
-      if (programs.num_threads().has_value()) {
-        requested = eval_tag(programs.num_threads(), uml::tag::kNumThreads,
-                             node, programs.uid);
-      } else {
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          requested[lane] = params(lane).threads_per_process;
-        }
-      }
-      const int threads = uniform_int(requested);
-      if (threads < 1) {
-        throw AnalyticError("parallel region at node " + node.id() +
-                            ": num_threads must be >= 1");
-      }
-      Array<double> max_elapsed(width());
-      Array<double> total_demand(width());
-      for (int thread = 0; thread < threads; ++thread) {
-        Array<WalkResult> thread_result(width());
-        Walker walker = sub(thread_result.data());
-        walker.tid = thread;
-        walker.region_threads = threads;
-        walker.run_diagram(*sub_diagram);
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          max_elapsed[lane] = std::max(
-              max_elapsed[lane], sum_elapsed(thread_result[lane].events));
-          total_demand[lane] += sum_demand(thread_result[lane].events);
-        }
-        merge_criticals(thread_result.data(), 1.0);
-      }
-      emit_compute(max_elapsed.data(), total_demand.data());
-    } else if (stereotype == uml::stereo::kOmpCritical) {
-      std::string lock = node.tag_string(uml::tag::kCriticalName);
-      if (lock.empty()) {
-        lock = "default";
-      }
-      Array<WalkResult> body(width());
-      Walker walker = sub(body.data());
-      walker.run_diagram(*sub_diagram);
-      // The body runs on this process's critical path; the lock-held time
-      // additionally serializes against every other holder of `lock`.
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        out[lane].critical_demand[lock] += sum_elapsed(body[lane].events);
-      }
-      merge_criticals(body.data(), 1.0);
-      append_events(body.data());
+  void execute_region(const NodePrograms& node) {
+    Array<double> requested(width());
+    if (node.num_threads().has_value()) {
+      requested = eval_tag(node, lower::TagKind::NumThreads);
     } else {
-      // <<activity+>> (or unstereotyped composite): inline content.
-      run_diagram(*sub_diagram);
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        requested[lane] = params(lane).threads_per_process;
+      }
     }
+    const int threads = uniform_int(requested);
+    if (threads < 1) {
+      throw AnalyticError("parallel region at node " + node.node->id() +
+                          ": num_threads must be >= 1");
+    }
+    Array<double> max_elapsed(width());
+    Array<double> total_demand(width());
+    for (int thread = 0; thread < threads; ++thread) {
+      Array<WalkResult> thread_result(width());
+      Walker walker = sub(thread_result.data());
+      walker.tid = thread;
+      walker.region_threads = threads;
+      walker.run_diagram(node.body);
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        max_elapsed[lane] = std::max(max_elapsed[lane],
+                                     sum_elapsed(thread_result[lane].events));
+        total_demand[lane] += sum_demand(thread_result[lane].events);
+      }
+      merge_criticals(thread_result.data(), 1.0);
+    }
+    emit_compute(max_elapsed.data(), total_demand.data());
   }
 
-  void execute_loop(const Node& node) {
-    const NodePrograms& programs = programs_of(node);
-    run_fragment(programs, node);
-    const ActivityDiagram* body = impl.model->diagram(node.subdiagram_id());
-    const Array<double> raw = eval_tag(
-        programs.iterations(), uml::tag::kIterations, node, programs.uid);
+  void execute_loop(const NodePrograms& node) {
+    const Array<double> raw = eval_tag(node, lower::TagKind::Iterations);
     Array<std::int64_t> iterations(width());
     bool uniform = true;
     for (std::size_t lane = 0; lane < width(); ++lane) {
       if (std::isnan(raw[lane]) || raw[lane] < 0) {
-        throw AnalyticError("loop " + node.id() +
+        throw AnalyticError("loop " + node.node->id() +
                             ": iteration count is negative or NaN");
       }
       iterations[lane] = static_cast<std::int64_t>(raw[lane]);
@@ -1054,10 +948,10 @@ struct Walker {
         }
       }
     }
-    bindings->push_back({programs.loop_var_slot, false});
+    bindings->push_back({node.loop_var_slot, false});
     Array<double> loop_value(width());
-    double* const saved = (*frame)[programs.loop_var_slot];
-    (*frame)[programs.loop_var_slot] = loop_value.data();
+    double* const saved = (*frame)[node.loop_var_slot];
+    (*frame)[node.loop_var_slot] = loop_value.data();
 
     // First iteration into a capture buffer: when the body provably does
     // not depend on the trip variable and has no side effects, the
@@ -1069,7 +963,7 @@ struct Walker {
     {
       Walker walker = sub(first.data());
       walker.allow_comm = allow_comm;
-      walker.run_diagram(*body);
+      walker.run_diagram(node.body);
     }
     const bool collapsible = !bindings->back().read &&
                              st.fragments_executed == fragments_before &&
@@ -1101,10 +995,10 @@ struct Walker {
           st.budget->charge_loop_trips(1, "analytic-loop");
         }
         std::fill_n(loop_value.data(), width(), static_cast<double>(k));
-        run_diagram(*body);
+        run_diagram(node.body);
       }
     }
-    (*frame)[programs.loop_var_slot] = saved;
+    (*frame)[node.loop_var_slot] = saved;
     bindings->pop_back();
   }
 
@@ -1129,7 +1023,7 @@ struct Walker {
       }
       for (std::size_t lane = 0; lane < width(); ++lane) {
         storage[variable.slot * width() + lane] =
-            coerce(variable.type, value[lane]);
+            variable.coerce_int ? std::trunc(value[lane]) : value[lane];
       }
       (*frame)[variable.slot] = &storage[variable.slot * width()];
     }
@@ -1137,7 +1031,7 @@ struct Walker {
 
   void walk_process() {
     bind_variables(uml::VariableScope::Local, locals);
-    run_diagram(*impl.model->main_diagram());
+    run_diagram(impl.program->entry());
   }
 };
 
@@ -1480,14 +1374,14 @@ void AnalyticEstimator::Impl::walk(EvalState& st,
   std::vector<double> locals(program->slot_count() * st.width, 0.0);
   std::vector<double*> frame = st.run_frame;  // per-process frame
   std::vector<LoopBinding> bindings;
-  std::uint64_t steps = 0;
+  std::uint64_t process_steps = 0;
   Walker<Lanes> walker(*this, st, out);
   walker.pid = pid;
   walker.frame = &frame;
   walker.locals = locals.data();
   walker.bindings = &bindings;
   walker.functions = &functions;
-  walker.steps = &steps;
+  walker.process_steps = &process_steps;
   walker.walk_process();
 }
 
@@ -1680,14 +1574,6 @@ std::vector<AnalyticReport> AnalyticEstimator::evaluate_batch(
 
 lower::ModelProgramPtr AnalyticEstimator::lowering() const {
   return impl_->program;
-}
-
-double AnalyticEstimator::expr_compile_seconds() const {
-  return impl_->program->stats().expr_compile_seconds;
-}
-
-std::size_t AnalyticEstimator::expr_program_count() const {
-  return impl_->program->stats().expr_programs;
 }
 
 }  // namespace prophet::analytic

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -17,9 +16,10 @@ namespace prophet::cgen {
 namespace {
 
 using expr::Op;
-using uml::ActivityDiagram;
-using uml::Node;
-using uml::NodeKind;
+using lower::DiagramProgram;
+using lower::NodePrograms;
+using lower::Operation;
+using lower::TagKind;
 
 /// A double as a C++ literal that round-trips bit-exactly (hexfloat; the
 /// NaN/infinity special cases have no literal spelling).
@@ -409,29 +409,39 @@ std::string emit_expr(const expr::Compiled& program, const ExprEnv& env,
   return ExprTransliterator(program, env, indent).emit();
 }
 
-/// Emits the full evaluator translation unit for one lowered model.
+/// The C++ spelling of a collective's workload::CollectiveKind
+/// enumerator.
+std::string_view enumerator(workload::CollectiveKind kind) {
+  switch (kind) {
+    case workload::CollectiveKind::Broadcast:
+      return "Broadcast";
+    case workload::CollectiveKind::Reduce:
+      return "Reduce";
+    case workload::CollectiveKind::AllReduce:
+      return "AllReduce";
+    case workload::CollectiveKind::Scatter:
+      return "Scatter";
+    case workload::CollectiveKind::Gather:
+      return "Gather";
+  }
+  return "Gather";
+}
+
+/// Emits the full evaluator translation unit for one lowered model: the
+/// walk of every diagram is emitted from its lowered control flow
+/// (ModelProgram::diagrams()), node for node.
 class Emitter {
  public:
   explicit Emitter(const lower::ModelProgram& program)
-      : program_(program), model_(program.model()) {
-    const auto& diagrams = model_.diagrams();
-    for (std::size_t d = 0; d < diagrams.size(); ++d) {
-      const ActivityDiagram* diagram = diagrams[d].get();
-      diagram_index_[diagram->id()] = static_cast<int>(d);
-      auto& nodes = node_index_[diagram];
-      const auto& list = diagram->nodes();
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        nodes[list[i]->id()] = static_cast<int>(i);
-      }
-    }
-  }
+      : program_(program) {}
 
   [[nodiscard]] std::string emit() {
     preamble();
     forward_declarations();
     cost_functions();
-    for (std::size_t d = 0; d < model_.diagrams().size(); ++d) {
-      diagram_walker(static_cast<int>(d), *model_.diagrams()[d]);
+    const auto diagrams = program_.diagrams();
+    for (std::size_t d = 0; d < diagrams.size(); ++d) {
+      diagram_walker(static_cast<int>(d), diagrams[d]);
     }
     run_entry_points();
     abi_glue();
@@ -459,24 +469,18 @@ class Emitter {
     return env;
   }
 
-  [[nodiscard]] int node_index(const ActivityDiagram& diagram,
-                               std::string_view id) const {
-    const auto& nodes = node_index_.at(&diagram);
-    const auto it = nodes.find(std::string(id));
-    return it == nodes.end() ? -1 : it->second;
-  }
-
-  [[nodiscard]] int diagram_of(std::string_view id) const {
-    const auto it = diagram_index_.find(std::string(id));
-    return it == diagram_index_.end() ? -1 : it->second;
+  /// `throw std::runtime_error("<message>");` for a lowered defect.
+  void throw_defect(const std::string& message, const std::string& indent) {
+    out_ << indent << "throw std::runtime_error(\"" << escape(message)
+         << "\");\n";
   }
 
   void preamble() {
     out_ << "// Generated by the Performance Prophet cgen backend.  "
             "Do not edit.\n"
          << "//\n"
-         << "// Specialized evaluator for model '" << escape(model_.name())
-         << "': every diagram\n"
+         << "// Specialized evaluator for model '"
+         << escape(program_.model().name()) << "': every diagram\n"
          << "// is a switch-based coroutine state machine and every "
             "expression program is\n"
          << "// transliterated bytecode — semantics (and bits) match the "
@@ -546,7 +550,7 @@ class Emitter {
       out_ << "double fn" << id
            << "(const double* args, std::size_t nargs);\n";
     }
-    for (std::size_t d = 0; d < model_.diagrams().size(); ++d) {
+    for (std::size_t d = 0; d < program_.diagrams().size(); ++d) {
       out_ << "prophet::sim::Process walk_d" << d
            << "(prophet::workload::ModelContext ctx, Frame f, double* "
               "locals, int start, int* stop);\n"
@@ -581,10 +585,9 @@ class Emitter {
   /// One statement block evaluating optional tag `kind` of `node` into
   /// `variable` (declared by the caller), with interp's eval_tag error
   /// wrapping; absent tags leave the variable at 0.0.
-  void tag_eval(const Node& node, const lower::NodePrograms& programs,
-                lower::TagKind kind, std::string_view tag_name,
+  void tag_eval(const NodePrograms& node, TagKind kind,
                 const std::string& variable, const std::string& indent) {
-    const auto& tag = programs.tag(kind);
+    const auto& tag = node.tag(kind);
     if (!tag.has_value()) {
       return;
     }
@@ -593,23 +596,22 @@ class Emitter {
            << double_literal(*tag->constant()) << ";\n";
       return;
     }
-    const ExprEnv env = node_env(programs.uid);
+    const ExprEnv env = node_env(node.uid);
     out_ << indent << "try {\n"
          << indent << "  " << variable << " = "
          << emit_expr(*tag, env, indent + "  ") << ";\n"
          << indent << "} catch (const CgenEvalError& error) {\n"
          << indent << "  throw std::runtime_error(std::string(\"node "
-         << escape(node.id()) << ", tag '" << escape(tag_name)
-         << "': \") + error.what());\n"
+         << escape(node.node->id()) << ", tag '"
+         << escape(lower::tag_name(kind)) << "': \") + error.what());\n"
          << indent << "}\n";
   }
 
   /// The node's code fragment (interp's run_fragment), statement for
   /// statement: evaluate, coerce, store by resolved target.
-  void fragment(const Node& node, const lower::NodePrograms& programs,
-                const std::string& indent) {
-    for (const auto& assignment : programs.fragment) {
-      const ExprEnv env = node_env(programs.uid);
+  void fragment(const NodePrograms& node, const std::string& indent) {
+    for (const auto& assignment : node.fragment) {
+      const ExprEnv env = node_env(node.uid);
       out_ << indent << "{\n"
            << indent << "  double value = 0.0;\n"
            << indent << "  try {\n"
@@ -619,7 +621,7 @@ class Emitter {
            << indent
            << "    throw std::runtime_error(std::string(\"code fragment at "
               "node "
-           << escape(node.id()) << ": \") + error.what());\n"
+           << escape(node.node->id()) << ": \") + error.what());\n"
            << indent << "  }\n";
       if (assignment.coerce_int) {
         out_ << indent << "  value = std::trunc(value);\n";
@@ -638,7 +640,7 @@ class Emitter {
           out_ << indent << "  (void)value;\n"
                << indent
                << "  throw std::runtime_error(\"code fragment at node "
-               << escape(node.id()) << " assigns undeclared variable '"
+               << escape(node.node->id()) << " assigns undeclared variable '"
                << escape(assignment.name) << "'\");\n";
           break;
       }
@@ -647,257 +649,171 @@ class Emitter {
   }
 
   /// Successor dispatch for non-decision nodes (interp's next_node).
-  void next_node(const ActivityDiagram& diagram, const Node& node,
-                 const std::string& indent) {
-    const auto outgoing = diagram.outgoing(node.id());
-    if (outgoing.empty()) {
+  void next_node(const NodePrograms& node, const std::string& indent) {
+    if (!node.defect.empty()) {
+      throw_defect(node.defect, indent);
+      return;
+    }
+    if (node.next < 0) {
       out_ << indent << "node = -1;  // dead end\n" << indent << "break;\n";
       return;
     }
-    if (outgoing.size() > 1) {
-      out_ << indent << "throw std::runtime_error(\"node "
-           << escape(node.id())
-           << " has multiple unguarded outgoing edges\");\n";
-      return;
-    }
-    out_ << indent
-         << "node = " << node_index(diagram, outgoing[0]->target()) << ";\n"
+    out_ << indent << "node = " << node.next << ";\n"
          << indent << "break;\n";
   }
 
   /// Guarded successor dispatch for Decision nodes: compiled guards in
   /// edge order, first else edge as fallback (interp's next_node).
-  void decision_dispatch(const ActivityDiagram& diagram, const Node& node,
-                         const std::string& indent) {
-    const auto outgoing = diagram.outgoing(node.id());
-    const int uid = program_.at(node).uid;
-    const uml::ControlFlow* fallback = nullptr;
-    for (const auto* edge : outgoing) {
-      if (edge->is_else()) {
-        if (fallback == nullptr) {
-          fallback = edge;
-        }
-        continue;
+  void decision_dispatch(const NodePrograms& node, const std::string& indent) {
+    for (const auto& branch : node.branches) {
+      if (branch.guard == nullptr) {
+        continue;  // unguarded or `else` edge: never taken by a guard
       }
-      const expr::Compiled* guard = program_.guard(*edge);
-      if (guard == nullptr) {
-        continue;  // unguarded edge out of a decision: never taken
-      }
-      out_ << indent << "if ((" << emit_expr(*guard, node_env(uid), indent)
+      out_ << indent << "if (("
+           << emit_expr(*branch.guard, node_env(node.uid), indent)
            << ") != 0.0) {\n"
-           << indent
-           << "  node = " << node_index(diagram, edge->target()) << ";\n"
+           << indent << "  node = " << branch.target << ";\n"
            << indent << "  break;\n" << indent << "}\n";
     }
-    if (fallback != nullptr) {
-      out_ << indent
-           << "node = " << node_index(diagram, fallback->target()) << ";\n"
+    if (node.fallback >= 0) {
+      out_ << indent << "node = "
+           << node.branches[static_cast<std::size_t>(node.fallback)].target
+           << ";\n"
            << indent << "break;\n";
     } else {
-      out_ << indent << "throw std::runtime_error(\"decision "
-           << escape(node.id())
-           << ": no guard holds and no 'else' edge\");\n";
+      throw_defect(node.defect, indent);
     }
   }
 
-  void action_case(const ActivityDiagram& diagram, const Node& node,
-                   const std::string& indent) {
-    const lower::NodePrograms& programs = program_.at(node);
-    const int uid = programs.uid;
-    fragment(node, programs, indent);
-    const std::string& stereotype = node.stereotype();
-    const std::string name = "\"" + escape(node.name()) + "\"";
+  /// The body of an action, activity or loop node's case: fragment, the
+  /// operation, then the successor dispatch.
+  void operation_case(const NodePrograms& node, const std::string& indent) {
+    const int uid = node.uid;
+    fragment(node, indent);
+    const std::string name = "\"" + escape(node.node->name()) + "\"";
     const std::string exec_prefix =
         "co_await element.execute(" + std::to_string(uid) +
         ", ctx.pid, ctx.tid";
-    if (stereotype == uml::stereo::kActionPlus || stereotype.empty()) {
-      out_ << indent << "double cost = 0.0;\n";
-      if (programs.cost().has_value()) {
-        tag_eval(node, programs, lower::TagKind::Cost, uml::tag::kCost,
-                 "cost", indent);
-      } else if (const auto time = node.tag_number(uml::tag::kTime)) {
-        out_ << indent << "cost = " << double_literal(*time) << ";\n";
+    switch (node.op) {
+      case Operation::Compute:
+        out_ << indent << "double cost = 0.0;\n";
+        if (node.cost().has_value()) {
+          tag_eval(node, TagKind::Cost, "cost", indent);
+        } else if (node.time.has_value()) {
+          out_ << indent << "cost = " << double_literal(*node.time) << ";\n";
+        }
+        out_ << indent << "prophet::workload::ActionPlus element(ctx, "
+             << name << ");\n"
+             << indent << exec_prefix << ", cost);\n";
+        break;
+      case Operation::Send:
+      case Operation::Recv: {
+        const bool send = node.op == Operation::Send;
+        const char* peer = send ? "dest" : "source";
+        out_ << indent << "double " << peer << " = 0.0;\n";
+        tag_eval(node, send ? TagKind::Dest : TagKind::Source, peer, indent);
+        out_ << indent << "double bytes = 0.0;\n";
+        tag_eval(node, TagKind::Size, "bytes", indent);
+        out_ << indent << "prophet::workload::"
+             << (send ? "SendElement" : "RecvElement") << " element(ctx, "
+             << name << ");\n"
+             << indent << exec_prefix << ", static_cast<int>(" << peer
+             << "), bytes, " << node.msgtag << ");\n";
+        break;
       }
-      out_ << indent << "prophet::workload::ActionPlus element(ctx, " << name
-           << ");\n"
-           << indent << exec_prefix << ", cost);\n";
-    } else if (stereotype == uml::stereo::kSend) {
-      out_ << indent << "double dest = 0.0;\n";
-      tag_eval(node, programs, lower::TagKind::Dest, uml::tag::kDest, "dest",
-               indent);
-      out_ << indent << "double bytes = 0.0;\n";
-      tag_eval(node, programs, lower::TagKind::Size, uml::tag::kSize, "bytes",
-               indent);
-      const auto tag = static_cast<int>(
-          node.tag_number(uml::tag::kMsgTag).value_or(0));
-      out_ << indent << "prophet::workload::SendElement element(ctx, " << name
-           << ");\n"
-           << indent << exec_prefix << ", static_cast<int>(dest), bytes, "
-           << tag << ");\n";
-    } else if (stereotype == uml::stereo::kRecv) {
-      out_ << indent << "double source = 0.0;\n";
-      tag_eval(node, programs, lower::TagKind::Source, uml::tag::kSource,
-               "source", indent);
-      out_ << indent << "double bytes = 0.0;\n";
-      tag_eval(node, programs, lower::TagKind::Size, uml::tag::kSize, "bytes",
-               indent);
-      const auto tag = static_cast<int>(
-          node.tag_number(uml::tag::kMsgTag).value_or(0));
-      out_ << indent << "prophet::workload::RecvElement element(ctx, " << name
-           << ");\n"
-           << indent << exec_prefix << ", static_cast<int>(source), bytes, "
-           << tag << ");\n";
-    } else if (stereotype == uml::stereo::kBarrier) {
-      out_ << indent << "prophet::workload::BarrierElement element(ctx, "
-           << name << ");\n"
-           << indent << exec_prefix << ");\n";
-    } else if (stereotype == uml::stereo::kBroadcast ||
-               stereotype == uml::stereo::kReduce ||
-               stereotype == uml::stereo::kAllReduce ||
-               stereotype == uml::stereo::kScatter ||
-               stereotype == uml::stereo::kGather) {
-      out_ << indent << "double bytes = 0.0;\n";
-      tag_eval(node, programs, lower::TagKind::Size, uml::tag::kSize, "bytes",
-               indent);
-      out_ << indent << "double root = 0.0;\n";
-      if (node.has_tag(uml::tag::kRoot)) {
-        tag_eval(node, programs, lower::TagKind::Root, uml::tag::kRoot,
-                 "root", indent);
-      }
-      out_ << indent << "prophet::workload::CollectiveElement element(ctx, "
-           << name << ", prophet::workload::CollectiveKind::"
-           << collective_kind(stereotype) << ");\n"
-           << indent << exec_prefix
-           << ", bytes, static_cast<int>(root));\n";
-    } else if (stereotype == uml::stereo::kOmpFor) {
-      out_ << indent << "double iterations = 0.0;\n";
-      tag_eval(node, programs, lower::TagKind::Iterations,
-               uml::tag::kIterations, "iterations", indent);
-      out_ << indent << "double itercost = 0.0;\n";
-      tag_eval(node, programs, lower::TagKind::IterCost, uml::tag::kIterCost,
-               "itercost", indent);
-      std::string schedule = node.tag_string(uml::tag::kSchedule);
-      if (schedule.empty()) {
-        schedule = "static";
-      }
-      const auto chunk = static_cast<std::int64_t>(
-          node.tag_number(uml::tag::kChunk).value_or(0));
-      out_ << indent << "prophet::workload::WorkshareElement element(ctx, "
-           << name << ");\n"
-           << indent << exec_prefix << ", iterations, itercost, \""
-           << escape(schedule) << "\", " << chunk << "LL);\n";
-    } else if (stereotype == uml::stereo::kOmpBarrier) {
-      out_ << indent << "prophet::workload::OmpBarrierElement element(ctx, "
-           << name << ");\n"
-           << indent << exec_prefix << ");\n";
-    } else {
-      out_ << indent << "throw std::runtime_error(\"node "
-           << escape(node.id()) << ": unsupported stereotype <<"
-           << escape(stereotype) << ">> on an action node\");\n";
-      return;  // unreachable successor
+      case Operation::Barrier:
+        out_ << indent << "prophet::workload::BarrierElement element(ctx, "
+             << name << ");\n"
+             << indent << exec_prefix << ");\n";
+        break;
+      case Operation::Collective:
+        out_ << indent << "double bytes = 0.0;\n";
+        tag_eval(node, TagKind::Size, "bytes", indent);
+        out_ << indent << "double root = 0.0;\n";
+        tag_eval(node, TagKind::Root, "root", indent);
+        out_ << indent << "prophet::workload::CollectiveElement element(ctx, "
+             << name << ", prophet::workload::CollectiveKind::"
+             << enumerator(node.collective) << ");\n"
+             << indent << exec_prefix
+             << ", bytes, static_cast<int>(root));\n";
+        break;
+      case Operation::OmpFor:
+        out_ << indent << "double iterations = 0.0;\n";
+        tag_eval(node, TagKind::Iterations, "iterations", indent);
+        out_ << indent << "double itercost = 0.0;\n";
+        tag_eval(node, TagKind::IterCost, "itercost", indent);
+        out_ << indent << "prophet::workload::WorkshareElement element(ctx, "
+             << name << ");\n"
+             << indent << exec_prefix << ", iterations, itercost, \""
+             << escape(node.schedule) << "\", " << node.chunk << "LL);\n";
+        break;
+      case Operation::OmpBarrier:
+        out_ << indent << "prophet::workload::OmpBarrierElement element(ctx, "
+             << name << ");\n"
+             << indent << exec_prefix << ");\n";
+        break;
+      case Operation::Region:
+        if (node.num_threads().has_value()) {
+          out_ << indent << "double threads_value = 0.0;\n";
+          tag_eval(node, TagKind::NumThreads, "threads_value", indent);
+          out_ << indent
+               << "const int threads = static_cast<int>(threads_value);\n";
+        } else {
+          out_ << indent << "const int threads = static_cast<int>(g_nt);\n";
+        }
+        out_ << indent << "co_await prophet::workload::parallel_region(\n"
+             << indent << "    ctx, threads, " << uid << ", " << name << ",\n"
+             << indent
+             << "    [f, locals](prophet::workload::ModelContext tctx)\n"
+             << indent << "        -> prophet::sim::Process {\n"
+             << indent << "      return run_d" << node.body
+             << "(tctx, f, locals);\n"
+             << indent << "    });\n";
+        break;
+      case Operation::Critical:
+        out_ << indent << "prophet::workload::CriticalElement element(ctx, "
+             << name << ", \"" << escape(node.lock) << "\");\n"
+             << indent << "prophet::workload::ModelContext body_ctx = ctx;\n"
+             << indent << "co_await element.execute(" << uid
+             << ", ctx.pid, ctx.tid,\n"
+             << indent
+             << "    [f, locals, body_ctx]() -> prophet::sim::Process {\n"
+             << indent << "      return run_d" << node.body
+             << "(body_ctx, f, locals);\n"
+             << indent << "    });\n";
+        break;
+      case Operation::Inline:
+        out_ << indent << "prophet::workload::ActivityPlus element(ctx, "
+             << name << ");\n"
+             << indent << "const double started = element.begin(" << uid
+             << ");\n"
+             << indent << "co_await run_d" << node.body
+             << "(ctx, f, locals);\n"
+             << indent << "element.end(" << uid << ", started);\n";
+        break;
+      case Operation::Loop:
+        loop_body(node, indent);
+        break;
+      default:  // Operation::Unsupported: the successor is unreachable
+        throw_defect(node.defect, indent);
+        return;
     }
-    next_node(diagram, node, indent);
+    next_node(node, indent);
   }
 
-  [[nodiscard]] static std::string_view collective_kind(
-      const std::string& stereotype) {
-    if (stereotype == uml::stereo::kBroadcast) {
-      return "Broadcast";
-    }
-    if (stereotype == uml::stereo::kReduce) {
-      return "Reduce";
-    }
-    if (stereotype == uml::stereo::kAllReduce) {
-      return "AllReduce";
-    }
-    if (stereotype == uml::stereo::kScatter) {
-      return "Scatter";
-    }
-    return "Gather";
-  }
-
-  void activity_case(const ActivityDiagram& diagram, const Node& node,
-                     const std::string& indent) {
-    const lower::NodePrograms& programs = program_.at(node);
-    const int uid = programs.uid;
-    fragment(node, programs, indent);
-    const int sub = diagram_of(node.subdiagram_id());
-    if (sub < 0) {
-      // lower() rejects unresolvable references; defensive for direct use.
-      out_ << indent << "throw std::runtime_error(\"node "
-           << escape(node.id()) << ": unresolved sub-diagram '"
-           << escape(node.subdiagram_id()) << "'\");\n";
-      return;
-    }
-    const std::string& stereotype = node.stereotype();
-    const std::string name = "\"" + escape(node.name()) + "\"";
-    if (stereotype == uml::stereo::kOmpParallel) {
-      if (programs.num_threads().has_value()) {
-        out_ << indent << "double threads_value = 0.0;\n";
-        tag_eval(node, programs, lower::TagKind::NumThreads,
-                 uml::tag::kNumThreads, "threads_value", indent);
-        out_ << indent
-             << "const int threads = static_cast<int>(threads_value);\n";
-      } else {
-        out_ << indent << "const int threads = static_cast<int>(g_nt);\n";
-      }
-      out_ << indent << "co_await prophet::workload::parallel_region(\n"
-           << indent << "    ctx, threads, " << uid << ", " << name << ",\n"
-           << indent
-           << "    [f, locals](prophet::workload::ModelContext tctx)\n"
-           << indent << "        -> prophet::sim::Process {\n"
-           << indent << "      return run_d" << sub
-           << "(tctx, f, locals);\n"
-           << indent << "    });\n";
-    } else if (stereotype == uml::stereo::kOmpCritical) {
-      std::string lock = node.tag_string(uml::tag::kCriticalName);
-      if (lock.empty()) {
-        lock = "default";
-      }
-      out_ << indent << "prophet::workload::CriticalElement element(ctx, "
-           << name << ", \"" << escape(lock) << "\");\n"
-           << indent << "prophet::workload::ModelContext body_ctx = ctx;\n"
-           << indent << "co_await element.execute(" << uid
-           << ", ctx.pid, ctx.tid,\n"
-           << indent
-           << "    [f, locals, body_ctx]() -> prophet::sim::Process {\n"
-           << indent << "      return run_d" << sub
-           << "(body_ctx, f, locals);\n"
-           << indent << "    });\n";
-    } else {
-      out_ << indent << "prophet::workload::ActivityPlus element(ctx, "
-           << name << ");\n"
-           << indent << "const double started = element.begin(" << uid
-           << ");\n"
-           << indent << "co_await run_d" << sub << "(ctx, f, locals);\n"
-           << indent << "element.end(" << uid << ", started);\n";
-    }
-    next_node(diagram, node, indent);
-  }
-
-  void loop_case(const ActivityDiagram& diagram, const Node& node,
-                 const std::string& indent) {
-    const lower::NodePrograms& programs = program_.at(node);
-    fragment(node, programs, indent);
-    const int body = diagram_of(node.subdiagram_id());
-    if (body < 0) {
-      out_ << indent << "throw std::runtime_error(\"node "
-           << escape(node.id()) << ": unresolved sub-diagram '"
-           << escape(node.subdiagram_id()) << "'\");\n";
-      return;
-    }
+  void loop_body(const NodePrograms& node, const std::string& indent) {
     out_ << indent << "double raw = 0.0;\n";
-    tag_eval(node, programs, lower::TagKind::Iterations,
-             uml::tag::kIterations, "raw", indent);
+    tag_eval(node, TagKind::Iterations, "raw", indent);
     out_ << indent << "if (std::isnan(raw) || raw < 0) {\n"
          << indent << "  throw std::runtime_error(\"loop "
-         << escape(node.id()) << ": iteration count is negative or NaN\");\n"
+         << escape(node.node->id())
+         << ": iteration count is negative or NaN\");\n"
          << indent << "}\n"
          << indent
          << "const auto iterations = static_cast<std::int64_t>(raw);\n"
          << indent << "double loop_value = 0;\n"
          << indent << "Frame lf = f;\n"
-         << indent << "lf.s[" << programs.loop_var_slot
+         << indent << "lf.s[" << node.loop_var_slot
          << "] = &loop_value;\n"
          << indent
          << "for (std::int64_t k = 0; k < iterations; ++k) {\n"
@@ -905,18 +821,17 @@ class Emitter {
          << indent << "    g_budget->charge_loop_trips(1, \"cgen-loop\");\n"
          << indent << "  }\n"
          << indent << "  loop_value = static_cast<double>(k);\n"
-         << indent << "  co_await run_d" << body << "(ctx, lf, locals);\n"
+         << indent << "  co_await run_d" << node.body << "(ctx, lf, locals);\n"
          << indent << "}\n";
-    next_node(diagram, node, indent);
   }
 
-  void fork_case(const ActivityDiagram& diagram, const Node& node, int di,
-                 const std::string& indent) {
-    const auto outgoing = diagram.outgoing(node.id());
-    const std::size_t branches = outgoing.size();
+  void fork_case(const DiagramProgram& diagram, const NodePrograms& node,
+                 int di, const std::string& indent) {
+    const std::size_t branches = node.branches.size();
+    const std::string id = escape(node.node->id());
     if (branches == 0) {
-      out_ << indent << "throw std::runtime_error(\"fork "
-           << escape(node.id()) << ": branches do not reach a join\");\n";
+      out_ << indent << "throw std::runtime_error(\"fork " << id
+           << ": branches do not reach a join\");\n";
       return;
     }
     out_ << indent << "int joins[" << branches << "];\n"
@@ -927,10 +842,9 @@ class Emitter {
          << indent << "  std::vector<prophet::sim::ProcessRef> branches;\n"
          << indent << "  branches.reserve(" << branches << ");\n";
     for (std::size_t b = 0; b < branches; ++b) {
-      const int target = node_index(diagram, outgoing[b]->target());
+      const int target = node.branches[b].target;
       if (target < 0) {
-        out_ << indent << "  throw std::runtime_error(\"fork "
-             << escape(node.id()) << ": dangling edge\");\n";
+        throw_defect(node.defect, indent + "  ");
         break;  // interp throws here; later branches never spawn
       }
       out_ << indent << "  branches.push_back(ctx.engine->spawn(walk_d" << di
@@ -943,34 +857,29 @@ class Emitter {
          << indent << "}\n";
     for (std::size_t b = 1; b < branches; ++b) {
       out_ << indent << "if (joins[" << b << "] != joins[0]) {\n"
-           << indent << "  throw std::runtime_error(std::string(\"fork "
-           << escape(node.id())
+           << indent << "  throw std::runtime_error(std::string(\"fork " << id
            << ": branches reach different joins ('\") + node_id_d" << di
            << "(joins[0]) + \"' vs '\" + node_id_d" << di << "(joins[" << b
            << "]) + \"')\");\n"
            << indent << "}\n";
     }
     out_ << indent << "if (joins[0] < 0) {\n"
-         << indent << "  throw std::runtime_error(\"fork "
-         << escape(node.id()) << ": branches do not reach a join\");\n"
+         << indent << "  throw std::runtime_error(\"fork " << id
+         << ": branches do not reach a join\");\n"
          << indent << "}\n"
          << indent << "switch (joins[0]) {\n";
-    const auto& nodes = diagram.nodes();
-    for (std::size_t j = 0; j < nodes.size(); ++j) {
-      if (nodes[j]->kind() != NodeKind::Join) {
+    for (std::size_t j = 0; j < diagram.nodes.size(); ++j) {
+      const NodePrograms& join = diagram.nodes[j];
+      if (join.op != Operation::Join) {
         continue;
       }
-      const auto after = diagram.outgoing(nodes[j]->id());
       out_ << indent << "  case " << j << ":\n";
-      if (after.empty()) {
+      if (!join.join_defect.empty()) {
+        throw_defect(join.join_defect, indent + "    ");
+      } else if (join.next < 0) {
         out_ << indent << "    co_return;\n";
-      } else if (after.size() > 1) {
-        out_ << indent << "    throw std::runtime_error(\"join "
-             << escape(nodes[j]->id()) << " has multiple outgoing edges\");\n";
       } else {
-        out_ << indent
-             << "    node = " << node_index(diagram, after[0]->target())
-             << ";\n"
+        out_ << indent << "    node = " << join.next << ";\n"
              << indent << "    break;\n";
       }
     }
@@ -981,23 +890,22 @@ class Emitter {
          << indent << "break;\n";
   }
 
-  void diagram_walker(int di, const ActivityDiagram& diagram) {
-    const auto& nodes = diagram.nodes();
+  void diagram_walker(int di, const DiagramProgram& diagram) {
+    const auto& nodes = diagram.nodes;
     // Node-id lookup for fork/join diagnostics (indices back to element
     // ids, so generated messages match the interpreter's).
     out_ << "const char* node_id_d" << di << "(int node) {\n"
          << "  switch (node) {\n";
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       out_ << "    case " << i << ":\n"
-           << "      return \"" << escape(nodes[i]->id()) << "\";\n";
+           << "      return \"" << escape(nodes[i].node->id()) << "\";\n";
     }
     out_ << "    default:\n"
          << "      return \"\";\n"
          << "  }\n"
          << "}\n\n";
 
-    const std::uint64_t limit = 1000000ULL + 1000ULL * diagram.node_count();
-    out_ << "// Diagram '" << escape(diagram.id())
+    out_ << "// Diagram '" << escape(diagram.diagram->id())
          << "': interp::Interpreter's walk, specialized.\n"
          << "prophet::sim::Process walk_d" << di
          << "(prophet::workload::ModelContext ctx, Frame f, double* locals, "
@@ -1007,47 +915,42 @@ class Emitter {
          << "  int node = start;\n"
          << "  std::uint64_t steps = 0;\n"
          << "  while (node >= 0) {\n"
-         << "    if (++steps > " << limit << "ULL) {\n"
+         << "    if (++steps > " << diagram.step_limit << "ULL) {\n"
          << "      throw std::runtime_error(\n"
-         << "          \"diagram " << escape(diagram.id())
+         << "          \"diagram " << escape(diagram.diagram->id())
          << ": walk exceeded step limit (unstructured \"\n"
          << "          \"cycle without <<loop+>>?)\");\n"
          << "    }\n"
          << "    switch (node) {\n";
     const std::string indent = "        ";
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const Node& node = *nodes[i];
-      out_ << "      case " << i << ": {  // " << kind_name(node.kind())
-           << " '" << escape(node.id()) << "'\n";
-      switch (node.kind()) {
-        case NodeKind::Initial:
-        case NodeKind::Merge:
-          next_node(diagram, node, indent);
+      const NodePrograms& node = nodes[i];
+      out_ << "      case " << i << ": {  // "
+           << uml::to_string(node.node->kind()) << " '"
+           << escape(node.node->id()) << "'\n";
+      switch (node.op) {
+        case Operation::Initial:
+        case Operation::Merge:
+          next_node(node, indent);
           break;
-        case NodeKind::Final:
+        case Operation::Final:
           out_ << indent << "co_return;\n";
           break;
-        case NodeKind::Join:
+        case Operation::Join:
           out_ << indent << "if (stop != nullptr) {\n"
                << indent << "  *stop = " << i << ";\n"
                << indent << "  co_return;\n"
                << indent << "}\n";
-          next_node(diagram, node, indent);
+          next_node(node, indent);
           break;
-        case NodeKind::Decision:
-          decision_dispatch(diagram, node, indent);
+        case Operation::Decision:
+          decision_dispatch(node, indent);
           break;
-        case NodeKind::Fork:
+        case Operation::Fork:
           fork_case(diagram, node, di, indent);
           break;
-        case NodeKind::Action:
-          action_case(diagram, node, indent);
-          break;
-        case NodeKind::Activity:
-          activity_case(diagram, node, indent);
-          break;
-        case NodeKind::Loop:
-          loop_case(diagram, node, indent);
+        default:
+          operation_case(node, indent);
           break;
       }
       out_ << "      }\n";
@@ -1063,40 +966,15 @@ class Emitter {
     out_ << "prophet::sim::Process run_d" << di
          << "(prophet::workload::ModelContext ctx, Frame f, double* locals) "
             "{\n";
-    const Node* initial = diagram.initial();
-    if (initial == nullptr) {
-      out_ << "  throw std::runtime_error(\"diagram "
-           << escape(diagram.id()) << " has no initial node\");\n"
+    if (diagram.initial < 0) {
+      out_ << "  throw std::runtime_error(\"" << escape(diagram.defect)
+           << "\");\n"
            << "  co_return;  // unreachable; makes this a coroutine\n";
     } else {
       out_ << "  co_await walk_d" << di << "(ctx, f, locals, "
-           << node_index(diagram, initial->id()) << ", nullptr);\n";
+           << diagram.initial << ", nullptr);\n";
     }
     out_ << "}\n\n";
-  }
-
-  [[nodiscard]] static std::string_view kind_name(NodeKind kind) {
-    switch (kind) {
-      case NodeKind::Initial:
-        return "initial";
-      case NodeKind::Final:
-        return "final";
-      case NodeKind::Action:
-        return "action";
-      case NodeKind::Activity:
-        return "activity";
-      case NodeKind::Decision:
-        return "decision";
-      case NodeKind::Merge:
-        return "merge";
-      case NodeKind::Fork:
-        return "fork";
-      case NodeKind::Join:
-        return "join";
-      case NodeKind::Loop:
-        return "loop";
-    }
-    return "node";
   }
 
   void run_entry_points() {
@@ -1129,7 +1007,7 @@ class Emitter {
              << emit_expr(*variable.initializer, globals_env, "    ")
              << ";\n";
       }
-      if (variable.type == uml::VariableType::Integer) {
+      if (variable.coerce_int) {
         out_ << "    value = std::trunc(value);\n";
       }
       out_ << "    g_globals[" << variable.slot << "] = value;\n"
@@ -1141,7 +1019,6 @@ class Emitter {
 
     // run_process: per-process locals in this coroutine frame,
     // initialized in declaration order, then walk the main diagram.
-    const int main_diagram = diagram_of(model_.main_diagram_id());
     out_ << "prophet::sim::Process run_process("
             "prophet::workload::ModelContext ctx) {\n"
          << "  double local_values[kSlots] = {};\n"
@@ -1165,7 +1042,7 @@ class Emitter {
              << emit_expr(*variable.initializer, locals_env, "    ")
              << ";\n";
       }
-      if (variable.type == uml::VariableType::Integer) {
+      if (variable.coerce_int) {
         out_ << "    value = std::trunc(value);\n";
       }
       out_ << "    local_values[" << variable.slot << "] = value;\n"
@@ -1173,7 +1050,7 @@ class Emitter {
            << variable.slot << "];\n"
            << "  }\n";
     }
-    out_ << "  co_await run_d" << main_diagram
+    out_ << "  co_await run_d" << program_.entry()
          << "(ctx, f, local_values);\n"
          << "}\n\n";
   }
@@ -1334,11 +1211,7 @@ PROPHET_CGEN_EXPORT std::int32_t prophet_cgen_run(
   }
 
   const lower::ModelProgram& program_;
-  const uml::Model& model_;
   std::ostringstream out_;
-  std::map<std::string, int, std::less<>> diagram_index_;
-  std::map<const ActivityDiagram*, std::map<std::string, int, std::less<>>>
-      node_index_;
 };
 
 }  // namespace

@@ -11,20 +11,10 @@
 namespace prophet::interp {
 namespace {
 
-using uml::ActivityDiagram;
-using uml::Model;
-using uml::Node;
-using uml::NodeKind;
+using lower::DiagramProgram;
+using lower::NodePrograms;
+using lower::Operation;
 using workload::ModelContext;
-
-/// Integer-typed model variables truncate on assignment, exactly like the
-/// `long` variables the code generator emits.
-double coerce(uml::VariableType type, double value) {
-  if (type == uml::VariableType::Integer) {
-    return std::trunc(value);
-  }
-  return value;
-}
 
 /// Lexical scope of a model walker: the slot frame (copied by value so
 /// fork branches and loop bodies snapshot their bindings) plus the base
@@ -35,18 +25,26 @@ struct Scope {
   double* locals = nullptr;  // slot-indexed per-process storage, may be null
 };
 
+/// Lowers `model`, rewrapping lowering errors as InterpretError.
+template <typename M>
+std::shared_ptr<const Interpreter::Program> lower_model(M&& model) {
+  try {
+    return lower::lower(std::forward<M>(model));
+  } catch (const lower::LowerError& error) {
+    throw InterpretError(error.what());
+  }
+}
+
 }  // namespace
 
 /// Per-run state + the walking machinery over a shared immutable
 /// lower::ModelProgram.  All lowering (slot space, bytecode, resolved
-/// fragments) lives in the shared program; only run-level bindings and
-/// the coroutine walkers live here.
+/// fragments, operations and successors) lives in the shared program;
+/// only run-level bindings and the coroutine walkers live here.
 struct Interpreter::Impl final : expr::UserFunctions {
-  using NodePrograms = lower::NodePrograms;
   using CompiledAssignment = lower::CompiledAssignment;
 
   std::shared_ptr<const Program> program;
-  const Model* model = nullptr;  // == &program->model(), cached
 
   // Per-run state.  Globals live in a slot-indexed array shared by all
   // modeled processes of the run; the run frame binds global and
@@ -59,11 +57,16 @@ struct Interpreter::Impl final : expr::UserFunctions {
   obs::ExprCounters* expr_counters = nullptr;  // null: counting disabled
   guard::Budget* budget = nullptr;             // null: unguarded
 
-  explicit Impl(std::shared_ptr<const Program> p)
-      : program(std::move(p)), model(&program->model()) {
+  explicit Impl(std::shared_ptr<const Program> p) : program(std::move(p)) {
     // Pre-run frame: structural parameters at their defaults, globals
     // unbound (cost functions called before a run see exactly what the
     // tree walker's empty globals map gave them).
+    reset_run_frame();
+  }
+
+  /// Zeroes the globals and unbinds every slot of the run frame but the
+  /// structural parameters.
+  void reset_run_frame() {
     global_values.assign(program->slot_count(), 0.0);
     run_frame.assign(program->slot_count(), nullptr);
     run_frame[program->np_slot()] = &np;
@@ -110,33 +113,35 @@ struct Interpreter::Impl final : expr::UserFunctions {
     return result;
   }
 
-  /// Evaluates an optional tag program; absent tags are 0.0, evaluation
-  /// errors carry the node/tag context (tree-walker message format).
-  [[nodiscard]] double eval_tag(const std::optional<expr::Compiled>& tag,
-                                std::string_view tag_name, const Node& node,
-                                int uid, const Scope& scope,
+  /// Evaluates the node's `kind` tag program; absent tags are 0.0,
+  /// evaluation errors carry the node/tag context (tree-walker message
+  /// format).
+  [[nodiscard]] double eval_tag(const NodePrograms& node, lower::TagKind kind,
+                                const Scope& scope,
                                 const ModelContext& ctx) const {
+    const auto& tag = node.tag(kind);
     if (!tag.has_value()) {
       return 0.0;
     }
     try {
-      return tag->eval(make_context(scope.frame, ctx.pid, ctx.tid, uid));
+      return tag->eval(make_context(scope.frame, ctx.pid, ctx.tid, node.uid));
     } catch (const expr::EvalError& error) {
-      throw InterpretError("node " + node.id() + ", tag '" +
-                           std::string(tag_name) + "': " + error.what());
+      throw InterpretError("node " + node.node->id() + ", tag '" +
+                           std::string(lower::tag_name(kind)) +
+                           "': " + error.what());
     }
   }
 
-  void run_fragment(const NodePrograms& programs, const Node& node,
-                    Scope& scope, const ModelContext& ctx) {
-    for (const auto& assignment : programs.fragment) {
+  void run_fragment(const NodePrograms& node, Scope& scope,
+                    const ModelContext& ctx) {
+    for (const auto& assignment : node.fragment) {
       double value = 0;
       try {
         value = assignment.value.eval(
-            make_context(scope.frame, ctx.pid, ctx.tid, programs.uid));
+            make_context(scope.frame, ctx.pid, ctx.tid, node.uid));
       } catch (const expr::EvalError& error) {
-        throw InterpretError("code fragment at node " + node.id() + ": " +
-                             error.what());
+        throw InterpretError("code fragment at node " + node.node->id() +
+                             ": " + error.what());
       }
       if (assignment.coerce_int) {
         value = std::trunc(value);
@@ -155,7 +160,7 @@ struct Interpreter::Impl final : expr::UserFunctions {
         case Target::Undeclared:
           break;
       }
-      throw InterpretError("code fragment at node " + node.id() +
+      throw InterpretError("code fragment at node " + node.node->id() +
                            " assigns undeclared variable '" +
                            assignment.name + "'");
     }
@@ -170,12 +175,7 @@ struct Interpreter::Impl final : expr::UserFunctions {
     nt = params.threads_per_process;
     nn = params.nodes;
     ppn = params.processors_per_node;
-    global_values.assign(program->slot_count(), 0.0);
-    run_frame.assign(program->slot_count(), nullptr);
-    run_frame[program->np_slot()] = &np;
-    run_frame[program->nt_slot()] = &nt;
-    run_frame[program->nn_slot()] = &nn;
-    run_frame[program->ppn_slot()] = &ppn;
+    reset_run_frame();
     // Globals initialize in declaration order and become visible one by
     // one — a forward reference falls through to the system parameters
     // or errors, exactly like the tree walker's growing globals map.
@@ -187,7 +187,8 @@ struct Interpreter::Impl final : expr::UserFunctions {
       if (variable.initializer.has_value()) {
         value = variable.initializer->eval(make_context(run_frame, 0, 0, 0));
       }
-      global_values[variable.slot] = coerce(variable.type, value);
+      global_values[variable.slot] =
+          variable.coerce_int ? std::trunc(value) : value;
       run_frame[variable.slot] = &global_values[variable.slot];
     }
   }
@@ -208,317 +209,235 @@ struct Interpreter::Impl final : expr::UserFunctions {
         value = variable.initializer->eval(
             make_context(scope.frame, ctx.pid, ctx.tid, 0));
       }
-      local_values[variable.slot] = coerce(variable.type, value);
+      local_values[variable.slot] =
+          variable.coerce_int ? std::trunc(value) : value;
       scope.frame[variable.slot] = &local_values[variable.slot];
     }
-    co_await run_diagram(ctx, *model->main_diagram(), scope);
+    co_await run_diagram(ctx, program->entry(), scope);
   }
 
-  /// Walks a diagram from its initial node to a final node (or a dead
-  /// end).  `scope` is taken by value: the slot frame is snapshot,
+  /// Walks diagram `index` from its initial node to a final node (or a
+  /// dead end).  `scope` is taken by value: the slot frame is snapshot,
   /// locals stay shared through the storage pointers.
-  sim::Process run_diagram(ModelContext ctx, const ActivityDiagram& diagram,
-                           Scope scope) {
-    const Node* initial = diagram.initial();
-    if (initial == nullptr) {
-      throw InterpretError("diagram " + diagram.id() + " has no initial node");
+  sim::Process run_diagram(ModelContext ctx, int index, Scope scope) {
+    const DiagramProgram& diagram =
+        program->diagrams()[static_cast<std::size_t>(index)];
+    if (diagram.initial < 0) {
+      throw InterpretError(diagram.defect);
     }
-    co_await walk(ctx, diagram, *initial, scope, nullptr);
+    co_await walk(ctx, diagram, diagram.initial, scope, nullptr);
   }
 
-  /// Walks from `start` until a Final node (stop == nullptr) or until a
-  /// Join node is reached (its id is written to *stop, and the join node
-  /// is not executed).  Used both for whole diagrams and fork branches.
-  sim::Process walk(ModelContext ctx, const ActivityDiagram& diagram,
-                    const Node& start, Scope scope, std::string* stop) {
-    const Node* node = &start;
+  /// Walks from node `start` until a Final node (stop == nullptr) or
+  /// until a Join node is reached (its index is written to *stop, and the
+  /// join node is not executed).  Used both for whole diagrams and fork
+  /// branches; each walk counts its own steps.
+  sim::Process walk(ModelContext ctx, const DiagramProgram& diagram,
+                    int start, Scope scope, int* stop) {
+    int index = start;
     // Guard against unstructured cycles (the checker warns; the
     // interpreter must not hang).
     std::uint64_t steps = 0;
-    const std::uint64_t limit =
-        1000000ULL + 1000ULL * diagram.node_count();
-    while (node != nullptr) {
-      if (++steps > limit) {
-        throw InterpretError("diagram " + diagram.id() +
+    while (index >= 0) {
+      if (++steps > diagram.step_limit) {
+        throw InterpretError("diagram " + diagram.diagram->id() +
                              ": walk exceeded step limit (unstructured "
                              "cycle without <<loop+>>?)");
       }
-      if (stop != nullptr && node->kind() == NodeKind::Join) {
-        *stop = node->id();
+      const NodePrograms& node =
+          diagram.nodes[static_cast<std::size_t>(index)];
+      if (stop != nullptr && node.op == Operation::Join) {
+        *stop = index;
         co_return;
       }
-      if (node->kind() == NodeKind::Fork) {
+      if (node.op == Operation::Fork) {
         // Run the branches to their common join, then continue from the
         // join's successor.
-        std::string join_id;
-        co_await execute_fork(ctx, diagram, *node, scope, &join_id);
-        const Node* join = diagram.node(join_id);
-        const auto after = diagram.outgoing(join->id());
-        if (after.empty()) {
-          co_return;
+        int join = -1;
+        co_await execute_fork(ctx, diagram, node, scope, &join);
+        const NodePrograms& after =
+            diagram.nodes[static_cast<std::size_t>(join)];
+        if (!after.join_defect.empty()) {
+          throw InterpretError(after.join_defect);
         }
-        if (after.size() > 1) {
-          throw InterpretError("join " + join->id() +
-                               " has multiple outgoing edges");
-        }
-        node = diagram.node(after[0]->target());
+        index = after.next;
         continue;
       }
-      co_await execute_node(ctx, diagram, *node, scope);
-      if (node->kind() == NodeKind::Final) {
+      co_await execute_node(ctx, node, scope);
+      if (node.op == Operation::Final) {
         co_return;
       }
-      node = next_node(ctx, diagram, *node, scope);
+      index = next_node(ctx, node, scope);
     }
   }
 
-  const Node* next_node(const ModelContext& ctx,
-                        const ActivityDiagram& diagram, const Node& node,
-                        const Scope& scope) {
-    const auto outgoing = diagram.outgoing(node.id());
-    if (node.kind() == NodeKind::Decision) {
-      const uml::ControlFlow* chosen = nullptr;
-      const uml::ControlFlow* fallback = nullptr;
-      const int uid = program->at(node).uid;
-      for (const auto* edge : outgoing) {
-        if (edge->is_else()) {
-          if (fallback == nullptr) {
-            fallback = edge;
-          }
-          continue;
-        }
-        const expr::Compiled* guard = program->guard(*edge);
-        if (guard == nullptr) {
-          continue;  // unguarded edge out of a decision: never taken
-        }
-        if (expr::truthy(guard->eval(
-                make_context(scope.frame, ctx.pid, ctx.tid, uid)))) {
-          chosen = edge;
-          break;
-        }
+  int next_node(const ModelContext& ctx, const NodePrograms& node,
+                const Scope& scope) {
+    if (node.op != Operation::Decision) {
+      if (!node.defect.empty()) {
+        throw InterpretError(node.defect);
       }
-      if (chosen == nullptr) {
-        chosen = fallback;
+      return node.next;
+    }
+    for (const auto& branch : node.branches) {
+      // Unguarded and `else` edges carry no guard: never taken here.
+      if (branch.guard != nullptr &&
+          expr::truthy(branch.guard->eval(
+              make_context(scope.frame, ctx.pid, ctx.tid, node.uid)))) {
+        return branch.target;
       }
-      if (chosen == nullptr) {
-        throw InterpretError("decision " + node.id() +
-                             ": no guard holds and no 'else' edge");
-      }
-      return diagram.node(chosen->target());
     }
-    if (outgoing.empty()) {
-      return nullptr;  // dead end; connectivity rule warns about this
+    if (node.fallback < 0) {
+      throw InterpretError(node.defect);
     }
-    if (outgoing.size() > 1) {
-      throw InterpretError("node " + node.id() +
-                           " has multiple unguarded outgoing edges");
-    }
-    return diagram.node(outgoing[0]->target());
+    return node.branches[static_cast<std::size_t>(node.fallback)].target;
   }
 
-  sim::Process execute_node(ModelContext ctx,
-                            [[maybe_unused]] const ActivityDiagram& diagram,
-                            const Node& node, Scope& scope) {
-    switch (node.kind()) {
-      case NodeKind::Initial:
-      case NodeKind::Final:
-      case NodeKind::Merge:
-      case NodeKind::Join:
-      case NodeKind::Decision:
-        co_return;
-      case NodeKind::Fork:
-        co_return;  // handled inline by walk()
-      case NodeKind::Action:
-        co_await execute_action(ctx, node, scope);
-        co_return;
-      case NodeKind::Activity:
-        co_await execute_activity(ctx, node, scope);
-        co_return;
-      case NodeKind::Loop:
-        co_await execute_loop(ctx, node, scope);
-        co_return;
-    }
-  }
-
-  sim::Process execute_fork(ModelContext ctx, const ActivityDiagram& diagram,
-                            const Node& node, Scope& scope,
-                            std::string* join_out) {
-    const auto outgoing = diagram.outgoing(node.id());
-    std::vector<std::string> joins(outgoing.size());
+  sim::Process execute_fork(ModelContext ctx, const DiagramProgram& diagram,
+                            const NodePrograms& node, Scope& scope,
+                            int* join_out) {
+    std::vector<int> joins(node.branches.size(), -1);
     std::vector<sim::ProcessRef> branches;
-    branches.reserve(outgoing.size());
-    for (std::size_t i = 0; i < outgoing.size(); ++i) {
-      const Node* target = diagram.node(outgoing[i]->target());
-      if (target == nullptr) {
-        throw InterpretError("fork " + node.id() + ": dangling edge");
+    branches.reserve(node.branches.size());
+    for (std::size_t i = 0; i < node.branches.size(); ++i) {
+      if (node.branches[i].target < 0) {
+        throw InterpretError(node.defect);
       }
       // Branches share locals (generated code captures them by
       // reference) and snapshot the slot frame.
       branches.push_back(ctx.engine->spawn(
-          walk(ctx, diagram, *target, scope, &joins[i])));
+          walk(ctx, diagram, node.branches[i].target, scope, &joins[i])));
     }
     for (const auto& branch : branches) {
       co_await branch;
     }
-    for (std::size_t i = 1; i < joins.size(); ++i) {
-      if (joins[i] != joins[0]) {
-        throw InterpretError("fork " + node.id() +
-                             ": branches reach different joins ('" +
-                             joins[0] + "' vs '" + joins[i] + "')");
-      }
-    }
-    if (joins.empty() || joins[0].empty()) {
-      throw InterpretError("fork " + node.id() +
-                           ": branches do not reach a join");
+    if (std::string error = lower::fork_join_error(diagram, node, joins);
+        !error.empty()) {
+      throw InterpretError(error);
     }
     *join_out = joins[0];
   }
 
-  sim::Process execute_action(ModelContext ctx, const Node& node,
-                              Scope& scope) {
-    const NodePrograms& programs = program->at(node);
-    run_fragment(programs, node, scope, ctx);
-    const int uid = programs.uid;
-    const std::string& stereotype = node.stereotype();
-    if (stereotype == uml::stereo::kActionPlus || stereotype.empty()) {
-      double cost = 0;
-      if (programs.cost().has_value()) {
-        cost = eval_tag(programs.cost(), uml::tag::kCost, node, uid, scope,
-                        ctx);
-      } else if (auto time = node.tag_number(uml::tag::kTime)) {
-        cost = *time;
-      }
-      workload::ActionPlus element(ctx, node.name());
-      co_await element.execute(uid, ctx.pid, ctx.tid, cost);
-    } else if (stereotype == uml::stereo::kSend) {
-      const int dest = static_cast<int>(eval_tag(
-          programs.dest(), uml::tag::kDest, node, uid, scope, ctx));
-      const double bytes = eval_tag(programs.size(), uml::tag::kSize, node,
-                                    uid, scope, ctx);
-      const int tag = static_cast<int>(
-          node.tag_number(uml::tag::kMsgTag).value_or(0));
-      workload::SendElement element(ctx, node.name());
-      co_await element.execute(uid, ctx.pid, ctx.tid, dest, bytes, tag);
-    } else if (stereotype == uml::stereo::kRecv) {
-      const int source = static_cast<int>(eval_tag(
-          programs.source(), uml::tag::kSource, node, uid, scope, ctx));
-      const double bytes = eval_tag(programs.size(), uml::tag::kSize, node,
-                                    uid, scope, ctx);
-      const int tag = static_cast<int>(
-          node.tag_number(uml::tag::kMsgTag).value_or(0));
-      workload::RecvElement element(ctx, node.name());
-      co_await element.execute(uid, ctx.pid, ctx.tid, source, bytes, tag);
-    } else if (stereotype == uml::stereo::kBarrier) {
-      workload::BarrierElement element(ctx, node.name());
-      co_await element.execute(uid, ctx.pid, ctx.tid);
-    } else if (stereotype == uml::stereo::kBroadcast ||
-               stereotype == uml::stereo::kReduce ||
-               stereotype == uml::stereo::kAllReduce ||
-               stereotype == uml::stereo::kScatter ||
-               stereotype == uml::stereo::kGather) {
-      const double bytes = eval_tag(programs.size(), uml::tag::kSize, node,
-                                    uid, scope, ctx);
-      const int root =
-          node.has_tag(uml::tag::kRoot)
-              ? static_cast<int>(eval_tag(programs.root(), uml::tag::kRoot,
-                                          node, uid, scope, ctx))
-              : 0;
-      workload::CollectiveElement element(ctx, node.name(),
-                                          collective_kind(stereotype));
-      co_await element.execute(uid, ctx.pid, ctx.tid, bytes, root);
-    } else if (stereotype == uml::stereo::kOmpFor) {
-      const double iterations = eval_tag(
-          programs.iterations(), uml::tag::kIterations, node, uid, scope, ctx);
-      const double itercost = eval_tag(
-          programs.itercost(), uml::tag::kIterCost, node, uid, scope, ctx);
-      std::string schedule = node.tag_string(uml::tag::kSchedule);
-      if (schedule.empty()) {
-        schedule = "static";
-      }
-      const auto chunk = static_cast<std::int64_t>(
-          node.tag_number(uml::tag::kChunk).value_or(0));
-      workload::WorkshareElement element(ctx, node.name());
-      co_await element.execute(uid, ctx.pid, ctx.tid, iterations, itercost,
-                               schedule, chunk);
-    } else if (stereotype == uml::stereo::kOmpBarrier) {
-      workload::OmpBarrierElement element(ctx, node.name());
-      co_await element.execute(uid, ctx.pid, ctx.tid);
-    } else {
-      throw InterpretError("node " + node.id() + ": unsupported stereotype <<" +
-                           stereotype + ">> on an action node");
-    }
-  }
-
-  static workload::CollectiveKind collective_kind(
-      const std::string& stereotype) {
-    if (stereotype == uml::stereo::kBroadcast) {
-      return workload::CollectiveKind::Broadcast;
-    }
-    if (stereotype == uml::stereo::kReduce) {
-      return workload::CollectiveKind::Reduce;
-    }
-    if (stereotype == uml::stereo::kAllReduce) {
-      return workload::CollectiveKind::AllReduce;
-    }
-    if (stereotype == uml::stereo::kScatter) {
-      return workload::CollectiveKind::Scatter;
-    }
-    return workload::CollectiveKind::Gather;
-  }
-
-  sim::Process execute_activity(ModelContext ctx, const Node& node,
-                                Scope& scope) {
-    const NodePrograms& programs = program->at(node);
-    run_fragment(programs, node, scope, ctx);
-    const int uid = programs.uid;
-    const ActivityDiagram* sub = model->diagram(node.subdiagram_id());
-    const std::string& stereotype = node.stereotype();
-    if (stereotype == uml::stereo::kOmpParallel) {
-      const int threads =
-          programs.num_threads().has_value()
-              ? static_cast<int>(eval_tag(programs.num_threads(),
-                                          uml::tag::kNumThreads, node, uid,
-                                          scope, ctx))
-              : static_cast<int>(nt);
-      Scope body_scope = scope;  // frame snapshot; shared locals storage
-      co_await workload::parallel_region(
-          ctx, threads, uid, node.name(),
-          [this, sub, body_scope](ModelContext tctx) -> sim::Process {
-            return run_diagram(tctx, *sub, body_scope);
-          });
-    } else if (stereotype == uml::stereo::kOmpCritical) {
-      std::string lock = node.tag_string(uml::tag::kCriticalName);
-      if (lock.empty()) {
-        lock = "default";
-      }
-      workload::CriticalElement element(ctx, node.name(), lock);
-      Scope body_scope = scope;
-      ModelContext body_ctx = ctx;
-      co_await element.execute(uid, ctx.pid, ctx.tid,
-                               [this, sub, body_scope,
-                                body_ctx]() -> sim::Process {
-                                 return run_diagram(body_ctx, *sub,
-                                                    body_scope);
-                               });
-    } else {
-      // <<activity+>> (or unstereotyped composite): run content inline,
-      // recording a region span (ActivityPlus).
-      workload::ActivityPlus element(ctx, node.name());
-      const double started = element.begin(uid);
-      co_await run_diagram(ctx, *sub, scope);
-      element.end(uid, started);
-    }
-  }
-
-  sim::Process execute_loop(ModelContext ctx, const Node& node,
+  sim::Process execute_node(ModelContext ctx, const NodePrograms& node,
                             Scope& scope) {
-    const NodePrograms& programs = program->at(node);
-    run_fragment(programs, node, scope, ctx);
-    const ActivityDiagram* body = model->diagram(node.subdiagram_id());
-    const double raw = eval_tag(programs.iterations(), uml::tag::kIterations,
-                                node, programs.uid, scope, ctx);
+    using lower::TagKind;
+    switch (node.op) {
+      case Operation::Initial:
+      case Operation::Final:
+      case Operation::Merge:
+      case Operation::Decision:
+      case Operation::Fork:  // handled inline by walk()
+      case Operation::Join:
+        co_return;
+      default:
+        break;
+    }
+    run_fragment(node, scope, ctx);
+    const int uid = node.uid;
+    const std::string& name = node.node->name();
+    switch (node.op) {
+      case Operation::Compute: {
+        const double cost = node.cost().has_value()
+                                ? eval_tag(node, TagKind::Cost, scope, ctx)
+                                : node.time.value_or(0.0);
+        workload::ActionPlus element(ctx, name);
+        co_await element.execute(uid, ctx.pid, ctx.tid, cost);
+        co_return;
+      }
+      case Operation::Send: {
+        const int dest =
+            static_cast<int>(eval_tag(node, TagKind::Dest, scope, ctx));
+        const double bytes = eval_tag(node, TagKind::Size, scope, ctx);
+        workload::SendElement element(ctx, name);
+        co_await element.execute(uid, ctx.pid, ctx.tid, dest, bytes,
+                                 node.msgtag);
+        co_return;
+      }
+      case Operation::Recv: {
+        const int source =
+            static_cast<int>(eval_tag(node, TagKind::Source, scope, ctx));
+        const double bytes = eval_tag(node, TagKind::Size, scope, ctx);
+        workload::RecvElement element(ctx, name);
+        co_await element.execute(uid, ctx.pid, ctx.tid, source, bytes,
+                                 node.msgtag);
+        co_return;
+      }
+      case Operation::Barrier: {
+        workload::BarrierElement element(ctx, name);
+        co_await element.execute(uid, ctx.pid, ctx.tid);
+        co_return;
+      }
+      case Operation::Collective: {
+        const double bytes = eval_tag(node, TagKind::Size, scope, ctx);
+        const int root =
+            static_cast<int>(eval_tag(node, TagKind::Root, scope, ctx));
+        workload::CollectiveElement element(ctx, name, node.collective);
+        co_await element.execute(uid, ctx.pid, ctx.tid, bytes, root);
+        co_return;
+      }
+      case Operation::OmpFor: {
+        const double iterations =
+            eval_tag(node, TagKind::Iterations, scope, ctx);
+        const double itercost = eval_tag(node, TagKind::IterCost, scope, ctx);
+        workload::WorkshareElement element(ctx, name);
+        co_await element.execute(uid, ctx.pid, ctx.tid, iterations, itercost,
+                                 node.schedule, node.chunk);
+        co_return;
+      }
+      case Operation::OmpBarrier: {
+        workload::OmpBarrierElement element(ctx, name);
+        co_await element.execute(uid, ctx.pid, ctx.tid);
+        co_return;
+      }
+      case Operation::Region: {
+        const int threads =
+            node.num_threads().has_value()
+                ? static_cast<int>(
+                      eval_tag(node, TagKind::NumThreads, scope, ctx))
+                : static_cast<int>(nt);
+        Scope body_scope = scope;  // frame snapshot; shared locals storage
+        const int body = node.body;
+        co_await workload::parallel_region(
+            ctx, threads, uid, name,
+            [this, body, body_scope](ModelContext tctx) -> sim::Process {
+              return run_diagram(tctx, body, body_scope);
+            });
+        co_return;
+      }
+      case Operation::Critical: {
+        workload::CriticalElement element(ctx, name, node.lock);
+        Scope body_scope = scope;
+        ModelContext body_ctx = ctx;
+        const int body = node.body;
+        co_await element.execute(
+            uid, ctx.pid, ctx.tid,
+            [this, body, body_scope, body_ctx]() -> sim::Process {
+              return run_diagram(body_ctx, body, body_scope);
+            });
+        co_return;
+      }
+      case Operation::Inline: {
+        // <<activity+>> (or unstereotyped composite): run content inline,
+        // recording a region span (ActivityPlus).
+        workload::ActivityPlus element(ctx, name);
+        const double started = element.begin(uid);
+        co_await run_diagram(ctx, node.body, scope);
+        element.end(uid, started);
+        co_return;
+      }
+      case Operation::Loop:
+        co_await execute_loop(ctx, node, scope);
+        co_return;
+      default:  // Operation::Unsupported
+        throw InterpretError(node.defect);
+    }
+  }
+
+  sim::Process execute_loop(ModelContext ctx, const NodePrograms& node,
+                            Scope& scope) {
+    const double raw = eval_tag(node, lower::TagKind::Iterations, scope, ctx);
     if (std::isnan(raw) || raw < 0) {
-      throw InterpretError("loop " + node.id() +
+      throw InterpretError("loop " + node.node->id() +
                            ": iteration count is negative or NaN");
     }
     const auto iterations = static_cast<std::int64_t>(raw);
@@ -527,7 +446,7 @@ struct Interpreter::Impl final : expr::UserFunctions {
     // name and is dropped with the snapshot when the loop exits.
     double loop_value = 0;
     Scope iteration_scope = scope;
-    iteration_scope.frame[programs.loop_var_slot] = &loop_value;
+    iteration_scope.frame[node.loop_var_slot] = &loop_value;
     for (std::int64_t k = 0; k < iterations; ++k) {
       // Charge every trip: a zero-cost body never yields to the engine
       // (hold(0) is ready immediately), so without this charge a spin
@@ -536,34 +455,16 @@ struct Interpreter::Impl final : expr::UserFunctions {
         budget->charge_loop_trips(1, "interp-loop");
       }
       loop_value = static_cast<double>(k);
-      co_await run_diagram(ctx, *body, iteration_scope);
+      co_await run_diagram(ctx, node.body, iteration_scope);
     }
   }
 };
 
-std::shared_ptr<const Interpreter::Program> Interpreter::compile(
-    const uml::Model& model) {
-  try {
-    return lower::lower(model);
-  } catch (const lower::LowerError& error) {
-    throw InterpretError(error.what());
-  }
-}
-
-std::shared_ptr<const Interpreter::Program> Interpreter::compile(
-    uml::Model&& model) {
-  try {
-    return lower::lower(std::move(model));
-  } catch (const lower::LowerError& error) {
-    throw InterpretError(error.what());
-  }
-}
-
 Interpreter::Interpreter(const uml::Model& model)
-    : impl_(std::make_unique<Impl>(compile(model))) {}
+    : impl_(std::make_unique<Impl>(lower_model(model))) {}
 
 Interpreter::Interpreter(uml::Model&& model)
-    : impl_(std::make_unique<Impl>(compile(std::move(model)))) {}
+    : impl_(std::make_unique<Impl>(lower_model(std::move(model)))) {}
 
 Interpreter::Interpreter(std::shared_ptr<const Program> program) {
   if (program == nullptr) {

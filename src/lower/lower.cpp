@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "prophet/expr/eval.hpp"
@@ -100,7 +101,201 @@ expr::ExprPtr parse_checked(const std::string& text,
   }
 }
 
+/// The action-stereotype -> operation table: the one place a stereotype
+/// string is decoded into what an action does.
+struct ActionRow {
+  std::string_view stereotype;
+  Operation op;
+  workload::CollectiveKind collective = workload::CollectiveKind::Broadcast;
+};
+
+constexpr ActionRow kActionTable[] = {
+    {uml::stereo::kActionPlus, Operation::Compute},
+    {"", Operation::Compute},
+    {uml::stereo::kSend, Operation::Send},
+    {uml::stereo::kRecv, Operation::Recv},
+    {uml::stereo::kBarrier, Operation::Barrier},
+    {uml::stereo::kBroadcast, Operation::Collective,
+     workload::CollectiveKind::Broadcast},
+    {uml::stereo::kReduce, Operation::Collective,
+     workload::CollectiveKind::Reduce},
+    {uml::stereo::kAllReduce, Operation::Collective,
+     workload::CollectiveKind::AllReduce},
+    {uml::stereo::kScatter, Operation::Collective,
+     workload::CollectiveKind::Scatter},
+    {uml::stereo::kGather, Operation::Collective,
+     workload::CollectiveKind::Gather},
+    {uml::stereo::kOmpFor, Operation::OmpFor},
+    {uml::stereo::kOmpBarrier, Operation::OmpBarrier},
+};
+
+/// The operation of each node kind whose stereotype does not matter.
+constexpr std::pair<NodeKind, Operation> kKindTable[] = {
+    {NodeKind::Initial, Operation::Initial},
+    {NodeKind::Final, Operation::Final},
+    {NodeKind::Merge, Operation::Merge},
+    {NodeKind::Decision, Operation::Decision},
+    {NodeKind::Fork, Operation::Fork},
+    {NodeKind::Join, Operation::Join},
+    {NodeKind::Loop, Operation::Loop},
+};
+
+/// Decodes what `node` does from its kind and stereotype, and reads the
+/// constant tags that operation uses, with their defaults.
+void decode_operation(const Node& node, NodePrograms& out) {
+  for (const auto& [kind, op] : kKindTable) {
+    if (kind == node.kind()) {
+      out.op = op;
+      return;
+    }
+  }
+  const std::string& stereotype = node.stereotype();
+  if (node.kind() == NodeKind::Activity) {
+    if (stereotype == uml::stereo::kOmpParallel) {
+      out.op = Operation::Region;
+    } else if (stereotype == uml::stereo::kOmpCritical) {
+      out.op = Operation::Critical;
+      out.lock = node.tag_string(uml::tag::kCriticalName);
+      if (out.lock.empty()) {
+        out.lock = "default";
+      }
+    } else {
+      out.op = Operation::Inline;  // <<activity+>> or unstereotyped
+    }
+    return;
+  }
+  out.op = Operation::Unsupported;  // an action, until a row matches
+  for (const auto& row : kActionTable) {
+    if (row.stereotype == stereotype) {
+      out.op = row.op;
+      out.collective = row.collective;
+      break;
+    }
+  }
+  switch (out.op) {
+    case Operation::Compute:
+      out.time = node.tag_number(uml::tag::kTime);
+      break;
+    case Operation::Send:
+    case Operation::Recv:
+      out.msgtag =
+          static_cast<int>(node.tag_number(uml::tag::kMsgTag).value_or(0));
+      break;
+    case Operation::OmpFor:
+      out.schedule = node.tag_string(uml::tag::kSchedule);
+      if (out.schedule.empty()) {
+        out.schedule = "static";
+      }
+      out.chunk = static_cast<std::int64_t>(
+          node.tag_number(uml::tag::kChunk).value_or(0));
+      break;
+    case Operation::Unsupported:
+      out.defect = "node " + node.id() + ": unsupported stereotype <<" +
+                   stereotype + ">> on an action node";
+      break;
+    default:
+      break;
+  }
+}
+
+/// Resolves the successors of every node of `diagram` into `flow` from
+/// one pass over its edges: the single next node, or a decision's or
+/// fork's branches in edge order.
+void resolve_successors(
+    const uml::ActivityDiagram& diagram,
+    const std::map<const uml::ControlFlow*, expr::Compiled>& guards,
+    DiagramProgram& flow) {
+  const auto& nodes = diagram.nodes();
+  // Node ids resolve to the first node carrying them, like
+  // ActivityDiagram::node().
+  std::unordered_map<std::string_view, int> index;
+  index.reserve(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    index.emplace(nodes[i]->id(), static_cast<int>(i));
+  }
+  const auto index_of = [&index](std::string_view id) {
+    const auto it = index.find(id);
+    return it == index.end() ? -1 : it->second;
+  };
+  std::vector<std::vector<const uml::ControlFlow*>> outgoing(nodes.size());
+  for (const auto& edge : diagram.edges()) {
+    if (const int source = index_of(edge->source()); source >= 0) {
+      outgoing[static_cast<std::size_t>(source)].push_back(edge.get());
+    }
+  }
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const Node& node = *nodes[i];
+    NodePrograms& out = flow.nodes[i];
+    const auto& edges =
+        outgoing[static_cast<std::size_t>(index_of(node.id()))];
+    if (out.op == Operation::Decision || out.op == Operation::Fork) {
+      out.branches.reserve(edges.size());
+      for (const uml::ControlFlow* edge : edges) {
+        Branch& branch = out.branches.emplace_back();
+        branch.edge = edge;
+        branch.target = index_of(edge->target());
+        if (const auto guard = guards.find(edge); guard != guards.end()) {
+          branch.guard = &guard->second;
+        }
+        branch.is_else = edge->is_else();
+        branch.prob = edge->tag_number(uml::tag::kProb);
+        out.probabilistic = out.probabilistic || branch.prob.has_value();
+        if (branch.is_else && out.fallback < 0) {
+          out.fallback = static_cast<int>(out.branches.size() - 1);
+        }
+        if (out.op == Operation::Fork && branch.target < 0) {
+          out.defect = "fork " + node.id() + ": dangling edge";
+        }
+      }
+      if (out.op == Operation::Decision && out.fallback < 0) {
+        out.defect = "decision " + node.id() +
+                     ": no guard holds and no 'else' edge";
+      }
+      continue;
+    }
+    if (edges.size() == 1) {
+      out.next = index_of(edges[0]->target());
+    } else if (edges.size() > 1 && out.op != Operation::Unsupported) {
+      out.defect =
+          "node " + node.id() + " has multiple unguarded outgoing edges";
+      if (out.op == Operation::Join) {
+        out.join_defect = "join " + node.id() + " has multiple outgoing edges";
+      }
+    }
+  }
+}
+
 }  // namespace
+
+std::string fork_join_error(const DiagramProgram& diagram,
+                            const NodePrograms& fork,
+                            std::span<const int> joins) {
+  const auto id = [&diagram](int join) -> std::string {
+    return join < 0 ? std::string()
+                    : diagram.nodes[static_cast<std::size_t>(join)].node->id();
+  };
+  for (std::size_t i = 1; i < joins.size(); ++i) {
+    if (joins[i] != joins[0]) {
+      return "fork " + fork.node->id() + ": branches reach different joins ('" +
+             id(joins[0]) + "' vs '" + id(joins[i]) + "')";
+    }
+  }
+  if (joins.empty() || joins[0] < 0) {
+    return "fork " + fork.node->id() + ": branches do not reach a join";
+  }
+  return {};
+}
+
+std::string_view stereotype_name(Operation op,
+                                 workload::CollectiveKind collective) {
+  for (const auto& row : kActionTable) {
+    if (row.op == op &&
+        (op != Operation::Collective || row.collective == collective)) {
+      return row.stereotype;
+    }
+  }
+  return {};
+}
 
 std::optional<TagKind> tag_kind(std::string_view name) {
   for (const auto& row : kTagTable) {
@@ -276,7 +471,7 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     compiled.name = parsed.decl->name;
     compiled.slot = *base.slot_of(parsed.decl->name);
     compiled.scope = parsed.decl->scope;
-    compiled.type = parsed.decl->type;
+    compiled.coerce_int = parsed.decl->type == uml::VariableType::Integer;
     if (parsed.initializer != nullptr) {
       compiled.initializer = compile_timed(*parsed.initializer, node_table_);
     }
@@ -296,9 +491,12 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
   for (auto& [edge, guard] : parsed_guards) {
     guards_.emplace(edge, compile_timed(*guard, node_table_));
   }
+  diagrams_.reserve(m.diagrams().size());
   for (const auto& diagram : m.diagrams()) {
+    DiagramProgram& flow = diagrams_.emplace_back();
+    flow.nodes.reserve(diagram->node_count());
     for (const auto& node : diagram->nodes()) {
-      NodePrograms programs;
+      NodePrograms& programs = flow.nodes.emplace_back();
       programs.uid = uids_.at(node->id());
       if (node->kind() == NodeKind::Loop) {
         programs.loop_var_slot = *base.slot_of(loop_var_name(*node));
@@ -342,8 +540,43 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
           programs.fragment.push_back(std::move(compiled));
         }
       }
-      nodes_.emplace(node.get(), std::move(programs));
     }
+  }
+
+  // ---- Phase 4: control flow.  Each node's operation, constant tags,
+  // body diagram and successors, and each diagram's entry and step
+  // limit, resolved once so no engine decodes the UML model.  Diagram
+  // ids resolve to the first diagram carrying them, like
+  // Model::diagram().
+  std::unordered_map<std::string_view, int> diagram_index;
+  diagram_index.reserve(m.diagrams().size());
+  for (std::size_t d = 0; d < m.diagrams().size(); ++d) {
+    diagram_index.emplace(m.diagrams()[d]->id(), static_cast<int>(d));
+  }
+  entry_ = diagram_index.at(m.main_diagram_id());
+  for (std::size_t d = 0; d < m.diagrams().size(); ++d) {
+    const uml::ActivityDiagram& diagram = *m.diagrams()[d];
+    DiagramProgram& flow = diagrams_[d];
+    flow.diagram = &diagram;
+    flow.step_limit = 1000000ULL + 1000ULL * diagram.node_count();
+    const auto& nodes = diagram.nodes();
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const Node& node = *nodes[i];
+      NodePrograms& programs = flow.nodes[i];
+      programs.node = &node;
+      decode_operation(node, programs);
+      if (node.kind() == NodeKind::Activity || node.kind() == NodeKind::Loop) {
+        programs.body = diagram_index.at(node.subdiagram_id());
+      }
+      if (flow.initial < 0 && node.kind() == NodeKind::Initial) {
+        flow.initial = static_cast<int>(i);
+      }
+      nodes_.emplace(&node, &programs);
+    }
+    if (flow.initial < 0) {
+      flow.defect = "diagram " + diagram.id() + " has no initial node";
+    }
+    resolve_successors(diagram, guards_, flow);
   }
 
   stats_.nodes = nodes_.size();
@@ -359,12 +592,6 @@ std::optional<int> ModelProgram::function_id(std::string_view name) const {
     return std::nullopt;
   }
   return it->second;
-}
-
-const expr::Compiled* ModelProgram::guard(
-    const uml::ControlFlow& edge) const {
-  const auto it = guards_.find(&edge);
-  return it == guards_.end() ? nullptr : &it->second;
 }
 
 int ModelProgram::uid_of(const std::string& node_id) const {

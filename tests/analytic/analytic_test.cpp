@@ -114,6 +114,17 @@ TEST(AnalyticEstimator, PingPongReplaysMessageTimeline) {
               transfer, transfer * 1e-6);
 }
 
+TEST(AnalyticEstimator, LongPingPongMatchesTheSimulator) {
+  // 200,000 rounds walk the loop body 200,000 times.  The step limit
+  // counts one diagram walk, as the simulator's does, so the analytic
+  // walk runs to the end and replays the simulator's timeline exactly.
+  const uml::Model model = prophet::models::pingpong_model(1024, 200000);
+  const auto params = params_np(2);
+  const auto simulated = analytic::SimulationBackend().estimate(model, params);
+  EXPECT_EQ(analytic::AnalyticEstimator(model).evaluate(params).predicted_time,
+            simulated.predicted_time);
+}
+
 TEST(AnalyticEstimator, ProbabilisticDecisionTakesExpectation) {
   uml::ModelBuilder mb("Prob");
   uml::DiagramBuilder main = mb.diagram("main");

@@ -63,13 +63,6 @@ TEST(TagKind, NamedAccessorsAliasTheTagArray) {
     for (const auto& node : diagram->nodes()) {
       const lower::NodePrograms& programs = program->at(*node);
       EXPECT_EQ(&programs.cost(), &programs.tag(lower::TagKind::Cost));
-      EXPECT_EQ(&programs.dest(), &programs.tag(lower::TagKind::Dest));
-      EXPECT_EQ(&programs.source(), &programs.tag(lower::TagKind::Source));
-      EXPECT_EQ(&programs.size(), &programs.tag(lower::TagKind::Size));
-      EXPECT_EQ(&programs.root(), &programs.tag(lower::TagKind::Root));
-      EXPECT_EQ(&programs.iterations(),
-                &programs.tag(lower::TagKind::Iterations));
-      EXPECT_EQ(&programs.itercost(), &programs.tag(lower::TagKind::IterCost));
       EXPECT_EQ(&programs.num_threads(),
                 &programs.tag(lower::TagKind::NumThreads));
     }
@@ -78,21 +71,188 @@ TEST(TagKind, NamedAccessorsAliasTheTagArray) {
 
 // --- ModelProgram structure --------------------------------------------------
 
-TEST(ModelProgram, CoversEveryNodeOfEveryDiagram) {
-  const uml::Model model = models::sample_model();
+/// The operation a node's kind and stereotype name, spelled out here
+/// independently of lower.cpp's decoding table.
+lower::Operation expected_operation(const uml::Node& node) {
+  using lower::Operation;
+  const std::string& stereotype = node.stereotype();
+  switch (node.kind()) {
+    case uml::NodeKind::Initial:
+      return Operation::Initial;
+    case uml::NodeKind::Final:
+      return Operation::Final;
+    case uml::NodeKind::Merge:
+      return Operation::Merge;
+    case uml::NodeKind::Decision:
+      return Operation::Decision;
+    case uml::NodeKind::Fork:
+      return Operation::Fork;
+    case uml::NodeKind::Join:
+      return Operation::Join;
+    case uml::NodeKind::Loop:
+      return Operation::Loop;
+    case uml::NodeKind::Activity:
+      if (stereotype == "ompparallel") {
+        return Operation::Region;
+      }
+      return stereotype == "ompcritical" ? Operation::Critical
+                                         : Operation::Inline;
+    case uml::NodeKind::Action:
+      break;
+  }
+  if (stereotype.empty() || stereotype == "action+") {
+    return Operation::Compute;
+  }
+  if (stereotype == "send") {
+    return Operation::Send;
+  }
+  if (stereotype == "recv") {
+    return Operation::Recv;
+  }
+  if (stereotype == "barrier") {
+    return Operation::Barrier;
+  }
+  if (stereotype == "broadcast" || stereotype == "reduce" ||
+      stereotype == "allreduce" || stereotype == "scatter" ||
+      stereotype == "gather") {
+    return Operation::Collective;
+  }
+  if (stereotype == "ompfor") {
+    return Operation::OmpFor;
+  }
+  return stereotype == "ompbarrier" ? Operation::OmpBarrier
+                                    : Operation::Unsupported;
+}
+
+/// Checks the lowered control-flow table of `model` against the UML
+/// model it was lowered from: one entry per node in diagram order, each
+/// node's operation, body diagram and successors (in outgoing() order),
+/// each diagram's initial node and step limit.
+void expect_lowered_table(const std::string& name, const uml::Model& model) {
   const auto program = lower::lower(model);
-  EXPECT_EQ(&program->model(), &model);
-  std::size_t nodes = 0;
-  for (const auto& diagram : model.diagrams()) {
-    for (const auto& node : diagram->nodes()) {
-      EXPECT_GT(program->at(*node).uid, 0);
-      ++nodes;
+  EXPECT_EQ(&program->model(), &model) << name;
+  ASSERT_EQ(program->diagrams().size(), model.diagrams().size()) << name;
+  EXPECT_EQ(program->diagrams()[static_cast<std::size_t>(program->entry())]
+                .diagram,
+            model.main_diagram())
+      << name;
+  std::size_t count = 0;
+  for (std::size_t d = 0; d < model.diagrams().size(); ++d) {
+    const uml::ActivityDiagram& diagram = *model.diagrams()[d];
+    const lower::DiagramProgram& flow = program->diagrams()[d];
+    EXPECT_EQ(flow.diagram, &diagram) << name;
+    EXPECT_EQ(flow.step_limit, 1000000u + 1000u * diagram.node_count())
+        << name;
+    ASSERT_EQ(flow.nodes.size(), diagram.node_count()) << name;
+    ASSERT_GE(flow.initial, 0) << name << " " << diagram.id();
+    EXPECT_EQ(flow.nodes[static_cast<std::size_t>(flow.initial)].node,
+              diagram.initial())
+        << name;
+    // A successor index names the node the edge's target id names.
+    const auto node_at = [&flow](int index) -> const uml::Node* {
+      return index < 0 ? nullptr
+                       : flow.nodes[static_cast<std::size_t>(index)].node;
+    };
+    for (std::size_t i = 0; i < flow.nodes.size(); ++i) {
+      const uml::Node& node = *diagram.nodes()[i];
+      const lower::NodePrograms& lowered = flow.nodes[i];
+      const std::string where = name + " node " + node.id();
+      EXPECT_EQ(lowered.node, &node) << where;
+      EXPECT_EQ(&program->at(node), &lowered) << where;
+      EXPECT_GT(lowered.uid, 0) << where;
+      EXPECT_EQ(lowered.op, expected_operation(node)) << where;
+      EXPECT_NE(lowered.op, lower::Operation::Unsupported) << where;
+      if (lowered.op == lower::Operation::Collective) {
+        EXPECT_EQ(prophet::workload::to_string(lowered.collective),
+                  node.stereotype())
+            << where;
+      }
+      if (node.kind() == uml::NodeKind::Activity ||
+          node.kind() == uml::NodeKind::Loop) {
+        ASSERT_GE(lowered.body, 0) << where;
+        EXPECT_EQ(program->diagrams()[static_cast<std::size_t>(lowered.body)]
+                      .diagram,
+                  model.diagram(node.subdiagram_id()))
+            << where;
+      } else {
+        EXPECT_EQ(lowered.body, -1) << where;
+      }
+      EXPECT_TRUE(lowered.defect.empty()) << where << ": " << lowered.defect;
+      const auto outgoing = diagram.outgoing(node.id());
+      if (lowered.op == lower::Operation::Decision ||
+          lowered.op == lower::Operation::Fork) {
+        ASSERT_EQ(lowered.branches.size(), outgoing.size()) << where;
+        int first_else = -1;
+        for (std::size_t k = 0; k < outgoing.size(); ++k) {
+          const lower::Branch& branch = lowered.branches[k];
+          EXPECT_EQ(branch.edge, outgoing[k]) << where;
+          EXPECT_EQ(node_at(branch.target),
+                    diagram.node(outgoing[k]->target()))
+              << where;
+          EXPECT_EQ(branch.guard != nullptr,
+                    outgoing[k]->has_guard() && !outgoing[k]->is_else())
+              << where;
+          EXPECT_EQ(branch.is_else, outgoing[k]->is_else()) << where;
+          if (outgoing[k]->is_else() && first_else < 0) {
+            first_else = static_cast<int>(k);
+          }
+        }
+        if (lowered.op == lower::Operation::Decision) {
+          EXPECT_EQ(lowered.fallback, first_else) << where;
+        }
+      } else {
+        ASSERT_LE(outgoing.size(), 1u) << where;
+        EXPECT_EQ(node_at(lowered.next),
+                  outgoing.empty() ? nullptr
+                                   : diagram.node(outgoing[0]->target()))
+            << where;
+        EXPECT_TRUE(lowered.branches.empty()) << where;
+      }
+      ++count;
     }
   }
-  EXPECT_EQ(program->stats().nodes, nodes);
+  EXPECT_EQ(program->stats().nodes, count) << name;
   // np/nt/nn/ppn occupy the first slots of every model's slot space.
-  EXPECT_GE(program->slot_count(), 4u);
-  EXPECT_EQ(program->stats().slots, program->slot_count());
+  EXPECT_GE(program->slot_count(), 4u) << name;
+  EXPECT_EQ(program->stats().slots, program->slot_count()) << name;
+}
+
+TEST(ModelProgram, CoversEveryNodeOfEveryDiagram) {
+  for (const auto& entry : models::Registry::builtin().entries()) {
+    expect_lowered_table("@" + entry.name, entry.make());
+  }
+  expect_lowered_table("sample", models::sample_model());
+
+  // A decision's guarded edges keep edge order around interleaved
+  // `else` edges; the first `else` edge is the fallback.
+  uml::ModelBuilder mb("Guards");
+  mb.global("X", uml::VariableType::Real, "2");
+  uml::DiagramBuilder d = mb.diagram("main");
+  const uml::NodeRef init = d.initial();
+  const uml::NodeRef decision = d.decision("D");
+  const uml::NodeRef merge = d.merge("M");
+  const uml::NodeRef fin = d.final_node();
+  std::vector<uml::NodeRef> arms;
+  for (int k = 0; k < 4; ++k) {
+    arms.push_back(d.action("A" + std::to_string(k)).cost("1"));
+    d.flow(arms.back(), merge);
+  }
+  d.flow(init, decision);
+  d.flow(decision, arms[0], "X > 3");
+  d.flow(decision, arms[1], "else");
+  d.flow(decision, arms[2], "X > 1");
+  d.flow(decision, arms[3], "else");
+  d.flow(merge, fin);
+  const uml::Model guards = std::move(mb).build_unchecked();
+  expect_lowered_table("guards", guards);
+  const auto program = lower::lower(guards);
+  const lower::NodePrograms& lowered = program->at(decision.node());
+  ASSERT_EQ(lowered.branches.size(), 4u);
+  EXPECT_NE(lowered.branches[0].guard, nullptr);
+  EXPECT_EQ(lowered.branches[1].guard, nullptr);
+  EXPECT_NE(lowered.branches[2].guard, nullptr);
+  EXPECT_EQ(lowered.branches[3].guard, nullptr);
+  EXPECT_EQ(lowered.fallback, 1);
 }
 
 TEST(ModelProgram, ForeignNodeIsRejected) {
@@ -211,7 +371,8 @@ TEST(SharedLowering, EstimatorConstructedFromSharedLoweringMatchesDirect) {
   const auto params = params_np(4, 2, 2);
   EXPECT_EQ(from_program.evaluate(params).predicted_time,
             from_model.evaluate(params).predicted_time);
-  EXPECT_EQ(from_program.expr_program_count(), from_model.expr_program_count());
+  EXPECT_EQ(from_program.lowering()->stats().expr_programs,
+            from_model.lowering()->stats().expr_programs);
 }
 
 TEST(SharedLowering, NullProgramsAreRejected) {

@@ -277,6 +277,27 @@ TEST(BatchGuards, CodegenRunawayTripsWallClockNotHang) {
   EXPECT_EQ(stats.timed_out, 1u);
 }
 
+TEST(BatchGuards, AnalyticRunawayTripsWallClock) {
+  // The analytic step limit counts one diagram walk, as in the other
+  // engines, so a loop whose body cannot collapse is stopped by the
+  // per-job wall clock — not by a step count summed over every trip.
+  BatchOptions options;
+  options.threads = 1;
+  options.backend = BackendKind::Analytic;
+  options.job_timeout_seconds = 0.3;
+  BatchRunner runner(options);
+  const int spin = runner.add_model("spin", prophet::models::spin_model(1e12));
+  runner.add_sweep(spin, ScenarioGrid::parse("np=1", {}));
+
+  const BatchReport report = runner.run();
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_FALSE(report.results[0].ok);
+  EXPECT_EQ(report.results[0].tripped_limit, "wall_clock")
+      << report.results[0].error;
+  EXPECT_EQ(report.results[0].error.rfind("analytic: ", 0), 0u)
+      << report.results[0].error;
+}
+
 TEST(BatchFaults, CgenCompileFaultFailsOneModelNotTheBatch) {
   // A failing toolchain invocation is a per-model, stage-prefixed job
   // error; later models still compile and evaluate.  A fresh cache
