@@ -1,9 +1,11 @@
-// Concrete estimation backends + factory.
+// The in-process estimation backends.
 //
 // SimulationBackend wraps the paper's pipeline (UML interpreter +
 // SimulationManager); AnalyticBackend wraps the AnalyticEstimator.  Both
-// implement estimator::Backend, so the batch pipeline and prophetc select
-// the evaluation engine with one knob (`--backend=sim|analytic|both`).
+// implement estimator::Backend, so the batch pipeline and prophetc
+// select the evaluation engines with one knob (`--backend`, a set of
+// engines — see estimator::BackendKind).  The factory over every single
+// engine, codegen included, is cgen::make_backend.
 #pragma once
 
 #include <memory>
@@ -20,7 +22,6 @@ namespace prophet::analytic {
 class SimulationBackend final : public estimator::Backend {
  public:
   using estimator::Backend::prepare;
-  [[nodiscard]] std::string_view name() const override { return "sim"; }
   [[nodiscard]] std::unique_ptr<estimator::PreparedModel> prepare(
       lower::ModelProgramPtr program) const override;
 };
@@ -32,15 +33,8 @@ class SimulationBackend final : public estimator::Backend {
 class AnalyticBackend final : public estimator::Backend {
  public:
   using estimator::Backend::prepare;
-  [[nodiscard]] std::string_view name() const override { return "analytic"; }
   [[nodiscard]] std::unique_ptr<estimator::PreparedModel> prepare(
       lower::ModelProgramPtr program) const override;
 };
-
-/// Creates the backend for `kind`.  Throws std::invalid_argument for
-/// BackendKind::Both — "both" is a cross-validation selection handled by
-/// callers (run each backend, compare), not an engine.
-[[nodiscard]] std::unique_ptr<estimator::Backend> make_backend(
-    estimator::BackendKind kind);
 
 }  // namespace prophet::analytic

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <memory>
-#include <string_view>
 
 #include "prophet/cgen/toolchain.hpp"
 #include "prophet/estimator/backend.hpp"
@@ -42,10 +41,6 @@ class CodegenPrepared final : public estimator::PreparedModel {
 
   CodegenPrepared(const CodegenPrepared&) = delete;
   CodegenPrepared& operator=(const CodegenPrepared&) = delete;
-
-  [[nodiscard]] std::string_view backend_name() const override {
-    return "codegen";
-  }
 
   [[nodiscard]] estimator::PredictionReport estimate(
       const machine::SystemParameters& params,
@@ -80,8 +75,6 @@ class CodegenBackend final : public estimator::Backend {
   explicit CodegenBackend(CodegenOptions options)
       : options_(std::move(options)) {}
 
-  [[nodiscard]] std::string_view name() const override { return "codegen"; }
-
   [[nodiscard]] std::unique_ptr<estimator::PreparedModel> prepare(
       lower::ModelProgramPtr program) const override;
 
@@ -89,11 +82,10 @@ class CodegenBackend final : public estimator::Backend {
   CodegenOptions options_;
 };
 
-/// Factory over every single-engine kind: Simulation and Analytic
-/// delegate to analytic::make_backend, Codegen constructs a
-/// CodegenBackend with `options`.  Cross-validating kinds throw
-/// std::invalid_argument (they select several backends, not one).
+/// The backend of one engine: a SimulationBackend, an AnalyticBackend,
+/// or a CodegenBackend with `options`.  A selection of several engines
+/// throws std::invalid_argument — walk estimator::engines() instead.
 [[nodiscard]] std::unique_ptr<estimator::Backend> make_backend(
-    estimator::BackendKind kind, CodegenOptions options = {});
+    estimator::BackendKind engine, CodegenOptions options = {});
 
 }  // namespace prophet::cgen

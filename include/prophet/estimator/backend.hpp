@@ -4,18 +4,20 @@
 // discrete-event simulation (SimulationManager).  Related work (Sbeity et
 // al.; André et al.) derives closed-form stochastic/analytic predictions
 // from the same UML annotations instead.  The Backend interface makes the
-// evaluation engine a pluggable choice: the simulation path and the
-// analytic estimator (prophet/analytic) both implement it, and the batch
-// pipeline / prophetc thread the selection through as
-// `--backend=sim|analytic|both`, where `both` cross-validates the analytic
-// model against the simulator per scenario.
+// evaluation engine a pluggable choice: the simulator, the analytic
+// estimator (prophet/analytic) and the generated-code evaluator
+// (prophet/cgen) all implement it.  A BackendKind is a set of engines:
+// engines() lists a selection reference first, and relative_error() is
+// how a candidate is compared with the reference — the one rule the
+// batch pipeline and prophetc share.  The CLI spells a selection as
+// `--backend`, any `+`-join of sim, analytic and codegen (or both, all).
 //
-// Concrete backends and the factory live in prophet/analytic/backend.hpp
+// Concrete backends live in prophet/analytic/backend.hpp and
+// prophet/cgen/backend.hpp, which also holds the single-engine factory
 // (the estimator module cannot depend on the UML interpreter that the
 // simulation path needs without a dependency cycle).
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <optional>
 #include <span>
@@ -27,83 +29,43 @@
 
 namespace prophet::estimator {
 
-/// Which evaluation engine(s) to run.  The first three are single
-/// engines; the rest are *selections*, not backends: they run two or
-/// three engines per scenario, take one as the reference, and report the
-/// worst candidate-vs-reference relative error (cross-validation).
-enum class BackendKind {
-  Simulation,       ///< The paper's discrete-event simulation path.
-  Analytic,         ///< The closed-form analytic estimator.
-  Codegen,          ///< Native code generated from the shared lowering.
-  Both,             ///< sim (reference) + analytic.
-  SimCodegen,       ///< sim (reference) + codegen.
-  AnalyticCodegen,  ///< codegen (reference) + analytic.
-  All,              ///< sim (reference) + analytic + codegen.
+/// Which evaluation engines to run: a set with one bit per engine.  The
+/// unions are named because perfbench, the examples and the CLI spell
+/// them.  A selection of more than one engine cross-validates: it takes
+/// one engine as the reference (engines() lists it first) and reports
+/// the worst candidate-vs-reference relative_error().
+enum class BackendKind : unsigned {
+  Simulation = 1,  ///< The paper's discrete-event simulation path.
+  Analytic = 2,    ///< The closed-form analytic estimator.
+  Codegen = 4,     ///< Native code generated from the shared lowering.
+  Both = Simulation | Analytic,           ///< sim + analytic.
+  SimCodegen = Simulation | Codegen,      ///< sim + codegen.
+  AnalyticCodegen = Analytic | Codegen,   ///< analytic + codegen.
+  All = Simulation | Analytic | Codegen,  ///< Every engine.
 };
 
-/// The set of engines a BackendKind selects, plus which one serves as the
-/// cross-validation reference.  This is the single N>2-safe enumeration
-/// every backend-iterating code path (pipeline, prophetc, CI) consumes —
-/// adding an engine means extending this struct, not every switch.
-struct BackendSet {
-  bool sim = false;       ///< run the discrete-event simulator
-  bool analytic = false;  ///< run the analytic estimator
-  bool codegen = false;   ///< run the generated-code evaluator
+/// The single engines `selection` runs, reference first: the simulator
+/// when selected, else codegen (bit-identical simulation semantics), else
+/// the analytic estimator.  The candidates follow in sim -> analytic ->
+/// codegen order.  Everything that prepares, evaluates or reports engines
+/// walks this list.  A view of static storage; empty for a value that
+/// selects no engine.
+[[nodiscard]] std::span<const BackendKind> engines(BackendKind selection);
 
-  /// Number of selected engines.
-  [[nodiscard]] int count() const {
-    return static_cast<int>(sim) + static_cast<int>(analytic) +
-           static_cast<int>(codegen);
-  }
-  /// True when more than one engine runs (relative errors are reported).
-  [[nodiscard]] bool cross_validates() const { return count() > 1; }
-  /// The engine whose prediction is the scenario's reference result:
-  /// the simulator when selected, else codegen (bit-identical simulation
-  /// semantics), else the analytic estimator.
-  [[nodiscard]] BackendKind reference() const {
-    if (sim) {
-      return BackendKind::Simulation;
-    }
-    if (codegen) {
-      return BackendKind::Codegen;
-    }
-    return BackendKind::Analytic;
-  }
-};
+/// How far `candidate` deviates from `reference`: |c - r| / r when
+/// r > 0, +inf when r = 0 < c (total disagreement, not zero error), and
+/// 0 otherwise.
+[[nodiscard]] double relative_error(double candidate, double reference);
 
-/// The engines `kind` selects (single kinds select themselves).
-[[nodiscard]] BackendSet backends_of(BackendKind kind);
-
-/// The `--backend` spelling of a kind ("sim", "analytic", "codegen",
-/// "both", "sim+codegen", "analytic+codegen", "all").
+/// The `--backend` spelling of a selection ("sim", "analytic",
+/// "codegen", "both", "sim+codegen", "analytic+codegen", "all").
 [[nodiscard]] std::string_view to_string(BackendKind kind);
 
-/// Parses the `--backend` flag vocabulary: "sim"/"simulation",
-/// "analytic", "codegen", "both" (== "sim+analytic"), "sim+codegen",
-/// "analytic+codegen"/"codegen+analytic", "all"; nullopt for anything
-/// else.
+/// Parses the `--backend` vocabulary: a `+`-join of "sim"/"simulation",
+/// "analytic" and "codegen" in any order, or "both" (sim + analytic) or
+/// "all"; nullopt for empty tokens, repeated engines and unknown names.
 [[nodiscard]] std::optional<BackendKind> backend_from_string(
     std::string_view text);
-
-/// What Backend::prepare() spent (and produced) lowering the model —
-/// surfaced by PreparedModel::prepare_stats() so the prepare/evaluate
-/// tradeoff stays observable (`prophetc estimate --timings`).  Reported
-/// from the shared lower::ModelProgram, so every backend consuming one
-/// lowering reports identical counts.
-struct PrepareStats {
-  /// Seconds spent compiling cost expressions to bytecode (a subset of
-  /// the prepare wall time the caller measures around prepare()).
-  double expr_compile_seconds = 0;
-  /// Number of bytecode programs produced (cost tags, guards,
-  /// initializers, cost-function bodies, code-fragment assignments).
-  std::size_t expr_programs = 0;
-  /// Model nodes lowered (one NodePrograms entry each).
-  std::size_t nodes = 0;
-  /// Slots in the model-wide slot space.
-  std::size_t slots = 0;
-  /// Total bytecode size across all programs, in bytes.
-  std::size_t bytecode_bytes = 0;
-};
 
 /// A model compiled for repeated evaluation by one backend — the
 /// prepare-once/evaluate-many half of the Backend contract.
@@ -119,9 +81,6 @@ class PreparedModel {
  public:
   /// Virtual: handles are owned and destroyed polymorphically.
   virtual ~PreparedModel() = default;
-
-  /// The preparing backend's stable identifier ("sim", "analytic").
-  [[nodiscard]] virtual std::string_view backend_name() const = 0;
 
   /// Evaluates the prepared model under `params`.  Deterministic: the
   /// same parameters give the same report, bit-identical to the one-shot
@@ -148,17 +107,9 @@ class PreparedModel {
   /// The shared lowering this handle consumes (never null).  Two
   /// handles prepared from the same lower::ModelProgramPtr return the
   /// same program — backends do not lower, so a caller can lower once
-  /// and fan the result out to any number of engines.
+  /// and fan the result out to any number of engines.  Its stats() are
+  /// the prepare-time counts, identical across every engine sharing it.
   [[nodiscard]] virtual lower::ModelProgramPtr lowering() const = 0;
-
-  /// Preparation statistics, derived from lowering()->stats() — the
-  /// single source of truth, identical across every backend sharing the
-  /// lowering.
-  [[nodiscard]] PrepareStats prepare_stats() const {
-    const lower::LoweringStats& stats = lowering()->stats();
-    return {stats.expr_compile_seconds, stats.expr_programs, stats.nodes,
-            stats.slots, stats.bytecode_bytes};
-  }
 };
 
 /// An estimation engine: evaluates a UML performance model under one
@@ -167,9 +118,6 @@ class Backend {
  public:
   /// Virtual: backends are selected and destroyed polymorphically.
   virtual ~Backend() = default;
-
-  /// Stable identifier ("sim", "analytic") used in reports and CSV rows.
-  [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// Builds a reusable evaluation handle over an already-lowered model.
   /// Backends do not lower: everything shareable lives in `program`, so

@@ -137,16 +137,12 @@ struct EstimationOptions {
   /// The registry is not thread-safe — concurrent estimates need one
   /// registry each (merge afterwards).
   obs::Registry* metrics = nullptr;
-  /// Execution limits for this run.  Ignored when `budget` is set (the
-  /// caller then owns the ledger); otherwise, when any() is true, the
-  /// run constructs a guard::Budget from these limits and enforces it.
-  guard::Limits limits;
-  /// When non-null, the run charges this caller-owned budget instead of
-  /// constructing one from `limits` — how a sweep chains every job to
-  /// one cancellation token.  Tripping raises guard::ResourceExhausted /
-  /// guard::Cancelled out of estimate().  A null budget with empty
-  /// limits — the default — adds no checks: predictions stay
-  /// bit-identical to an unguarded run.
+  /// When non-null, the run charges this caller-owned budget — its
+  /// limits, deadline and cancellation chain; that is how a sweep ties
+  /// every job to one cancellation token.  Tripping raises
+  /// guard::ResourceExhausted / guard::Cancelled out of estimate().  A
+  /// null budget — the default — adds no checks, and a budget that never
+  /// trips leaves predictions bit-identical.
   guard::Budget* budget = nullptr;
 };
 

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "prophet/expr/compile.hpp"
+#include "prophet/obs/obs.hpp"
 #include "prophet/uml/model.hpp"
 #include "prophet/workload/runtime.hpp"
 
@@ -255,7 +256,8 @@ struct CompiledVariable {
 };
 
 /// What lowering produced, from the single source of truth — surfaced
-/// through estimator::PrepareStats and `prophetc estimate --timings`.
+/// through PreparedModel::lowering()->stats(), the sweep's lower.*
+/// metrics and `prophetc estimate --timings`.
 struct LoweringStats {
   /// Seconds spent in expr::compile (a subset of the lower() wall time).
   double expr_compile_seconds = 0;
@@ -277,6 +279,10 @@ struct LoweringStats {
   /// Total bytecode size across all programs, in bytes.
   std::size_t bytecode_bytes = 0;
 };
+
+/// Folds `stats` into `metrics` under "lower." — the cells a sweep's
+/// `--metrics` exports and `prophetc estimate --timings` prints.
+void fold(obs::Registry& metrics, const LoweringStats& stats);
 
 /// The immutable executable form of a model — everything every backend
 /// shares, produced once by lower().

@@ -75,22 +75,25 @@ struct ScenarioResult {
   /// "cancelled" — empty for successes and non-guard failures.
   std::string tripped_limit;
 
-  /// Which backend(s) evaluated the job.  Cross-validating kinds (Both,
-  /// SimCodegen, AnalyticCodegen, All) put the reference engine's
-  /// prediction in `predicted_time`, each candidate's in its own field,
-  /// and the worst candidate-vs-reference deviation in `relative_error`.
+  /// Which engines evaluated the job.  Cross-validating selections
+  /// (Both, SimCodegen, AnalyticCodegen, All) put the reference engine's
+  /// prediction in `predicted_time` and the worst candidate-vs-reference
+  /// estimator::relative_error() in `relative_error`.
   estimator::BackendKind backend = estimator::BackendKind::Simulation;
   /// Predicted seconds (makespan) of the reference engine.
   double predicted_time = 0;
-  /// The analytic prediction; valid whenever the analytic engine ran.
+  /// The analytic prediction; valid whenever the analytic engine ran,
+  /// as reference or candidate.
   double analytic_predicted = 0;
   /// The generated-code prediction; valid whenever the codegen engine
-  /// ran (bit-identical to the simulator's by contract).
+  /// ran, as reference or candidate (bit-identical to the simulator's by
+  /// contract).
   double codegen_predicted = 0;
   /// Worst |candidate - reference| / reference across the candidates;
   /// valid for cross-validating kinds.
   double relative_error = 0;
-  /// Engine events processed (simulation and codegen engines).
+  /// Engine events processed by the reference engine (0 when it is the
+  /// analytic estimator).
   std::uint64_t events = 0;
   /// Number of modeled processes.
   int processes = 0;
@@ -189,7 +192,8 @@ struct BatchOptions {
   /// paper's estimator —, analytic, codegen) or a cross-validating
   /// selection (both, sim+codegen, analytic+codegen, all) that runs
   /// several engines and records the worst candidate-vs-reference
-  /// relative error per scenario (estimator::BackendSet).
+  /// relative error per scenario (estimator::engines() gives the order,
+  /// reference first).
   estimator::BackendKind backend = estimator::BackendKind::Simulation;
   /// Lane width for batched estimation: consecutive same-model jobs are
   /// grouped into chunks of up to this many lanes and evaluated through
@@ -209,7 +213,7 @@ struct BatchOptions {
   bool collect_metrics = false;
   /// Record host spans — per-model compile stages and per-job estimates,
   /// one lane per worker thread — plus one representative simulated
-  /// timeline per model (sim/both backends) into BatchReport::trace.
+  /// timeline per model (selections that run sim) into BatchReport::trace.
   /// Predictions are bit-identical either way.
   bool collect_trace = false;
   /// Progress heartbeat, called from a monitor thread roughly every
@@ -302,8 +306,8 @@ class BatchRunner {
     std::unique_ptr<const uml::Model> model;
     std::string error;  // "parse: ..." when model is null
   };
-  // One compiled model: the PreparedModel handle(s) for the selected
-  // backend(s); defined in the implementation file.
+  // One compiled model: a PreparedModel handle per selected engine,
+  // reference first; defined in the implementation file.
   struct CompiledEntry;
 
   /// Evaluates `count` consecutive same-model jobs (`jobs[0..count)`)

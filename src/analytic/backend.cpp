@@ -1,10 +1,10 @@
 #include "prophet/analytic/backend.hpp"
 
-#include <stdexcept>
+#include <cstddef>
 #include <utility>
+#include <vector>
 
 #include "prophet/analytic/analytic.hpp"
-#include "prophet/guard/guard.hpp"
 #include "prophet/interp/interpreter.hpp"
 #include "prophet/obs/obs.hpp"
 
@@ -25,10 +25,6 @@ class SimulationPrepared final : public estimator::PreparedModel {
     }
   }
 
-  [[nodiscard]] std::string_view backend_name() const override {
-    return "sim";
-  }
-
   [[nodiscard]] estimator::PredictionReport estimate(
       const machine::SystemParameters& params,
       const estimator::EstimationOptions& options) const override {
@@ -45,6 +41,32 @@ class SimulationPrepared final : public estimator::PreparedModel {
   lower::ModelProgramPtr program_;
 };
 
+/// The engine-neutral report of one analytic evaluation; counts its
+/// evaluated elements when metrics are on.
+estimator::PredictionReport to_prediction(
+    AnalyticReport&& analytic, const estimator::EstimationOptions& options) {
+  estimator::PredictionReport report;
+  report.predicted_time = analytic.predicted_time;
+  report.per_process_finish = std::move(analytic.per_process_finish);
+  report.processes = analytic.processes;
+  if (options.collect_machine_report) {
+    report.machine_report = analytic.machine_report();
+  }
+  if (options.metrics != nullptr) {
+    options.metrics->counter("analytic.elements")
+        .add(analytic.evaluated_elements);
+  }
+  return report;
+}
+
+/// Folds the counters of `runs` analytic evaluations into the metrics.
+void fold_runs(const estimator::EstimationOptions& options,
+               const obs::AnalyticCounters& counters, std::size_t runs) {
+  options.metrics->fold("analytic.", counters);
+  options.metrics->counter("analytic.runs").add(runs);
+  options.metrics->fold("expr.", counters.expr);
+}
+
 /// Analytic, prepared: an AnalyticEstimator over the shared lowering.
 /// Its evaluate() is const and keeps all per-evaluation state on the
 /// call's stack, so concurrent estimate() calls are race-free by
@@ -54,39 +76,18 @@ class AnalyticPrepared final : public estimator::PreparedModel {
   explicit AnalyticPrepared(lower::ModelProgramPtr program)
       : estimator_(std::move(program)) {}
 
-  [[nodiscard]] std::string_view backend_name() const override {
-    return "analytic";
-  }
-
   [[nodiscard]] estimator::PredictionReport estimate(
       const machine::SystemParameters& params,
       const estimator::EstimationOptions& options) const override {
     // No trace to collect: nothing is simulated.
     obs::AnalyticCounters counters;
     const bool metrics = options.metrics != nullptr;
-    // Same guard resolution as the SimulationManager: a caller-owned
-    // budget wins, active limits get an evaluation-local one, neither
-    // means unguarded.
-    guard::Budget local_budget(options.limits);
-    guard::Budget* budget = options.budget != nullptr ? options.budget
-                            : options.limits.any()    ? &local_budget
-                                                      : nullptr;
-    AnalyticReport analytic =
-        estimator_.evaluate(params, metrics ? &counters : nullptr, budget);
-    estimator::PredictionReport report;
-    report.predicted_time = analytic.predicted_time;
-    report.per_process_finish = std::move(analytic.per_process_finish);
-    report.processes = analytic.processes;
-    report.events = 0;
-    if (options.collect_machine_report) {
-      report.machine_report = analytic.machine_report();
-    }
+    estimator::PredictionReport report = to_prediction(
+        estimator_.evaluate(params, metrics ? &counters : nullptr,
+                            options.budget),
+        options);
     if (metrics) {
-      options.metrics->fold("analytic.", counters);
-      options.metrics->counter("analytic.elements")
-          .add(analytic.evaluated_elements);
-      options.metrics->counter("analytic.runs").add(1);
-      options.metrics->fold("expr.", counters.expr);
+      fold_runs(options, counters, 1);
     }
     return report;
   }
@@ -96,37 +97,17 @@ class AnalyticPrepared final : public estimator::PreparedModel {
       const estimator::EstimationOptions& options) const override {
     obs::AnalyticCounters counters;
     const bool metrics = options.metrics != nullptr;
-    // Same guard resolution as the scalar estimate(): a caller-owned
-    // budget wins, active limits get an evaluation-local one, neither
-    // means unguarded.
-    guard::Budget local_budget(options.limits);
-    guard::Budget* budget = options.budget != nullptr ? options.budget
-                            : options.limits.any()    ? &local_budget
-                                                      : nullptr;
     std::size_t lanes_fallback = 0;
-    std::vector<AnalyticReport> analytic = estimator_.evaluate_batch(
-        params, metrics ? &counters : nullptr, budget, &lanes_fallback);
+    std::vector<AnalyticReport> analytic =
+        estimator_.evaluate_batch(params, metrics ? &counters : nullptr,
+                                  options.budget, &lanes_fallback);
     std::vector<estimator::PredictionReport> reports;
     reports.reserve(analytic.size());
     for (auto& lane : analytic) {
-      estimator::PredictionReport report;
-      report.predicted_time = lane.predicted_time;
-      report.per_process_finish = std::move(lane.per_process_finish);
-      report.processes = lane.processes;
-      report.events = 0;
-      if (options.collect_machine_report) {
-        report.machine_report = lane.machine_report();
-      }
-      if (metrics) {
-        options.metrics->counter("analytic.elements")
-            .add(lane.evaluated_elements);
-      }
-      reports.push_back(std::move(report));
+      reports.push_back(to_prediction(std::move(lane), options));
     }
     if (metrics) {
-      options.metrics->fold("analytic.", counters);
-      options.metrics->counter("analytic.runs").add(params.size());
-      options.metrics->fold("expr.", counters.expr);
+      fold_runs(options, counters, params.size());
       if (lanes_fallback > 0) {
         options.metrics->counter("batch.lanes_fallback").add(lanes_fallback);
       }
@@ -152,27 +133,6 @@ std::unique_ptr<estimator::PreparedModel> SimulationBackend::prepare(
 std::unique_ptr<estimator::PreparedModel> AnalyticBackend::prepare(
     lower::ModelProgramPtr program) const {
   return std::make_unique<AnalyticPrepared>(std::move(program));
-}
-
-std::unique_ptr<estimator::Backend> make_backend(estimator::BackendKind kind) {
-  switch (kind) {
-    case estimator::BackendKind::Simulation:
-      return std::make_unique<SimulationBackend>();
-    case estimator::BackendKind::Analytic:
-      return std::make_unique<AnalyticBackend>();
-    case estimator::BackendKind::Codegen:
-      throw std::invalid_argument(
-          "make_backend: the codegen backend lives in prophet/cgen (use "
-          "cgen::make_backend)");
-    case estimator::BackendKind::Both:
-    case estimator::BackendKind::SimCodegen:
-    case estimator::BackendKind::AnalyticCodegen:
-    case estimator::BackendKind::All:
-      break;
-  }
-  throw std::invalid_argument(
-      "make_backend: '" + std::string(estimator::to_string(kind)) +
-      "' selects cross-validation, not a single backend");
 }
 
 }  // namespace prophet::analytic

@@ -132,11 +132,11 @@ estimator::PredictionReport CodegenPrepared::estimate(
   request.barrier_latency = params.barrier_latency;
   request.collect_machine_report = options.collect_machine_report ? 1 : 0;
 
-  // Guard transfer: a caller-owned budget is projected onto the ABI —
+  // Guard transfer: the caller's budget is projected onto the ABI —
   // numeric limits shrink by what the host ledger already consumed, the
   // wall deadline becomes the remaining seconds (so a parent sweep's
   // deadline binds too), cancellation is bridged by a poll, and an armed
-  // mid-run cancel re-arms on the far side.  Bare limits pass through.
+  // mid-run cancel re-arms on the far side.  No budget: no limits.
   if (options.budget != nullptr) {
     const guard::Budget& budget = *options.budget;
     const guard::Limits& limits = budget.limits();
@@ -156,12 +156,6 @@ estimator::PredictionReport CodegenPrepared::estimate(
     request.cancel_poll = &poll_host_budget;
     request.cancel_context =
         const_cast<void*>(static_cast<const void*>(options.budget));
-  } else {
-    request.wall_seconds = options.limits.wall_seconds;
-    request.max_sim_events = options.limits.max_sim_events;
-    request.max_vm_instructions = options.limits.max_vm_instructions;
-    request.max_replay_events = options.limits.max_replay_events;
-    request.max_loop_trips = options.limits.max_loop_trips;
   }
 
   CgenResult result;
@@ -226,12 +220,20 @@ std::unique_ptr<estimator::PreparedModel> CodegenBackend::prepare(
   return std::make_unique<CodegenPrepared>(std::move(program), options_);
 }
 
-std::unique_ptr<estimator::Backend> make_backend(estimator::BackendKind kind,
+std::unique_ptr<estimator::Backend> make_backend(estimator::BackendKind engine,
                                                  CodegenOptions options) {
-  if (kind == estimator::BackendKind::Codegen) {
-    return std::make_unique<CodegenBackend>(std::move(options));
+  switch (engine) {
+    case estimator::BackendKind::Simulation:
+      return std::make_unique<analytic::SimulationBackend>();
+    case estimator::BackendKind::Analytic:
+      return std::make_unique<analytic::AnalyticBackend>();
+    case estimator::BackendKind::Codegen:
+      return std::make_unique<CodegenBackend>(std::move(options));
+    default:
+      throw std::invalid_argument(
+          "make_backend: '" + std::string(estimator::to_string(engine)) +
+          "' selects several engines, not one backend");
   }
-  return analytic::make_backend(kind);
 }
 
 }  // namespace prophet::cgen

@@ -1,33 +1,59 @@
 #include "prophet/estimator/backend.hpp"
 
+#include <array>
+#include <cmath>
+#include <cstddef>
+#include <limits>
+
 namespace prophet::estimator {
 
-BackendSet backends_of(BackendKind kind) {
-  BackendSet set;
-  switch (kind) {
-    case BackendKind::Simulation:
-      set.sim = true;
-      break;
-    case BackendKind::Analytic:
-      set.analytic = true;
-      break;
-    case BackendKind::Codegen:
-      set.codegen = true;
-      break;
-    case BackendKind::Both:
-      set.sim = set.analytic = true;
-      break;
-    case BackendKind::SimCodegen:
-      set.sim = set.codegen = true;
-      break;
-    case BackendKind::AnalyticCodegen:
-      set.analytic = set.codegen = true;
-      break;
-    case BackendKind::All:
-      set.sim = set.analytic = set.codegen = true;
-      break;
+namespace {
+
+/// One selection's engines, reference first.
+struct EngineList {
+  std::array<BackendKind, 3> engines{};
+  std::size_t size = 0;
+};
+
+/// Every selection's list, indexed by its bits.
+constexpr std::array<EngineList, 8> kEngineLists = [] {
+  using enum BackendKind;
+  std::array<EngineList, 8> lists;
+  for (unsigned bits = 1; bits < lists.size(); ++bits) {
+    const auto selects = [bits](BackendKind engine) {
+      return (bits & static_cast<unsigned>(engine)) != 0;
+    };
+    // The reference: the simulator, else codegen, else analytic.
+    const BackendKind reference = selects(Simulation) ? Simulation
+                                  : selects(Codegen)  ? Codegen
+                                                      : Analytic;
+    EngineList& list = lists[bits];
+    list.engines[list.size++] = reference;
+    // Then the candidates, in sim -> analytic -> codegen order.
+    for (const BackendKind engine : {Simulation, Analytic, Codegen}) {
+      if (selects(engine) && engine != reference) {
+        list.engines[list.size++] = engine;
+      }
+    }
   }
-  return set;
+  return lists;
+}();
+
+}  // namespace
+
+std::span<const BackendKind> engines(BackendKind selection) {
+  const auto bits = static_cast<unsigned>(selection);
+  if (bits >= kEngineLists.size()) {
+    return {};
+  }
+  return {kEngineLists[bits].engines.data(), kEngineLists[bits].size};
+}
+
+double relative_error(double candidate, double reference) {
+  if (reference > 0) {
+    return std::abs(candidate - reference) / reference;
+  }
+  return candidate > 0 ? std::numeric_limits<double>::infinity() : 0.0;
 }
 
 std::string_view to_string(BackendKind kind) {
@@ -51,28 +77,32 @@ std::string_view to_string(BackendKind kind) {
 }
 
 std::optional<BackendKind> backend_from_string(std::string_view text) {
-  if (text == "sim" || text == "simulation") {
-    return BackendKind::Simulation;
-  }
-  if (text == "analytic") {
-    return BackendKind::Analytic;
-  }
-  if (text == "codegen") {
-    return BackendKind::Codegen;
-  }
-  if (text == "both" || text == "sim+analytic" || text == "analytic+sim") {
-    return BackendKind::Both;
-  }
-  if (text == "sim+codegen" || text == "codegen+sim") {
-    return BackendKind::SimCodegen;
-  }
-  if (text == "analytic+codegen" || text == "codegen+analytic") {
-    return BackendKind::AnalyticCodegen;
+  using enum BackendKind;
+  if (text == "both") {
+    return Both;
   }
   if (text == "all") {
-    return BackendKind::All;
+    return All;
   }
-  return std::nullopt;
+  unsigned selection = 0;
+  for (;;) {
+    const std::size_t plus = text.find('+');
+    const std::string_view name = text.substr(0, plus);
+    const BackendKind engine =
+        name == "sim" || name == "simulation" ? Simulation
+        : name == "analytic"                  ? Analytic
+        : name == "codegen"                   ? Codegen
+                                              : BackendKind{};
+    const auto bit = static_cast<unsigned>(engine);
+    if (bit == 0 || (selection & bit) != 0) {
+      return std::nullopt;  // empty, unknown or repeated engine
+    }
+    selection |= bit;
+    if (plus == std::string_view::npos) {
+      return static_cast<BackendKind>(selection);
+    }
+    text.remove_prefix(plus + 1);
+  }
 }
 
 std::vector<PredictionReport> PreparedModel::estimate_batch(

@@ -34,44 +34,26 @@ PredictionReport SimulationManager::run(ProgramModel& model) const {
   report.processes = params_.processes;
 
   // Per-run counter blocks, folded into the registry at the end.  The
-  // expr block is installed on the model for the run's duration; the
-  // guard resets it even when the run throws (the model outlives this
-  // call and must not keep a pointer into our stack).
+  // expr block and the caller's budget are installed on the model for
+  // the run's duration; the guard detaches both even when the run throws
+  // (the model outlives this call and must not keep a pointer into our
+  // stack).  The budget also charges the engine's events.
   obs::SimCounters sim_counters;
   obs::ExprCounters expr_counters;
   const bool metrics = options_.metrics != nullptr;
-  struct ResetExprCounters {
-    ProgramModel* model;
-    ~ResetExprCounters() {
-      if (model != nullptr) {
-        model->set_expr_counters(nullptr);
-      }
+  struct Detach {
+    ProgramModel& model;
+    ~Detach() {
+      model.set_expr_counters(nullptr);
+      model.set_budget(nullptr);
     }
-  } reset{metrics ? &model : nullptr};
+  } detach{model};
   if (metrics) {
     model.set_expr_counters(&expr_counters);
   }
-
-  // Execution guard: a caller-owned budget wins; otherwise any active
-  // limits get a run-local one.  It is installed on both cooperative
-  // layers — the engine (per-event charge) and the model (loop trips,
-  // expression-VM instructions) — and detached from the model before
-  // returning, throwing paths included.
-  guard::Budget local_budget(options_.limits);
-  guard::Budget* budget = options_.budget != nullptr ? options_.budget
-                          : options_.limits.any()    ? &local_budget
-                                                     : nullptr;
-  struct ResetBudget {
-    ProgramModel* model;
-    ~ResetBudget() {
-      if (model != nullptr) {
-        model->set_budget(nullptr);
-      }
-    }
-  } reset_budget{budget != nullptr ? &model : nullptr};
-  if (budget != nullptr) {
-    engine.set_budget(budget);
-    model.set_budget(budget);
+  if (options_.budget != nullptr) {
+    engine.set_budget(options_.budget);
+    model.set_budget(options_.budget);
   }
 
   model.on_run_start(params_);

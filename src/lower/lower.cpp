@@ -7,6 +7,7 @@
 
 #include "prophet/expr/eval.hpp"
 #include "prophet/expr/parser.hpp"
+#include "prophet/obs/obs.hpp"
 #include "prophet/uml/sysparams.hpp"
 
 namespace prophet::lower {
@@ -615,6 +616,20 @@ ModelProgramPtr lower(uml::Model&& model) {
   program->owned_.emplace(std::move(model));
   program->model_ = &*program->owned_;
   return program;
+}
+
+void fold(obs::Registry& metrics, const LoweringStats& stats) {
+  metrics.counter("lower.expr_programs").add(stats.expr_programs);
+  metrics.counter("lower.nodes").add(stats.nodes);
+  metrics.counter("lower.slots").add(stats.slots);
+  metrics.counter("lower.guards").add(stats.guards);
+  metrics.counter("lower.functions").add(stats.functions);
+  metrics.counter("lower.variables").add(stats.variables);
+  metrics.counter("lower.fragment_assignments")
+      .add(stats.fragment_assignments);
+  metrics.counter("lower.bytecode_bytes").add(stats.bytecode_bytes);
+  metrics.timer("lower.expr_compile_seconds")
+      .add_seconds(stats.expr_compile_seconds);
 }
 
 }  // namespace prophet::lower

@@ -4,10 +4,8 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -16,7 +14,6 @@
 #include <thread>
 #include <utility>
 
-#include "prophet/analytic/backend.hpp"
 #include "prophet/cgen/backend.hpp"
 #include "prophet/check/checker.hpp"
 #include "prophet/estimator/estimator.hpp"
@@ -43,19 +40,23 @@ int sim_pid_base(int model_index) {
   return kSimPidStride * (model_index + 1);
 }
 
-/// Folds a prepared model's lowering statistics under "lower.".
-void fold_lowering(obs::Registry* metrics, const lower::LoweringStats& stats) {
-  metrics->counter("lower.expr_programs").add(stats.expr_programs);
-  metrics->counter("lower.nodes").add(stats.nodes);
-  metrics->counter("lower.slots").add(stats.slots);
-  metrics->counter("lower.guards").add(stats.guards);
-  metrics->counter("lower.functions").add(stats.functions);
-  metrics->counter("lower.variables").add(stats.variables);
-  metrics->counter("lower.fragment_assignments")
-      .add(stats.fragment_assignments);
-  metrics->counter("lower.bytecode_bytes").add(stats.bytecode_bytes);
-  metrics->timer("lower.expr_compile_seconds")
-      .add_seconds(stats.expr_compile_seconds);
+/// One selected engine's prepared handle.
+struct PreparedEngine {
+  estimator::BackendKind kind;
+  std::unique_ptr<estimator::PreparedModel> model;
+};
+
+/// The ScenarioResult field holding `engine`'s prediction whenever it
+/// ran; null for the simulator, which is the reference whenever it runs.
+double ScenarioResult::*prediction_field(estimator::BackendKind engine) {
+  switch (engine) {
+    case estimator::BackendKind::Analytic:
+      return &ScenarioResult::analytic_predicted;
+    case estimator::BackendKind::Codegen:
+      return &ScenarioResult::codegen_predicted;
+    default:
+      return nullptr;
+  }
 }
 
 /// Folds a codegen handle's prepare cost (emit + compile + dlopen) and
@@ -102,7 +103,7 @@ BatchStats BatchReport::stats() const {
     }
     stats.mean_predicted += result.predicted_time;
     stats.total_events += result.events;
-    if (estimator::backends_of(result.backend).cross_validates()) {
+    if (estimator::engines(result.backend).size() > 1) {
       ++stats.compared;
       stats.max_rel_error = std::max(stats.max_rel_error,
                                      result.relative_error);
@@ -185,18 +186,14 @@ std::string BatchReport::summary() const {
         << result.params.threads_per_process;
     if (result.ok) {
       out << " -> " << result.predicted_time << " s";
-      const estimator::BackendSet set =
-          estimator::backends_of(result.backend);
-      if (set.cross_validates()) {
-        // Candidates (every selected non-reference engine) then the
-        // worst deviation, e.g. "(analytic 1.5 s, rel err 0.02)".
-        const estimator::BackendKind reference = set.reference();
+      const auto engines = estimator::engines(result.backend);
+      if (engines.size() > 1) {
+        // Candidates (every engine after the reference) then the worst
+        // deviation, e.g. "(analytic 1.5 s, rel err 0.02)".
         out << " (";
-        if (set.analytic && reference != estimator::BackendKind::Analytic) {
-          out << "analytic " << result.analytic_predicted << " s, ";
-        }
-        if (set.codegen && reference != estimator::BackendKind::Codegen) {
-          out << "codegen " << result.codegen_predicted << " s, ";
+        for (const estimator::BackendKind candidate : engines.subspan(1)) {
+          out << estimator::to_string(candidate) << ' '
+              << result.*prediction_field(candidate) << " s, ";
         }
         out << "rel err " << result.relative_error << ")";
       } else if (result.backend == estimator::BackendKind::Analytic) {
@@ -361,9 +358,9 @@ struct BatchRunner::CompiledEntry {
   bool ok = false;
   std::string error;  // stage-prefixed, e.g. "check: 2 error(s): ..."
   std::size_t check_warnings = 0;
-  std::unique_ptr<estimator::PreparedModel> sim;
-  std::unique_ptr<estimator::PreparedModel> analytic;
-  std::unique_ptr<estimator::PreparedModel> codegen;
+  // The selected engines' handles, in estimator::engines() order:
+  // reference first.
+  std::vector<PreparedEngine> engines;
 };
 
 std::vector<BatchRunner::CompiledEntry> BatchRunner::compile_models(
@@ -455,37 +452,18 @@ const char* engine_stage(estimator::BackendKind kind) {
   }
 }
 
-/// Backend::prepare for the selected engine(s).  The model is lowered
-/// exactly once (lower::lower) and the shared lower::ModelProgram fans
-/// out to every selected backend — cross-validating kinds pay one
-/// lowering, not one per engine.  Returns a stage-prefixed error (""
-/// on success) with the same stage names estimate failures use, so a
-/// model defect reports the same stage whether it surfaces at prepare
-/// or at evaluate.
-std::string prepare_backends(
-    const uml::Model& model, estimator::BackendSet set,
-    std::unique_ptr<estimator::PreparedModel>* sim,
-    std::unique_ptr<estimator::PreparedModel>* analytic,
-    std::unique_ptr<estimator::PreparedModel>* codegen,
-    guard::FaultPlan* fault_plan) {
-  const analytic::SimulationBackend sim_backend;
-  const analytic::AnalyticBackend analytic_backend;
-  cgen::CodegenOptions cgen_options;
-  cgen_options.toolchain.fault_plan = fault_plan;
-  const cgen::CodegenBackend codegen_backend(cgen_options);
-  struct Engine {
-    bool selected;
-    const estimator::Backend* backend;
-    std::unique_ptr<estimator::PreparedModel>* prepared;
-    estimator::BackendKind kind;
-  };
-  const Engine engines[] = {
-      {set.sim, &sim_backend, sim, estimator::BackendKind::Simulation},
-      {set.codegen, &codegen_backend, codegen,
-       estimator::BackendKind::Codegen},
-      {set.analytic, &analytic_backend, analytic,
-       estimator::BackendKind::Analytic},
-  };
+/// Backend::prepare for every engine `selection` runs, reference first.
+/// The model is lowered exactly once (lower::lower) and the shared
+/// lower::ModelProgram fans out to every engine — cross-validating
+/// selections pay one lowering, not one per engine.  Returns a
+/// stage-prefixed error ("" on success) with the same stage names
+/// estimate failures use, so a model defect reports the same stage
+/// whether it surfaces at prepare or at evaluate.
+std::string prepare_backends(const uml::Model& model,
+                             estimator::BackendKind selection,
+                             std::vector<PreparedEngine>* prepared,
+                             guard::FaultPlan* fault_plan) {
+  const auto engines = estimator::engines(selection);
   // Lowering failures report under the reference engine's stage name.
   lower::ModelProgramPtr program;
   try {
@@ -494,22 +472,23 @@ std::string prepare_backends(
     }
     program = lower::lower(model);
   } catch (const std::exception& error) {
-    return std::string(engine_stage(set.reference())) + error.what();
+    return std::string(engine_stage(engines.front())) + error.what();
   }
+  cgen::CodegenOptions cgen_options;
+  cgen_options.toolchain.fault_plan = fault_plan;
   // One "prepare" fault visit per model, however many engines ride it.
   bool visited_prepare = false;
-  for (const Engine& engine : engines) {
-    if (!engine.selected) {
-      continue;
-    }
+  for (const estimator::BackendKind engine : engines) {
     try {
       if (fault_plan != nullptr && !visited_prepare) {
         visited_prepare = true;
         fault_plan->visit("prepare");
       }
-      *engine.prepared = engine.backend->prepare(program);
+      prepared->push_back(
+          {engine,
+           cgen::make_backend(engine, cgen_options)->prepare(program)});
     } catch (const std::exception& error) {
-      return std::string(engine_stage(engine.kind)) + error.what();
+      return std::string(engine_stage(engine)) + error.what();
     }
   }
   return "";
@@ -523,90 +502,54 @@ std::string limit_name(const guard::GuardError& error) {
   return std::string(guard::to_string(error.limit()));
 }
 
-/// The estimate stage: run the selected backend(s) over `params` and
-/// fill each lane's prediction fields.  One lane calls the scalar
+/// The estimate stage: run the prepared engines over `params` and fill
+/// each lane's prediction fields.  One lane calls the scalar
 /// PreparedModel::estimate — the lanes=1 bit-identity reference and the
 /// only call that carries the simulated trace; a wider span calls
-/// estimate_batch once per engine.  The reference engine
-/// (BackendSet::reference) runs first and fills `predicted_time`; every
-/// other selected engine is a candidate filling its own field plus the
-/// worst-case `relative_error`.  Returns a stage-prefixed error (""
-/// on success).  `metrics` (nullable) receives the engines' activity
-/// counters; `sim_trace` (nullable) receives the simulated timeline.
-/// Neither feeds back into the prediction.
-std::string estimate_stage(const estimator::PreparedModel* sim,
-                           const estimator::PreparedModel* analytic,
-                           const estimator::PreparedModel* codegen,
-                           estimator::BackendKind kind,
+/// estimate_batch once per engine.  The reference engine (first in the
+/// list) fills `predicted_time`; every engine that ran fills its own
+/// prediction field, and each candidate the worst-case
+/// `relative_error`.  Returns a stage-prefixed error ("" on success).
+/// `metrics` (nullable) receives the engines' activity counters;
+/// `sim_trace` (nullable) receives the simulated timeline.  Neither
+/// feeds back into the prediction.
+std::string estimate_stage(std::span<const PreparedEngine> engines,
                            std::span<const machine::SystemParameters> params,
                            obs::Registry* metrics, trace::Trace* sim_trace,
                            guard::Budget* budget, guard::FaultPlan* fault_plan,
                            ScenarioResult* results) {
-  const estimator::BackendKind reference =
-      estimator::backends_of(kind).reference();
   estimator::EstimationOptions estimation;
   estimation.collect_trace = false;
   estimation.collect_machine_report = false;
   estimation.metrics = metrics;
   estimation.budget = budget;
 
-  struct Engine {
-    const estimator::PreparedModel* prepared;
-    estimator::BackendKind kind;
-    double ScenarioResult::*candidate;  // per-engine field (null for sim)
-  };
-  // Reference first: candidates compare against its prediction.
-  Engine engines[3];
-  std::size_t count = 0;
-  const auto add = [&](const estimator::PreparedModel* prepared,
-                       estimator::BackendKind engine_kind,
-                       double ScenarioResult::*candidate) {
-    if (prepared == nullptr) {
-      return;
-    }
-    engines[count++] = Engine{prepared, engine_kind, candidate};
-    if (engine_kind == reference && count > 1) {
-      std::swap(engines[0], engines[count - 1]);
-    }
-  };
-  add(sim, estimator::BackendKind::Simulation, nullptr);
-  add(analytic, estimator::BackendKind::Analytic,
-      &ScenarioResult::analytic_predicted);
-  add(codegen, estimator::BackendKind::Codegen,
-      &ScenarioResult::codegen_predicted);
-  if (count == 0) {
-    return "";
-  }
-
   if (fault_plan != nullptr) {
     try {
       fault_plan->visit("estimate");
     } catch (const std::exception& error) {
-      return std::string(engine_stage(engines[0].kind)) + error.what();
+      return std::string(engine_stage(engines.front().kind)) + error.what();
     }
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    const Engine& engine = engines[i];
+  for (const PreparedEngine& engine : engines) {
+    const bool is_reference = &engine == &engines.front();
     const char* stage = engine_stage(engine.kind);
-    const auto fill = [&engine, reference](
+    double ScenarioResult::*field = prediction_field(engine.kind);
+    const auto fill = [is_reference, field](
                           ScenarioResult& result,
                           const estimator::PredictionReport& report) {
-      if (engine.candidate != nullptr) {
-        result.*engine.candidate = report.predicted_time;
+      if (field != nullptr) {
+        result.*field = report.predicted_time;
       }
-      if (engine.kind == reference) {
+      if (is_reference) {
         result.predicted_time = report.predicted_time;
         result.processes = report.processes;
-        if (engine.kind != estimator::BackendKind::Analytic) {
-          result.events = report.events;
-        }
-      } else if (result.predicted_time > 0) {
+        result.events = report.events;
+      } else {
         result.relative_error = std::max(
             result.relative_error,
-            std::abs(report.predicted_time - result.predicted_time) /
-                result.predicted_time);
-      } else if (report.predicted_time > 0) {
-        result.relative_error = std::numeric_limits<double>::infinity();
+            estimator::relative_error(report.predicted_time,
+                                      result.predicted_time));
       }
     };
     try {
@@ -616,7 +559,7 @@ std::string estimate_stage(const estimator::PreparedModel* sim,
                                     estimator::BackendKind::Simulation &&
                                 sim_trace != nullptr;
         estimator::PredictionReport report =
-            engine.prepared->estimate(params[0], options);
+            engine.model->estimate(params[0], options);
         fill(results[0], report);
         if (options.collect_trace) {
           *sim_trace = std::move(report.trace);
@@ -624,7 +567,7 @@ std::string estimate_stage(const estimator::PreparedModel* sim,
         continue;
       }
       const std::vector<estimator::PredictionReport> reports =
-          engine.prepared->estimate_batch(params, estimation);
+          engine.model->estimate_batch(params, estimation);
       if (reports.size() != params.size()) {
         return std::string(stage) +
                "estimate_batch returned a wrong lane count";
@@ -691,9 +634,8 @@ void BatchRunner::compile_one(std::size_t m, CompiledEntry* out) const {
       return;
     }
   }
-  entry.error = prepare_backends(
-      *source.model, estimator::backends_of(options_.backend), &entry.sim,
-      &entry.analytic, &entry.codegen, options_.fault_plan);
+  entry.error = prepare_backends(*source.model, options_.backend,
+                                 &entry.engines, options_.fault_plan);
   entry.ok = entry.error.empty();
 }
 
@@ -747,10 +689,8 @@ void BatchRunner::run_chunk(const BatchJob* jobs, std::size_t count,
       }
       params = lane_params;
     }
-    error = estimate_stage(entry.sim.get(), entry.analytic.get(),
-                           entry.codegen.get(), options_.backend, params,
-                           stage_metrics, sim_trace, job_budget,
-                           options_.fault_plan, results);
+    error = estimate_stage(entry.engines, params, stage_metrics, sim_trace,
+                           job_budget, options_.fault_plan, results);
   }
   if (!error.empty() && count > 1) {
     // Any lane failure (or a sweep cancellation) abandons the chunk:
@@ -829,11 +769,11 @@ BatchReport BatchRunner::run() const {
       if (!entry.ok) {
         continue;
       }
-      const auto& prepared = entry.sim != nullptr        ? entry.sim
-                             : entry.analytic != nullptr ? entry.analytic
-                                                         : entry.codegen;
-      fold_lowering(&report.metrics, prepared->lowering()->stats());
-      fold_codegen(&report.metrics, entry.codegen.get());
+      lower::fold(report.metrics,
+                  entry.engines.front().model->lowering()->stats());
+      for (const PreparedEngine& engine : entry.engines) {
+        fold_codegen(&report.metrics, engine.model.get());
+      }
     }
   }
 
@@ -841,7 +781,8 @@ BatchReport BatchRunner::run() const {
   // simulated timeline when tracing is on (one timeline per model keeps
   // the trace readable; every further job would repeat the same shape).
   std::vector<char> trace_job(jobs_.size(), 0);
-  if (collect_trace && estimator::backends_of(options_.backend).sim) {
+  if (collect_trace && estimator::engines(options_.backend).front() ==
+                           estimator::BackendKind::Simulation) {
     std::vector<char> seen(models_.size(), 0);
     for (std::size_t index = 0; index < jobs_.size(); ++index) {
       const auto m = static_cast<std::size_t>(jobs_[index].model_index);
@@ -924,8 +865,7 @@ BatchReport BatchRunner::run() const {
             ? nullptr
             : &worker_traces[static_cast<std::size_t>(worker_id)];
     const auto note_result = [&worst_rel_bits](const ScenarioResult& result) {
-      if (!result.ok ||
-          !estimator::backends_of(result.backend).cross_validates()) {
+      if (!result.ok || estimator::engines(result.backend).size() < 2) {
         return;
       }
       const double rel = result.relative_error;

@@ -3,18 +3,25 @@
 // adapters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "prophet/analytic/analytic.hpp"
 #include "prophet/analytic/backend.hpp"
+#include "prophet/cgen/backend.hpp"
 #include "prophet/estimator/backend.hpp"
 #include "prophet/prophet.hpp"
 #include "prophet/uml/builder.hpp"
 
 namespace analytic = prophet::analytic;
+namespace cgen = prophet::cgen;
 namespace estimator = prophet::estimator;
 namespace machine = prophet::machine;
 namespace uml = prophet::uml;
@@ -275,24 +282,95 @@ TEST(AnalyticEstimator, RejectsUnparseableModels) {
 
 TEST(Backend, KindParsesAndPrints) {
   using estimator::BackendKind;
-  EXPECT_EQ(estimator::backend_from_string("sim"), BackendKind::Simulation);
+  // The seven spellings the CSV `backend` column and the host.<engine>.*
+  // metric names use; each parses back to its selection.
+  const std::vector<std::pair<BackendKind, std::string>> spellings = {
+      {BackendKind::Simulation, "sim"},
+      {BackendKind::Analytic, "analytic"},
+      {BackendKind::Codegen, "codegen"},
+      {BackendKind::Both, "both"},
+      {BackendKind::SimCodegen, "sim+codegen"},
+      {BackendKind::AnalyticCodegen, "analytic+codegen"},
+      {BackendKind::All, "all"},
+  };
+  for (const auto& [kind, spelling] : spellings) {
+    EXPECT_EQ(estimator::to_string(kind), spelling);
+    EXPECT_EQ(estimator::backend_from_string(spelling), kind) << spelling;
+  }
   EXPECT_EQ(estimator::backend_from_string("simulation"),
             BackendKind::Simulation);
-  EXPECT_EQ(estimator::backend_from_string("analytic"),
-            BackendKind::Analytic);
-  EXPECT_EQ(estimator::backend_from_string("both"), BackendKind::Both);
   EXPECT_FALSE(estimator::backend_from_string("fem").has_value());
-  EXPECT_EQ(estimator::to_string(BackendKind::Simulation), "sim");
-  EXPECT_EQ(estimator::to_string(BackendKind::Analytic), "analytic");
-  EXPECT_EQ(estimator::to_string(BackendKind::Both), "both");
+}
+
+// Every selection as a set of engines, its reference first — the one
+// list the pipeline, prophetc and the factory walk.
+TEST(Backend, EnginesListTheReferenceFirst) {
+  using enum estimator::BackendKind;
+  const std::vector<std::pair<estimator::BackendKind,
+                              std::vector<estimator::BackendKind>>>
+      table = {
+          {Simulation, {Simulation}},
+          {Analytic, {Analytic}},
+          {Codegen, {Codegen}},
+          {Both, {Simulation, Analytic}},
+          {SimCodegen, {Simulation, Codegen}},
+          {AnalyticCodegen, {Codegen, Analytic}},
+          {All, {Simulation, Analytic, Codegen}},
+      };
+  for (const auto& [selection, expected] : table) {
+    const auto engines = estimator::engines(selection);
+    EXPECT_EQ(std::vector(engines.begin(), engines.end()), expected)
+        << estimator::to_string(selection);
+  }
+}
+
+TEST(Backend, ParsesEveryOrderOfEverySubset) {
+  using enum estimator::BackendKind;
+  // Each non-empty subset of engines; every order of its names parses to
+  // it.
+  const std::vector<std::pair<std::vector<std::string>, estimator::BackendKind>>
+      subsets = {
+          {{"sim"}, Simulation},
+          {{"analytic"}, Analytic},
+          {{"codegen"}, Codegen},
+          {{"analytic", "sim"}, Both},
+          {{"codegen", "sim"}, SimCodegen},
+          {{"analytic", "codegen"}, AnalyticCodegen},
+          {{"analytic", "codegen", "sim"}, All},
+      };
+  for (auto [names, kind] : subsets) {
+    do {
+      std::string text;
+      for (const auto& name : names) {
+        text += (text.empty() ? "" : "+") + name;
+      }
+      EXPECT_EQ(estimator::backend_from_string(text), kind) << text;
+    } while (std::next_permutation(names.begin(), names.end()));
+  }
+  EXPECT_EQ(estimator::backend_from_string("codegen+simulation"), SimCodegen);
+  for (const char* bad :
+       {"", "sim+", "+sim", "sim++analytic", "sim+sim", "sim+simulation",
+        "fem", "both+codegen", "Sim"}) {
+    EXPECT_FALSE(estimator::backend_from_string(bad).has_value()) << bad;
+  }
+}
+
+TEST(Backend, RelativeErrorRule) {
+  EXPECT_EQ(estimator::relative_error(1.0, 0.0),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(estimator::relative_error(0.0, 0.0), 0.0);
+  EXPECT_EQ(estimator::relative_error(1.5, 1.0), 0.5);
+  EXPECT_EQ(estimator::relative_error(0.5, 1.0), 0.5);
 }
 
 TEST(Backend, FactoryBuildsEngines) {
-  const auto sim = analytic::make_backend(estimator::BackendKind::Simulation);
-  EXPECT_EQ(sim->name(), "sim");
-  const auto an = analytic::make_backend(estimator::BackendKind::Analytic);
-  EXPECT_EQ(an->name(), "analytic");
-  EXPECT_THROW((void)analytic::make_backend(estimator::BackendKind::Both),
+  const auto sim = cgen::make_backend(estimator::BackendKind::Simulation);
+  EXPECT_NE(dynamic_cast<const analytic::SimulationBackend*>(sim.get()),
+            nullptr);
+  const auto an = cgen::make_backend(estimator::BackendKind::Analytic);
+  EXPECT_NE(dynamic_cast<const analytic::AnalyticBackend*>(an.get()),
+            nullptr);
+  EXPECT_THROW((void)cgen::make_backend(estimator::BackendKind::Both),
                std::invalid_argument);
 }
 
@@ -327,9 +405,8 @@ TEST(Backend, PrepareOnceMatchesOneShotEstimate) {
   const auto grid = {params_np(1), params_np(2), params_np(4, 2, 2)};
   for (const estimator::BackendKind kind :
        {estimator::BackendKind::Simulation, estimator::BackendKind::Analytic}) {
-    const auto backend = analytic::make_backend(kind);
+    const auto backend = cgen::make_backend(kind);
     const auto prepared = backend->prepare(model);
-    EXPECT_EQ(prepared->backend_name(), backend->name());
     for (const auto& params : grid) {
       const auto via_prepared = prepared->estimate(params);
       const auto one_shot = backend->estimate(model, params);
@@ -366,7 +443,7 @@ TEST(Backend, PreparedEstimateIsThreadSafeUnderConcurrentCalls) {
       params_np(1), params_np(2), params_np(4, 2, 2), params_np(8, 2, 4)};
   for (const estimator::BackendKind kind :
        {estimator::BackendKind::Simulation, estimator::BackendKind::Analytic}) {
-    const auto prepared = analytic::make_backend(kind)->prepare(model);
+    const auto prepared = cgen::make_backend(kind)->prepare(model);
     std::vector<double> expected;
     expected.reserve(grid.size());
     for (const auto& params : grid) {

@@ -76,7 +76,6 @@ TEST(CodegenBackend, SharesTheLoweringItWasPreparedFrom) {
   const auto prepared = cgen::CodegenBackend().prepare(program);
   ASSERT_NE(prepared->lowering(), nullptr);
   EXPECT_EQ(prepared->lowering().get(), program.get());
-  EXPECT_EQ(prepared->backend_name(), "codegen");
 }
 
 TEST(CodegenBackend, SecondPrepareHitsTheCompileCache) {
@@ -132,8 +131,11 @@ TEST(CodegenBackend, LoopTripLimitTripsStructured) {
   const auto program =
       prophet::lower::lower(prophet::models::spin_model(1e6));
   const auto prepared = cgen::CodegenBackend().prepare(program);
+  guard::Limits limits;
+  limits.max_loop_trips = 100;
+  guard::Budget budget(limits);
   auto options = no_trace();
-  options.limits.max_loop_trips = 100;
+  options.budget = &budget;
   try {
     (void)prepared->estimate(sp(1), options);
     FAIL() << "expected ResourceExhausted";
@@ -148,8 +150,11 @@ TEST(CodegenBackend, SimEventLimitTripsStructured) {
   const auto program =
       prophet::lower::lower(prophet::models::spin_model(1e6));
   const auto prepared = cgen::CodegenBackend().prepare(program);
+  guard::Limits limits;
+  limits.max_sim_events = 50;
+  guard::Budget budget(limits);
   auto options = no_trace();
-  options.limits.max_sim_events = 50;
+  options.budget = &budget;
   EXPECT_THROW((void)prepared->estimate(sp(1), options),
                guard::ResourceExhausted);
 }
@@ -160,25 +165,37 @@ TEST(CodegenBackend, UnlimitedEstimateMatchesLimitedBelowTheBound) {
   const auto program = prophet::lower::lower(prophet::models::sample_model());
   const auto prepared = cgen::CodegenBackend().prepare(program);
   const auto plain = prepared->estimate(sp(2), no_trace());
+  guard::Limits limits;
+  limits.max_sim_events = 1000000;
+  limits.max_loop_trips = 1000000;
+  guard::Budget budget(limits);
   auto options = no_trace();
-  options.limits.max_sim_events = 1000000;
-  options.limits.max_loop_trips = 1000000;
+  options.budget = &budget;
   expect_bit_identical(plain, prepared->estimate(sp(2), options));
 }
 
+/// True when the factory builds `engine` as a `Backend`.
+template <typename Backend>
+bool builds(estimator::BackendKind engine) {
+  return dynamic_cast<const Backend*>(cgen::make_backend(engine).get()) !=
+         nullptr;
+}
+
 TEST(CodegenBackend, FactoryCoversEverySingleEngine) {
-  EXPECT_EQ(cgen::make_backend(estimator::BackendKind::Simulation)->name(),
-            "sim");
-  EXPECT_EQ(cgen::make_backend(estimator::BackendKind::Analytic)->name(),
-            "analytic");
-  EXPECT_EQ(cgen::make_backend(estimator::BackendKind::Codegen)->name(),
-            "codegen");
-  // Cross-validating kinds select several engines — not a single
+  EXPECT_TRUE(builds<prophet::analytic::SimulationBackend>(
+      estimator::BackendKind::Simulation));
+  EXPECT_TRUE(builds<prophet::analytic::AnalyticBackend>(
+      estimator::BackendKind::Analytic));
+  EXPECT_TRUE(builds<cgen::CodegenBackend>(estimator::BackendKind::Codegen));
+  // Cross-validating selections run several engines — not a single
   // backend the factory could return.
-  EXPECT_THROW((void)cgen::make_backend(estimator::BackendKind::Both),
-               std::invalid_argument);
-  EXPECT_THROW((void)cgen::make_backend(estimator::BackendKind::All),
-               std::invalid_argument);
+  for (const estimator::BackendKind selection :
+       {estimator::BackendKind::Both, estimator::BackendKind::SimCodegen,
+        estimator::BackendKind::AnalyticCodegen,
+        estimator::BackendKind::All}) {
+    EXPECT_THROW((void)cgen::make_backend(selection), std::invalid_argument)
+        << estimator::to_string(selection);
+  }
 }
 
 }  // namespace

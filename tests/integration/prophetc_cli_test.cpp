@@ -3,7 +3,10 @@
 // source of truth, asserted out-of-process against the real binary.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -33,6 +36,13 @@ CommandResult run_command(const std::string& command) {
 }
 
 std::string prophetc() { return std::string(PROPHET_BINARY_DIR) + "/prophetc"; }
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
 
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> lines;
@@ -178,6 +188,29 @@ TEST(ProphetcCli, EstimateTimingsReportsExpressionCompileSplit) {
       << "predicted time differs between --timings and default paths:\n"
       << timed.output << "\nvs\n"
       << plain.output;
+}
+
+TEST(ProphetcCli, TraceFollowsTheSimulatorReference) {
+  // The simulator is the reference of every selection that includes it,
+  // so --trace and --gantt work there and record its own timeline.
+  const std::string sim_tf = ::testing::TempDir() + "/trace_sim.tf";
+  const std::string both_tf = ::testing::TempDir() + "/trace_both.tf";
+  const auto sim = run_command(prophetc() +
+                               " estimate @kernel6 --backend sim --trace " +
+                               sim_tf);
+  ASSERT_EQ(sim.status, 0) << sim.output;
+  const auto both = run_command(
+      prophetc() + " estimate @kernel6 --backend both --trace " + both_tf +
+      " --gantt");
+  ASSERT_EQ(both.status, 0) << both.output;
+  const std::string expected = slurp(sim_tf);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(slurp(both_tf), expected);
+  // Without the simulator there is no timeline to write.
+  const auto no_sim = run_command(
+      prophetc() + " estimate @kernel6 --backend analytic+codegen --gantt");
+  ASSERT_TRUE(WIFEXITED(no_sim.status)) << no_sim.output;
+  EXPECT_EQ(WEXITSTATUS(no_sim.status), 2) << no_sim.output;
 }
 
 }  // namespace

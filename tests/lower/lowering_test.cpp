@@ -13,6 +13,7 @@
 
 #include "prophet/analytic/analytic.hpp"
 #include "prophet/analytic/backend.hpp"
+#include "prophet/cgen/backend.hpp"
 #include "prophet/estimator/backend.hpp"
 #include "prophet/interp/interpreter.hpp"
 #include "prophet/lower/lower.hpp"
@@ -21,6 +22,7 @@
 #include "prophet/uml/builder.hpp"
 
 namespace analytic = prophet::analytic;
+namespace cgen = prophet::cgen;
 namespace estimator = prophet::estimator;
 namespace interp = prophet::interp;
 namespace lower = prophet::lower;
@@ -325,8 +327,8 @@ TEST(SharedLowering, IndependentPreparesReportIdenticalCounts) {
     const uml::Model model = entry.make();
     const auto sim = analytic::SimulationBackend().prepare(model);
     const auto ana = analytic::AnalyticBackend().prepare(model);
-    const estimator::PrepareStats a = sim->prepare_stats();
-    const estimator::PrepareStats b = ana->prepare_stats();
+    const lower::LoweringStats& a = sim->lowering()->stats();
+    const lower::LoweringStats& b = ana->lowering()->stats();
     EXPECT_EQ(a.expr_programs, b.expr_programs) << entry.name;
     EXPECT_EQ(a.nodes, b.nodes) << entry.name;
     EXPECT_EQ(a.slots, b.slots) << entry.name;
@@ -348,13 +350,13 @@ TEST(SharedLowering, PredictionsAreBitIdenticalToPerBackendLowering) {
     for (const estimator::BackendKind kind :
          {estimator::BackendKind::Simulation,
           estimator::BackendKind::Analytic}) {
-      const auto backend = analytic::make_backend(kind);
+      const auto backend = cgen::make_backend(kind);
       const auto shared = backend->prepare(program);
       const auto own = backend->prepare(model);
       const auto from_shared = shared->estimate(params);
       const auto from_own = own->estimate(params);
       EXPECT_EQ(from_shared.predicted_time, from_own.predicted_time)
-          << entry.name << " @ " << backend->name();
+          << entry.name << " @ " << estimator::to_string(kind);
       EXPECT_EQ(from_shared.events, from_own.events) << entry.name;
       EXPECT_EQ(from_shared.per_process_finish, from_own.per_process_finish)
           << entry.name;

@@ -4,7 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "prophet/pipeline/batch.hpp"
 #include "prophet/pipeline/scenario.hpp"
@@ -234,6 +241,108 @@ TEST(BatchRunner, BackendSelectionIsDeterministicAcrossThreads) {
     EXPECT_EQ(serial.results[i].predicted_time,
               parallel.results[i].predicted_time)
         << "job " << i;
+  }
+}
+
+// Every selection, in one table.  The reference engine — the simulator
+// when selected, else codegen, else analytic — fills `predicted_time`
+// and `events`; every engine that ran, reference included, fills its own
+// prediction field; `relative_error` is the worst candidate's.  Each
+// number matches the engine's own single-engine sweep bit for bit.
+TEST(BatchRunner, EverySelectionFillsReferenceAndCandidates) {
+  using prophet::estimator::BackendKind;
+  const auto sweep = [](BackendKind backend) {
+    pipeline::BatchOptions options;
+    options.threads = 1;
+    options.backend = backend;
+    pipeline::BatchRunner runner(options);
+    const int m = runner.add_model_reference("@sample");
+    runner.add_sweep(m, pipeline::ScenarioGrid::parse("np=1..4"));
+    return runner.run();
+  };
+  struct Selection {
+    BackendKind backend;
+    std::string spelling;
+    BackendKind reference;
+    std::vector<BackendKind> candidates;
+  };
+  const std::vector<Selection> selections = {
+      {BackendKind::Simulation, "sim", BackendKind::Simulation, {}},
+      {BackendKind::Analytic, "analytic", BackendKind::Analytic, {}},
+      {BackendKind::Codegen, "codegen", BackendKind::Codegen, {}},
+      {BackendKind::Both, "both", BackendKind::Simulation,
+       {BackendKind::Analytic}},
+      {BackendKind::SimCodegen, "sim+codegen", BackendKind::Simulation,
+       {BackendKind::Codegen}},
+      {BackendKind::AnalyticCodegen, "analytic+codegen", BackendKind::Codegen,
+       {BackendKind::Analytic}},
+      {BackendKind::All, "all", BackendKind::Simulation,
+       {BackendKind::Analytic, BackendKind::Codegen}},
+  };
+  std::map<BackendKind, pipeline::BatchReport> alone;
+  for (const BackendKind engine :
+       {BackendKind::Simulation, BackendKind::Analytic, BackendKind::Codegen}) {
+    alone.emplace(engine, sweep(engine));
+  }
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  for (const Selection& selection : selections) {
+    const pipeline::BatchReport report = sweep(selection.backend);
+    ASSERT_EQ(report.results.size(), 4u) << selection.spelling;
+    const auto ran = [&selection](BackendKind engine) {
+      return engine == selection.reference ||
+             std::count(selection.candidates.begin(),
+                        selection.candidates.end(), engine) > 0;
+    };
+    for (std::size_t job = 0; job < report.results.size(); ++job) {
+      const pipeline::ScenarioResult& result = report.results[job];
+      const auto alone_predicted = [&alone, job](BackendKind engine) {
+        return alone.at(engine).results[job].predicted_time;
+      };
+      const std::string where =
+          selection.spelling + " job " + std::to_string(job);
+      ASSERT_TRUE(result.ok) << where << ": " << result.error;
+      EXPECT_EQ(result.backend, selection.backend) << where;
+      EXPECT_EQ(bits(result.predicted_time),
+                bits(alone_predicted(selection.reference)))
+          << where;
+      EXPECT_EQ(result.events,
+                alone.at(selection.reference).results[job].events)
+          << where;
+      if (selection.reference == BackendKind::Analytic) {
+        EXPECT_EQ(result.events, 0u) << where;
+      }
+      EXPECT_EQ(bits(result.analytic_predicted),
+                bits(ran(BackendKind::Analytic)
+                         ? alone_predicted(BackendKind::Analytic)
+                         : 0.0))
+          << where;
+      EXPECT_EQ(bits(result.codegen_predicted),
+                bits(ran(BackendKind::Codegen)
+                         ? alone_predicted(BackendKind::Codegen)
+                         : 0.0))
+          << where;
+      double worst = 0;
+      for (const BackendKind candidate : selection.candidates) {
+        worst = std::max(worst, std::abs(alone_predicted(candidate) -
+                                         result.predicted_time) /
+                                    result.predicted_time);
+      }
+      EXPECT_EQ(bits(result.relative_error), bits(worst)) << where;
+    }
+    // The CSV `backend` column (the 8th) keeps the selection's spelling.
+    std::istringstream csv(report.to_csv());
+    std::string row;
+    std::getline(csv, row);  // header
+    while (std::getline(csv, row)) {
+      std::istringstream fields(row);
+      std::string field;
+      for (int column = 0; column < 8; ++column) {
+        std::getline(fields, field, ',');
+      }
+      EXPECT_EQ(field, selection.spelling) << row;
+    }
   }
 }
 

@@ -3,13 +3,13 @@
 //   prophetc check <model> [--mcf <mcf.xml>]
 //   prophetc generate <model> [-o out.cpp] [--main]
 //   prophetc estimate <model> [--sp <sp.xml>] [--np N] [--nodes N]
-//                     [--ppn N] [--nt N] [--backend KIND]
+//                     [--ppn N] [--nt N] [--backend ENGINES]
 //                     [--trace out.tf] [--gantt] [--timings]
 //                     [--metrics out.json] [--trace-json out.json]
 //   prophetc outline <model>
 //   prophetc models [--names] [--grid @name]
 //   prophetc sweep <model>... [--grid SPEC] [--sp <sp.xml>]
-//                  [--backend KIND] [--max-rel-error X]
+//                  [--backend ENGINES] [--max-rel-error X]
 //                  [--threads N] [--batch-lanes N] [--csv out.csv]
 //                  [--no-check] [--metrics out.json] [--trace-json out.json]
 //                  [--progress]
@@ -26,15 +26,15 @@
 // expands --grid cross-products like "np=1..8:*2 nodes=1,2" over every
 // input model; without --sp, a registry reference's grid expands over
 // the entry's default system parameters (estimate does the same).
-// --backend selects the estimation engines: the discrete-event
-// simulator (default), the closed-form analytic estimator, the
-// compiled-code evaluator (codegen: prepare emits specialized C++ from
-// the shared lowering, builds it with the host toolchain and dlopen's
-// it), or any cross-validating combination — both (sim+analytic),
-// sim+codegen, analytic+codegen, all.  Cross-validating kinds run one
-// engine as reference (sim when selected, else codegen) and report
-// every other engine's relative error (--max-rel-error fails a sweep
-// whose worst error exceeds the bound).  Sweeps compile each model once
+// --backend selects the estimation engines as a +-joined set, in any
+// order, of sim (the discrete-event simulator, the default), analytic
+// (the closed-form estimator) and codegen (prepare emits specialized C++
+// from the shared lowering, builds it with the host toolchain and
+// dlopen's it); both (sim+analytic) and all name the common sets.  A set
+// of several engines cross-validates: the reference is sim when
+// selected, else codegen, else analytic, and every other engine reports
+// its relative error against it (--max-rel-error fails a sweep whose
+// worst error exceeds the bound).  Sweeps compile each model once
 // (check, lower, prepare; XMI files are parsed once, when registered)
 // and evaluate all its scenarios against the cached result.
 // --batch-lanes sets the sweep's lane width: same-model scenario runs
@@ -71,19 +71,16 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "prophet/analytic/backend.hpp"
 #include "prophet/cgen/backend.hpp"
 #include "prophet/estimator/backend.hpp"
 #include "prophet/guard/guard.hpp"
@@ -112,18 +109,14 @@ int usage() {
       "  prophetc check <model> [--mcf <mcf.xml>]\n"
       "  prophetc generate <model> [-o out.cpp] [--main]\n"
       "  prophetc estimate <model> [--sp <sp.xml>] [--np N] "
-      "[--nodes N] [--ppn N] [--nt N] "
-      "[--backend sim|analytic|codegen|both|sim+codegen|analytic+codegen|"
-      "all] "
+      "[--nodes N] [--ppn N] [--nt N] [--backend ENGINES] "
       "[--trace out.tf] [--gantt] [--timings] [--metrics out.json] "
       "[--trace-json out.json]\n"
       "  prophetc outline <model>\n"
       "  prophetc models [--names] [--grid @name]\n"
       "  prophetc sweep <model>... [--grid SPEC] [--sp <sp.xml>] "
-      "[--backend sim|analytic|codegen|both|sim+codegen|analytic+codegen|"
-      "all] "
-      "[--max-rel-error X] [--threads N] [--batch-lanes N] "
-      "[--csv out.csv] [--no-check] "
+      "[--backend ENGINES] [--max-rel-error X] [--threads N] "
+      "[--batch-lanes N] [--csv out.csv] [--no-check] "
       "[--metrics out.json] [--trace-json out.json] [--progress] "
       "[--job-timeout S] [--deadline S] [--limit-sim-events N] "
       "[--limit-vm-instructions N] [--limit-replay-events N] "
@@ -132,6 +125,9 @@ int usage() {
       "\n"
       "<model> is an XMI file or a built-in reference "
       "\"@name(knob=value, ...)\".\n"
+      "ENGINES is a +-joined set of sim, analytic and codegen (or both, "
+      "all); the reference is sim if selected, else codegen, else "
+      "analytic.\n"
       "built-in models: %s\n",
       prophet::models::Registry::builtin().available().c_str());
   return 2;
@@ -251,6 +247,26 @@ bool take_seconds(const std::vector<std::string>& args, std::size_t& i,
   return true;
 }
 
+/// Common handler for `--backend <engines>` updating `target`; returns
+/// false on a reported parse error.
+bool take_backend(const std::vector<std::string>& args, std::size_t& i,
+                  estimator::BackendKind& target, std::string* error) {
+  const auto value = flag_value(args, i);
+  if (!value) {
+    *error = "--backend requires a value";
+    return false;
+  }
+  const auto kind = estimator::backend_from_string(*value);
+  if (!kind) {
+    *error = "--backend: unknown backend '" + *value +
+             "' (expected a +-joined set of sim, analytic and codegen, or "
+             "both or all)";
+    return false;
+  }
+  target = *kind;
+  return true;
+}
+
 /// Sweep-scoped cancellation target of the SIGINT handler.  The handler
 /// only flips the budget's atomic cancel flag (async-signal-safe); the
 /// workers observe it at their next check site and the sweep drains,
@@ -321,23 +337,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-/// Folds a prepared model's lowering statistics under "lower." — the
-/// cells `--timings` formats and `--metrics` exports.
-void fold_lowering(prophet::obs::Registry& registry,
-                   const prophet::lower::LoweringStats& stats) {
-  registry.counter("lower.expr_programs").add(stats.expr_programs);
-  registry.counter("lower.nodes").add(stats.nodes);
-  registry.counter("lower.slots").add(stats.slots);
-  registry.counter("lower.guards").add(stats.guards);
-  registry.counter("lower.functions").add(stats.functions);
-  registry.counter("lower.variables").add(stats.variables);
-  registry.counter("lower.fragment_assignments")
-      .add(stats.fragment_assignments);
-  registry.counter("lower.bytecode_bytes").add(stats.bytecode_bytes);
-  registry.timer("lower.expr_compile_seconds")
-      .add_seconds(stats.expr_compile_seconds);
 }
 
 /// Two `--timings` lines per backend, formatted from the metric
@@ -417,17 +416,9 @@ int cmd_estimate(const prophet::Prophet& prophet,
         return parse_error(error);
       }
     } else if (args[i] == "--backend") {
-      const auto value = flag_value(args, i);
-      if (!value) {
-        return parse_error("--backend requires a value");
+      if (!take_backend(args, i, backend, &error)) {
+        return parse_error(error);
       }
-      const auto kind = estimator::backend_from_string(*value);
-      if (!kind) {
-        return parse_error("--backend: unknown backend '" + *value +
-                           "' (expected sim, analytic, codegen, both, "
-                           "sim+codegen, analytic+codegen or all)");
-      }
-      backend = *kind;
     } else if (args[i] == "--trace") {
       const auto value = flag_value(args, i);
       if (!value) {
@@ -455,11 +446,14 @@ int cmd_estimate(const prophet::Prophet& prophet,
     }
   }
 
-  const estimator::BackendSet selected = estimator::backends_of(backend);
-  if (backend != estimator::BackendKind::Simulation &&
-      (!trace_path.empty() || gantt)) {
+  // The selected engines, reference first.  The simulator, when
+  // selected, is the reference and owns the event trace.
+  const auto engines = estimator::engines(backend);
+  const bool simulates =
+      engines.front() == estimator::BackendKind::Simulation;
+  if (!simulates && (!trace_path.empty() || gantt)) {
     return parse_error(
-        "--trace/--gantt need a simulation (use --backend sim)");
+        "--trace/--gantt need a simulation (add sim to --backend)");
   }
 
   // One registry backs --metrics and --timings (the printed numbers are
@@ -471,7 +465,7 @@ int cmd_estimate(const prophet::Prophet& prophet,
       (!metrics_path.empty() || timings) ? &registry : nullptr;
   prophet::obs::TraceLog* log =
       trace_json_path.empty() ? nullptr : &trace_log;
-  const bool want_sim_timeline = log != nullptr && selected.sim;
+  const bool want_sim_timeline = log != nullptr && simulates;
   if (log != nullptr) {
     trace_log.name_process(0, "prophetc estimate (host)");
     trace_log.name_thread(0, 0, "main");
@@ -500,33 +494,11 @@ int cmd_estimate(const prophet::Prophet& prophet,
 
   std::string timing_report;
 
-  // The selected engines evaluate reference-first: the reference prints
-  // the full summary (and owns the event trace when it is the
-  // simulator), every other backend reports its relative error against
-  // it.  All consume one shared lowering — backends only differ in how
-  // they evaluate the lower::ModelProgram — so `--timings` reports one
-  // expression-compile cost and identical lowering counts per backend.
-  struct Engine {
-    estimator::BackendKind kind;
-    const char* name;
-  };
-  std::vector<Engine> engines;
-  const estimator::BackendKind reference = selected.reference();
-  const auto add = [&](bool on, estimator::BackendKind kind,
-                       const char* name) {
-    if (!on) {
-      return;
-    }
-    if (kind == reference) {
-      engines.insert(engines.begin(), Engine{kind, name});
-    } else {
-      engines.push_back(Engine{kind, name});
-    }
-  };
-  add(selected.sim, estimator::BackendKind::Simulation, "sim");
-  add(selected.codegen, estimator::BackendKind::Codegen, "codegen");
-  add(selected.analytic, estimator::BackendKind::Analytic, "analytic");
-
+  // The engines evaluate reference-first: the reference prints the full
+  // summary, every other engine its relative error against it.  All
+  // consume one shared lowering — engines only differ in how they
+  // evaluate the lower::ModelProgram — so `--timings` reports one
+  // expression-compile cost and identical lowering counts per engine.
   prophet::lower::ModelProgramPtr program;
   {
     const prophet::obs::TraceLog::HostSpan span(log, 0, 0,
@@ -534,14 +506,14 @@ int cmd_estimate(const prophet::Prophet& prophet,
                                                 "host.lower");
     program = prophet::lower::lower(prophet.model());
   }
-  fold_lowering(registry, program->stats());
+  prophet::lower::fold(registry, program->stats());
 
   estimator::PredictionReport report;  // the reference engine's
   std::string candidate_lines;
-  for (std::size_t index = 0; index < engines.size(); ++index) {
-    const Engine& engine = engines[index];
-    const bool is_reference = index == 0;
-    const auto factory = prophet::cgen::make_backend(engine.kind);
+  for (const estimator::BackendKind engine : engines) {
+    const bool is_reference = engine == engines.front();
+    const std::string name(estimator::to_string(engine));
+    const auto factory = prophet::cgen::make_backend(engine);
     // Route through the Backend prepare()/estimate() split
     // (bit-identical to the one-shot path per the PreparedModel
     // contract) so the prepare cost — expression compilation, and for
@@ -550,10 +522,10 @@ int cmd_estimate(const prophet::Prophet& prophet,
     std::unique_ptr<estimator::PreparedModel> prepared;
     {
       const prophet::obs::TraceLog::HostSpan span(
-          log, 0, 0, std::string("prepare ") + engine.name, "host.prepare");
+          log, 0, 0, "prepare " + name, "host.prepare");
       prepared = factory->prepare(program);
     }
-    registry.timer("host." + std::string(engine.name) + ".prepare_seconds")
+    registry.timer("host." + name + ".prepare_seconds")
         .add_seconds(seconds_since(prepare_started));
     if (const auto* codegen =
             dynamic_cast<const prophet::cgen::CodegenPrepared*>(
@@ -566,40 +538,31 @@ int cmd_estimate(const prophet::Prophet& prophet,
     estimator::EstimationOptions options;
     options.metrics = metrics;
     options.collect_trace =
-        is_reference && engine.kind == estimator::BackendKind::Simulation &&
+        engine == estimator::BackendKind::Simulation &&
         (!trace_path.empty() || gantt || want_sim_timeline);
     options.collect_machine_report = is_reference;
     const auto estimate_started = std::chrono::steady_clock::now();
     estimator::PredictionReport engine_report;
     {
       const prophet::obs::TraceLog::HostSpan span(
-          log, 0, 0, std::string("estimate ") + engine.name, "host.estimate");
+          log, 0, 0, "estimate " + name, "host.estimate");
       engine_report = prepared->estimate(params, options);
     }
-    registry.timer("host." + std::string(engine.name) + ".estimate_seconds")
+    registry.timer("host." + name + ".estimate_seconds")
         .add_seconds(seconds_since(estimate_started));
     if (timings) {
-      timing_report += timings_line(registry, engine.name);
+      timing_report += timings_line(registry, name);
     }
     if (is_reference) {
       report = std::move(engine_report);
       continue;
     }
-    // Same convention as the batch pipeline: a zero reference time with
-    // a nonzero candidate prediction is total disagreement, not zero
-    // error.
-    double rel_error = 0;
-    if (report.predicted_time > 0) {
-      rel_error =
-          std::abs(engine_report.predicted_time - report.predicted_time) /
-          report.predicted_time;
-    } else if (engine_report.predicted_time > 0) {
-      rel_error = std::numeric_limits<double>::infinity();
-    }
     char line[160];
     std::snprintf(line, sizeof(line),
-                  "%s time:  %.12f s (relative error %.6f)\n", engine.name,
-                  engine_report.predicted_time, rel_error);
+                  "%s time:  %.12f s (relative error %.6f)\n", name.c_str(),
+                  engine_report.predicted_time,
+                  estimator::relative_error(engine_report.predicted_time,
+                                            report.predicted_time));
     candidate_lines += line;
   }
   std::printf("%s", report.summary().c_str());
@@ -728,17 +691,9 @@ int cmd_sweep(const std::vector<std::string>& args) {
       }
       csv_path = *value;
     } else if (args[i] == "--backend") {
-      const auto value = flag_value(args, i);
-      if (!value) {
-        return parse_error("--backend requires a value");
+      if (!take_backend(args, i, options.backend, &error)) {
+        return parse_error(error);
       }
-      const auto kind = estimator::backend_from_string(*value);
-      if (!kind) {
-        return parse_error("--backend: unknown backend '" + *value +
-                           "' (expected sim, analytic, codegen, both, "
-                           "sim+codegen, analytic+codegen or all)");
-      }
-      options.backend = *kind;
     } else if (args[i] == "--max-rel-error") {
       const auto value = flag_value(args, i);
       if (!value) {
@@ -811,7 +766,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
     return parse_error("sweep: no input models");
   }
   if (max_rel_error.has_value() &&
-      !estimator::backends_of(options.backend).cross_validates()) {
+      estimator::engines(options.backend).size() < 2) {
     return parse_error(
         "--max-rel-error requires a cross-validating --backend "
         "(both, sim+codegen, analytic+codegen or all)");
