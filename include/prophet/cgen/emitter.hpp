@@ -24,9 +24,9 @@
 //     runaway models trip limits instead of hanging.
 //
 // Invariant: generated evaluators are produced from lower::ModelProgram,
-// never from the AST (codegen/transformer, the out-of-process path, is a
-// separate consumer of the model).  The emitted unit's only interface is
-// the C ABI of cgen/abi.hpp.
+// never from the AST (codegen/transformer, the paper's out-of-process
+// output, prints the same program).  The emitted unit's only interface
+// is the C ABI of cgen/abi.hpp.
 #pragma once
 
 #include <string>

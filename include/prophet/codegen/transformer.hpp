@@ -1,8 +1,9 @@
 // The UML -> C++ model transformation — the paper's core contribution.
 //
+// Prints the model's lowering (lower::ModelProgram), the program every
+// engine runs, so the generated C++ computes what the simulator computes.
 // Implements the algorithm of Fig. 5:
-//   lines  1-8  identify and select performance modeling elements by
-//               stereotype name;
+//   lines  1-8  select the performance modeling elements;
 //   lines  9-12 emit the global variables;
 //   lines 13-18 emit the cost functions (double FA1() { ... });
 //   lines 20-23 emit the local variables;
@@ -12,9 +13,10 @@
 //               execute() method in the order the UML model specifies —
 //               branches become if/else-if chains (Fig. 8b lines 77-87),
 //               nested activities become nested blocks (lines 79-82),
-//               <<loop+>> nodes become for statements, fork/join becomes a
-//               fork_join() call, and associated code fragments are
-//               inlined verbatim before their element (lines 72-75).
+//               <<loop+>> nodes become for statements over their trip
+//               count, fork/join becomes a fork_join() call, and
+//               associated code fragments are inlined before their
+//               element (lines 72-75).
 //
 // The output is one self-contained C++ translation unit (the PMP element
 // of Fig. 2) that compiles against the prophet workload runtime, plus an
@@ -25,12 +27,14 @@
 #include <string>
 #include <vector>
 
+#include "prophet/lower/lower.hpp"
 #include "prophet/uml/model.hpp"
 
 namespace prophet::codegen {
 
-/// Error thrown when the model cannot be transformed (run the model
-/// checker first for precise diagnostics).
+/// Error thrown when the model cannot be transformed: it does not lower
+/// (lower::LowerError, message unchanged) or its control flow is not
+/// structured.  Run the model checker first for precise diagnostics.
 class TransformError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -38,10 +42,6 @@ class TransformError : public std::runtime_error {
 
 /// Transformation options.
 struct TransformOptions {
-  /// Name of the generated model coroutine.
-  std::string model_function = "prophet_model";
-  /// Emit stage banner comments mirroring Fig. 5 / Fig. 8.
-  bool banners = true;
   /// Also emit a main() that runs the Performance Estimator over the
   /// model with parameters from argv (used by the prophetc tool).
   bool emit_main = false;
@@ -83,31 +83,41 @@ class Transformer {
  public:
   explicit Transformer(TransformOptions options = {});
 
-  /// Fig. 5, whole algorithm: UML model representation in, C++ model
-  /// representation out.
+  /// Fig. 5, whole algorithm: the lowered model in, its C++
+  /// representation out.  Throws TransformError on unstructured control
+  /// flow.
+  [[nodiscard]] std::string transform(
+      const lower::ModelProgram& program) const;
+
+  /// Lowers `model`, then transforms the program.
   [[nodiscard]] std::string transform(const uml::Model& model) const;
 
   // --- Individual stages (exposed for stage-level tests and benches) -----
 
-  /// Lines 1-8: performance modeling elements, in diagram order.
-  [[nodiscard]] std::vector<const uml::Node*> select_performance_elements(
-      const uml::Model& model) const;
+  /// Lines 1-8: performance modeling elements (every node but the
+  /// control nodes), in diagram order.
+  [[nodiscard]] std::vector<const lower::NodePrograms*>
+  select_performance_elements(const lower::ModelProgram& program) const;
 
   /// Lines 9-12: global variable definitions.
-  [[nodiscard]] std::string emit_globals(const uml::Model& model) const;
+  [[nodiscard]] std::string emit_globals(
+      const lower::ModelProgram& program) const;
 
   /// Lines 13-18: cost-function definitions, dependency-ordered.
   [[nodiscard]] std::string emit_cost_functions(
-      const uml::Model& model) const;
+      const lower::ModelProgram& program) const;
 
   /// Lines 20-23: local variable definitions (inside the model function).
-  [[nodiscard]] std::string emit_locals(const uml::Model& model) const;
+  [[nodiscard]] std::string emit_locals(
+      const lower::ModelProgram& program) const;
 
   /// Lines 24-28: performance-modeling-element declarations.
-  [[nodiscard]] std::string emit_declarations(const uml::Model& model) const;
+  [[nodiscard]] std::string emit_declarations(
+      const lower::ModelProgram& program) const;
 
   /// Lines 29-35: the execution flow of the main diagram.
-  [[nodiscard]] std::string emit_flow(const uml::Model& model) const;
+  [[nodiscard]] std::string emit_flow(
+      const lower::ModelProgram& program) const;
 
  private:
   TransformOptions options_;

@@ -1,10 +1,7 @@
 // Static analysis over cost-function expressions: free variables and
 // called functions.  The model checker uses these to verify that every
 // identifier a cost function references is visible (a declared model
-// variable, a system parameter, or another cost function), and the code
-// generator uses them to order emitted cost-function definitions so that
-// callees precede callers (Fig. 8a emits FA1..FSA2 as plain C++ functions,
-// which require declaration before use).
+// variable, a system parameter, or another cost function).
 #pragma once
 
 #include <set>

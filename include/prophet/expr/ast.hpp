@@ -65,7 +65,6 @@ class Expr {
   Expr& operator=(const Expr&) = delete;
 
   [[nodiscard]] ExprKind kind() const { return kind_; }
-  [[nodiscard]] virtual ExprPtr clone() const = 0;
 
  private:
   ExprKind kind_;
@@ -75,9 +74,6 @@ class NumberExpr final : public Expr {
  public:
   explicit NumberExpr(double value) : Expr(ExprKind::Number), value_(value) {}
   [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] ExprPtr clone() const override {
-    return std::make_unique<NumberExpr>(value_);
-  }
 
  private:
   double value_;
@@ -88,9 +84,6 @@ class VariableExpr final : public Expr {
   explicit VariableExpr(std::string name)
       : Expr(ExprKind::Variable), name_(std::move(name)) {}
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] ExprPtr clone() const override {
-    return std::make_unique<VariableExpr>(name_);
-  }
 
  private:
   std::string name_;
@@ -102,9 +95,6 @@ class UnaryExpr final : public Expr {
       : Expr(ExprKind::Unary), op_(op), operand_(std::move(operand)) {}
   [[nodiscard]] UnaryOp op() const { return op_; }
   [[nodiscard]] const Expr& operand() const { return *operand_; }
-  [[nodiscard]] ExprPtr clone() const override {
-    return std::make_unique<UnaryExpr>(op_, operand_->clone());
-  }
 
  private:
   UnaryOp op_;
@@ -121,9 +111,6 @@ class BinaryExpr final : public Expr {
   [[nodiscard]] BinaryOp op() const { return op_; }
   [[nodiscard]] const Expr& lhs() const { return *lhs_; }
   [[nodiscard]] const Expr& rhs() const { return *rhs_; }
-  [[nodiscard]] ExprPtr clone() const override {
-    return std::make_unique<BinaryExpr>(op_, lhs_->clone(), rhs_->clone());
-  }
 
  private:
   BinaryOp op_;
@@ -139,14 +126,6 @@ class CallExpr final : public Expr {
         args_(std::move(args)) {}
   [[nodiscard]] const std::string& callee() const { return callee_; }
   [[nodiscard]] const std::vector<ExprPtr>& args() const { return args_; }
-  [[nodiscard]] ExprPtr clone() const override {
-    std::vector<ExprPtr> args;
-    args.reserve(args_.size());
-    for (const auto& arg : args_) {
-      args.push_back(arg->clone());
-    }
-    return std::make_unique<CallExpr>(callee_, std::move(args));
-  }
 
  private:
   std::string callee_;
@@ -164,10 +143,6 @@ class ConditionalExpr final : public Expr {
   [[nodiscard]] const Expr& cond() const { return *cond_; }
   [[nodiscard]] const Expr& then_branch() const { return *then_; }
   [[nodiscard]] const Expr& else_branch() const { return *otherwise_; }
-  [[nodiscard]] ExprPtr clone() const override {
-    return std::make_unique<ConditionalExpr>(cond_->clone(), then_->clone(),
-                                             otherwise_->clone());
-  }
 
  private:
   ExprPtr cond_;

@@ -152,6 +152,9 @@ class SymbolTable {
   /// Id of a registered user function, if any.
   [[nodiscard]] std::optional<int> function_id(std::string_view name) const;
 
+  /// Name registered for user function `id`.
+  [[nodiscard]] const std::string& function_name(int id) const;
+
   /// Ambient binding of `name`, if any.
   [[nodiscard]] std::optional<Ambient> ambient_of(
       std::string_view name) const;

@@ -44,7 +44,9 @@ class Prophet {
   [[nodiscard]] check::Diagnostics check(const xml::Document& mcf) const;
 
   /// Transforms the model to its C++ representation (the Fig. 5
-  /// algorithm); throws codegen::TransformError on unstructured models.
+  /// algorithm): lowers it (lower::lower) and prints the lowered program
+  /// every engine runs.  Throws codegen::TransformError when the model
+  /// does not lower or its control flow is unstructured.
   [[nodiscard]] std::string transform(
       codegen::TransformOptions options = {}) const;
 

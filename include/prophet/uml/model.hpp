@@ -83,8 +83,6 @@ class Model {
     variables_.push_back(std::move(variable));
   }
   [[nodiscard]] const Variable* variable(std::string_view name) const;
-  [[nodiscard]] std::vector<const Variable*> globals() const;
-  [[nodiscard]] std::vector<const Variable*> locals() const;
 
   // --- Cost functions -------------------------------------------------------
 

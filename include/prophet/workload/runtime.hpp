@@ -240,6 +240,9 @@ enum class CollectiveKind {
 
 [[nodiscard]] std::string_view to_string(CollectiveKind kind);
 
+/// The enumerator's C++ spelling ("AllReduce"), for code generators.
+[[nodiscard]] std::string_view enumerator_name(CollectiveKind kind);
+
 /// <<broadcast>>/<<reduce>>/<<allreduce>>/<<scatter>>/<<gather>>:
 /// synchronize all processes, then charge the collective's analytic time:
 ///   broadcast/reduce: ceil(log2 np) tree rounds of (lat + size/bw)
@@ -337,5 +340,29 @@ class OmpBarrierElement {
 /// and resumes when the last one finishes — the UML fork/join bars.
 [[nodiscard]] sim::Process fork_join(
     ModelContext ctx, std::vector<std::function<sim::Process()>> branches);
+
+/// The trips of a <<loop+>>, as the range of trip indices 0, 1, ... the
+/// generated program's `for (const double i : loop_trips(bound, id))`
+/// runs over.
+struct LoopTrips {
+  /// Walks the trip indices; `*it` is the loop variable's value.
+  struct Iterator {
+    std::int64_t trip;
+    double operator*() const { return static_cast<double>(trip); }
+    Iterator& operator++() {
+      ++trip;
+      return *this;
+    }
+    bool operator!=(const Iterator& end) const { return trip != end.trip; }
+  };
+  std::int64_t trips;
+  [[nodiscard]] Iterator begin() const { return {0}; }
+  [[nodiscard]] Iterator end() const { return {trips}; }
+};
+
+/// The trips of loop `loop_id` with bound `bound`, evaluated once and
+/// truncated as every engine runs a loop.  Throws std::runtime_error
+/// ("loop <id>: iteration count is negative or NaN") for such a bound.
+[[nodiscard]] LoopTrips loop_trips(double bound, const std::string& loop_id);
 
 }  // namespace prophet::workload

@@ -10,12 +10,14 @@
 #include <vector>
 
 #include "prophet/cgen/abi.hpp"
+#include "prophet/expr/cppgen.hpp"
 #include "prophet/uml/model.hpp"
 
 namespace prophet::cgen {
 namespace {
 
 using expr::Op;
+using expr::escape_cpp;
 using lower::DiagramProgram;
 using lower::NodePrograms;
 using lower::Operation;
@@ -37,43 +39,6 @@ std::string double_literal(double value) {
     return "(" + std::string(buffer) + ")";
   }
   return buffer;
-}
-
-/// Escapes text into a C++ string-literal body.  Control bytes use
-/// three-digit octal escapes (always exactly three digits, so a
-/// following literal digit can never be absorbed into the escape).
-std::string escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char raw : text) {
-    const auto c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (c < 0x20 || c == 0x7f) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\%03o", c);
-          out += buffer;
-        } else {
-          out += raw;
-        }
-    }
-  }
-  return out;
 }
 
 /// The evaluation environment a transliterated expression runs in: which
@@ -281,7 +246,7 @@ class ExprTransliterator {
         return stack(h) + " = " + double_literal(instr.value) + ";";
       case Op::LoadSlot:
         return stack(h) + " = load_slot(" + slot_ref(instr.a) + ", \"" +
-               escape(strings[instr.b]) + "\");";
+               escape_cpp(strings[instr.b]) + "\");";
       case Op::LoadSlotOrPid:
         return load_fallback(instr, h, env_.pid);
       case Op::LoadSlotOrTid:
@@ -359,7 +324,7 @@ class ExprTransliterator {
                "(call_args, " + std::to_string(argc) + "); }";
       }
       case Op::Throw:
-        return "throw_eval(\"" + escape(strings[instr.a]) + "\");";
+        return "throw_eval(\"" + escape_cpp(strings[instr.a]) + "\");";
       case Op::Abs:
         return unary(h, "fabs");
       case Op::Ceil:
@@ -409,24 +374,6 @@ std::string emit_expr(const expr::Compiled& program, const ExprEnv& env,
   return ExprTransliterator(program, env, indent).emit();
 }
 
-/// The C++ spelling of a collective's workload::CollectiveKind
-/// enumerator.
-std::string_view enumerator(workload::CollectiveKind kind) {
-  switch (kind) {
-    case workload::CollectiveKind::Broadcast:
-      return "Broadcast";
-    case workload::CollectiveKind::Reduce:
-      return "Reduce";
-    case workload::CollectiveKind::AllReduce:
-      return "AllReduce";
-    case workload::CollectiveKind::Scatter:
-      return "Scatter";
-    case workload::CollectiveKind::Gather:
-      return "Gather";
-  }
-  return "Gather";
-}
-
 /// Emits the full evaluator translation unit for one lowered model: the
 /// walk of every diagram is emitted from its lowered control flow
 /// (ModelProgram::diagrams()), node for node.
@@ -471,7 +418,7 @@ class Emitter {
 
   /// `throw std::runtime_error("<message>");` for a lowered defect.
   void throw_defect(const std::string& message, const std::string& indent) {
-    out_ << indent << "throw std::runtime_error(\"" << escape(message)
+    out_ << indent << "throw std::runtime_error(\"" << escape_cpp(message)
          << "\");\n";
   }
 
@@ -480,7 +427,7 @@ class Emitter {
             "Do not edit.\n"
          << "//\n"
          << "// Specialized evaluator for model '"
-         << escape(program_.model().name()) << "': every diagram\n"
+         << escape_cpp(program_.model().name()) << "': every diagram\n"
          << "// is a switch-based coroutine state machine and every "
             "expression program is\n"
          << "// transliterated bytecode — semantics (and bits) match the "
@@ -602,8 +549,8 @@ class Emitter {
          << emit_expr(*tag, env, indent + "  ") << ";\n"
          << indent << "} catch (const CgenEvalError& error) {\n"
          << indent << "  throw std::runtime_error(std::string(\"node "
-         << escape(node.node->id()) << ", tag '"
-         << escape(lower::tag_name(kind)) << "': \") + error.what());\n"
+         << escape_cpp(node.node->id()) << ", tag '"
+         << escape_cpp(lower::tag_name(kind)) << "': \") + error.what());\n"
          << indent << "}\n";
   }
 
@@ -621,7 +568,7 @@ class Emitter {
            << indent
            << "    throw std::runtime_error(std::string(\"code fragment at "
               "node "
-           << escape(node.node->id()) << ": \") + error.what());\n"
+           << escape_cpp(node.node->id()) << ": \") + error.what());\n"
            << indent << "  }\n";
       if (assignment.coerce_int) {
         out_ << indent << "  value = std::trunc(value);\n";
@@ -640,8 +587,9 @@ class Emitter {
           out_ << indent << "  (void)value;\n"
                << indent
                << "  throw std::runtime_error(\"code fragment at node "
-               << escape(node.node->id()) << " assigns undeclared variable '"
-               << escape(assignment.name) << "'\");\n";
+               << escape_cpp(node.node->id())
+               << " assigns undeclared variable '"
+               << escape_cpp(assignment.name) << "'\");\n";
           break;
       }
       out_ << indent << "}\n";
@@ -690,7 +638,7 @@ class Emitter {
   void operation_case(const NodePrograms& node, const std::string& indent) {
     const int uid = node.uid;
     fragment(node, indent);
-    const std::string name = "\"" + escape(node.node->name()) + "\"";
+    const std::string name = "\"" + escape_cpp(node.node->name()) + "\"";
     const std::string exec_prefix =
         "co_await element.execute(" + std::to_string(uid) +
         ", ctx.pid, ctx.tid";
@@ -733,7 +681,7 @@ class Emitter {
         tag_eval(node, TagKind::Root, "root", indent);
         out_ << indent << "prophet::workload::CollectiveElement element(ctx, "
              << name << ", prophet::workload::CollectiveKind::"
-             << enumerator(node.collective) << ");\n"
+             << workload::enumerator_name(node.collective) << ");\n"
              << indent << exec_prefix
              << ", bytes, static_cast<int>(root));\n";
         break;
@@ -745,7 +693,7 @@ class Emitter {
         out_ << indent << "prophet::workload::WorkshareElement element(ctx, "
              << name << ");\n"
              << indent << exec_prefix << ", iterations, itercost, \""
-             << escape(node.schedule) << "\", " << node.chunk << "LL);\n";
+             << escape_cpp(node.schedule) << "\", " << node.chunk << "LL);\n";
         break;
       case Operation::OmpBarrier:
         out_ << indent << "prophet::workload::OmpBarrierElement element(ctx, "
@@ -772,7 +720,7 @@ class Emitter {
         break;
       case Operation::Critical:
         out_ << indent << "prophet::workload::CriticalElement element(ctx, "
-             << name << ", \"" << escape(node.lock) << "\");\n"
+             << name << ", \"" << escape_cpp(node.lock) << "\");\n"
              << indent << "prophet::workload::ModelContext body_ctx = ctx;\n"
              << indent << "co_await element.execute(" << uid
              << ", ctx.pid, ctx.tid,\n"
@@ -806,7 +754,7 @@ class Emitter {
     tag_eval(node, TagKind::Iterations, "raw", indent);
     out_ << indent << "if (std::isnan(raw) || raw < 0) {\n"
          << indent << "  throw std::runtime_error(\"loop "
-         << escape(node.node->id())
+         << escape_cpp(node.node->id())
          << ": iteration count is negative or NaN\");\n"
          << indent << "}\n"
          << indent
@@ -828,7 +776,7 @@ class Emitter {
   void fork_case(const DiagramProgram& diagram, const NodePrograms& node,
                  int di, const std::string& indent) {
     const std::size_t branches = node.branches.size();
-    const std::string id = escape(node.node->id());
+    const std::string id = escape_cpp(node.node->id());
     if (branches == 0) {
       out_ << indent << "throw std::runtime_error(\"fork " << id
            << ": branches do not reach a join\");\n";
@@ -898,14 +846,14 @@ class Emitter {
          << "  switch (node) {\n";
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       out_ << "    case " << i << ":\n"
-           << "      return \"" << escape(nodes[i].node->id()) << "\";\n";
+           << "      return \"" << escape_cpp(nodes[i].node->id()) << "\";\n";
     }
     out_ << "    default:\n"
          << "      return \"\";\n"
          << "  }\n"
          << "}\n\n";
 
-    out_ << "// Diagram '" << escape(diagram.diagram->id())
+    out_ << "// Diagram '" << escape_cpp(diagram.diagram->id())
          << "': interp::Interpreter's walk, specialized.\n"
          << "prophet::sim::Process walk_d" << di
          << "(prophet::workload::ModelContext ctx, Frame f, double* locals, "
@@ -917,7 +865,7 @@ class Emitter {
          << "  while (node >= 0) {\n"
          << "    if (++steps > " << diagram.step_limit << "ULL) {\n"
          << "      throw std::runtime_error(\n"
-         << "          \"diagram " << escape(diagram.diagram->id())
+         << "          \"diagram " << escape_cpp(diagram.diagram->id())
          << ": walk exceeded step limit (unstructured \"\n"
          << "          \"cycle without <<loop+>>?)\");\n"
          << "    }\n"
@@ -927,7 +875,7 @@ class Emitter {
       const NodePrograms& node = nodes[i];
       out_ << "      case " << i << ": {  // "
            << uml::to_string(node.node->kind()) << " '"
-           << escape(node.node->id()) << "'\n";
+           << escape_cpp(node.node->id()) << "'\n";
       switch (node.op) {
         case Operation::Initial:
         case Operation::Merge:
@@ -967,7 +915,7 @@ class Emitter {
          << "(prophet::workload::ModelContext ctx, Frame f, double* locals) "
             "{\n";
     if (diagram.initial < 0) {
-      out_ << "  throw std::runtime_error(\"" << escape(diagram.defect)
+      out_ << "  throw std::runtime_error(\"" << escape_cpp(diagram.defect)
            << "\");\n"
            << "  co_return;  // unreachable; makes this a coroutine\n";
     } else {
@@ -1000,7 +948,7 @@ class Emitter {
       if (variable.scope != uml::VariableScope::Global) {
         continue;
       }
-      out_ << "  {  // global '" << escape(variable.name) << "'\n"
+      out_ << "  {  // global '" << escape_cpp(variable.name) << "'\n"
            << "    double value = 0.0;\n";
       if (variable.initializer.has_value()) {
         out_ << "    value = "
@@ -1035,7 +983,7 @@ class Emitter {
       if (variable.scope != uml::VariableScope::Local) {
         continue;
       }
-      out_ << "  {  // local '" << escape(variable.name) << "'\n"
+      out_ << "  {  // local '" << escape_cpp(variable.name) << "'\n"
            << "    double value = 0.0;\n";
       if (variable.initializer.has_value()) {
         out_ << "    value = "

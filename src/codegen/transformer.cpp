@@ -2,730 +2,498 @@
 
 #include <algorithm>
 #include <cctype>
-#include <map>
 #include <set>
-#include <sstream>
+#include <span>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
-#include "prophet/expr/analysis.hpp"
 #include "prophet/expr/cppgen.hpp"
-#include "prophet/expr/parser.hpp"
-#include "prophet/uml/sysparams.hpp"
 
 namespace prophet::codegen {
 namespace {
 
-using uml::ActivityDiagram;
-using uml::ControlFlow;
-using uml::Model;
-using uml::Node;
-using uml::NodeKind;
+using expr::escape_cpp;
+using lower::Branch;
+using lower::DiagramProgram;
+using lower::ModelProgram;
+using lower::NodePrograms;
+using lower::Operation;
+using lower::TagKind;
 
-/// Parses a tag expression; wraps syntax errors in TransformError.
-expr::ExprPtr parse_expr(const std::string& text, const std::string& where) {
-  try {
-    return expr::parse(text);
-  } catch (const expr::SyntaxError& error) {
-    throw TransformError(where + ": " + error.what());
-  }
-}
+/// Where the emission of a path continues once a throw, or a decision
+/// whose branches all end, has finished it: nowhere.
+constexpr int kEnded = -2;
 
-/// Replaces references to the variable `uid` with the element's numeric
-/// uid — the generated code passes uids as literals.
-expr::ExprPtr substitute_uid(const expr::Expr& expression, int uid) {
-  switch (expression.kind()) {
-    case expr::ExprKind::Variable: {
-      const auto& variable =
-          static_cast<const expr::VariableExpr&>(expression);
-      if (variable.name() == uml::sysparam::kElementUid) {
-        return std::make_unique<expr::NumberExpr>(static_cast<double>(uid));
-      }
-      return expression.clone();
-    }
-    case expr::ExprKind::Number:
-      return expression.clone();
-    case expr::ExprKind::Unary: {
-      const auto& unary = static_cast<const expr::UnaryExpr&>(expression);
-      return std::make_unique<expr::UnaryExpr>(
-          unary.op(), substitute_uid(unary.operand(), uid));
-    }
-    case expr::ExprKind::Binary: {
-      const auto& binary = static_cast<const expr::BinaryExpr&>(expression);
-      return std::make_unique<expr::BinaryExpr>(
-          binary.op(), substitute_uid(binary.lhs(), uid),
-          substitute_uid(binary.rhs(), uid));
-    }
-    case expr::ExprKind::Call: {
-      const auto& call = static_cast<const expr::CallExpr&>(expression);
-      std::vector<expr::ExprPtr> args;
-      args.reserve(call.args().size());
-      for (const auto& arg : call.args()) {
-        args.push_back(substitute_uid(*arg, uid));
-      }
-      return std::make_unique<expr::CallExpr>(call.callee(), std::move(args));
-    }
-    case expr::ExprKind::Conditional: {
-      const auto& cond =
-          static_cast<const expr::ConditionalExpr&>(expression);
-      return std::make_unique<expr::ConditionalExpr>(
-          substitute_uid(cond.cond(), uid),
-          substitute_uid(cond.then_branch(), uid),
-          substitute_uid(cond.else_branch(), uid));
-    }
-  }
-  return expression.clone();
-}
+/// Decisions and forks nested deeper than this are taken for a cycle.
+constexpr std::size_t kMaxStructureDepth = 256;
 
-/// Runtime class for a stereotype's declaration (Fig. 5 line 26:
-/// "identify the type of element").  Empty for structural stereotypes
-/// (activity+, loop+, ompparallel) that map to control flow, not objects.
-std::string runtime_class(const Node& node) {
-  const std::string& stereotype = node.stereotype();
-  if (stereotype == uml::stereo::kActionPlus) {
-    return "ActionPlus";
-  }
-  if (stereotype == uml::stereo::kSend) {
-    return "SendElement";
-  }
-  if (stereotype == uml::stereo::kRecv) {
-    return "RecvElement";
-  }
-  if (stereotype == uml::stereo::kBarrier) {
-    return "BarrierElement";
-  }
-  if (stereotype == uml::stereo::kBroadcast ||
-      stereotype == uml::stereo::kReduce ||
-      stereotype == uml::stereo::kAllReduce ||
-      stereotype == uml::stereo::kScatter ||
-      stereotype == uml::stereo::kGather) {
-    return "CollectiveElement";
-  }
-  if (stereotype == uml::stereo::kOmpFor) {
-    return "WorkshareElement";
-  }
-  if (stereotype == uml::stereo::kOmpBarrier) {
-    return "OmpBarrierElement";
-  }
-  if (stereotype == uml::stereo::kOmpCritical) {
-    return "CriticalElement";
-  }
-  return {};
-}
-
-std::string collective_kind_cpp(const std::string& stereotype) {
-  if (stereotype == uml::stereo::kBroadcast) {
-    return "prophet::workload::CollectiveKind::Broadcast";
-  }
-  if (stereotype == uml::stereo::kReduce) {
-    return "prophet::workload::CollectiveKind::Reduce";
-  }
-  if (stereotype == uml::stereo::kAllReduce) {
-    return "prophet::workload::CollectiveKind::AllReduce";
-  }
-  if (stereotype == uml::stereo::kScatter) {
-    return "prophet::workload::CollectiveKind::Scatter";
-  }
-  return "prophet::workload::CollectiveKind::Gather";
-}
-
-std::string variable_cpp_type(uml::VariableType type) {
-  return type == uml::VariableType::Integer ? "long" : "double";
-}
-
-std::string initializer_cpp(const uml::Variable& variable) {
-  if (variable.initializer.empty()) {
-    return variable.type == uml::VariableType::Integer ? "0" : "0.0";
-  }
-  const auto parsed = parse_expr(variable.initializer,
-                                 "initializer of variable " + variable.name);
-  std::string value = expr::to_cpp(*parsed);
-  if (variable.type == uml::VariableType::Integer) {
-    return "static_cast<long>(" + value + ")";
-  }
-  return value;
-}
-
-/// Per-transformation context: uid assignment (identical algorithm to the
-/// interpreter's, so differential tests see the same uids) and the
-/// declared C++ identifier of each element.
-struct Context {
-  const Model* model = nullptr;
-  std::map<std::string, int> uids;           // node id -> numeric uid
-  std::map<std::string, std::string> names;  // node id -> C++ identifier
-
-  explicit Context(const Model& m) : model(&m) {
-    std::set<int> claimed;
-    for (const auto& diagram : m.diagrams()) {
-      for (const auto& node : diagram->nodes()) {
-        if (auto id = node->tag(uml::tag::kId)) {
-          if (const auto* value = std::get_if<std::int64_t>(&*id)) {
-            uids[node->id()] = static_cast<int>(*value);
-            claimed.insert(static_cast<int>(*value));
-          }
-        }
-      }
-    }
-    int next = 1;
-    std::set<std::string> used_names;
-    for (const auto& diagram : m.diagrams()) {
-      for (const auto& node : diagram->nodes()) {
-        if (uids.find(node->id()) == uids.end()) {
-          while (claimed.find(next) != claimed.end()) {
-            ++next;
-          }
-          uids[node->id()] = next;
-          claimed.insert(next);
-        }
-        if (!node->has_stereotype()) {
-          continue;
-        }
-        std::string name = sanitize_identifier(node->name());
-        if (!used_names.insert(name).second) {
-          // Disambiguate duplicates with the element id (Fig. 4's mapping
-          // assumes distinct names; the element-names rule warns).
-          name += "_" + node->id();
-          used_names.insert(name);
-        }
-        names[node->id()] = std::move(name);
-      }
-    }
-  }
-
-  [[nodiscard]] int uid(const Node& node) const { return uids.at(node.id()); }
-  [[nodiscard]] const std::string& name(const Node& node) const {
-    return names.at(node.id());
-  }
-
-  /// Tag expression rendered as C++ (with uid substituted).
-  [[nodiscard]] std::string tag_cpp(const Node& node,
-                                    std::string_view tag) const {
-    const std::string text = node.tag_string(tag);
-    if (text.empty()) {
-      throw TransformError("node " + node.id() + " lacks expression tag '" +
-                           std::string(tag) + "'");
-    }
-    const auto parsed = parse_expr(text, "node " + node.id() + " tag '" +
-                                             std::string(tag) + "'");
-    return expr::to_cpp(*substitute_uid(*parsed, uid(node)));
-  }
-
-  /// Declaration line for a performance element (Fig. 5 lines 24-28).
-  [[nodiscard]] std::string declaration(const Node& node) const {
-    const std::string type = runtime_class(node);
-    if (type.empty()) {
-      return {};
-    }
-    if (type == "CollectiveElement") {
-      return type + " " + name(node) + "(ctx, \"" + node.name() + "\", " +
-             collective_kind_cpp(node.stereotype()) + ");";
-    }
-    if (type == "CriticalElement") {
-      std::string lock = node.tag_string(uml::tag::kCriticalName);
-      if (lock.empty()) {
-        lock = "default";
-      }
-      return type + " " + name(node) + "(ctx, \"" + node.name() + "\", \"" +
-             lock + "\");";
-    }
-    return type + " " + name(node) + "(ctx, \"" + node.name() + "\");";
-  }
+/// The runtime class each element operation is declared as (Fig. 5 line
+/// 26), by class name; the other elements map to control flow.
+constexpr std::pair<Operation, std::string_view> kRuntimeClasses[] = {
+    {Operation::Compute, "ActionPlus"},
+    {Operation::Barrier, "BarrierElement"},
+    {Operation::Collective, "CollectiveElement"},
+    {Operation::Critical, "CriticalElement"},
+    {Operation::OmpBarrier, "OmpBarrierElement"},
+    {Operation::Recv, "RecvElement"},
+    {Operation::Send, "SendElement"},
+    {Operation::OmpFor, "WorkshareElement"},
 };
 
-/// Diagrams executed in one context domain: start at `root`, follow
-/// composite references (activity+, loop+, ompcritical) but stop at
-/// ompparallel bodies — they run with a thread context and form their own
-/// domain whose declarations live inside the region lambda.
-std::set<std::string> domain_diagrams(const Model& model,
-                                      const std::string& root) {
-  std::set<std::string> domain;
-  std::vector<std::string> frontier{root};
-  while (!frontier.empty()) {
-    const std::string id = std::move(frontier.back());
-    frontier.pop_back();
-    if (!domain.insert(id).second) {
-      continue;
-    }
-    const ActivityDiagram* diagram = model.diagram(id);
-    if (diagram == nullptr) {
-      continue;
-    }
-    for (const auto& node : diagram->nodes()) {
-      const std::string sub = node->subdiagram_id();
-      if (sub.empty() || node->stereotype() == uml::stereo::kOmpParallel) {
-        continue;
-      }
-      frontier.push_back(sub);
-    }
+/// True for the nodes Fig. 5's flow maps to control structure; every
+/// other node is a performance modeling element.
+bool is_control(Operation op) {
+  switch (op) {
+    case Operation::Initial:
+    case Operation::Final:
+    case Operation::Merge:
+    case Operation::Decision:
+    case Operation::Fork:
+    case Operation::Join:
+      return true;
+    default:
+      return false;
   }
-  return domain;
 }
 
-/// The structural successor of a node through its single unguarded edge.
-const Node* successor(const ActivityDiagram& diagram, const Node& node) {
-  const auto outgoing = diagram.outgoing(node.id());
-  if (outgoing.empty()) {
-    return nullptr;
-  }
-  if (outgoing.size() > 1) {
-    throw TransformError("node " + node.id() +
-                         " has multiple outgoing edges but is neither a "
-                         "decision nor a fork");
-  }
-  const Node* next = diagram.node(outgoing[0]->target());
-  if (next == nullptr) {
-    throw TransformError("edge " + outgoing[0]->id() + " has dangling target");
-  }
-  return next;
+std::string throw_statement(const std::string& message) {
+  return "throw std::runtime_error(\"" + escape_cpp(message) + "\");";
 }
 
-const Node* find_merge(const ActivityDiagram& diagram, const Node& decision,
-                       int depth = 0);
-const Node* find_join(const ActivityDiagram& diagram, const Node& fork,
-                      int depth = 0);
+std::string variable_type(const lower::CompiledVariable& variable) {
+  return variable.coerce_int ? "long" : "double";
+}
 
-constexpr int kMaxStructureDepth = 256;
-
-[[noreturn]] void fail_cyclic(const ActivityDiagram& diagram) {
+[[noreturn]] void fail_cyclic(const DiagramProgram& diagram) {
   throw TransformError(
-      "diagram " + diagram.id() +
+      "diagram " + diagram.diagram->id() +
       ": cyclic or unboundedly nested control flow; model loops with "
       "<<loop+>> instead of back edges");
 }
 
-/// Follows a branch structurally (skipping nested structured regions) and
-/// returns the first Merge encountered, or nullptr when the branch
-/// terminates at a Final / dead end.
-const Node* branch_merge(const ActivityDiagram& diagram, const Node* node,
-                         int depth) {
-  int guard_budget = 100000;
-  while (node != nullptr) {
-    if (--guard_budget < 0) {
+int exit_of(const DiagramProgram& diagram, const NodePrograms& node,
+            std::size_t depth);
+
+/// The first node of kind `until` (Merge or Join) a path from `index`
+/// reaches, skipping the decisions and forks nested on it; -1 when the
+/// path ends first.
+int reach(const DiagramProgram& diagram, int index, Operation until,
+          std::size_t depth) {
+  for (std::size_t steps = 0; index >= 0; ++steps) {
+    if (steps > diagram.nodes.size()) {
       fail_cyclic(diagram);
     }
-    switch (node->kind()) {
-      case NodeKind::Merge:
-        return node;
-      case NodeKind::Final:
-        return nullptr;
-      case NodeKind::Decision: {
-        const Node* merge = find_merge(diagram, *node, depth + 1);
-        if (merge == nullptr) {
-          return nullptr;  // all inner branches terminate
-        }
-        node = successor(diagram, *merge);
-        break;
+    const NodePrograms& node = diagram.nodes[static_cast<std::size_t>(index)];
+    if (node.op == until) {
+      return index;
+    }
+    if (node.op == Operation::Final) {
+      return -1;
+    }
+    if (node.op == Operation::Decision || node.op == Operation::Fork) {
+      const int exit = exit_of(diagram, node, depth + 1);
+      if (exit < 0) {
+        return -1;  // every branch of the nested decision ends
       }
-      case NodeKind::Fork: {
-        const Node* join = find_join(diagram, *node, depth + 1);
-        node = successor(diagram, *join);
-        break;
-      }
-      default:
-        node = successor(diagram, *node);
-        break;
+      index = diagram.nodes[static_cast<std::size_t>(exit)].next;
+    } else {
+      index = node.next;
     }
   }
-  return nullptr;
+  return -1;
 }
 
-const Node* find_merge(const ActivityDiagram& diagram, const Node& decision,
-                       int depth) {
+/// Where the branches of `node` come together: a decision's common merge
+/// (-1 when every branch a walk can take ends first) or a fork's common
+/// join.  One walker serves both; unstructured flow throws.
+int exit_of(const DiagramProgram& diagram, const NodePrograms& node,
+            std::size_t depth) {
   if (depth > kMaxStructureDepth) {
     fail_cyclic(diagram);
   }
-  const Node* merge = nullptr;
-  bool first = true;
-  for (const auto* edge : diagram.outgoing(decision.id())) {
-    const Node* target = diagram.node(edge->target());
-    if (target == nullptr) {
-      throw TransformError("edge " + edge->id() + " has dangling target");
+  const bool fork = node.op == Operation::Fork;
+  const std::string& id = node.node->id();
+  int exit = -1;
+  for (std::size_t b = 0; b < node.branches.size(); ++b) {
+    const Branch& branch = node.branches[b];
+    if (!fork && branch.guard == nullptr &&
+        static_cast<int>(b) != node.fallback) {
+      continue;  // an unguarded edge no walk takes
     }
-    const Node* branch = branch_merge(diagram, target, depth);
-    if (first) {
-      merge = branch;
-      first = false;
-    } else if (branch != nullptr && merge != nullptr && branch != merge) {
-      throw TransformError("decision " + decision.id() +
-                           ": branches converge on different merge nodes");
-    } else if (merge == nullptr) {
-      merge = branch;
+    const int reached = reach(diagram, branch.target,
+                              fork ? Operation::Join : Operation::Merge,
+                              depth);
+    if (fork && reached < 0) {
+      throw TransformError("fork " + id + ": a branch does not reach a join");
     }
+    if (reached >= 0 && exit >= 0 && reached != exit) {
+      throw TransformError(
+          fork ? "fork " + id + ": branches reach different join nodes"
+               : "decision " + id +
+                     ": branches converge on different merge nodes");
+    }
+    exit = reached >= 0 ? reached : exit;
   }
-  return merge;
+  if (fork && exit < 0) {
+    throw TransformError("fork " + id + " has no outgoing edges");
+  }
+  return exit;
 }
 
-/// Follows a fork branch to the first Join.
-const Node* branch_join(const ActivityDiagram& diagram, const Node* node,
-                        int depth) {
-  int guard_budget = 100000;
-  while (node != nullptr) {
-    if (--guard_budget < 0) {
-      fail_cyclic(diagram);
-    }
-    switch (node->kind()) {
-      case NodeKind::Join:
-        return node;
-      case NodeKind::Final:
-        return nullptr;
-      case NodeKind::Decision: {
-        const Node* merge = find_merge(diagram, *node, depth + 1);
-        if (merge == nullptr) {
-          return nullptr;
-        }
-        node = successor(diagram, *merge);
-        break;
-      }
-      case NodeKind::Fork: {
-        const Node* join = find_join(diagram, *node, depth + 1);
-        node = successor(diagram, *join);
-        break;
-      }
-      default:
-        node = successor(diagram, *node);
-        break;
+/// Marks in `seen` the diagrams that run in the context of diagram
+/// `index`: itself and the bodies it reaches, except parallel-region
+/// bodies — those run with a thread context and declare their elements
+/// in the region's lambda.
+void mark_domain(const ModelProgram& program, int index,
+                 std::vector<bool>& seen) {
+  if (seen[static_cast<std::size_t>(index)]) {
+    return;
+  }
+  seen[static_cast<std::size_t>(index)] = true;
+  for (const auto& node :
+       program.diagrams()[static_cast<std::size_t>(index)].nodes) {
+    if (node.body >= 0 && node.op != Operation::Region) {
+      mark_domain(program, node.body, seen);
     }
   }
-  return nullptr;
 }
 
-const Node* find_join(const ActivityDiagram& diagram, const Node& fork,
-                      int depth) {
-  if (depth > kMaxStructureDepth) {
-    fail_cyclic(diagram);
-  }
-  const Node* join = nullptr;
-  bool first = true;
-  for (const auto* edge : diagram.outgoing(fork.id())) {
-    const Node* target = diagram.node(edge->target());
-    if (target == nullptr) {
-      throw TransformError("edge " + edge->id() + " has dangling target");
-    }
-    const Node* branch = branch_join(diagram, target, depth);
-    if (branch == nullptr) {
-      throw TransformError("fork " + fork.id() +
-                           ": a branch does not reach a join");
-    }
-    if (first) {
-      join = branch;
-      first = false;
-    } else if (branch != join) {
-      throw TransformError("fork " + fork.id() +
-                           ": branches reach different join nodes");
-    }
-  }
-  if (join == nullptr) {
-    throw TransformError("fork " + fork.id() + " has no outgoing edges");
-  }
-  return join;
-}
-
-/// Emits the execution flow of one diagram (Fig. 5 lines 29-35).
-class FlowEmitter {
+/// Prints a lowered program as C++: expressions, element declarations
+/// and the execution flow (Fig. 5 lines 29-35), where each decision
+/// becomes an if/else chain up to its merge and each fork a fork_join()
+/// up to its join.
+class Printer {
  public:
-  FlowEmitter(const Context& ctx, CppEmitter& out) : ctx_(&ctx), out_(&out) {}
-
-  void emit_diagram(const ActivityDiagram& diagram) {
-    const Node* initial = diagram.initial();
-    if (initial == nullptr) {
-      throw TransformError("diagram " + diagram.id() +
-                           " has no initial node");
+  Printer(const ModelProgram& program, CppEmitter& out)
+      : program_(program), out_(out) {
+    for (const auto& variable : program.variables()) {
+      if (variable.coerce_int) {
+        integer_slots_.push_back(variable.slot);
+      }
     }
-    emit_until(diagram, successor(diagram, *initial), nullptr);
+    std::sort(integer_slots_.begin(), integer_slots_.end());
+    std::set<std::string> used;
+    for (const auto& diagram : program.diagrams()) {
+      for (const auto& node : diagram.nodes) {
+        if (is_control(node.op)) {
+          continue;
+        }
+        std::string name = sanitize_identifier(node.node->name());
+        if (!used.insert(name).second) {
+          // Disambiguate duplicates with the element id (Fig. 4's mapping
+          // assumes distinct names; the element-names rule warns).
+          name = sanitize_identifier(name + "_" + node.node->id());
+          used.insert(name);
+        }
+        names_.emplace(&node, std::move(name));
+      }
+    }
+  }
+
+  /// `code` as C++, run by the element with uid `uid` (0 elsewhere).
+  [[nodiscard]] std::string expr(
+      const expr::Compiled& code, int uid = 0,
+      std::span<const std::string> parameters = {}) const {
+    return expr::to_cpp(
+        code, {&program_.symbols(), integer_slots_, parameters, uid});
+  }
+
+  /// A variable's initial value: zero without an initializer; integer
+  /// variables truncate.
+  [[nodiscard]] std::string initializer(
+      const lower::CompiledVariable& variable) const {
+    if (!variable.initializer.has_value()) {
+      return variable.coerce_int ? "0" : "0.0";
+    }
+    const std::string value = expr(*variable.initializer);
+    return variable.coerce_int ? "static_cast<long>(" + value + ")" : value;
+  }
+
+  /// Declares the elements with a runtime class (Fig. 5 lines 24-28) of
+  /// the diagrams `selected` marks.
+  void declare(const std::vector<bool>& selected) {
+    for (std::size_t d = 0; d < selected.size(); ++d) {
+      if (!selected[d]) {
+        continue;
+      }
+      for (const auto& node : program_.diagrams()[d].nodes) {
+        for (const auto& [op, type] : kRuntimeClasses) {
+          if (op != node.op) {
+            continue;
+          }
+          std::string extra;
+          if (op == Operation::Collective) {
+            extra = ", prophet::workload::CollectiveKind::" +
+                    std::string(workload::enumerator_name(node.collective));
+          } else if (op == Operation::Critical) {
+            extra = ", \"" + escape_cpp(node.lock) + "\"";
+          }
+          out_.line(std::string(type) + " " + names_.at(&node) + "(ctx, \"" +
+                    escape_cpp(node.node->name()) + "\"" + extra + ");");
+        }
+      }
+    }
+  }
+
+  /// Lines 20-23: the local variables, initialized.
+  void locals() {
+    for (const auto& variable : program_.variables()) {
+      if (variable.scope == uml::VariableScope::Local) {
+        out_.line("[[maybe_unused]] " + variable_type(variable) + " " +
+                  variable.name + " = " + initializer(variable) + ";");
+      }
+    }
+  }
+
+  /// Emits the walk of diagram `index`.
+  void flow(int index) {
+    const DiagramProgram& diagram =
+        program_.diagrams()[static_cast<std::size_t>(index)];
+    if (diagram.initial < 0) {
+      out_.line(throw_statement(diagram.defect));
+    } else {
+      emit_until(diagram, diagram.initial, -1, false);
+    }
   }
 
  private:
-  /// Emits nodes from `node` until reaching `stop` (exclusive), a Final
-  /// node, or a dead end.
-  void emit_until(const ActivityDiagram& diagram, const Node* node,
-                  const Node* stop) {
-    while (node != nullptr && node != stop &&
-           node->kind() != NodeKind::Final) {
-      node = emit_node(diagram, *node, stop);
+  /// Tag `kind` of `node`; an absent tag reads 0.0, as in the engines.
+  [[nodiscard]] std::string tag(const NodePrograms& node,
+                                TagKind kind) const {
+    const auto& code = node.tag(kind);
+    return code.has_value() ? expr(*code, node.uid) : "0.0";
+  }
+
+  /// Emits nodes from `index` until `stop`, a final node or a dead end.
+  /// `continues`: code follows this path, which therefore may not end
+  /// the walk — a C++ block cannot leave its enclosing diagram.
+  void emit_until(const DiagramProgram& diagram, int index, int stop,
+                  bool continues) {
+    for (std::size_t steps = 0; index != stop && index != kEnded; ++steps) {
+      if (index < 0 || diagram.nodes[static_cast<std::size_t>(index)].op ==
+                           Operation::Final) {
+        if (continues) {
+          throw TransformError("diagram " + diagram.diagram->id() +
+                               ": a branch ends the walk before its merge "
+                               "or join");
+        }
+        return;
+      }
+      if (steps > diagram.nodes.size()) {
+        fail_cyclic(diagram);
+      }
+      index = emit_node(diagram, diagram.nodes[static_cast<std::size_t>(index)],
+                        stop, continues);
     }
   }
 
-  /// Emits one construct; returns the node where emission continues.
-  const Node* emit_node(const ActivityDiagram& diagram, const Node& node,
-                        const Node* stop) {
-    switch (node.kind()) {
-      case NodeKind::Initial:
-      case NodeKind::Final:
-        return nullptr;
-      case NodeKind::Merge:
-      case NodeKind::Join:
-        return successor(diagram, node);
-      case NodeKind::Action:
-        emit_fragment(node);
-        emit_action(node);
-        return successor(diagram, node);
-      case NodeKind::Activity:
-        emit_fragment(node);
-        emit_activity(node);
-        return successor(diagram, node);
-      case NodeKind::Loop:
-        emit_fragment(node);
-        emit_loop(node);
-        return successor(diagram, node);
-      case NodeKind::Decision:
-        return emit_decision(diagram, node, stop);
-      case NodeKind::Fork:
-        return emit_fork(diagram, node);
+  /// Emits one node; returns where the walk continues: its successor, or
+  /// nowhere where it raises its lowered defect.
+  int emit_node(const DiagramProgram& diagram, const NodePrograms& node,
+                int stop, bool continues) {
+    if (node.op == Operation::Decision) {
+      return decision(diagram, node, stop, continues);
     }
-    return nullptr;
+    if (node.op == Operation::Fork) {
+      return fork(diagram, node);
+    }
+    if (!is_control(node.op)) {
+      fragment(node);
+      element(node);
+    }
+    if (!node.defect.empty()) {
+      out_.line(throw_statement(node.defect));
+      return kEnded;
+    }
+    return node.next;
   }
 
-  void emit_fragment(const Node& node) {
-    if (!node.has_tag(uml::tag::kCode)) {
+  void fragment(const NodePrograms& node) {
+    if (node.fragment.empty()) {
       return;
     }
-    const std::string code = node.tag_string(uml::tag::kCode);
-    if (code.empty()) {
-      return;
-    }
-    out_->line("// code associated with " + node.name());
-    // Re-emit the fragment's assignments through the expression C++
-    // emitter so cost-language operators (e.g. %) keep their semantics.
-    std::size_t start = 0;
-    while (start < code.size()) {
-      auto end = code.find(';', start);
-      if (end == std::string::npos) {
-        end = code.size();
-      }
-      std::string statement = code.substr(start, end - start);
-      start = end + 1;
-      const auto first = statement.find_first_not_of(" \t\r\n");
-      if (first == std::string::npos) {
-        continue;
-      }
-      const auto last = statement.find_last_not_of(" \t\r\n");
-      statement = statement.substr(first, last - first + 1);
-      const auto equals = statement.find('=');
-      if (equals == std::string::npos || equals + 1 >= statement.size() ||
-          statement[equals + 1] == '=') {
-        throw TransformError("code fragment at node " + node.id() +
-                             ": statement '" + statement +
-                             "' is not an assignment");
-      }
-      std::string target = statement.substr(0, equals);
-      target = target.substr(0, target.find_last_not_of(" \t\r\n") + 1);
-      const auto value = parse_expr(statement.substr(equals + 1),
-                                    "code fragment at node " + node.id());
-      out_->line(target + " = " +
-                 expr::to_cpp(*substitute_uid(*value, ctx_->uid(node))) +
-                 ";");
-    }
-  }
-
-  void emit_action(const Node& node) {
-    const std::string& name = ctx_->name(node);
-    const std::string uid = std::to_string(ctx_->uid(node));
-    const std::string& stereotype = node.stereotype();
-    if (stereotype == uml::stereo::kActionPlus) {
-      std::string cost = "0.0";
-      if (node.has_tag(uml::tag::kCost) &&
-          !node.tag_string(uml::tag::kCost).empty()) {
-        cost = ctx_->tag_cpp(node, uml::tag::kCost);
-      } else if (auto time = node.tag_number(uml::tag::kTime)) {
-        std::ostringstream formatted;
-        formatted.precision(17);
-        formatted << *time;
-        cost = formatted.str();
-      }
-      out_->line("co_await " + name + ".execute(" + uid + ", pid, tid, " +
-                 cost + ");");
-    } else if (stereotype == uml::stereo::kSend) {
-      out_->line("co_await " + name + ".execute(" + uid +
-                 ", pid, tid, static_cast<int>(" +
-                 ctx_->tag_cpp(node, uml::tag::kDest) + "), " +
-                 ctx_->tag_cpp(node, uml::tag::kSize) + ", " +
-                 std::to_string(static_cast<int>(
-                     node.tag_number(uml::tag::kMsgTag).value_or(0))) +
-                 ");");
-    } else if (stereotype == uml::stereo::kRecv) {
-      out_->line("co_await " + name + ".execute(" + uid +
-                 ", pid, tid, static_cast<int>(" +
-                 ctx_->tag_cpp(node, uml::tag::kSource) + "), " +
-                 ctx_->tag_cpp(node, uml::tag::kSize) + ", " +
-                 std::to_string(static_cast<int>(
-                     node.tag_number(uml::tag::kMsgTag).value_or(0))) +
-                 ");");
-    } else if (stereotype == uml::stereo::kBarrier ||
-               stereotype == uml::stereo::kOmpBarrier) {
-      out_->line("co_await " + name + ".execute(" + uid + ", pid, tid);");
-    } else if (stereotype == uml::stereo::kBroadcast ||
-               stereotype == uml::stereo::kReduce ||
-               stereotype == uml::stereo::kAllReduce ||
-               stereotype == uml::stereo::kScatter ||
-               stereotype == uml::stereo::kGather) {
-      const std::string root =
-          node.has_tag(uml::tag::kRoot) &&
-                  !node.tag_string(uml::tag::kRoot).empty()
-              ? "static_cast<int>(" + ctx_->tag_cpp(node, uml::tag::kRoot) +
-                    ")"
-              : "0";
-      out_->line("co_await " + name + ".execute(" + uid + ", pid, tid, " +
-                 ctx_->tag_cpp(node, uml::tag::kSize) + ", " + root + ");");
-    } else if (stereotype == uml::stereo::kOmpFor) {
-      std::string schedule = node.tag_string(uml::tag::kSchedule);
-      if (schedule.empty()) {
-        schedule = "static";
-      }
-      out_->line("co_await " + name + ".execute(" + uid + ", pid, tid, " +
-                 ctx_->tag_cpp(node, uml::tag::kIterations) + ", " +
-                 ctx_->tag_cpp(node, uml::tag::kIterCost) + ", \"" +
-                 schedule + "\", " +
-                 std::to_string(static_cast<long>(
-                     node.tag_number(uml::tag::kChunk).value_or(0))) +
-                 ");");
-    } else {
-      throw TransformError("node " + node.id() +
-                           ": unsupported stereotype <<" + stereotype +
-                           ">> on an action node");
-    }
-  }
-
-  void emit_activity(const Node& node) {
-    const ActivityDiagram* sub = ctx_->model->diagram(node.subdiagram_id());
-    if (sub == nullptr) {
-      throw TransformError("node " + node.id() +
-                           " references unknown diagram '" +
-                           node.subdiagram_id() + "'");
-    }
-    const std::string& stereotype = node.stereotype();
-    if (stereotype == uml::stereo::kOmpParallel) {
-      std::string threads = "static_cast<int>(nt)";
-      if (node.has_tag(uml::tag::kNumThreads) &&
-          !node.tag_string(uml::tag::kNumThreads).empty()) {
-        threads = "static_cast<int>(" +
-                  ctx_->tag_cpp(node, uml::tag::kNumThreads) + ")";
-      }
-      out_->open("co_await prophet::workload::parallel_region(ctx, " +
-                 threads + ", " + std::to_string(ctx_->uid(node)) + ", \"" +
-                 node.name() + "\",");
-      out_->open(
-          "[&](prophet::workload::ModelContext ctx) -> prophet::sim::Process "
-          "{");
-      out_->line("const int tid = ctx.tid;  // thread-private id");
-      // Elements of the region's domain execute with the thread context,
-      // so their declarations live here, not at function scope.
-      emit_domain_declarations(*sub);
-      emit_diagram(*sub);
-      out_->line("co_return;");
-      out_->close(");");
-      out_->dedent();  // balance the call-expression open()
-    } else if (stereotype == uml::stereo::kOmpCritical) {
-      out_->open("co_await " + ctx_->name(node) + ".execute(" +
-                 std::to_string(ctx_->uid(node)) + ", pid, tid,");
-      out_->open("[&]() -> prophet::sim::Process {");
-      emit_diagram(*sub);
-      out_->line("co_return;");
-      out_->close(");");
-      out_->dedent();
-    } else {
-      // <<activity+>>: the content nests within the enclosing flow as a
-      // block (Fig. 8b lines 79-82).
-      out_->line("{  // activity " + node.name());
-      out_->indent();
-      emit_diagram(*sub);
-      out_->close();
-    }
-  }
-
-  void emit_domain_declarations(const ActivityDiagram& root) {
-    for (const auto& id : domain_diagrams(*ctx_->model, root.id())) {
-      const ActivityDiagram* diagram = ctx_->model->diagram(id);
-      if (diagram == nullptr) {
-        continue;
-      }
-      for (const auto& node : diagram->nodes()) {
-        if (!node->has_stereotype()) {
-          continue;
-        }
-        const std::string declaration = ctx_->declaration(*node);
-        if (!declaration.empty()) {
-          out_->line(declaration);
-        }
-      }
-    }
-  }
-
-  void emit_loop(const Node& node) {
-    const ActivityDiagram* sub = ctx_->model->diagram(node.subdiagram_id());
-    if (sub == nullptr) {
-      throw TransformError("node " + node.id() +
-                           " references unknown diagram '" +
-                           node.subdiagram_id() + "'");
-    }
-    std::string var = node.tag_string(uml::tag::kLoopVar);
-    if (var.empty()) {
-      var = "i";
-    }
-    out_->open("for (double " + var + " = 0; " + var + " < (" +
-               ctx_->tag_cpp(node, uml::tag::kIterations) + "); " + var +
-               " += 1) {  // loop " + node.name());
-    emit_diagram(*sub);
-    out_->close();
-  }
-
-  const Node* emit_decision(const ActivityDiagram& diagram, const Node& node,
-                            const Node* stop) {
-    const Node* merge = find_merge(diagram, node);
-    const Node* branch_stop = merge != nullptr ? merge : stop;
-    std::vector<const ControlFlow*> guarded;
-    const ControlFlow* else_edge = nullptr;
-    for (const auto* edge : diagram.outgoing(node.id())) {
-      if (edge->is_else()) {
-        else_edge = edge;
+    out_.line("// code associated with " + escape_cpp(node.node->name()));
+    for (const auto& assignment : node.fragment) {
+      if (assignment.target == lower::CompiledAssignment::Target::Undeclared) {
+        out_.line(throw_statement("code fragment at node " + node.node->id() +
+                                  " assigns undeclared variable '" +
+                                  assignment.name + "'"));
       } else {
-        guarded.push_back(edge);
+        out_.line(program_.symbols().name_of(assignment.slot) + " = " +
+                  expr(assignment.value, node.uid) + ";");
       }
     }
-    if (guarded.empty()) {
-      throw TransformError("decision " + node.id() +
-                           " has no guarded outgoing edges");
+  }
+
+  /// The element's operation: an execute() call, a region, a block or a
+  /// loop.  Unsupported actions have none; their defect raises next.
+  void element(const NodePrograms& node) {
+    const std::string execute = "co_await " + names_.at(&node) +
+                                ".execute(" + std::to_string(node.uid) +
+                                ", pid, tid";
+    switch (node.op) {
+      case Operation::Compute: {
+        std::string cost = "0.0";
+        if (node.cost().has_value()) {
+          cost = tag(node, TagKind::Cost);
+        } else if (node.time.has_value()) {
+          cost = expr::cpp_double(*node.time);
+        }
+        out_.line(execute + ", " + cost + ");");
+        break;
+      }
+      case Operation::Send:
+      case Operation::Recv:
+        out_.line(execute + ", static_cast<int>(" +
+                  tag(node, node.op == Operation::Send ? TagKind::Dest
+                                                       : TagKind::Source) +
+                  "), " + tag(node, TagKind::Size) + ", " +
+                  std::to_string(node.msgtag) + ");");
+        break;
+      case Operation::Barrier:
+      case Operation::OmpBarrier:
+        out_.line(execute + ");");
+        break;
+      case Operation::Collective:
+        out_.line(execute + ", " + tag(node, TagKind::Size) + ", " +
+                  (node.tag(TagKind::Root).has_value()
+                       ? "static_cast<int>(" + tag(node, TagKind::Root) + ")"
+                       : std::string("0")) +
+                  ");");
+        break;
+      case Operation::OmpFor:
+        out_.line(execute + ", " + tag(node, TagKind::Iterations) + ", " +
+                  tag(node, TagKind::IterCost) + ", \"" +
+                  escape_cpp(node.schedule) + "\", " +
+                  std::to_string(node.chunk) + ");");
+        break;
+      case Operation::Region:
+        out_.open("co_await prophet::workload::parallel_region(ctx, " +
+                  (node.num_threads().has_value()
+                       ? "static_cast<int>(" + tag(node, TagKind::NumThreads) +
+                             ")"
+                       : std::string("static_cast<int>(nt)")) +
+                  ", " + std::to_string(node.uid) + ", \"" +
+                  escape_cpp(node.node->name()) + "\",");
+        lambda("[&](prophet::workload::ModelContext ctx) -> "
+               "prophet::sim::Process {",
+               node.body, /*region=*/true);
+        break;
+      case Operation::Critical:
+        out_.open(execute + ",");
+        lambda("[&]() -> prophet::sim::Process {", node.body, false);
+        break;
+      case Operation::Inline:
+        // The content nests within the enclosing flow as a block (Fig. 8b
+        // lines 79-82).
+        out_.line("{  // activity " + escape_cpp(node.node->name()));
+        out_.indent();
+        flow(node.body);
+        out_.close();
+        break;
+      case Operation::Loop:
+        // loop_trips evaluates the bound once and truncates it, as the
+        // engines run a loop.
+        out_.open("for (const double " +
+                  program_.symbols().name_of(node.loop_var_slot) +
+                  " : loop_trips(" + tag(node, TagKind::Iterations) + ", \"" +
+                  escape_cpp(node.node->id()) + "\")) {  // loop " +
+                  escape_cpp(node.node->name()));
+        flow(node.body);
+        out_.close();
+        break;
+      default:
+        break;
     }
-    for (std::size_t i = 0; i < guarded.size(); ++i) {
-      const auto guard = parse_expr(guarded[i]->guard(),
-                                    "guard of edge " + guarded[i]->id());
-      const std::string condition =
-          expr::to_cpp(*substitute_uid(*guard, ctx_->uid(node)));
-      if (i == 0) {
-        out_->open("if (" + condition + ") {");
+  }
+
+  /// The coroutine lambda running diagram `body`, closing the call it is
+  /// the last argument of.  A region's lambda binds the thread's tid and
+  /// declares its domain's elements, which run with the thread context.
+  void lambda(const std::string& header, int body, bool region) {
+    out_.open(header);
+    if (region) {
+      out_.line("const int tid = ctx.tid;  // thread-private id");
+      std::vector<bool> domain(program_.diagrams().size(), false);
+      mark_domain(program_, body, domain);
+      declare(domain);
+    }
+    flow(body);
+    out_.line("co_return;");
+    out_.close(");");
+    out_.dedent();  // balance the call-expression open()
+  }
+
+  int decision(const DiagramProgram& diagram, const NodePrograms& node,
+               int stop, bool continues) {
+    const int merge = exit_of(diagram, node, 0);
+    const auto branch = [&](int target) {
+      emit_until(diagram, target, merge >= 0 ? merge : stop,
+                 merge >= 0 || continues);
+    };
+    const auto otherwise = [&] {
+      if (node.fallback < 0) {
+        out_.line(throw_statement(node.defect));
       } else {
-        out_->dedent();
-        out_->open("} else if (" + condition + ") {");
+        branch(node.branches[static_cast<std::size_t>(node.fallback)].target);
       }
-      emit_until(diagram, diagram.node(guarded[i]->target()), branch_stop);
+    };
+    bool first = true;
+    for (const Branch& guarded : node.branches) {
+      if (guarded.guard == nullptr) {
+        continue;  // unguarded and `else` edges are never taken by a guard
+      }
+      if (!first) {
+        out_.dedent();
+      }
+      out_.open((first ? "if (" : "} else if (") +
+                expr(*guarded.guard, node.uid) + ") {");
+      first = false;
+      branch(guarded.target);
     }
-    out_->dedent();
-    out_->open("} else {");
-    if (else_edge != nullptr) {
-      emit_until(diagram, diagram.node(else_edge->target()), branch_stop);
+    if (first) {
+      otherwise();  // no guard: every walk takes the fallback
     } else {
-      // Mirror the interpreter: a decision where no guard holds and no
-      // else edge exists is a modeling error at run time.
-      out_->line("throw std::runtime_error(\"decision '" + node.name() +
-                 "': no guard holds and no else edge\");");
+      out_.dedent();
+      out_.open("} else {");
+      otherwise();
+      out_.close();
     }
-    out_->close();
-    return merge != nullptr ? successor(diagram, *merge) : nullptr;
+    return merge >= 0 ? merge : kEnded;
   }
 
-  const Node* emit_fork(const ActivityDiagram& diagram, const Node& node) {
-    const Node* join = find_join(diagram, node);
-    out_->open("co_await prophet::workload::fork_join(ctx, {");
-    const auto outgoing = diagram.outgoing(node.id());
-    for (std::size_t i = 0; i < outgoing.size(); ++i) {
-      out_->open("[&]() -> prophet::sim::Process {");
-      emit_until(diagram, diagram.node(outgoing[i]->target()), join);
-      out_->line("co_return;");
-      out_->close(i + 1 < outgoing.size() ? "," : "");
+  int fork(const DiagramProgram& diagram, const NodePrograms& node) {
+    const int join = exit_of(diagram, node, 0);
+    // The branches are built before the co_await: g++ 12 rejects a braced
+    // list inside a co_await expression.
+    out_.open("{  // fork");
+    out_.open(
+        "std::vector<std::function<prophet::sim::Process()>> branches{");
+    for (std::size_t b = 0; b < node.branches.size(); ++b) {
+      out_.open("[&]() -> prophet::sim::Process {");
+      emit_until(diagram, node.branches[b].target, join, true);
+      out_.line("co_return;");
+      out_.close(b + 1 < node.branches.size() ? "," : "");
     }
-    out_->close(");");
-    return successor(diagram, *join);
+    out_.close(";");
+    out_.line(
+        "co_await prophet::workload::fork_join(ctx, std::move(branches));");
+    out_.close();
+    const NodePrograms& after =
+        diagram.nodes[static_cast<std::size_t>(join)];
+    if (!after.join_defect.empty()) {
+      out_.line(throw_statement(after.join_defect));
+      return kEnded;
+    }
+    return after.next;
   }
 
-  const Context* ctx_;
-  CppEmitter* out_;
+  const ModelProgram& program_;
+  CppEmitter& out_;
+  std::vector<expr::Slot> integer_slots_;
+  std::unordered_map<const NodePrograms*, std::string> names_;
 };
 
 }  // namespace
@@ -776,264 +544,203 @@ std::string sanitize_identifier(std::string_view name) {
 Transformer::Transformer(TransformOptions options)
     : options_(std::move(options)) {}
 
-std::vector<const Node*> Transformer::select_performance_elements(
-    const Model& model) const {
-  // Fig. 5 lines 1-8: FORALL diagrams, FORALL elements, select those whose
-  // stereotype marks them as performance modeling elements.
-  std::vector<const Node*> elements;
-  for (const auto& diagram : model.diagrams()) {
-    for (const auto& node : diagram->nodes()) {
-      if (node->has_stereotype()) {
-        elements.push_back(node.get());
+std::vector<const NodePrograms*> Transformer::select_performance_elements(
+    const ModelProgram& program) const {
+  // Fig. 5 lines 1-8: FORALL diagrams, FORALL elements, select those the
+  // lowering resolved to a performance modeling element.
+  std::vector<const NodePrograms*> elements;
+  for (const auto& diagram : program.diagrams()) {
+    for (const auto& node : diagram.nodes) {
+      if (!is_control(node.op)) {
+        elements.push_back(&node);
       }
     }
   }
   return elements;
 }
 
-std::string Transformer::emit_globals(const Model& model) const {
+std::string Transformer::emit_globals(const ModelProgram& program) const {
   CppEmitter out;
-  for (const auto* variable : model.globals()) {
-    out.line(variable_cpp_type(variable->type) + " " + variable->name +
-             " = 0;");
+  for (const auto& variable : program.variables()) {
+    if (variable.scope == uml::VariableScope::Global) {
+      out.line(variable_type(variable) + " " + variable.name + " = 0;");
+    }
   }
   return out.text();
 }
 
-std::string Transformer::emit_cost_functions(const Model& model) const {
-  // Dependency-order the functions so callees precede callers (the bodies
-  // are plain C++ function definitions, Fig. 8a lines 31-54).
-  std::map<std::string, std::set<std::string>> calls;
-  for (const auto& fn : model.cost_functions()) {
-    const auto body = parse_expr(fn.body, "cost function " + fn.name);
-    for (const auto& callee : expr::called_user_functions(*body)) {
-      if (model.cost_function(callee) != nullptr) {
-        calls[fn.name].insert(callee);
-      }
-    }
-  }
-  std::vector<const uml::CostFunction*> ordered;
-  std::set<std::string> emitted;
-  const auto& functions = model.cost_functions();
-  // Stable topological order: repeatedly take the first (model-order)
-  // function whose callees are all emitted.
+std::string Transformer::emit_cost_functions(
+    const ModelProgram& program) const {
+  // Callees precede callers (the bodies are plain C++ function
+  // definitions, Fig. 8a lines 31-54): repeatedly take the first
+  // (model-order) function whose called functions are all emitted.
+  const auto functions = program.functions();
+  std::vector<bool> emitted(functions.size(), false);
+  std::vector<std::size_t> ordered;
   while (ordered.size() < functions.size()) {
-    bool progressed = false;
-    for (const auto& fn : functions) {
-      if (emitted.find(fn.name) != emitted.end()) {
-        continue;
-      }
-      const auto& callees = calls[fn.name];
-      const bool ready = std::all_of(
-          callees.begin(), callees.end(), [&](const std::string& callee) {
-            return emitted.find(callee) != emitted.end();
-          });
-      if (ready) {
-        ordered.push_back(&fn);
-        emitted.insert(fn.name);
-        progressed = true;
+    const std::size_t before = ordered.size();
+    for (std::size_t id = 0; id < functions.size(); ++id) {
+      const auto code = functions[id].code();
+      if (!emitted[id] &&
+          std::all_of(code.begin(), code.end(), [&](const expr::Instr& in) {
+            return in.op != expr::Op::CallUser ||
+                   emitted[static_cast<std::size_t>(in.a)];
+          })) {
+        emitted[id] = true;
+        ordered.push_back(id);
       }
     }
-    if (!progressed) {
+    if (ordered.size() == before) {
       throw TransformError("cyclic cost-function dependencies");
     }
   }
   CppEmitter out;
-  for (const auto* fn : ordered) {
+  const Printer printer(program, out);
+  for (const std::size_t id : ordered) {
+    const uml::CostFunction& fn = program.model().cost_functions()[id];
     std::string params;
-    for (const auto& parameter : fn->parameters) {
-      if (!params.empty()) {
-        params += ", ";
-      }
-      params += "double " + parameter;
+    for (const auto& parameter : fn.parameters) {
+      params += (params.empty() ? "double " : ", double ") + parameter;
     }
-    const auto body = parse_expr(fn->body, "cost function " + fn->name);
-    out.line("double " + fn->name + "(" + params + ") { return " +
-             expr::to_cpp(*body) + "; }");
+    out.line("double " + fn.name + "(" + params + ") { return " +
+             printer.expr(functions[id], 0, fn.parameters) + "; }");
   }
   return out.text();
 }
 
-std::string Transformer::emit_locals(const Model& model) const {
+std::string Transformer::emit_locals(const ModelProgram& program) const {
   CppEmitter out;
-  for (const auto* variable : model.locals()) {
-    out.line("[[maybe_unused]] " + variable_cpp_type(variable->type) + " " +
-             variable->name + " = " + initializer_cpp(*variable) + ";");
-  }
+  Printer(program, out).locals();
   return out.text();
 }
 
-std::string Transformer::emit_declarations(const Model& model) const {
-  const Context ctx(model);
+std::string Transformer::emit_declarations(
+    const ModelProgram& program) const {
   CppEmitter out;
-  for (const auto* node : select_performance_elements(model)) {
-    const std::string declaration = ctx.declaration(*node);
-    if (!declaration.empty()) {
-      out.line(declaration);
-    }
-  }
+  Printer(program, out).declare(
+      std::vector<bool>(program.diagrams().size(), true));
   return out.text();
 }
 
-std::string Transformer::emit_flow(const Model& model) const {
-  const Context ctx(model);
-  const ActivityDiagram* main = model.main_diagram();
-  if (main == nullptr) {
-    throw TransformError("model has no resolvable main diagram");
-  }
+std::string Transformer::emit_flow(const ModelProgram& program) const {
   CppEmitter out;
-  FlowEmitter flow(ctx, out);
-  flow.emit_diagram(*main);
+  Printer(program, out).flow(program.entry());
   return out.text();
 }
 
-std::string Transformer::transform(const Model& model) const {
-  const Context ctx(model);
-  const ActivityDiagram* main = model.main_diagram();
-  if (main == nullptr) {
-    throw TransformError("model has no resolvable main diagram");
+std::string Transformer::transform(const uml::Model& model) const {
+  lower::ModelProgramPtr program;
+  try {
+    program = lower::lower(model);
+  } catch (const lower::LowerError& error) {
+    throw TransformError(error.what());
   }
+  return transform(*program);
+}
 
-  // Diagrams whose elements are declared at function scope: everything
-  // except ompparallel domains (declared inside the region lambdas).
-  std::set<std::string> region_domains;
-  for (const auto& diagram : model.diagrams()) {
-    for (const auto& node : diagram->nodes()) {
-      if (node->stereotype() == uml::stereo::kOmpParallel) {
-        const auto domain = domain_diagrams(model, node->subdiagram_id());
-        region_domains.insert(domain.begin(), domain.end());
-      }
-    }
-  }
-
+std::string Transformer::transform(const ModelProgram& program) const {
   CppEmitter out;
+  Printer printer(program, out);
   out.line("// Generated by Performance Prophet — C++ representation of "
            "performance model '" +
-           model.name() + "'.");
-  out.line("// Regenerate from the UML model; do not edit.");
-  out.line("#include <cmath>");
-  out.line("#include <stdexcept>");
-  out.line("#include <utility>");
+           escape_cpp(program.model().name()) + "'.");
+  out.raw(R"(// Regenerate from the UML model; do not edit.
+#include <cmath>
+#include <stdexcept>
+#include <utility>
+)");
   if (options_.emit_main) {
-    out.line("#include <cstdio>");
-    out.line("#include <cstdlib>");
+    out.raw("#include <cstdio>\n#include <cstdlib>\n");
   }
-  out.blank();
-  out.line("#include \"prophet/estimator/estimator.hpp\"");
-  out.line("#include \"prophet/workload/runtime.hpp\"");
-  out.blank();
-  out.line("using prophet::workload::ActionPlus;");
-  out.line("using prophet::workload::BarrierElement;");
-  out.line("using prophet::workload::CollectiveElement;");
-  out.line("using prophet::workload::CriticalElement;");
-  out.line("using prophet::workload::OmpBarrierElement;");
-  out.line("using prophet::workload::RecvElement;");
-  out.line("using prophet::workload::SendElement;");
-  out.line("using prophet::workload::WorkshareElement;");
-  out.blank();
-  if (options_.banners) {
-    out.line("// -- System parameters (bound per estimation run) --");
+  out.raw(R"(
+#include "prophet/estimator/estimator.hpp"
+#include "prophet/workload/runtime.hpp"
+
+)");
+  for (const auto& [op, type] : kRuntimeClasses) {
+    out.line("using prophet::workload::" + std::string(type) + ";");
   }
-  out.line("namespace {");
-  out.line("double np = 1;");
-  out.line("double nt = 1;");
-  out.line("double nn = 1;");
-  out.line("double ppn = 1;");
-  out.line("}  // namespace");
-  out.blank();
-  if (options_.banners) {
-    out.line("// -- Global variables (Fig. 5 lines 9-12) --");
-  }
-  out.raw(emit_globals(model));
-  out.blank();
-  if (options_.banners) {
-    out.line("// -- Cost functions (Fig. 5 lines 13-18) --");
-  }
-  out.raw(emit_cost_functions(model));
+  out.raw(R"(using prophet::workload::loop_trips;
+
+// -- System parameters (bound per estimation run) --
+namespace {
+double np = 1;
+double nt = 1;
+double nn = 1;
+double ppn = 1;
+}  // namespace
+
+// -- Global variables (Fig. 5 lines 9-12) --
+)");
+  out.raw(emit_globals(program));
+  out.raw("\n// -- Cost functions (Fig. 5 lines 13-18) --\n");
+  out.raw(emit_cost_functions(program));
   out.blank();
   out.open("void prophet_init_globals() {");
-  for (const auto* variable : model.globals()) {
-    out.line(variable->name + " = " + initializer_cpp(*variable) + ";");
+  for (const auto& variable : program.variables()) {
+    if (variable.scope == uml::VariableScope::Global) {
+      out.line(variable.name + " = " + printer.initializer(variable) + ";");
+    }
   }
   out.close();
-  out.blank();
-  out.open(
-      "void prophet_bind_system(const prophet::machine::SystemParameters& "
-      "sp) {");
-  out.line("np = sp.processes;");
-  out.line("nt = sp.threads_per_process;");
-  out.line("nn = sp.nodes;");
-  out.line("ppn = sp.processors_per_node;");
-  out.close();
-  out.blank();
-  if (options_.banners) {
-    out.line("// -- Program (Fig. 5 lines 19-35) --");
-  }
-  out.open("prophet::sim::Process " + options_.model_function +
-           "(prophet::workload::ModelContext ctx) {");
-  out.line("[[maybe_unused]] const int pid = ctx.pid;");
-  out.line("[[maybe_unused]] const int tid = ctx.tid;");
-  if (options_.banners) {
-    out.line("// -- Local variables (lines 20-23) --");
-  }
-  {
-    std::istringstream stream(emit_locals(model));
-    std::string text_line;
-    while (std::getline(stream, text_line)) {
-      out.line(text_line);
+  out.raw(R"(
+void prophet_bind_system(const prophet::machine::SystemParameters& sp) {
+  np = sp.processes;
+  nt = sp.threads_per_process;
+  nn = sp.nodes;
+  ppn = sp.processors_per_node;
+}
+
+// -- Program (Fig. 5 lines 19-35) --
+prophet::sim::Process prophet_model(prophet::workload::ModelContext ctx) {
+  [[maybe_unused]] const int pid = ctx.pid;
+  [[maybe_unused]] const int tid = ctx.tid;
+  // -- Local variables (lines 20-23) --
+)");
+  out.indent();
+  printer.locals();
+  out.line("// -- Performance modeling elements (lines 24-28) --");
+  // Elements are declared at function scope except in parallel-region
+  // domains, which declare theirs inside the region lambdas.
+  std::vector<bool> in_regions(program.diagrams().size(), false);
+  for (const auto* element : select_performance_elements(program)) {
+    if (element->op == Operation::Region) {
+      mark_domain(program, element->body, in_regions);
     }
   }
-  if (options_.banners) {
-    out.line("// -- Performance modeling elements (lines 24-28) --");
-  }
-  for (const auto& diagram : model.diagrams()) {
-    if (region_domains.find(diagram->id()) != region_domains.end()) {
-      continue;  // declared inside the region lambda
-    }
-    for (const auto& node : diagram->nodes()) {
-      if (!node->has_stereotype()) {
-        continue;
-      }
-      const std::string declaration = ctx.declaration(*node);
-      if (!declaration.empty()) {
-        out.line(declaration);
-      }
-    }
-  }
-  if (options_.banners) {
-    out.line("// -- Execution flow (lines 29-35) --");
-  }
-  {
-    FlowEmitter flow(ctx, out);
-    flow.emit_diagram(*main);
-  }
+  in_regions.flip();
+  printer.declare(in_regions);
+  out.line("// -- Execution flow (lines 29-35) --");
+  printer.flow(program.entry());
   out.line("co_return;");
   out.close();
-  out.blank();
-  out.open("prophet::estimator::FunctionModel prophet_program() {");
-  out.line("return prophet::estimator::FunctionModel(");
-  out.line("    [](const prophet::machine::SystemParameters& sp) {");
-  out.line("      prophet_bind_system(sp);");
-  out.line("      prophet_init_globals();");
-  out.line("    },");
-  out.line("    [](prophet::workload::ModelContext ctx) {");
-  out.line("      return " + options_.model_function + "(std::move(ctx));");
-  out.line("    });");
-  out.close();
+  out.raw(R"(
+prophet::estimator::FunctionModel prophet_program() {
+  return prophet::estimator::FunctionModel(
+      [](const prophet::machine::SystemParameters& sp) {
+        prophet_bind_system(sp);
+        prophet_init_globals();
+      },
+      [](prophet::workload::ModelContext ctx) {
+        return prophet_model(std::move(ctx));
+      });
+}
+)");
   if (options_.emit_main) {
-    out.blank();
-    out.open("int main(int argc, char** argv) {");
-    out.line("prophet::machine::SystemParameters sp;");
-    out.line("if (argc > 1) sp.processes = std::atoi(argv[1]);");
-    out.line("if (argc > 2) sp.nodes = std::atoi(argv[2]);");
-    out.line("if (argc > 3) sp.processors_per_node = std::atoi(argv[3]);");
-    out.line("if (argc > 4) sp.threads_per_process = std::atoi(argv[4]);");
-    out.line("prophet::estimator::SimulationManager manager(sp);");
-    out.line("auto program = prophet_program();");
-    out.line("const auto report = manager.run(program);");
-    out.line("std::printf(\"%s\", report.summary().c_str());");
-    out.line("return 0;");
-    out.close();
+    out.raw(R"(
+int main(int argc, char** argv) {
+  prophet::machine::SystemParameters sp;
+  if (argc > 1) sp.processes = std::atoi(argv[1]);
+  if (argc > 2) sp.nodes = std::atoi(argv[2]);
+  if (argc > 3) sp.processors_per_node = std::atoi(argv[3]);
+  if (argc > 4) sp.threads_per_process = std::atoi(argv[4]);
+  prophet::estimator::SimulationManager manager(sp);
+  auto program = prophet_program();
+  const auto report = manager.run(program);
+  std::printf("%s", report.summary().c_str());
+  return 0;
+}
+)");
   }
   return out.text();
 }

@@ -54,26 +54,6 @@ const Variable* Model::variable(std::string_view name) const {
   return nullptr;
 }
 
-std::vector<const Variable*> Model::globals() const {
-  std::vector<const Variable*> result;
-  for (const auto& variable : variables_) {
-    if (variable.scope == VariableScope::Global) {
-      result.push_back(&variable);
-    }
-  }
-  return result;
-}
-
-std::vector<const Variable*> Model::locals() const {
-  std::vector<const Variable*> result;
-  for (const auto& variable : variables_) {
-    if (variable.scope == VariableScope::Local) {
-      result.push_back(&variable);
-    }
-  }
-  return result;
-}
-
 const CostFunction* Model::cost_function(std::string_view name) const {
   for (const auto& fn : cost_functions_) {
     if (fn.name == name) {

@@ -149,6 +149,22 @@ std::string_view to_string(CollectiveKind kind) {
   return "unknown";
 }
 
+std::string_view enumerator_name(CollectiveKind kind) {
+  switch (kind) {
+    case CollectiveKind::Broadcast:
+      return "Broadcast";
+    case CollectiveKind::Reduce:
+      return "Reduce";
+    case CollectiveKind::AllReduce:
+      return "AllReduce";
+    case CollectiveKind::Scatter:
+      return "Scatter";
+    case CollectiveKind::Gather:
+      return "Gather";
+  }
+  return "Gather";
+}
+
 CollectiveElement::CollectiveElement(ModelContext& ctx, std::string name,
                                      CollectiveKind kind)
     : ctx_(&ctx), name_(std::move(name)), kind_(kind) {}
@@ -324,6 +340,14 @@ sim::Process fork_join(ModelContext ctx,
   for (const auto& ref : refs) {
     co_await ref;
   }
+}
+
+LoopTrips loop_trips(double bound, const std::string& loop_id) {
+  if (std::isnan(bound) || bound < 0) {
+    throw std::runtime_error("loop " + loop_id +
+                             ": iteration count is negative or NaN");
+  }
+  return {static_cast<std::int64_t>(bound)};
 }
 
 }  // namespace prophet::workload

@@ -3,14 +3,21 @@
 #include <gtest/gtest.h>
 
 #include "prophet/codegen/transformer.hpp"
+#include "prophet/lower/lower.hpp"
 #include "prophet/prophet.hpp"
 
 namespace codegen = prophet::codegen;
+namespace lower = prophet::lower;
 namespace uml = prophet::uml;
 
 namespace {
 
 const codegen::Transformer kTransformer;
+
+/// The lowering the stages read (it owns the model).
+lower::ModelProgramPtr lowered(uml::Model model) {
+  return lower::lower(std::move(model));
+}
 
 TEST(Sanitize, Identifiers) {
   EXPECT_EQ(codegen::sanitize_identifier("Kernel6"), "Kernel6");
@@ -34,25 +41,25 @@ TEST(Fig4, Kernel6Mapping) {
 }
 
 TEST(Fig5, SelectionFindsAllStereotypedElements) {
-  const uml::Model model = prophet::models::sample_model();
-  const auto elements = kTransformer.select_performance_elements(model);
+  const auto program = lowered(prophet::models::sample_model());
+  const auto elements = kTransformer.select_performance_elements(*program);
   // SA1, SA2, A1, SA (activity), A2, A4.
   EXPECT_EQ(elements.size(), 6u);
   for (const auto* element : elements) {
-    EXPECT_TRUE(element->has_stereotype());
+    EXPECT_TRUE(element->node->has_stereotype());
   }
 }
 
 TEST(Fig5, GlobalsStage) {
-  const uml::Model model = prophet::models::sample_model();
-  const std::string globals = kTransformer.emit_globals(model);
+  const std::string globals =
+      kTransformer.emit_globals(*lowered(prophet::models::sample_model()));
   EXPECT_NE(globals.find("double GV = 0;"), std::string::npos);
   EXPECT_NE(globals.find("double P = 0;"), std::string::npos);
 }
 
 TEST(Fig5, IntegerGlobalsBecomeLong) {
-  const uml::Model model = prophet::models::kernel6_model(64, 4, 1e-9);
-  const std::string globals = kTransformer.emit_globals(model);
+  const std::string globals = kTransformer.emit_globals(
+      *lowered(prophet::models::kernel6_model(64, 4, 1e-9)));
   EXPECT_NE(globals.find("long N = 0;"), std::string::npos);
   EXPECT_NE(globals.find("long M = 0;"), std::string::npos);
   EXPECT_NE(globals.find("double c = 0;"), std::string::npos);
@@ -68,7 +75,7 @@ TEST(Fig5, CostFunctionStageOrdersDependencies) {
   uml::NodeRef fin = d.final_node();
   d.flow(init, fin);
   const std::string functions =
-      kTransformer.emit_cost_functions(std::move(mb).build());
+      kTransformer.emit_cost_functions(*lowered(std::move(mb).build()));
   const auto callee_pos = functions.find("double Callee");
   const auto caller_pos = functions.find("double Caller");
   ASSERT_NE(callee_pos, std::string::npos);
@@ -84,9 +91,9 @@ TEST(Fig5, CyclicCostFunctionsRejected) {
   uml::NodeRef init = d.initial();
   uml::NodeRef fin = d.final_node();
   d.flow(init, fin);
-  const uml::Model model = std::move(mb).build();
-  EXPECT_THROW((void)kTransformer.emit_cost_functions(model),
-               codegen::TransformError);
+  EXPECT_THROW(
+      (void)kTransformer.emit_cost_functions(*lowered(std::move(mb).build())),
+      codegen::TransformError);
 }
 
 TEST(Fig5, ParameterizedFunctions) {
@@ -97,7 +104,7 @@ TEST(Fig5, ParameterizedFunctions) {
   uml::NodeRef fin = d.final_node();
   d.flow(init, fin);
   const std::string functions =
-      kTransformer.emit_cost_functions(std::move(mb).build());
+      kTransformer.emit_cost_functions(*lowered(std::move(mb).build()));
   EXPECT_NE(functions.find("double F(double pid, double x)"),
             std::string::npos);
 }
@@ -110,7 +117,8 @@ TEST(Fig5, LocalsStage) {
   uml::NodeRef init = d.initial();
   uml::NodeRef fin = d.final_node();
   d.flow(init, fin);
-  const std::string locals = kTransformer.emit_locals(std::move(mb).build());
+  const std::string locals =
+      kTransformer.emit_locals(*lowered(std::move(mb).build()));
   EXPECT_NE(locals.find("double L = 2.5;"), std::string::npos);
   EXPECT_NE(locals.find("long K = 0;"), std::string::npos);
 }
@@ -127,7 +135,7 @@ TEST(Fig5, DeclarationStageUsesRuntimeClasses) {
   uml::NodeRef fin = d.final_node();
   d.sequence({init, a, s, r, bar, red, fin});
   const std::string decls =
-      kTransformer.emit_declarations(std::move(mb).build());
+      kTransformer.emit_declarations(*lowered(std::move(mb).build()));
   EXPECT_NE(decls.find("ActionPlus A(ctx, \"A\");"), std::string::npos);
   EXPECT_NE(decls.find("SendElement S(ctx, \"S\");"), std::string::npos);
   EXPECT_NE(decls.find("RecvElement R(ctx, \"R\");"), std::string::npos);
@@ -147,16 +155,17 @@ TEST(Fig5, DuplicateNamesDisambiguated) {
   uml::NodeRef fin = d.final_node();
   d.sequence({init, a, b, fin});
   const std::string decls =
-      kTransformer.emit_declarations(std::move(mb).build());
+      kTransformer.emit_declarations(*lowered(std::move(mb).build()));
   EXPECT_NE(decls.find("ActionPlus X(ctx"), std::string::npos);
   EXPECT_NE(decls.find("ActionPlus X_n3(ctx"), std::string::npos) << decls;
 }
 
 TEST(Flow, LoopBecomesForStatement) {
-  const uml::Model model =
-      prophet::models::kernel6_detailed_model(10, 2, 1e-9);
-  const std::string flow = kTransformer.emit_flow(model);
-  EXPECT_NE(flow.find("for (double L = 0; L < (M); L += 1)"),
+  const std::string flow = kTransformer.emit_flow(
+      *lowered(prophet::models::kernel6_detailed_model(10, 2, 1e-9)));
+  // loop_trips evaluates the bound once and truncates it; the loop
+  // variable is the trip index, as in the engines.
+  EXPECT_NE(flow.find("for (const double L : loop_trips(M, \"n11\")) {"),
             std::string::npos)
       << flow;
 }
@@ -183,8 +192,13 @@ TEST(Flow, ForkBecomesForkJoin) {
   d.flow(a, join);
   d.flow(b, join);
   d.flow(join, fin);
-  const std::string flow = kTransformer.emit_flow(std::move(mb).build());
-  EXPECT_NE(flow.find("fork_join(ctx, {"), std::string::npos);
+  const std::string flow =
+      kTransformer.emit_flow(*lowered(std::move(mb).build()));
+  // The branch lambdas are built before the co_await (g++ 12 rejects a
+  // braced list inside one).
+  EXPECT_NE(flow.find("fork_join(ctx, std::move(branches));"),
+            std::string::npos)
+      << flow;
   EXPECT_NE(flow.find("[&]() -> prophet::sim::Process {"),
             std::string::npos);
 }
@@ -205,7 +219,8 @@ TEST(Flow, DecisionWithoutElseGetsRuntimeGuardError) {
   d.flow(a, merge);
   d.flow(b, merge);
   d.flow(merge, fin);
-  const std::string flow = kTransformer.emit_flow(std::move(mb).build());
+  const std::string flow =
+      kTransformer.emit_flow(*lowered(std::move(mb).build()));
   EXPECT_NE(flow.find("} else if (X < 0.0) {"), std::string::npos) << flow;
   EXPECT_NE(flow.find("throw std::runtime_error"), std::string::npos);
 }
@@ -244,7 +259,8 @@ TEST(Flow, UidVariableSubstitutedWithLiteral) {
   uml::NodeRef a = d.action("A").cost("uid * 0.001");
   uml::NodeRef fin = d.final_node();
   d.sequence({init, a, fin});
-  const std::string flow = kTransformer.emit_flow(std::move(mb).build());
+  const std::string flow =
+      kTransformer.emit_flow(*lowered(std::move(mb).build()));
   // A's uid is 2 (initial gets 1).
   EXPECT_NE(flow.find("2.0 * 0.001"), std::string::npos) << flow;
 }
@@ -261,8 +277,31 @@ TEST(Errors, UnstructuredBackEdgeRejected) {
   d.flow(a, dec);
   d.flow(dec, a, "X > 0");  // back edge loop
   d.flow(dec, fin, "else");
-  const uml::Model model = std::move(mb).build();
-  EXPECT_THROW((void)kTransformer.emit_flow(model), codegen::TransformError);
+  EXPECT_THROW((void)kTransformer.emit_flow(*lowered(std::move(mb).build())),
+               codegen::TransformError);
+}
+
+TEST(Errors, BranchEndingBeforeItsMergeRejected) {
+  // A C++ block cannot leave the walk early, so a branch that reaches a
+  // final node while the other branch continues past the merge is
+  // unstructured for the transformer.
+  uml::ModelBuilder mb("M");
+  uml::DiagramBuilder d = mb.diagram("main");
+  uml::NodeRef init = d.initial();
+  uml::NodeRef dec = d.decision();
+  uml::NodeRef a = d.action("A").cost("1");
+  uml::NodeRef early = d.final_node();
+  uml::NodeRef b = d.action("B").cost("2");
+  uml::NodeRef merge = d.merge();
+  uml::NodeRef c = d.action("C").cost("3");
+  uml::NodeRef fin = d.final_node();
+  d.flow(init, dec);
+  d.flow(dec, a, "pid > 0");
+  d.flow(a, early);
+  d.flow(dec, b, "else");
+  d.sequence({b, merge, c, fin});
+  EXPECT_THROW((void)kTransformer.emit_flow(*lowered(std::move(mb).build())),
+               codegen::TransformError);
 }
 
 TEST(Errors, MissingSubdiagram) {
@@ -273,7 +312,7 @@ TEST(Errors, MissingSubdiagram) {
   uml::NodeRef fin = d.final_node();
   d.sequence({init, act, fin});
   const uml::Model model = std::move(mb).build();
-  EXPECT_THROW((void)kTransformer.emit_flow(model), codegen::TransformError);
+  EXPECT_THROW((void)kTransformer.transform(model), codegen::TransformError);
 }
 
 TEST(Errors, UnparseableCostExpression) {
@@ -284,7 +323,7 @@ TEST(Errors, UnparseableCostExpression) {
   uml::NodeRef fin = d.final_node();
   d.sequence({init, a, fin});
   const uml::Model model = std::move(mb).build();
-  EXPECT_THROW((void)kTransformer.emit_flow(model), codegen::TransformError);
+  EXPECT_THROW((void)kTransformer.transform(model), codegen::TransformError);
 }
 
 TEST(Options, MainOnlyWhenRequested) {
@@ -295,25 +334,6 @@ TEST(Options, MainOnlyWhenRequested) {
   options.emit_main = true;
   const codegen::Transformer with_main(options);
   EXPECT_NE(with_main.transform(model).find("int main("),
-            std::string::npos);
-}
-
-TEST(Options, BannersToggle) {
-  const uml::Model model = prophet::models::sample_model();
-  codegen::TransformOptions options;
-  options.banners = false;
-  const codegen::Transformer no_banners(options);
-  EXPECT_EQ(no_banners.transform(model).find("Fig. 5 lines"),
-            std::string::npos);
-}
-
-TEST(Options, CustomFunctionName) {
-  const uml::Model model = prophet::models::sample_model();
-  codegen::TransformOptions options;
-  options.model_function = "my_model";
-  const codegen::Transformer custom(options);
-  EXPECT_NE(custom.transform(model).find(
-                "prophet::sim::Process my_model(prophet"),
             std::string::npos);
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "prophet/expr/analysis.hpp"
+#include "prophet/expr/compile.hpp"
 #include "prophet/expr/cppgen.hpp"
 #include "prophet/expr/eval.hpp"
 #include "prophet/expr/parser.hpp"
@@ -134,40 +135,72 @@ TEST(ExprAnalysis, CalledFunctions) {
 
 // --- C++ emission -------------------------------------------------------------
 
+/// `text` compiled (variables a, b, c, x and P as slots, FSA2 a user
+/// function, pid the ambient), then printed as C++.
+std::string cpp(const std::string& text) {
+  expr::SymbolTable table;
+  for (const char* name : {"a", "b", "c", "x", "P"}) {
+    table.add_variable(name);
+  }
+  table.add_function("FSA2");
+  table.bind_ambient("pid", expr::Ambient::Pid);
+  expr::CppNames names;
+  names.symbols = &table;
+  return expr::to_cpp(expr::compile(*expr::parse(text), table), names);
+}
+
 TEST(ExprCppGen, Literals) {
-  EXPECT_EQ(expr::to_cpp(*expr::parse("1")), "1.0");
-  EXPECT_EQ(expr::to_cpp(*expr::parse("2.5")), "2.5");
+  EXPECT_EQ(cpp("1"), "1.0");
+  EXPECT_EQ(cpp("2.5"), "2.5");
 }
 
 TEST(ExprCppGen, ArithmeticShape) {
-  EXPECT_EQ(expr::to_cpp(*expr::parse("0.000001*P*P + 0.001")),
+  EXPECT_EQ(cpp("0.000001*P*P + 0.001"),
             "9.9999999999999995e-07 * P * P + 0.001");
 }
 
 TEST(ExprCppGen, ModBecomesFmod) {
-  EXPECT_EQ(expr::to_cpp(*expr::parse("a % b")), "std::fmod(a, b)");
+  EXPECT_EQ(cpp("a % b"), "std::fmod(a, b)");
 }
 
 TEST(ExprCppGen, BuiltinsPrefixed) {
-  EXPECT_EQ(expr::to_cpp(*expr::parse("sqrt(P)")), "std::sqrt(P)");
-  EXPECT_EQ(expr::to_cpp(*expr::parse("abs(x)")), "std::fabs(x)");
-  EXPECT_EQ(expr::to_cpp(*expr::parse("min(a, b)")), "std::fmin(a, b)");
+  EXPECT_EQ(cpp("sqrt(P)"), "std::sqrt(P)");
+  EXPECT_EQ(cpp("abs(x)"), "std::fabs(x)");
+  EXPECT_EQ(cpp("min(a, b)"), "std::fmin(a, b)");
 }
 
 TEST(ExprCppGen, UserCallsUntouched) {
-  EXPECT_EQ(expr::to_cpp(*expr::parse("FSA2(pid)")), "FSA2(pid)");
+  EXPECT_EQ(cpp("FSA2(pid)"), "FSA2(pid)");
 }
 
 TEST(ExprCppGen, ParenthesizationPreservesMeaning) {
-  EXPECT_EQ(expr::to_cpp(*expr::parse("(a + b) * c")), "(a + b) * c");
-  EXPECT_EQ(expr::to_cpp(*expr::parse("a - (b - c)")), "a - (b - c)");
+  EXPECT_EQ(cpp("(a + b) * c"), "(a + b) * c");
+  EXPECT_EQ(cpp("a - (b - c)"), "a - (b - c)");
 }
 
-/// Property: for pure-arithmetic expressions, evaluating the C++ text via
-/// a second parse must equal direct evaluation (the emitted C++ has the
-/// same structure, so reparsing it through the cost language is a valid
-/// oracle — modulo std:: prefixes, which we strip by testing operator-only
-/// expressions here).
+TEST(ExprCppGen, ShortCircuitsPrintAsConditionals) {
+  EXPECT_EQ(cpp("a < c && b"), "a < c ? b != 0.0 : 0.0");
+  EXPECT_EQ(cpp("a || b < c"), "a ? 1.0 : b < c");
+}
+
+TEST(ExprCppGen, IntegerOperandsWidenToDouble) {
+  // int / int would truncate and -(bool) would lose the sign of zero.
+  EXPECT_EQ(cpp("pid / pid"), "static_cast<double>(pid) / pid");
+  EXPECT_EQ(cpp("-(a < b)"), "-static_cast<double>(a < b)");
+  EXPECT_EQ(cpp("pid / 2"), "pid / 2.0");
+}
+
+TEST(ExprCppGen, LazyErrorsThrowOnlyWhenRun) {
+  EXPECT_EQ(cpp("a > 0 ? nope(1) : 2"),
+            "a > 0.0 ? []() -> double { throw std::runtime_error(\"unknown "
+            "function 'nope'\"); }() : 2.0");
+}
+
+/// Property: for pure-arithmetic expressions, evaluating the C++ printed
+/// from the compiled program via a second parse must equal direct
+/// evaluation (the printed C++ is cost-language syntax apart from the
+/// std:: prefixes, which we strip by testing operator-only expressions
+/// here).
 class CppGenSemantics : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CppGenSemantics, ReparsedCppValueMatches) {
@@ -177,21 +210,22 @@ TEST_P(CppGenSemantics, ReparsedCppValueMatches) {
   env.set("c", 7.0);
   const auto original = expr::parse(GetParam());
   const double direct = expr::evaluate(*original, env);
-  std::string cpp = expr::to_cpp(*original);
+  std::string cpp_text = cpp(GetParam());
   // Make the emitted text valid cost-language again.
   for (const char* prefix : {"std::fmod", "std::fmin", "std::fmax",
                              "std::fabs", "std::sqrt", "std::pow"}) {
     std::string bare = prefix + 5;  // strip "std::"
     std::size_t pos;
-    while ((pos = cpp.find(prefix)) != std::string::npos) {
-      cpp.replace(pos, std::string(prefix).size(), bare);
+    while ((pos = cpp_text.find(prefix)) != std::string::npos) {
+      cpp_text.replace(pos, std::string(prefix).size(), bare);
     }
   }
   // fmod/fmin/fmax/fabs are not cost-language builtins; map back.
-  auto replace_all = [&cpp](const std::string& from, const std::string& to) {
+  auto replace_all = [&cpp_text](const std::string& from,
+                                 const std::string& to) {
     std::size_t pos;
-    while ((pos = cpp.find(from)) != std::string::npos) {
-      cpp.replace(pos, from.size(), to);
+    while ((pos = cpp_text.find(from)) != std::string::npos) {
+      cpp_text.replace(pos, from.size(), to);
     }
   };
   replace_all("fmod", "mod_call");
@@ -205,8 +239,8 @@ TEST_P(CppGenSemantics, ReparsedCppValueMatches) {
   env2.define("mod_call", [](std::span<const double> args) {
     return std::fmod(args[0], args[1]);
   });
-  const double via_cpp = expr::evaluate(*expr::parse(cpp), env2);
-  EXPECT_DOUBLE_EQ(direct, via_cpp) << GetParam() << " -> " << cpp;
+  const double via_cpp = expr::evaluate(*expr::parse(cpp_text), env2);
+  EXPECT_DOUBLE_EQ(direct, via_cpp) << GetParam() << " -> " << cpp_text;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -128,10 +128,4 @@ INSTANTIATE_TEST_SUITE_P(
                       "sqrt(pow(x, 2) + pow(y, 2))",
                       "a - (b - c) - d"));
 
-TEST(ExprClone, CloneIsEqual) {
-  const auto original = expr::parse("a ? f(x) + 1 : -b % 3");
-  const auto copy = original->clone();
-  EXPECT_TRUE(expr::equal(*original, *copy));
-}
-
 }  // namespace

@@ -185,10 +185,10 @@ TEST(Model, VariableScopes) {
   mb.global("G", uml::VariableType::Real, "1");
   mb.local("L", uml::VariableType::Integer, "2");
   const uml::Model model = std::move(mb).build();
-  EXPECT_EQ(model.globals().size(), 1u);
-  EXPECT_EQ(model.locals().size(), 1u);
+  EXPECT_EQ(model.variables().size(), 2u);
   ASSERT_NE(model.variable("G"), nullptr);
   EXPECT_EQ(model.variable("G")->scope, uml::VariableScope::Global);
+  EXPECT_EQ(model.variable("L")->scope, uml::VariableScope::Local);
   EXPECT_EQ(model.variable("L")->type, uml::VariableType::Integer);
   EXPECT_EQ(model.variable("missing"), nullptr);
 }
