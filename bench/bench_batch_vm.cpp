@@ -2,8 +2,8 @@
 //
 // BM_BatchVm_* compare Compiled::eval one-lane-at-a-time against
 // Compiled::eval_batch on SoA lane frames at several widths: the
-// per-dispatch VM overhead amortizes across lanes and the arithmetic
-// opcodes run through the SIMD kernels.  BM_BatchVm_SweepSpeedup is the
+// per-dispatch VM overhead amortizes across lanes, each opcode running
+// as one loop over them.  BM_BatchVm_SweepSpeedup is the
 // headline pipeline number backing the CI perf gate: the batched
 // analytic @kernel6 sweep must clear >= 1.5x the scalar (lane width 1)
 // sweep in jobs/s.

@@ -316,14 +316,14 @@ class Compiled {
   /// one result per lane to `out[0..width)`.  Bit-identical to a scalar
   /// eval() loop over the per-lane views (see BatchEvalContext).
   ///
-  /// Branchless programs execute instruction-at-a-time across all lanes
-  /// — arithmetic and compare opcodes through runtime-dispatched SIMD
-  /// kernels (AVX2 when the CPU has it, a generic loop otherwise; both
-  /// IEEE-exact), libm built-ins and fmod lane-by-lane through the same
-  /// std:: calls the scalar VM makes.  Programs with jumps (short
-  /// circuits, conditionals — lane-divergent control) fall back to
-  /// lane-by-lane scalar evaluation, as does any lane-raised error, so
-  /// error lane order and messages always match the scalar loop.
+  /// Branchless programs run through the same dispatch loop as eval(),
+  /// instruction-at-a-time across all lanes: each opcode is one plain
+  /// loop over the lanes performing the scalar VM's exact operation
+  /// (IEEE arithmetic and compares, the same std:: libm calls).
+  /// Programs with jumps (short circuits, conditionals — lane-divergent
+  /// control) fall back to lane-by-lane scalar evaluation, as does any
+  /// lane-raised error, so error lane order and messages always match
+  /// the scalar loop.
   void eval_batch(const BatchEvalContext& ctx, double* out) const;
 
   /// The folded constant value when the whole program reduced to one —
@@ -385,6 +385,12 @@ class Compiled {
   bool branchless_ = true;   // no Jump/JumpIfFalse/JumpIfTrue emitted
   bool calls_user_ = false;  // contains CallUser
 
+  // The one dispatch loop: one lane for eval (Context = EvalContext),
+  // ctx.width lanes for eval_batch's fast path (BatchEvalContext).
+  // Returns lane 0's result; the batched form also writes every lane to
+  // `out`.
+  template <class Context>
+  double run(const Context& ctx, double* out) const;
   void eval_batch_lanes(const BatchEvalContext& ctx, double* out) const;
 };
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "builtins.hpp"
 #include "prophet/guard/guard.hpp"
@@ -643,37 +644,101 @@ namespace {
   throw EvalError(message);
 }
 
+// What separates the two entry points' contexts: the lane width and the
+// lane array of a positional argument.
+constexpr std::size_t lane_width(const EvalContext& /*ctx*/) { return 1; }
+std::size_t lane_width(const BatchEvalContext& ctx) { return ctx.width; }
+
+const double* arg_lanes(const EvalContext& ctx, std::size_t index) {
+  return &ctx.args[index];
+}
+const double* arg_lanes(const BatchEvalContext& ctx, std::size_t index) {
+  return ctx.args[index];
+}
+
+// CallUser scratch of the batched loop: the argument lane pointers and
+// the result lanes (call_batch's `out` must not alias its arguments).
+struct BatchCallScratch {
+  std::vector<const double*> args;
+  std::vector<double> out;
+};
+struct NoCallScratch {};
+
 }  // namespace
 
-double Compiled::eval(const EvalContext& ctx) const {
-  // Typical programs need a handful of stack cells; the compiler knows
-  // the exact worst case, so spilling to the heap is the rare path.
-  constexpr std::size_t kInlineStack = 64;
-  double inline_stack[kInlineStack];
+// Lane loops over the operand stack, `l` being the lane: PUSH writes a new
+// top value, UNARY rewrites the top value `a` in place, BINARY pops `b`
+// and rewrites the value below it, `a`.
+#define PROPHET_VM_PUSH(VALUE)                    \
+  do {                                            \
+    double* const top = stack + sp++ * width;     \
+    for (std::size_t l = 0; l < width; ++l) {     \
+      top[l] = (VALUE);                           \
+    }                                             \
+  } while (false)
+#define PROPHET_VM_UNARY(VALUE)                   \
+  do {                                            \
+    double* const a = stack + (sp - 1) * width;   \
+    for (std::size_t l = 0; l < width; ++l) {     \
+      a[l] = (VALUE);                             \
+    }                                             \
+  } while (false)
+#define PROPHET_VM_BINARY(VALUE)                  \
+  do {                                            \
+    --sp;                                         \
+    double* const a = stack + (sp - 1) * width;   \
+    const double* const b = stack + sp * width;   \
+    for (std::size_t l = 0; l < width; ++l) {     \
+      a[l] = (VALUE);                             \
+    }                                             \
+  } while (false)
+
+// One loop serves both entry points.  With an EvalContext the width is
+// the constant 1 and every lane loop compiles to the scalar statement;
+// with a BatchEvalContext each instruction runs across ctx.width lanes
+// before the next one starts.  The operand stack is structure-of-arrays:
+// stack value i occupies the `width` lanes at stack + i * width.  Jumps,
+// UserFunctions::call and lazy-error counting exist only in the scalar
+// instantiation: eval_batch sends programs with jumps and every raised
+// error through the scalar loop lane by lane, which counts them there.
+template <class Context>
+double Compiled::run(const Context& ctx, double* out) const {
+  constexpr bool kBatched = std::is_same_v<Context, BatchEvalContext>;
+  const std::size_t width = lane_width(ctx);
+  // The compiler knows the worst-case depth; typical programs fit the
+  // inline buffer, so spilling to the heap is the rare path.
+  constexpr std::size_t kInlineCells = kBatched ? 256 : 64;
+  double inline_stack[kInlineCells];
   std::vector<double> heap_stack;
   double* stack = inline_stack;
-  if (max_stack_ > kInlineStack) {
-    heap_stack.resize(max_stack_);
+  if (max_stack_ * width > kInlineCells) {
+    heap_stack.resize(max_stack_ * width);
     stack = heap_stack.data();
   }
+  std::conditional_t<kBatched, BatchCallScratch, NoCallScratch> scratch;
   std::size_t sp = 0;
   const Instr* code = code_.data();
   const std::size_t n = code_.size();
   std::size_t ip = 0;
   // Instruction counting stays off the dispatch loop's memory traffic: a
-  // register-resident tally, flushed once per eval (throwing paths
-  // included) and only when a counter block is installed.
+  // register-resident tally, flushed once per run (throwing paths
+  // included) and only when a counter block is installed.  A batched run
+  // counts each instruction once and one eval per lane.
   std::uint64_t dispatched = 0;
   struct FlushCounters {
     obs::ExprCounters* counters;
     const std::uint64_t* dispatched;
+    std::size_t width;
     ~FlushCounters() {
       if (counters != nullptr) {
         counters->instructions += *dispatched;
-        ++counters->evals;
+        counters->evals += width;
+        if constexpr (std::is_same_v<Context, BatchEvalContext>) {
+          ++counters->batch_evals;
+        }
       }
     }
-  } flush{ctx.counters, &dispatched};
+  } flush{ctx.counters, &dispatched, width};
   // Budget stride: one pointer test per dispatch when disabled; when a
   // budget is installed, charge whole strides as they complete (the tail
   // is charged after the loop) so runaway expressions trip within ~1k
@@ -687,181 +752,195 @@ double Compiled::eval(const EvalContext& ctx) const {
     const Instr& in = code[ip];
     switch (in.op) {
       case Op::PushConst:
-        stack[sp++] = in.value;
+        PROPHET_VM_PUSH(in.value);
         break;
       case Op::LoadSlot: {
         const double* bound = ctx.frame[static_cast<std::size_t>(in.a)];
         if (bound == nullptr) {
-          if (ctx.counters != nullptr) {
-            ++ctx.counters->lazy_errors;
+          if constexpr (!kBatched) {
+            if (ctx.counters != nullptr) {
+              ++ctx.counters->lazy_errors;
+            }
           }
           throw_eval(strings_[in.b]);
         }
-        stack[sp++] = *bound;
+        PROPHET_VM_PUSH(bound[l]);
         break;
       }
       case Op::LoadSlotOrPid: {
         const double* bound = ctx.frame[static_cast<std::size_t>(in.a)];
-        stack[sp++] = bound != nullptr ? *bound : ctx.pid;
+        PROPHET_VM_PUSH(bound != nullptr ? bound[l] : ctx.pid);
         break;
       }
       case Op::LoadSlotOrTid: {
         const double* bound = ctx.frame[static_cast<std::size_t>(in.a)];
-        stack[sp++] = bound != nullptr ? *bound : ctx.tid;
+        PROPHET_VM_PUSH(bound != nullptr ? bound[l] : ctx.tid);
         break;
       }
       case Op::LoadSlotOrUid: {
         const double* bound = ctx.frame[static_cast<std::size_t>(in.a)];
-        stack[sp++] = bound != nullptr ? *bound : ctx.uid;
+        PROPHET_VM_PUSH(bound != nullptr ? bound[l] : ctx.uid);
         break;
       }
       case Op::LoadArg: {
         const auto index = static_cast<std::size_t>(in.a);
-        stack[sp++] = index < ctx.args.size() ? ctx.args[index] : 0.0;
+        if (index < ctx.args.size()) {
+          const double* arg = arg_lanes(ctx, index);
+          PROPHET_VM_PUSH(arg[l]);
+        } else {
+          PROPHET_VM_PUSH(0.0);
+        }
         break;
       }
       case Op::LoadPid:
-        stack[sp++] = ctx.pid;
+        PROPHET_VM_PUSH(ctx.pid);
         break;
       case Op::LoadTid:
-        stack[sp++] = ctx.tid;
+        PROPHET_VM_PUSH(ctx.tid);
         break;
       case Op::LoadUid:
-        stack[sp++] = ctx.uid;
+        PROPHET_VM_PUSH(ctx.uid);
         break;
       case Op::Neg:
-        stack[sp - 1] = -stack[sp - 1];
+        PROPHET_VM_UNARY(-a[l]);
         break;
       case Op::Not:
-        stack[sp - 1] = stack[sp - 1] != 0.0 ? 0.0 : 1.0;
+        PROPHET_VM_UNARY(a[l] != 0.0 ? 0.0 : 1.0);
         break;
       case Op::Add:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] + stack[sp];
+        PROPHET_VM_BINARY(a[l] + b[l]);
         break;
       case Op::Sub:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] - stack[sp];
+        PROPHET_VM_BINARY(a[l] - b[l]);
         break;
       case Op::Mul:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] * stack[sp];
+        PROPHET_VM_BINARY(a[l] * b[l]);
         break;
       case Op::Div:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] / stack[sp];
+        PROPHET_VM_BINARY(a[l] / b[l]);
         break;
       case Op::Mod:
-        --sp;
-        stack[sp - 1] = std::fmod(stack[sp - 1], stack[sp]);
+        PROPHET_VM_BINARY(std::fmod(a[l], b[l]));
         break;
       case Op::Lt:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] < stack[sp] ? 1.0 : 0.0;
+        PROPHET_VM_BINARY(a[l] < b[l] ? 1.0 : 0.0);
         break;
       case Op::Le:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] <= stack[sp] ? 1.0 : 0.0;
+        PROPHET_VM_BINARY(a[l] <= b[l] ? 1.0 : 0.0);
         break;
       case Op::Gt:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] > stack[sp] ? 1.0 : 0.0;
+        PROPHET_VM_BINARY(a[l] > b[l] ? 1.0 : 0.0);
         break;
       case Op::Ge:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] >= stack[sp] ? 1.0 : 0.0;
+        PROPHET_VM_BINARY(a[l] >= b[l] ? 1.0 : 0.0);
         break;
       case Op::Eq:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] == stack[sp] ? 1.0 : 0.0;
+        PROPHET_VM_BINARY(a[l] == b[l] ? 1.0 : 0.0);
         break;
       case Op::Ne:
-        --sp;
-        stack[sp - 1] = stack[sp - 1] != stack[sp] ? 1.0 : 0.0;
+        PROPHET_VM_BINARY(a[l] != b[l] ? 1.0 : 0.0);
         break;
       case Op::ToBool:
-        stack[sp - 1] = stack[sp - 1] != 0.0 ? 1.0 : 0.0;
+        PROPHET_VM_UNARY(a[l] != 0.0 ? 1.0 : 0.0);
         break;
       case Op::Jump:
-        ip = static_cast<std::size_t>(in.a);
-        continue;
-      case Op::JumpIfFalse:
-        if (!(stack[--sp] != 0.0)) {
+        if constexpr (!kBatched) {
           ip = static_cast<std::size_t>(in.a);
           continue;
         }
         break;
+      case Op::JumpIfFalse:
+        if constexpr (!kBatched) {
+          if (!(stack[--sp] != 0.0)) {
+            ip = static_cast<std::size_t>(in.a);
+            continue;
+          }
+        }
+        break;
       case Op::JumpIfTrue:
-        if (stack[--sp] != 0.0) {
-          ip = static_cast<std::size_t>(in.a);
-          continue;
+        if constexpr (!kBatched) {
+          if (stack[--sp] != 0.0) {
+            ip = static_cast<std::size_t>(in.a);
+            continue;
+          }
         }
         break;
       case Op::CallUser: {
         if (ctx.functions == nullptr) {
           throw_eval("unknown function (no user-function table bound)");
         }
-        sp -= in.b;
-        stack[sp] = ctx.functions->call(
-            in.a, std::span<const double>(stack + sp, in.b));
+        const std::size_t argc = in.b;
+        sp -= argc;
+        if constexpr (kBatched) {
+          scratch.args.resize(argc);
+          for (std::size_t i = 0; i < argc; ++i) {
+            scratch.args[i] = stack + (sp + i) * width;
+          }
+          scratch.out.resize(width);
+          ctx.functions->call_batch(in.a, scratch.args, scratch.out.data(),
+                                    width);
+          std::copy_n(scratch.out.data(), width, stack + sp * width);
+        } else {
+          stack[sp] = ctx.functions->call(
+              in.a, std::span<const double>(stack + sp, argc));
+        }
         ++sp;
         break;
       }
       case Op::Throw:
-        if (ctx.counters != nullptr) {
-          ++ctx.counters->lazy_errors;
+        if constexpr (!kBatched) {
+          if (ctx.counters != nullptr) {
+            ++ctx.counters->lazy_errors;
+          }
         }
         throw_eval(strings_[static_cast<std::size_t>(in.a)]);
       case Op::Abs:
-        stack[sp - 1] = std::fabs(stack[sp - 1]);
+        PROPHET_VM_UNARY(std::fabs(a[l]));
         break;
       case Op::Ceil:
-        stack[sp - 1] = std::ceil(stack[sp - 1]);
+        PROPHET_VM_UNARY(std::ceil(a[l]));
         break;
       case Op::Cos:
-        stack[sp - 1] = std::cos(stack[sp - 1]);
+        PROPHET_VM_UNARY(std::cos(a[l]));
         break;
       case Op::Exp:
-        stack[sp - 1] = std::exp(stack[sp - 1]);
+        PROPHET_VM_UNARY(std::exp(a[l]));
         break;
       case Op::Floor:
-        stack[sp - 1] = std::floor(stack[sp - 1]);
+        PROPHET_VM_UNARY(std::floor(a[l]));
         break;
       case Op::Log:
-        stack[sp - 1] = std::log(stack[sp - 1]);
+        PROPHET_VM_UNARY(std::log(a[l]));
         break;
       case Op::Log10:
-        stack[sp - 1] = std::log10(stack[sp - 1]);
+        PROPHET_VM_UNARY(std::log10(a[l]));
         break;
       case Op::Log2:
-        stack[sp - 1] = std::log2(stack[sp - 1]);
+        PROPHET_VM_UNARY(std::log2(a[l]));
         break;
       case Op::Max:
-        --sp;
-        stack[sp - 1] = std::fmax(stack[sp - 1], stack[sp]);
+        PROPHET_VM_BINARY(std::fmax(a[l], b[l]));
         break;
       case Op::Min:
-        --sp;
-        stack[sp - 1] = std::fmin(stack[sp - 1], stack[sp]);
+        PROPHET_VM_BINARY(std::fmin(a[l], b[l]));
         break;
       case Op::Pow:
-        --sp;
-        stack[sp - 1] = std::pow(stack[sp - 1], stack[sp]);
+        PROPHET_VM_BINARY(std::pow(a[l], b[l]));
         break;
       case Op::Round:
-        stack[sp - 1] = std::round(stack[sp - 1]);
+        PROPHET_VM_UNARY(std::round(a[l]));
         break;
       case Op::Sin:
-        stack[sp - 1] = std::sin(stack[sp - 1]);
+        PROPHET_VM_UNARY(std::sin(a[l]));
         break;
       case Op::Sqrt:
-        stack[sp - 1] = std::sqrt(stack[sp - 1]);
+        PROPHET_VM_UNARY(std::sqrt(a[l]));
         break;
       case Op::Tan:
-        stack[sp - 1] = std::tan(stack[sp - 1]);
+        PROPHET_VM_UNARY(std::tan(a[l]));
         break;
       case Op::Tanh:
-        stack[sp - 1] = std::tanh(stack[sp - 1]);
+        PROPHET_VM_UNARY(std::tanh(a[l]));
         break;
     }
     ++ip;
@@ -870,7 +949,43 @@ double Compiled::eval(const EvalContext& ctx) const {
     ctx.budget->charge_vm_instructions(dispatched & (kBudgetStride - 1),
                                        "expr-vm");
   }
-  return stack[sp - 1];
+  const double* result = stack + (sp - 1) * width;
+  if constexpr (kBatched) {
+    std::copy_n(result, width, out);
+  }
+  return result[0];
+}
+
+#undef PROPHET_VM_PUSH
+#undef PROPHET_VM_UNARY
+#undef PROPHET_VM_BINARY
+
+double Compiled::eval(const EvalContext& ctx) const {
+  return run(ctx, nullptr);
+}
+
+void Compiled::eval_batch(const BatchEvalContext& ctx, double* out) const {
+  if (ctx.width == 0) {
+    return;
+  }
+  // Jumps make lanes diverge (short circuits, conditionals): the whole
+  // program runs lane-by-lane.  One lane is a scalar eval either way.
+  if (ctx.width == 1 || !branchless_) {
+    eval_batch_lanes(ctx, out);
+    return;
+  }
+  try {
+    (void)run(ctx, out);
+    return;
+  } catch (const EvalError&) {
+    // Some lane raised mid-program (lazy error, user-function failure).
+    // Programs are pure, so re-running lane-by-lane reproduces every
+    // completed lane's value and surfaces the scalar loop's error: the
+    // lowest erroring lane, exact message, scalar counter accounting.
+    // Budget exceptions (guard::GuardError) are not caught — a tripped
+    // budget must propagate, not retry.
+  }
+  eval_batch_lanes(ctx, out);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <optional>
 #include <utility>
 
@@ -397,11 +398,15 @@ struct Interpreter::Impl final : expr::UserFunctions {
                 : static_cast<int>(nt);
         Scope body_scope = scope;  // frame snapshot; shared locals storage
         const int body = node.body;
-        co_await workload::parallel_region(
-            ctx, threads, uid, name,
+        // The callable is a named local, not a temporary inside the
+        // co_await operand: g++ 12 destroys such a temporary twice when
+        // it holds a non-trivially destructible capture (the Scope).
+        std::function<sim::Process(ModelContext)> run_thread =
             [this, body, body_scope](ModelContext tctx) -> sim::Process {
-              return run_diagram(tctx, body, body_scope);
-            });
+          return run_diagram(tctx, body, body_scope);
+        };
+        co_await workload::parallel_region(ctx, threads, uid, name,
+                                           std::move(run_thread));
         co_return;
       }
       case Operation::Critical: {
@@ -409,11 +414,12 @@ struct Interpreter::Impl final : expr::UserFunctions {
         Scope body_scope = scope;
         ModelContext body_ctx = ctx;
         const int body = node.body;
-        co_await element.execute(
-            uid, ctx.pid, ctx.tid,
+        // Named for the same reason as the region's callable above.
+        std::function<sim::Process()> run_body =
             [this, body, body_scope, body_ctx]() -> sim::Process {
-              return run_diagram(body_ctx, body, body_scope);
-            });
+          return run_diagram(body_ctx, body, body_scope);
+        };
+        co_await element.execute(uid, ctx.pid, ctx.tid, std::move(run_body));
         co_return;
       }
       case Operation::Inline: {

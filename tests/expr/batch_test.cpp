@@ -1,11 +1,13 @@
 // Batched expression VM: SlotBlock layout, the eval_batch fast path and
-// its lane-by-lane fallback, and the randomized differential suite
-// pinning bit-identity against per-lane Compiled::eval at several lane
-// widths — including NaN/inf/signed-zero lanes and lazy-error lanes
-// (the error must fire for the lowest erroring lane, with the scalar
-// loop's exact message).
+// its lane-by-lane fallback, the counter and budget accounting of both
+// VM entry points, and the randomized differential suite pinning
+// bit-identity against per-lane Compiled::eval at several lane widths —
+// including NaN/inf/signed-zero lanes and lazy-error lanes (the error
+// must fire for the lowest erroring lane, with the scalar loop's exact
+// message).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -17,9 +19,11 @@
 
 #include "prophet/expr/compile.hpp"
 #include "prophet/expr/parser.hpp"
+#include "prophet/guard/guard.hpp"
 #include "prophet/obs/obs.hpp"
 
 namespace expr = prophet::expr;
+namespace guard = prophet::guard;
 namespace obs = prophet::obs;
 
 namespace {
@@ -220,6 +224,100 @@ TEST(ExprBatch, FastPathCountsOneBatchEval) {
   m.program.eval_batch(ctx, out);
   EXPECT_EQ(counters.batch_evals, 1u);
   EXPECT_EQ(counters.evals, 8u);  // one per lane, like the scalar loop
+  EXPECT_EQ(counters.instructions, m.program.size());  // not times 8
+  EXPECT_EQ(counters.lazy_errors, 0u);
+
+  // A lane error is counted once, by the lane-by-lane re-run.
+  block.unbind(m.b);
+  counters = {};
+  EXPECT_THROW(m.program.eval_batch(ctx, out), expr::EvalError);
+  EXPECT_EQ(counters.lazy_errors, 1u);
+}
+
+// --- Scalar counters and the budget on both entry points --------------------
+
+TEST(ExprVmAccounting, ScalarEvalCountsDispatchesEvalsAndLazyErrors) {
+  Abc m("a + b");
+  ASSERT_TRUE(m.program.branchless());
+  expr::SlotFrame frame(m.table);
+  expr::EvalContext ctx;
+  ctx.frame = frame.frame();
+  obs::ExprCounters counters;
+  ctx.counters = &counters;
+  (void)m.program.eval(ctx);
+  EXPECT_EQ(counters.instructions, m.program.size());
+  EXPECT_EQ(counters.evals, 1u);
+  EXPECT_EQ(counters.lazy_errors, 0u);
+  EXPECT_EQ(counters.batch_evals, 0u);
+
+  // An unbound slot raises from its load...
+  frame.unbind(m.b);
+  counters = {};
+  EXPECT_THROW((void)m.program.eval(ctx), expr::EvalError);
+  EXPECT_EQ(counters.lazy_errors, 1u);
+  EXPECT_EQ(counters.evals, 1u);  // a throwing eval still counts
+
+  // ...and an unknown name compiles to a Throw instruction.
+  Abc unknown("a + ghost");
+  const auto code = unknown.program.code();
+  ASSERT_TRUE(std::any_of(code.begin(), code.end(), [](const expr::Instr& in) {
+    return in.op == expr::Op::Throw;
+  }));
+  expr::SlotFrame known(unknown.table);
+  ctx.frame = known.frame();
+  counters = {};
+  EXPECT_THROW((void)unknown.program.eval(ctx), expr::EvalError);
+  EXPECT_EQ(counters.lazy_errors, 1u);
+  EXPECT_EQ(counters.evals, 1u);
+}
+
+TEST(ExprVmAccounting, BudgetBelowTheProgramLengthTripsBothEntryPoints) {
+  Abc m("a * b + c");
+  const auto expect_trip = [](const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "the VM budget should have tripped";
+    } catch (const guard::ResourceExhausted& error) {
+      EXPECT_EQ(error.limit(), guard::LimitKind::VmInstructions);
+      EXPECT_EQ(guard::to_string(error.limit()), "vm_instructions");
+      EXPECT_EQ(error.stage(), "expr-vm");
+    }
+  };
+  guard::Limits short_of_program;
+  short_of_program.max_vm_instructions = m.program.size() - 1;
+  guard::Limits whole_program;
+  whole_program.max_vm_instructions = m.program.size();
+
+  expr::SlotFrame frame(m.table);
+  expr::EvalContext scalar;
+  scalar.frame = frame.frame();
+  {
+    guard::Budget budget(short_of_program);
+    scalar.budget = &budget;
+    expect_trip([&] { (void)m.program.eval(scalar); });
+  }
+  {
+    guard::Budget budget(whole_program);
+    scalar.budget = &budget;
+    EXPECT_NO_THROW((void)m.program.eval(scalar));
+  }
+
+  // The batched fast path charges once per dispatch, not once per lane.
+  expr::SlotBlock block(m.table, 8);
+  expr::BatchEvalContext batch;
+  batch.frame = block.frame();
+  batch.width = 8;
+  double out[8];
+  {
+    guard::Budget budget(short_of_program);
+    batch.budget = &budget;
+    expect_trip([&] { m.program.eval_batch(batch, out); });
+  }
+  {
+    guard::Budget budget(whole_program);
+    batch.budget = &budget;
+    EXPECT_NO_THROW(m.program.eval_batch(batch, out));
+  }
 }
 
 // --- Batched user functions -------------------------------------------------

@@ -7,7 +7,8 @@
 // node-bottleneck bound reproduces facility serialization exactly for
 // SPMD phases); the generated-code evaluator must reproduce the
 // simulator bit for bit — no envelope, equality of the underlying
-// 64-bit patterns.
+// 64-bit patterns.  An OpenMP region model, which no registry entry
+// covers, holds the simulator and the generated code to the same bits.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "openmp_region_model.hpp"
 #include "prophet/analytic/backend.hpp"
 #include "prophet/cgen/backend.hpp"
 #include "prophet/interp/interpreter.hpp"
@@ -149,6 +151,54 @@ TEST(BackendCrossValidation, RandomStructuredModelsWithinEnvelope) {
                              sp(np, 2, 1));
     }
   }
+}
+
+TEST(BackendCrossValidation, OpenMpRegionSimulatorAndCodegenBitForBit) {
+  // Threads of a region share a workshared loop, an OpenMP barrier and a
+  // critical section.  Only the simulator and the generated code are
+  // compared: the analytic engine bounds the lock from below by its total
+  // demand, while the simulator queues arrivals at it (ROADMAP).
+  const auto program =
+      prophet::lower::lower(prophet::integration::openmp_region_model());
+  prophet::estimator::EstimationOptions no_trace;
+  no_trace.collect_trace = false;
+  no_trace.collect_machine_report = false;
+  const auto simulator = analytic::SimulationBackend().prepare(program);
+  const auto compiled = prophet::cgen::CodegenBackend().prepare(program);
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  int points = 0;
+  for (int np = 1; np <= 4; ++np) {
+    for (int nodes = 1; nodes <= 2; ++nodes) {
+      for (int ppn = 1; ppn <= 4; ++ppn) {
+        for (int nt = 1; nt <= 4; ++nt) {
+          machine::SystemParameters params = sp(np, nodes, ppn);
+          params.threads_per_process = nt;
+          const std::string scenario =
+              "np=" + std::to_string(np) + " nn=" + std::to_string(nodes) +
+              " ppn=" + std::to_string(ppn) + " nt=" + std::to_string(nt);
+          const auto reference = simulator->estimate(params, no_trace);
+          const auto candidate = compiled->estimate(params, no_trace);
+          EXPECT_EQ(bits(candidate.predicted_time),
+                    bits(reference.predicted_time))
+              << scenario << ": codegen " << candidate.predicted_time
+              << " vs sim " << reference.predicted_time;
+          EXPECT_EQ(candidate.events, reference.events) << scenario;
+          ASSERT_EQ(candidate.per_process_finish.size(),
+                    reference.per_process_finish.size())
+              << scenario;
+          for (const auto& [pid, finish] : reference.per_process_finish) {
+            EXPECT_EQ(bits(candidate.per_process_finish.at(pid)),
+                      bits(finish))
+                << scenario << " pid " << pid;
+          }
+          ++points;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(points, 128);
 }
 
 }  // namespace

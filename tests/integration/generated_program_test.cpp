@@ -1,10 +1,10 @@
 // The paper's output against the simulator.  For every registry model,
-// three random seeds and five models that once made the two disagree,
-// the Fig. 5 transformer's C++ (no --main) is compiled together with a
-// small driver and run over a wide grid of system parameters.  Each run
-// must predict exactly what SimulationBackend predicts on the same
-// lowering: the predicted time, the event count and every process's
-// finish time, bit for bit.
+// three random seeds, five models that once made the two disagree and an
+// OpenMP region model, the Fig. 5 transformer's C++ (no --main) is
+// compiled together with a small driver and run over a wide grid of
+// system parameters.  Each run must predict exactly what
+// SimulationBackend predicts on the same lowering: the predicted time,
+// the event count and every process's finish time, bit for bit.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "openmp_region_model.hpp"
 #include "prophet/analytic/backend.hpp"
 #include "prophet/cgen/toolchain.hpp"
 #include "prophet/check/checker.hpp"
@@ -29,7 +30,7 @@ namespace {
 
 /// The driver compiled with each generated unit.  It declares the unit's
 /// entry point, as bench_fig8_evaluation does, runs every grid point
-/// given on argv ("np,nodes,ppn") and prints one line per point: the
+/// given on argv ("np,nodes,ppn,nt") and prints one line per point: the
 /// predicted time, the events and each "pid:finish", doubles as %a.
 constexpr const char* kDriver = R"(
 #include <cstdio>
@@ -43,8 +44,8 @@ int main(int argc, char** argv) {
   auto program = prophet_program();
   for (int i = 1; i < argc; ++i) {
     prophet::machine::SystemParameters sp;
-    if (std::sscanf(argv[i], "%d,%d,%d", &sp.processes, &sp.nodes,
-                    &sp.processors_per_node) != 3) {
+    if (std::sscanf(argv[i], "%d,%d,%d,%d", &sp.processes, &sp.nodes,
+                    &sp.processors_per_node, &sp.threads_per_process) != 4) {
       return 2;
     }
     const auto report =
@@ -65,6 +66,7 @@ struct Case {
   std::string name;  // printed as the test's parameter
   std::string reference;
   uml::Model (*build)() = nullptr;
+  int max_threads = 1;  // the grid runs nt = 1..max_threads
 };
 
 /// gtest prints a case by its name.
@@ -165,6 +167,8 @@ std::vector<Case> cases() {
   out.push_back({"unstereotyped-action", "", unstereotyped_action});
   out.push_back({"quoted-name", "", quoted_name});
   out.push_back({"fork-and-collectives", "", fork_and_collectives});
+  out.push_back({"openmp-region", "",
+                 prophet::integration::openmp_region_model, 4});
   return out;
 }
 
@@ -210,15 +214,18 @@ TEST_P(GeneratedProgram, MatchesSimulatorBitForBit) {
         if (input.name == "pingpong" && np != 2) {
           continue;  // defined for two ranks
         }
-        prophet::machine::SystemParameters params;
-        params.processes = np;
-        params.nodes = nodes;
-        params.processors_per_node = ppn;
-        const std::string point = std::to_string(np) + "," +
-                                  std::to_string(nodes) + "," +
-                                  std::to_string(ppn);
-        grid.emplace_back(point, params);
-        command += " " + point;
+        for (int nt = 1; nt <= input.max_threads; ++nt) {
+          prophet::machine::SystemParameters params;
+          params.processes = np;
+          params.nodes = nodes;
+          params.processors_per_node = ppn;
+          params.threads_per_process = nt;
+          const std::string point =
+              std::to_string(np) + "," + std::to_string(nodes) + "," +
+              std::to_string(ppn) + "," + std::to_string(nt);
+          grid.emplace_back(point, params);
+          command += " " + point;
+        }
       }
     }
   }
@@ -243,7 +250,7 @@ TEST_P(GeneratedProgram, MatchesSimulatorBitForBit) {
     }
     std::string line;
     ASSERT_TRUE(std::getline(lines, line)) << output;
-    EXPECT_EQ(line, expected.str()) << "np,nodes,ppn = " << point;
+    EXPECT_EQ(line, expected.str()) << "np,nodes,ppn,nt = " << point;
   }
   std::remove((base + ".cpp").c_str());
   std::remove(base.c_str());
