@@ -46,10 +46,12 @@
 
 namespace prophet::analytic {
 
-/// Error thrown when a model cannot be evaluated analytically: expression
-/// parse/eval failures, constructs outside the supported subset (e.g.
-/// message passing inside parallel regions), or communication patterns
-/// that deadlock during replay.
+/// Error thrown when a model cannot be evaluated analytically: lowering
+/// failures, malformed structure the walk reaches, constructs outside the
+/// supported subset (e.g. message passing inside parallel regions), or
+/// communication patterns that deadlock during replay.  Evaluation errors
+/// and bad workloads raise what every engine raises (expr::EvalError,
+/// the workload rules' std::invalid_argument).
 class AnalyticError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

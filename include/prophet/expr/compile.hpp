@@ -63,48 +63,11 @@ enum class Ambient : std::uint8_t {
   Uid,  ///< executing element uid
 };
 
-/// User-defined cost functions callable from compiled programs.
-///
-/// `compile()` resolves a call to a name registered via
-/// SymbolTable::add_function into a direct index; at evaluation time the
-/// VM invokes `call` with the already-evaluated arguments.  Hosts (the
-/// interpreter, the analytic estimator, tests) implement this by
-/// evaluating the named function's own compiled body.
-class UserFunctions {
- public:
-  virtual ~UserFunctions() = default;
+struct FunctionTable;
 
-  /// Invokes function `id` (the value SymbolTable::add_function
-  /// returned) with `args`.  May throw; the VM propagates.
-  [[nodiscard]] virtual double call(int id,
-                                    std::span<const double> args) const = 0;
-};
-
-/// User-defined cost functions callable from batched programs
-/// (Compiled::eval_batch).  Hosts that feed batched evaluation implement
-/// both entry points: `call_batch` evaluates one function across all
-/// lanes at once (the fast path), `call_lane` evaluates it for a single
-/// lane with scalar semantics (used by the VM's lane-by-lane fallback,
-/// which must reproduce Compiled::eval bit-for-bit, including error
-/// ordering).
-class BatchUserFunctions {
- public:
-  virtual ~BatchUserFunctions() = default;
-
-  /// Invokes function `id` across `width` lanes.  `args[i]` points at
-  /// argument i's lane array (`width` contiguous doubles); results go to
-  /// `out[0..width)`.  `out` never aliases the argument arrays.  May
-  /// throw; the VM catches and re-runs lane-by-lane so the surfaced
-  /// error matches the scalar loop's (lowest erroring lane wins).
-  virtual void call_batch(int id, std::span<const double* const> args,
-                          double* out, std::size_t width) const = 0;
-
-  /// Invokes function `id` for one lane with scalar arguments.  Must be
-  /// bit-identical to what UserFunctions::call would produce for that
-  /// lane's bindings (same value or same exception).
-  [[nodiscard]] virtual double call_lane(int id, std::span<const double> args,
-                                         std::size_t lane) const = 0;
-};
+/// Cost-function calls that may be active at once; one more raises
+/// "cost-function call depth exceeded (cycle?)".
+inline constexpr unsigned kMaxCallDepth = 65;
 
 /// Compile-time name resolution: maps identifiers to slots, per-call
 /// ambients, constants, positional parameters and user-function ids.
@@ -245,7 +208,7 @@ struct Instr {
 
 /// Everything one evaluation needs: the frame, per-call ambients, the
 /// positional arguments of the enclosing user-function call (if any) and
-/// the user-function dispatch table.
+/// the cost functions CallUser reaches.
 ///
 /// `frame[slot]` points at the current binding of that slot, or is null
 /// when the name is unbound in this context (the load then falls back to
@@ -255,7 +218,7 @@ struct Instr {
 struct EvalContext {
   std::span<double* const> frame = {};   ///< slot -> current binding
   std::span<const double> args = {};     ///< function-call parameters
-  const UserFunctions* functions = nullptr;  ///< user-function dispatch
+  const FunctionTable* functions = nullptr;  ///< CallUser's callees
   double pid = 0;                        ///< ambient process id
   double tid = 0;                        ///< ambient thread id
   double uid = 0;                        ///< ambient element uid
@@ -275,8 +238,8 @@ struct EvalContext {
 
 /// Everything one *batched* evaluation needs: the structure-of-arrays
 /// frame (each bound slot points at `width` contiguous per-lane values),
-/// lane-array positional arguments, the batched user-function table and
-/// the lane-uniform ambients.
+/// lane-array positional arguments, the cost functions CallUser reaches
+/// and the lane-uniform ambients.
 ///
 /// The contract mirrors EvalContext lane-wise: `eval_batch(ctx, out)`
 /// leaves `out[l]` bit-identical to what `eval` would return for lane
@@ -293,7 +256,7 @@ struct BatchEvalContext {
   std::span<double* const> frame = {};
   std::size_t width = 1;                   ///< number of scenario lanes
   std::span<const double* const> args = {};  ///< arg -> lane array
-  const BatchUserFunctions* functions = nullptr;
+  const FunctionTable* functions = nullptr;  ///< CallUser's callees
   double pid = 0;                          ///< lane-uniform ambient
   double tid = 0;                          ///< lane-uniform ambient
   double uid = 0;                          ///< lane-uniform ambient
@@ -308,8 +271,9 @@ struct BatchEvalContext {
 class Compiled {
  public:
   /// Runs the program.  Throws EvalError on lazily-compiled resolution
-  /// errors (unknown variable/function, built-in arity mismatch) or
-  /// whatever a user function throws.
+  /// errors (unknown variable/function, built-in arity mismatch), calls
+  /// nested past kMaxCallDepth or a called body's error, as
+  /// "<site>: <message>" when the program has a site().
   [[nodiscard]] double eval(const EvalContext& ctx) const;
 
   /// Runs the program across `ctx.width` scenario lanes at once, writing
@@ -323,8 +287,12 @@ class Compiled {
   /// Programs with jumps (short circuits, conditionals — lane-divergent
   /// control) fall back to lane-by-lane scalar evaluation, as does any
   /// lane-raised error, so error lane order and messages always match
-  /// the scalar loop.
+  /// the scalar loop (site prefix included).
   void eval_batch(const BatchEvalContext& ctx, double* out) const;
+
+  /// Where the program sits in its model ("guard of edge f2", ...);
+  /// empty for function bodies, whose errors take their caller's site.
+  [[nodiscard]] const std::string& site() const;
 
   /// The folded constant value when the whole program reduced to one —
   /// hosts can skip the VM dispatch entirely.
@@ -351,9 +319,8 @@ class Compiled {
   /// time.
   [[nodiscard]] bool branchless() const { return branchless_; }
 
-  /// True when the program contains CallUser instructions — batched
-  /// evaluation then needs a BatchUserFunctions table.  Computed at
-  /// compile time.
+  /// True when the program contains CallUser instructions — evaluation
+  /// then needs the context's FunctionTable.  Computed at compile time.
   [[nodiscard]] bool calls_user_functions() const { return calls_user_; }
 
   /// Instruction count (post folding).
@@ -366,7 +333,7 @@ class Compiled {
   /// (index `a`) reference — exposed so code generators consuming the
   /// bytecode can reproduce the VM's exact EvalError messages.
   [[nodiscard]] std::span<const std::string> strings() const {
-    return strings_;
+    return std::span(strings_).first(strings_.size() - (has_site_ ? 1 : 0));
   }
 
   /// Worst-case operand-stack depth, computed at compile time.
@@ -377,29 +344,57 @@ class Compiled {
 
  private:
   friend class Compiler;
+  /// Applies the call rule from the host side (see expr::call).
+  friend double call(const EvalContext& caller, int id,
+                     std::span<const double> args);
   std::vector<Instr> code_;
-  std::vector<std::string> strings_;  // lazy error messages
+  // Lazy error messages, then the site label when the program has one
+  // (kept here rather than in a member of its own: a larger Compiled
+  // measurably slowed the scalar VM benchmark).
+  std::vector<std::string> strings_;
   std::vector<Slot> slots_;           // referenced slots, sorted
   std::size_t max_stack_ = 0;
   bool uses_pid_tid_ = false;
   bool branchless_ = true;   // no Jump/JumpIfFalse/JumpIfTrue emitted
   bool calls_user_ = false;  // contains CallUser
+  bool has_site_ = false;    // strings_.back() is the site label
 
   // The one dispatch loop: one lane for eval (Context = EvalContext),
   // ctx.width lanes for eval_batch's fast path (BatchEvalContext).
   // Returns lane 0's result; the batched form also writes every lane to
-  // `out`.
+  // `out`.  `depth` counts the calls the program runs inside; only at
+  // depth 0 do its errors carry its site.
   template <class Context>
-  double run(const Context& ctx, double* out) const;
-  void eval_batch_lanes(const BatchEvalContext& ctx, double* out) const;
+  double run(const Context& ctx, double* out, unsigned depth) const;
+  // eval_batch at call depth `depth`.
+  void eval_batch_at(const BatchEvalContext& ctx, double* out,
+                     unsigned depth) const;
 };
+
+/// The cost functions CallUser reaches.  The VM's one call rule: body
+/// `id` runs against `frame` (the run frame: globals and structural
+/// parameters, not the caller's locals) with the call's arguments (past
+/// the arity they read 0), zero pid/tid/uid, the caller's counters and
+/// budget, one level deeper (see kMaxCallDepth).  `frame` is laid out
+/// like the carrying context's: lane arrays for BatchEvalContext.
+struct FunctionTable {
+  std::span<const Compiled> bodies = {};  ///< by add_function id
+  std::span<double* const> frame = {};    ///< slot -> binding bodies see
+};
+
+/// Calls function `id` of `caller.functions` as CallUser in a program
+/// evaluated under `caller` would (errors unprefixed).
+[[nodiscard]] double call(const EvalContext& caller, int id,
+                          std::span<const double> args);
 
 /// Lowers `expr` to bytecode under `table`.  Never throws for resolution
 /// problems — unknown names, unknown functions and built-in arity
 /// mismatches compile to instructions that raise the tree walker's exact
 /// EvalError if (and only if) they execute, so models whose dead branches
-/// are malformed keep evaluating identically.
-[[nodiscard]] Compiled compile(const Expr& expr, const SymbolTable& table);
+/// are malformed keep evaluating identically.  `site` becomes the
+/// program's site(), the prefix of the errors it raises.
+[[nodiscard]] Compiled compile(const Expr& expr, const SymbolTable& table,
+                               std::string site = {});
 
 /// Owning frame helper for simple hosts (tests, benches): one double of
 /// storage per slot, all bound by default.

@@ -33,9 +33,11 @@
 
 namespace prophet::interp {
 
-/// Error thrown when a model cannot be interpreted (unparseable
-/// expression, unknown variable at runtime, malformed structure, ...).
-/// Running the model checker first catches nearly all of these statically.
+/// Error thrown when a model cannot be interpreted: lowering failures
+/// (unparseable expressions, ...) and malformed structure a walk reaches.
+/// Evaluation errors (an unknown variable at run time, ...) surface as
+/// expr::EvalError, labeled with their site as in every engine.  Running
+/// the model checker first catches nearly all of these statically.
 class InterpretError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -98,11 +100,10 @@ class Interpreter final : public estimator::ProgramModel {
   [[nodiscard]] double global(const std::string& name) const;
 
   /// Evaluates a named cost function with the given arguments under the
-  /// current global state (used by tests and by cost-function benches).
-  [[nodiscard]] double call_cost_function(const std::string& name,
-                                          const std::vector<double>& args,
-                                          int pid = 0, int tid = 0,
-                                          int uid = 0) const;
+  /// current global state, by the VM's call rule (used by tests and by
+  /// cost-function benches).
+  [[nodiscard]] double call_cost_function(
+      const std::string& name, const std::vector<double>& args) const;
 
   /// The numeric uid assigned to a node (tag `id` if present, otherwise a
   /// stable 1-based index).

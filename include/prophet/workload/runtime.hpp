@@ -295,15 +295,6 @@ class WorkshareElement {
   [[nodiscard]] static std::int64_t static_share(std::int64_t iterations,
                                                  int threads, int tid);
 
-  /// Nominal compute seconds `tid` spends in the construct (before CPU
-  /// speed scaling) — the formula execute() charges, shared with the
-  /// analytic estimation backend.
-  [[nodiscard]] static double model_compute(double iterations,
-                                            double itercost,
-                                            const std::string& schedule,
-                                            std::int64_t chunk, int threads,
-                                            int tid);
-
  private:
   ModelContext* ctx_;
   std::string name_;
@@ -364,5 +355,26 @@ struct LoopTrips {
 /// truncated as every engine runs a loop.  Throws std::runtime_error
 /// ("loop <id>: iteration count is negative or NaN") for such a bound.
 [[nodiscard]] LoopTrips loop_trips(double bound, const std::string& loop_id);
+
+// --- Workload rules: the elements apply them before they hold, the analytic
+// engine to the same values; a bad workload throws std::invalid_argument
+// naming the element, the same text in every engine.
+
+/// `cost` as <<action+>> `name`'s demand ("ActionPlus 'A': negative or
+/// NaN cost").
+[[nodiscard]] double action_cost(const std::string& name, double cost);
+
+/// `num_threads` as <<ompparallel>> `name`'s team size ("parallel region
+/// 'R': num_threads must be >= 1").
+[[nodiscard]] int region_threads(const std::string& name, int num_threads);
+
+/// Nominal compute seconds of thread `tid` of `threads` in <<ompfor>>
+/// `name`, before CPU speed scaling ("WorkshareElement 'W': iteration
+/// count is negative or NaN", "...: negative or NaN cost").
+[[nodiscard]] double workshare_compute(const std::string& name,
+                                       double iterations, double itercost,
+                                       const std::string& schedule,
+                                       std::int64_t chunk, int threads,
+                                       int tid);
 
 }  // namespace prophet::workload

@@ -199,81 +199,12 @@ struct AnalyticEstimator::Impl {
     // slots: [slot * width + lane].
     std::vector<double> global_values;
     std::vector<double*> run_frame;  // slot -> lane array
+    expr::FunctionTable functions;   // the bodies, over the run frame
     std::uint64_t elements = 0;      // model elements walked
     std::uint64_t fragments_executed = 0;
     bool pid_queried = false;  // pid/tid reachable by an evaluated program
-    int call_depth = 0;
     obs::AnalyticCounters* counters = nullptr;  // null: counting disabled
     guard::Budget* budget = nullptr;            // null: unguarded
-  };
-
-  /// Cost-function dispatch for both walks: function bodies evaluate
-  /// against the run frame (globals + structural parameters) and the
-  /// call's arguments, with the tree walker's recursion guard — across
-  /// all lanes at once when the vectorized VM can (call_batch), against
-  /// one lane's scalar view otherwise (call; call_lane when the VM falls
-  /// back lane by lane).
-  struct FunctionCaller final : expr::UserFunctions,
-                                expr::BatchUserFunctions {
-    const Impl* impl = nullptr;
-    EvalState* st = nullptr;
-    // The scalar view call() evaluates against; null is the run frame
-    // itself (lane 0).
-    const std::vector<double*>* lane_frame = nullptr;
-
-    void enter() const {
-      if (st->call_depth > 64) {
-        throw AnalyticError("cost-function call depth exceeded (cycle?)");
-      }
-      ++st->call_depth;
-    }
-
-    [[nodiscard]] double call(int id,
-                              std::span<const double> args) const override {
-      enter();
-      expr::EvalContext ctx;
-      ctx.frame = lane_frame != nullptr ? *lane_frame : st->run_frame;
-      ctx.args = args;
-      ctx.functions = this;
-      ctx.counters = st->counters != nullptr ? &st->counters->expr : nullptr;
-      ctx.budget = st->budget;
-      const double result =
-          impl->program->functions()[static_cast<std::size_t>(id)].eval(ctx);
-      --st->call_depth;
-      return result;
-    }
-
-    void call_batch(int id, std::span<const double* const> args, double* out,
-                    std::size_t width) const override {
-      enter();
-      expr::BatchEvalContext ctx;
-      ctx.frame = st->run_frame;
-      ctx.width = width;
-      ctx.args = args;
-      ctx.functions = this;
-      ctx.counters = st->counters != nullptr ? &st->counters->expr : nullptr;
-      ctx.budget = st->budget;
-      impl->program->functions()[static_cast<std::size_t>(id)].eval_batch(
-          ctx, out);
-      --st->call_depth;
-    }
-
-    [[nodiscard]] double call_lane(int id, std::span<const double> args,
-                                   std::size_t lane) const override {
-      // Lane view of the run frame: every bound slot offset by `lane`,
-      // so the scalar VM sees exactly that lane's bindings.
-      std::vector<double*> view(st->run_frame.size());
-      for (std::size_t slot = 0; slot < view.size(); ++slot) {
-        view[slot] = st->run_frame[slot] != nullptr
-                         ? st->run_frame[slot] + lane
-                         : nullptr;
-      }
-      FunctionCaller lane_functions;
-      lane_functions.impl = impl;
-      lane_functions.st = st;
-      lane_functions.lane_frame = &view;
-      return lane_functions.call(id, args);
-    }
   };
 
   explicit Impl(lower::ModelProgramPtr p);
@@ -281,12 +212,11 @@ struct AnalyticEstimator::Impl {
   /// Sizes `st`'s storage for its lanes and binds the run frame: the
   /// structural parameters, then the global variables.
   template <typename Lanes>
-  void start_run(EvalState& st, const FunctionCaller& functions) const;
+  void start_run(EvalState& st) const;
 
   /// Walks process `pid` into `out` (one WalkResult per lane).
   template <typename Lanes>
-  void walk(EvalState& st, const FunctionCaller& functions, int pid,
-            WalkResult* out) const;
+  void walk(EvalState& st, int pid, WalkResult* out) const;
 
   AnalyticReport evaluate(const machine::SystemParameters& params,
                           obs::AnalyticCounters* counters,
@@ -338,7 +268,6 @@ struct Walker {
   std::vector<double*>* frame = nullptr;  // shared per-process slot frame
   double* locals = nullptr;               // [slot * width + lane]
   std::vector<LoopBinding>* bindings = nullptr;
-  const Impl::FunctionCaller* functions = nullptr;
   int region_threads = 0;  // > 0 inside an <<ompparallel>> region
   bool allow_comm = true;
   bool allow_fragments = true;
@@ -362,7 +291,6 @@ struct Walker {
     walker.frame = frame;
     walker.locals = locals;
     walker.bindings = bindings;
-    walker.functions = functions;
     walker.region_threads = region_threads;
     walker.allow_comm = false;
     walker.allow_fragments = allow_fragments;
@@ -399,7 +327,7 @@ struct Walker {
     mark_loop_reads(program);
     typename Lanes::Context ctx = Lanes::context(width());
     ctx.frame = *frame;
-    ctx.functions = functions;
+    ctx.functions = &st.functions;
     ctx.pid = static_cast<double>(pid);
     ctx.tid = static_cast<double>(tid);
     ctx.uid = static_cast<double>(uid);
@@ -409,21 +337,12 @@ struct Walker {
   }
 
   /// Evaluates the node's `kind` tag program across lanes; absent tags
-  /// are 0.0, evaluation errors carry the node/tag context (tree-walker
-  /// message format).
+  /// are 0.0.
   [[nodiscard]] Array<double> eval_tag(const NodePrograms& node,
                                        lower::TagKind kind) const {
     Array<double> lanes(width());
-    const auto& tag = node.tag(kind);
-    if (!tag.has_value()) {
-      return lanes;
-    }
-    try {
+    if (const auto& tag = node.tag(kind); tag.has_value()) {
       eval_program(*tag, node.uid, lanes.data());
-    } catch (const expr::EvalError& error) {
-      throw AnalyticError("node " + node.node->id() + ", tag '" +
-                          std::string(lower::tag_name(kind)) +
-                          "': " + error.what());
     }
     return lanes;
   }
@@ -452,12 +371,7 @@ struct Walker {
     ++st.fragments_executed;
     Array<double> value(width());
     for (const auto& assignment : node.fragment) {
-      try {
-        eval_program(assignment.value, node.uid, value.data());
-      } catch (const expr::EvalError& error) {
-        throw AnalyticError("code fragment at node " + node.node->id() +
-                            ": " + error.what());
-      }
+      eval_program(assignment.value, node.uid, value.data());
       double* target = nullptr;
       using Target = Impl::CompiledAssignment::Target;
       switch (assignment.target) {
@@ -639,12 +553,7 @@ struct Walker {
       if (branch.guard == nullptr) {
         continue;  // unguarded or `else` edge: never taken here
       }
-      try {
-        eval_program(*branch.guard, node.uid, value.data());
-      } catch (const expr::EvalError& error) {
-        throw AnalyticError("guard of edge " + branch.edge->id() + ": " +
-                            error.what());
-      }
+      eval_program(*branch.guard, node.uid, value.data());
       const bool taken = expr::truthy(value[0]);
       for (std::size_t lane = 1; lane < width(); ++lane) {
         if (expr::truthy(value[lane]) != taken) {
@@ -800,7 +709,9 @@ struct Walker {
           std::fill_n(cost.data(), width(), *node.time);
         }
         for (std::size_t lane = 0; lane < width(); ++lane) {
-          seconds[lane] = machine::compute_time(params(lane), cost[lane]);
+          seconds[lane] = machine::compute_time(
+              params(lane), workload::action_cost(node.node->name(),
+                                                  cost[lane]));
         }
         emit_compute(seconds.data(), seconds.data());
         return;
@@ -852,9 +763,9 @@ struct Walker {
         const Array<double> itercost = eval_tag(node, TagKind::IterCost);
         const int threads = region_threads > 0 ? region_threads : 1;
         for (std::size_t lane = 0; lane < width(); ++lane) {
-          const double compute = workload::WorkshareElement::model_compute(
-              iterations[lane], itercost[lane], node.schedule, node.chunk,
-              threads, tid);
+          const double compute = workload::workshare_compute(
+              node.node->name(), iterations[lane], itercost[lane],
+              node.schedule, node.chunk, threads, tid);
           seconds[lane] = machine::compute_time(params(lane), compute);
         }
         emit_compute(seconds.data(), seconds.data());
@@ -903,11 +814,8 @@ struct Walker {
         requested[lane] = params(lane).threads_per_process;
       }
     }
-    const int threads = uniform_int(requested);
-    if (threads < 1) {
-      throw AnalyticError("parallel region at node " + node.node->id() +
-                          ": num_threads must be >= 1");
-    }
+    const int threads =
+        workload::region_threads(node.node->name(), uniform_int(requested));
     Array<double> max_elapsed(width());
     Array<double> total_demand(width());
     for (int thread = 0; thread < threads; ++thread) {
@@ -931,11 +839,7 @@ struct Walker {
     Array<std::int64_t> iterations(width());
     bool uniform = true;
     for (std::size_t lane = 0; lane < width(); ++lane) {
-      if (std::isnan(raw[lane]) || raw[lane] < 0) {
-        throw AnalyticError("loop " + node.node->id() +
-                            ": iteration count is negative or NaN");
-      }
-      iterations[lane] = static_cast<std::int64_t>(raw[lane]);
+      iterations[lane] = workload::loop_trips(raw[lane], node.node->id()).trips;
       uniform = uniform && iterations[lane] == iterations[0];
     }
     if (uniform && iterations[0] == 0) {
@@ -1014,12 +918,7 @@ struct Walker {
       }
       std::fill_n(value.data(), width(), 0.0);
       if (variable.initializer.has_value()) {
-        try {
-          eval_program(*variable.initializer, 0, value.data());
-        } catch (const expr::EvalError& error) {
-          throw AnalyticError("initializer of variable " + variable.name +
-                              ": " + error.what());
-        }
+        eval_program(*variable.initializer, 0, value.data());
       }
       for (std::size_t lane = 0; lane < width(); ++lane) {
         storage[variable.slot * width() + lane] =
@@ -1335,12 +1234,12 @@ AnalyticReport assemble_report(const machine::SystemParameters& params,
 // ---------------------------------------------------------------------------
 
 template <typename Lanes>
-void AnalyticEstimator::Impl::start_run(EvalState& st,
-                                        const FunctionCaller& functions) const {
+void AnalyticEstimator::Impl::start_run(EvalState& st) const {
   const std::size_t width = Lanes::width(st.lanes.size());
   st.width = width;
   st.global_values.assign(program->slot_count() * width, 0.0);
   st.run_frame.assign(program->slot_count(), nullptr);
+  st.functions = {program->functions(), st.run_frame};
   for (std::size_t lane = 0; lane < width; ++lane) {
     const machine::SystemParameters& params = st.lanes[lane];
     st.global_values[program->np_slot() * width + lane] =
@@ -1363,13 +1262,11 @@ void AnalyticEstimator::Impl::start_run(EvalState& st,
   Walker<Lanes> globals(*this, st, nullptr);
   globals.frame = &st.run_frame;
   globals.bindings = &no_bindings;
-  globals.functions = &functions;
   globals.bind_variables(uml::VariableScope::Global, st.global_values.data());
 }
 
 template <typename Lanes>
-void AnalyticEstimator::Impl::walk(EvalState& st,
-                                   const FunctionCaller& functions, int pid,
+void AnalyticEstimator::Impl::walk(EvalState& st, int pid,
                                    WalkResult* out) const {
   std::vector<double> locals(program->slot_count() * st.width, 0.0);
   std::vector<double*> frame = st.run_frame;  // per-process frame
@@ -1380,7 +1277,6 @@ void AnalyticEstimator::Impl::walk(EvalState& st,
   walker.frame = &frame;
   walker.locals = locals.data();
   walker.bindings = &bindings;
-  walker.functions = &functions;
   walker.process_steps = &process_steps;
   walker.walk_process();
 }
@@ -1393,10 +1289,7 @@ AnalyticReport AnalyticEstimator::Impl::evaluate(
   st.lanes = std::span(&params, 1);
   st.counters = counters;
   st.budget = budget;
-  FunctionCaller functions;
-  functions.impl = this;
-  functions.st = &st;
-  start_run<ScalarLanes>(st, functions);
+  start_run<ScalarLanes>(st);
 
   const int np = params.processes;
   std::vector<WalkResult> storage;
@@ -1406,7 +1299,7 @@ AnalyticReport AnalyticEstimator::Impl::evaluate(
   // Global initializers read pid = tid = 0 in every process; only the
   // walk's own reads decide whether one walk serves them all.
   st.pid_queried = false;
-  walk<ScalarLanes>(st, functions, 0, &storage.emplace_back());
+  walk<ScalarLanes>(st, 0, &storage.emplace_back());
   if (!st.pid_queried && st.fragments_executed == 0) {
     // The walk is process-independent (no pid/tid reads, no state
     // mutation): every process repeats the same timeline, so one walk
@@ -1419,7 +1312,7 @@ AnalyticReport AnalyticEstimator::Impl::evaluate(
     }
   } else {
     for (int pid = 1; pid < np; ++pid) {
-      walk<ScalarLanes>(st, functions, pid, &storage.emplace_back());
+      walk<ScalarLanes>(st, pid, &storage.emplace_back());
     }
     for (int pid = 0; pid < np; ++pid) {
       per_pid[static_cast<std::size_t>(pid)] =
@@ -1445,15 +1338,12 @@ std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch(
       st.lanes = lanes;
       st.counters = counters;
       st.budget = budget;
-      FunctionCaller functions;
-      functions.impl = this;
-      functions.st = &st;
-      start_run<SoaLanes>(st, functions);
+      start_run<SoaLanes>(st);
       // One batched walk covers every lane AND every rank: the model
       // reads no pid/tid and runs no fragment, so this is exactly the
       // walk the scalar SPMD fast path shares across all processes.
       std::vector<WalkResult> lane_results(lanes.size());
-      walk<SoaLanes>(st, functions, 0, lane_results.data());
+      walk<SoaLanes>(st, 0, lane_results.data());
 
       std::vector<AnalyticReport> reports;
       reports.reserve(lanes.size());

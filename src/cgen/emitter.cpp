@@ -114,7 +114,9 @@ int stack_delta(const expr::Instr& instr) {
 /// whose body is the bytecode as straight-line statements — one operand
 /// stack local per compile-time stack position, `goto` for the VM's jump
 /// targets.  The arithmetic reproduces the VM operation for operation,
-/// so results (and EvalError messages) are bit-identical.
+/// so results (and EvalError messages) are bit-identical.  A program
+/// with a site runs its lambda through `at_site`, which prefixes the
+/// errors it raises with that site exactly as Compiled::eval does.
 class ExprTransliterator {
  public:
   ExprTransliterator(const expr::Compiled& program, const ExprEnv& env,
@@ -128,6 +130,9 @@ class ExprTransliterator {
     compute_heights();
     std::ostringstream body;
     const std::string inner = indent_ + "  ";
+    if (!program_.site().empty()) {
+      body << "at_site(\"" << escape_cpp(program_.site()) << "\", ";
+    }
     body << "[&]() -> double {\n";
     for (std::size_t k = 0; k < program_.max_stack(); ++k) {
       body << inner << "double s" << k << " = 0.0;\n";
@@ -150,7 +155,7 @@ class ExprTransliterator {
     } else {
       body << inner << "return 0.0;  // unreachable: program always throws\n";
     }
-    body << indent_ << "}()";
+    body << indent_ << (program_.site().empty() ? "}()" : "})");
     return body.str();
   }
 
@@ -307,10 +312,13 @@ class ExprTransliterator {
         return "if (" + stack(h - 1) + " != 0.0) goto L" +
                std::to_string(instr.a) + ";";
       case Op::CallUser: {
+        // The callee runs one call deeper than this program: depth 1
+        // from a node-scope program, depth + 1 from a body.
+        const std::string depth = env_.has_args ? "depth + 1" : "1";
         const int argc = instr.b;
         if (argc == 0) {
           return stack(h) + " = fn" + std::to_string(instr.a) +
-                 "(nullptr, 0);";
+                 "(nullptr, 0, " + depth + ");";
         }
         std::string args;
         for (int k = 0; k < argc; ++k) {
@@ -321,7 +329,8 @@ class ExprTransliterator {
         }
         return "{ const double call_args[] = {" + args + "}; " +
                stack(h - argc) + " = fn" + std::to_string(instr.a) +
-               "(call_args, " + std::to_string(argc) + "); }";
+               "(call_args, " + std::to_string(argc) + ", " + depth +
+               "); }";
       }
       case Op::Throw:
         return "throw_eval(\"" + escape_cpp(strings[instr.a]) + "\");";
@@ -456,15 +465,28 @@ class Emitter {
          << "\n"
          << "/// Stand-in for expr::EvalError: nothing in this unit runs "
             "the VM, so the\n"
-         << "/// lazily-compiled resolution errors are thrown (and caught "
-            "at tag sites)\n"
-         << "/// as this local type with the VM's exact messages.\n"
+         << "/// lazily-compiled resolution errors are thrown as this "
+            "local type with\n"
+         << "/// the VM's exact messages.\n"
          << "struct CgenEvalError : std::runtime_error {\n"
          << "  using std::runtime_error::runtime_error;\n"
          << "};\n"
          << "\n"
          << "[[noreturn]] void throw_eval(const char* message) {\n"
          << "  throw CgenEvalError(message);\n"
+         << "}\n"
+         << "\n"
+         << "/// Evaluates the program at `site`, prefixing its errors with "
+            "the site\n"
+         << "/// (expr::Compiled::eval's rule).\n"
+         << "template <class Program>\n"
+         << "double at_site(const char* site, Program program) {\n"
+         << "  try {\n"
+         << "    return program();\n"
+         << "  } catch (const CgenEvalError& error) {\n"
+         << "    throw std::runtime_error(std::string(site) + \": \" + "
+            "error.what());\n"
+         << "  }\n"
          << "}\n"
          << "\n"
          << "double load_slot(const double* bound, const char* message) {\n"
@@ -488,14 +510,13 @@ class Emitter {
          << "thread_local double g_globals[kSlots];\n"
          << "thread_local double* g_run_frame[kSlots];\n"
          << "thread_local prophet::guard::Budget* g_budget = nullptr;\n"
-         << "thread_local int g_call_depth = 0;\n"
          << "\n";
   }
 
   void forward_declarations() {
     for (std::size_t id = 0; id < program_.functions().size(); ++id) {
       out_ << "double fn" << id
-           << "(const double* args, std::size_t nargs);\n";
+           << "(const double* args, std::size_t nargs, unsigned depth);\n";
     }
     for (std::size_t d = 0; d < program_.diagrams().size(); ++d) {
       out_ << "prophet::sim::Process walk_d" << d
@@ -513,63 +534,36 @@ class Emitter {
     const ExprEnv env = run_env(/*has_args=*/true);
     for (std::size_t id = 0; id < functions.size(); ++id) {
       out_ << "double fn" << id
-           << "(const double* args, std::size_t nargs) {\n"
+           << "(const double* args, std::size_t nargs, unsigned depth) {\n"
            << "  (void)args;\n"
            << "  (void)nargs;\n"
-           << "  if (g_call_depth > 64) {\n"
-           << "    throw std::runtime_error(\n"
-           << "        \"cost-function call depth exceeded (cycle?)\");\n"
+           << "  if (depth > " << expr::kMaxCallDepth << ") {\n"
+           << "    throw_eval(\"cost-function call depth exceeded "
+              "(cycle?)\");\n"
            << "  }\n"
-           << "  ++g_call_depth;\n"
-           << "  const double result = " << emit_expr(functions[id], env, "  ")
-           << ";\n"
-           << "  --g_call_depth;\n"
-           << "  return result;\n"
+           << "  return " << emit_expr(functions[id], env, "  ") << ";\n"
            << "}\n\n";
     }
   }
 
-  /// One statement block evaluating optional tag `kind` of `node` into
-  /// `variable` (declared by the caller), with interp's eval_tag error
-  /// wrapping; absent tags leave the variable at 0.0.
+  /// Assigns optional tag `kind` of `node` to `variable` (declared by
+  /// the caller); absent tags leave the variable at 0.0.
   void tag_eval(const NodePrograms& node, TagKind kind,
                 const std::string& variable, const std::string& indent) {
-    const auto& tag = node.tag(kind);
-    if (!tag.has_value()) {
-      return;
-    }
-    if (tag->constant().has_value()) {
+    if (const auto& tag = node.tag(kind); tag.has_value()) {
       out_ << indent << variable << " = "
-           << double_literal(*tag->constant()) << ";\n";
-      return;
+           << emit_expr(*tag, node_env(node.uid), indent) << ";\n";
     }
-    const ExprEnv env = node_env(node.uid);
-    out_ << indent << "try {\n"
-         << indent << "  " << variable << " = "
-         << emit_expr(*tag, env, indent + "  ") << ";\n"
-         << indent << "} catch (const CgenEvalError& error) {\n"
-         << indent << "  throw std::runtime_error(std::string(\"node "
-         << escape_cpp(node.node->id()) << ", tag '"
-         << escape_cpp(lower::tag_name(kind)) << "': \") + error.what());\n"
-         << indent << "}\n";
   }
 
   /// The node's code fragment (interp's run_fragment), statement for
   /// statement: evaluate, coerce, store by resolved target.
   void fragment(const NodePrograms& node, const std::string& indent) {
     for (const auto& assignment : node.fragment) {
-      const ExprEnv env = node_env(node.uid);
       out_ << indent << "{\n"
-           << indent << "  double value = 0.0;\n"
-           << indent << "  try {\n"
-           << indent << "    value = "
-           << emit_expr(assignment.value, env, indent + "    ") << ";\n"
-           << indent << "  } catch (const CgenEvalError& error) {\n"
-           << indent
-           << "    throw std::runtime_error(std::string(\"code fragment at "
-              "node "
-           << escape_cpp(node.node->id()) << ": \") + error.what());\n"
-           << indent << "  }\n";
+           << indent << "  double value = "
+           << emit_expr(assignment.value, node_env(node.uid), indent + "  ")
+           << ";\n";
       if (assignment.coerce_int) {
         out_ << indent << "  value = std::trunc(value);\n";
       }
@@ -752,23 +746,16 @@ class Emitter {
   void loop_body(const NodePrograms& node, const std::string& indent) {
     out_ << indent << "double raw = 0.0;\n";
     tag_eval(node, TagKind::Iterations, "raw", indent);
-    out_ << indent << "if (std::isnan(raw) || raw < 0) {\n"
-         << indent << "  throw std::runtime_error(\"loop "
-         << escape_cpp(node.node->id())
-         << ": iteration count is negative or NaN\");\n"
-         << indent << "}\n"
-         << indent
-         << "const auto iterations = static_cast<std::int64_t>(raw);\n"
-         << indent << "double loop_value = 0;\n"
+    out_ << indent << "double loop_value = 0;\n"
          << indent << "Frame lf = f;\n"
          << indent << "lf.s[" << node.loop_var_slot
          << "] = &loop_value;\n"
-         << indent
-         << "for (std::int64_t k = 0; k < iterations; ++k) {\n"
+         << indent << "for (const double trip : prophet::workload::loop_trips("
+         << "raw, \"" << escape_cpp(node.node->id()) << "\")) {\n"
          << indent << "  if (g_budget != nullptr) {\n"
          << indent << "    g_budget->charge_loop_trips(1, \"cgen-loop\");\n"
          << indent << "  }\n"
-         << indent << "  loop_value = static_cast<double>(k);\n"
+         << indent << "  loop_value = trip;\n"
          << indent << "  co_await run_d" << node.body << "(ctx, lf, locals);\n"
          << indent << "}\n";
   }
@@ -925,10 +912,37 @@ class Emitter {
     out_ << "}\n\n";
   }
 
+  /// Initializes the `scope` variables into `storage` in declaration
+  /// order, binding each into `env.frame` as it goes (interp's
+  /// bind_variables: each becomes visible to the next initializer).
+  void bind_variables(uml::VariableScope scope, const ExprEnv& env,
+                      const std::string& storage) {
+    for (const auto& variable : program_.variables()) {
+      if (variable.scope != scope) {
+        continue;
+      }
+      const std::string slot = std::to_string(variable.slot);
+      out_ << "  {  // "
+           << (scope == uml::VariableScope::Global ? "global" : "local")
+           << " '" << escape_cpp(variable.name) << "'\n"
+           << "    double value = 0.0;\n";
+      if (variable.initializer.has_value()) {
+        out_ << "    value = " << emit_expr(*variable.initializer, env, "    ")
+             << ";\n";
+      }
+      if (variable.coerce_int) {
+        out_ << "    value = std::trunc(value);\n";
+      }
+      out_ << "    " << storage << "[" << slot << "] = value;\n"
+           << "    " << env.frame << "[" << slot << "] = &" << storage << "["
+           << slot << "];\n"
+           << "  }\n";
+    }
+  }
+
   void run_entry_points() {
     // start_run: interp's run-start, specialized — bind structural
-    // slots, zero globals, initialize in declaration order (each global
-    // becomes visible to the next initializer).
+    // slots, zero globals, initialize the globals.
     out_ << "void start_run(const prophet::machine::SystemParameters& "
             "params) {\n"
          << "  g_np = static_cast<double>(params.processes);\n"
@@ -943,26 +957,8 @@ class Emitter {
          << "  g_run_frame[" << program_.nt_slot() << "] = &g_nt;\n"
          << "  g_run_frame[" << program_.nn_slot() << "] = &g_nn;\n"
          << "  g_run_frame[" << program_.ppn_slot() << "] = &g_ppn;\n";
-    const ExprEnv globals_env = run_env(/*has_args=*/false);
-    for (const auto& variable : program_.variables()) {
-      if (variable.scope != uml::VariableScope::Global) {
-        continue;
-      }
-      out_ << "  {  // global '" << escape_cpp(variable.name) << "'\n"
-           << "    double value = 0.0;\n";
-      if (variable.initializer.has_value()) {
-        out_ << "    value = "
-             << emit_expr(*variable.initializer, globals_env, "    ")
-             << ";\n";
-      }
-      if (variable.coerce_int) {
-        out_ << "    value = std::trunc(value);\n";
-      }
-      out_ << "    g_globals[" << variable.slot << "] = value;\n"
-           << "    g_run_frame[" << variable.slot << "] = &g_globals["
-           << variable.slot << "];\n"
-           << "  }\n";
-    }
+    bind_variables(uml::VariableScope::Global, run_env(/*has_args=*/false),
+                   "g_globals");
     out_ << "}\n\n";
 
     // run_process: per-process locals in this coroutine frame,
@@ -979,25 +975,7 @@ class Emitter {
     locals_env.frame = "f.s";
     locals_env.pid = "static_cast<double>(ctx.pid)";
     locals_env.tid = "static_cast<double>(ctx.tid)";
-    for (const auto& variable : program_.variables()) {
-      if (variable.scope != uml::VariableScope::Local) {
-        continue;
-      }
-      out_ << "  {  // local '" << escape_cpp(variable.name) << "'\n"
-           << "    double value = 0.0;\n";
-      if (variable.initializer.has_value()) {
-        out_ << "    value = "
-             << emit_expr(*variable.initializer, locals_env, "    ")
-             << ";\n";
-      }
-      if (variable.coerce_int) {
-        out_ << "    value = std::trunc(value);\n";
-      }
-      out_ << "    local_values[" << variable.slot << "] = value;\n"
-           << "    f.s[" << variable.slot << "] = &local_values["
-           << variable.slot << "];\n"
-           << "  }\n";
-    }
+    bind_variables(uml::VariableScope::Local, locals_env, "local_values");
     out_ << "  co_await run_d" << program_.entry()
          << "(ctx, f, local_values);\n"
          << "}\n\n";
@@ -1116,7 +1094,6 @@ PROPHET_CGEN_EXPORT std::int32_t prophet_cgen_run(
       options.budget = &*budget;
     }
 
-    g_call_depth = 0;
     GeneratedModel model;
     const prophet::estimator::SimulationManager manager(system, options);
     prophet::estimator::PredictionReport report = manager.run(model);

@@ -106,8 +106,12 @@ class Compiler {
  public:
   explicit Compiler(const SymbolTable& table) : table_(table) {}
 
-  [[nodiscard]] Compiled run(const Expr& expr) {
+  [[nodiscard]] Compiled run(const Expr& expr, std::string site) {
     emit(expr);
+    if (!site.empty()) {
+      out_.strings_.push_back(std::move(site));
+      out_.has_site_ = true;
+    }
     assert(depth_ == 1);
     std::sort(out_.slots_.begin(), out_.slots_.end());
     out_.slots_.erase(std::unique(out_.slots_.begin(), out_.slots_.end()),
@@ -115,7 +119,7 @@ class Compiler {
     out_.max_stack_ = max_depth_;
     // Batched-evaluation classification: eval_batch's instruction-stepped
     // fast path requires straight-line code, and a CallUser anywhere
-    // means the host must supply a BatchUserFunctions table.
+    // means evaluation reaches the context's FunctionTable.
     for (const Instr& in : out_.code_) {
       if (in.op == Op::Jump || in.op == Op::JumpIfFalse ||
           in.op == Op::JumpIfTrue) {
@@ -615,13 +619,19 @@ class Compiler {
   std::size_t max_depth_ = 0;
 };
 
-Compiled compile(const Expr& expr, const SymbolTable& table) {
-  return Compiler(table).run(expr);
+Compiled compile(const Expr& expr, const SymbolTable& table,
+                 std::string site) {
+  return Compiler(table).run(expr, std::move(site));
 }
 
 // ---------------------------------------------------------------------------
 // Compiled: metadata
 // ---------------------------------------------------------------------------
+
+const std::string& Compiled::site() const {
+  static const std::string none;
+  return has_site_ ? strings_.back() : none;
+}
 
 std::optional<double> Compiled::constant() const {
   if (code_.size() == 1 && code_[0].op == Op::PushConst) {
@@ -644,6 +654,14 @@ namespace {
   throw EvalError(message);
 }
 
+/// Raises `message` from a program with site `site` running `depth`
+/// calls deep: the outermost program (depth 0) prefixes its site, so a
+/// called body's error carries its caller's.
+[[noreturn]] void throw_at(const std::string& site, unsigned depth,
+                           const std::string& message) {
+  throw_eval(depth == 0 && !site.empty() ? site + ": " + message : message);
+}
+
 // What separates the two entry points' contexts: the lane width and the
 // lane array of a positional argument.
 constexpr std::size_t lane_width(const EvalContext& /*ctx*/) { return 1; }
@@ -656,8 +674,38 @@ const double* arg_lanes(const BatchEvalContext& ctx, std::size_t index) {
   return ctx.args[index];
 }
 
+/// The context a body called from `caller`, `depth` calls deep, runs
+/// under (FunctionTable's rule; the arguments are the caller's to bind).
+template <class Context>
+Context callee_context(const Context& caller, unsigned depth) {
+  if (caller.functions == nullptr) {
+    throw_eval("unknown function (no user-function table bound)");
+  }
+  if (depth >= kMaxCallDepth) {
+    throw_eval("cost-function call depth exceeded (cycle?)");
+  }
+  Context ctx;
+  ctx.frame = caller.functions->frame;
+  if constexpr (std::is_same_v<Context, BatchEvalContext>) {
+    ctx.width = caller.width;
+  }
+  ctx.functions = caller.functions;
+  ctx.counters = caller.counters;
+  ctx.budget = caller.budget;
+  return ctx;
+}
+
+/// Lane `lane`'s scalar view of a structure-of-arrays frame: every bound
+/// slot's lane array offset by the lane.
+void lane_view(std::span<double* const> lanes, std::size_t lane,
+               std::vector<double*>& view) {
+  for (std::size_t slot = 0; slot < view.size(); ++slot) {
+    view[slot] = lanes[slot] != nullptr ? lanes[slot] + lane : nullptr;
+  }
+}
+
 // CallUser scratch of the batched loop: the argument lane pointers and
-// the result lanes (call_batch's `out` must not alias its arguments).
+// the result lanes (the callee's `out` must not alias its arguments).
 struct BatchCallScratch {
   std::vector<const double*> args;
   std::vector<double> out;
@@ -697,12 +745,12 @@ struct NoCallScratch {};
 // the constant 1 and every lane loop compiles to the scalar statement;
 // with a BatchEvalContext each instruction runs across ctx.width lanes
 // before the next one starts.  The operand stack is structure-of-arrays:
-// stack value i occupies the `width` lanes at stack + i * width.  Jumps,
-// UserFunctions::call and lazy-error counting exist only in the scalar
-// instantiation: eval_batch sends programs with jumps and every raised
-// error through the scalar loop lane by lane, which counts them there.
+// stack value i occupies the `width` lanes at stack + i * width.  Jumps
+// and lazy-error counting exist only in the scalar instantiation:
+// eval_batch sends programs with jumps and every raised error through
+// the scalar loop lane by lane, which counts them there.
 template <class Context>
-double Compiled::run(const Context& ctx, double* out) const {
+double Compiled::run(const Context& ctx, double* out, unsigned depth) const {
   constexpr bool kBatched = std::is_same_v<Context, BatchEvalContext>;
   const std::size_t width = lane_width(ctx);
   // The compiler knows the worst-case depth; typical programs fit the
@@ -762,7 +810,7 @@ double Compiled::run(const Context& ctx, double* out) const {
               ++ctx.counters->lazy_errors;
             }
           }
-          throw_eval(strings_[in.b]);
+          throw_at(site(), depth, strings_[in.b]);
         }
         PROPHET_VM_PUSH(bound[l]);
         break;
@@ -866,23 +914,26 @@ double Compiled::run(const Context& ctx, double* out) const {
         }
         break;
       case Op::CallUser: {
-        if (ctx.functions == nullptr) {
-          throw_eval("unknown function (no user-function table bound)");
-        }
         const std::size_t argc = in.b;
         sp -= argc;
-        if constexpr (kBatched) {
-          scratch.args.resize(argc);
-          for (std::size_t i = 0; i < argc; ++i) {
-            scratch.args[i] = stack + (sp + i) * width;
+        try {
+          Context call = callee_context(ctx, depth);
+          const Compiled& body = ctx.functions->bodies[in.a];
+          if constexpr (kBatched) {
+            scratch.args.resize(argc);
+            for (std::size_t i = 0; i < argc; ++i) {
+              scratch.args[i] = stack + (sp + i) * width;
+            }
+            scratch.out.resize(width);
+            call.args = scratch.args;
+            body.eval_batch_at(call, scratch.out.data(), depth + 1);
+            std::copy_n(scratch.out.data(), width, stack + sp * width);
+          } else {
+            call.args = std::span<const double>(stack + sp, argc);
+            stack[sp] = body.run(call, nullptr, depth + 1);
           }
-          scratch.out.resize(width);
-          ctx.functions->call_batch(in.a, scratch.args, scratch.out.data(),
-                                    width);
-          std::copy_n(scratch.out.data(), width, stack + sp * width);
-        } else {
-          stack[sp] = ctx.functions->call(
-              in.a, std::span<const double>(stack + sp, argc));
+        } catch (const EvalError& error) {
+          throw_at(site(), depth, error.what());
         }
         ++sp;
         break;
@@ -893,7 +944,7 @@ double Compiled::run(const Context& ctx, double* out) const {
             ++ctx.counters->lazy_errors;
           }
         }
-        throw_eval(strings_[static_cast<std::size_t>(in.a)]);
+        throw_at(site(), depth, strings_[static_cast<std::size_t>(in.a)]);
       case Op::Abs:
         PROPHET_VM_UNARY(std::fabs(a[l]));
         break;
@@ -961,31 +1012,64 @@ double Compiled::run(const Context& ctx, double* out) const {
 #undef PROPHET_VM_BINARY
 
 double Compiled::eval(const EvalContext& ctx) const {
-  return run(ctx, nullptr);
+  return run(ctx, nullptr, 0);
 }
 
 void Compiled::eval_batch(const BatchEvalContext& ctx, double* out) const {
-  if (ctx.width == 0) {
-    return;
+  eval_batch_at(ctx, out, 0);
+}
+
+double call(const EvalContext& caller, int id, std::span<const double> args) {
+  EvalContext ctx = callee_context(caller, 0);
+  ctx.args = args;
+  return caller.functions->bodies[id].run(ctx, nullptr, 1);
+}
+
+void Compiled::eval_batch_at(const BatchEvalContext& ctx, double* out,
+                             unsigned depth) const {
+  // Jumps make lanes diverge (short circuits, conditionals): such
+  // programs run lane-by-lane below.  One lane is a scalar eval either
+  // way.
+  if (ctx.width > 1 && branchless_) {
+    try {
+      (void)run(ctx, out, depth);
+      return;
+    } catch (const EvalError&) {
+      // Some lane raised mid-program (lazy error, cost-function failure).
+      // Programs are pure, so re-running lane-by-lane reproduces every
+      // completed lane's value and surfaces the scalar loop's error: the
+      // lowest erroring lane, exact message, scalar counter accounting.
+      // Budget exceptions (guard::GuardError) are not caught — a tripped
+      // budget must propagate, not retry.
+    }
   }
-  // Jumps make lanes diverge (short circuits, conditionals): the whole
-  // program runs lane-by-lane.  One lane is a scalar eval either way.
-  if (ctx.width == 1 || !branchless_) {
-    eval_batch_lanes(ctx, out);
-    return;
+  // The lane-by-lane reference: every lane through the scalar VM against
+  // that lane's view of the frame (and of the bodies' frame).
+  std::vector<double*> frame(ctx.frame.size());
+  std::vector<double> args(ctx.args.size());
+  const bool calls = calls_user_ && ctx.functions != nullptr;
+  std::vector<double*> body_frame(calls ? ctx.functions->frame.size() : 0);
+  const FunctionTable lane_functions{
+      calls ? ctx.functions->bodies : std::span<const Compiled>(), body_frame};
+  for (std::size_t lane = 0; lane < ctx.width; ++lane) {
+    lane_view(ctx.frame, lane, frame);
+    if (calls) {
+      lane_view(ctx.functions->frame, lane, body_frame);
+    }
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      args[i] = ctx.args[i][lane];
+    }
+    EvalContext scalar;
+    scalar.frame = frame;
+    scalar.args = args;
+    scalar.functions = calls ? &lane_functions : nullptr;
+    scalar.pid = ctx.pid;
+    scalar.tid = ctx.tid;
+    scalar.uid = ctx.uid;
+    scalar.counters = ctx.counters;
+    scalar.budget = ctx.budget;
+    out[lane] = run(scalar, nullptr, depth);
   }
-  try {
-    (void)run(ctx, out);
-    return;
-  } catch (const EvalError&) {
-    // Some lane raised mid-program (lazy error, user-function failure).
-    // Programs are pure, so re-running lane-by-lane reproduces every
-    // completed lane's value and surfaces the scalar loop's error: the
-    // lowest erroring lane, exact message, scalar counter accounting.
-    // Budget exceptions (guard::GuardError) are not caught — a tripped
-    // budget must propagate, not retry.
-  }
-  eval_batch_lanes(ctx, out);
 }
 
 // ---------------------------------------------------------------------------

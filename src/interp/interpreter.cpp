@@ -1,9 +1,7 @@
 #include "prophet/interp/interpreter.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <functional>
-#include <optional>
 #include <utility>
 
 #include "prophet/expr/compile.hpp"
@@ -42,7 +40,7 @@ std::shared_ptr<const Interpreter::Program> lower_model(M&& model) {
 /// lower::ModelProgram.  All lowering (slot space, bytecode, resolved
 /// fragments, operations and successors) lives in the shared program;
 /// only run-level bindings and the coroutine walkers live here.
-struct Interpreter::Impl final : expr::UserFunctions {
+struct Interpreter::Impl {
   using CompiledAssignment = lower::CompiledAssignment;
 
   std::shared_ptr<const Program> program;
@@ -53,8 +51,8 @@ struct Interpreter::Impl final : expr::UserFunctions {
   // process frame starts from.
   std::vector<double> global_values;
   std::vector<double*> run_frame;
+  expr::FunctionTable functions;  // the bodies, over the run frame
   double np = 1, nt = 1, nn = 1, ppn = 1;
-  mutable int call_depth = 0;
   obs::ExprCounters* expr_counters = nullptr;  // null: counting disabled
   guard::Budget* budget = nullptr;             // null: unguarded
 
@@ -74,6 +72,7 @@ struct Interpreter::Impl final : expr::UserFunctions {
     run_frame[program->nt_slot()] = &nt;
     run_frame[program->nn_slot()] = &nn;
     run_frame[program->ppn_slot()] = &ppn;
+    functions = {program->functions(), run_frame};
   }
 
   // ---------------------------------------------------------------------
@@ -84,7 +83,7 @@ struct Interpreter::Impl final : expr::UserFunctions {
       std::span<double* const> frame, int pid, int tid, int uid) const {
     expr::EvalContext ctx;
     ctx.frame = frame;
-    ctx.functions = this;
+    ctx.functions = &functions;
     ctx.pid = static_cast<double>(pid);
     ctx.tid = static_cast<double>(tid);
     ctx.uid = static_cast<double>(uid);
@@ -93,30 +92,7 @@ struct Interpreter::Impl final : expr::UserFunctions {
     return ctx;
   }
 
-  /// expr::UserFunctions: invoked by the VM for cost-function calls.
-  /// Function bodies evaluate against the run frame (globals +
-  /// structural parameters) plus the call's argument span.
-  [[nodiscard]] double call(int id,
-                            std::span<const double> args) const override {
-    if (call_depth > 64) {
-      throw InterpretError("cost-function call depth exceeded (cycle?)");
-    }
-    ++call_depth;
-    expr::EvalContext ctx;
-    ctx.frame = run_frame;
-    ctx.args = args;
-    ctx.functions = this;
-    ctx.counters = expr_counters;
-    ctx.budget = budget;
-    const double result = program->functions()[static_cast<std::size_t>(id)]
-                              .eval(ctx);
-    --call_depth;
-    return result;
-  }
-
-  /// Evaluates the node's `kind` tag program; absent tags are 0.0,
-  /// evaluation errors carry the node/tag context (tree-walker message
-  /// format).
+  /// Evaluates the node's `kind` tag program; absent tags are 0.0.
   [[nodiscard]] double eval_tag(const NodePrograms& node, lower::TagKind kind,
                                 const Scope& scope,
                                 const ModelContext& ctx) const {
@@ -124,26 +100,14 @@ struct Interpreter::Impl final : expr::UserFunctions {
     if (!tag.has_value()) {
       return 0.0;
     }
-    try {
-      return tag->eval(make_context(scope.frame, ctx.pid, ctx.tid, node.uid));
-    } catch (const expr::EvalError& error) {
-      throw InterpretError("node " + node.node->id() + ", tag '" +
-                           std::string(lower::tag_name(kind)) +
-                           "': " + error.what());
-    }
+    return tag->eval(make_context(scope.frame, ctx.pid, ctx.tid, node.uid));
   }
 
   void run_fragment(const NodePrograms& node, Scope& scope,
                     const ModelContext& ctx) {
     for (const auto& assignment : node.fragment) {
-      double value = 0;
-      try {
-        value = assignment.value.eval(
-            make_context(scope.frame, ctx.pid, ctx.tid, node.uid));
-      } catch (const expr::EvalError& error) {
-        throw InterpretError("code fragment at node " + node.node->id() +
-                             ": " + error.what());
-      }
+      double value = assignment.value.eval(
+          make_context(scope.frame, ctx.pid, ctx.tid, node.uid));
       if (assignment.coerce_int) {
         value = std::trunc(value);
       }
@@ -171,49 +135,44 @@ struct Interpreter::Impl final : expr::UserFunctions {
   // Run-time walking
   // ---------------------------------------------------------------------
 
+  /// Initializes the `kind` variables into `storage` in declaration
+  /// order, binding each into `frame` as it goes — a forward reference
+  /// falls through to the system parameters or errors, exactly like the
+  /// tree walker's growing maps.
+  void bind_variables(uml::VariableScope kind, std::vector<double*>& frame,
+                      double* storage, int pid, int tid) const {
+    for (const auto& variable : program->variables()) {
+      if (variable.scope != kind) {
+        continue;
+      }
+      double value = 0;
+      if (variable.initializer.has_value()) {
+        value = variable.initializer->eval(make_context(frame, pid, tid, 0));
+      }
+      storage[variable.slot] = variable.coerce_int ? std::trunc(value) : value;
+      frame[variable.slot] = &storage[variable.slot];
+    }
+  }
+
   void start_run(const machine::SystemParameters& params) {
     np = params.processes;
     nt = params.threads_per_process;
     nn = params.nodes;
     ppn = params.processors_per_node;
     reset_run_frame();
-    // Globals initialize in declaration order and become visible one by
-    // one — a forward reference falls through to the system parameters
-    // or errors, exactly like the tree walker's growing globals map.
-    for (const auto& variable : program->variables()) {
-      if (variable.scope != uml::VariableScope::Global) {
-        continue;
-      }
-      double value = 0;
-      if (variable.initializer.has_value()) {
-        value = variable.initializer->eval(make_context(run_frame, 0, 0, 0));
-      }
-      global_values[variable.slot] =
-          variable.coerce_int ? std::trunc(value) : value;
-      run_frame[variable.slot] = &global_values[variable.slot];
-    }
+    bind_variables(uml::VariableScope::Global, run_frame,
+                   global_values.data(), 0, 0);
   }
 
   sim::Process run_process(ModelContext ctx) {
-    // Per-process locals, initialized in declaration order; the storage
-    // lives in this coroutine frame for the process's whole lifetime.
+    // Per-process locals; the storage lives in this coroutine frame for
+    // the process's whole lifetime.
     std::vector<double> local_values(program->slot_count(), 0.0);
     Scope scope;
     scope.frame = run_frame;
     scope.locals = local_values.data();
-    for (const auto& variable : program->variables()) {
-      if (variable.scope != uml::VariableScope::Local) {
-        continue;
-      }
-      double value = 0;
-      if (variable.initializer.has_value()) {
-        value = variable.initializer->eval(
-            make_context(scope.frame, ctx.pid, ctx.tid, 0));
-      }
-      local_values[variable.slot] =
-          variable.coerce_int ? std::trunc(value) : value;
-      scope.frame[variable.slot] = &local_values[variable.slot];
-    }
+    bind_variables(uml::VariableScope::Local, scope.frame,
+                   local_values.data(), ctx.pid, ctx.tid);
     co_await run_diagram(ctx, program->entry(), scope);
   }
 
@@ -441,26 +400,23 @@ struct Interpreter::Impl final : expr::UserFunctions {
 
   sim::Process execute_loop(ModelContext ctx, const NodePrograms& node,
                             Scope& scope) {
-    const double raw = eval_tag(node, lower::TagKind::Iterations, scope, ctx);
-    if (std::isnan(raw) || raw < 0) {
-      throw InterpretError("loop " + node.node->id() +
-                           ": iteration count is negative or NaN");
-    }
-    const auto iterations = static_cast<std::int64_t>(raw);
+    const workload::LoopTrips trips = workload::loop_trips(
+        eval_tag(node, lower::TagKind::Iterations, scope, ctx),
+        node.node->id());
     // The loop variable's storage lives in this coroutine frame; the
     // body scope's slot rebinding shadows any outer binding of the same
     // name and is dropped with the snapshot when the loop exits.
     double loop_value = 0;
     Scope iteration_scope = scope;
     iteration_scope.frame[node.loop_var_slot] = &loop_value;
-    for (std::int64_t k = 0; k < iterations; ++k) {
+    for (const double trip : trips) {
       // Charge every trip: a zero-cost body never yields to the engine
       // (hold(0) is ready immediately), so without this charge a spin
       // loop would be invisible to the event budget and the deadline.
       if (budget != nullptr) {
         budget->charge_loop_trips(1, "interp-loop");
       }
-      loop_value = static_cast<double>(k);
+      loop_value = trip;
       co_await run_diagram(ctx, node.body, iteration_scope);
     }
   }
@@ -511,17 +467,14 @@ double Interpreter::global(const std::string& name) const {
   throw InterpretError("unknown global '" + name + "'");
 }
 
-double Interpreter::call_cost_function(const std::string& name,
-                                       const std::vector<double>& args,
-                                       int pid, int tid, int uid) const {
-  (void)pid;
-  (void)tid;
-  (void)uid;
+double Interpreter::call_cost_function(
+    const std::string& name, const std::vector<double>& args) const {
   const auto id = impl_->program->function_id(name);
   if (!id.has_value()) {
     throw InterpretError("unknown cost function '" + name + "'");
   }
-  return impl_->call(*id, args);
+  return expr::call(impl_->make_context(impl_->run_frame, 0, 0, 0), *id,
+                    args);
 }
 
 int Interpreter::uid_of(const std::string& node_id) const {

@@ -321,9 +321,10 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
 
   // Times one expr::compile call and folds it into the stats.
   const auto compile_timed = [this](const expr::Expr& ast,
-                                    const expr::SymbolTable& table) {
+                                    const expr::SymbolTable& table,
+                                    std::string site) {
     const auto start = std::chrono::steady_clock::now();
-    expr::Compiled program = expr::compile(ast, table);
+    expr::Compiled program = expr::compile(ast, table, std::move(site));
     stats_.expr_compile_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -474,7 +475,9 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     compiled.scope = parsed.decl->scope;
     compiled.coerce_int = parsed.decl->type == uml::VariableType::Integer;
     if (parsed.initializer != nullptr) {
-      compiled.initializer = compile_timed(*parsed.initializer, node_table_);
+      compiled.initializer =
+          compile_timed(*parsed.initializer, node_table_,
+                        "initializer of variable " + compiled.name);
     }
     variables_.push_back(std::move(compiled));
   }
@@ -487,10 +490,11 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     for (const auto& parameter : parsed.decl->parameters) {
       fn_table.add_parameter(parameter);
     }
-    functions_.push_back(compile_timed(*parsed.body, fn_table));
+    functions_.push_back(compile_timed(*parsed.body, fn_table, {}));
   }
   for (auto& [edge, guard] : parsed_guards) {
-    guards_.emplace(edge, compile_timed(*guard, node_table_));
+    guards_.emplace(edge, compile_timed(*guard, node_table_,
+                                        "guard of edge " + edge->id()));
   }
   diagrams_.reserve(m.diagrams().size());
   for (const auto& diagram : m.diagrams()) {
@@ -505,8 +509,10 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
       if (const auto tags = parsed_tags.find(node.get());
           tags != parsed_tags.end()) {
         for (auto& [kind, value] : tags->second) {
-          programs.tags[static_cast<std::size_t>(kind)] =
-              compile_timed(*value, node_table_);
+          programs.tags[static_cast<std::size_t>(kind)] = compile_timed(
+              *value, node_table_,
+              "node " + node->id() + ", tag '" +
+                  std::string(tag_name(kind)) + "'");
         }
       }
       if (const auto fragment = parsed_fragments.find(node.get());
@@ -514,7 +520,9 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
         for (auto& assignment : fragment->second) {
           CompiledAssignment compiled;
           compiled.name = assignment.target;
-          compiled.value = compile_timed(*assignment.value, node_table_);
+          compiled.value = compile_timed(*assignment.value, node_table_,
+                                         "code fragment at node " +
+                                             node->id());
           // Static write-target resolution: the tree walker consulted
           // the per-process locals map first, then the globals map —
           // both hold exactly the declared variables of that scope.

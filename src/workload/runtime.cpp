@@ -44,15 +44,12 @@ ActionPlus::ActionPlus(ModelContext& ctx, std::string name)
     : ctx_(&ctx), name_(std::move(name)) {}
 
 sim::Process ActionPlus::execute(int uid, int pid, int tid, double cost) {
-  if (cost < 0 || std::isnan(cost)) {
-    throw std::invalid_argument("ActionPlus '" + name_ +
-                                "': negative or NaN cost");
-  }
+  const double demand = action_cost(name_, cost);
   sim::Engine& engine = *ctx_->engine;
   const double start = engine.now();
   sim::Facility& processor = ctx_->machine->processor_of(pid);
   co_await processor.acquire();
-  co_await engine.hold(ctx_->machine->compute_time(cost));
+  co_await engine.hold(ctx_->machine->compute_time(demand));
   processor.release();
   const double end = engine.now();
   ++executions_;
@@ -218,10 +215,7 @@ sim::Process CollectiveElement::execute(int uid, int pid, int tid,
 sim::Process parallel_region(ModelContext ctx, int num_threads, int uid,
                              std::string name,
                              std::function<sim::Process(ModelContext)> body) {
-  if (num_threads < 1) {
-    throw std::invalid_argument("parallel region '" + name +
-                                "': num_threads must be >= 1");
-  }
+  num_threads = region_threads(name, num_threads);
   sim::Engine& engine = *ctx.engine;
   const double start = engine.now();
   RegionState region;
@@ -253,37 +247,16 @@ std::int64_t WorkshareElement::static_share(std::int64_t iterations,
   return base + (tid < extra ? 1 : 0);
 }
 
-double WorkshareElement::model_compute(double iterations, double itercost,
-                                       const std::string& schedule,
-                                       std::int64_t chunk, int threads,
-                                       int tid) {
-  const auto total = static_cast<std::int64_t>(iterations);
-  if (schedule == "dynamic") {
-    // Dynamic scheduling balances perfectly but pays a dispatch overhead
-    // per chunk; model the per-thread share as total/threads plus the
-    // thread's share of chunk dispatch costs.
-    const std::int64_t chunk_size = chunk > 0 ? chunk : 1;
-    const double chunks =
-        std::ceil(static_cast<double>(total) /
-                  static_cast<double>(chunk_size)) /
-        static_cast<double>(threads);
-    constexpr double kDispatchOverhead = 1e-7;
-    return static_cast<double>(total) / threads * itercost +
-           chunks * kDispatchOverhead;
-  }
-  return static_cast<double>(static_share(total, threads, tid)) * itercost;
-}
-
 sim::Process WorkshareElement::execute(int uid, int pid, int tid,
                                        double iterations, double itercost,
                                        const std::string& schedule,
                                        std::int64_t chunk) {
-  sim::Engine& engine = *ctx_->engine;
-  const double start = engine.now();
   const int threads =
       ctx_->region != nullptr ? ctx_->region->num_threads : 1;
-  const double compute =
-      model_compute(iterations, itercost, schedule, chunk, threads, tid);
+  const double compute = workshare_compute(name_, iterations, itercost,
+                                           schedule, chunk, threads, tid);
+  sim::Engine& engine = *ctx_->engine;
+  const double start = engine.now();
   sim::Facility& processor = ctx_->machine->processor_of(pid);
   co_await processor.acquire();
   co_await engine.hold(ctx_->machine->compute_time(compute));
@@ -348,6 +321,57 @@ LoopTrips loop_trips(double bound, const std::string& loop_id) {
                              ": iteration count is negative or NaN");
   }
   return {static_cast<std::int64_t>(bound)};
+}
+
+// --- Workload rules --------------------------------------------------------------
+
+double action_cost(const std::string& name, double cost) {
+  if (cost < 0 || std::isnan(cost)) {
+    throw std::invalid_argument("ActionPlus '" + name +
+                                "': negative or NaN cost");
+  }
+  return cost;
+}
+
+int region_threads(const std::string& name, int num_threads) {
+  if (num_threads < 1) {
+    throw std::invalid_argument("parallel region '" + name +
+                                "': num_threads must be >= 1");
+  }
+  return num_threads;
+}
+
+double workshare_compute(const std::string& name, double iterations,
+                         double itercost, const std::string& schedule,
+                         std::int64_t chunk, int threads, int tid) {
+  if (iterations < 0 || std::isnan(iterations)) {
+    throw std::invalid_argument("WorkshareElement '" + name +
+                                "': iteration count is negative or NaN");
+  }
+  const auto total = static_cast<std::int64_t>(iterations);
+  double compute = 0;
+  if (schedule == "dynamic") {
+    // Dynamic scheduling balances perfectly but pays a dispatch overhead
+    // per chunk; model the per-thread share as total/threads plus the
+    // thread's share of chunk dispatch costs.
+    const std::int64_t chunk_size = chunk > 0 ? chunk : 1;
+    const double chunks =
+        std::ceil(static_cast<double>(total) /
+                  static_cast<double>(chunk_size)) /
+        static_cast<double>(threads);
+    constexpr double kDispatchOverhead = 1e-7;
+    compute = static_cast<double>(total) / threads * itercost +
+              chunks * kDispatchOverhead;
+  } else {
+    compute = static_cast<double>(
+                  WorkshareElement::static_share(total, threads, tid)) *
+              itercost;
+  }
+  if (compute < 0 || std::isnan(compute)) {
+    throw std::invalid_argument("WorkshareElement '" + name +
+                                "': negative or NaN cost");
+  }
+  return compute;
 }
 
 }  // namespace prophet::workload

@@ -320,46 +320,22 @@ TEST(ExprVmAccounting, BudgetBelowTheProgramLengthTripsBothEntryPoints) {
   }
 }
 
-// --- Batched user functions -------------------------------------------------
+// --- Batched cost-function calls ---------------------------------------------
 
-/// One set of callables behind both the scalar and the batched function
-/// interfaces, so differential runs feed identical semantics.
-double shadow_log(std::span<const double> args) {
-  return args.empty() ? -1.0 : args[0] * 3.0 + 1.0;
+/// The compiled bodies of the cost functions `table` registers ("log",
+/// then "blend"), one set for scalar and batched evaluation alike: "log"
+/// shadows the built-in, "blend" pads missing arguments with zero and
+/// reads the slot `a` of the frame bodies see.
+std::vector<expr::Compiled> cost_functions(const expr::SymbolTable& table) {
+  expr::SymbolTable body_table = table;
+  body_table.add_parameter("x");
+  body_table.add_parameter("y");
+  std::vector<expr::Compiled> bodies;
+  bodies.push_back(expr::compile(*expr::parse("x * 3 + 1"), body_table));
+  bodies.push_back(
+      expr::compile(*expr::parse("(0.25 + x) * 0.5 + y - a"), body_table));
+  return bodies;
 }
-double blend(std::span<const double> args) {
-  double total = 0.5;
-  for (const double arg : args) {
-    total = total * 0.5 + arg;
-  }
-  return total;
-}
-double dispatch(int id, std::span<const double> args) {
-  return id == 0 ? shadow_log(args) : blend(args);
-}
-
-struct ScalarFunctions final : expr::UserFunctions {
-  double call(int id, std::span<const double> args) const override {
-    return dispatch(id, args);
-  }
-};
-
-struct BatchFunctions final : expr::BatchUserFunctions {
-  void call_batch(int id, std::span<const double* const> args, double* out,
-                  std::size_t width) const override {
-    std::vector<double> lane_args(args.size());
-    for (std::size_t lane = 0; lane < width; ++lane) {
-      for (std::size_t i = 0; i < args.size(); ++i) {
-        lane_args[i] = args[i][lane];
-      }
-      out[lane] = dispatch(id, lane_args);
-    }
-  }
-  double call_lane(int id, std::span<const double> args,
-                   std::size_t /*lane*/) const override {
-    return dispatch(id, args);
-  }
-};
 
 TEST(ExprBatch, UserFunctionCallsGoThroughTheBatchInterface) {
   expr::SymbolTable table;
@@ -369,12 +345,13 @@ TEST(ExprBatch, UserFunctionCallsGoThroughTheBatchInterface) {
   const expr::Compiled program =
       expr::compile(*expr::parse("log(a) + blend(a, 2)"), table);
   ASSERT_TRUE(program.calls_user_functions());
+  const std::vector<expr::Compiled> bodies = cost_functions(table);
 
   expr::SlotBlock block(table, 3);
   for (std::size_t lane = 0; lane < 3; ++lane) {
     block.set(a, lane, static_cast<double>(lane) + 0.5);
   }
-  const BatchFunctions functions;
+  const expr::FunctionTable functions{bodies, block.frame()};
   expr::BatchEvalContext ctx;
   ctx.frame = block.frame();
   ctx.width = 3;
@@ -382,8 +359,8 @@ TEST(ExprBatch, UserFunctionCallsGoThroughTheBatchInterface) {
   double out[3];
   program.eval_batch(ctx, out);
 
-  const ScalarFunctions scalar_functions;
   expr::SlotFrame frame(table);
+  const expr::FunctionTable scalar_functions{bodies, frame.frame()};
   for (std::size_t lane = 0; lane < 3; ++lane) {
     frame.set(a, static_cast<double>(lane) + 0.5);
     expr::EvalContext scalar;
@@ -392,6 +369,111 @@ TEST(ExprBatch, UserFunctionCallsGoThroughTheBatchInterface) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(out[lane]),
               std::bit_cast<std::uint64_t>(program.eval(scalar)))
         << lane;
+  }
+}
+
+TEST(ExprVmCalls, BodiesFollowOneCallRule) {
+  expr::SymbolTable table;
+  const expr::Slot g = table.add_variable("g");
+  const expr::Slot local = table.add_variable("local");
+  table.bind_ambient("pid", expr::Ambient::Pid);
+  table.bind_ambient("tid", expr::Ambient::Tid);
+  table.bind_ambient("uid", expr::Ambient::Uid);
+  for (const char* name : {"global", "local_read", "ambients", "second"}) {
+    table.add_function(name);
+  }
+  expr::SymbolTable body_table = table;
+  body_table.add_parameter("x");
+  body_table.add_parameter("y");
+  std::vector<expr::Compiled> bodies;
+  for (const char* body : {"g", "local", "pid + tid + uid", "x * 10 + y"}) {
+    bodies.push_back(expr::compile(*expr::parse(body), body_table));
+  }
+
+  // The caller binds g and a local; the run frame the bodies see binds
+  // g to other storage and leaves the local unbound.
+  expr::SlotFrame caller(table);
+  caller.set(g, 7.0);
+  caller.set(local, 1.0);
+  expr::SlotFrame run(table);
+  run.set(g, 5.0);
+  run.unbind(local);
+  const expr::FunctionTable functions{bodies, run.frame()};
+  obs::ExprCounters counters;
+  expr::EvalContext ctx;
+  ctx.frame = caller.frame();
+  ctx.functions = &functions;
+  ctx.pid = 3;
+  ctx.tid = 4;
+  ctx.uid = 5;
+  ctx.counters = &counters;
+  const auto eval = [&ctx](const std::string& text,
+                           const expr::SymbolTable& symbols) {
+    return expr::compile(*expr::parse(text), symbols).eval(ctx);
+  };
+
+  // A body sees the run frame, not the caller's.
+  EXPECT_EQ(eval("global()", table), 5.0);
+  EXPECT_EQ(eval("g", table), 7.0);
+  EXPECT_EQ(scalar_outcome(expr::compile(*expr::parse("local_read()"), table),
+                           ctx),
+            Outcome(std::string("unknown variable 'local'")));
+  // Ambients read 0 inside a body, whatever the caller's are.
+  EXPECT_EQ(eval("ambients()", table), 0.0);
+  EXPECT_EQ(eval("pid + tid + uid", table), 12.0);
+  // An argument past the call's arity reads 0.
+  EXPECT_EQ(eval("second(4)", table), 40.0);
+  EXPECT_EQ(eval("second(4, 2)", table), 42.0);
+  EXPECT_EQ(expr::call(ctx, 3, std::vector<double>{4.0}), 40.0);
+
+  // The callee's instructions and evaluation count into the caller's
+  // counters: one CallUser and one load here, two evals.
+  counters = {};
+  EXPECT_EQ(eval("global()", table), 5.0);
+  EXPECT_EQ(counters.instructions, 2u);
+  EXPECT_EQ(counters.evals, 2u);
+}
+
+TEST(ExprVmCalls, SixtyFiveNestedCallsEvaluateAndTheCallerSiteLabelsMore) {
+  expr::SymbolTable table;
+  ASSERT_EQ(table.add_function("F"), 0);
+  expr::SymbolTable body_table = table;
+  body_table.add_parameter("n");
+  const std::vector<expr::Compiled> bodies = {
+      expr::compile(*expr::parse("n > 0 ? F(n - 1) : 1"), body_table)};
+  const expr::FunctionTable functions{bodies, {}};
+  const std::string site = "node n2, tag 'cost'";
+  const expr::Compiled deepest =
+      expr::compile(*expr::parse("F(64)"), table, site);
+  const expr::Compiled too_deep =
+      expr::compile(*expr::parse("F(65)"), table, site);
+  ASSERT_EQ(too_deep.site(), site);
+  const std::string error =
+      site + ": cost-function call depth exceeded (cycle?)";
+
+  expr::EvalContext ctx;
+  ctx.functions = &functions;
+  EXPECT_EQ(deepest.eval(ctx), 1.0);
+  EXPECT_EQ(scalar_outcome(too_deep, ctx), Outcome(error));
+  // Through the call entry point the body's errors carry no site.
+  EXPECT_EQ(expr::call(ctx, 0, std::vector<double>{64.0}), 1.0);
+  EXPECT_THROW((void)expr::call(ctx, 0, std::vector<double>{65.0}),
+               expr::EvalError);
+
+  // The batched entry point applies the same bound and the same label.
+  expr::BatchEvalContext batch;
+  batch.width = 4;
+  batch.functions = &functions;
+  double out[4];
+  deepest.eval_batch(batch, out);
+  for (const double lane : out) {
+    EXPECT_EQ(lane, 1.0);
+  }
+  try {
+    too_deep.eval_batch(batch, out);
+    FAIL() << "F(65) evaluated";
+  } catch (const expr::EvalError& raised) {
+    EXPECT_EQ(std::string(raised.what()), error);
   }
 }
 
@@ -505,8 +587,7 @@ TEST(ExprBatchDifferential, BitIdenticalToPerLaneEvalAtEveryWidth) {
   const expr::Slot slot_ghost = table.add_variable("ghost");
   ASSERT_EQ(table.add_function("log"), 0);
   ASSERT_EQ(table.add_function("blend"), 1);
-  const ScalarFunctions scalar_functions;
-  const BatchFunctions batch_functions;
+  const std::vector<expr::Compiled> bodies = cost_functions(table);
 
   const double values[] = {0.0,  -0.0,  1.0,   -2.5, 1e300, -1e300,
                            kNan, kInf, -kInf, 0.125, 3.0,   -1.0};
@@ -537,6 +618,7 @@ TEST(ExprBatchDifferential, BitIdenticalToPerLaneEvalAtEveryWidth) {
       frame.set(slot_b, block.get(slot_b, lane));
       frame.set(slot_c, block.get(slot_c, lane));
       frame.unbind(slot_ghost);
+      const expr::FunctionTable scalar_functions{bodies, frame.frame()};
       expr::EvalContext scalar;
       scalar.frame = frame.frame();
       scalar.functions = &scalar_functions;
@@ -548,6 +630,7 @@ TEST(ExprBatchDifferential, BitIdenticalToPerLaneEvalAtEveryWidth) {
       expected.push_back(std::move(outcome));
     }
 
+    const expr::FunctionTable batch_functions{bodies, block.frame()};
     expr::BatchEvalContext ctx;
     ctx.frame = block.frame();
     ctx.width = width;

@@ -193,17 +193,15 @@ TEST(ExprCompile, ParametersResolveFirstAndPadWithZero) {
   EXPECT_EQ(program.eval(ctx), 30.0);
 }
 
-TEST(ExprCompile, UserFunctionsShadowBuiltins) {
-  struct Table final : expr::UserFunctions {
-    double call(int id, std::span<const double> args) const override {
-      EXPECT_EQ(id, 0);
-      return args.empty() ? 0.0 : args[0] * 100.0;
-    }
-  };
+TEST(ExprCompile, CostFunctionsShadowBuiltins) {
   expr::SymbolTable table;
-  table.add_function("log");
+  ASSERT_EQ(table.add_function("log"), 0);
   const expr::Compiled program = expr::compile(*expr::parse("log(2)"), table);
-  const Table functions;
+  expr::SymbolTable body_table = table;
+  body_table.add_parameter("x");
+  const expr::Compiled bodies[] = {
+      expr::compile(*expr::parse("x * 100"), body_table)};
+  const expr::FunctionTable functions{bodies, {}};
   expr::EvalContext ctx;
   ctx.functions = &functions;
   EXPECT_EQ(program.eval(ctx), 200.0);
@@ -350,35 +348,33 @@ TEST(ExprCompileDifferential, BitIdenticalToTreeWalkOnRandomExpressions) {
   std::mt19937 rng(20260730);
   RandomExpr source(rng);
 
-  // Shared user functions: "log" shadows the built-in, "blend" exercises
-  // argument padding.  Identical callables feed both evaluation paths.
-  const auto shadow_log = [](std::span<const double> args) {
-    return args.empty() ? -1.0 : args[0] * 3.0 + 1.0;
-  };
-  const auto blend = [](std::span<const double> args) {
-    double total = 0.5;
-    for (const double arg : args) {
-      total = total * 0.5 + arg;
-    }
-    return total;
-  };
-  struct Functions final : expr::UserFunctions {
-    double (*log_fn)(std::span<const double>) = nullptr;
-    double (*blend_fn)(std::span<const double>) = nullptr;
-    double call(int id, std::span<const double> args) const override {
-      return id == 0 ? log_fn(args) : blend_fn(args);
-    }
-  };
-
   expr::SymbolTable table;
   const expr::Slot slot_a = table.add_variable("a");
   const expr::Slot slot_b = table.add_variable("b");
   const expr::Slot slot_c = table.add_variable("c");
   ASSERT_EQ(table.add_function("log"), 0);
   ASSERT_EQ(table.add_function("blend"), 1);
-  Functions functions;
-  functions.log_fn = +shadow_log;
-  functions.blend_fn = +blend;
+
+  // Shared cost functions: "log" shadows the built-in, "blend" exercises
+  // argument padding and reads the frame bodies see.  Both evaluation
+  // paths run the same parsed bodies: the VM compiled, the tree walker
+  // with the arguments bound to the parameters (missing ones read 0).
+  const expr::ExprPtr log_body = expr::parse("x * 3 + 1");
+  const expr::ExprPtr blend_body = expr::parse("(0.25 + x) * 0.5 + y - c");
+  expr::SymbolTable body_table = table;
+  body_table.add_parameter("x");
+  body_table.add_parameter("y");
+  const expr::Compiled bodies[] = {expr::compile(*log_body, body_table),
+                                   expr::compile(*blend_body, body_table)};
+  const auto walk_body = [](const expr::Expr& body, double c) {
+    return [&body, c](std::span<const double> args) {
+      expr::MapEnvironment env;
+      env.set("x", args.size() > 0 ? args[0] : 0.0);
+      env.set("y", args.size() > 1 ? args[1] : 0.0);
+      env.set("c", c);
+      return expr::evaluate(body, env);
+    };
+  };
 
   const double values[] = {0.0,  -0.0,  1.0,   -2.5, 1e300, -1e300,
                            kNan, kInf, -kInf, 0.125, 3.0,   -1.0};
@@ -396,13 +392,14 @@ TEST(ExprCompileDifferential, BitIdenticalToTreeWalkOnRandomExpressions) {
       env.set("a", a);
       env.set("b", b);
       env.set("c", c);
-      env.define("log", shadow_log);
-      env.define("blend", blend);
+      env.define("log", walk_body(*log_body, c));
+      env.define("blend", walk_body(*blend_body, c));
 
       expr::SlotFrame frame(table);
       frame.set(slot_a, a);
       frame.set(slot_b, b);
       frame.set(slot_c, c);
+      const expr::FunctionTable functions{bodies, frame.frame()};
       expr::EvalContext ctx;
       ctx.frame = frame.frame();
       ctx.functions = &functions;

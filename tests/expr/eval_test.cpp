@@ -90,7 +90,7 @@ TEST(ExprEval, Variables) {
   EXPECT_THROW(eval("Q", env), expr::EvalError);
 }
 
-TEST(ExprEval, UserFunctions) {
+TEST(ExprEval, CostFunctions) {
   expr::MapEnvironment env;
   env.set("P", 16.0);
   env.define("FA1", [](std::span<const double>) { return 0.25; });
@@ -100,7 +100,7 @@ TEST(ExprEval, UserFunctions) {
   EXPECT_DOUBLE_EQ(eval("scale(P)", env), 32.0);
 }
 
-TEST(ExprEval, UserFunctionsShadowBuiltins) {
+TEST(ExprEval, CostFunctionsShadowBuiltins) {
   expr::MapEnvironment env;
   env.define("sqrt", [](std::span<const double>) { return 99.0; });
   EXPECT_DOUBLE_EQ(eval("sqrt(16)", env), 99.0);

@@ -1,9 +1,11 @@
-// Structural run-time errors, three ways: the simulator, the analytic
-// estimator and the generated evaluator all read each node's operation
-// and successors from one lowering, so a malformed node fails with the
-// same text in every engine — and only when a walk reaches it.  The
-// models here are built unchecked: the model checker would reject each
-// of them before any engine ran.
+// Run-time errors, three ways: the simulator, the analytic estimator and
+// the generated evaluator all read each node's operation and successors
+// from one lowering, evaluate through one expression VM rule (calls and
+// site labels) and apply one set of workload rules, so a malformed node,
+// a failing expression or a bad workload fails with the same text in
+// every engine — and only when a walk reaches it.  The models here are
+// built unchecked: the model checker would reject each of them before
+// any engine ran.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -79,6 +81,16 @@ uml::DiagramBuilder loop_body(uml::ModelBuilder& mb) {
   body.sequence(
       {body.initial(), body.action("W").cost("1"), body.final_node()});
   return body;
+}
+
+/// Expects every engine to raise `error` for each case's model.
+void expect_one_text(const std::vector<Malformed>& cases) {
+  for (const Malformed& malformed_case : cases) {
+    const auto errors = engine_errors(malformed_case.model);
+    EXPECT_EQ(errors[0], malformed_case.error) << "simulator";
+    EXPECT_EQ(errors[1], malformed_case.error) << "analytic";
+    EXPECT_EQ(errors[2], malformed_case.error) << "codegen";
+  }
 }
 
 TEST(EngineAgreement, StructuralErrorsAreRaisedOnlyWhenReached) {
@@ -179,12 +191,7 @@ TEST(EngineAgreement, StructuralErrorsAreRaisedOnlyWhenReached) {
     return Parts{a, "code fragment at node " + a.id() +
                         " assigns undeclared variable 'Y'"};
   }));
-  for (const Malformed& malformed_case : cases) {
-    const auto errors = engine_errors(malformed_case.model);
-    EXPECT_EQ(errors[0], malformed_case.error) << "simulator";
-    EXPECT_EQ(errors[1], malformed_case.error) << "analytic";
-    EXPECT_EQ(errors[2], malformed_case.error) << "codegen";
-  }
+  expect_one_text(cases);
 
   // The same defects on a branch that is never taken: every engine
   // evaluates cleanly, to the same prediction.
@@ -238,6 +245,111 @@ TEST(EngineAgreement, StructuralErrorsAreRaisedOnlyWhenReached) {
                 ->estimate(two_processes())
                 .predicted_time,
             simulated);
+}
+
+TEST(EngineAgreement, EvaluationErrorsCarryTheirSite) {
+  std::vector<Malformed> cases;
+  // A decision guard reading an unknown name.
+  cases.push_back(malformed([](uml::ModelBuilder&, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    const uml::NodeRef decision = d.decision("D");
+    const uml::NodeRef a = d.action("A").cost("1");
+    const uml::EdgeRef guarded = d.flow(decision, a, "Q > 0");
+    d.flow(decision, fin, "else");
+    d.flow(a, fin);
+    return Parts{decision, "guard of edge " + guarded.edge().id() +
+                               ": unknown variable 'Q'"};
+  }));
+  // A global and a local initializer reading one.
+  cases.push_back(malformed([](uml::ModelBuilder& mb, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    mb.global("G", uml::VariableType::Real, "Q + 1");
+    const uml::NodeRef a = d.action("A").cost("1");
+    d.flow(a, fin);
+    return Parts{a, "initializer of variable G: unknown variable 'Q'"};
+  }));
+  cases.push_back(malformed([](uml::ModelBuilder& mb, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    mb.local("L", uml::VariableType::Real, "Q * 2");
+    const uml::NodeRef a = d.action("A").cost("1");
+    d.flow(a, fin);
+    return Parts{a, "initializer of variable L: unknown variable 'Q'"};
+  }));
+  // A cost-function body reading one: the body has no site of its own,
+  // so the error carries its caller's.
+  cases.push_back(malformed([](uml::ModelBuilder& mb, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    mb.function("F", {"n"}, "n + Q");
+    const uml::NodeRef a = d.action("A").cost("F(1)");
+    d.flow(a, fin);
+    return Parts{a, "node " + a.id() + ", tag 'cost': unknown variable 'Q'"};
+  }));
+  expect_one_text(cases);
+}
+
+TEST(EngineAgreement, CostFunctionsNestSixtyFiveCallsDeep) {
+  const auto calling = [](int n) {
+    uml::ModelBuilder mb("Depth");
+    mb.function("F", {"n"}, "n > 0 ? F(n - 1) : 1");
+    uml::DiagramBuilder d = mb.diagram("main");
+    d.sequence({d.initial(),
+                d.action("A").cost("F(" + std::to_string(n) + ") * 0.001"),
+                d.final_node()});
+    return std::move(mb).build_unchecked();
+  };
+  // F(64) is 65 nested calls: every engine evaluates it, alike.
+  const uml::Model deepest = calling(64);
+  EXPECT_EQ(engine_errors(deepest), (std::array<std::string, 3>{}));
+  const auto program = prophet::lower::lower(deepest);
+  const double simulated = analytic::SimulationBackend()
+                               .prepare(program)
+                               ->estimate(two_processes())
+                               .predicted_time;
+  EXPECT_EQ(analytic::AnalyticBackend()
+                .prepare(program)
+                ->estimate(two_processes())
+                .predicted_time,
+            simulated);
+  EXPECT_EQ(prophet::cgen::CodegenBackend()
+                .prepare(program)
+                ->estimate(two_processes())
+                .predicted_time,
+            simulated);
+  // F(65) is one call too many: one text in every engine.
+  const auto errors = engine_errors(calling(65));
+  EXPECT_TRUE(errors[0].ends_with("cost-function call depth exceeded (cycle?)"))
+      << errors[0];
+  EXPECT_EQ(errors[1], errors[0]) << "analytic";
+  EXPECT_EQ(errors[2], errors[0]) << "codegen";
+}
+
+TEST(EngineAgreement, BadWorkloadsNameTheirElement) {
+  std::vector<Malformed> cases;
+  // A negative and a NaN compute cost.
+  for (const char* cost : {"-1", "0 / 0"}) {
+    cases.push_back(malformed([cost](uml::ModelBuilder&,
+                                     uml::DiagramBuilder& d,
+                                     const uml::NodeRef& fin) {
+      const uml::NodeRef a = d.action("A").cost(cost);
+      d.flow(a, fin);
+      return Parts{a, "ActionPlus 'A': negative or NaN cost"};
+    }));
+  }
+  // An <<ompfor>> with a negative iteration count.
+  cases.push_back(malformed([](uml::ModelBuilder&, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    const uml::NodeRef w = d.omp_for("W", "-3", "0.001");
+    d.flow(w, fin);
+    return Parts{w, "WorkshareElement 'W': iteration count is negative or NaN"};
+  }));
+  // An <<ompparallel>> asking for no threads.
+  cases.push_back(malformed([](uml::ModelBuilder& mb, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    const uml::NodeRef region = d.omp_parallel("R", loop_body(mb), "0");
+    d.flow(region, fin);
+    return Parts{region, "parallel region 'R': num_threads must be >= 1"};
+  }));
+  expect_one_text(cases);
 }
 
 }  // namespace
