@@ -2,9 +2,9 @@
 //
 // This is the paper's transformation thesis completed in-process: the
 // model's executable form (the shared lowering every backend consumes)
-// is translated into one self-contained C++ translation unit that drives
-// the same workload runtime and simulation engine as the interpreter —
-// but with every per-node decision made at emission time:
+// is translated into one C++ translation unit that drives the same
+// workload runtime and simulation engine as the interpreter — but with
+// every per-node decision made at emission time:
 //
 //   * the model-wide slot space becomes a fixed-size pointer frame and
 //     thread_local global storage (concurrent estimates stay race-free),
@@ -22,6 +22,12 @@
 //   * the guard::Budget contract survives: generated loops charge
 //     loop trips (stage "cgen-loop") and the engine charges events, so
 //     runaway models trip limits instead of hanging.
+//
+// The unit includes one header, cgen/prelude.hpp, and holds only what
+// is specific to the model: its helpers for raising errors, labelling
+// them by site, spawning fork branches and charging loop trips, and the
+// body of the ABI entry points (the simulation run, the budget and the
+// result mapping), are compiled once into the estimator archive.
 //
 // Invariant: generated evaluators are produced from lower::ModelProgram,
 // never from the AST (codegen/transformer, the paper's out-of-process

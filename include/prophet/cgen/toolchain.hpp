@@ -8,12 +8,16 @@
 // configure time) cannot drift between them.
 //
 // compile_shared_object() adds a content-addressed cache: the key is an
-// FNV-1a hash over (emitted source, full command shape, ABI version), so
-// a model that lowers to the same evaluator — across jobs, sweeps and
-// processes sharing the cache directory — compiles once and every later
-// prepare() is a dlopen of the cached object.  Compiles go to a
-// temporary name and rename into place, which is atomic within the cache
-// directory, so concurrent producers of the same key are benign.
+// FNV-1a hash over (emitted source, full command shape, ABI version) and
+// the runtime the object is built from — the size and modification time
+// of every archive it links and of every prelude header.  A model that
+// lowers to the same evaluator against the same runtime — across jobs,
+// sweeps and processes sharing the cache directory — compiles once and
+// every later prepare() is a dlopen of the cached object; a rebuilt
+// runtime misses.  The runtime is stat'ed, never read, so a hit reads no
+// file contents.  Compiles go to a temporary name and rename into place,
+// which is atomic within the cache directory, so concurrent producers of
+// the same key are benign.
 //
 // Failures (no usable compiler, compile errors) throw CgenError with the
 // toolchain's output attached; the pipeline surfaces them as stage-
@@ -53,6 +57,12 @@ class CgenError : public std::runtime_error {
 /// and the out-of-process integration tests.
 [[nodiscard]] std::vector<std::string> runtime_archives(
     std::string_view binary_dir);
+
+/// The project headers every emitted evaluator includes — cgen/
+/// prelude.hpp and its closure — as paths under `include_dir` (the
+/// repository's include/).
+[[nodiscard]] std::vector<std::string> prelude_headers(
+    std::string_view include_dir);
 
 /// One toolchain invocation, fully specified.
 struct CompileSpec {

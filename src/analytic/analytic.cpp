@@ -359,6 +359,16 @@ struct Walker {
     return value;
   }
 
+  /// Applies the peer rule to each lane's rank of `node`'s `role` peer.
+  void check_peers(const NodePrograms& node, workload::PeerRole role,
+                   const Array<double>& ranks) const {
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      (void)workload::peer_rank(node.node->name(), role,
+                                static_cast<int>(ranks[lane]),
+                                params(lane).processes);
+    }
+  }
+
   void run_fragment(const NodePrograms& node) {
     if (node.fragment.empty()) {
       return;
@@ -718,8 +728,10 @@ struct Walker {
       }
       case Operation::Send: {
         require_comm(node);
-        const int dest = uniform_int(eval_tag(node, TagKind::Dest));
+        const Array<double> dests = eval_tag(node, TagKind::Dest);
+        const int dest = uniform_int(dests);
         const Array<double> bytes = eval_tag(node, TagKind::Size);
+        check_peers(node, workload::PeerRole::Dest, dests);
         for (std::size_t lane = 0; lane < width(); ++lane) {
           seconds[lane] = params(lane).network_overhead;
         }
@@ -732,7 +744,9 @@ struct Walker {
       }
       case Operation::Recv: {
         require_comm(node);
-        const int source = uniform_int(eval_tag(node, TagKind::Source));
+        const Array<double> sources = eval_tag(node, TagKind::Source);
+        const int source = uniform_int(sources);
+        check_peers(node, workload::PeerRole::Source, sources);
         for (std::size_t lane = 0; lane < width(); ++lane) {
           out[lane].events.push_back(
               {EvKind::Recv, 0, 0, 0, source, node.msgtag});
@@ -750,6 +764,8 @@ struct Walker {
       case Operation::Collective: {
         require_comm(node);
         const Array<double> bytes = eval_tag(node, TagKind::Size);
+        check_peers(node, workload::PeerRole::Root,
+                    eval_tag(node, TagKind::Root));
         for (std::size_t lane = 0; lane < width(); ++lane) {
           const double hold = workload::CollectiveElement::model_time(
               params(lane), node.collective, params(lane).processes,

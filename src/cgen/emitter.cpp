@@ -3,13 +3,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "prophet/cgen/abi.hpp"
 #include "prophet/expr/cppgen.hpp"
 #include "prophet/uml/model.hpp"
 
@@ -425,10 +423,9 @@ class Emitter {
     return env;
   }
 
-  /// `throw std::runtime_error("<message>");` for a lowered defect.
+  /// `throw_error("<message>");` for a lowered defect.
   void throw_defect(const std::string& message, const std::string& indent) {
-    out_ << indent << "throw std::runtime_error(\"" << escape_cpp(message)
-         << "\");\n";
+    out_ << indent << "throw_error(\"" << escape_cpp(message) << "\");\n";
   }
 
   void preamble() {
@@ -441,60 +438,14 @@ class Emitter {
             "expression program is\n"
          << "// transliterated bytecode — semantics (and bits) match the "
             "interpreter.\n"
-         << "#include <cmath>\n"
-         << "#include <cstddef>\n"
-         << "#include <cstdint>\n"
-         << "#include <limits>\n"
-         << "#include <new>\n"
-         << "#include <optional>\n"
-         << "#include <stdexcept>\n"
-         << "#include <string>\n"
-         << "#include <vector>\n"
-         << "\n"
-         << "#include \"prophet/cgen/abi.hpp\"\n"
-         << "#include \"prophet/estimator/estimator.hpp\"\n"
-         << "#include \"prophet/guard/guard.hpp\"\n"
-         << "#include \"prophet/machine/machine.hpp\"\n"
-         << "#include \"prophet/sim/engine.hpp\"\n"
-         << "#include \"prophet/workload/runtime.hpp\"\n"
+         << "#include \"prophet/cgen/prelude.hpp\"\n"
          << "\n"
          << "namespace {\n"
          << "\n"
+         << "using namespace prophet::cgen;\n"
+         << "\n"
          << "constexpr std::size_t kSlots = " << program_.slot_count()
          << ";\n"
-         << "\n"
-         << "/// Stand-in for expr::EvalError: nothing in this unit runs "
-            "the VM, so the\n"
-         << "/// lazily-compiled resolution errors are thrown as this "
-            "local type with\n"
-         << "/// the VM's exact messages.\n"
-         << "struct CgenEvalError : std::runtime_error {\n"
-         << "  using std::runtime_error::runtime_error;\n"
-         << "};\n"
-         << "\n"
-         << "[[noreturn]] void throw_eval(const char* message) {\n"
-         << "  throw CgenEvalError(message);\n"
-         << "}\n"
-         << "\n"
-         << "/// Evaluates the program at `site`, prefixing its errors with "
-            "the site\n"
-         << "/// (expr::Compiled::eval's rule).\n"
-         << "template <class Program>\n"
-         << "double at_site(const char* site, Program program) {\n"
-         << "  try {\n"
-         << "    return program();\n"
-         << "  } catch (const CgenEvalError& error) {\n"
-         << "    throw std::runtime_error(std::string(site) + \": \" + "
-            "error.what());\n"
-         << "  }\n"
-         << "}\n"
-         << "\n"
-         << "double load_slot(const double* bound, const char* message) {\n"
-         << "  if (bound == nullptr) {\n"
-         << "    throw_eval(message);\n"
-         << "  }\n"
-         << "  return *bound;\n"
-         << "}\n"
          << "\n"
          << "/// Slot frame, copied by value so fork branches and loop "
             "bodies snapshot\n"
@@ -579,8 +530,7 @@ class Emitter {
           break;
         case Target::Undeclared:
           out_ << indent << "  (void)value;\n"
-               << indent
-               << "  throw std::runtime_error(\"code fragment at node "
+               << indent << "  throw_error(\"code fragment at node "
                << escape_cpp(node.node->id())
                << " assigns undeclared variable '"
                << escape_cpp(assignment.name) << "'\");\n";
@@ -753,7 +703,7 @@ class Emitter {
          << indent << "for (const double trip : prophet::workload::loop_trips("
          << "raw, \"" << escape_cpp(node.node->id()) << "\")) {\n"
          << indent << "  if (g_budget != nullptr) {\n"
-         << indent << "    g_budget->charge_loop_trips(1, \"cgen-loop\");\n"
+         << indent << "    charge_loop_trips(*g_budget, \"cgen-loop\");\n"
          << indent << "  }\n"
          << indent << "  loop_value = trip;\n"
          << indent << "  co_await run_d" << node.body << "(ctx, lf, locals);\n"
@@ -765,7 +715,7 @@ class Emitter {
     const std::size_t branches = node.branches.size();
     const std::string id = escape_cpp(node.node->id());
     if (branches == 0) {
-      out_ << indent << "throw std::runtime_error(\"fork " << id
+      out_ << indent << "throw_error(\"fork " << id
            << ": branches do not reach a join\");\n";
       return;
     }
@@ -774,17 +724,16 @@ class Emitter {
          << "; ++b) {\n"
          << indent << "  joins[b] = -1;\n" << indent << "}\n"
          << indent << "{\n"
-         << indent << "  std::vector<prophet::sim::ProcessRef> branches;\n"
-         << indent << "  branches.reserve(" << branches << ");\n";
+         << indent << "  prophet::sim::ProcessRef branches[" << branches
+         << "];\n";
     for (std::size_t b = 0; b < branches; ++b) {
       const int target = node.branches[b].target;
       if (target < 0) {
         throw_defect(node.defect, indent + "  ");
         break;  // interp throws here; later branches never spawn
       }
-      out_ << indent << "  branches.push_back(ctx.engine->spawn(walk_d" << di
-           << "(ctx, f, locals, " << target << ", &joins[" << b
-           << "])));\n";
+      out_ << indent << "  branches[" << b << "] = spawn(ctx, walk_d" << di
+           << "(ctx, f, locals, " << target << ", &joins[" << b << "]));\n";
     }
     out_ << indent << "  for (const auto& branch : branches) {\n"
          << indent << "    co_await branch;\n"
@@ -792,14 +741,13 @@ class Emitter {
          << indent << "}\n";
     for (std::size_t b = 1; b < branches; ++b) {
       out_ << indent << "if (joins[" << b << "] != joins[0]) {\n"
-           << indent << "  throw std::runtime_error(std::string(\"fork " << id
-           << ": branches reach different joins ('\") + node_id_d" << di
-           << "(joins[0]) + \"' vs '\" + node_id_d" << di << "(joins[" << b
-           << "]) + \"')\");\n"
+           << indent << "  throw_different_joins(\"" << id << "\", node_id_d"
+           << di << "(joins[0]), node_id_d" << di << "(joins[" << b
+           << "]));\n"
            << indent << "}\n";
     }
     out_ << indent << "if (joins[0] < 0) {\n"
-         << indent << "  throw std::runtime_error(\"fork " << id
+         << indent << "  throw_error(\"fork " << id
          << ": branches do not reach a join\");\n"
          << indent << "}\n"
          << indent << "switch (joins[0]) {\n";
@@ -851,10 +799,9 @@ class Emitter {
          << "  std::uint64_t steps = 0;\n"
          << "  while (node >= 0) {\n"
          << "    if (++steps > " << diagram.step_limit << "ULL) {\n"
-         << "      throw std::runtime_error(\n"
-         << "          \"diagram " << escape_cpp(diagram.diagram->id())
+         << "      throw_error(\"diagram " << escape_cpp(diagram.diagram->id())
          << ": walk exceeded step limit (unstructured \"\n"
-         << "          \"cycle without <<loop+>>?)\");\n"
+         << "                  \"cycle without <<loop+>>?)\");\n"
          << "    }\n"
          << "    switch (node) {\n";
     const std::string indent = "        ";
@@ -902,8 +849,7 @@ class Emitter {
          << "(prophet::workload::ModelContext ctx, Frame f, double* locals) "
             "{\n";
     if (diagram.initial < 0) {
-      out_ << "  throw std::runtime_error(\"" << escape_cpp(diagram.defect)
-           << "\");\n"
+      out_ << "  throw_error(\"" << escape_cpp(diagram.defect) << "\");\n"
            << "  co_return;  // unreachable; makes this a coroutine\n";
     } else {
       out_ << "  co_await walk_d" << di << "(ctx, f, locals, "
@@ -943,8 +889,7 @@ class Emitter {
   void run_entry_points() {
     // start_run: interp's run-start, specialized — bind structural
     // slots, zero globals, initialize the globals.
-    out_ << "void start_run(const prophet::machine::SystemParameters& "
-            "params) {\n"
+    out_ << "void start_run(const CgenParams& params) {\n"
          << "  g_np = static_cast<double>(params.processes);\n"
          << "  g_nt = static_cast<double>(params.threads_per_process);\n"
          << "  g_nn = static_cast<double>(params.nodes);\n"
@@ -981,40 +926,11 @@ class Emitter {
          << "}\n\n";
   }
 
+  /// The three exported entry points, over the library's run_evaluator
+  /// and free_result.
   void abi_glue() {
-    out_ << R"(class GeneratedModel final : public prophet::estimator::ProgramModel {
- public:
-  void on_run_start(
-      const prophet::machine::SystemParameters& params) override {
-    start_run(params);
-  }
-
-  [[nodiscard]] prophet::sim::Process process_main(
-      prophet::workload::ModelContext ctx) override {
-    return run_process(ctx);
-  }
-
-  void set_budget(prophet::guard::Budget* budget) override {
-    g_budget = budget;
-  }
-};
-
-/// Heap storage behind CgenResult's pointers; freed by prophet_cgen_free.
-struct ResultStorage {
-  std::vector<std::int32_t> pids;
-  std::vector<double> times;
-  std::string machine_report;
-  std::string message;
-  std::string stage;
-};
-
-void fill_usage(prophet::cgen::CgenResult* result,
-                const prophet::guard::Usage& usage) {
-  result->usage_sim_events = usage.sim_events;
-  result->usage_vm_instructions = usage.vm_instructions;
-  result->usage_replay_events = usage.replay_events;
-  result->usage_loop_trips = usage.loop_trips;
-  result->usage_elapsed_seconds = usage.elapsed_seconds;
+    out_ << R"(void set_budget(prophet::guard::Budget* budget) {
+  g_budget = budget;
 }
 
 }  // namespace
@@ -1028,109 +944,15 @@ PROPHET_CGEN_EXPORT std::uint32_t prophet_cgen_abi_version() {
 }
 
 PROPHET_CGEN_EXPORT void prophet_cgen_free(prophet::cgen::CgenResult* result) {
-  if (result != nullptr && result->owner != nullptr) {
-    delete static_cast<ResultStorage*>(result->owner);
-    result->owner = nullptr;
-  }
+  prophet::cgen::free_result(result);
 }
 
 PROPHET_CGEN_EXPORT std::int32_t prophet_cgen_run(
     const prophet::cgen::CgenParams* params,
     prophet::cgen::CgenResult* result) {
-  if (params == nullptr || result == nullptr) {
-    return prophet::cgen::kCgenError;
-  }
-  *result = prophet::cgen::CgenResult{};
-  auto* storage = new (std::nothrow) ResultStorage;
-  if (storage == nullptr) {
-    return prophet::cgen::kCgenError;
-  }
-  result->owner = storage;
-  const auto fail = [&](std::int32_t status, const char* message) {
-    storage->message = message;
-    result->message = storage->message.c_str();
-    result->stage = storage->stage.c_str();
-    result->status = status;
-    return status;
-  };
-  try {
-    prophet::machine::SystemParameters system;
-    system.nodes = params->nodes;
-    system.processors_per_node = params->processors_per_node;
-    system.processes = params->processes;
-    system.threads_per_process = params->threads_per_process;
-    system.cpu_speed = params->cpu_speed;
-    system.network_latency = params->network_latency;
-    system.network_bandwidth = params->network_bandwidth;
-    system.network_overhead = params->network_overhead;
-    system.memory_latency = params->memory_latency;
-    system.memory_bandwidth = params->memory_bandwidth;
-    system.barrier_latency = params->barrier_latency;
-
-    prophet::guard::Limits limits;
-    limits.wall_seconds = params->wall_seconds;
-    limits.max_sim_events = params->max_sim_events;
-    limits.max_vm_instructions = params->max_vm_instructions;
-    limits.max_replay_events = params->max_replay_events;
-    limits.max_loop_trips = params->max_loop_trips;
-
-    std::optional<prophet::guard::Budget> budget;
-    if (limits.any() || params->cancel_poll != nullptr ||
-        params->cancel_at_sim_event != 0) {
-      budget.emplace(limits);
-      if (params->cancel_poll != nullptr) {
-        budget->bind_external_cancel(params->cancel_poll,
-                                     params->cancel_context);
-      }
-      if (params->cancel_at_sim_event != 0) {
-        budget->cancel_at_sim_event(params->cancel_at_sim_event);
-      }
-    }
-
-    prophet::estimator::EstimationOptions options;
-    options.collect_trace = false;
-    options.collect_machine_report = params->collect_machine_report != 0;
-    if (budget.has_value()) {
-      options.budget = &*budget;
-    }
-
-    GeneratedModel model;
-    const prophet::estimator::SimulationManager manager(system, options);
-    prophet::estimator::PredictionReport report = manager.run(model);
-
-    storage->pids.reserve(report.per_process_finish.size());
-    storage->times.reserve(report.per_process_finish.size());
-    for (const auto& [pid, finish] : report.per_process_finish) {
-      storage->pids.push_back(pid);
-      storage->times.push_back(finish);
-    }
-    storage->machine_report = report.machine_report;
-    result->predicted_time = report.predicted_time;
-    result->events = report.events;
-    result->processes = report.processes;
-    result->finish_pids = storage->pids.data();
-    result->finish_times = storage->times.data();
-    result->finish_count = storage->pids.size();
-    result->machine_report = storage->machine_report.c_str();
-    result->message = "";
-    result->status = prophet::cgen::kCgenOk;
-    return result->status;
-  } catch (const prophet::guard::ResourceExhausted& error) {
-    result->limit = static_cast<std::int32_t>(error.limit());
-    storage->stage = error.stage();
-    fill_usage(result, error.usage());
-    return fail(prophet::cgen::kCgenResourceExhausted, error.what());
-  } catch (const prophet::guard::Cancelled& error) {
-    result->limit = static_cast<std::int32_t>(error.limit());
-    storage->stage = error.stage();
-    fill_usage(result, error.usage());
-    return fail(prophet::cgen::kCgenCancelled, error.what());
-  } catch (const std::exception& error) {
-    return fail(prophet::cgen::kCgenError, error.what());
-  } catch (...) {
-    return fail(prophet::cgen::kCgenError,
-                "unknown error in generated evaluator");
-  }
+  static constexpr prophet::cgen::Evaluator kEvaluator{
+      &start_run, &run_process, &set_budget};
+  return prophet::cgen::run_evaluator(kEvaluator, params, result);
 }
 )";
   }

@@ -1,5 +1,6 @@
 #include "prophet/cgen/toolchain.hpp"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -62,15 +63,34 @@ std::vector<std::string> runtime_archives(std::string_view binary_dir) {
   return archives;
 }
 
+std::vector<std::string> prelude_headers(std::string_view include_dir) {
+  static constexpr std::string_view kHeaders[] = {
+      "prophet/cgen/prelude.hpp",
+      "prophet/cgen/abi.hpp",
+      "prophet/sim/process.hpp",
+      "prophet/workload/elements.hpp",
+  };
+  std::vector<std::string> headers;
+  headers.reserve(std::size(kHeaders));
+  for (const auto header : kHeaders) {
+    headers.push_back(std::string(include_dir) + "/" + std::string(header));
+  }
+  return headers;
+}
+
 std::string compile_command(const CompileSpec& spec) {
   std::ostringstream command;
   command << compiler_command() << " -std=c++20 " << spec.optimization;
   if (spec.shared_object) {
     // -ffp-contract=off: no FMA contraction in the generated evaluator,
     // whose arithmetic must be bit-identical to the VM's (compiled the
-    // same way).  -fvisibility=hidden keeps everything but the explicit
-    // extern "C" entry points out of the dynamic symbol table.
-    command << " -fPIC -shared -ffp-contract=off -fvisibility=hidden";
+    // same way).  -fvisibility=hidden and --exclude-libs keep everything
+    // but the explicit extern "C" entry points out of the dynamic symbol
+    // table, the unit's own definitions and the runtime archives' alike:
+    // calls into the runtime bind inside the object, and dlopen resolves
+    // no symbols for them.
+    command << " -fPIC -shared -ffp-contract=off -fvisibility=hidden"
+            << " -Wl,--exclude-libs,ALL";
   }
   const std::string extra = extra_cxx_flags(spec.extra_flags_fallback);
   if (!extra.empty()) {
@@ -136,6 +156,19 @@ std::string hex64(std::uint64_t value) {
   return buffer;
 }
 
+/// `path`'s size and modification time, or "missing": what the cache key
+/// knows of a runtime file without reading it.
+std::string file_stamp(const std::string& path) {
+  // One stat(2) per file: a cache-hit prepare stats a dozen of them.
+  struct stat info {};
+  if (::stat(path.c_str(), &info) != 0) {
+    return path + " missing";
+  }
+  return path + " " + std::to_string(info.st_size) + " " +
+         std::to_string(info.st_mtim.tv_sec) + "." +
+         std::to_string(info.st_mtim.tv_nsec);
+}
+
 /// Trims toolchain output for error messages: enough to diagnose, not
 /// the compiler's whole template backtrace.
 std::string head_of(const std::string& text, std::size_t max_bytes = 4096) {
@@ -169,14 +202,21 @@ CompileOutcome compile_shared_object(const std::string& source,
 
   // Cache key: the source, the command that would build it (with the
   // real paths substituted out so the key depends on the command shape,
-  // not the yet-unknown hashed file names), and the ABI version.
+  // not the yet-unknown hashed file names), the ABI version, and the
+  // runtime the object is built from: the archives it links and the
+  // headers its source includes, by size and modification time.
   spec.source_path = "<source>";
   spec.output_path = "<object>";
   const std::string shape = compile_command(spec);
   std::ostringstream key;
-  key << "abi=" << kCgenAbiVersion << "\n"
-      << shape << "\n"
-      << source;
+  key << "abi=" << kCgenAbiVersion << "\n" << shape << "\n";
+  for (const auto& archive : spec.archives) {
+    key << file_stamp(archive) << "\n";
+  }
+  for (const auto& header : prelude_headers(include_dir)) {
+    key << file_stamp(header) << "\n";
+  }
+  key << source;
   const std::string hash = hex64(fnv1a64(key.str()));
 
   std::error_code ec;

@@ -1,7 +1,6 @@
 #include "prophet/interp/interpreter.hpp"
 
 #include <cmath>
-#include <functional>
 #include <utility>
 
 #include "prophet/expr/compile.hpp"
@@ -360,12 +359,12 @@ struct Interpreter::Impl {
         // The callable is a named local, not a temporary inside the
         // co_await operand: g++ 12 destroys such a temporary twice when
         // it holds a non-trivially destructible capture (the Scope).
-        std::function<sim::Process(ModelContext)> run_thread =
+        const auto run_thread =
             [this, body, body_scope](ModelContext tctx) -> sim::Process {
           return run_diagram(tctx, body, body_scope);
         };
         co_await workload::parallel_region(ctx, threads, uid, name,
-                                           std::move(run_thread));
+                                           run_thread);
         co_return;
       }
       case Operation::Critical: {
@@ -374,11 +373,11 @@ struct Interpreter::Impl {
         ModelContext body_ctx = ctx;
         const int body = node.body;
         // Named for the same reason as the region's callable above.
-        std::function<sim::Process()> run_body =
+        const auto run_body =
             [this, body, body_scope, body_ctx]() -> sim::Process {
           return run_diagram(body_ctx, body, body_scope);
         };
-        co_await element.execute(uid, ctx.pid, ctx.tid, std::move(run_body));
+        co_await element.execute(uid, ctx.pid, ctx.tid, run_body);
         co_return;
       }
       case Operation::Inline: {

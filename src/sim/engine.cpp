@@ -1,10 +1,43 @@
 #include "prophet/sim/engine.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <vector>
 
 #include "prophet/guard/guard.hpp"
 
 namespace prophet::sim {
+
+namespace detail {
+
+struct ProcessState {
+  bool done = false;
+  std::exception_ptr error;
+  std::vector<std::coroutine_handle<>> waiters;
+};
+
+void throw_logic_error(const char* what) { throw std::logic_error(what); }
+
+}  // namespace detail
+
+bool ProcessRef::done() const { return state_ && state_->done; }
+
+bool ProcessRef::JoinAwaiter::await_ready() const noexcept {
+  return state->done;
+}
+
+void ProcessRef::JoinAwaiter::await_suspend(
+    std::coroutine_handle<> handle) const {
+  state->waiters.push_back(handle);
+}
+
+void ProcessRef::JoinAwaiter::await_resume() const {
+  if (state->error) {
+    std::exception_ptr error = state->error;
+    state->error = nullptr;
+    std::rethrow_exception(error);
+  }
+}
 
 std::coroutine_handle<> Process::promise_type::FinalAwaiter::await_suspend(
     Handle handle) noexcept {

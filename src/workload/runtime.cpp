@@ -7,6 +7,27 @@ namespace prophet::workload {
 
 using machine::tree_rounds;
 
+namespace {
+
+/// Records a trace span when the run traces.  `pid`/`tid` are passed
+/// explicitly (not taken from `ctx`) because element objects may be
+/// bound to the process context while executing on behalf of a region
+/// thread.
+void record(const ModelContext& ctx, double start, double end, int pid,
+            int tid, int uid, std::string_view element,
+            trace::EventKind kind) {
+  if (ctx.trace != nullptr) {
+    ctx.trace->add({start, end, pid, tid, uid, std::string(element), kind});
+  }
+}
+
+/// The number of modeled processes of the run `ctx` belongs to.
+int processes(const ModelContext& ctx) {
+  return ctx.machine->params().processes;
+}
+
+}  // namespace
+
 Communicator::Communicator(sim::Engine& engine,
                            machine::MachineModel& machine)
     : engine_(&engine),
@@ -27,12 +48,13 @@ sim::Mailbox& Communicator::mailbox(int dst, int src, int tag) {
   return *it->second;
 }
 
-sim::Facility& Communicator::critical_section(const std::string& name) {
+sim::Facility& Communicator::critical_section(std::string_view name) {
   auto it = criticals_.find(name);
   if (it == criticals_.end()) {
     it = criticals_
-             .emplace(name, std::make_unique<sim::Facility>(
-                                *engine_, "critical." + name, 1))
+             .emplace(std::string(name),
+                      std::make_unique<sim::Facility>(
+                          *engine_, "critical." + std::string(name), 1))
              .first;
   }
   return *it->second;
@@ -40,8 +62,8 @@ sim::Facility& Communicator::critical_section(const std::string& name) {
 
 // --- ActionPlus ---------------------------------------------------------------
 
-ActionPlus::ActionPlus(ModelContext& ctx, std::string name)
-    : ctx_(&ctx), name_(std::move(name)) {}
+ActionPlus::ActionPlus(ModelContext& ctx, std::string_view name)
+    : ctx_(&ctx), name_(name) {}
 
 sim::Process ActionPlus::execute(int uid, int pid, int tid, double cost) {
   const double demand = action_cost(name_, cost);
@@ -54,13 +76,13 @@ sim::Process ActionPlus::execute(int uid, int pid, int tid, double cost) {
   const double end = engine.now();
   ++executions_;
   total_time_ += end - start;
-  ctx_->record(start, end, pid, tid, uid, name_, trace::EventKind::Compute);
+  record(*ctx_, start, end, pid, tid, uid, name_, trace::EventKind::Compute);
 }
 
 // --- ActivityPlus -------------------------------------------------------------
 
-ActivityPlus::ActivityPlus(ModelContext& ctx, std::string name)
-    : ctx_(&ctx), name_(std::move(name)) {}
+ActivityPlus::ActivityPlus(ModelContext& ctx, std::string_view name)
+    : ctx_(&ctx), name_(name) {}
 
 double ActivityPlus::begin(int uid) {
   (void)uid;
@@ -68,17 +90,18 @@ double ActivityPlus::begin(int uid) {
 }
 
 void ActivityPlus::end(int uid, double started) {
-  ctx_->record(started, ctx_->engine->now(), ctx_->pid, ctx_->tid, uid,
-               name_, trace::EventKind::Region);
+  record(*ctx_, started, ctx_->engine->now(), ctx_->pid, ctx_->tid, uid,
+         name_, trace::EventKind::Region);
 }
 
 // --- Message passing ------------------------------------------------------------
 
-SendElement::SendElement(ModelContext& ctx, std::string name)
-    : ctx_(&ctx), name_(std::move(name)) {}
+SendElement::SendElement(ModelContext& ctx, std::string_view name)
+    : ctx_(&ctx), name_(name) {}
 
 sim::Process SendElement::execute(int uid, int pid, int tid, int dest,
                                   double bytes, int tag) {
+  dest = peer_rank(name_, PeerRole::Dest, dest, processes(*ctx_));
   sim::Engine& engine = *ctx_->engine;
   const double start = engine.now();
   if (ctx_->counters != nullptr) {
@@ -91,14 +114,16 @@ sim::Process SendElement::execute(int uid, int pid, int tid, int dest,
   message.tag = tag;
   message.size = bytes;
   ctx_->comm->mailbox(dest, pid, tag).send(message);
-  ctx_->record(start, engine.now(), pid, tid, uid, name_, trace::EventKind::Send);
+  record(*ctx_, start, engine.now(), pid, tid, uid, name_,
+         trace::EventKind::Send);
 }
 
-RecvElement::RecvElement(ModelContext& ctx, std::string name)
-    : ctx_(&ctx), name_(std::move(name)) {}
+RecvElement::RecvElement(ModelContext& ctx, std::string_view name)
+    : ctx_(&ctx), name_(name) {}
 
 sim::Process RecvElement::execute(int uid, int pid, int tid, int source,
                                   double bytes, int tag) {
+  source = peer_rank(name_, PeerRole::Source, source, processes(*ctx_));
   sim::Engine& engine = *ctx_->engine;
   const double start = engine.now();
   const sim::Message message =
@@ -111,12 +136,13 @@ sim::Process RecvElement::execute(int uid, int pid, int tid, int source,
   if (arrival > engine.now()) {
     co_await engine.hold(arrival - engine.now());
   }
-  ctx_->record(start, engine.now(), pid, tid, uid, name_, trace::EventKind::Receive);
+  record(*ctx_, start, engine.now(), pid, tid, uid, name_,
+         trace::EventKind::Receive);
   (void)bytes;
 }
 
-BarrierElement::BarrierElement(ModelContext& ctx, std::string name)
-    : ctx_(&ctx), name_(std::move(name)) {}
+BarrierElement::BarrierElement(ModelContext& ctx, std::string_view name)
+    : ctx_(&ctx), name_(name) {}
 
 sim::Process BarrierElement::execute(int uid, int pid, int tid) {
   sim::Engine& engine = *ctx_->engine;
@@ -125,9 +151,10 @@ sim::Process BarrierElement::execute(int uid, int pid, int tid) {
     ++ctx_->counters->barriers;
   }
   co_await ctx_->comm->process_barrier().arrive();
-  const double rounds = tree_rounds(ctx_->np());
+  const double rounds = tree_rounds(processes(*ctx_));
   co_await engine.hold(rounds * ctx_->machine->params().barrier_latency);
-  ctx_->record(start, engine.now(), pid, tid, uid, name_, trace::EventKind::Barrier);
+  record(*ctx_, start, engine.now(), pid, tid, uid, name_,
+         trace::EventKind::Barrier);
 }
 
 std::string_view to_string(CollectiveKind kind) {
@@ -162,9 +189,9 @@ std::string_view enumerator_name(CollectiveKind kind) {
   return "Gather";
 }
 
-CollectiveElement::CollectiveElement(ModelContext& ctx, std::string name,
+CollectiveElement::CollectiveElement(ModelContext& ctx, std::string_view name,
                                      CollectiveKind kind)
-    : ctx_(&ctx), name_(std::move(name)), kind_(kind) {}
+    : ctx_(&ctx), name_(name), kind_(kind) {}
 
 double CollectiveElement::model_time(const machine::SystemParameters& params,
                                      CollectiveKind kind, int n,
@@ -197,6 +224,7 @@ double CollectiveElement::model_time(const machine::MachineModel& machine,
 
 sim::Process CollectiveElement::execute(int uid, int pid, int tid,
                                         double bytes, int root) {
+  (void)peer_rank(name_, PeerRole::Root, root, processes(*ctx_));
   sim::Engine& engine = *ctx_->engine;
   const double start = engine.now();
   if (ctx_->counters != nullptr) {
@@ -204,17 +232,16 @@ sim::Process CollectiveElement::execute(int uid, int pid, int tid,
   }
   co_await ctx_->comm->process_barrier().arrive();
   co_await engine.hold(
-      model_time(*ctx_->machine, kind_, ctx_->np(), bytes));
-  ctx_->record(start, engine.now(), pid, tid, uid, name_,
-               trace::EventKind::Collective);
-  (void)root;
+      model_time(*ctx_->machine, kind_, processes(*ctx_), bytes));
+  record(*ctx_, start, engine.now(), pid, tid, uid, name_,
+         trace::EventKind::Collective);
 }
 
 // --- Shared memory ---------------------------------------------------------------
 
 sim::Process parallel_region(ModelContext ctx, int num_threads, int uid,
-                             std::string name,
-                             std::function<sim::Process(ModelContext)> body) {
+                             std::string_view name,
+                             FunctionRef<sim::Process(ModelContext)> body) {
   num_threads = region_threads(name, num_threads);
   sim::Engine& engine = *ctx.engine;
   const double start = engine.now();
@@ -232,11 +259,12 @@ sim::Process parallel_region(ModelContext ctx, int num_threads, int uid,
   for (const auto& thread : threads) {
     co_await thread;  // implicit barrier at region end
   }
-  ctx.record(start, engine.now(), ctx.pid, ctx.tid, uid, name, trace::EventKind::Region);
+  record(ctx, start, engine.now(), ctx.pid, ctx.tid, uid, name,
+         trace::EventKind::Region);
 }
 
-WorkshareElement::WorkshareElement(ModelContext& ctx, std::string name)
-    : ctx_(&ctx), name_(std::move(name)) {}
+WorkshareElement::WorkshareElement(ModelContext& ctx, std::string_view name)
+    : ctx_(&ctx), name_(name) {}
 
 std::int64_t WorkshareElement::static_share(std::int64_t iterations,
                                             int threads, int tid) {
@@ -249,7 +277,7 @@ std::int64_t WorkshareElement::static_share(std::int64_t iterations,
 
 sim::Process WorkshareElement::execute(int uid, int pid, int tid,
                                        double iterations, double itercost,
-                                       const std::string& schedule,
+                                       std::string_view schedule,
                                        std::int64_t chunk) {
   const int threads =
       ctx_->region != nullptr ? ctx_->region->num_threads : 1;
@@ -265,28 +293,28 @@ sim::Process WorkshareElement::execute(int uid, int pid, int tid,
   if (ctx_->region != nullptr) {
     co_await ctx_->region->barrier->arrive();
   }
-  ctx_->record(start, engine.now(), pid, tid, uid, name_, trace::EventKind::Compute);
+  record(*ctx_, start, engine.now(), pid, tid, uid, name_,
+         trace::EventKind::Compute);
 }
 
-CriticalElement::CriticalElement(ModelContext& ctx, std::string name,
-                                 std::string critical_name)
-    : ctx_(&ctx),
-      name_(std::move(name)),
-      critical_name_(std::move(critical_name)) {}
+CriticalElement::CriticalElement(ModelContext& ctx, std::string_view name,
+                                 std::string_view critical_name)
+    : ctx_(&ctx), name_(name), critical_name_(critical_name) {}
 
 sim::Process CriticalElement::execute(int uid, int pid, int tid,
-                                      std::function<sim::Process()> body) {
+                                      FunctionRef<sim::Process()> body) {
   sim::Engine& engine = *ctx_->engine;
   const double start = engine.now();
   sim::Facility& lock = ctx_->comm->critical_section(critical_name_);
   co_await lock.acquire();
   co_await body();
   lock.release();
-  ctx_->record(start, engine.now(), pid, tid, uid, name_, trace::EventKind::Region);
+  record(*ctx_, start, engine.now(), pid, tid, uid, name_,
+         trace::EventKind::Region);
 }
 
-OmpBarrierElement::OmpBarrierElement(ModelContext& ctx, std::string name)
-    : ctx_(&ctx), name_(std::move(name)) {}
+OmpBarrierElement::OmpBarrierElement(ModelContext& ctx, std::string_view name)
+    : ctx_(&ctx), name_(name) {}
 
 sim::Process OmpBarrierElement::execute(int uid, int pid, int tid) {
   sim::Engine& engine = *ctx_->engine;
@@ -297,7 +325,8 @@ sim::Process OmpBarrierElement::execute(int uid, int pid, int tid) {
   if (ctx_->region != nullptr) {
     co_await ctx_->region->barrier->arrive();
   }
-  ctx_->record(start, engine.now(), pid, tid, uid, name_, trace::EventKind::Barrier);
+  record(*ctx_, start, engine.now(), pid, tid, uid, name_,
+         trace::EventKind::Barrier);
 }
 
 // --- fork/join ---------------------------------------------------------------------
@@ -315,9 +344,9 @@ sim::Process fork_join(ModelContext ctx,
   }
 }
 
-LoopTrips loop_trips(double bound, const std::string& loop_id) {
+LoopTrips loop_trips(double bound, std::string_view loop_id) {
   if (std::isnan(bound) || bound < 0) {
-    throw std::runtime_error("loop " + loop_id +
+    throw std::runtime_error("loop " + std::string(loop_id) +
                              ": iteration count is negative or NaN");
   }
   return {static_cast<std::int64_t>(bound)};
@@ -325,27 +354,42 @@ LoopTrips loop_trips(double bound, const std::string& loop_id) {
 
 // --- Workload rules --------------------------------------------------------------
 
-double action_cost(const std::string& name, double cost) {
+double action_cost(std::string_view name, double cost) {
   if (cost < 0 || std::isnan(cost)) {
-    throw std::invalid_argument("ActionPlus '" + name +
+    throw std::invalid_argument("ActionPlus '" + std::string(name) +
                                 "': negative or NaN cost");
   }
   return cost;
 }
 
-int region_threads(const std::string& name, int num_threads) {
+int peer_rank(std::string_view name, PeerRole role, int rank,
+              int processes) {
+  if (rank < 0 || rank >= processes) {
+    static constexpr std::string_view kElement[] = {
+        "SendElement", "RecvElement", "CollectiveElement"};
+    static constexpr std::string_view kPeer[] = {"dest", "source", "root"};
+    const auto index = static_cast<std::size_t>(role);
+    throw std::invalid_argument(
+        std::string(kElement[index]) + " '" + std::string(name) + "': " +
+        std::string(kPeer[index]) + " " + std::to_string(rank) +
+        " outside 0.." + std::to_string(processes - 1));
+  }
+  return rank;
+}
+
+int region_threads(std::string_view name, int num_threads) {
   if (num_threads < 1) {
-    throw std::invalid_argument("parallel region '" + name +
+    throw std::invalid_argument("parallel region '" + std::string(name) +
                                 "': num_threads must be >= 1");
   }
   return num_threads;
 }
 
-double workshare_compute(const std::string& name, double iterations,
-                         double itercost, const std::string& schedule,
+double workshare_compute(std::string_view name, double iterations,
+                         double itercost, std::string_view schedule,
                          std::int64_t chunk, int threads, int tid) {
   if (iterations < 0 || std::isnan(iterations)) {
-    throw std::invalid_argument("WorkshareElement '" + name +
+    throw std::invalid_argument("WorkshareElement '" + std::string(name) +
                                 "': iteration count is negative or NaN");
   }
   const auto total = static_cast<std::int64_t>(iterations);
@@ -368,7 +412,7 @@ double workshare_compute(const std::string& name, double iterations,
               itercost;
   }
   if (compute < 0 || std::isnan(compute)) {
-    throw std::invalid_argument("WorkshareElement '" + name +
+    throw std::invalid_argument("WorkshareElement '" + std::string(name) +
                                 "': negative or NaN cost");
   }
   return compute;

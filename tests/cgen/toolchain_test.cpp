@@ -1,14 +1,18 @@
 // The host-toolchain driver: command construction (the one builder the
 // cgen backend and the out-of-process integration tests share), the
 // $CXX / $PROPHET_EXTRA_CXX_FLAGS environment contract, the FNV-1a
-// cache key function, the content-addressed compile cache, and the
-// structured failure paths (compile errors, injected faults).
+// cache key function, the content-addressed compile cache (keyed on the
+// runtime too), and the structured failure paths (compile errors,
+// injected faults).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "prophet/cgen/toolchain.hpp"
 #include "prophet/guard/guard.hpp"
@@ -159,6 +163,59 @@ TEST(Toolchain, CompileCacheHitsOnTheSecondBuild) {
   const auto other = cgen::compile_shared_object(source + "// v2\n", options);
   EXPECT_FALSE(other.cache_hit);
   EXPECT_NE(other.object_path, first.object_path);
+}
+
+TEST(Toolchain, RebuiltRuntimeMissesTheCache) {
+  // A build tree of copied archives the probe links against: rewriting
+  // one (as a rebuild of the runtime does) must miss, or a warm cache
+  // would serve an evaluator linked against the old runtime.
+  namespace fs = std::filesystem;
+  const std::string tree = fresh_cache_dir("cgen-runtime-tree");
+  const auto originals = cgen::runtime_archives(PROPHET_BINARY_DIR);
+  const auto copies = cgen::runtime_archives(tree);
+  for (std::size_t i = 0; i < copies.size(); ++i) {
+    fs::create_directories(fs::path(copies[i]).parent_path());
+    fs::copy_file(originals[i], copies[i]);
+  }
+  cgen::ToolchainOptions options;
+  options.cache_dir = fresh_cache_dir("cgen-cache-runtime-test");
+  options.binary_dir = tree;
+  const std::string source =
+      "extern \"C\" int prophet_cgen_runtime_probe() { return 3; }\n";
+
+  const auto first = cgen::compile_shared_object(source, options);
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_TRUE(cgen::compile_shared_object(source, options).cache_hit);
+
+  fs::copy_file(originals.front(), copies.back(),
+                fs::copy_options::overwrite_existing);
+  const auto rebuilt = cgen::compile_shared_object(source, options);
+  EXPECT_FALSE(rebuilt.cache_hit);
+  EXPECT_NE(rebuilt.object_path, first.object_path);
+}
+
+TEST(Toolchain, PreludeHeadersAreThePreludesClosure) {
+  // The cache key stats prelude_headers(); it must name every project
+  // header the prelude includes, as the compiler resolves them.
+  const std::string include = std::string(PROPHET_SOURCE_DIR) + "/include";
+  std::string output;
+  ASSERT_EQ(cgen::run_command(cgen::compiler_command() +
+                                  " -std=c++20 -MM -I" + include + " " +
+                                  include + "/prophet/cgen/prelude.hpp",
+                              &output),
+            0)
+      << output;
+  std::vector<std::string> listed;
+  std::istringstream words(output);
+  for (std::string word; words >> word;) {
+    if (word.rfind(include, 0) == 0) {
+      listed.push_back(word);
+    }
+  }
+  auto expected = cgen::prelude_headers(include);
+  std::sort(listed.begin(), listed.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(listed, expected) << output;
 }
 
 TEST(Toolchain, CompileFailureThrowsWithToolchainOutput) {

@@ -349,6 +349,48 @@ TEST(EngineAgreement, BadWorkloadsNameTheirElement) {
     d.flow(region, fin);
     return Parts{region, "parallel region 'R': num_threads must be >= 1"};
   }));
+  // Peers outside the run's ranks 0..np-1: a destination, a source and
+  // a root.
+  cases.push_back(malformed([](uml::ModelBuilder&, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    const uml::NodeRef send = d.send("S", "7", "8");
+    d.flow(send, fin);
+    return Parts{send, "SendElement 'S': dest 7 outside 0..1"};
+  }));
+  cases.push_back(malformed([](uml::ModelBuilder&, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    const uml::NodeRef recv = d.recv("R", "pid - 2", "8");
+    d.flow(recv, fin);
+    return Parts{recv, "RecvElement 'R': source -2 outside 0..1"};
+  }));
+  cases.push_back(malformed([](uml::ModelBuilder&, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    const uml::NodeRef broadcast = d.broadcast("B", "9", "8");
+    d.flow(broadcast, fin);
+    return Parts{broadcast, "CollectiveElement 'B': root 9 outside 0..1"};
+  }));
+  expect_one_text(cases);
+}
+
+TEST(EngineAgreement, UnstructuredCyclesTripTheStepLimit) {
+  // A decision that loops back through a merge while its guard holds: a
+  // cycle without <<loop+>>, which every walk stops at its step limit.
+  // The action's hold returns each process to the engine once a trip,
+  // so the simulator's walk never nests a million steps deep.
+  std::vector<Malformed> cases;
+  cases.push_back(malformed([](uml::ModelBuilder&, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    const uml::NodeRef merge = d.merge("M");
+    const uml::NodeRef a = d.action("A").cost("0.001");
+    const uml::NodeRef decision = d.decision("D");
+    d.flow(merge, a);
+    d.flow(a, decision);
+    d.flow(decision, merge, "X < 1");
+    d.flow(decision, fin, "else");
+    return Parts{merge, "diagram " + d.id() +
+                            ": walk exceeded step limit (unstructured cycle "
+                            "without <<loop+>>?)"};
+  }));
   expect_one_text(cases);
 }
 
