@@ -4,15 +4,21 @@
 // shared lowering is emitted as a specialized C++ evaluator
 // (emitter.hpp), compiled by the host toolchain into a shared object
 // (toolchain.hpp, content-addressed cache) and dlopen'd; estimate()
-// marshals machine::SystemParameters and the guard contract across the
-// C ABI (abi.hpp) and maps results — including tripped limits — back
-// onto the exact types the in-process backends produce.
+// runs the evaluator's hooks (cgen/prelude.hpp) as the program model of
+// the host's SimulationManager, the way the simulation backend runs the
+// interpreter — with the caller's parameters, options and budget.
+//
+// The object carries its own hidden, statically linked copy of the
+// runtime archives, which then acts on the host's engine, machine model,
+// communicator and budget.  That is sound because the runtime modules
+// hold no mutable static state the evaluator reaches, the compile-cache
+// key stamps every archive and prelude header the object is built from,
+// and one libstdc++ serves both sides.
 //
 // Semantics: the generated evaluator replays the interpreter's walk, so
 // predictions are bit-identical to the simulation backend (the three-way
 // differential suite pins this).  Known divergences, documented in
-// docs/codegen.md: no event trace, no sim.* metrics, per-estimate (not
-// job-cumulative) budget ledgers inside the shared object, and
+// docs/codegen.md: no event trace, no sim.* metrics, and
 // max_vm_instructions does not bind (there is no VM to count).
 #pragma once
 
@@ -30,9 +36,9 @@ struct CodegenOptions {
 };
 
 /// A dlopen'd generated evaluator behind the PreparedModel contract.
-/// Immutable after prepare(); estimate() marshals everything per call
-/// (the shared object keeps its mutable state thread_local), so
-/// concurrent estimates are race-free.
+/// Immutable after prepare(); each estimate() runs its own simulation on
+/// the calling thread (the shared object keeps its mutable state
+/// thread_local), so concurrent estimates are race-free.
 class CodegenPrepared final : public estimator::PreparedModel {
  public:
   CodegenPrepared(lower::ModelProgramPtr program,

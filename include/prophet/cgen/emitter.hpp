@@ -25,14 +25,14 @@
 //
 // The unit includes one header, cgen/prelude.hpp, and holds only what
 // is specific to the model: its helpers for raising errors, labelling
-// them by site, spawning fork branches and charging loop trips, and the
-// body of the ABI entry points (the simulation run, the budget and the
-// result mapping), are compiled once into the estimator archive.
+// them by site, spawning fork branches and charging loop trips are
+// compiled once into the estimator archive.
 //
 // Invariant: generated evaluators are produced from lower::ModelProgram,
 // never from the AST (codegen/transformer, the paper's out-of-process
 // output, prints the same program).  The emitted unit's only interface
-// is the C ABI of cgen/abi.hpp.
+// is its entry point, which returns the cgen::Evaluator hooks the host
+// simulates (cgen/prelude.hpp).
 #pragma once
 
 #include <string>

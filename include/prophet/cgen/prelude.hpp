@@ -3,12 +3,15 @@
 // The cgen emitter (emitter.hpp) prints a translation unit per model and
 // compiles it on prepare(), so whatever this header pulls in is parsed
 // once per model.  It therefore declares only what the emitted code
-// names: the C ABI (abi.hpp), sim::Process (sim/process.hpp), the
-// workload elements (workload/elements.hpp) and the helpers below.
-// Everything else the evaluator runs — the simulation manager, the
-// budget, the machine model and the ABI glue that drives them — is
-// compiled once into the estimator archive (src/estimator/
-// cgen_prelude.cpp), which every evaluator links.
+// names: sim::Process (sim/process.hpp), the workload elements
+// (workload/elements.hpp), the helpers below and the evaluator's one
+// entry point.  The helpers are compiled once into the estimator archive
+// (src/estimator/cgen_prelude.cpp), which every evaluator links.
+//
+// The entry point hands the host the evaluator's hooks, and the host
+// runs them as the program model of its own simulation (cgen/
+// backend.hpp): the engine, machine model and budget an evaluator acts
+// on are the host's.
 #pragma once
 
 #include <cmath>
@@ -17,7 +20,6 @@
 #include <exception>
 #include <limits>
 
-#include "prophet/cgen/abi.hpp"
 #include "prophet/sim/process.hpp"
 #include "prophet/workload/elements.hpp"
 
@@ -81,23 +83,21 @@ void charge_loop_trips(guard::Budget& budget, const char* stage);
 [[nodiscard]] sim::ProcessRef spawn(const workload::ModelContext& ctx,
                                     sim::Process branch);
 
-/// The three hooks a generated evaluator hands run_evaluator.
+/// The hooks of a generated evaluator: what estimator::ProgramModel
+/// asks of the program model the host simulates.
 struct Evaluator {
   /// Resets the model's run state and binds np/nt/nn/ppn.
-  void (*start_run)(const CgenParams& params);
+  void (*start_run)(int processes, int threads_per_process, int nodes,
+                    int processors_per_node);
   /// The behaviour of one modeled process.
   sim::Process (*run_process)(workload::ModelContext ctx);
   /// Installs (or with null, removes) the run's budget.
   void (*set_budget)(guard::Budget* budget);
 };
 
-/// prophet_cgen_run's body: simulates `evaluator` under `params` with
-/// the budget they ask for and fills `result`, mapping guard trips and
-/// errors onto CgenRunStatus.  Never throws.
-std::int32_t run_evaluator(const Evaluator& evaluator, const CgenParams* params,
-                           CgenResult* result);
-
-/// prophet_cgen_free's body: releases the storage behind `result`.
-void free_result(CgenResult* result);
+/// The one symbol a generated evaluator exports, and its type: it
+/// returns the evaluator's hooks.
+inline constexpr const char* kEvaluatorSymbol = "prophet_cgen_evaluator";
+using EvaluatorEntry = const Evaluator* (*)();
 
 }  // namespace prophet::cgen

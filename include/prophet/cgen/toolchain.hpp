@@ -8,8 +8,8 @@
 // configure time) cannot drift between them.
 //
 // compile_shared_object() adds a content-addressed cache: the key is an
-// FNV-1a hash over (emitted source, full command shape, ABI version) and
-// the runtime the object is built from — the size and modification time
+// FNV-1a hash over (emitted source, full command shape) and the runtime
+// the object is built from — the size and modification time
 // of every archive it links and of every prelude header.  A model that
 // lowers to the same evaluator against the same runtime — across jobs,
 // sweeps and processes sharing the cache directory — compiles once and

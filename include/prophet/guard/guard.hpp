@@ -146,31 +146,8 @@ class Budget {
   /// guard::Cancelled.
   void cancel() noexcept { cancelled_.store(true, std::memory_order_relaxed); }
 
-  /// C-compatible cancellation poll: returns non-zero when cancellation
-  /// is requested.  See bind_external_cancel().
-  using ExternalCancelFn = int (*)(void* context);
-
-  /// Binds an external cancellation source polled by cancel_requested()
-  /// alongside the budget's own flag and ancestors.  The callback must be
-  /// thread-safe and stay valid for the budget's lifetime.  This is how a
-  /// budget living behind a C ABI boundary (the cgen backend's dlopen'd
-  /// evaluator builds its own Budget inside the shared object) observes
-  /// the host budget's cancellation without sharing C++ types.
-  void bind_external_cancel(ExternalCancelFn fn, void* context) noexcept {
-    external_cancel_ctx_ = context;
-    external_cancel_ = fn;
-  }
-
-  /// True once cancel() was called on this budget or any ancestor, or
-  /// when a bound external cancellation source reports cancellation.
+  /// True once cancel() was called on this budget or any ancestor.
   [[nodiscard]] bool cancel_requested() const noexcept;
-
-  /// Seconds left until the nearest wall-clock deadline across this
-  /// budget and its ancestors (clamped at 0); nullopt when no deadline is
-  /// armed anywhere in the chain.  Lets a caller re-derive an equivalent
-  /// wall_seconds limit for a budget it constructs elsewhere (e.g. on the
-  /// far side of a C ABI).
-  [[nodiscard]] std::optional<double> remaining_wall_seconds() const noexcept;
 
   /// True when the budget can no longer admit work: cancelled, or a
   /// wall-clock deadline (own or inherited) has passed.  Non-throwing —
@@ -184,13 +161,6 @@ class Budget {
   /// cancel() were called once `sim_events` have been charged.  Used by
   /// FaultPlan's "cancel" site.
   void cancel_at_sim_event(std::uint64_t event);
-
-  /// The event count armed by cancel_at_sim_event(), 0 when disarmed —
-  /// so a caller can re-arm an equivalent budget elsewhere (the cgen
-  /// backend transfers the arm across its C ABI).
-  [[nodiscard]] std::uint64_t armed_cancel_at_sim_event() const noexcept {
-    return cancel_at_sim_event_;
-  }
 
   // --- check sites ---------------------------------------------------
   //
@@ -214,8 +184,6 @@ class Budget {
 
   Limits limits_;
   const Budget* parent_ = nullptr;
-  ExternalCancelFn external_cancel_ = nullptr;
-  void* external_cancel_ctx_ = nullptr;
   std::chrono::steady_clock::time_point start_;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
   std::atomic<bool> cancelled_{false};

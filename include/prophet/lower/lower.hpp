@@ -105,6 +105,7 @@ struct CompiledAssignment {
 
 /// What a node does when a walk reaches it: its NodeKind and, for
 /// actions and activities, its stereotype, decoded once by lower().
+/// The control operations come first, through Join (is_control).
 enum class Operation : std::uint8_t {
   Initial,      ///< starts a diagram walk
   Final,        ///< ends the walk
@@ -125,6 +126,12 @@ enum class Operation : std::uint8_t {
   Loop,         ///< <<loop+>>: counted trips of its body
   Unsupported,  ///< an action with a stereotype no engine executes
 };
+
+/// True for the nodes Fig. 5's flow maps to control structure; every
+/// other operation is a performance modeling element.
+[[nodiscard]] constexpr bool is_control(Operation op) {
+  return op <= Operation::Join;
+}
 
 /// The stereotype an action operation is decoded from (the inverse of
 /// lower()'s one decoding table, for diagnostics); empty for operations

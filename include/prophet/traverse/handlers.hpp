@@ -10,6 +10,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 
 #include "prophet/traverse/traverse.hpp"
 #include "prophet/xml/dom.hpp"
@@ -18,16 +19,22 @@ namespace prophet::traverse {
 
 /// Generates the XML model representation through the Fig. 6 protocol —
 /// the Model Traverser's "generation of different model representations
-/// (XML and C++)" (Sec. 2.2).  The produced document uses the same schema
-/// as prophet::xmi, so `xmi::from_document` can reload it.
+/// (XML and C++)" (Sec. 2.2).  It is the one model writer:
+/// `xmi::to_document` runs it under a DepthFirstNavigator (whose order
+/// is the document's), and `xmi::from_document` reloads what it writes.
 class XmlContentHandler final : public ContentHandler {
  public:
+  /// The schema version the root's `schema` attribute declares.
+  static constexpr int kSchemaVersion = 1;
+
   XmlContentHandler();
 
   void visit(const Entity& entity) override;
 
   /// The document built so far (complete after the Model Leave event).
-  [[nodiscard]] const xml::Document& document() const { return document_; }
+  [[nodiscard]] const xml::Document& document() const& { return document_; }
+  /// Moves the document out of a handler that is done with it.
+  [[nodiscard]] xml::Document document() && { return std::move(document_); }
 
  private:
   xml::Document document_;

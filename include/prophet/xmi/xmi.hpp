@@ -32,6 +32,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "prophet/traverse/handlers.hpp"
 #include "prophet/uml/model.hpp"
 #include "prophet/xml/dom.hpp"
 
@@ -44,7 +45,8 @@ class XmiError : public std::runtime_error {
 };
 
 /// Current schema version written by to_document().
-inline constexpr int kSchemaVersion = 1;
+inline constexpr int kSchemaVersion =
+    traverse::XmlContentHandler::kSchemaVersion;
 
 /// Serializes a model to a DOM document.
 [[nodiscard]] xml::Document to_document(const uml::Model& model);

@@ -398,7 +398,7 @@ class Emitter {
       diagram_walker(static_cast<int>(d), diagrams[d]);
     }
     run_entry_points();
-    abi_glue();
+    entry_point();
     return out_.str();
   }
 
@@ -889,11 +889,13 @@ class Emitter {
   void run_entry_points() {
     // start_run: interp's run-start, specialized — bind structural
     // slots, zero globals, initialize the globals.
-    out_ << "void start_run(const CgenParams& params) {\n"
-         << "  g_np = static_cast<double>(params.processes);\n"
-         << "  g_nt = static_cast<double>(params.threads_per_process);\n"
-         << "  g_nn = static_cast<double>(params.nodes);\n"
-         << "  g_ppn = static_cast<double>(params.processors_per_node);\n"
+    out_ << "void start_run(int processes, int threads_per_process, int "
+            "nodes,\n"
+         << "               int processors_per_node) {\n"
+         << "  g_np = static_cast<double>(processes);\n"
+         << "  g_nt = static_cast<double>(threads_per_process);\n"
+         << "  g_nn = static_cast<double>(nodes);\n"
+         << "  g_ppn = static_cast<double>(processors_per_node);\n"
          << "  for (std::size_t i = 0; i < kSlots; ++i) {\n"
          << "    g_globals[i] = 0.0;\n"
          << "    g_run_frame[i] = nullptr;\n"
@@ -926,33 +928,22 @@ class Emitter {
          << "}\n\n";
   }
 
-  /// The three exported entry points, over the library's run_evaluator
-  /// and free_result.
-  void abi_glue() {
+  /// The one exported entry point: the evaluator's hooks, which the
+  /// host runs in its simulation.
+  void entry_point() {
     out_ << R"(void set_budget(prophet::guard::Budget* budget) {
   g_budget = budget;
 }
 
 }  // namespace
 
-// The TU compiles with -fvisibility=hidden; only these three entry
-// points opt back into the dynamic symbol table.
-#define PROPHET_CGEN_EXPORT extern "C" __attribute__((visibility("default")))
-
-PROPHET_CGEN_EXPORT std::uint32_t prophet_cgen_abi_version() {
-  return prophet::cgen::kCgenAbiVersion;
-}
-
-PROPHET_CGEN_EXPORT void prophet_cgen_free(prophet::cgen::CgenResult* result) {
-  prophet::cgen::free_result(result);
-}
-
-PROPHET_CGEN_EXPORT std::int32_t prophet_cgen_run(
-    const prophet::cgen::CgenParams* params,
-    prophet::cgen::CgenResult* result) {
+// The TU compiles with -fvisibility=hidden; only the entry point opts
+// back into the dynamic symbol table.
+extern "C" __attribute__((visibility("default")))
+const prophet::cgen::Evaluator* prophet_cgen_evaluator() {
   static constexpr prophet::cgen::Evaluator kEvaluator{
       &start_run, &run_process, &set_budget};
-  return prophet::cgen::run_evaluator(kEvaluator, params, result);
+  return &kEvaluator;
 }
 )";
   }

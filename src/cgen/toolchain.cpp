@@ -11,7 +11,6 @@
 #include <sstream>
 #include <system_error>
 
-#include "prophet/cgen/abi.hpp"
 #include "prophet/guard/guard.hpp"
 
 // Configure-time defaults (CMake defines these for prophet_cgen); the
@@ -66,7 +65,6 @@ std::vector<std::string> runtime_archives(std::string_view binary_dir) {
 std::vector<std::string> prelude_headers(std::string_view include_dir) {
   static constexpr std::string_view kHeaders[] = {
       "prophet/cgen/prelude.hpp",
-      "prophet/cgen/abi.hpp",
       "prophet/sim/process.hpp",
       "prophet/workload/elements.hpp",
   };
@@ -85,7 +83,7 @@ std::string compile_command(const CompileSpec& spec) {
     // -ffp-contract=off: no FMA contraction in the generated evaluator,
     // whose arithmetic must be bit-identical to the VM's (compiled the
     // same way).  -fvisibility=hidden and --exclude-libs keep everything
-    // but the explicit extern "C" entry points out of the dynamic symbol
+    // but the explicit extern "C" entry point out of the dynamic symbol
     // table, the unit's own definitions and the runtime archives' alike:
     // calls into the runtime bind inside the object, and dlopen resolves
     // no symbols for them.
@@ -202,14 +200,16 @@ CompileOutcome compile_shared_object(const std::string& source,
 
   // Cache key: the source, the command that would build it (with the
   // real paths substituted out so the key depends on the command shape,
-  // not the yet-unknown hashed file names), the ABI version, and the
-  // runtime the object is built from: the archives it links and the
-  // headers its source includes, by size and modification time.
+  // not the yet-unknown hashed file names), and the runtime the object
+  // is built from: the archives it links and the headers its source
+  // includes, by size and modification time.  The object's code acts on
+  // the host's engine, machine model and budget, so it must be built
+  // from the very runtime the host runs.
   spec.source_path = "<source>";
   spec.output_path = "<object>";
   const std::string shape = compile_command(spec);
   std::ostringstream key;
-  key << "abi=" << kCgenAbiVersion << "\n" << shape << "\n";
+  key << shape << "\n";
   for (const auto& archive : spec.archives) {
     key << file_stamp(archive) << "\n";
   }

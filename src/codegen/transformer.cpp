@@ -21,6 +21,7 @@ using lower::ModelProgram;
 using lower::NodePrograms;
 using lower::Operation;
 using lower::TagKind;
+using lower::is_control;
 
 /// Where the emission of a path continues once a throw, or a decision
 /// whose branches all end, has finished it: nowhere.
@@ -41,22 +42,6 @@ constexpr std::pair<Operation, std::string_view> kRuntimeClasses[] = {
     {Operation::Send, "SendElement"},
     {Operation::OmpFor, "WorkshareElement"},
 };
-
-/// True for the nodes Fig. 5's flow maps to control structure; every
-/// other node is a performance modeling element.
-bool is_control(Operation op) {
-  switch (op) {
-    case Operation::Initial:
-    case Operation::Final:
-    case Operation::Merge:
-    case Operation::Decision:
-    case Operation::Fork:
-    case Operation::Join:
-      return true;
-    default:
-      return false;
-  }
-}
 
 std::string throw_statement(const std::string& message) {
   return "throw std::runtime_error(\"" + escape_cpp(message) + "\");";

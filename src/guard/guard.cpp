@@ -75,29 +75,8 @@ bool Budget::cancel_requested() const noexcept {
     if (b->cancelled_.load(std::memory_order_relaxed)) {
       return true;
     }
-    if (b->external_cancel_ != nullptr &&
-        b->external_cancel_(b->external_cancel_ctx_) != 0) {
-      return true;
-    }
   }
   return false;
-}
-
-std::optional<double> Budget::remaining_wall_seconds() const noexcept {
-  std::optional<double> remaining;
-  const auto now = std::chrono::steady_clock::now();
-  for (const Budget* b = this; b != nullptr; b = b->parent_) {
-    if (!b->deadline_) {
-      continue;
-    }
-    const double left =
-        std::chrono::duration<double>(*b->deadline_ - now).count();
-    const double clamped = left > 0 ? left : 0;
-    if (!remaining || clamped < *remaining) {
-      remaining = clamped;
-    }
-  }
-  return remaining;
 }
 
 bool Budget::exhausted() const noexcept {

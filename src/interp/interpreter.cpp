@@ -222,9 +222,14 @@ struct Interpreter::Impl {
         index = after.next;
         continue;
       }
-      co_await execute_node(ctx, node, scope);
       if (node.op == Operation::Final) {
         co_return;
+      }
+      // Control nodes do nothing but route, so only elements are
+      // awaited: a cycle of control nodes then steps without nesting a
+      // coroutine resumption per node.
+      if (!lower::is_control(node.op)) {
+        co_await execute_node(ctx, node, scope);
       }
       index = next_node(ctx, node, scope);
     }
@@ -280,17 +285,6 @@ struct Interpreter::Impl {
   sim::Process execute_node(ModelContext ctx, const NodePrograms& node,
                             Scope& scope) {
     using lower::TagKind;
-    switch (node.op) {
-      case Operation::Initial:
-      case Operation::Final:
-      case Operation::Merge:
-      case Operation::Decision:
-      case Operation::Fork:  // handled inline by walk()
-      case Operation::Join:
-        co_return;
-      default:
-        break;
-    }
     run_fragment(node, scope, ctx);
     const int uid = node.uid;
     const std::string& name = node.node->name();

@@ -101,27 +101,9 @@ ProcessRef Engine::spawn_at(Time when, Process process) {
 
 std::uint64_t Engine::run(Time until) {
   std::uint64_t count = 0;
-  while (!queue_.empty()) {
-    if (queue_.top().when > until) {
-      break;
-    }
-    const Event event = queue_.top();
-    queue_.pop();
-    now_ = event.when;
-    event.handle.resume();
-    ++processed_;
+  while (!queue_.empty() && queue_.top().when <= until) {
+    step();
     ++count;
-    drain_destroy_list();
-    if (pending_error_) {
-      std::exception_ptr error = pending_error_;
-      pending_error_ = nullptr;
-      std::rethrow_exception(error);
-    }
-    // Cooperative guard: every dispatched event is charged, so a bounded
-    // run can exceed its event budget or deadline by at most one event.
-    if (budget_ != nullptr) {
-      budget_->charge_sim_events(1, "sim-engine");
-    }
   }
   return count;
 }
@@ -141,6 +123,8 @@ bool Engine::step() {
     pending_error_ = nullptr;
     std::rethrow_exception(error);
   }
+  // Cooperative guard: every dispatched event is charged, so a bounded
+  // run can exceed its event budget or deadline by at most one event.
   if (budget_ != nullptr) {
     budget_->charge_sim_events(1, "sim-engine");
   }

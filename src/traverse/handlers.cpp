@@ -11,6 +11,8 @@ void write_tags(xml::Element& parent, const uml::Element& element) {
     tag.set_attr("name", tagged.name);
     tag.set_attr("type", uml::to_string(uml::type_of(tagged.value)));
     const std::string text = uml::to_string(tagged.value);
+    // Code fragments may contain markup-significant characters and
+    // meaningful whitespace; CDATA keeps them byte-exact.
     if (text.find_first_of("<>&\n") != std::string::npos) {
       tag.add_cdata(text);
     } else if (!text.empty()) {
@@ -31,7 +33,7 @@ void XmlContentHandler::visit(const Entity& entity) {
         auto& root = document_.root();
         root.set_attr("name", entity.model->name());
         root.set_attr("main", entity.model->main_diagram_id());
-        root.set_attr("schema", "1");
+        root.set_attr("schema", std::to_string(kSchemaVersion));
         // Profile is structural configuration, not tree content the
         // navigator yields; copy it directly.
         auto& profile = root.add_element("profile");

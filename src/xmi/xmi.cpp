@@ -1,7 +1,6 @@
 #include "prophet/xmi/xmi.hpp"
 
 #include <cstdlib>
-#include <sstream>
 #include <utility>
 
 #include "prophet/xml/parser.hpp"
@@ -12,17 +11,6 @@ namespace {
 
 using uml::Metaclass;
 using uml::TagType;
-
-std::string join(const std::vector<std::string>& parts, char separator) {
-  std::string out;
-  for (const auto& part : parts) {
-    if (!out.empty()) {
-      out += separator;
-    }
-    out += part;
-  }
-  return out;
-}
 
 std::vector<std::string> split(std::string_view text, char separator) {
   std::vector<std::string> parts;
@@ -52,68 +40,6 @@ std::optional<Metaclass> metaclass_from_string(std::string_view text) {
     return Metaclass::ControlFlow;
   }
   return std::nullopt;
-}
-
-// --- Writing ---------------------------------------------------------------
-
-void write_profile(xml::Element& parent, const uml::Profile& profile) {
-  auto& node = parent.add_element("profile");
-  node.set_attr("name", profile.name());
-  for (const auto& stereotype : profile.stereotypes()) {
-    auto& st = node.add_element("stereotype");
-    st.set_attr("name", stereotype.name());
-    st.set_attr("base", uml::to_string(stereotype.base()));
-    for (const auto& tag : stereotype.tags()) {
-      auto& td = st.add_element("tagdef");
-      td.set_attr("name", tag.name);
-      td.set_attr("type", uml::to_string(tag.type));
-      if (tag.required) {
-        td.set_attr("required", "true");
-      }
-    }
-  }
-}
-
-void write_tags(xml::Element& parent, const uml::Element& element) {
-  for (const auto& tagged : element.tags()) {
-    auto& tag = parent.add_element("tag");
-    tag.set_attr("name", tagged.name);
-    tag.set_attr("type", uml::to_string(uml::type_of(tagged.value)));
-    const std::string text = uml::to_string(tagged.value);
-    // Code fragments may contain markup-significant characters and
-    // meaningful whitespace; CDATA keeps them byte-exact.
-    if (text.find_first_of("<>&\n") != std::string::npos) {
-      tag.add_cdata(text);
-    } else if (!text.empty()) {
-      tag.add_text(text);
-    }
-  }
-}
-
-void write_diagram(xml::Element& parent, const uml::ActivityDiagram& diagram) {
-  auto& node = parent.add_element("diagram");
-  node.set_attr("id", diagram.id());
-  node.set_attr("name", diagram.name());
-  for (const auto& n : diagram.nodes()) {
-    auto& element = node.add_element("node");
-    element.set_attr("id", n->id());
-    element.set_attr("kind", uml::to_string(n->kind()));
-    element.set_attr("name", n->name());
-    if (n->has_stereotype()) {
-      element.set_attr("stereotype", n->stereotype());
-    }
-    write_tags(element, *n);
-  }
-  for (const auto& e : diagram.edges()) {
-    auto& element = node.add_element("edge");
-    element.set_attr("id", e->id());
-    element.set_attr("source", e->source());
-    element.set_attr("target", e->target());
-    if (e->has_guard()) {
-      element.set_attr("guard", e->guard());
-    }
-    write_tags(element, *e);
-  }
 }
 
 // --- Reading ---------------------------------------------------------------
@@ -205,38 +131,11 @@ std::unique_ptr<uml::ActivityDiagram> read_diagram(const xml::Element& node) {
 }  // namespace
 
 xml::Document to_document(const uml::Model& model) {
-  auto doc = xml::Document::with_root("prophet:model");
-  auto& root = doc.root();
-  root.set_attr("name", model.name());
-  root.set_attr("main", model.main_diagram_id());
-  root.set_attr("schema", std::to_string(kSchemaVersion));
-
-  write_profile(root, model.profile());
-
-  auto& variables = root.add_element("variables");
-  for (const auto& variable : model.variables()) {
-    auto& node = variables.add_element("variable");
-    node.set_attr("name", variable.name);
-    node.set_attr("type", uml::to_string(variable.type));
-    node.set_attr("scope", uml::to_string(variable.scope));
-    if (!variable.initializer.empty()) {
-      node.set_attr("init", variable.initializer);
-    }
-  }
-
-  auto& functions = root.add_element("functions");
-  for (const auto& fn : model.cost_functions()) {
-    auto& node = functions.add_element("function");
-    node.set_attr("name", fn.name);
-    node.set_attr("params", join(fn.parameters, ','));
-    node.add_cdata(fn.body);
-  }
-
-  auto& diagrams = root.add_element("diagrams");
-  for (const auto& diagram : model.diagrams()) {
-    write_diagram(diagrams, *diagram);
-  }
-  return doc;
+  // The Fig. 6 traverser generates the XML representation.
+  traverse::DepthFirstNavigator navigator;
+  traverse::XmlContentHandler handler;
+  traverse::Traverser().traverse(model, navigator, handler);
+  return std::move(handler).document();
 }
 
 std::string to_xml(const uml::Model& model) {

@@ -1,24 +1,28 @@
 // The codegen backend behind the PreparedModel contract: bit-identical
 // predictions against the simulator, shared non-null lowering, compile
 // cache reuse across prepares, race-free concurrent estimates, the
-// guard contract (structured limit trips), and the single-engine
-// factory.
+// guard contract (structured limit trips), a private runtime copy in
+// each evaluator, and the single-engine factory.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "prophet/analytic/backend.hpp"
 #include "prophet/cgen/backend.hpp"
+#include "prophet/cgen/prelude.hpp"
 #include "prophet/estimator/backend.hpp"
 #include "prophet/guard/guard.hpp"
 #include "prophet/lower/lower.hpp"
 #include "prophet/models/builtins.hpp"
+#include "prophet/models/registry.hpp"
 
 namespace cgen = prophet::cgen;
 namespace estimator = prophet::estimator;
@@ -146,6 +150,29 @@ TEST(CodegenBackend, LoopTripLimitTripsStructured) {
   }
 }
 
+TEST(CodegenBackend, GuardErrorsOutliveTheirEvaluatorHandle) {
+  // The loop-trip charge runs in the object's copy of the runtime, so
+  // the error it throws carries the object's vtable.  The error must
+  // stay usable after the handle that loaded the object is gone: here
+  // the temporary prepared model is destroyed while the error unwinds.
+  const auto program =
+      prophet::lower::lower(prophet::models::spin_model(1e6));
+  guard::Limits limits;
+  limits.max_loop_trips = 100;
+  guard::Budget budget(limits);
+  auto options = no_trace();
+  options.budget = &budget;
+  try {
+    (void)cgen::CodegenBackend().prepare(program)->estimate(sp(1), options);
+    FAIL() << "expected ResourceExhausted";
+  } catch (const guard::ResourceExhausted& tripped) {
+    EXPECT_EQ(std::string(tripped.what())
+                  .rfind("loop_trips limit (100) exceeded in cgen-loop", 0),
+              0u)
+        << tripped.what();
+  }
+}
+
 TEST(CodegenBackend, SimEventLimitTripsStructured) {
   const auto program =
       prophet::lower::lower(prophet::models::spin_model(1e6));
@@ -172,6 +199,33 @@ TEST(CodegenBackend, UnlimitedEstimateMatchesLimitedBelowTheBound) {
   auto options = no_trace();
   options.budget = &budget;
   expect_bit_identical(plain, prepared->estimate(sp(2), options));
+}
+
+TEST(CodegenBackend, EvaluatorExportsOnlyItsEntryPoint) {
+  // An evaluator's statically linked copy of the runtime acts on the
+  // host's engine, machine model and budget, and must bind to nothing
+  // else: its dynamic symbol table defines the entry point and no
+  // prophet:: symbol.
+  const auto program = prophet::lower::lower(
+      prophet::models::Registry::builtin().make("@stencil2d"));
+  const auto prepared = cgen::CodegenBackend().prepare(program);
+  const auto* handle =
+      dynamic_cast<const cgen::CodegenPrepared*>(prepared.get());
+  ASSERT_NE(handle, nullptr);
+  std::string output;
+  ASSERT_EQ(cgen::run_command("nm -D --defined-only -C " +
+                                  handle->object_path() + " 2>&1",
+                              &output),
+            0)
+      << output;
+  bool entry_point = false;
+  std::istringstream lines(output);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_EQ(line.find("prophet::"), std::string::npos) << line;
+    entry_point = entry_point ||
+                  line.ends_with(std::string(" ") + cgen::kEvaluatorSymbol);
+  }
+  EXPECT_TRUE(entry_point) << output;
 }
 
 /// True when the factory builds `engine` as a `Backend`.

@@ -1,16 +1,16 @@
 // The evaluator emitter: generated translation units are deterministic
-// (the compile cache keys on the source bytes), self-describing (the
-// three C ABI entry points, visibility-exported), lean (one include, the
-// cgen prelude), and carry the guard contract (generated loops charge the
-// budget) and the bit-identity contract (float constants as hexfloat
-// literals).
+// (the compile cache keys on the source bytes), self-describing (one
+// visibility-exported entry point returning the evaluator's hooks), lean
+// (one include, the cgen prelude), and carry the guard contract
+// (generated loops charge the budget) and the bit-identity contract
+// (float constants as hexfloat literals).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "prophet/cgen/abi.hpp"
 #include "prophet/cgen/emitter.hpp"
+#include "prophet/cgen/prelude.hpp"
 #include "prophet/lower/lower.hpp"
 #include "prophet/models/builtins.hpp"
 #include "prophet/models/registry.hpp"
@@ -33,17 +33,16 @@ TEST(Emitter, EmissionIsDeterministic) {
   EXPECT_FALSE(first.empty());
 }
 
-TEST(Emitter, ExportsTheCAbiEntryPoints) {
+TEST(Emitter, ExportsTheEvaluatorEntryPoint) {
   const std::string source = emit(prophet::models::sample_model());
-  // The unit compiles under -fvisibility=hidden: each entry point must
-  // explicitly opt back into the dynamic symbol table.
-  EXPECT_NE(source.find("prophet_cgen_abi_version"), std::string::npos);
-  EXPECT_NE(source.find("prophet_cgen_run"), std::string::npos);
-  EXPECT_NE(source.find("prophet_cgen_free"), std::string::npos);
-  EXPECT_NE(source.find("visibility(\"default\")"), std::string::npos);
-  // And the version it reports is this build's.
-  EXPECT_NE(source.find(std::to_string(cgen::kCgenAbiVersion)),
+  // The unit compiles under -fvisibility=hidden: its entry point must
+  // explicitly opt back into the dynamic symbol table, and nothing else
+  // does.
+  const auto exported = source.find("visibility(\"default\")");
+  ASSERT_NE(exported, std::string::npos);
+  EXPECT_EQ(source.find("visibility(\"default\")", exported + 1),
             std::string::npos);
+  EXPECT_NE(source.find(cgen::kEvaluatorSymbol, exported), std::string::npos);
 }
 
 TEST(Emitter, FloatConstantsAreHexfloat) {

@@ -375,8 +375,11 @@ TEST(EngineAgreement, BadWorkloadsNameTheirElement) {
 TEST(EngineAgreement, UnstructuredCyclesTripTheStepLimit) {
   // A decision that loops back through a merge while its guard holds: a
   // cycle without <<loop+>>, which every walk stops at its step limit.
-  // The action's hold returns each process to the engine once a trip,
-  // so the simulator's walk never nests a million steps deep.
+  // In the first cycle an action's hold returns each process to the
+  // engine once a trip; the second has no action and never yields, so
+  // a walk that nested a coroutine resumption per node would overflow
+  // its stack (without tail calls, as in sanitized builds) before the
+  // limit.
   std::vector<Malformed> cases;
   cases.push_back(malformed([](uml::ModelBuilder&, uml::DiagramBuilder& d,
                                const uml::NodeRef& fin) {
@@ -385,6 +388,17 @@ TEST(EngineAgreement, UnstructuredCyclesTripTheStepLimit) {
     const uml::NodeRef decision = d.decision("D");
     d.flow(merge, a);
     d.flow(a, decision);
+    d.flow(decision, merge, "X < 1");
+    d.flow(decision, fin, "else");
+    return Parts{merge, "diagram " + d.id() +
+                            ": walk exceeded step limit (unstructured cycle "
+                            "without <<loop+>>?)"};
+  }));
+  cases.push_back(malformed([](uml::ModelBuilder&, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    const uml::NodeRef merge = d.merge("M");
+    const uml::NodeRef decision = d.decision("D");
+    d.flow(merge, decision);
     d.flow(decision, merge, "X < 1");
     d.flow(decision, fin, "else");
     return Parts{merge, "diagram " + d.id() +

@@ -255,10 +255,9 @@ TEST(BatchFaults, MidSimulationCancelFault) {
 }
 
 TEST(BatchGuards, CodegenRunawayTripsWallClockNotHang) {
-  // The guard contract crosses the C ABI: a runaway model evaluated by
-  // the generated native code must trip the per-job wall clock from
-  // inside its compiled loops — and the error carries the codegen
-  // stage prefix.
+  // The generated native code charges the job's budget: a runaway model
+  // it evaluates must trip the per-job wall clock from inside its
+  // compiled loops — and the error carries the codegen stage prefix.
   BatchOptions options;
   options.threads = 1;
   options.backend = BackendKind::Codegen;
@@ -275,6 +274,39 @@ TEST(BatchGuards, CodegenRunawayTripsWallClockNotHang) {
       << report.results[0].error;
   const auto stats = report.stats();
   EXPECT_EQ(stats.timed_out, 1u);
+}
+
+TEST(BatchGuards, EnginesChargeOneBudgetPerJob) {
+  // Every engine charges the job's one budget.  Under analytic+codegen
+  // the codegen reference runs first, so its 100 loop trips count
+  // against the limit the analytic candidate then runs under, although
+  // each engine alone stays inside it.
+  const auto run = [](BackendKind backend) {
+    BatchOptions options;
+    options.threads = 1;
+    options.backend = backend;
+    options.limits.max_loop_trips = 150;
+    BatchRunner runner(options);
+    const int spin =
+        runner.add_model("spin", prophet::models::spin_model(100));
+    runner.add_sweep(spin, ScenarioGrid::parse("np=1", {}));
+    return runner.run();
+  };
+  for (const BackendKind alone :
+       {BackendKind::Codegen, BackendKind::Analytic}) {
+    const BatchReport report = run(alone);
+    ASSERT_EQ(report.results.size(), 1u);
+    EXPECT_TRUE(report.results[0].ok) << report.results[0].error;
+  }
+  const BatchReport report = run(BackendKind::AnalyticCodegen);
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_FALSE(report.results[0].ok);
+  EXPECT_EQ(report.results[0].tripped_limit, "loop_trips");
+  EXPECT_EQ(report.results[0].error.rfind(
+                "analytic: loop_trips limit (150) exceeded in analytic-loop",
+                0),
+            0u)
+      << report.results[0].error;
 }
 
 TEST(BatchGuards, AnalyticRunawayTripsWallClock) {
