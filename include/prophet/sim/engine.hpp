@@ -43,6 +43,46 @@ using Time = double;
 /// +infinity: run() until the event calendar drains.
 inline constexpr Time kTimeInfinity = std::numeric_limits<Time>::infinity();
 
+/// Processes waiting on a resource, in queue order, linked through the
+/// awaiters' `next` members.  The awaiters live in the suspended frames,
+/// so queueing allocates nothing.
+template <class Awaiter>
+class WaitQueue {
+ public:
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] Awaiter* front() const { return first_; }
+  [[nodiscard]] Awaiter* back() const { return last_; }
+
+  void push_back(Awaiter* waiter) { insert_after(last_, waiter); }
+
+  /// Inserts `waiter` after `before`, or first when `before` is null.
+  void insert_after(Awaiter* before, Awaiter* waiter) {
+    Awaiter*& link = before != nullptr ? before->next : first_;
+    waiter->next = link;
+    link = waiter;
+    if (before == last_) {
+      last_ = waiter;
+    }
+    ++size_;
+  }
+
+  /// Removes and returns the first waiter; the queue must not be empty.
+  Awaiter* pop_front() {
+    Awaiter* waiter = first_;
+    first_ = waiter->next;
+    if (first_ == nullptr) {
+      last_ = nullptr;
+    }
+    --size_;
+    return waiter;
+  }
+
+ private:
+  Awaiter* first_ = nullptr;
+  Awaiter* last_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 /// The event calendar + clock + run loop.
 class Engine {
  public:
@@ -59,7 +99,7 @@ class Engine {
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
   /// Number of live (spawned, unfinished) processes.
-  [[nodiscard]] std::size_t live_processes() const { return live_.size(); }
+  [[nodiscard]] std::size_t live_processes() const { return live_; }
 
   /// Schedules a raw coroutine resume at absolute time `when`.
   /// Throws std::logic_error when `when` precedes the current time.
@@ -97,7 +137,16 @@ class Engine {
   std::uint64_t run(Time until = kTimeInfinity);
 
   /// Processes a single event; returns false when the calendar is empty.
+  /// The event's resumption may run many sub-processes that complete
+  /// without suspending; each returns to its caller by symmetric
+  /// transfer, which nests a resumption where the compiler makes no tail
+  /// call (Debug and sanitized builds).  Every kTransfersPerUnwind-th such
+  /// return within one event parks the caller here instead, and step()
+  /// resumes it: the stack stays bounded and no event is added.
   bool step();
+
+  /// Sub-process returns per event between two unwinds of the stack.
+  static constexpr std::uint32_t kTransfersPerUnwind = 64;
 
   /// True when no events are pending.
   [[nodiscard]] bool idle() const { return queue_.empty(); }
@@ -120,6 +169,36 @@ class Engine {
   }
 
  private:
+  friend class ProcessRef;
+  friend struct ProcessRef::JoinAwaiter;
+  friend struct Process::promise_type::FinalAwaiter;
+
+  /// The join state of one spawned process, kept while the process runs
+  /// or a ProcessRef names it; freed slots are reused.
+  struct JoinSlot {
+    std::exception_ptr error;  // the failure, until a joiner takes it
+    WaitQueue<ProcessRef::JoinAwaiter> joiners;
+    std::coroutine_handle<> frame;  // the running process, null once done
+    std::uint32_t refs = 0;         // ProcessRefs + the running process
+    std::uint32_t next_free = Process::kNoSlot;
+    bool done = false;
+  };
+
+  void retain(std::uint32_t slot) { ++joins_[slot].refs; }
+  void release(std::uint32_t slot);
+  /// Marks `slot`'s process finished with `error`, wakes its joiners and
+  /// drops the process's reference.
+  void finish(std::uint32_t slot, std::exception_ptr error);
+  /// Called when a sub-process returns to `caller`; true when the caller
+  /// was parked for step() to resume.
+  bool park(std::coroutine_handle<> caller) noexcept {
+    if (++transfers_ % kTransfersPerUnwind != 0) {
+      return false;
+    }
+    parked_ = caller;
+    return true;
+  }
+
   struct Event {
     Time when;
     std::uint64_t seq;
@@ -139,7 +218,11 @@ class Engine {
   std::uint64_t processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   std::vector<std::coroutine_handle<>> to_destroy_;
-  std::vector<std::coroutine_handle<>> live_;  // spawned, unfinished
+  std::vector<JoinSlot> joins_;
+  std::uint32_t free_join_ = Process::kNoSlot;
+  std::size_t live_ = 0;  // spawned, unfinished
+  std::uint32_t transfers_ = 0;     // sub-process returns this event
+  std::coroutine_handle<> parked_;  // the caller park() left to step()
   std::exception_ptr pending_error_;
   guard::Budget* budget_ = nullptr;
 };

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "prophet/sim/engine.hpp"
@@ -40,6 +39,8 @@ class Facility {
     Facility* facility;
     int priority;
     Time arrival = 0;
+    std::coroutine_handle<> handle{};
+    AcquireAwaiter* next = nullptr;
 
     [[nodiscard]] bool await_ready() {
       arrival = facility->engine_->now();
@@ -49,8 +50,9 @@ class Facility {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> handle) {
-      facility->enqueue(handle, priority, arrival);
+    void await_suspend(std::coroutine_handle<> waiter) {
+      handle = waiter;
+      facility->enqueue(this);
     }
     void await_resume() const noexcept {}
   };
@@ -79,23 +81,15 @@ class Facility {
  private:
   friend struct AcquireAwaiter;
 
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    int priority;
-    Time arrival;
-    std::uint64_t seq;
-  };
-
   void grant(Time arrival, Time now);
-  void enqueue(std::coroutine_handle<> handle, int priority, Time arrival);
+  void enqueue(AcquireAwaiter* waiter);
 
   Engine* engine_;
   std::string name_;
   int servers_;
   int busy_ = 0;
   std::uint64_t completions_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::deque<Waiter> waiters_;  // kept sorted: priority desc, seq asc
+  WaitQueue<AcquireAwaiter> waiters_;  // priority desc, then arrival
   TimeWeighted busy_stat_;
   TimeWeighted queue_stat_;
   Accumulator waits_;

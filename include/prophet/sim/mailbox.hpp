@@ -7,8 +7,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "prophet/sim/engine.hpp"
 #include "prophet/sim/stats.hpp"
@@ -30,7 +30,9 @@ class Mailbox {
   Mailbox(Engine& engine, std::string name);
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::size_t pending() const { return messages_.size(); }
+  [[nodiscard]] std::size_t pending() const {
+    return messages_.size() - head_;
+  }
   [[nodiscard]] std::size_t waiting_receivers() const {
     return waiters_.size();
   }
@@ -43,17 +45,20 @@ class Mailbox {
     Mailbox* mailbox;
     Message message;
     Time arrival = 0;
+    std::coroutine_handle<> handle{};
+    ReceiveAwaiter* next = nullptr;
 
     [[nodiscard]] bool await_ready() {
       arrival = mailbox->engine_->now();
-      if (!mailbox->messages_.empty()) {
+      if (mailbox->pending() != 0) {
         message = mailbox->take();
         return true;
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> handle) {
-      mailbox->waiters_.push_back({handle, this});
+    void await_suspend(std::coroutine_handle<> waiter) {
+      handle = waiter;
+      mailbox->waiters_.push_back(this);
     }
     [[nodiscard]] Message await_resume() {
       mailbox->receive_waits_.record(mailbox->engine_->now() - arrival);
@@ -78,17 +83,15 @@ class Mailbox {
  private:
   friend struct ReceiveAwaiter;
 
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    ReceiveAwaiter* awaiter;
-  };
-
   Message take();
 
   Engine* engine_;
   std::string name_;
-  std::deque<Message> messages_;
-  std::deque<Waiter> waiters_;
+  // Queued messages are messages_[head_..]; the vector allocates on the
+  // first message that waits and is reused once drained.
+  std::vector<Message> messages_;
+  std::size_t head_ = 0;
+  WaitQueue<ReceiveAwaiter> waiters_;
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
   TimeWeighted pending_stat_;

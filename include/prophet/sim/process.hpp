@@ -3,23 +3,25 @@
 //
 // Split from engine.hpp so that code which only writes processes (the
 // workload elements' declarations, generated evaluators) names them
-// without the event calendar: this header includes no container.  The
-// engine that schedules them is in engine.hpp.
+// without the event calendar: this header includes no container and no
+// <memory>.  The engine that schedules them is in engine.hpp.
+//
+// Process frames come from a per-thread cache (src/sim/engine.cpp), so a
+// simulated event allocates nothing in the common case.  A frame must be
+// freed on the thread that allocated it: create, run and destroy a
+// process (and the engine that runs it) on one thread.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
-#include <memory>
 
 namespace prophet::sim {
 
 class Engine;
 
 namespace detail {
-
-/// Shared completion state of a spawned process, used for joining
-/// (defined with the engine that publishes it).
-struct ProcessState;
 
 /// Throws std::logic_error(`what`): the misuse errors of this header,
 /// raised out of line.
@@ -28,33 +30,53 @@ struct ProcessState;
 }  // namespace detail
 
 /// Handle to a spawned process; co_await it to join.
+///
+/// The join state (done flag, pending error, joiners) is a slot of the
+/// engine that spawned the process, counted by the handles that name it
+/// and by the running process; a ProcessRef must not outlive its engine.
 class ProcessRef {
  public:
   ProcessRef() = default;
-  explicit ProcessRef(std::shared_ptr<detail::ProcessState> state)
-      : state_(std::move(state)) {}
+  ProcessRef(const ProcessRef& other) noexcept;
+  ProcessRef(ProcessRef&& other) noexcept
+      : engine_(other.engine_), slot_(other.slot_) {
+    other.engine_ = nullptr;
+  }
+  ProcessRef& operator=(const ProcessRef& other) noexcept;
+  ProcessRef& operator=(ProcessRef&& other) noexcept;
+  ~ProcessRef();
 
-  [[nodiscard]] bool valid() const { return state_ != nullptr; }
+  [[nodiscard]] bool valid() const { return engine_ != nullptr; }
   [[nodiscard]] bool done() const;
 
   // Awaiting a ProcessRef suspends until the process completes.  If the
   // process terminated with an exception, it is rethrown at the join
-  // point (and is then considered handled).
+  // point (and is then considered handled).  The awaited ProcessRef must
+  // live until the join resumes; joiners wait in a list linked through
+  // their awaiters, which live in the suspended frames.
   struct JoinAwaiter {
-    std::shared_ptr<detail::ProcessState> state;
+    Engine* engine;
+    std::uint32_t slot;
+    std::coroutine_handle<> handle{};
+    JoinAwaiter* next = nullptr;
     [[nodiscard]] bool await_ready() const noexcept;
-    void await_suspend(std::coroutine_handle<> handle) const;
+    void await_suspend(std::coroutine_handle<> handle);
     void await_resume() const;
   };
   [[nodiscard]] JoinAwaiter operator co_await() const {
-    if (!state_) {
+    if (engine_ == nullptr) {
       detail::throw_logic_error("joining an empty ProcessRef");
     }
-    return JoinAwaiter{state_};
+    return JoinAwaiter{engine_, slot_};
   }
 
  private:
-  std::shared_ptr<detail::ProcessState> state_;
+  friend class Engine;
+  ProcessRef(Engine* engine, std::uint32_t slot) noexcept
+      : engine_(engine), slot_(slot) {}
+
+  Engine* engine_ = nullptr;
+  std::uint32_t slot_ = 0;
 };
 
 /// A simulation process: a coroutine scheduled by the Engine.
@@ -67,13 +89,21 @@ class [[nodiscard]] Process {
   struct promise_type;
   using Handle = std::coroutine_handle<promise_type>;
 
+  /// The join slot of a process that was never spawned.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
   struct promise_type {
     Engine* engine = nullptr;
     /// Set when awaited as a sub-process.
     std::coroutine_handle<> continuation;
-    /// Set when spawned.
-    std::shared_ptr<detail::ProcessState> state;
+    /// The engine's join slot, set when spawned.
+    std::uint32_t slot = kNoSlot;
     std::exception_ptr error;
+
+    /// Frames come from the calling thread's cache of this runtime copy
+    /// (src/sim/engine.cpp); `size` must match between the two calls.
+    static void* operator new(std::size_t size);
+    static void operator delete(void* frame, std::size_t size) noexcept;
 
     Process get_return_object() { return Process(Handle::from_promise(*this)); }
     std::suspend_always initial_suspend() noexcept { return {}; }
@@ -155,7 +185,7 @@ inline Process::CallAwaiter Process::operator co_await() && {
   if (!handle_) {
     detail::throw_logic_error("awaiting an empty Process");
   }
-  return CallAwaiter{std::move(*this)};
+  return CallAwaiter{static_cast<Process&&>(*this)};
 }
 
 }  // namespace prophet::sim

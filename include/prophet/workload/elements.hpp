@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 
 #include "prophet/sim/process.hpp"
@@ -72,7 +71,7 @@ class FunctionRef<R(Args...)> {
  public:
   template <class F>
   FunctionRef(const F& callable) noexcept  // implicit, like std::function
-      : object_(std::addressof(callable)), call_(&call<F>) {}
+      : object_(__builtin_addressof(callable)), call_(&call<F>) {}
 
   R operator()(Args... args) const {
     return call_(object_, static_cast<Args&&>(args)...);

@@ -10,7 +10,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -38,21 +37,25 @@ class BarrierGate {
 
   struct Awaiter {
     BarrierGate* gate;
+    std::coroutine_handle<> handle{};
+    Awaiter* next = nullptr;
     [[nodiscard]] bool await_ready() {
       if (gate->arrived_ + 1 == gate->expected_) {
-        // Last arrival: release everyone at the current time.
+        // Last arrival: release everyone, in arrival order, at the
+        // current time.
         gate->arrived_ = 0;
-        for (const auto handle : gate->waiting_) {
-          gate->engine_->schedule(handle, gate->engine_->now());
+        while (gate->waiting_.size() != 0) {
+          gate->engine_->schedule(gate->waiting_.pop_front()->handle,
+                                  gate->engine_->now());
         }
-        gate->waiting_.clear();
         return true;
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> handle) {
+    void await_suspend(std::coroutine_handle<> waiter) {
       ++gate->arrived_;
-      gate->waiting_.push_back(handle);
+      handle = waiter;
+      gate->waiting_.push_back(this);
     }
     void await_resume() const noexcept {}
   };
@@ -62,7 +65,7 @@ class BarrierGate {
   sim::Engine* engine_;
   int expected_;
   int arrived_ = 0;
-  std::vector<std::coroutine_handle<>> waiting_;
+  sim::WaitQueue<Awaiter> waiting_;
 };
 
 // --- Communicator ------------------------------------------------------------
@@ -89,16 +92,15 @@ class Communicator {
   sim::Engine* engine_;
   machine::MachineModel* machine_;
   BarrierGate barrier_;
-  std::map<std::tuple<int, int, int>, std::unique_ptr<sim::Mailbox>>
-      mailboxes_;
-  std::map<std::string, std::unique_ptr<sim::Facility>, std::less<>>
-      criticals_;
+  // Map nodes are stable: each mailbox and lock lives in its node.
+  std::map<std::tuple<int, int, int>, sim::Mailbox> mailboxes_;
+  std::map<std::string, sim::Facility, std::less<>> criticals_;
 };
 
 /// State of one active parallel region (one per region instance).
 struct RegionState {
-  int num_threads = 1;
-  std::unique_ptr<BarrierGate> barrier;
+  int num_threads;
+  BarrierGate barrier;
 };
 
 [[nodiscard]] std::string_view to_string(CollectiveKind kind);

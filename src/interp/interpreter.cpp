@@ -14,10 +14,14 @@ using lower::NodePrograms;
 using lower::Operation;
 using workload::ModelContext;
 
-/// Lexical scope of a model walker: the slot frame (copied by value so
-/// fork branches and loop bodies snapshot their bindings) plus the base
-/// of the per-process local storage for code-fragment writes, which
-/// bypass loop shadowing exactly like the tree walker's locals map did.
+/// Lexical scope of a model walker: the slot frame plus the base of the
+/// per-process local storage for code-fragment writes, which bypass loop
+/// shadowing exactly like the tree walker's locals map did.  Walkers
+/// borrow their caller's scope (`const Scope&`): only a loop copies it,
+/// to bind its variable, and no scope changes once a walk borrows it, so
+/// fork branches and region threads may share one.  Every referent
+/// outlives the walks that borrow it, because each is awaited or joined
+/// before its owner's frame ends.
 struct Scope {
   std::vector<double*> frame;
   double* locals = nullptr;  // slot-indexed per-process storage, may be null
@@ -102,7 +106,7 @@ struct Interpreter::Impl {
     return tag->eval(make_context(scope.frame, ctx.pid, ctx.tid, node.uid));
   }
 
-  void run_fragment(const NodePrograms& node, Scope& scope,
+  void run_fragment(const NodePrograms& node, const Scope& scope,
                     const ModelContext& ctx) {
     for (const auto& assignment : node.fragment) {
       double value = assignment.value.eval(
@@ -176,9 +180,8 @@ struct Interpreter::Impl {
   }
 
   /// Walks diagram `index` from its initial node to a final node (or a
-  /// dead end).  `scope` is taken by value: the slot frame is snapshot,
-  /// locals stay shared through the storage pointers.
-  sim::Process run_diagram(ModelContext ctx, int index, Scope scope) {
+  /// dead end) in the borrowed `scope`.
+  sim::Process run_diagram(ModelContext ctx, int index, const Scope& scope) {
     const DiagramProgram& diagram =
         program->diagrams()[static_cast<std::size_t>(index)];
     if (diagram.initial < 0) {
@@ -192,7 +195,7 @@ struct Interpreter::Impl {
   /// join node is not executed).  Used both for whole diagrams and fork
   /// branches; each walk counts its own steps.
   sim::Process walk(ModelContext ctx, const DiagramProgram& diagram,
-                    int start, Scope scope, int* stop) {
+                    int start, const Scope& scope, int* stop) {
     int index = start;
     // Guard against unstructured cycles (the checker warns; the
     // interpreter must not hang).
@@ -258,7 +261,7 @@ struct Interpreter::Impl {
   }
 
   sim::Process execute_fork(ModelContext ctx, const DiagramProgram& diagram,
-                            const NodePrograms& node, Scope& scope,
+                            const NodePrograms& node, const Scope& scope,
                             int* join_out) {
     std::vector<int> joins(node.branches.size(), -1);
     std::vector<sim::ProcessRef> branches;
@@ -267,8 +270,8 @@ struct Interpreter::Impl {
       if (node.branches[i].target < 0) {
         throw InterpretError(node.defect);
       }
-      // Branches share locals (generated code captures them by
-      // reference) and snapshot the slot frame.
+      // Branches share the scope, and so the locals (generated code
+      // captures them by reference); they are joined below.
       branches.push_back(ctx.engine->spawn(
           walk(ctx, diagram, node.branches[i].target, scope, &joins[i])));
     }
@@ -283,7 +286,7 @@ struct Interpreter::Impl {
   }
 
   sim::Process execute_node(ModelContext ctx, const NodePrograms& node,
-                            Scope& scope) {
+                            const Scope& scope) {
     using lower::TagKind;
     run_fragment(node, scope, ctx);
     const int uid = node.uid;
@@ -348,14 +351,11 @@ struct Interpreter::Impl {
                 ? static_cast<int>(
                       eval_tag(node, TagKind::NumThreads, scope, ctx))
                 : static_cast<int>(nt);
-        Scope body_scope = scope;  // frame snapshot; shared locals storage
         const int body = node.body;
-        // The callable is a named local, not a temporary inside the
-        // co_await operand: g++ 12 destroys such a temporary twice when
-        // it holds a non-trivially destructible capture (the Scope).
-        const auto run_thread =
-            [this, body, body_scope](ModelContext tctx) -> sim::Process {
-          return run_diagram(tctx, body, body_scope);
+        // The threads borrow this node's scope; the region joins them.
+        const auto run_thread = [this, body,
+                                 &scope](ModelContext tctx) -> sim::Process {
+          return run_diagram(tctx, body, scope);
         };
         co_await workload::parallel_region(ctx, threads, uid, name,
                                            run_thread);
@@ -363,13 +363,11 @@ struct Interpreter::Impl {
       }
       case Operation::Critical: {
         workload::CriticalElement element(ctx, name, node.lock);
-        Scope body_scope = scope;
         ModelContext body_ctx = ctx;
         const int body = node.body;
-        // Named for the same reason as the region's callable above.
-        const auto run_body =
-            [this, body, body_scope, body_ctx]() -> sim::Process {
-          return run_diagram(body_ctx, body, body_scope);
+        const auto run_body = [this, body, &scope,
+                               body_ctx]() -> sim::Process {
+          return run_diagram(body_ctx, body, scope);
         };
         co_await element.execute(uid, ctx.pid, ctx.tid, run_body);
         co_return;
@@ -392,13 +390,14 @@ struct Interpreter::Impl {
   }
 
   sim::Process execute_loop(ModelContext ctx, const NodePrograms& node,
-                            Scope& scope) {
+                            const Scope& scope) {
     const workload::LoopTrips trips = workload::loop_trips(
         eval_tag(node, lower::TagKind::Iterations, scope, ctx),
         node.node->id());
     // The loop variable's storage lives in this coroutine frame; the
     // body scope's slot rebinding shadows any outer binding of the same
-    // name and is dropped with the snapshot when the loop exits.
+    // name and is dropped with the copy when the loop exits.  The trips
+    // borrow the copy.
     double loop_value = 0;
     Scope iteration_scope = scope;
     iteration_scope.frame[node.loop_var_slot] = &loop_value;

@@ -1,6 +1,6 @@
 #include "prophet/sim/facility.hpp"
 
-#include <algorithm>
+#include <stdexcept>
 
 namespace prophet::sim {
 
@@ -17,15 +17,18 @@ void Facility::grant(Time arrival, Time now) {
   waits_.record(now - arrival);
 }
 
-void Facility::enqueue(std::coroutine_handle<> handle, int priority,
-                       Time arrival) {
-  const Waiter waiter{handle, priority, arrival, next_seq_++};
-  // Insertion sort keeps the deque ordered (priority desc, seq asc).  The
-  // common case (uniform priority) appends in O(1).
-  auto position = std::find_if(
-      waiters_.begin(), waiters_.end(),
-      [&](const Waiter& other) { return other.priority < waiter.priority; });
-  waiters_.insert(position, waiter);
+void Facility::enqueue(AcquireAwaiter* waiter) {
+  // After the last waiter of at least the same priority.  The common
+  // case (uniform priority) appends in O(1).
+  AcquireAwaiter* before = waiters_.back();
+  if (before != nullptr && before->priority < waiter->priority) {
+    before = nullptr;
+    for (AcquireAwaiter* at = waiters_.front();
+         at->priority >= waiter->priority; at = at->next) {
+      before = at;
+    }
+  }
+  waiters_.insert_after(before, waiter);
   queue_stat_.set(static_cast<double>(waiters_.size()), engine_->now());
 }
 
@@ -37,12 +40,11 @@ void Facility::release() {
   --busy_;
   busy_stat_.set(busy_, now);
   ++completions_;
-  if (!waiters_.empty()) {
-    const Waiter waiter = waiters_.front();
-    waiters_.pop_front();
+  if (waiters_.size() != 0) {
+    AcquireAwaiter* waiter = waiters_.pop_front();
     queue_stat_.set(static_cast<double>(waiters_.size()), now);
-    grant(waiter.arrival, now);
-    engine_->schedule(waiter.handle, now);
+    grant(waiter->arrival, now);
+    engine_->schedule(waiter->handle, now);
   }
 }
 

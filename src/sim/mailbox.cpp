@@ -9,22 +9,29 @@ void Mailbox::send(Message message) {
   const Time now = engine_->now();
   message.sent_at = now;
   ++sent_;
-  if (!waiters_.empty()) {
-    Waiter waiter = waiters_.front();
-    waiters_.pop_front();
-    waiter.awaiter->message = message;
+  if (waiters_.size() != 0) {
+    ReceiveAwaiter* waiter = waiters_.pop_front();
+    waiter->message = message;
     ++received_;
-    engine_->schedule(waiter.handle, now);
+    engine_->schedule(waiter->handle, now);
     return;
   }
   messages_.push_back(message);
-  pending_stat_.set(static_cast<double>(messages_.size()), now);
+  pending_stat_.set(static_cast<double>(pending()), now);
 }
 
 Message Mailbox::take() {
-  Message message = messages_.front();
-  messages_.pop_front();
-  pending_stat_.set(static_cast<double>(messages_.size()), engine_->now());
+  const Message message = messages_[head_++];
+  if (head_ == messages_.size()) {
+    messages_.clear();
+    head_ = 0;
+  } else if (2 * head_ >= messages_.size()) {
+    // Drop the consumed half so a queue that never drains stays bounded.
+    messages_.erase(messages_.begin(),
+                    messages_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  pending_stat_.set(static_cast<double>(pending()), engine_->now());
   ++received_;
   return message;
 }

@@ -41,23 +41,24 @@ sim::Mailbox& Communicator::mailbox(int dst, int src, int tag) {
     auto name = "mb." + std::to_string(dst) + "." + std::to_string(src) +
                 "." + std::to_string(tag);
     it = mailboxes_
-             .emplace(key,
-                      std::make_unique<sim::Mailbox>(*engine_, std::move(name)))
+             .emplace(std::piecewise_construct, std::forward_as_tuple(key),
+                      std::forward_as_tuple(*engine_, std::move(name)))
              .first;
   }
-  return *it->second;
+  return it->second;
 }
 
 sim::Facility& Communicator::critical_section(std::string_view name) {
   auto it = criticals_.find(name);
   if (it == criticals_.end()) {
     it = criticals_
-             .emplace(std::string(name),
-                      std::make_unique<sim::Facility>(
+             .emplace(std::piecewise_construct,
+                      std::forward_as_tuple(name),
+                      std::forward_as_tuple(
                           *engine_, "critical." + std::string(name), 1))
              .first;
   }
-  return *it->second;
+  return it->second;
 }
 
 // --- ActionPlus ---------------------------------------------------------------
@@ -245,9 +246,7 @@ sim::Process parallel_region(ModelContext ctx, int num_threads, int uid,
   num_threads = region_threads(name, num_threads);
   sim::Engine& engine = *ctx.engine;
   const double start = engine.now();
-  RegionState region;
-  region.num_threads = num_threads;
-  region.barrier = std::make_unique<BarrierGate>(engine, num_threads);
+  RegionState region{num_threads, BarrierGate(engine, num_threads)};
   std::vector<sim::ProcessRef> threads;
   threads.reserve(static_cast<std::size_t>(num_threads));
   for (int tid = 0; tid < num_threads; ++tid) {
@@ -291,7 +290,7 @@ sim::Process WorkshareElement::execute(int uid, int pid, int tid,
   processor.release();
   // Implicit barrier at the end of a worksharing construct.
   if (ctx_->region != nullptr) {
-    co_await ctx_->region->barrier->arrive();
+    co_await ctx_->region->barrier.arrive();
   }
   record(*ctx_, start, engine.now(), pid, tid, uid, name_,
          trace::EventKind::Compute);
@@ -323,7 +322,7 @@ sim::Process OmpBarrierElement::execute(int uid, int pid, int tid) {
     ++ctx_->counters->barriers;
   }
   if (ctx_->region != nullptr) {
-    co_await ctx_->region->barrier->arrive();
+    co_await ctx_->region->barrier.arrive();
   }
   record(*ctx_, start, engine.now(), pid, tid, uid, name_,
          trace::EventKind::Barrier);

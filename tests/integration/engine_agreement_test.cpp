@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <exception>
 #include <string>
 #include <utility>
@@ -376,15 +378,30 @@ TEST(EngineAgreement, UnstructuredCyclesTripTheStepLimit) {
   // A decision that loops back through a merge while its guard holds: a
   // cycle without <<loop+>>, which every walk stops at its step limit.
   // In the first cycle an action's hold returns each process to the
-  // engine once a trip; the second has no action and never yields, so
-  // a walk that nested a coroutine resumption per node would overflow
-  // its stack (without tail calls, as in sanitized builds) before the
-  // limit.
+  // engine once a trip; the other two never yield, so a walk that nested
+  // a coroutine resumption per node or per element would overflow its
+  // stack (without tail calls, as in Debug and sanitized builds) before
+  // the limit.
   std::vector<Malformed> cases;
   cases.push_back(malformed([](uml::ModelBuilder&, uml::DiagramBuilder& d,
                                const uml::NodeRef& fin) {
     const uml::NodeRef merge = d.merge("M");
     const uml::NodeRef a = d.action("A").cost("0.001");
+    const uml::NodeRef decision = d.decision("D");
+    d.flow(merge, a);
+    d.flow(a, decision);
+    d.flow(decision, merge, "X < 1");
+    d.flow(decision, fin, "else");
+    return Parts{merge, "diagram " + d.id() +
+                            ": walk exceeded step limit (unstructured cycle "
+                            "without <<loop+>>?)"};
+  }));
+  // A zero-cost action: the cycle runs to the limit within one event,
+  // each trip a sub-process that completes without suspending.
+  cases.push_back(malformed([](uml::ModelBuilder&, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    const uml::NodeRef merge = d.merge("M");
+    const uml::NodeRef a = d.action("A").cost("0");
     const uml::NodeRef decision = d.decision("D");
     d.flow(merge, a);
     d.flow(a, decision);
@@ -406,6 +423,31 @@ TEST(EngineAgreement, UnstructuredCyclesTripTheStepLimit) {
                             "without <<loop+>>?)"};
   }));
   expect_one_text(cases);
+}
+
+TEST(EngineAgreement, ZeroCostLoopsRunInOneEvent) {
+  // A checked <<loop+>> of a million trips over a zero-cost action: no
+  // trip suspends, so each process runs its loop within its first event.
+  // The simulator and the generated evaluator agree to the bit, events
+  // included, without growing the stack per trip.
+  uml::ModelBuilder mb("ZeroCostLoop");
+  uml::StepBuilder main(mb, "main");
+  main.begin_loop("L", "1000000", "i").compute("W", "0").end_loop().done();
+  const auto program = prophet::lower::lower(std::move(mb).build());
+  prophet::estimator::EstimationOptions options;
+  options.collect_trace = false;
+  options.collect_machine_report = false;
+  const auto sim = analytic::SimulationBackend().prepare(program)->estimate(
+      two_processes(), options);
+  const auto native =
+      prophet::cgen::CodegenBackend().prepare(program)->estimate(
+          two_processes(), options);
+  EXPECT_EQ(sim.predicted_time, 0.0);
+  EXPECT_EQ(sim.events, 2u);  // one per process
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(native.predicted_time),
+            std::bit_cast<std::uint64_t>(sim.predicted_time));
+  EXPECT_EQ(native.events, sim.events);
+  EXPECT_EQ(native.per_process_finish, sim.per_process_finish);
 }
 
 }  // namespace

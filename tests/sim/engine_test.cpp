@@ -1,10 +1,12 @@
 // Unit tests for the discrete-event simulation engine: clock, event
-// ordering, process spawning/joining, sub-process calls, holds, and error
-// propagation.
+// ordering, process spawning/joining, sub-process calls, holds, error
+// propagation, the bounded stack of synchronous sub-processes and frames
+// above the frame cache's largest size class.
 #include "prophet/sim/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -315,6 +317,97 @@ TEST(Engine, ManyProcessesThroughput) {
   EXPECT_DOUBLE_EQ(engine.now(), 5.0);
   // 1000 initial resumes + 1000*10 hold resumes.
   EXPECT_EQ(engine.events_processed(), 11000u);
+}
+
+TEST(Engine, JoinStateOutlivesTheProcessWhileReferenced) {
+  // Handles share one join slot: copies and moves all see the same
+  // completion, and a spawn after the last handle is gone starts fresh.
+  sim::Engine engine;
+  auto quick = [](sim::Engine& eng) -> sim::Process { co_await eng.hold(1); };
+  sim::ProcessRef first = engine.spawn(quick(engine));
+  sim::ProcessRef copy = first;
+  sim::ProcessRef moved = std::move(first);
+  EXPECT_FALSE(first.valid());
+  engine.run();
+  EXPECT_TRUE(copy.done());
+  EXPECT_TRUE(moved.done());
+  copy = sim::ProcessRef();
+  moved = sim::ProcessRef();
+  sim::ProcessRef next = engine.spawn(quick(engine));
+  EXPECT_FALSE(next.done());
+  engine.run();
+  EXPECT_TRUE(next.done());
+  EXPECT_EQ(engine.live_processes(), 0u);
+}
+
+TEST(Engine, JoinersResumeInArrivalOrder) {
+  sim::Engine engine;
+  std::vector<int> order;
+  auto target = [](sim::Engine& eng) -> sim::Process { co_await eng.hold(5); };
+  auto joiner = [](sim::Engine& eng, sim::ProcessRef ref, double arrival,
+                   int id, std::vector<int>& out) -> sim::Process {
+    co_await eng.hold(arrival);
+    co_await ref;
+    out.push_back(id);
+  };
+  const sim::ProcessRef ref = engine.spawn(target(engine));
+  for (int id = 0; id < 8; ++id) {
+    // Later ids arrive earlier: the joins resume in arrival order.
+    engine.spawn(joiner(engine, ref, 1.0 - 0.1 * id, id, order));
+  }
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0}));
+}
+
+sim::Process zero_hold(sim::Engine& engine) { co_await engine.hold(0); }
+
+sim::Process await_children(sim::Engine& engine, int children, int& done) {
+  for (int child = 0; child < children; ++child) {
+    co_await zero_hold(engine);
+    ++done;
+  }
+}
+
+TEST(Engine, SynchronousSubProcessesKeepTheStackBounded) {
+  // A million sub-processes that complete without suspending, all in one
+  // event.  Each returns to its caller by symmetric transfer, which nests
+  // a resumption where the compiler makes no tail call (Debug and
+  // sanitized builds); the engine unwinds the stack every few returns
+  // without adding an event.
+  sim::Engine engine;
+  int done = 0;
+  engine.spawn(await_children(engine, 1000000, done));
+  engine.run();
+  EXPECT_EQ(done, 1000000);
+  EXPECT_EQ(engine.events_processed(), 1u);
+}
+
+sim::Process hold_one(sim::Engine& engine) { co_await engine.hold(1); }
+
+sim::Process big_frame(sim::Engine& engine, double& sum) {
+  // 8 KiB live across a suspension: a frame above the cache's largest
+  // size class, which comes from the heap instead.
+  std::array<double, 1024> values{};
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<double>(i);
+  }
+  co_await engine.hold(1);
+  for (const double value : values) {
+    sum += value;
+  }
+}
+
+TEST(FrameCache, FramesAboveTheLargestClassUseTheHeap) {
+  sim::Engine engine;
+  double sum = 0;
+  auto parent = [](sim::Engine& eng, double& out) -> sim::Process {
+    co_await big_frame(eng, out);
+    co_await hold_one(eng);
+  };
+  engine.spawn(parent(engine, sum));
+  engine.run();
+  EXPECT_DOUBLE_EQ(sum, 1023.0 * 1024.0 / 2.0);
+  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
 }
 
 TEST(Engine, ScheduleIntoPastThrows) {

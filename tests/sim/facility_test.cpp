@@ -96,6 +96,53 @@ TEST(Facility, HigherPriorityJumpsQueue) {
   EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
 }
 
+TEST(Facility, ManyWaitersAreServedByPriorityThenArrival) {
+  // One server held while 200 jobs queue with priorities 0..4 in a
+  // scrambled order: grants go by priority descending, then by arrival
+  // within a priority (jobs arriving at one time arrive in spawn order).
+  sim::Engine engine;
+  sim::Facility cpu(engine, "cpu", 1);
+  std::vector<int> order;
+  auto job = [&order](sim::Engine& eng, sim::Facility& f, int id,
+                      double arrival, int priority) -> sim::Process {
+    co_await eng.hold(arrival);
+    co_await f.acquire(priority);
+    co_await eng.hold(1.0);
+    f.release();
+    order.push_back(id);
+  };
+  engine.spawn(job(engine, cpu, -1, 0.0, 0));  // occupies the server
+  constexpr int kJobs = 200;
+  const auto priority_of = [](int id) { return (id * 7) % 5; };
+  for (int id = 0; id < kJobs; ++id) {
+    engine.spawn(job(engine, cpu, id, 0.001 * (1 + id / 3), priority_of(id)));
+  }
+  std::size_t longest = 0;
+  auto watch = [&](sim::Engine& eng, sim::Facility& f) -> sim::Process {
+    co_await eng.hold(0.5);
+    longest = f.queue_length();
+  };
+  engine.spawn(watch(engine, cpu));
+  engine.run();
+  EXPECT_EQ(longest, static_cast<std::size_t>(kJobs));
+
+  std::vector<int> expected;
+  for (int priority = 4; priority >= 0; --priority) {
+    for (int id = 0; id < kJobs; ++id) {
+      if (priority_of(id) == priority) {
+        expected.push_back(id);
+      }
+    }
+  }
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kJobs + 1));
+  EXPECT_EQ(order.front(), -1);
+  EXPECT_EQ(std::vector<int>(order.begin() + 1, order.end()), expected);
+  EXPECT_EQ(cpu.queue_length(), 0u);
+  EXPECT_DOUBLE_EQ(cpu.max_queue_length(), static_cast<double>(kJobs));
+  EXPECT_EQ(cpu.completions(), static_cast<std::uint64_t>(kJobs + 1));
+  EXPECT_EQ(cpu.waiting_times().count(), static_cast<std::uint64_t>(kJobs + 1));
+}
+
 TEST(Facility, UtilizationIdentity) {
   sim::Engine engine;
   sim::Facility cpu(engine, "cpu", 1);

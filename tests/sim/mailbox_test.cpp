@@ -97,6 +97,42 @@ TEST(Mailbox, MultipleWaitersServedInOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
+TEST(Mailbox, LongQueuesStayFifo) {
+  // Bursts that never drain the queue, then a drain: every message is
+  // delivered once, in send order, across the queue's compactions.
+  sim::Engine engine;
+  sim::Mailbox box(engine, "box");
+  std::vector<std::uint64_t> payloads;
+  auto sender = [](sim::Engine& eng, sim::Mailbox& mb) -> sim::Process {
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      mb.send({.source = 0, .tag = 0, .size = 0, .sent_at = 0, .payload = i});
+      if (i % 3 == 2) {
+        co_await eng.hold(1.0);
+      }
+    }
+  };
+  auto receiver = [&payloads](sim::Engine& eng,
+                              sim::Mailbox& mb) -> sim::Process {
+    co_await eng.hold(0.5);
+    for (int i = 0; i < 300; ++i) {
+      payloads.push_back((co_await mb.receive()).payload);
+      if (i % 2 == 1) {
+        co_await eng.hold(1.0);
+      }
+    }
+  };
+  engine.spawn(sender(engine, box));
+  engine.spawn(receiver(engine, box));
+  engine.run();
+  ASSERT_EQ(payloads.size(), 300u);
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    EXPECT_EQ(payloads[i], i);
+  }
+  EXPECT_EQ(box.pending(), 0u);
+  EXPECT_EQ(box.messages_received(), 300u);
+  EXPECT_GT(box.mean_pending(), 1.0);
+}
+
 TEST(Mailbox, StatsTrackTraffic) {
   sim::Engine engine;
   sim::Mailbox box(engine, "box");
