@@ -97,8 +97,9 @@ class AnalyticEstimator {
   explicit AnalyticEstimator(uml::Model&& model);
 
   /// Shares an existing lowering: no parsing, no compilation — one pass
-  /// over the model's nodes and edges decides whether evaluate_batch may
-  /// batch it.  Throws AnalyticError on null programs.
+  /// over the model's nodes and edges decides whether one walk serves
+  /// every process whatever np is, which lets evaluate_batch walk lanes
+  /// of different np together.  Throws AnalyticError on null programs.
   explicit AnalyticEstimator(lower::ModelProgramPtr program);
   ~AnalyticEstimator();
 
@@ -136,22 +137,27 @@ class AnalyticEstimator {
   /// bit-identical to what the scalar evaluate(params[i], counters,
   /// budget) loop would produce.
   ///
-  /// A model batches when no node-tag program, decision guard or local
-  /// initializer may read pid/tid and no node carries a code fragment,
-  /// decided once, when the estimator is built.  Then one *batched* walk
-  /// serves every process of every lane (forks, parallel regions,
-  /// critical sections and `prob` decisions included): cost expressions
-  /// evaluate through the vectorized expr VM (Compiled::eval_batch), one
-  /// value per lane, and only the replay/bound assembly runs per lane.
-  /// Ineligible models take the scalar loop, and so do eligible ones
-  /// whose lanes diverge at run time (guard truthiness, message peers or
-  /// region thread counts differ across lanes; lane-varying trip counts
-  /// mix zero with non-zero or feed a loop body that does not collapse)
-  /// or raise — errors then carry their exact per-lane messages.  Every
-  /// lane the scalar loop serves is added to `*lanes_fallback` (when
-  /// non-null and more than one lane was given).  Counter totals may
-  /// differ between the paths (batched dispatch counts instructions once
-  /// per lane group); predictions never do.
+  /// The lanes are split into groups: runs of consecutive lanes of equal np (a
+  /// grid whose np axis turns slowest keeps each np's lanes together).  Each
+  /// group of two or more takes the *batched* walk that evaluate() takes for
+  /// one lane: pid 0 is walked across the group, with cost expressions
+  /// evaluated through the vectorized expr VM (Compiled::eval_batch), one value
+  /// per lane.  When that walk read no pid/tid and ran no code fragment it
+  /// serves every process; otherwise pids 1..np-1 are walked in order, each
+  /// across the group, and fragments update each lane's own globals.  Only the
+  /// replay/bound assembly runs per lane.  A model in which no node-tag
+  /// program, decision guard or local initializer may read pid/tid and no node
+  /// carries a fragment (decided when the estimator is built) walks only pid 0,
+  /// so all its lanes form one group whatever their np.  A lane with no
+  /// neighbour of its np takes the scalar walk.  A group falls back to the
+  /// scalar walk when its lanes diverge (guard truthiness, message peers or
+  /// region thread counts differ across lanes; lane-varying trip counts mix
+  /// zero with non-zero or feed a loop body that does not collapse) or one of
+  /// them raises; errors then carry their exact per-lane messages, the first
+  /// lane's in lane order.  Each lane of a group that fell back is added to
+  /// `*lanes_fallback` when non-null; a lane with no neighbour is not.  Counter
+  /// totals may differ between the paths (batched dispatch counts instructions
+  /// once per group); predictions never do.
   [[nodiscard]] std::vector<AnalyticReport> evaluate_batch(
       std::span<const machine::SystemParameters> params,
       obs::AnalyticCounters* counters = nullptr,

@@ -104,6 +104,11 @@ class PreparedModel {
       std::span<const machine::SystemParameters> params,
       const EstimationOptions& options = {}) const;
 
+  /// The lane width a sweep batches at unless told otherwise
+  /// (BatchOptions::batch_lanes = 0).  The analytic walk's lane arrays
+  /// hold this many lanes inline and spill to the heap above it.
+  static constexpr std::size_t kDefaultBatchLanes = 8;
+
   /// The shared lowering this handle consumes (never null).  Two
   /// handles prepared from the same lower::ModelProgramPtr return the
   /// same program — backends do not lower, so a caller can lower once

@@ -198,7 +198,8 @@ struct BatchOptions {
   /// Lane width for batched estimation: consecutive same-model jobs are
   /// grouped into chunks of up to this many lanes and evaluated through
   /// one PreparedModel::estimate_batch call — one batched analytic walk
-  /// instead of N scalar ones.  0 picks the default width (8); 1
+  /// per pid for the chunk's lanes of equal np instead of one scalar walk
+  /// per pid per lane.  0 picks PreparedModel::kDefaultBatchLanes (8); 1
   /// disables batching.  Batching engages only on the unlimited fast
   /// path (no per-job limits or timeout, no fault plan); a chunk that
   /// fails or is cancelled falls back to per-job evaluation (counted in

@@ -1,6 +1,8 @@
 #include "prophet/analytic/analytic.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cmath>
 #include <deque>
 #include <optional>
@@ -8,6 +10,7 @@
 #include <tuple>
 #include <utility>
 
+#include "prophet/estimator/backend.hpp"
 #include "prophet/expr/compile.hpp"
 #include "prophet/expr/eval.hpp"
 #include "prophet/workload/runtime.hpp"
@@ -87,14 +90,14 @@ struct LoopBinding {
 /// sharing one walk (a guard's truthiness, a message peer or a region's
 /// thread count differs across lanes, or a lane-varying trip count mixes
 /// zero with non-zero or has a body that does not collapse).
-/// evaluate_batch catches it, like any lane error, and re-runs every lane
-/// through the scalar walk, which is always exact — errors included.
-/// Never escapes the analytic layer.
+/// evaluate_batch catches it, like any lane error, and re-runs the
+/// group's lanes through the scalar walk, which is always exact — errors
+/// included.  Never escapes the analytic layer.
 struct BatchDivergence {};
 
-/// Lane policy of the scalar walk: one scenario, one process per walk,
-/// Compiled::eval.  Lane arrays hold their single value inline, so the
-/// walk allocates nothing per node.
+/// Lane policy of the scalar walk: one scenario, Compiled::eval.  Lane
+/// arrays hold their single value inline, so the walk allocates nothing
+/// per node.
 struct ScalarLanes {
   template <typename T>
   struct Array {
@@ -114,11 +117,33 @@ struct ScalarLanes {
   }
 };
 
-/// Lane policy of the batched walk: every scenario lane at once over a
-/// slot-major lane frame, Compiled::eval_batch.
+/// Lane policy of the batched walk: a group of scenario lanes at once
+/// over a slot-major lane frame, Compiled::eval_batch.  Lane arrays hold
+/// up to the default sweep width inline, so a walk at that width or
+/// below allocates nothing per node for them; wider groups (a sweep's
+/// explicit `--batch-lanes` above it) spill to the heap.
 struct SoaLanes {
   template <typename T>
-  using Array = std::vector<T>;
+  class Array {
+   public:
+    explicit Array(std::size_t width) {
+      if (width > kInline) {
+        heap_.resize(width);
+      }
+    }
+    T& operator[](std::size_t lane) { return data()[lane]; }
+    const T& operator[](std::size_t lane) const { return data()[lane]; }
+    T* data() { return heap_.empty() ? inline_.data() : heap_.data(); }
+    const T* data() const {
+      return heap_.empty() ? inline_.data() : heap_.data();
+    }
+
+   private:
+    static constexpr std::size_t kInline =
+        estimator::PreparedModel::kDefaultBatchLanes;
+    std::array<T, kInline> inline_{};
+    std::vector<T> heap_;
+  };
   using Context = expr::BatchEvalContext;
   static std::size_t width(std::size_t lanes) { return lanes; }
   static Context context(std::size_t width) {
@@ -132,11 +157,12 @@ struct SoaLanes {
   }
 };
 
-/// True when one walk can serve every process of every scenario lane: no
-/// node-tag program, decision guard or local initializer may read pid or
-/// tid, and no node carries a code fragment.  This is the static form of
-/// the condition under which evaluate() shares the walk of process 0
-/// across processes, so the batched walk is exactly that shared walk.
+/// True when one walk can serve every process of every scenario lane,
+/// whatever its np: no node-tag program, decision guard or local
+/// initializer may read pid or tid, and no node carries a code fragment.
+/// This is the static form of the condition under which the walk of
+/// process 0 serves every process (the SPMD check of run_lanes), so such
+/// a model is sure to walk only pid 0 and lanes of any np can share it.
 bool shares_one_walk(const lower::ModelProgram& program) {
   for (const auto& variable : program.variables()) {
     if (variable.scope == uml::VariableScope::Local &&
@@ -168,6 +194,8 @@ bool shares_one_walk(const lower::ModelProgram& program) {
   return true;
 }
 
+struct ReplayScratch;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -182,16 +210,19 @@ struct AnalyticEstimator::Impl {
   /// — and the simulation backend — can consume the same program
   /// concurrently.
   lower::ModelProgramPtr program;
-  /// Whether evaluate_batch may take the batched walk (shares_one_walk),
-  /// decided once, here.
-  bool batchable = false;
+  /// Whether lanes of different np may share one walk (shares_one_walk),
+  /// decided once, here: evaluate_batch then walks a chunk as one group
+  /// instead of one group per run of equal np.
+  bool one_walk = false;
 
   /// Mutable state of one evaluation over `lanes` scenarios: one lane
-  /// for evaluate(), all of them for the batched walk (evaluate is const
-  /// + reentrant; everything per-run lives here).  Storage is slot-major
-  /// — `width` lane values per slot — so the run frame is exactly what
-  /// expr::BatchEvalContext expects, and lane l's scalar view is every
-  /// bound pointer offset by l.
+  /// for evaluate(), a group of them for the batched walk (evaluate is
+  /// const + reentrant; everything per-run lives here).  Storage is
+  /// slot-major — `width` lane values per slot — so the run frame is
+  /// exactly what expr::BatchEvalContext expects, and lane l's scalar
+  /// view is every bound pointer offset by l.  Every process's walk of a
+  /// run shares it, so code fragments update each lane's globals in pid
+  /// order.
   struct EvalState {
     std::span<const machine::SystemParameters> lanes;
     std::size_t width = 1;
@@ -218,6 +249,13 @@ struct AnalyticEstimator::Impl {
   template <typename Lanes>
   void walk(EvalState& st, int pid, WalkResult* out) const;
 
+  /// The one driver, for evaluate() (ScalarLanes, one lane) and each
+  /// batched group (SoaLanes): validates and starts `st`'s run, walks
+  /// pid 0 and, unless that walk serves every process, pids 1..np-1 in
+  /// order, then hands each lane's report to `sink(lane, report)`.
+  template <typename Lanes, typename Sink>
+  void run_lanes(EvalState& st, ReplayScratch& scratch, Sink&& sink) const;
+
   AnalyticReport evaluate(const machine::SystemParameters& params,
                           obs::AnalyticCounters* counters,
                           guard::Budget* budget) const;
@@ -229,7 +267,7 @@ struct AnalyticEstimator::Impl {
 };
 
 AnalyticEstimator::Impl::Impl(lower::ModelProgramPtr p)
-    : program(std::move(p)), batchable(shares_one_walk(*program)) {}
+    : program(std::move(p)), one_walk(shares_one_walk(*program)) {}
 
 namespace {
 
@@ -238,11 +276,10 @@ namespace {
 // ---------------------------------------------------------------------------
 
 /// Walks one process's control flow, emitting Events — for one scenario
-/// (ScalarLanes, run per process) or for every scenario lane at once
-/// (SoaLanes, one walk shared by every process of every lane).  Lanes
-/// walk in lockstep: each step emits one structurally identical Event per
-/// lane, so one coalescing decision covers all of them, and whatever
-/// would make the lanes' walks differ raises BatchDivergence.
+/// (ScalarLanes) or for a group of scenario lanes at once (SoaLanes).
+/// Lanes walk in lockstep: each step emits one structurally identical
+/// Event per lane, so one coalescing decision covers all of them, and
+/// whatever would make the lanes' walks differ raises BatchDivergence.
 ///
 /// Sub-walkers (fork branches, parallel-region threads, critical bodies,
 /// expectation branches, loop bodies) share the lexical state — slot
@@ -1246,7 +1283,7 @@ AnalyticReport assemble_report(const machine::SystemParameters& params,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Impl: run set-up and the two drivers — walk, replay, bound
+// Impl: run set-up and the driver — walk, replay, bound
 // ---------------------------------------------------------------------------
 
 template <typename Lanes>
@@ -1297,101 +1334,112 @@ void AnalyticEstimator::Impl::walk(EvalState& st, int pid,
   walker.walk_process();
 }
 
+template <typename Lanes, typename Sink>
+void AnalyticEstimator::Impl::run_lanes(EvalState& st, ReplayScratch& scratch,
+                                        Sink&& sink) const {
+  for (const auto& params : st.lanes) {
+    params.validate();
+  }
+  start_run<Lanes>(st);
+  const std::size_t width = st.width;
+  const auto np = static_cast<std::size_t>(st.lanes[0].processes);
+  std::vector<WalkResult> walks;  // [pid * width + lane]
+  walks.reserve(one_walk ? width : np * width);
+  walks.resize(width);
+  // Global initializers read pid = tid = 0 in every process; only the
+  // walk's own reads decide whether one walk serves them all.
+  st.pid_queried = false;
+  walk<Lanes>(st, 0, walks.data());
+  // A walk that read no pid/tid and mutated no state is every process's
+  // timeline, so it serves all np of each lane — the SPMD fast path
+  // that makes grid sweeps cheap.
+  const bool spmd = !st.pid_queried && st.fragments_executed == 0;
+  if (spmd) {
+    if (st.counters != nullptr) {
+      st.counters->spmd_fast_path += width;
+    }
+  } else {
+    // Only lanes of equal np share a run of a model that may get here.
+    assert(!one_walk);
+    walks.resize(np * width);
+    for (std::size_t pid = 1; pid < np; ++pid) {
+      walk<Lanes>(st, static_cast<int>(pid), &walks[pid * width]);
+    }
+  }
+  std::vector<const WalkResult*> per_pid;
+  for (std::size_t lane = 0; lane < width; ++lane) {
+    const machine::SystemParameters& params = st.lanes[lane];
+    per_pid.resize(static_cast<std::size_t>(params.processes));
+    for (std::size_t pid = 0; pid < per_pid.size(); ++pid) {
+      per_pid[pid] = &walks[(spmd ? 0 : pid) * width + lane];
+    }
+    sink(lane, assemble_report(params, per_pid, st.elements, st.counters,
+                               st.budget, scratch));
+  }
+}
+
 AnalyticReport AnalyticEstimator::Impl::evaluate(
     const machine::SystemParameters& params, obs::AnalyticCounters* counters,
     guard::Budget* budget) const {
-  params.validate();
   EvalState st;
   st.lanes = std::span(&params, 1);
   st.counters = counters;
   st.budget = budget;
-  start_run<ScalarLanes>(st);
-
-  const int np = params.processes;
-  std::vector<WalkResult> storage;
-  storage.reserve(static_cast<std::size_t>(np));
-  std::vector<const WalkResult*> per_pid(static_cast<std::size_t>(np));
-
-  // Global initializers read pid = tid = 0 in every process; only the
-  // walk's own reads decide whether one walk serves them all.
-  st.pid_queried = false;
-  walk<ScalarLanes>(st, 0, &storage.emplace_back());
-  if (!st.pid_queried && st.fragments_executed == 0) {
-    // The walk is process-independent (no pid/tid reads, no state
-    // mutation): every process repeats the same timeline, so one walk
-    // serves all np — the SPMD fast path that makes grid sweeps cheap.
-    if (counters != nullptr) {
-      ++counters->spmd_fast_path;
-    }
-    for (int pid = 0; pid < np; ++pid) {
-      per_pid[static_cast<std::size_t>(pid)] = &storage[0];
-    }
-  } else {
-    for (int pid = 1; pid < np; ++pid) {
-      walk<ScalarLanes>(st, pid, &storage.emplace_back());
-    }
-    for (int pid = 0; pid < np; ++pid) {
-      per_pid[static_cast<std::size_t>(pid)] =
-          &storage[static_cast<std::size_t>(pid)];
-    }
-  }
-
   ReplayScratch scratch;
-  return assemble_report(params, per_pid, st.elements, counters, budget,
-                         scratch);
+  AnalyticReport report;
+  run_lanes<ScalarLanes>(st, scratch,
+                         [&report](std::size_t, AnalyticReport&& lane) {
+                           report = std::move(lane);
+                         });
+  return report;
 }
 
 std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch(
     std::span<const machine::SystemParameters> lanes,
     obs::AnalyticCounters* counters, guard::Budget* budget,
     std::size_t* lanes_fallback) const {
-  if (lanes.size() > 1 && batchable) {
-    try {
-      for (const auto& params : lanes) {
-        params.validate();
-      }
+  std::vector<AnalyticReport> reports(lanes.size());
+  // One scratch serves every lane's replay: the working set recurs, so
+  // after the first lane the per-lane heap traffic is the report itself.
+  ReplayScratch scratch;
+  // Walk groups are runs of consecutive lanes of equal np (row-major
+  // grids keep np constant across consecutive jobs), or the whole chunk
+  // when one walk serves any np.  Groups run in lane order, so the first
+  // error raised is the scalar loop's.
+  for (std::size_t begin = 0, end = 0; begin < lanes.size(); begin = end) {
+    end = begin + 1;
+    while (end < lanes.size() &&
+           (one_walk || lanes[end].processes == lanes[begin].processes)) {
+      ++end;
+    }
+    const auto group = lanes.subspan(begin, end - begin);
+    if (group.size() > 1) {
       EvalState st;
-      st.lanes = lanes;
+      st.lanes = group;
       st.counters = counters;
       st.budget = budget;
-      start_run<SoaLanes>(st);
-      // One batched walk covers every lane AND every rank: the model
-      // reads no pid/tid and runs no fragment, so this is exactly the
-      // walk the scalar SPMD fast path shares across all processes.
-      std::vector<WalkResult> lane_results(lanes.size());
-      walk<SoaLanes>(st, 0, lane_results.data());
-
-      std::vector<AnalyticReport> reports;
-      reports.reserve(lanes.size());
-      // One scratch (and one per-pid pointer table) serves every lane's
-      // finalize — the replay working set recurs, so after the first
-      // lane the per-lane heap traffic is just the report itself.
-      ReplayScratch scratch;
-      std::vector<const WalkResult*> per_pid;
-      for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-        if (counters != nullptr) {
-          ++counters->spmd_fast_path;  // one shared walk per lane, as scalar
+      try {
+        run_lanes<SoaLanes>(st, scratch,
+                            [&](std::size_t lane, AnalyticReport&& report) {
+                              reports[begin + lane] = std::move(report);
+                            });
+        continue;
+      } catch (const guard::GuardError&) {
+        throw;  // tripped budgets propagate — retrying would double-charge
+      } catch (...) {
+        // Divergence or a lane error: the scalar walk re-evaluates the
+        // group's lanes exactly, raising any error with its scalar
+        // message.
+        if (lanes_fallback != nullptr) {
+          *lanes_fallback += group.size();
         }
-        per_pid.assign(static_cast<std::size_t>(lanes[lane].processes),
-                       &lane_results[lane]);
-        reports.push_back(assemble_report(lanes[lane], per_pid, st.elements,
-                                          counters, budget, scratch));
       }
-      return reports;
-    } catch (const guard::GuardError&) {
-      throw;  // tripped budgets propagate — retrying would double-charge
-    } catch (...) {
-      // Divergence or a lane error: the scalar loop below re-evaluates
-      // every lane exactly, raising any error with its scalar message.
     }
-  }
-  if (lanes.size() > 1 && lanes_fallback != nullptr) {
-    *lanes_fallback += lanes.size();
-  }
-  std::vector<AnalyticReport> reports;
-  reports.reserve(lanes.size());
-  for (const auto& params : lanes) {
-    reports.push_back(evaluate(params, counters, budget));
+    // A group that fell back, or a lane with no neighbour of its np (no
+    // batched walk was started for it, so it is not a fallback).
+    for (std::size_t lane = begin; lane < end; ++lane) {
+      reports[lane] = evaluate(lanes[lane], counters, budget);
+    }
   }
   return reports;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <type_traits>
@@ -706,9 +707,15 @@ void lane_view(std::span<double* const> lanes, std::size_t lane,
 
 // CallUser scratch of the batched loop: the argument lane pointers and
 // the result lanes (the callee's `out` must not alias its arguments).
+// Calls of up to 8 arguments across up to 64 lanes (a sweep's widest
+// chunk) use the inline room, so a batched call allocates nothing; only
+// wider calls spill to the vectors.  Like the operand stack, the room is
+// left uninitialized: each call writes it before the callee reads it.
 struct BatchCallScratch {
-  std::vector<const double*> args;
-  std::vector<double> out;
+  const double* inline_args[8];
+  double inline_out[64];
+  std::vector<const double*> heap_args;
+  std::vector<double> heap_out;
 };
 struct NoCallScratch {};
 
@@ -920,14 +927,22 @@ double Compiled::run(const Context& ctx, double* out, unsigned depth) const {
           Context call = callee_context(ctx, depth);
           const Compiled& body = ctx.functions->bodies[in.a];
           if constexpr (kBatched) {
-            scratch.args.resize(argc);
-            for (std::size_t i = 0; i < argc; ++i) {
-              scratch.args[i] = stack + (sp + i) * width;
+            const double** args = scratch.inline_args;
+            if (argc > std::size(scratch.inline_args)) {
+              scratch.heap_args.resize(argc);
+              args = scratch.heap_args.data();
             }
-            scratch.out.resize(width);
-            call.args = scratch.args;
-            body.eval_batch_at(call, scratch.out.data(), depth + 1);
-            std::copy_n(scratch.out.data(), width, stack + sp * width);
+            for (std::size_t i = 0; i < argc; ++i) {
+              args[i] = stack + (sp + i) * width;
+            }
+            double* result = scratch.inline_out;
+            if (width > std::size(scratch.inline_out)) {
+              scratch.heap_out.resize(width);
+              result = scratch.heap_out.data();
+            }
+            call.args = std::span<const double* const>(args, argc);
+            body.eval_batch_at(call, result, depth + 1);
+            std::copy_n(result, width, stack + sp * width);
           } else {
             call.args = std::span<const double>(stack + sp, argc);
             stack[sp] = body.run(call, nullptr, depth + 1);

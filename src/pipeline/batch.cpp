@@ -805,7 +805,10 @@ BatchReport BatchRunner::run() const {
     std::size_t begin = 0;
     std::size_t size = 1;
   };
-  const int lanes = options_.batch_lanes == 0 ? 8 : options_.batch_lanes;
+  const int lanes =
+      options_.batch_lanes == 0
+          ? static_cast<int>(estimator::PreparedModel::kDefaultBatchLanes)
+          : options_.batch_lanes;
   const bool batching = lanes >= 2 && !job_limits(options_).any() &&
                         options_.fault_plan == nullptr;
   std::vector<Chunk> chunks;

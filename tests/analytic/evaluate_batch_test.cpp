@@ -1,12 +1,14 @@
 // AnalyticEstimator::evaluate_batch and the estimate_batch backend
 // contract: batched evaluation must be bit-identical to the scalar loop
-// (reports, per-process finish times, replayed-element counts), take the
-// scalar walk for models one walk cannot serve, fall back cleanly when
-// lanes diverge at run time, and report every lane the scalar walk
-// serves.
+// (reports, per-process finish times, replayed-element counts), walk
+// pid-dependent models one pid at a time across each run of consecutive
+// lanes of equal np, leave a lane with no neighbour of its np to the
+// scalar walk, fall back cleanly when lanes diverge at run time, and
+// count every lane that fell back.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,31 +85,7 @@ TEST(AnalyticBatch, SpmdFastPathTakesOneBatchedWalk) {
   EXPECT_GT(counters.expr.batch_evals, 0u);
 }
 
-TEST(AnalyticBatch, IneligibleModelsTakeTheScalarWalk) {
-  // The random workload reads pid in its costs and guards and runs code
-  // fragments, so one walk cannot serve every process: the estimator
-  // decides at construction never to batch it.  Every lane takes the
-  // scalar walk (and is counted), none reaches the vectorized VM.
-  const prophet::models::Registry& registry =
-      prophet::models::Registry::builtin();
-  const analytic::AnalyticEstimator analyzer(registry.make("@random"));
-  std::vector<machine::SystemParameters> lanes;
-  for (const int np : {1, 2, 4, 8}) {
-    lanes.push_back(params_np(np));
-  }
-  obs::AnalyticCounters counters;
-  std::size_t lanes_fallback = 0;
-  const auto batched =
-      analyzer.evaluate_batch(lanes, &counters, nullptr, &lanes_fallback);
-  ASSERT_EQ(batched.size(), lanes.size());
-  EXPECT_EQ(lanes_fallback, lanes.size());
-  EXPECT_EQ(counters.expr.batch_evals, 0u);
-  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-    expect_reports_identical(batched[lane], analyzer.evaluate(lanes[lane]));
-  }
-}
-
-// --- Models that read no pid/tid and run no fragment -------------------------
+// --- Batched walks against the scalar loop ----------------------------------
 
 /// Batches `lanes`, expects every report bit-exact against evaluate(),
 /// and returns how many lanes the scalar walk served.
@@ -251,13 +229,99 @@ TEST(AnalyticBatch, ForksRegionsCriticalsAndProbBranchesBatch) {
   expect_batched("critical", critical_model(), lanes);
   expect_batched("prob", branch_model("np > 2", 0.25), lanes);
 
-  // A region whose cost reads tid cannot share one walk: scalar only.
-  const analytic::AnalyticEstimator tid_region(
-      region_model("0.001 * (tid + 1)"));
+  // A region whose cost reads tid walks each pid across its np group.
+  expect_batched("tid region", region_model("0.001 * (tid + 1)"), threaded);
+}
+
+// --- Models that read pid/tid or run code fragments --------------------------
+
+analytic::AnalyticEstimator random_estimator() {
+  return analytic::AnalyticEstimator(
+      prophet::models::Registry::builtin().make("@random"));
+}
+
+TEST(AnalyticBatch, PidDependentModelsBatchOnePidAtATime) {
+  // The random workload reads pid in its costs and guards and runs code
+  // fragments that write a global a guard reads.  Lanes that share np
+  // walk each pid once across the group, in pid order over each lane's
+  // own globals: no lane falls back, the vectorized VM runs, and every
+  // report is the scalar walk's.
+  const analytic::AnalyticEstimator analyzer = random_estimator();
+  std::vector<machine::SystemParameters> lanes;
+  for (const int nodes : {1, 2, 3, 4}) {
+    for (const int ppn : {1, 2}) {
+      lanes.push_back(params_np(3, nodes, ppn));
+    }
+  }
   obs::AnalyticCounters counters;
-  EXPECT_EQ(batch_against_scalar(tid_region, threaded, &counters),
-            threaded.size());
-  EXPECT_EQ(counters.expr.batch_evals, 0u);
+  EXPECT_EQ(batch_against_scalar(analyzer, lanes, &counters), 0u);
+  EXPECT_GT(counters.expr.batch_evals, 0u);
+  EXPECT_EQ(counters.spmd_fast_path, 0u);  // every pid was walked
+}
+
+TEST(AnalyticBatch, LanesOfEqualNpBatchTogether) {
+  // np = 1, 2, 2, 3, 3, 3, 8: the runs of np = 2 and np = 3 lanes batch
+  // as two groups, and np = 1 and np = 8 take the scalar walk without
+  // counting as fallbacks.  The counters are those of the groups and the lone
+  // lanes evaluated on their own.
+  const analytic::AnalyticEstimator analyzer = random_estimator();
+  std::vector<machine::SystemParameters> lanes;
+  int nodes = 0;
+  for (const int np : {1, 2, 2, 3, 3, 3, 8}) {
+    lanes.push_back(params_np(np, 1 + nodes++ % 2, 2));
+  }
+  obs::AnalyticCounters mixed;
+  EXPECT_EQ(batch_against_scalar(analyzer, lanes, &mixed), 0u);
+  EXPECT_GT(mixed.expr.batch_evals, 0u);
+
+  const std::span<const machine::SystemParameters> all(lanes);
+  obs::AnalyticCounters parts;
+  (void)analyzer.evaluate(lanes[0], &parts);
+  (void)analyzer.evaluate_batch(all.subspan(1, 2), &parts);
+  (void)analyzer.evaluate_batch(all.subspan(3, 3), &parts);
+  (void)analyzer.evaluate(lanes[6], &parts);
+  EXPECT_EQ(mixed.expr.instructions, parts.expr.instructions);
+  EXPECT_EQ(mixed.expr.evals, parts.expr.evals);
+  EXPECT_EQ(mixed.expr.batch_evals, parts.expr.batch_evals);
+  EXPECT_EQ(mixed.events_replayed, parts.events_replayed);
+}
+
+TEST(AnalyticBatch, PidDependentDivergenceFallsBackPerGroup) {
+  // `pid == 0 && nn > 1` splits pid 0's walk between lanes on one node
+  // and lanes on two: every np group of the grid falls back, exactly.
+  const analytic::AnalyticEstimator analyzer(
+      branch_model("pid == 0 && nn > 1"));
+  const auto lanes = lane_grid();
+  EXPECT_EQ(batch_against_scalar(analyzer, lanes), lanes.size());
+  // Only the group whose lanes disagree falls back.
+  const std::vector<machine::SystemParameters> agreeing_first = {
+      params_np(2, 2, 1), params_np(2, 2, 2), params_np(4, 1, 2),
+      params_np(4, 2, 2)};
+  EXPECT_EQ(batch_against_scalar(analyzer, agreeing_first), 2u);
+}
+
+TEST(AnalyticBatch, GroupsWiderThanTheDefaultWidthBatch) {
+  // 16 lanes of one np: the walk's lane arrays outgrow their inline room.
+  std::vector<machine::SystemParameters> lanes;
+  for (int nodes = 1; nodes <= 4; ++nodes) {
+    for (int ppn = 1; ppn <= 4; ++ppn) {
+      lanes.push_back(params_np(4, nodes, ppn));
+      lanes.back().threads_per_process = 3;
+    }
+  }
+  ASSERT_GT(lanes.size(), estimator::PreparedModel::kDefaultBatchLanes);
+  const auto expect_batched = [&lanes](const char* name,
+                                       const analytic::AnalyticEstimator&
+                                           analyzer) {
+    obs::AnalyticCounters counters;
+    EXPECT_EQ(batch_against_scalar(analyzer, lanes, &counters), 0u) << name;
+    EXPECT_GT(counters.expr.batch_evals, 0u) << name;
+  };
+  expect_batched("random", random_estimator());
+  expect_batched("fork", analytic::AnalyticEstimator(fork_model()));
+  expect_batched("critical", analytic::AnalyticEstimator(critical_model()));
+  expect_batched("tid region", analytic::AnalyticEstimator(
+                                   region_model("0.001 * (tid + 1)")));
 }
 
 TEST(AnalyticBatch, SingleLaneUsesTheScalarPath) {

@@ -342,33 +342,38 @@ TEST(ExprBatch, UserFunctionCallsGoThroughTheBatchInterface) {
   const expr::Slot a = table.add_variable("a");
   ASSERT_EQ(table.add_function("log"), 0);
   ASSERT_EQ(table.add_function("blend"), 1);
-  const expr::Compiled program =
-      expr::compile(*expr::parse("log(a) + blend(a, 2)"), table);
+  // The nine-argument call and the 65-lane width outgrow the inline
+  // room a batched call passes its arguments and results through.
+  const expr::Compiled program = expr::compile(
+      *expr::parse("log(a) + blend(a, 2) + blend(a, a, a, a, a, a, a, a, a)"),
+      table);
   ASSERT_TRUE(program.calls_user_functions());
   const std::vector<expr::Compiled> bodies = cost_functions(table);
 
-  expr::SlotBlock block(table, 3);
-  for (std::size_t lane = 0; lane < 3; ++lane) {
-    block.set(a, lane, static_cast<double>(lane) + 0.5);
-  }
-  const expr::FunctionTable functions{bodies, block.frame()};
-  expr::BatchEvalContext ctx;
-  ctx.frame = block.frame();
-  ctx.width = 3;
-  ctx.functions = &functions;
-  double out[3];
-  program.eval_batch(ctx, out);
+  for (const std::size_t width : {std::size_t{3}, std::size_t{65}}) {
+    expr::SlotBlock block(table, width);
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      block.set(a, lane, static_cast<double>(lane) + 0.5);
+    }
+    const expr::FunctionTable functions{bodies, block.frame()};
+    expr::BatchEvalContext ctx;
+    ctx.frame = block.frame();
+    ctx.width = width;
+    ctx.functions = &functions;
+    std::vector<double> out(width);
+    program.eval_batch(ctx, out.data());
 
-  expr::SlotFrame frame(table);
-  const expr::FunctionTable scalar_functions{bodies, frame.frame()};
-  for (std::size_t lane = 0; lane < 3; ++lane) {
-    frame.set(a, static_cast<double>(lane) + 0.5);
-    expr::EvalContext scalar;
-    scalar.frame = frame.frame();
-    scalar.functions = &scalar_functions;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[lane]),
-              std::bit_cast<std::uint64_t>(program.eval(scalar)))
-        << lane;
+    expr::SlotFrame frame(table);
+    const expr::FunctionTable scalar_functions{bodies, frame.frame()};
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      frame.set(a, static_cast<double>(lane) + 0.5);
+      expr::EvalContext scalar;
+      scalar.frame = frame.frame();
+      scalar.functions = &scalar_functions;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[lane]),
+                std::bit_cast<std::uint64_t>(program.eval(scalar)))
+          << "width " << width << " lane " << lane;
+    }
   }
 }
 

@@ -7,7 +7,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
+#include <vector>
 
+#include "prophet/analytic/analytic.hpp"
 #include "prophet/analytic/backend.hpp"
 #include "prophet/cgen/backend.hpp"
 #include "prophet/interp/interpreter.hpp"
@@ -140,6 +143,57 @@ TEST_P(RandomModelThreeWay, BackendsAgreeFromOneLowering) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomModelThreeWay,
                          ::testing::Values(1u, 7u, 42u, 1234u));
+
+/// The batched analytic walk over random models, which run code
+/// fragments and read pid in costs and guards.  Each 8-lane chunk of
+/// np=1..8 nodes=1..4 ppn=1..2 shares one np, so every pid is walked once
+/// across the chunk; each lane must reproduce evaluate() to the bit, and
+/// no lane may fall back to the scalar walk.
+TEST(RandomModelBatch, PidByPidWalkMatchesScalarOverThreeHundredSeeds) {
+  std::vector<prophet::machine::SystemParameters> grid;
+  for (int np = 1; np <= 8; ++np) {
+    for (int nodes = 1; nodes <= 4; ++nodes) {
+      for (int ppn = 1; ppn <= 2; ++ppn) {
+        prophet::machine::SystemParameters params;
+        params.processes = np;
+        params.nodes = nodes;
+        params.processors_per_node = ppn;
+        grid.push_back(params);
+      }
+    }
+  }
+  constexpr std::size_t kLanes = 8;
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  std::size_t lanes_fallback = 0;
+  for (std::uint64_t seed = 1; seed <= 300 && !HasFailure(); ++seed) {
+    const prophet::analytic::AnalyticEstimator estimator(
+        prophet::models::random_model(seed, 30));
+    for (std::size_t begin = 0; begin < grid.size(); begin += kLanes) {
+      const auto lanes =
+          std::span<const prophet::machine::SystemParameters>(grid).subspan(
+              begin, kLanes);
+      const auto batched =
+          estimator.evaluate_batch(lanes, nullptr, nullptr, &lanes_fallback);
+      ASSERT_EQ(batched.size(), lanes.size());
+      for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+        const auto scalar = estimator.evaluate(lanes[lane]);
+        const auto& got = batched[lane];
+        EXPECT_EQ(bits(got.predicted_time), bits(scalar.predicted_time))
+            << "seed " << seed << " np " << lanes[lane].processes;
+        ASSERT_EQ(got.per_process_finish.size(),
+                  scalar.per_process_finish.size());
+        for (const auto& [pid, finish] : scalar.per_process_finish) {
+          EXPECT_EQ(bits(got.per_process_finish.at(pid)), bits(finish))
+              << "seed " << seed << " np " << lanes[lane].processes
+              << " pid " << pid;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(lanes_fallback, 0u);
+}
 
 /// Statistics handler sanity over random models.
 TEST(StatisticsHandler, CountsMatchModel) {
