@@ -17,9 +17,11 @@
 //     over `prob`-annotated branches; cost communication with the
 //     machine model's formulas (latency + size/bandwidth + per-message
 //     overhead).  Produces a compact per-process event sequence.
-//  2. Dependency replay (O(events)): resolve send/recv matching and
-//     barrier synchronization across processes with per-process clocks
-//     and a message ledger — no event queue, no facility simulation.
+//  2. Dependency replay: resolve send/recv matching and barrier
+//     synchronization across processes with per-process clocks and a
+//     message ledger — no event queue, no facility simulation.
+//     O(events) while receives take messages in their send order
+//     (docs/analytic.md §3 gives the worst case).
 //  3. Contention correction: the predicted makespan is the maximum of
 //     the replay critical path, each node's total compute demand divided
 //     by its `processors_per_node` servers (the deterministic
@@ -31,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -67,8 +68,9 @@ struct NodeLoad {
 /// The result of one analytic evaluation.
 struct AnalyticReport {
   double predicted_time = 0;  // predicted makespan (seconds)
-  std::map<int, double> per_process_finish;  // uncontended replay clocks
-  std::uint64_t evaluated_elements = 0;      // model elements walked
+  // Uncontended replay clock of each process, indexed by pid (0..np-1).
+  std::vector<double> per_process_finish;
+  std::uint64_t evaluated_elements = 0;  // model elements walked
   int processes = 0;
   std::vector<NodeLoad> node_loads;
 
@@ -106,11 +108,14 @@ class AnalyticEstimator {
   AnalyticEstimator(const AnalyticEstimator&) = delete;
   AnalyticEstimator& operator=(const AnalyticEstimator&) = delete;
 
-  /// Predicts the model's performance under `params`.  Deterministic and
-  /// reentrant: same parameters, same report.  Thread-safe: all
-  /// per-evaluation state lives on the call's stack, so any number of
-  /// threads may evaluate one estimator concurrently (the contract the
-  /// analytic Backend::prepare() handle exposes).
+  /// Predicts the model's performance under `params`.  Deterministic:
+  /// same parameters, same report.  Thread-safe: the estimator is never
+  /// written, and an evaluation's buffers are its thread's own workspace
+  /// (one per thread and kept across calls; docs/analytic.md §3 lists
+  /// what a warm evaluation still allocates), so any number of threads
+  /// may evaluate one estimator concurrently (the contract the analytic
+  /// Backend::prepare() handle exposes).  Nothing an evaluation calls
+  /// re-enters an estimator, so one thread runs one evaluation at a time.
   [[nodiscard]] AnalyticReport evaluate(
       const machine::SystemParameters& params) const;
 

@@ -29,7 +29,7 @@ class SimulationBackend final : public estimator::Backend {
 /// The closed-form path: static cost analysis + dependency replay.  The
 /// report's `events` stays 0 (no engine ran); `machine_report` carries the
 /// analytic per-node utilization.  prepare() wraps an AnalyticEstimator
-/// over the shared lowering, whose evaluate() is const and reentrant.
+/// over the shared lowering, whose evaluate() is const and thread-safe.
 class AnalyticBackend final : public estimator::Backend {
  public:
   using estimator::Backend::prepare;

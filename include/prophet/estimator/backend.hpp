@@ -74,9 +74,9 @@ enum class BackendKind : unsigned {
 /// estimate() is const, cheap (no re-parsing, no re-transformation), and
 /// safe to call concurrently from any number of threads — implementations
 /// keep every piece of per-evaluation engine state on the call's own
-/// stack (or in per-call objects), never in the handle.  The handle may
-/// borrow the uml::Model it was prepared from; the caller keeps that
-/// model alive for the handle's lifetime.
+/// stack, in per-call objects or in buffers of the calling thread, never
+/// in the handle.  The handle may borrow the uml::Model it was prepared
+/// from; the caller keeps that model alive for the handle's lifetime.
 class PreparedModel {
  public:
   /// Virtual: handles are owned and destroyed polymorphically.

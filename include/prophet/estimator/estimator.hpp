@@ -22,8 +22,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "prophet/guard/guard.hpp"
 #include "prophet/machine/machine.hpp"
@@ -107,8 +107,10 @@ class FunctionModel final : public ProgramModel {
 struct PredictionReport {
   /// Makespan (seconds of simulated time).
   double predicted_time = 0;
-  /// Finish time of every modeled process, keyed by pid.
-  std::map<int, double> per_process_finish;
+  /// Finish time of every modeled process, indexed by pid (0..np-1).
+  /// NaN for a process that never finished (a simulated process left
+  /// blocked, e.g. on a receive nobody sends); summary() says so.
+  std::vector<double> per_process_finish;
   /// Engine events processed (0 for analytic evaluations).
   std::uint64_t events = 0;
   /// Number of modeled processes.

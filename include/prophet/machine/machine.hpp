@@ -74,6 +74,16 @@ struct SystemParameters {
 [[nodiscard]] double message_time(const SystemParameters& params, int src_pid,
                                   int dst_pid, double bytes);
 
+/// message_time for two processes already placed: `same_node` is whether
+/// node_of gives both the same node.
+[[nodiscard]] inline double link_time(const SystemParameters& params,
+                                      bool same_node, double bytes) {
+  if (same_node) {
+    return params.memory_latency + bytes / params.memory_bandwidth;
+  }
+  return params.network_latency + bytes / params.network_bandwidth;
+}
+
 /// Time for one tree round of a collective moving `bytes` per rank pair.
 [[nodiscard]] double collective_round_time(const SystemParameters& params,
                                            double bytes);

@@ -5,9 +5,9 @@
 #include <cassert>
 #include <cmath>
 #include <deque>
+#include <map>
 #include <optional>
 #include <sstream>
-#include <tuple>
 #include <utility>
 
 #include "prophet/estimator/backend.hpp"
@@ -37,11 +37,18 @@ struct Event {
   int tag = 0;         // message tag
 };
 
-/// The abstract timeline of one process plus its side demands.
+/// The abstract timeline of one process plus its side demands.  Results
+/// live in the thread's Workspace and are cleared, not freed, between
+/// walks, so their event vectors keep their capacity.
 struct WalkResult {
   std::vector<Event> events;
   // Serialized seconds per named critical section (lock-held time).
   std::map<std::string, double> critical_demand;
+
+  void clear() {
+    events.clear();
+    critical_demand.clear();
+  }
 };
 
 double sum_elapsed(const std::vector<Event>& events) {
@@ -194,7 +201,115 @@ bool shares_one_walk(const lower::ModelProgram& program) {
   return true;
 }
 
-struct ReplayScratch;
+/// One process's cursor into its timeline during replay.
+struct ReplayProc {
+  std::size_t cursor = 0;
+  double clock = 0;
+  bool at_barrier = false;
+  bool finished = false;
+};
+
+/// A replayed message: when it left its sender, its payload, its sender
+/// and its tag.
+struct Message {
+  double sent_at = 0;
+  double bytes = 0;
+  int src = 0;
+  int tag = 0;
+  bool taken = false;
+};
+
+/// The messages sent to one process, in the order the replay delivers
+/// their sends (so each sender's in its program order).  A receive takes
+/// the oldest untaken message from its source with its tag: FIFO per
+/// (src, tag), the simulator's matching rule
+/// (Communicator::mailbox(dst, src, tag)).  A receive scans from the
+/// oldest untaken message, so it is O(1) while receives take messages in
+/// their send order; a message never received, or receives out of that
+/// order, pin the scan's start, and each later receive then scans every
+/// pending message to its process.
+struct Mailbox {
+  std::vector<Message> messages;
+  std::size_t head = 0;  // every message before it is taken
+
+  /// The oldest untaken message from `src` tagged `tag`, now taken; null
+  /// when none was sent yet.  Valid until the next send to this mailbox.
+  const Message* take(int src, int tag) {
+    for (std::size_t i = head; i < messages.size(); ++i) {
+      Message& message = messages[i];
+      if (!message.taken && message.src == src && message.tag == tag) {
+        message.taken = true;
+        while (head < messages.size() && messages[head].taken) {
+          ++head;
+        }
+        return &message;
+      }
+    }
+    return nullptr;
+  }
+
+  void clear() {
+    messages.clear();
+    head = 0;
+  }
+};
+
+/// The buffers of one nesting depth's sub-walks (fork branches, region
+/// threads, critical bodies, prob branches, a loop's first trip).
+struct SubWalkBuffers {
+  std::vector<WalkResult> results;  // one per lane
+  std::vector<int> joins;           // a fork's join, per branch
+};
+
+/// Every buffer an evaluation reads or writes.  There is one per thread
+/// (workspace()), so the buffers keep their capacity across lanes,
+/// groups, chunks and sweeps, and a warm evaluation allocates only its
+/// report (and, for a model with critical sections, each walk's map of
+/// lock-held demand).
+///
+/// Thread contract: only one evaluation runs on a thread at a time —
+/// nothing an evaluation calls (the expression VM, the workload rules,
+/// the budget) calls back into an estimator — so the workspace needs no
+/// lock and no reentrancy guard.  It holds buffers only: nothing
+/// borrowed from a call (lanes, counters, budget) outlives the call.
+/// Every run re-initializes what it reads, because a divergence, a lane
+/// error or a guard::GuardError can leave it mid-walk, and evaluate_batch
+/// then re-runs the group through evaluate() at once.
+struct Workspace {
+  // A run's globals and np/nt/nn/ppn in their own slots, [slot * width +
+  // lane], and its frame: slot -> lane array.
+  std::vector<double> global_values;
+  std::vector<double*> run_frame;
+  // Each process's walk, [pid * width + lane].
+  std::vector<WalkResult> walks;
+  // One pid walk: its locals ([slot * width + lane]), its copy of the
+  // run frame and its loop bindings.
+  std::vector<double> locals;
+  std::vector<double*> frame;
+  std::vector<LoopBinding> bindings;
+  // Sub-walk buffers, one row per nesting depth.  A deque, so a row never
+  // moves once made: the results a deeper walk writes to stay put while
+  // rows are added under it.
+  std::deque<SubWalkBuffers> sub_walks;
+  // Replay: each process's timeline and cursor, its node, each node's
+  // demand, and the ledger, one mailbox per destination pid.  (A queue
+  // per (dst, src) pair would take np^2 entries: 16.7 million at
+  // np=4096.)
+  std::vector<const WalkResult*> per_pid;
+  std::vector<ReplayProc> procs;
+  std::vector<int> node;
+  std::vector<double> node_demand;
+  std::vector<Mailbox> ledger;
+};
+
+/// The calling thread's workspace, freed at thread exit.  Generated
+/// evaluators do not link this library (cgen::runtime_archives), so its
+/// TLS destructor pins no evaluator object the way one in the simulator
+/// runtime would.
+Workspace& workspace() {
+  thread_local Workspace ws;
+  return ws;
+}
 
 }  // namespace
 
@@ -215,22 +330,19 @@ struct AnalyticEstimator::Impl {
   /// instead of one group per run of equal np.
   bool one_walk = false;
 
-  /// Mutable state of one evaluation over `lanes` scenarios: one lane
-  /// for evaluate(), a group of them for the batched walk (evaluate is
-  /// const + reentrant; everything per-run lives here).  Storage is
-  /// slot-major — `width` lane values per slot — so the run frame is
+  /// State of one evaluation over `lanes` scenarios: one lane for
+  /// evaluate(), a group of them for the batched walk.  Its buffers are
+  /// the thread's Workspace; the rest lives on the call's stack.  Storage
+  /// is slot-major — `width` lane values per slot — so the run frame is
   /// exactly what expr::BatchEvalContext expects, and lane l's scalar
   /// view is every bound pointer offset by l.  Every process's walk of a
-  /// run shares it, so code fragments update each lane's globals in pid
-  /// order.
+  /// run shares the globals, so code fragments update each lane's
+  /// globals in pid order.
   struct EvalState {
+    Workspace& ws;
     std::span<const machine::SystemParameters> lanes;
     std::size_t width = 1;
-    // Globals and the np/nt/nn/ppn structural parameters, in their own
-    // slots: [slot * width + lane].
-    std::vector<double> global_values;
-    std::vector<double*> run_frame;  // slot -> lane array
-    expr::FunctionTable functions;   // the bodies, over the run frame
+    expr::FunctionTable functions{};  // the bodies, over the run frame
     std::uint64_t elements = 0;      // model elements walked
     std::uint64_t fragments_executed = 0;
     bool pid_queried = false;  // pid/tid reachable by an evaluated program
@@ -254,7 +366,7 @@ struct AnalyticEstimator::Impl {
   /// pid 0 and, unless that walk serves every process, pids 1..np-1 in
   /// order, then hands each lane's report to `sink(lane, report)`.
   template <typename Lanes, typename Sink>
-  void run_lanes(EvalState& st, ReplayScratch& scratch, Sink&& sink) const;
+  void run_lanes(EvalState& st, Sink&& sink) const;
 
   AnalyticReport evaluate(const machine::SystemParameters& params,
                           obs::AnalyticCounters* counters,
@@ -282,8 +394,8 @@ namespace {
 /// whatever would make the lanes' walks differ raises BatchDivergence.
 ///
 /// Sub-walkers (fork branches, parallel-region threads, critical bodies,
-/// expectation branches, loop bodies) share the lexical state — slot
-/// frame, locals storage, loop bindings — but write to their own
+/// expectation branches, a loop's first trip) share the lexical state —
+/// slot frame, locals storage, loop bindings — but write to their own
 /// results so the parent can aggregate elapsed/demand.  The walk is
 /// strictly sequential, so the shared frame needs no snapshotting
 /// (unlike the coroutine interpreter's per-scope copies).
@@ -300,6 +412,7 @@ struct Walker {
   const Impl& impl;
   EvalState& st;
   WalkResult* out;  // one per lane
+  std::size_t depth = 0;  // sub-walk nesting: this walker's buffer row
   int pid = 0;
   int tid = 0;
   std::vector<double*>* frame = nullptr;  // shared per-process slot frame
@@ -323,6 +436,7 @@ struct Walker {
   /// state, writes to its own results, and may not communicate.
   [[nodiscard]] Walker sub(WalkResult* sub_out) const {
     Walker walker(impl, st, sub_out);
+    walker.depth = depth + 1;
     walker.pid = pid;
     walker.tid = tid;
     walker.frame = frame;
@@ -333,6 +447,29 @@ struct Walker {
     walker.allow_fragments = allow_fragments;
     walker.process_steps = process_steps;
     return walker;
+  }
+
+  /// This walker's sub-walk buffers: its depth's row of the workspace
+  /// (its sub-walkers' own sub-walks use the next row).
+  [[nodiscard]] SubWalkBuffers& sub_buffers() const {
+    auto& rows = st.ws.sub_walks;
+    while (rows.size() <= depth) {
+      rows.emplace_back();
+    }
+    return rows[depth];
+  }
+
+  /// Cleared results, one per lane, for this walker's next sub-walk.
+  /// Every construct consumes them before it walks on or starts another
+  /// sub-walk, which reuses them.
+  [[nodiscard]] WalkResult* sub_results(SubWalkBuffers& row) const {
+    if (row.results.size() < width()) {
+      row.results.resize(width());
+    }
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      row.results[lane].clear();
+    }
+    return row.results.data();
   }
 
   // --- Expression evaluation ---------------------------------------------
@@ -426,7 +563,7 @@ struct Walker {
           target = locals;
           break;
         case Target::Global:
-          target = st.global_values.data();
+          target = st.ws.global_values.data();
           break;
         case Target::Undeclared:
           break;
@@ -619,15 +756,17 @@ struct Walker {
 
   /// Walks a fork's branches to their common join and returns the join.
   int execute_fork(const DiagramProgram& diagram, const NodePrograms& node) {
-    std::vector<int> joins(node.branches.size(), -1);
+    SubWalkBuffers& row = sub_buffers();
+    std::vector<int>& joins = row.joins;
+    joins.assign(node.branches.size(), -1);
     Array<double> max_elapsed(width());
     Array<double> total_demand(width());
     for (std::size_t i = 0; i < node.branches.size(); ++i) {
       if (node.branches[i].target < 0) {
         throw AnalyticError(node.defect);
       }
-      Array<WalkResult> branch(width());
-      Walker walker = sub(branch.data());
+      WalkResult* branch = sub_results(row);
+      Walker walker = sub(branch);
       walker.walk(diagram, node.branches[i].target, Operation::Join,
                   &joins[i]);
       for (std::size_t lane = 0; lane < width(); ++lane) {
@@ -635,7 +774,7 @@ struct Walker {
             std::max(max_elapsed[lane], sum_elapsed(branch[lane].events));
         total_demand[lane] += sum_demand(branch[lane].events);
       }
-      merge_criticals(branch.data(), 1.0);
+      merge_criticals(branch, 1.0);
     }
     if (std::string error = lower::fork_join_error(diagram, node, joins);
         !error.empty()) {
@@ -655,17 +794,14 @@ struct Walker {
                                 const NodePrograms& node) {
     ++st.elements;
     const auto& branches = node.branches;
-    std::vector<double> weights(branches.size(), -1);
     double tagged_sum = 0;
     std::size_t untagged = 0;
-    for (std::size_t i = 0; i < branches.size(); ++i) {
-      if (const auto prob = branches[i].prob) {
+    for (const auto& branch : branches) {
+      if (const auto prob = branch.prob) {
         if (*prob < 0 || *prob > 1 || std::isnan(*prob)) {
           throw AnalyticError("decision " + node.node->id() + ": edge " +
-                              branches[i].edge->id() +
-                              " has prob outside [0, 1]");
+                              branch.edge->id() + " has prob outside [0, 1]");
         }
-        weights[i] = *prob;
         tagged_sum += *prob;
       } else {
         ++untagged;
@@ -679,12 +815,13 @@ struct Walker {
         untagged > 0
             ? std::max(0.0, 1.0 - tagged_sum) / static_cast<double>(untagged)
             : 0;
+    // An untagged branch shares what the tagged ones leave.
+    auto weight_of = [rest](const lower::Branch& branch) {
+      return branch.prob.value_or(rest);
+    };
     double norm = 0;
-    for (auto& weight : weights) {
-      if (weight < 0) {
-        weight = rest;
-      }
-      norm += weight;
+    for (const auto& branch : branches) {
+      norm += weight_of(branch);
     }
     if (norm <= 0) {
       throw AnalyticError("decision " + node.node->id() +
@@ -694,15 +831,16 @@ struct Walker {
     int merge = -1;
     Array<double> expected_elapsed(width());
     Array<double> expected_demand(width());
+    SubWalkBuffers& row = sub_buffers();
     for (std::size_t i = 0; i < branches.size(); ++i) {
       if (branches[i].target < 0) {
         throw AnalyticError("decision " + node.node->id() +
                             ": dangling edge");
       }
-      const double weight = weights[i] / norm;
+      const double weight = weight_of(branches[i]) / norm;
       int branch_merge = -1;
-      Array<WalkResult> branch(width());
-      Walker walker = sub(branch.data());
+      WalkResult* branch = sub_results(row);
+      Walker walker = sub(branch);
       walker.allow_fragments = false;
       walker.walk(diagram, branches[i].target, Operation::Merge,
                   &branch_merge);
@@ -726,7 +864,7 @@ struct Walker {
         expected_elapsed[lane] += weight * sum_elapsed(branch[lane].events);
         expected_demand[lane] += weight * sum_demand(branch[lane].events);
       }
-      merge_criticals(branch.data(), weight);
+      merge_criticals(branch, weight);
     }
     emit_compute(expected_elapsed.data(), expected_demand.data());
     ++st.elements;  // the consumed merge
@@ -833,8 +971,8 @@ struct Walker {
         execute_region(node);
         return;
       case Operation::Critical: {
-        Array<WalkResult> body(width());
-        Walker walker = sub(body.data());
+        WalkResult* body = sub_results(sub_buffers());
+        Walker walker = sub(body);
         walker.run_diagram(node.body);
         // The body runs on this process's critical path; the lock-held
         // time additionally serializes against every other holder of
@@ -843,8 +981,8 @@ struct Walker {
           out[lane].critical_demand[node.lock] +=
               sum_elapsed(body[lane].events);
         }
-        merge_criticals(body.data(), 1.0);
-        append_events(body.data());
+        merge_criticals(body, 1.0);
+        append_events(body);
         return;
       }
       case Operation::Inline:
@@ -871,9 +1009,10 @@ struct Walker {
         workload::region_threads(node.node->name(), uniform_int(requested));
     Array<double> max_elapsed(width());
     Array<double> total_demand(width());
+    SubWalkBuffers& row = sub_buffers();
     for (int thread = 0; thread < threads; ++thread) {
-      Array<WalkResult> thread_result(width());
-      Walker walker = sub(thread_result.data());
+      WalkResult* thread_result = sub_results(row);
+      Walker walker = sub(thread_result);
       walker.tid = thread;
       walker.region_threads = threads;
       walker.run_diagram(node.body);
@@ -882,7 +1021,7 @@ struct Walker {
                                      sum_elapsed(thread_result[lane].events));
         total_demand[lane] += sum_demand(thread_result[lane].events);
       }
-      merge_criticals(thread_result.data(), 1.0);
+      merge_criticals(thread_result, 1.0);
     }
     emit_compute(max_elapsed.data(), total_demand.data());
   }
@@ -916,9 +1055,9 @@ struct Walker {
     // trip-count resolution that keeps deep loop nests O(body), not
     // O(body * n), and the one place lanes may differ in trip count.
     const std::uint64_t fragments_before = st.fragments_executed;
-    Array<WalkResult> first(width());
+    WalkResult* first = sub_results(sub_buffers());
     {
-      Walker walker = sub(first.data());
+      Walker walker = sub(first);
       walker.allow_comm = allow_comm;
       walker.run_diagram(node.body);
     }
@@ -931,8 +1070,8 @@ struct Walker {
     if (collapsible && st.counters != nullptr) {
       ++st.counters->loop_collapses;
     }
-    append_events(first.data());
-    merge_criticals(first.data(), 1.0);
+    append_events(first);
+    merge_criticals(first, 1.0);
     if (collapsible) {
       Array<double> elapsed(width());
       Array<double> demand(width());
@@ -991,56 +1130,25 @@ struct Walker {
 // Replay: dependency resolution across processes
 // ---------------------------------------------------------------------------
 
-struct ReplayOutcome {
-  std::vector<double> finish;       // per-process clock
-  std::vector<double> node_demand;  // contended CPU seconds per node
-  std::uint64_t events = 0;         // events consumed across all cursors
-};
-
-struct ReplayProc {
-  std::size_t cursor = 0;
-  double clock = 0;
-  bool at_barrier = false;
-  bool finished = false;
-};
-
-/// Reusable replay state.  One evaluation needs a handful of scratch
-/// vectors whose sizes repeat from lane to lane; threading one scratch
-/// through the batched per-lane finalize turns those per-lane heap
-/// round-trips into capacity reuse.  Holds no results across calls —
-/// replay() fully re-initializes every member it reads.
-struct ReplayScratch {
-  std::vector<ReplayProc> procs;
-  std::vector<int> node;
-  std::map<std::tuple<int, int, int>, std::deque<std::pair<double, double>>>
-      ledger;
-  ReplayOutcome outcome;
-};
-
-const ReplayOutcome& replay(const machine::SystemParameters& params,
-                            const std::vector<const WalkResult*>& per_pid,
-                            guard::Budget* budget, ReplayScratch& scratch) {
+/// Replays `ws.per_pid`'s timelines under `params`: fills `finish` with
+/// each process's clock and `ws.node` and `ws.node_demand` with each
+/// process's node and each node's contended CPU seconds.  Returns the
+/// events consumed across all cursors.
+std::uint64_t replay(const machine::SystemParameters& params,
+                     guard::Budget* budget, Workspace& ws,
+                     std::vector<double>& finish) {
   const int np = params.processes;
-  using Proc = ReplayProc;
-  std::vector<Proc>& procs = scratch.procs;
-  procs.assign(static_cast<std::size_t>(np), Proc{});
-  std::vector<int>& node = scratch.node;
+  const auto& per_pid = ws.per_pid;
+  std::vector<ReplayProc>& procs = ws.procs;
+  procs.assign(static_cast<std::size_t>(np), ReplayProc{});
+  std::vector<int>& node = ws.node;
   node.resize(static_cast<std::size_t>(np));
   for (int pid = 0; pid < np; ++pid) {
     node[static_cast<std::size_t>(pid)] = machine::node_of(params, pid);
   }
-  ReplayOutcome& outcome = scratch.outcome;
-  outcome.finish.clear();
-  outcome.events = 0;
-  outcome.node_demand.assign(static_cast<std::size_t>(params.nodes), 0.0);
-
-  // FIFO per (dst, src, tag) — the simulator's mailbox matching rule.
-  // Keys recur from lane to lane, so the previous call's (emptied)
-  // queues are kept and only their contents dropped.
-  auto& ledger = scratch.ledger;
-  for (auto& [key, queue] : ledger) {
-    queue.clear();
-  }
+  std::vector<double>& node_demand = ws.node_demand;
+  node_demand.assign(static_cast<std::size_t>(params.nodes), 0.0);
+  std::uint64_t replayed = 0;
 
   // Uniform fast path: the SPMD walks hand every process the same
   // timeline.  When that shared timeline is also communication-free
@@ -1076,9 +1184,9 @@ const ReplayOutcome& replay(const machine::SystemParameters& params,
         for (const Event& event : events) {
           clock += event.elapsed;
         }
-        outcome.finish.assign(static_cast<std::size_t>(np), clock);
+        finish.assign(static_cast<std::size_t>(np), clock);
         for (int pid = 0; pid < np; ++pid) {
-          double& cell = outcome.node_demand[static_cast<std::size_t>(
+          double& cell = node_demand[static_cast<std::size_t>(
               node[static_cast<std::size_t>(pid)])];
           for (const Event& event : events) {
             if (event.kind == EvKind::Compute) {
@@ -1086,10 +1194,18 @@ const ReplayOutcome& replay(const machine::SystemParameters& params,
             }
           }
         }
-        outcome.events = total;
-        return outcome;
+        return total;
       }
     }
+  }
+
+  // The ledger, emptied: its mailboxes keep their capacity.
+  std::vector<Mailbox>& ledger = ws.ledger;
+  if (ledger.size() < static_cast<std::size_t>(np)) {
+    ledger.resize(static_cast<std::size_t>(np));
+  }
+  for (std::size_t dst = 0; dst < static_cast<std::size_t>(np); ++dst) {
+    ledger[dst].clear();
   }
 
   int waiting = 0;
@@ -1098,31 +1214,33 @@ const ReplayOutcome& replay(const machine::SystemParameters& params,
   while (finished < np && progressed) {
     progressed = false;
     for (int pid = 0; pid < np; ++pid) {
-      Proc& proc = procs[static_cast<std::size_t>(pid)];
+      ReplayProc& proc = procs[static_cast<std::size_t>(pid)];
       if (proc.finished || proc.at_barrier) {
         continue;
       }
       const auto& events = per_pid[static_cast<std::size_t>(pid)]->events;
+      const int here = node[static_cast<std::size_t>(pid)];
       while (proc.cursor < events.size()) {
         const Event& event = events[proc.cursor];
         if (event.kind == EvKind::Compute) {
           proc.clock += event.elapsed;
-          outcome.node_demand[static_cast<std::size_t>(
-              node[static_cast<std::size_t>(pid)])] += event.demand;
+          node_demand[static_cast<std::size_t>(here)] += event.demand;
         } else if (event.kind == EvKind::Busy) {
           proc.clock += event.elapsed;
         } else if (event.kind == EvKind::Send) {
-          ledger[{event.peer, pid, event.tag}].emplace_back(proc.clock,
-                                                            event.bytes);
+          ledger[static_cast<std::size_t>(event.peer)].messages.push_back(
+              {proc.clock, event.bytes, pid, event.tag, false});
         } else if (event.kind == EvKind::Recv) {
-          auto it = ledger.find({pid, event.peer, event.tag});
-          if (it == ledger.end() || it->second.empty()) {
+          const Message* message = ledger[static_cast<std::size_t>(pid)].take(
+              event.peer, event.tag);
+          if (message == nullptr) {
             break;  // blocked until the matching send is replayed
           }
-          const auto [sent_at, bytes] = it->second.front();
-          it->second.pop_front();
+          const bool same_node =
+              node[static_cast<std::size_t>(event.peer)] == here;
           const double arrival =
-              sent_at + machine::message_time(params, event.peer, pid, bytes);
+              message->sent_at +
+              machine::link_time(params, same_node, message->bytes);
           proc.clock = std::max(proc.clock, arrival);
         } else {  // Barrier
           proc.at_barrier = true;
@@ -1134,12 +1252,12 @@ const ReplayOutcome& replay(const machine::SystemParameters& params,
               release = std::max(release, other.clock);
             }
             for (int other = 0; other < np; ++other) {
-              Proc& peer = procs[static_cast<std::size_t>(other)];
+              ReplayProc& peer = procs[static_cast<std::size_t>(other)];
               const auto& peer_events =
                   per_pid[static_cast<std::size_t>(other)]->events;
               peer.clock = release + peer_events[peer.cursor].elapsed;
               ++peer.cursor;
-              ++outcome.events;
+              ++replayed;
               peer.at_barrier = false;
             }
             waiting = 0;
@@ -1150,7 +1268,7 @@ const ReplayOutcome& replay(const machine::SystemParameters& params,
           break;  // parked until the last participant arrives
         }
         ++proc.cursor;
-        ++outcome.events;
+        ++replayed;
         progressed = true;
         // One charge per delivered event keeps a huge (but deadlock-free)
         // replay bounded by max_replay_events and the deadline.
@@ -1170,7 +1288,7 @@ const ReplayOutcome& replay(const machine::SystemParameters& params,
     std::ostringstream why;
     why << "communication deadlock during analytic replay:";
     for (int pid = 0; pid < np; ++pid) {
-      const Proc& proc = procs[static_cast<std::size_t>(pid)];
+      const ReplayProc& proc = procs[static_cast<std::size_t>(pid)];
       if (proc.finished) {
         continue;
       }
@@ -1189,39 +1307,36 @@ const ReplayOutcome& replay(const machine::SystemParameters& params,
     throw AnalyticError(why.str());
   }
 
-  outcome.finish.reserve(static_cast<std::size_t>(np));
-  for (const auto& proc : procs) {
-    outcome.finish.push_back(proc.clock);
+  finish.resize(static_cast<std::size_t>(np));
+  for (std::size_t pid = 0; pid < finish.size(); ++pid) {
+    finish[pid] = procs[pid].clock;
   }
-  return outcome;
+  return replayed;
 }
 
 // ---------------------------------------------------------------------------
 // Report assembly: replay + bounds
 // ---------------------------------------------------------------------------
 
-/// Everything downstream of the symbolic walks: dependency replay, the
-/// capacity/critical contention bounds, and the report itself.  Shared
-/// verbatim by the scalar evaluate() and the batched per-lane finalize,
-/// which is what makes batched predictions bit-identical to scalar ones
-/// by construction.
+/// Everything downstream of the symbolic walks of `ws.per_pid`:
+/// dependency replay, the capacity/critical contention bounds, and the
+/// report itself.  Shared verbatim by the scalar evaluate() and the
+/// batched per-lane finalize, which is what makes batched predictions
+/// bit-identical to scalar ones by construction.  Once the workspace is
+/// warm it allocates the report's two vectors, plus the lock totals of a
+/// model with critical sections.
 AnalyticReport assemble_report(const machine::SystemParameters& params,
-                               const std::vector<const WalkResult*>& per_pid,
                                std::uint64_t elements,
                                obs::AnalyticCounters* counters,
-                               guard::Budget* budget, ReplayScratch& scratch) {
+                               guard::Budget* budget, Workspace& ws) {
   const int np = params.processes;
-  const ReplayOutcome& outcome = replay(params, per_pid, budget, scratch);
-
   AnalyticReport report;
   report.processes = np;
   report.evaluated_elements = elements;
+  const std::uint64_t replayed =
+      replay(params, budget, ws, report.per_process_finish);
   double schedule_bound = 0;
-  for (int pid = 0; pid < np; ++pid) {
-    const double finish = outcome.finish[static_cast<std::size_t>(pid)];
-    // Pids arrive in ascending order: the end hint makes each insert O(1).
-    report.per_process_finish.emplace_hint(report.per_process_finish.end(),
-                                           pid, finish);
+  for (const double finish : report.per_process_finish) {
     schedule_bound = std::max(schedule_bound, finish);
   }
 
@@ -1232,11 +1347,11 @@ AnalyticReport assemble_report(const machine::SystemParameters& params,
   // total lock-held demand the same way.
   const auto servers = static_cast<double>(params.processors_per_node);
   double capacity_bound = 0;
-  for (const double demand : outcome.node_demand) {
+  for (const double demand : ws.node_demand) {
     capacity_bound = std::max(capacity_bound, demand / servers);
   }
   std::map<std::string, double> critical_totals;
-  for (const auto* result : per_pid) {
+  for (const auto* result : ws.per_pid) {
     for (const auto& [name, demand] : result->critical_demand) {
       critical_totals[name] += demand;
     }
@@ -1250,7 +1365,7 @@ AnalyticReport assemble_report(const machine::SystemParameters& params,
   report.predicted_time = makespan;
 
   if (counters != nullptr) {
-    counters->events_replayed += outcome.events;
+    counters->events_replayed += replayed;
     // Which bound set the prediction; ties resolve toward the replayed
     // schedule (the capacity/critical corrections only "win" when they
     // exceed it).
@@ -1263,20 +1378,16 @@ AnalyticReport assemble_report(const machine::SystemParameters& params,
     }
   }
 
-  report.node_loads.reserve(outcome.node_demand.size());
-  for (std::size_t n = 0; n < outcome.node_demand.size(); ++n) {
+  report.node_loads.reserve(ws.node_demand.size());
+  for (const double demand : ws.node_demand) {
     NodeLoad load;
-    load.compute_demand = outcome.node_demand[n];
-    load.utilization = makespan > 0
-                           ? outcome.node_demand[n] / (servers * makespan)
-                           : 0;
+    load.compute_demand = demand;
+    load.utilization = makespan > 0 ? demand / (servers * makespan) : 0;
     load.processes = 0;
     report.node_loads.push_back(load);
   }
-  for (int pid = 0; pid < np; ++pid) {
-    ++report
-          .node_loads[static_cast<std::size_t>(machine::node_of(params, pid))]
-          .processes;
+  for (const int node : ws.node) {
+    ++report.node_loads[static_cast<std::size_t>(node)].processes;
   }
   return report;
 }
@@ -1288,68 +1399,75 @@ AnalyticReport assemble_report(const machine::SystemParameters& params,
 
 template <typename Lanes>
 void AnalyticEstimator::Impl::start_run(EvalState& st) const {
+  Workspace& ws = st.ws;
   const std::size_t width = Lanes::width(st.lanes.size());
   st.width = width;
-  st.global_values.assign(program->slot_count() * width, 0.0);
-  st.run_frame.assign(program->slot_count(), nullptr);
-  st.functions = {program->functions(), st.run_frame};
+  ws.global_values.assign(program->slot_count() * width, 0.0);
+  ws.run_frame.assign(program->slot_count(), nullptr);
+  st.functions = {program->functions(), ws.run_frame};
   for (std::size_t lane = 0; lane < width; ++lane) {
     const machine::SystemParameters& params = st.lanes[lane];
-    st.global_values[program->np_slot() * width + lane] =
+    ws.global_values[program->np_slot() * width + lane] =
         static_cast<double>(params.processes);
-    st.global_values[program->nt_slot() * width + lane] =
+    ws.global_values[program->nt_slot() * width + lane] =
         static_cast<double>(params.threads_per_process);
-    st.global_values[program->nn_slot() * width + lane] =
+    ws.global_values[program->nn_slot() * width + lane] =
         static_cast<double>(params.nodes);
-    st.global_values[program->ppn_slot() * width + lane] =
+    ws.global_values[program->ppn_slot() * width + lane] =
         static_cast<double>(params.processors_per_node);
   }
   for (const expr::Slot slot : {program->np_slot(), program->nt_slot(),
                                 program->nn_slot(), program->ppn_slot()}) {
-    st.run_frame[slot] = &st.global_values[slot * width];
+    ws.run_frame[slot] = &ws.global_values[slot * width];
   }
   // Global variables, initialized in declaration order and bound into
   // the run frame one by one (interpreter start_run semantics), with
   // pid = tid = 0 for every process.
-  std::vector<LoopBinding> no_bindings;
+  ws.bindings.clear();
   Walker<Lanes> globals(*this, st, nullptr);
-  globals.frame = &st.run_frame;
-  globals.bindings = &no_bindings;
-  globals.bind_variables(uml::VariableScope::Global, st.global_values.data());
+  globals.frame = &ws.run_frame;
+  globals.bindings = &ws.bindings;
+  globals.bind_variables(uml::VariableScope::Global, ws.global_values.data());
 }
 
 template <typename Lanes>
 void AnalyticEstimator::Impl::walk(EvalState& st, int pid,
                                    WalkResult* out) const {
-  std::vector<double> locals(program->slot_count() * st.width, 0.0);
-  std::vector<double*> frame = st.run_frame;  // per-process frame
-  std::vector<LoopBinding> bindings;
+  Workspace& ws = st.ws;
+  ws.locals.assign(program->slot_count() * st.width, 0.0);
+  ws.frame.assign(ws.run_frame.begin(), ws.run_frame.end());
+  ws.bindings.clear();
+  for (std::size_t lane = 0; lane < st.width; ++lane) {
+    out[lane].clear();
+  }
   std::uint64_t process_steps = 0;
   Walker<Lanes> walker(*this, st, out);
   walker.pid = pid;
-  walker.frame = &frame;
-  walker.locals = locals.data();
-  walker.bindings = &bindings;
+  walker.frame = &ws.frame;
+  walker.locals = ws.locals.data();
+  walker.bindings = &ws.bindings;
   walker.process_steps = &process_steps;
   walker.walk_process();
 }
 
 template <typename Lanes, typename Sink>
-void AnalyticEstimator::Impl::run_lanes(EvalState& st, ReplayScratch& scratch,
-                                        Sink&& sink) const {
+void AnalyticEstimator::Impl::run_lanes(EvalState& st, Sink&& sink) const {
   for (const auto& params : st.lanes) {
     params.validate();
   }
   start_run<Lanes>(st);
+  Workspace& ws = st.ws;
   const std::size_t width = st.width;
   const auto np = static_cast<std::size_t>(st.lanes[0].processes);
-  std::vector<WalkResult> walks;  // [pid * width + lane]
-  walks.reserve(one_walk ? width : np * width);
-  walks.resize(width);
+  // [pid * width + lane]: pid 0's walks, and the other pids' when pid 0's
+  // does not serve every process.
+  if (ws.walks.size() < width) {
+    ws.walks.resize(width);
+  }
   // Global initializers read pid = tid = 0 in every process; only the
   // walk's own reads decide whether one walk serves them all.
   st.pid_queried = false;
-  walk<Lanes>(st, 0, walks.data());
+  walk<Lanes>(st, 0, ws.walks.data());
   // A walk that read no pid/tid and mutated no state is every process's
   // timeline, so it serves all np of each lane — the SPMD fast path
   // that makes grid sweeps cheap.
@@ -1361,36 +1479,35 @@ void AnalyticEstimator::Impl::run_lanes(EvalState& st, ReplayScratch& scratch,
   } else {
     // Only lanes of equal np share a run of a model that may get here.
     assert(!one_walk);
-    walks.resize(np * width);
+    if (ws.walks.size() < np * width) {
+      ws.walks.resize(np * width);
+    }
     for (std::size_t pid = 1; pid < np; ++pid) {
-      walk<Lanes>(st, static_cast<int>(pid), &walks[pid * width]);
+      walk<Lanes>(st, static_cast<int>(pid), &ws.walks[pid * width]);
     }
   }
-  std::vector<const WalkResult*> per_pid;
   for (std::size_t lane = 0; lane < width; ++lane) {
     const machine::SystemParameters& params = st.lanes[lane];
-    per_pid.resize(static_cast<std::size_t>(params.processes));
-    for (std::size_t pid = 0; pid < per_pid.size(); ++pid) {
-      per_pid[pid] = &walks[(spmd ? 0 : pid) * width + lane];
+    ws.per_pid.resize(static_cast<std::size_t>(params.processes));
+    for (std::size_t pid = 0; pid < ws.per_pid.size(); ++pid) {
+      ws.per_pid[pid] = &ws.walks[(spmd ? 0 : pid) * width + lane];
     }
-    sink(lane, assemble_report(params, per_pid, st.elements, st.counters,
-                               st.budget, scratch));
+    sink(lane, assemble_report(params, st.elements, st.counters, st.budget,
+                               ws));
   }
 }
 
 AnalyticReport AnalyticEstimator::Impl::evaluate(
     const machine::SystemParameters& params, obs::AnalyticCounters* counters,
     guard::Budget* budget) const {
-  EvalState st;
-  st.lanes = std::span(&params, 1);
-  st.counters = counters;
-  st.budget = budget;
-  ReplayScratch scratch;
+  EvalState st{.ws = workspace(),
+               .lanes = std::span(&params, 1),
+               .counters = counters,
+               .budget = budget};
   AnalyticReport report;
-  run_lanes<ScalarLanes>(st, scratch,
-                         [&report](std::size_t, AnalyticReport&& lane) {
-                           report = std::move(lane);
-                         });
+  run_lanes<ScalarLanes>(st, [&report](std::size_t, AnalyticReport&& lane) {
+    report = std::move(lane);
+  });
   return report;
 }
 
@@ -1399,9 +1516,7 @@ std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch(
     obs::AnalyticCounters* counters, guard::Budget* budget,
     std::size_t* lanes_fallback) const {
   std::vector<AnalyticReport> reports(lanes.size());
-  // One scratch serves every lane's replay: the working set recurs, so
-  // after the first lane the per-lane heap traffic is the report itself.
-  ReplayScratch scratch;
+  Workspace& ws = workspace();
   // Walk groups are runs of consecutive lanes of equal np (row-major
   // grids keep np constant across consecutive jobs), or the whole chunk
   // when one walk serves any np.  Groups run in lane order, so the first
@@ -1414,12 +1529,10 @@ std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch(
     }
     const auto group = lanes.subspan(begin, end - begin);
     if (group.size() > 1) {
-      EvalState st;
-      st.lanes = group;
-      st.counters = counters;
-      st.budget = budget;
+      EvalState st{
+          .ws = ws, .lanes = group, .counters = counters, .budget = budget};
       try {
-        run_lanes<SoaLanes>(st, scratch,
+        run_lanes<SoaLanes>(st,
                             [&](std::size_t lane, AnalyticReport&& report) {
                               reports[begin + lane] = std::move(report);
                             });
@@ -1467,8 +1580,13 @@ std::string AnalyticReport::summary() const {
   out << "predicted time: " << predicted_time << " s (analytic)\n";
   out << "processes:      " << processes << '\n';
   out << "elements:       " << evaluated_elements << '\n';
-  for (const auto& [pid, finish] : per_process_finish) {
-    out << "  p" << pid << " finished at " << finish << " s\n";
+  for (std::size_t pid = 0; pid < per_process_finish.size(); ++pid) {
+    out << "  p" << pid;
+    if (std::isnan(per_process_finish[pid])) {
+      out << " did not finish\n";
+    } else {
+      out << " finished at " << per_process_finish[pid] << " s\n";
+    }
   }
   const std::string machine = machine_report();
   if (!machine.empty()) {

@@ -68,9 +68,9 @@ void fold_runs(const estimator::EstimationOptions& options,
 }
 
 /// Analytic, prepared: an AnalyticEstimator over the shared lowering.
-/// Its evaluate() is const and keeps all per-evaluation state on the
-/// call's stack, so concurrent estimate() calls are race-free by
-/// construction.
+/// Its evaluate() is const and keeps its per-evaluation buffers in the
+/// calling thread's workspace, so concurrent estimate() calls are
+/// race-free by construction.
 class AnalyticPrepared final : public estimator::PreparedModel {
  public:
   explicit AnalyticPrepared(lower::ModelProgramPtr program)

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "prophet/expr/analysis.hpp"
@@ -122,21 +123,39 @@ class UniqueIdsRule final : public Rule {
              "diagram, node and edge ids are unique across the model",
              Severity::Error) {}
   void run(const Model& model, RuleContext& ctx) const override {
-    std::map<std::string, std::string> seen;  // id -> location
-    auto claim = [&](const std::string& id, std::string location) {
-      auto [it, inserted] = seen.emplace(id, location);
+    // An element that claims an id: a diagram, or one of its nodes or
+    // edges.  Its location is spelled out only when an id repeats.
+    struct Element {
+      const ActivityDiagram* diagram = nullptr;
+      const Node* node = nullptr;
+      const ControlFlow* edge = nullptr;
+
+      [[nodiscard]] std::string location() const {
+        if (node != nullptr) {
+          return loc_node(*diagram, *node);
+        }
+        if (edge != nullptr) {
+          return loc_edge(*diagram, *edge);
+        }
+        return loc_diagram(*diagram);
+      }
+    };
+    std::map<std::string_view, Element> seen;  // id -> first claimant
+    auto claim = [&](std::string_view id, const Element& element) {
+      auto [it, inserted] = seen.emplace(id, element);
       if (!inserted) {
-        ctx.report(std::move(location),
-                   "id '" + id + "' already used at " + it->second);
+        ctx.report(element.location(), "id '" + std::string(id) +
+                                           "' already used at " +
+                                           it->second.location());
       }
     };
     for (const auto& diagram : model.diagrams()) {
-      claim(diagram->id(), loc_diagram(*diagram));
+      claim(diagram->id(), {diagram.get()});
       for (const auto& node : diagram->nodes()) {
-        claim(node->id(), loc_node(*diagram, *node));
+        claim(node->id(), {diagram.get(), node.get()});
       }
       for (const auto& edge : diagram->edges()) {
-        claim(edge->id(), loc_edge(*diagram, *edge));
+        claim(edge->id(), {diagram.get(), nullptr, edge.get()});
       }
     }
   }

@@ -1,6 +1,9 @@
 #include "prophet/estimator/estimator.hpp"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 namespace prophet::estimator {
 
@@ -11,8 +14,13 @@ std::string PredictionReport::summary() const {
   out << "predicted time: " << predicted_time << " s\n";
   out << "processes:      " << processes << '\n';
   out << "engine events:  " << events << '\n';
-  for (const auto& [pid, finish] : per_process_finish) {
-    out << "  p" << pid << " finished at " << finish << " s\n";
+  for (std::size_t pid = 0; pid < per_process_finish.size(); ++pid) {
+    out << "  p" << pid;
+    if (std::isnan(per_process_finish[pid])) {
+      out << " did not finish\n";
+    } else {
+      out << " finished at " << per_process_finish[pid] << " s\n";
+    }
   }
   if (!machine_report.empty()) {
     out << "-- machine --\n" << machine_report;
@@ -58,11 +66,13 @@ PredictionReport SimulationManager::run(ProgramModel& model) const {
 
   model.on_run_start(params_);
 
-  // One wrapper process per modeled process records its finish time.
-  std::map<int, double> finish;
+  // One wrapper process per modeled process records its finish time; a
+  // process that never finishes keeps NaN.
+  std::vector<double> finish(static_cast<std::size_t>(params_.processes),
+                             std::numeric_limits<double>::quiet_NaN());
   auto wrapper = [&model, &finish](workload::ModelContext ctx)
       -> sim::Process {
-    const int pid = ctx.pid;
+    const auto pid = static_cast<std::size_t>(ctx.pid);
     co_await model.process_main(ctx);
     finish[pid] = ctx.engine->now();
   };

@@ -699,10 +699,22 @@ Context callee_context(const Context& caller, unsigned depth) {
 /// Lane `lane`'s scalar view of a structure-of-arrays frame: every bound
 /// slot's lane array offset by the lane.
 void lane_view(std::span<double* const> lanes, std::size_t lane,
-               std::vector<double*>& view) {
+               std::span<double*> view) {
   for (std::size_t slot = 0; slot < view.size(); ++slot) {
     view[slot] = lanes[slot] != nullptr ? lanes[slot] + lane : nullptr;
   }
+}
+
+/// `size` elements of scratch: the inline room when it is large enough,
+/// else `heap`, resized.
+template <typename T, std::size_t N>
+std::span<T> room(T (&inline_room)[N], std::vector<T>& heap,
+                  std::size_t size) {
+  if (size > N) {
+    heap.resize(size);
+    return heap;
+  }
+  return {inline_room, size};
 }
 
 // CallUser scratch of the batched loop: the argument lane pointers and
@@ -718,6 +730,20 @@ struct BatchCallScratch {
   std::vector<double> heap_out;
 };
 struct NoCallScratch {};
+
+// Scratch of eval_batch_at's lane-by-lane path: each lane's view of the
+// frame and of the bodies' frame, and its arguments.  Frames of up to 64
+// slots and calls of up to 8 arguments use the inline room, so the path
+// allocates nothing; larger ones spill to the vectors.  The room is left
+// uninitialized: each lane writes it before the VM reads it.
+struct LaneByLaneScratch {
+  double* inline_frame[64];
+  double* inline_body_frame[64];
+  double inline_args[8];
+  std::vector<double*> heap_frame;
+  std::vector<double*> heap_body_frame;
+  std::vector<double> heap_args;
+};
 
 }  // namespace
 
@@ -927,20 +953,14 @@ double Compiled::run(const Context& ctx, double* out, unsigned depth) const {
           Context call = callee_context(ctx, depth);
           const Compiled& body = ctx.functions->bodies[in.a];
           if constexpr (kBatched) {
-            const double** args = scratch.inline_args;
-            if (argc > std::size(scratch.inline_args)) {
-              scratch.heap_args.resize(argc);
-              args = scratch.heap_args.data();
-            }
+            const std::span<const double*> args =
+                room(scratch.inline_args, scratch.heap_args, argc);
             for (std::size_t i = 0; i < argc; ++i) {
               args[i] = stack + (sp + i) * width;
             }
-            double* result = scratch.inline_out;
-            if (width > std::size(scratch.inline_out)) {
-              scratch.heap_out.resize(width);
-              result = scratch.heap_out.data();
-            }
-            call.args = std::span<const double* const>(args, argc);
+            double* const result =
+                room(scratch.inline_out, scratch.heap_out, width).data();
+            call.args = args;
             body.eval_batch_at(call, result, depth + 1);
             std::copy_n(result, width, stack + sp * width);
           } else {
@@ -1060,10 +1080,15 @@ void Compiled::eval_batch_at(const BatchEvalContext& ctx, double* out,
   }
   // The lane-by-lane reference: every lane through the scalar VM against
   // that lane's view of the frame (and of the bodies' frame).
-  std::vector<double*> frame(ctx.frame.size());
-  std::vector<double> args(ctx.args.size());
+  LaneByLaneScratch scratch;
+  const std::span<double*> frame =
+      room(scratch.inline_frame, scratch.heap_frame, ctx.frame.size());
+  const std::span<double> args =
+      room(scratch.inline_args, scratch.heap_args, ctx.args.size());
   const bool calls = calls_user_ && ctx.functions != nullptr;
-  std::vector<double*> body_frame(calls ? ctx.functions->frame.size() : 0);
+  const std::span<double*> body_frame =
+      room(scratch.inline_body_frame, scratch.heap_body_frame,
+           calls ? ctx.functions->frame.size() : 0);
   const FunctionTable lane_functions{
       calls ? ctx.functions->bodies : std::span<const Compiled>(), body_frame};
   for (std::size_t lane = 0; lane < ctx.width; ++lane) {

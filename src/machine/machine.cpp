@@ -147,10 +147,8 @@ int node_of(const SystemParameters& params, int pid) {
 
 double message_time(const SystemParameters& params, int src_pid, int dst_pid,
                     double bytes) {
-  if (node_of(params, src_pid) == node_of(params, dst_pid)) {
-    return params.memory_latency + bytes / params.memory_bandwidth;
-  }
-  return params.network_latency + bytes / params.network_bandwidth;
+  return link_time(params, node_of(params, src_pid) == node_of(params, dst_pid),
+                   bytes);
 }
 
 double collective_round_time(const SystemParameters& params, double bytes) {

@@ -19,6 +19,7 @@
 #include "prophet/estimator/backend.hpp"
 #include "prophet/prophet.hpp"
 #include "prophet/uml/builder.hpp"
+#include "same_finish.hpp"
 
 namespace analytic = prophet::analytic;
 namespace cgen = prophet::cgen;
@@ -208,6 +209,89 @@ TEST(AnalyticEstimator, ReceiveWithoutSenderIsDeadlock) {
                analytic::AnalyticError);
 }
 
+/// Dyadic machine constants: every sum and quotient of a run is exact, so
+/// the analytic replay and the simulator land on the same bits whatever
+/// order they add in.
+machine::SystemParameters dyadic_params(int np, int nodes) {
+  machine::SystemParameters params = params_np(np, nodes);
+  params.network_latency = 0.25;
+  params.network_bandwidth = 1024;
+  params.network_overhead = 0.0625;
+  params.memory_latency = 0.125;
+  params.memory_bandwidth = 2048;
+  return params;
+}
+
+TEST(Replay, MatchesMessagesFifoPerTagLikeTheSimulator) {
+  // p0 sends tag 1 and then tag 2 to p1; p1 receives tag 2 first, works
+  // for a second, then receives tag 1.  A ledger that ignored tags would
+  // hand p1's first receive the tag-1 message, which leaves earlier and
+  // is smaller, and p1 would start its work sooner.
+  uml::ModelBuilder mb("Tags");
+  uml::DiagramBuilder main = mb.diagram("main");
+  uml::NodeRef init = main.initial();
+  uml::NodeRef rank = main.decision();
+  uml::NodeRef first_work = main.action("FirstWork").cost("0.5");
+  uml::NodeRef send_one = main.send("SendOne", "1", "256", 1);
+  uml::NodeRef more_work = main.action("MoreWork").cost("0.25");
+  uml::NodeRef send_two = main.send("SendTwo", "1", "4096", 2);
+  uml::NodeRef recv_two = main.recv("RecvTwo", "0", "4096", 2);
+  uml::NodeRef digest = main.action("Digest").cost("1");
+  uml::NodeRef recv_one = main.recv("RecvOne", "0", "256", 1);
+  uml::NodeRef join = main.merge();
+  uml::NodeRef fin = main.final_node();
+  main.flow(init, rank);
+  main.flow(rank, first_work, "pid == 0");
+  main.flow(rank, recv_two, "else");
+  main.sequence({first_work, send_one, more_work, send_two, join});
+  main.sequence({recv_two, digest, recv_one, join});
+  main.flow(join, fin);
+  const uml::Model model = std::move(mb).build();
+
+  for (const int nodes : {1, 2}) {
+    const auto params = dyadic_params(2, nodes);
+    const auto sim = analytic::SimulationBackend().estimate(model, params);
+    const auto replayed = analytic::AnalyticBackend().estimate(model, params);
+    EXPECT_TRUE(prophet::testing::same_finish(replayed.per_process_finish,
+                                              sim.per_process_finish))
+        << "nodes=" << nodes;
+    // p1 waits for the tag-2 message, which leaves p0 after 0.5 + 0.0625
+    // + 0.25 + 0.0625 s, then works 1 s; the tag-1 message is there by
+    // then.
+    const double link = nodes == 1 ? 0.125 + 4096.0 / 2048
+                                   : 0.25 + 4096.0 / 1024;
+    EXPECT_EQ(replayed.per_process_finish.at(1), 0.875 + link + 1)
+        << "nodes=" << nodes;
+  }
+}
+
+TEST(Replay, ProcessThatNeverFinishesReadsNaN) {
+  // A receive nobody sends: the simulator runs out of events with p0
+  // still blocked, so p0 has no finish time.
+  uml::ModelBuilder mb("Orphan");
+  uml::DiagramBuilder main = mb.diagram("main");
+  uml::NodeRef init = main.initial();
+  uml::NodeRef orphan = main.recv("Orphan", "0", "8");
+  uml::NodeRef fin = main.final_node();
+  main.sequence({init, orphan, fin});
+  const uml::Model model = std::move(mb).build_unchecked();
+  const auto sim = analytic::SimulationBackend().estimate(model, params_np(1));
+  ASSERT_EQ(sim.per_process_finish.size(), 1u);
+  EXPECT_TRUE(std::isnan(sim.per_process_finish[0]));
+  EXPECT_NE(sim.summary().find("p0 did not finish"), std::string::npos)
+      << sim.summary();
+
+  // The analytic replay raises instead (a deadlock), but its report
+  // prints an unfinished process the same way.
+  analytic::AnalyticReport report;
+  report.processes = 2;
+  report.per_process_finish = {0.5, std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_NE(report.summary().find("p0 finished at 0.5"), std::string::npos)
+      << report.summary();
+  EXPECT_NE(report.summary().find("p1 did not finish"), std::string::npos)
+      << report.summary();
+}
+
 TEST(AnalyticEstimator, CommunicationInsideRegionIsRejected) {
   uml::ModelBuilder mb("RegionComm");
   uml::DiagramBuilder body = mb.diagram("body");
@@ -262,7 +346,8 @@ TEST(AnalyticEstimator, EvaluateIsDeterministicAndReentrant) {
   const auto first = analyzer.evaluate(params_np(4));
   const auto second = analyzer.evaluate(params_np(4));
   EXPECT_EQ(first.predicted_time, second.predicted_time);
-  EXPECT_EQ(first.per_process_finish, second.per_process_finish);
+  EXPECT_TRUE(prophet::testing::same_finish(second.per_process_finish,
+                                            first.per_process_finish));
   EXPECT_EQ(first.evaluated_elements, second.evaluated_elements);
 }
 
@@ -382,7 +467,8 @@ TEST(Backend, SimulationBackendMatchesProphetEstimate) {
   const auto via_facade =
       prophet::Prophet(prophet::models::sample_model()).estimate(params);
   EXPECT_EQ(via_backend.predicted_time, via_facade.predicted_time);
-  EXPECT_EQ(via_backend.per_process_finish, via_facade.per_process_finish);
+  EXPECT_TRUE(prophet::testing::same_finish(via_backend.per_process_finish,
+                                            via_facade.per_process_finish));
 }
 
 TEST(Backend, AnalyticBackendMatchesEstimator) {
@@ -413,7 +499,8 @@ TEST(Backend, PrepareOnceMatchesOneShotEstimate) {
       // The contract: bit-identical to the one-shot path.
       EXPECT_EQ(via_prepared.predicted_time, one_shot.predicted_time);
       EXPECT_EQ(via_prepared.events, one_shot.events);
-      EXPECT_EQ(via_prepared.per_process_finish, one_shot.per_process_finish);
+      EXPECT_TRUE(prophet::testing::same_finish(via_prepared.per_process_finish,
+                                                one_shot.per_process_finish));
     }
   }
 }

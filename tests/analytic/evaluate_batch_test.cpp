@@ -19,6 +19,7 @@
 #include "prophet/obs/obs.hpp"
 #include "prophet/prophet.hpp"
 #include "prophet/uml/builder.hpp"
+#include "same_finish.hpp"
 
 namespace analytic = prophet::analytic;
 namespace estimator = prophet::estimator;
@@ -52,7 +53,8 @@ void expect_reports_identical(const analytic::AnalyticReport& a,
   EXPECT_EQ(a.predicted_time, b.predicted_time);
   EXPECT_EQ(a.processes, b.processes);
   EXPECT_EQ(a.evaluated_elements, b.evaluated_elements);
-  EXPECT_EQ(a.per_process_finish, b.per_process_finish);
+  EXPECT_TRUE(prophet::testing::same_finish(a.per_process_finish,
+                                            b.per_process_finish));
   ASSERT_EQ(a.node_loads.size(), b.node_loads.size());
   for (std::size_t i = 0; i < a.node_loads.size(); ++i) {
     EXPECT_EQ(a.node_loads[i].utilization, b.node_loads[i].utilization) << i;
@@ -352,7 +354,8 @@ TEST(AnalyticBatch, PreparedEstimateBatchMatchesScalarEstimates) {
     const auto scalar = prepared->estimate(lanes[lane]);
     EXPECT_EQ(batched[lane].predicted_time, scalar.predicted_time) << lane;
     EXPECT_EQ(batched[lane].processes, scalar.processes) << lane;
-    EXPECT_EQ(batched[lane].per_process_finish, scalar.per_process_finish)
+    EXPECT_TRUE(prophet::testing::same_finish(batched[lane].per_process_finish,
+                                              scalar.per_process_finish))
         << lane;
   }
 }

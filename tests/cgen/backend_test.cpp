@@ -55,11 +55,9 @@ void expect_bit_identical(const estimator::PredictionReport& reference,
   EXPECT_EQ(reference.processes, candidate.processes);
   ASSERT_EQ(reference.per_process_finish.size(),
             candidate.per_process_finish.size());
-  for (const auto& [pid, finish] : reference.per_process_finish) {
-    const auto at = candidate.per_process_finish.find(pid);
-    ASSERT_NE(at, candidate.per_process_finish.end()) << "pid " << pid;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(finish),
-              std::bit_cast<std::uint64_t>(at->second))
+  for (std::size_t pid = 0; pid < reference.per_process_finish.size(); ++pid) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reference.per_process_finish[pid]),
+              std::bit_cast<std::uint64_t>(candidate.per_process_finish[pid]))
         << "pid " << pid;
   }
 }

@@ -188,9 +188,10 @@ TEST(BackendCrossValidation, OpenMpRegionSimulatorAndCodegenBitForBit) {
           ASSERT_EQ(candidate.per_process_finish.size(),
                     reference.per_process_finish.size())
               << scenario;
-          for (const auto& [pid, finish] : reference.per_process_finish) {
-            EXPECT_EQ(bits(candidate.per_process_finish.at(pid)),
-                      bits(finish))
+          for (std::size_t pid = 0;
+               pid < reference.per_process_finish.size(); ++pid) {
+            EXPECT_EQ(bits(candidate.per_process_finish[pid]),
+                      bits(reference.per_process_finish[pid]))
                 << scenario << " pid " << pid;
           }
           ++points;

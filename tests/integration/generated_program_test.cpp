@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
         prophet::estimator::SimulationManager(sp, options).run(program);
     std::printf("%a %llu", report.predicted_time,
                 static_cast<unsigned long long>(report.events));
-    for (const auto& [pid, finish] : report.per_process_finish) {
-      std::printf(" %d:%a", pid, finish);
+    for (std::size_t pid = 0; pid < report.per_process_finish.size(); ++pid) {
+      std::printf(" %zu:%a", pid, report.per_process_finish[pid]);
     }
     std::printf("\n");
   }
@@ -244,8 +244,9 @@ TEST_P(GeneratedProgram, MatchesSimulatorBitForBit) {
     std::snprintf(buffer, sizeof buffer, "%a %llu", report.predicted_time,
                   static_cast<unsigned long long>(report.events));
     expected << buffer;
-    for (const auto& [pid, finish] : report.per_process_finish) {
-      std::snprintf(buffer, sizeof buffer, " %d:%a", pid, finish);
+    for (std::size_t pid = 0; pid < report.per_process_finish.size(); ++pid) {
+      std::snprintf(buffer, sizeof buffer, " %zu:%a", pid,
+                    report.per_process_finish[pid]);
       expected << buffer;
     }
     std::string line;

@@ -121,12 +121,11 @@ TEST_P(RandomModelThreeWay, BackendsAgreeFromOneLowering) {
       << compiled.predicted_time;
   EXPECT_EQ(sim.events, compiled.events) << "seed " << seed;
   EXPECT_EQ(sim.processes, compiled.processes) << "seed " << seed;
-  for (const auto& [pid, finish] : sim.per_process_finish) {
-    const auto at = compiled.per_process_finish.find(pid);
-    ASSERT_NE(at, compiled.per_process_finish.end())
-        << "seed " << seed << " pid " << pid;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(finish),
-              std::bit_cast<std::uint64_t>(at->second))
+  ASSERT_EQ(compiled.per_process_finish.size(), sim.per_process_finish.size())
+      << "seed " << seed;
+  for (std::size_t pid = 0; pid < sim.per_process_finish.size(); ++pid) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sim.per_process_finish[pid]),
+              std::bit_cast<std::uint64_t>(compiled.per_process_finish[pid]))
         << "seed " << seed << " pid " << pid;
   }
 
@@ -184,8 +183,10 @@ TEST(RandomModelBatch, PidByPidWalkMatchesScalarOverThreeHundredSeeds) {
             << "seed " << seed << " np " << lanes[lane].processes;
         ASSERT_EQ(got.per_process_finish.size(),
                   scalar.per_process_finish.size());
-        for (const auto& [pid, finish] : scalar.per_process_finish) {
-          EXPECT_EQ(bits(got.per_process_finish.at(pid)), bits(finish))
+        for (std::size_t pid = 0; pid < scalar.per_process_finish.size();
+             ++pid) {
+          EXPECT_EQ(bits(got.per_process_finish[pid]),
+                    bits(scalar.per_process_finish[pid]))
               << "seed " << seed << " np " << lanes[lane].processes
               << " pid " << pid;
         }
