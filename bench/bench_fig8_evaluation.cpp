@@ -7,9 +7,8 @@
 // evaluation" (Sec. 3).  This bench evaluates the *same* sample model two
 // ways:
 //   * interpreted — walking the UML tree, re-evaluating expression ASTs;
-//   * compiled    — the transformer's actual output (regenerated at build
-//                   time into generated/sample_pmp.cpp and compiled into
-//                   this binary).
+//   * compiled    — the transformer's actual output, which the codegen
+//                   engine compiles and loads once, before the timings.
 // The compiled path should win by a large factor; both must predict the
 // same time (asserted here, not just benchmarked).
 #include <benchmark/benchmark.h>
@@ -17,14 +16,23 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include <memory>
+
+#include "prophet/cgen/backend.hpp"
 #include "prophet/estimator/estimator.hpp"
 #include "prophet/interp/interpreter.hpp"
+#include "prophet/lower/lower.hpp"
 #include "prophet/prophet.hpp"
 
-// Provided by the generated translation unit (generated/sample_pmp.cpp).
-prophet::estimator::FunctionModel prophet_program();
-
 namespace {
+
+/// The sample model's transformer output, compiled and loaded.
+const prophet::estimator::PreparedModel& generated_sample() {
+  static const std::unique_ptr<prophet::estimator::PreparedModel> prepared =
+      prophet::cgen::CodegenBackend().prepare(
+          prophet::lower::lower(prophet::models::sample_model()));
+  return *prepared;
+}
 
 prophet::estimator::EstimationOptions no_trace() {
   prophet::estimator::EstimationOptions options;
@@ -55,12 +63,10 @@ void BM_Evaluate_InterpretedUml(benchmark::State& state) {
 BENCHMARK(BM_Evaluate_InterpretedUml);
 
 void BM_Evaluate_GeneratedCpp(benchmark::State& state) {
-  auto program = prophet_program();
-  const prophet::estimator::SimulationManager manager(
-      bench_params(), no_trace());
+  const prophet::estimator::PreparedModel& generated = generated_sample();
   double predicted = 0;
   for (auto _ : state) {
-    predicted = manager.run(program).predicted_time;
+    predicted = generated.estimate(bench_params(), no_trace()).predicted_time;
     benchmark::DoNotOptimize(predicted);
   }
   state.counters["predicted_s"] = predicted;
@@ -84,11 +90,11 @@ BENCHMARK(BM_Evaluate_InterpretedKernel6Detailed);
 void verify_agreement() {
   const prophet::uml::Model model = prophet::models::sample_model();
   prophet::interp::Interpreter interpreter(model);
-  auto program = prophet_program();
   const prophet::estimator::SimulationManager manager(
       bench_params(), no_trace());
   const double interpreted = manager.run(interpreter).predicted_time;
-  const double generated = manager.run(program).predicted_time;
+  const double generated =
+      generated_sample().estimate(bench_params(), no_trace()).predicted_time;
   if (std::abs(interpreted - generated) > 1e-12) {
     std::fprintf(stderr,
                  "FATAL: interpreted (%.12f) and generated (%.12f) "

@@ -1,11 +1,12 @@
 // The codegen estimation backend: estimator::BackendKind::Codegen.
 //
 // prepare() completes the paper's transformation loop in-process: the
-// shared lowering is emitted as a specialized C++ evaluator
-// (emitter.hpp), compiled by the host toolchain into a shared object
-// (toolchain.hpp, content-addressed cache) and dlopen'd; estimate()
-// runs the evaluator's hooks (cgen/prelude.hpp) as the program model of
-// the host's SimulationManager, the way the simulation backend runs the
+// shared lowering is printed as C++ by the paper's transformer
+// (codegen/transformer.hpp, emitter.hpp), compiled by the host
+// toolchain into a shared object (toolchain.hpp, content-addressed
+// cache) and dlopen'd; estimate() runs the evaluator's hooks
+// (cgen/prelude.hpp) through estimator::EvaluatorModel in the host's
+// SimulationManager, the way the simulation backend runs the
 // interpreter — with the caller's parameters, options and budget.
 //
 // The object carries its own hidden, statically linked copy of the
@@ -15,9 +16,9 @@
 // key stamps every archive and prelude header the object is built from,
 // and one libstdc++ serves both sides.
 //
-// Semantics: the generated evaluator replays the interpreter's walk, so
-// predictions are bit-identical to the simulation backend (the three-way
-// differential suite pins this).  Known divergences, documented in
+// Semantics: the printed program walks the lowering as the interpreter
+// does, so predictions are bit-identical to the simulation backend (the
+// three-way differential suite pins this).  Known divergences, documented in
 // docs/codegen.md: no event trace, no sim.* metrics, and
 // max_vm_instructions does not bind (there is no VM to count).
 #pragma once
@@ -54,7 +55,7 @@ class CodegenPrepared final : public estimator::PreparedModel {
 
   [[nodiscard]] lower::ModelProgramPtr lowering() const override;
 
-  /// Wall seconds prepare() spent emitting + compiling + loading (the
+  /// Wall seconds prepare() spent printing + compiling + loading (the
   /// pipeline folds this into the codegen.prepare_seconds metric).
   [[nodiscard]] double prepare_seconds() const;
 
@@ -70,8 +71,8 @@ class CodegenPrepared final : public estimator::PreparedModel {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The codegen backend.  prepare() throws CgenError when emission,
-/// the toolchain (including "no usable compiler") or loading fails —
+/// The codegen backend.  prepare() throws CgenError when the toolchain
+/// (including "no usable compiler") or loading fails —
 /// a structured, per-model error that leaves other models unaffected.
 class CodegenBackend final : public estimator::Backend {
  public:

@@ -1,11 +1,12 @@
 // The one header every generated evaluator includes.
 //
-// The cgen emitter (emitter.hpp) prints a translation unit per model and
-// compiles it on prepare(), so whatever this header pulls in is parsed
-// once per model.  It therefore declares only what the emitted code
-// names: sim::Process (sim/process.hpp), the workload elements
-// (workload/elements.hpp), the helpers below and the evaluator's one
-// entry point.  The helpers are compiled once into the estimator archive
+// The paper's transformer (codegen/transformer.hpp) prints a translation
+// unit per model, and the codegen engine compiles it on prepare(), so
+// whatever this header pulls in is parsed once per model.  It therefore
+// declares only what the printed code names: sim::Process
+// (sim/process.hpp), the workload elements (workload/elements.hpp), the
+// helpers below and the evaluator's one entry point.  The helpers are
+// compiled once into the estimator archive
 // (src/estimator/cgen_prelude.cpp), which every evaluator links.
 //
 // The entry point hands the host the evaluator's hooks, and the host
@@ -29,8 +30,8 @@ class Budget;
 
 namespace prophet::cgen {
 
-/// What transliterated bytecode raises where the VM raises an
-/// expr::EvalError (an unbound name, a Throw instruction, a call too
+/// What a printed expression raises where the VM raises an
+/// expr::EvalError (an unbound name, a lazily compiled error, a call too
 /// deep), before at_site labels it.  `message` must be a literal.
 class EvalFault : public std::exception {
  public:
@@ -41,8 +42,9 @@ class EvalFault : public std::exception {
   const char* message_;
 };
 
-/// Throws EvalFault(`message`).
-[[noreturn]] void throw_eval(const char* message);
+/// Throws EvalFault(`message`); typed as a value so that an expression
+/// can raise in place of one.
+[[noreturn]] double throw_eval(const char* message);
 
 /// Throws std::runtime_error(`message`): a structural error the walk
 /// reached (a lowered defect, a step limit, a fork without a join).
@@ -57,8 +59,8 @@ class EvalFault : public std::exception {
 [[noreturn]] void throw_different_joins(const char* fork, const char* first,
                                         const char* other);
 
-/// Evaluates `program` (the transliteration of the program at `site`),
-/// labelling the EvalFault it raises with the site.
+/// Evaluates `program` (the printed program at `site`), labelling the
+/// EvalFault it raises with the site.
 template <class Program>
 double at_site(const char* site, Program program) {
   try {
@@ -66,14 +68,6 @@ double at_site(const char* site, Program program) {
   } catch (const EvalFault& fault) {
     throw_at_site(site, fault.what());
   }
-}
-
-/// The value bound at a slot, or EvalFault(`message`) when it is unbound.
-inline double load_slot(const double* bound, const char* message) {
-  if (bound == nullptr) {
-    throw_eval(message);
-  }
-  return *bound;
 }
 
 /// Charges one trip of a <<loop+>> to `budget` at check site `stage`.

@@ -1,4 +1,4 @@
-// Host-toolchain driver: compile emitted evaluators into shared objects.
+// The host toolchain: compile printed evaluators into shared objects.
 //
 // One command builder serves every consumer that invokes the C++
 // toolchain on generated code — the cgen backend (shared objects) and
@@ -8,7 +8,7 @@
 // configure time) cannot drift between them.
 //
 // compile_shared_object() adds a content-addressed cache: the key is an
-// FNV-1a hash over (emitted source, full command shape) and the runtime
+// FNV-1a hash over (printed source, full command shape) and the runtime
 // the object is built from — the size and modification time
 // of every archive it links and of every prelude header.  A model that
 // lowers to the same evaluator against the same runtime — across jobs,
@@ -36,8 +36,8 @@ class FaultPlan;
 
 namespace prophet::cgen {
 
-/// Structured error of the codegen backend: emission, toolchain or
-/// loading failures.  The message carries the toolchain output when a
+/// Structured error of the codegen backend: toolchain or loading
+/// failures.  The message carries the toolchain output when a
 /// compile failed.
 class CgenError : public std::runtime_error {
  public:
@@ -58,7 +58,7 @@ class CgenError : public std::runtime_error {
 [[nodiscard]] std::vector<std::string> runtime_archives(
     std::string_view binary_dir);
 
-/// The project headers every emitted evaluator includes — cgen/
+/// The project headers every printed evaluator includes — cgen/
 /// prelude.hpp and its closure — as paths under `include_dir` (the
 /// repository's include/).
 [[nodiscard]] std::vector<std::string> prelude_headers(
@@ -116,7 +116,7 @@ struct CompileOutcome {
   double compile_seconds = 0;  ///< toolchain wall time (0 on cache hit)
 };
 
-/// Compiles `source` (an emitted evaluator TU) into a content-addressed
+/// Compiles `source` (a printed evaluator TU) into a content-addressed
 /// shared object, reusing the cache when possible.  Throws CgenError
 /// when no toolchain is usable or the compile fails.
 [[nodiscard]] CompileOutcome compile_shared_object(

@@ -1,10 +1,12 @@
-// The UML -> C++ model transformation — the paper's core contribution.
+// The UML -> C++ model transformation — the paper's core contribution,
+// and the one C++ printer: the unit it prints is what `prophetc
+// generate` writes and what the codegen engine compiles (cgen/
+// emitter.hpp), so it computes what the simulator computes.
 //
 // Prints the model's lowering (lower::ModelProgram), the program every
-// engine runs, so the generated C++ computes what the simulator computes.
-// Implements the algorithm of Fig. 5:
+// engine runs.  Implements the algorithm of Fig. 5:
 //   lines  1-8  select the performance modeling elements;
-//   lines  9-12 emit the global variables;
+//   lines  9-12 emit the global variables (thread_local run state);
 //   lines 13-18 emit the cost functions (double FA1() { ... });
 //   lines 20-23 emit the local variables;
 //   lines 24-28 declare the performance modeling elements
@@ -14,13 +16,19 @@
 //               branches become if/else-if chains (Fig. 8b lines 77-87),
 //               nested activities become nested blocks (lines 79-82),
 //               <<loop+>> nodes become for statements over their trip
-//               count, fork/join becomes a fork_join() call, and
+//               count, fork/join becomes spawned branch lambdas, and
 //               associated code fragments are inlined before their
-//               element (lines 72-75).
+//               element (lines 72-75).  A diagram whose decisions and
+//               forks do not nest prints as labelled blocks with a goto
+//               to each successor, walking it as the engines do.
 //
-// The output is one self-contained C++ translation unit (the PMP element
-// of Fig. 2) that compiles against the prophet workload runtime, plus an
-// optional main() driver that runs the Performance Estimator on it.
+// The output is one translation unit (the PMP element of Fig. 2) that
+// includes only cgen/prelude.hpp and exports one entry point returning
+// its hooks (start_run, the process coroutine, set_budget); with
+// TransformOptions::emit_main it also gets a main() that runs the
+// Performance Estimator over them.  Every name binds, every error
+// carries its site and every call nests as in the expression VM
+// (docs/codegen.md).
 #pragma once
 
 #include <stdexcept>
@@ -32,9 +40,9 @@
 
 namespace prophet::codegen {
 
-/// Error thrown when the model cannot be transformed: it does not lower
-/// (lower::LowerError, message unchanged) or its control flow is not
-/// structured.  Run the model checker first for precise diagnostics.
+/// Error thrown when a uml::Model cannot be transformed because it does
+/// not lower (lower::LowerError, message unchanged).  Every lowered
+/// program prints.  Run the model checker first for precise diagnostics.
 class TransformError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -84,8 +92,7 @@ class Transformer {
   explicit Transformer(TransformOptions options = {});
 
   /// Fig. 5, whole algorithm: the lowered model in, its C++
-  /// representation out.  Throws TransformError on unstructured control
-  /// flow.
+  /// representation out.  Prints every program.
   [[nodiscard]] std::string transform(
       const lower::ModelProgram& program) const;
 

@@ -9,7 +9,8 @@
 // The program model arrives in one of two forms, both implementing
 // ProgramModel:
 //   * the C++ representation generated by the transformer (the paper's
-//     PMP element) — compiled code calling the workload runtime; or
+//     PMP element) — compiled code calling the workload runtime, whose
+//     hooks EvaluatorModel runs; or
 //   * the UML representation evaluated directly by prophet::interp — the
 //     human-usable form, used for differential testing and the
 //     machine-efficiency benchmarks.
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,6 +31,10 @@
 #include "prophet/sim/engine.hpp"
 #include "prophet/trace/trace.hpp"
 #include "prophet/workload/runtime.hpp"
+
+namespace prophet::cgen {
+struct Evaluator;
+}  // namespace prophet::cgen
 
 /// The Performance Estimator: program + machine models evaluated into
 /// prediction reports (simulation engine, backend abstraction).
@@ -71,36 +75,24 @@ class ProgramModel {
   virtual void set_budget(guard::Budget* budget) { (void)budget; }
 };
 
-/// ProgramModel adapter over two callables; generated code returns one of
-/// these from its prophet_program() factory.
-class FunctionModel final : public ProgramModel {
+/// A generated evaluator's hooks (cgen/prelude.hpp) as the program model
+/// a simulation manager runs: the codegen engine's, and the `main` that
+/// `prophetc generate --main` appends.
+class EvaluatorModel final : public ProgramModel {
  public:
-  /// Run-start hook signature (global state reset, SP binding).
-  using StartHook = std::function<void(const machine::SystemParameters&)>;
-  /// Per-process behaviour signature.
-  using ProcessMain = std::function<sim::Process(workload::ModelContext)>;
+  /// Runs `hooks`, which must outlive the model.
+  explicit EvaluatorModel(const cgen::Evaluator& hooks);
 
-  /// Wraps a start hook plus the per-process behaviour.
-  FunctionModel(StartHook on_start, ProcessMain main)
-      : on_start_(std::move(on_start)), main_(std::move(main)) {}
-  /// Wraps the per-process behaviour only (no run-start hook).
-  explicit FunctionModel(ProcessMain main) : main_(std::move(main)) {}
-
-  /// Invokes the start hook, when one was given.
-  void on_run_start(const machine::SystemParameters& params) override {
-    if (on_start_) {
-      on_start_(params);
-    }
-  }
-  /// Delegates to the wrapped per-process callable.
+  /// Resets the evaluator's run state and binds np/nt/nn/ppn.
+  void on_run_start(const machine::SystemParameters& params) override;
+  /// The evaluator's behaviour of one modeled process.
   [[nodiscard]] sim::Process process_main(
-      workload::ModelContext ctx) override {
-    return main_(std::move(ctx));
-  }
+      workload::ModelContext ctx) override;
+  /// Installs the run's budget in the evaluator.
+  void set_budget(guard::Budget* budget) override;
 
  private:
-  StartHook on_start_;
-  ProcessMain main_;
+  const cgen::Evaluator& hooks_;
 };
 
 /// The result of one estimation run.
@@ -108,8 +100,6 @@ struct PredictionReport {
   /// Makespan (seconds of simulated time).
   double predicted_time = 0;
   /// Finish time of every modeled process, indexed by pid (0..np-1).
-  /// NaN for a process that never finished (a simulated process left
-  /// blocked, e.g. on a receive nobody sends); summary() says so.
   std::vector<double> per_process_finish;
   /// Engine events processed (0 for analytic evaluations).
   std::uint64_t events = 0;
@@ -161,7 +151,8 @@ class SimulationManager {
   }
 
   /// Runs one estimation.  Deterministic: same model + parameters give
-  /// the same report.
+  /// the same report.  Throws std::runtime_error naming each process
+  /// still blocked when the engine runs out of events (a deadlock).
   [[nodiscard]] PredictionReport run(ProgramModel& model) const;
 
  private:

@@ -115,9 +115,6 @@ class SymbolTable {
   /// Id of a registered user function, if any.
   [[nodiscard]] std::optional<int> function_id(std::string_view name) const;
 
-  /// Name registered for user function `id`.
-  [[nodiscard]] const std::string& function_name(int id) const;
-
   /// Ambient binding of `name`, if any.
   [[nodiscard]] std::optional<Ambient> ambient_of(
       std::string_view name) const;
@@ -335,9 +332,6 @@ class Compiled {
   [[nodiscard]] std::span<const std::string> strings() const {
     return std::span(strings_).first(strings_.size() - (has_site_ ? 1 : 0));
   }
-
-  /// Worst-case operand-stack depth, computed at compile time.
-  [[nodiscard]] std::size_t max_stack() const { return max_stack_; }
 
   /// Human-readable listing, one instruction per line (for docs/tests).
   [[nodiscard]] std::string disassemble() const;

@@ -16,8 +16,8 @@
 // (`shared_ptr<const>` — any number of backends and threads share one
 // lowering without synchronization) and keep only their per-run state.
 // The interpreter (simulation backend), the analytic estimator and the
-// native-code emitter switch on the resolved operations and follow the
-// resolved successors, so none of them decodes a stereotype, reads a
+// paper's transformer, whose output the codegen engine compiles, switch
+// on the resolved operations and follow the resolved successors, so none of them decodes a stereotype, reads a
 // tag by name or searches a diagram's edges, and their semantics cannot
 // drift apart.  docs/lowering.md
 // documents the phases, the slot-binding rules and the metadata
@@ -310,7 +310,8 @@ class ModelProgram {
  public:
   /// Lowers `model`, borrowing it (see lower() for the owning form).
   /// Throws LowerError on unparseable expressions, malformed fragments,
-  /// unresolvable diagram references or a missing main diagram.
+  /// unresolvable diagram references, cyclic diagram nesting or a missing
+  /// main diagram.
   explicit ModelProgram(const uml::Model& model);
 
   /// The lowered model (borrowed or owned; never null).

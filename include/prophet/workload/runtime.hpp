@@ -8,12 +8,10 @@
 // processors, exchange messages and synchronize through them.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
 #include <tuple>
-#include <vector>
 
 #include "prophet/machine/machine.hpp"
 #include "prophet/obs/obs.hpp"
@@ -107,13 +105,6 @@ struct RegionState {
 
 /// The enumerator's C++ spelling ("AllReduce"), for code generators.
 [[nodiscard]] std::string_view enumerator_name(CollectiveKind kind);
-
-// --- Control-flow helpers -----------------------------------------------------
-
-/// Fork/join: runs all branches concurrently (each as a spawned process)
-/// and resumes when the last one finishes — the UML fork/join bars.
-[[nodiscard]] sim::Process fork_join(
-    ModelContext ctx, std::vector<std::function<sim::Process()>> branches);
 
 // --- Workload rules: the elements apply them before they hold, the analytic
 // engine to the same values; a bad workload throws std::invalid_argument

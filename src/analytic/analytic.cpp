@@ -1581,12 +1581,8 @@ std::string AnalyticReport::summary() const {
   out << "processes:      " << processes << '\n';
   out << "elements:       " << evaluated_elements << '\n';
   for (std::size_t pid = 0; pid < per_process_finish.size(); ++pid) {
-    out << "  p" << pid;
-    if (std::isnan(per_process_finish[pid])) {
-      out << " did not finish\n";
-    } else {
-      out << " finished at " << per_process_finish[pid] << " s\n";
-    }
+    out << "  p" << pid << " finished at " << per_process_finish[pid]
+        << " s\n";
   }
   const std::string machine = machine_report();
   if (!machine.empty()) {

@@ -10,10 +10,15 @@
 #include "prophet/analytic/backend.hpp"
 #include "prophet/cgen/emitter.hpp"
 #include "prophet/cgen/prelude.hpp"
+#include "prophet/codegen/transformer.hpp"
 #include "prophet/estimator/estimator.hpp"
 #include "prophet/guard/guard.hpp"
 
 namespace prophet::cgen {
+
+std::string emit_evaluator(const lower::ModelProgram& program) {
+  return codegen::Transformer().transform(program);
+}
 
 namespace {
 
@@ -53,30 +58,6 @@ class SharedObject {
 
  private:
   void* handle_ = nullptr;
-};
-
-/// A generated evaluator's hooks as the program model the host's
-/// simulation manager runs, as it runs the interpreter.
-class GeneratedModel final : public estimator::ProgramModel {
- public:
-  explicit GeneratedModel(const Evaluator& evaluator)
-      : evaluator_(evaluator) {}
-
-  void on_run_start(const machine::SystemParameters& params) override {
-    evaluator_.start_run(params.processes, params.threads_per_process,
-                         params.nodes, params.processors_per_node);
-  }
-
-  [[nodiscard]] sim::Process process_main(workload::ModelContext ctx) override {
-    return evaluator_.run_process(ctx);
-  }
-
-  void set_budget(guard::Budget* budget) override {
-    evaluator_.set_budget(budget);
-  }
-
- private:
-  const Evaluator& evaluator_;
 };
 
 }  // namespace
@@ -121,7 +102,7 @@ estimator::PredictionReport CodegenPrepared::estimate(
   estimator::EstimationOptions run = options;
   run.collect_trace = false;
   run.metrics = nullptr;
-  GeneratedModel model(*impl_->evaluator);
+  estimator::EvaluatorModel model(*impl_->evaluator);
   try {
     return estimator::SimulationManager(params, run).run(model);
   } catch (const guard::ResourceExhausted& error) {

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace prophet::estimator {
@@ -15,12 +17,8 @@ std::string PredictionReport::summary() const {
   out << "processes:      " << processes << '\n';
   out << "engine events:  " << events << '\n';
   for (std::size_t pid = 0; pid < per_process_finish.size(); ++pid) {
-    out << "  p" << pid;
-    if (std::isnan(per_process_finish[pid])) {
-      out << " did not finish\n";
-    } else {
-      out << " finished at " << per_process_finish[pid] << " s\n";
-    }
+    out << "  p" << pid << " finished at " << per_process_finish[pid]
+        << " s\n";
   }
   if (!machine_report.empty()) {
     out << "-- machine --\n" << machine_report;
@@ -67,7 +65,7 @@ PredictionReport SimulationManager::run(ProgramModel& model) const {
   model.on_run_start(params_);
 
   // One wrapper process per modeled process records its finish time; a
-  // process that never finishes keeps NaN.
+  // process that never finishes keeps NaN until the check below.
   std::vector<double> finish(static_cast<std::size_t>(params_.processes),
                              std::numeric_limits<double>::quiet_NaN());
   auto wrapper = [&model, &finish](workload::ModelContext ctx)
@@ -90,6 +88,18 @@ PredictionReport SimulationManager::run(ProgramModel& model) const {
   }
 
   engine.run();
+
+  // Out of events with a process still blocked: nothing can wake it.
+  std::string unfinished;
+  for (std::size_t pid = 0; pid < finish.size(); ++pid) {
+    if (std::isnan(finish[pid])) {
+      unfinished += " p" + std::to_string(pid) + " did not finish;";
+    }
+  }
+  if (!unfinished.empty()) {
+    throw std::runtime_error("communication deadlock during simulation:" +
+                             unfinished);
+  }
 
   report.predicted_time = engine.now();
   report.per_process_finish = std::move(finish);

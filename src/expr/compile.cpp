@@ -83,10 +83,6 @@ std::optional<int> SymbolTable::function_id(std::string_view name) const {
   return std::nullopt;
 }
 
-const std::string& SymbolTable::function_name(int id) const {
-  return functions_.at(static_cast<std::size_t>(id));
-}
-
 std::optional<Ambient> SymbolTable::ambient_of(std::string_view name) const {
   for (const auto& [existing, kind] : ambients_) {
     if (existing == name) {

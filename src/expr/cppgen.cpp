@@ -24,8 +24,8 @@ constexpr int kUnary = 6;
 constexpr int kPrimary = 7;
 
 /// The C++ type of a printed operand, widest first.  The VM computes in
-/// doubles, but comparisons yield bool and `pid`, `tid` and integer
-/// variables int or long, which C++ would keep in integer arithmetic.
+/// doubles, but comparisons yield bool and `pid` and `tid` int, which C++
+/// would keep in integer arithmetic.
 enum class Type : std::uint8_t { Double, Integer, Bool };
 
 /// An infix opcode's C++ operator, precedence and result type.
@@ -49,12 +49,13 @@ constexpr Infix kInfix[] = {
     {Op::Ne, "!=", kEquality, Type::Bool},
 };
 
-/// One printed operand: its text, its outermost operator's precedence
-/// and its C++ type.
+/// One printed operand: its text, its outermost operator's precedence,
+/// its C++ type and whether evaluating it may raise.
 struct Operand {
   std::string text;
   int precedence = kPrimary;
   Type type = Type::Double;
+  bool raises = false;
 };
 
 /// `operand`, parenthesized when it binds looser than `precedence`.
@@ -68,13 +69,47 @@ Operand widened(Operand operand) {
   if (operand.type == Type::Double) {
     return operand;
   }
-  return {"static_cast<double>(" + operand.text + ")"};
+  return {"static_cast<double>(" + operand.text + ")", kPrimary,
+          Type::Double, operand.raises};
 }
 
 Operand literal(double value) {
   std::string text = cpp_double(value);
   const int precedence = text.front() == '-' ? kUnary : kPrimary;
   return {std::move(text), precedence};
+}
+
+/// What raises `message` where the VM raises it.
+Operand raise(std::string_view message) {
+  return {"throw_eval(\"" + escape_cpp(message) + "\")", kPrimary,
+          Type::Double, true};
+}
+
+/// `make(operands)`, with the operands evaluated left to right when
+/// `ordered`: they then go through a braced list, which C++ evaluates in
+/// order, into the lambda `make`'s text runs in.
+template <class Make>
+Operand in_order(std::vector<Operand> operands, bool ordered, Make make) {
+  if (!ordered) {
+    return make(std::move(operands));
+  }
+  const std::string count = std::to_string(operands.size());
+  std::string list;
+  for (std::size_t k = 0; k < operands.size(); ++k) {
+    list += (k == 0 ? "" : ", ") + widened(std::move(operands[k])).text;
+    operands[k] = {"args[" + std::to_string(k) + "]"};
+  }
+  const Operand body = make(std::move(operands));
+  return {"[&](const double (&args)[" + count + "]) -> double { return " +
+              body.text + "; }({" + list + "})",
+          kPrimary, Type::Double, true};
+}
+
+/// How many of `operands` may raise.
+std::size_t raising(std::span<const Operand> operands) {
+  return static_cast<std::size_t>(
+      std::count_if(operands.begin(), operands.end(),
+                    [](const Operand& operand) { return operand.raises; }));
 }
 
 /// Prints compiled bytecode back into one expression by running the
@@ -84,9 +119,17 @@ class Printer {
   Printer(const Compiled& program, const CppNames& names)
       : code_(program.code()), strings_(program.strings()), names_(names) {}
 
-  [[nodiscard]] std::string print() { return range(0, code_.size()).text; }
+  [[nodiscard]] Operand print() { return range(0, code_.size()); }
 
  private:
+  /// The ambient `text` reads (0 when empty), an int.
+  static Operand ambient(std::string_view text) {
+    if (text.empty()) {
+      return literal(0.0);
+    }
+    return {std::string(text), kPrimary, Type::Integer};
+  }
+
   /// Prints the instructions [begin, end), which leave one value on the
   /// stack.
   Operand range(std::size_t begin, std::size_t end) {
@@ -102,13 +145,16 @@ class Printer {
         case Op::LoadSlotOrPid:
         case Op::LoadSlotOrTid:
         case Op::LoadSlotOrUid:
-          stack.push_back({names_.symbols->name_of(static_cast<Slot>(in.a)),
-                           kPrimary,
-                           std::binary_search(names_.integer_slots.begin(),
-                                              names_.integer_slots.end(),
-                                              static_cast<Slot>(in.a))
-                               ? Type::Integer
-                               : Type::Double});
+          if (!names_.slots[arg].empty()) {
+            stack.push_back({names_.slots[arg]});
+          } else if (in.op == Op::LoadSlot) {
+            stack.push_back(raise(strings_[in.b]));
+          } else if (in.op == Op::LoadSlotOrUid) {
+            stack.push_back(literal(names_.uid));
+          } else {
+            stack.push_back(ambient(in.op == Op::LoadSlotOrPid ? names_.pid
+                                                               : names_.tid));
+          }
           break;
         case Op::LoadArg:
           stack.push_back({names_.parameters[arg]});
@@ -116,20 +162,22 @@ class Printer {
         case Op::LoadPid:
         case Op::LoadTid:
           stack.push_back(
-              {in.op == Op::LoadPid ? "pid" : "tid", kPrimary, Type::Integer});
+              ambient(in.op == Op::LoadPid ? names_.pid : names_.tid));
           break;
         case Op::LoadUid:
           stack.push_back(literal(names_.uid));
           break;
         case Op::Neg: {
-          const std::string operand = at(widened(stack.back()), kUnary);
-          stack.back() = {operand.front() == '-' ? "-(" + operand + ")"
-                                                 : "-" + operand,
-                          kUnary};
+          Operand& top = stack.back();
+          const std::string operand = at(widened(top), kUnary);
+          top = {operand.front() == '-' ? "-(" + operand + ")"
+                                        : "-" + operand,
+                 kUnary, Type::Double, top.raises};
           break;
         }
         case Op::Not:
-          stack.back() = {"!" + at(stack.back(), kUnary), kUnary, Type::Bool};
+          stack.back() = {"!" + at(stack.back(), kUnary), kUnary, Type::Bool,
+                          stack.back().raises};
           break;
         case Op::Mod:
           call(stack, "std::fmod", 2);
@@ -137,7 +185,7 @@ class Printer {
         case Op::ToBool:
           if (stack.back().type != Type::Bool) {
             stack.back() = {at(stack.back(), kEquality) + " != 0.0", kEquality,
-                            Type::Bool};
+                            Type::Bool, stack.back().raises};
           }
           break;
         case Op::JumpIfFalse:
@@ -145,14 +193,11 @@ class Printer {
           i = conditional(stack, i);
           break;
         case Op::CallUser:
-          call(stack, names_.symbols->function_name(in.a), in.b);
+          user_call(stack, in.a, in.b);
           break;
         case Op::Throw:
-          // Everything after a throw up to the end of its arm is dead.  A
-          // lambda throws it: g++ 12 aborts when a throw-expression in a
-          // co_await operand runs.
-          return {"[]() -> double { throw std::runtime_error(\"" +
-                  escape_cpp(strings_[arg]) + "\"); }()"};
+          // Everything after a throw up to the end of its arm is dead.
+          return raise(strings_[arg]);
         case Op::Jump:
           throw std::logic_error("to_cpp: jump outside a conditional");
         default: {
@@ -201,33 +246,84 @@ class Printer {
     stack.back() = {at(stack.back(), kConditional + 1) + " ? " +
                         at(taken, kConditional + 1) + " : " +
                         at(otherwise, kConditional + 1),
-                    kConditional, std::min(taken.type, otherwise.type)};
+                    kConditional, std::min(taken.type, otherwise.type),
+                    stack.back().raises || taken.raises || otherwise.raises};
     return join - 1;
+  }
+
+  /// Moves the top `count` operands off `stack`.
+  static std::vector<Operand> pop(std::vector<Operand>& stack,
+                                  std::size_t count) {
+    std::vector<Operand> operands(
+        std::make_move_iterator(stack.end() - static_cast<long>(count)),
+        std::make_move_iterator(stack.end()));
+    stack.resize(stack.size() - count);
+    return operands;
   }
 
   /// `lhs op rhs`.  Two integer or boolean operands of an arithmetic
   /// operator would compute in integers, so the left one widens.
   static void binary(std::vector<Operand>& stack, const Infix& op) {
-    const Operand rhs = std::move(stack.back());
-    stack.pop_back();
-    Operand& lhs = stack.back();
-    if (op.type == Type::Double && lhs.type != Type::Double &&
-        rhs.type != Type::Double) {
-      lhs = widened(std::move(lhs));
-    }
-    lhs = {at(lhs, op.precedence) + " " + std::string(op.text) + " " +
-               at(rhs, op.precedence + 1),
-           op.precedence, op.type};
+    std::vector<Operand> operands = pop(stack, 2);
+    const bool ordered = raising(operands) == 2;
+    stack.push_back(in_order(
+        std::move(operands), ordered, [&op](std::vector<Operand> sides) {
+          Operand& lhs = sides[0];
+          const Operand& rhs = sides[1];
+          if (op.type == Type::Double && lhs.type != Type::Double &&
+              rhs.type != Type::Double) {
+            lhs = widened(std::move(lhs));
+          }
+          return Operand{at(lhs, op.precedence) + " " + std::string(op.text) +
+                             " " + at(rhs, op.precedence + 1),
+                         op.precedence, op.type, lhs.raises || rhs.raises};
+        }));
   }
 
+  /// `callee(args...)` over the top `argc` operands.
   static void call(std::vector<Operand>& stack, const std::string& callee,
                    std::size_t argc) {
-    std::string text = callee + "(";
-    for (std::size_t k = stack.size() - argc; k < stack.size(); ++k) {
-      text += (k + argc == stack.size() ? "" : ", ") + stack[k].text;
+    std::vector<Operand> operands = pop(stack, argc);
+    const bool ordered = raising(operands) > 1;
+    stack.push_back(in_order(std::move(operands), ordered,
+                             [&callee](std::vector<Operand> args) {
+                               return applied(callee, args, args.size(), {});
+                             }));
+  }
+
+  /// `name(args...)`: the first `arity` arguments, missing ones 0.0,
+  /// then `depth` when given.
+  static Operand applied(const std::string& name,
+                         std::span<const Operand> args, std::size_t arity,
+                         const std::string& depth) {
+    std::string text = name + "(";
+    for (std::size_t k = 0; k < arity; ++k) {
+      text += (k == 0 ? "" : ", ") +
+              (k < args.size() ? args[k].text : std::string("0.0"));
     }
-    stack.resize(stack.size() - argc);
-    stack.push_back({text + ")"});
+    if (!depth.empty()) {
+      text += (arity == 0 ? "" : ", ") + depth;
+    }
+    return {text + ")", kPrimary, Type::Double,
+            raising(args.first(std::min(arity, args.size()))) > 0};
+  }
+
+  /// A call of user function `id` with the top `argc` operands: extra
+  /// arguments are evaluated, in order, and dropped.
+  void user_call(std::vector<Operand>& stack, int id, std::size_t argc) {
+    const CppCallee callee = names_.callee(id);
+    std::vector<Operand> operands = pop(stack, argc);
+    const std::size_t extra_raising =
+        argc > callee.arity
+            ? raising(std::span(operands).subspan(callee.arity))
+            : 0;
+    const bool ordered = raising(operands) > 1 || extra_raising > 0;
+    Operand result = in_order(
+        std::move(operands), ordered, [&callee](std::vector<Operand> args) {
+          return applied(callee.name, args, callee.arity, callee.depth);
+        });
+    result.raises = result.raises || callee.raises;
+    stack.push_back(std::move(result));
   }
 
   std::span<const Instr> code_;
@@ -238,7 +334,12 @@ class Printer {
 }  // namespace
 
 std::string to_cpp(const Compiled& program, const CppNames& names) {
-  return Printer(program, names).print();
+  Operand printed = Printer(program, names).print();
+  if (!printed.raises || program.site().empty()) {
+    return std::move(printed.text);
+  }
+  return "at_site(\"" + escape_cpp(program.site()) +
+         "\", [&]() -> double { return " + printed.text + "; })";
 }
 
 std::string cpp_double(double value) {

@@ -588,6 +588,31 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     resolve_successors(diagram, guards_, flow);
   }
 
+  // ---- Phase 5: no diagram nests itself, directly or through others
+  // (the checker's `subdiagrams` rule).  Every walk, and the printed
+  // program, nests bodies at their call sites.
+  std::vector<int> state(diagrams_.size(), 0);  // 1: on the path, 2: done
+  const auto visit = [this, &state](const auto& self, std::size_t d) -> void {
+    state[d] = 1;
+    for (const auto& node : diagrams_[d].nodes) {
+      const auto body = static_cast<std::size_t>(node.body);
+      if (node.body >= 0 && state[body] == 1) {
+        throw LowerError("diagram " + diagrams_[d].diagram->id() +
+                         ": cyclic diagram nesting via '" +
+                         diagrams_[body].diagram->id() + "'");
+      }
+      if (node.body >= 0 && state[body] == 0) {
+        self(self, body);
+      }
+    }
+    state[d] = 2;
+  };
+  for (std::size_t d = 0; d < diagrams_.size(); ++d) {
+    if (state[d] == 0) {
+      visit(visit, d);
+    }
+  }
+
   stats_.nodes = nodes_.size();
   stats_.slots = nslots_;
   stats_.guards = guards_.size();

@@ -328,21 +328,6 @@ sim::Process OmpBarrierElement::execute(int uid, int pid, int tid) {
          trace::EventKind::Barrier);
 }
 
-// --- fork/join ---------------------------------------------------------------------
-
-sim::Process fork_join(ModelContext ctx,
-                       std::vector<std::function<sim::Process()>> branches) {
-  sim::Engine& engine = *ctx.engine;
-  std::vector<sim::ProcessRef> refs;
-  refs.reserve(branches.size());
-  for (auto& branch : branches) {
-    refs.push_back(engine.spawn(branch()));
-  }
-  for (const auto& ref : refs) {
-    co_await ref;
-  }
-}
-
 LoopTrips loop_trips(double bound, std::string_view loop_id) {
   if (std::isnan(bound) || bound < 0) {
     throw std::runtime_error("loop " + std::string(loop_id) +

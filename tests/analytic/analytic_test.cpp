@@ -265,31 +265,43 @@ TEST(Replay, MatchesMessagesFifoPerTagLikeTheSimulator) {
   }
 }
 
-TEST(Replay, ProcessThatNeverFinishesReadsNaN) {
-  // A receive nobody sends: the simulator runs out of events with p0
-  // still blocked, so p0 has no finish time.
+TEST(Replay, ProcessThatNeverFinishesFailsTheJob) {
+  // Each process computes 0.5 s, then receives from its successor, which
+  // never sends: the simulator runs out of events with every process
+  // still blocked, and the job fails naming them, in the simulator and
+  // in the generated evaluator alike.  The analytic replay raises its
+  // own deadlock.
   uml::ModelBuilder mb("Orphan");
   uml::DiagramBuilder main = mb.diagram("main");
-  uml::NodeRef init = main.initial();
-  uml::NodeRef orphan = main.recv("Orphan", "0", "8");
-  uml::NodeRef fin = main.final_node();
-  main.sequence({init, orphan, fin});
-  const uml::Model model = std::move(mb).build_unchecked();
-  const auto sim = analytic::SimulationBackend().estimate(model, params_np(1));
-  ASSERT_EQ(sim.per_process_finish.size(), 1u);
-  EXPECT_TRUE(std::isnan(sim.per_process_finish[0]));
-  EXPECT_NE(sim.summary().find("p0 did not finish"), std::string::npos)
-      << sim.summary();
-
-  // The analytic replay raises instead (a deadlock), but its report
-  // prints an unfinished process the same way.
-  analytic::AnalyticReport report;
-  report.processes = 2;
-  report.per_process_finish = {0.5, std::numeric_limits<double>::quiet_NaN()};
-  EXPECT_NE(report.summary().find("p0 finished at 0.5"), std::string::npos)
-      << report.summary();
-  EXPECT_NE(report.summary().find("p1 did not finish"), std::string::npos)
-      << report.summary();
+  main.sequence({main.initial(), main.action("Work").cost("0.5"),
+                 main.recv("Orphan", "(pid + 1) % np", "8"),
+                 main.final_node()});
+  const auto program = prophet::lower::lower(std::move(mb).build_unchecked());
+  const analytic::SimulationBackend simulator;
+  const prophet::cgen::CodegenBackend codegen;
+  const analytic::AnalyticBackend analytic_engine;
+  const auto error_of = [&](const prophet::estimator::Backend& backend,
+                            int np) {
+    try {
+      (void)backend.prepare(program)->estimate(params_np(np, 1, np));
+    } catch (const std::exception& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  for (const int np : {1, 2}) {
+    const std::string expected =
+        np == 1 ? "communication deadlock during simulation: p0 did not "
+                  "finish;"
+                : "communication deadlock during simulation: p0 did not "
+                  "finish; p1 did not finish;";
+    EXPECT_EQ(error_of(simulator, np), expected);
+    EXPECT_EQ(error_of(codegen, np), expected);
+    EXPECT_TRUE(error_of(analytic_engine, np)
+                    .starts_with("communication deadlock during analytic "
+                                 "replay"))
+        << error_of(analytic_engine, np);
+  }
 }
 
 TEST(AnalyticEstimator, CommunicationInsideRegionIsRejected) {

@@ -23,6 +23,7 @@
 #include "prophet/lower/lower.hpp"
 #include "prophet/models/builtins.hpp"
 #include "prophet/models/registry.hpp"
+#include "prophet/uml/builder.hpp"
 
 namespace cgen = prophet::cgen;
 namespace estimator = prophet::estimator;
@@ -107,25 +108,51 @@ TEST(CodegenBackend, SecondPrepareHitsTheCompileCache) {
                        second->estimate(sp(2), no_trace()));
 }
 
-TEST(CodegenBackend, ConcurrentEstimatesAreRaceFree) {
-  const auto program = prophet::lower::lower(
-      prophet::models::kernel6_model(64, 16, 1e-8));
-  const auto prepared = cgen::CodegenBackend().prepare(program);
-  const auto expected = prepared->estimate(sp(4, 2, 2), no_trace());
+/// A <<loop+>> over GN (3) of a 1 s action whose fragment decrements the
+/// global GN: the bound is read once, and every process writes GN.
+prophet::uml::Model global_writer() {
+  namespace uml = prophet::uml;
+  uml::ModelBuilder mb("Loop");
+  mb.global("GN", uml::VariableType::Real, "3");
+  uml::DiagramBuilder body = mb.diagram("body");
+  body.sequence({body.initial(), body.action("Work").cost("1").code(
+                                     "GN = GN - 1;"),
+                 body.final_node()});
+  uml::DiagramBuilder main = mb.diagram("main");
+  main.sequence(
+      {main.initial(), main.loop("Repeat", body, "GN"), main.final_node()});
+  uml::Model model = std::move(mb).build();
+  model.set_main_diagram(main.id());
+  return model;
+}
 
-  std::vector<estimator::PredictionReport> reports(8);
-  std::vector<std::thread> threads;
-  threads.reserve(reports.size());
-  for (auto& report : reports) {
-    threads.emplace_back([&prepared, &report] {
-      report = prepared->estimate(sp(4, 2, 2), no_trace());
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  for (const auto& report : reports) {
-    expect_bit_identical(expected, report);
+TEST(CodegenBackend, ConcurrentEstimatesAreRaceFree) {
+  // Each thread estimates at its own np, and the run state (globals the
+  // fragments write included) is the thread's own: every result matches
+  // a serial estimate at that np.
+  for (auto&& model : {prophet::models::kernel6_model(64, 16, 1e-8),
+                       global_writer()}) {
+    const auto prepared =
+        cgen::CodegenBackend().prepare(prophet::lower::lower(model));
+    std::vector<estimator::PredictionReport> expected;
+    for (int np = 1; np <= 8; ++np) {
+      expected.push_back(prepared->estimate(sp(np, 2, 2), no_trace()));
+    }
+    std::vector<estimator::PredictionReport> reports(expected.size());
+    std::vector<std::thread> threads;
+    threads.reserve(reports.size());
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      threads.emplace_back([&prepared, &reports, i] {
+        reports[i] = prepared->estimate(sp(static_cast<int>(i) + 1, 2, 2),
+                                        no_trace());
+      });
+    }
+    for (auto& thread : threads) {
+      thread.join();
+    }
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      expect_bit_identical(expected[i], reports[i]);
+    }
   }
 }
 

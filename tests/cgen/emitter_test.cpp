@@ -1,9 +1,8 @@
-// The evaluator emitter: generated translation units are deterministic
-// (the compile cache keys on the source bytes), self-describing (one
-// visibility-exported entry point returning the evaluator's hooks), lean
-// (one include, the cgen prelude), and carry the guard contract
-// (generated loops charge the budget) and the bit-identity contract
-// (float constants as hexfloat literals).
+// The evaluator the codegen engine compiles is the paper's transformer
+// output: deterministic (the compile cache keys on the source bytes),
+// self-describing (one visibility-exported entry point returning the
+// evaluator's hooks), lean (one include, the cgen prelude), and carrying
+// the guard contract (generated loops charge the budget).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +10,7 @@
 
 #include "prophet/cgen/emitter.hpp"
 #include "prophet/cgen/prelude.hpp"
+#include "prophet/codegen/transformer.hpp"
 #include "prophet/lower/lower.hpp"
 #include "prophet/models/builtins.hpp"
 #include "prophet/models/registry.hpp"
@@ -21,16 +21,21 @@ namespace cgen = prophet::cgen;
 namespace {
 
 std::string emit(const prophet::uml::Model& model) {
-  return cgen::emit_evaluator(*prophet::lower::lower(model));
+  return prophet::codegen::Transformer().transform(
+      *prophet::lower::lower(model));
 }
 
 TEST(Emitter, EmissionIsDeterministic) {
   // Byte-identical source for repeated lowerings of the same model —
-  // the property the content-addressed compile cache stands on.
+  // the property the content-addressed compile cache stands on — and
+  // the engine's unit is the transformer's output, unmodified.
   const std::string first = emit(prophet::models::sample_model());
   const std::string second = emit(prophet::models::sample_model());
   EXPECT_EQ(first, second);
   EXPECT_FALSE(first.empty());
+  EXPECT_EQ(cgen::emit_evaluator(
+                *prophet::lower::lower(prophet::models::sample_model())),
+            first);
 }
 
 TEST(Emitter, ExportsTheEvaluatorEntryPoint) {
@@ -45,15 +50,6 @@ TEST(Emitter, ExportsTheEvaluatorEntryPoint) {
   EXPECT_NE(source.find(cgen::kEvaluatorSymbol, exported), std::string::npos);
 }
 
-TEST(Emitter, FloatConstantsAreHexfloat) {
-  // 1e-8 has no exact decimal representation: round-tripping it through
-  // %g would break bit-identity with the VM, so constants are emitted
-  // as hexfloat literals.
-  const std::string source =
-      emit(prophet::models::kernel6_model(64, 16, 1e-8));
-  EXPECT_NE(source.find("0x1."), std::string::npos);
-}
-
 TEST(Emitter, GeneratedLoopsChargeTheBudget) {
   // The spin model is one big loop; its evaluator must carry the
   // cgen-loop charge site so runaway models trip limits, not hang.
@@ -62,7 +58,7 @@ TEST(Emitter, GeneratedLoopsChargeTheBudget) {
   EXPECT_NE(source.find("charge_loop_trips"), std::string::npos);
 }
 
-/// One model with every operation the emitter prints: a fork, a loop,
+/// One model with every operation the transformer prints: a fork, a loop,
 /// messages, a collective, an activity, a code fragment and a parallel
 /// region with worksharing, a barrier and a critical section.
 prophet::uml::Model every_construct() {
@@ -99,8 +95,8 @@ prophet::uml::Model every_construct() {
 }
 
 TEST(Emitter, IncludesOnlyThePrelude) {
-  // Every emitted evaluator parses one header; what it runs besides its
-  // own walk is compiled once into the library, so the source names no
+  // Every evaluator parses one header; what it runs besides its own
+  // walk is compiled once into the library, so the source names no
   // simulation manager and builds no std::string or runtime_error.
   std::vector<prophet::uml::Model> models;
   const auto& registry = prophet::models::Registry::builtin();

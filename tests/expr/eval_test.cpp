@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "prophet/expr/analysis.hpp"
 #include "prophet/expr/compile.hpp"
@@ -135,17 +137,21 @@ TEST(ExprAnalysis, CalledFunctions) {
 
 // --- C++ emission -------------------------------------------------------------
 
-/// `text` compiled (variables a, b, c, x and P as slots, FSA2 a user
-/// function, pid the ambient), then printed as C++.
+/// `text` compiled (variables a, b, c, x and P as slots bound to their
+/// names, FSA2 a one-parameter user function, pid the ambient), then
+/// printed as C++.
 std::string cpp(const std::string& text) {
   expr::SymbolTable table;
+  std::vector<std::string> slots;
   for (const char* name : {"a", "b", "c", "x", "P"}) {
     table.add_variable(name);
+    slots.emplace_back(name);
   }
   table.add_function("FSA2");
   table.bind_ambient("pid", expr::Ambient::Pid);
   expr::CppNames names;
-  names.symbols = &table;
+  names.slots = slots;
+  names.callee = [](int) { return expr::CppCallee{"FSA2", 1, false, {}}; };
   return expr::to_cpp(expr::compile(*expr::parse(text), table), names);
 }
 
@@ -192,8 +198,22 @@ TEST(ExprCppGen, IntegerOperandsWidenToDouble) {
 
 TEST(ExprCppGen, LazyErrorsThrowOnlyWhenRun) {
   EXPECT_EQ(cpp("a > 0 ? nope(1) : 2"),
-            "a > 0.0 ? []() -> double { throw std::runtime_error(\"unknown "
-            "function 'nope'\"); }() : 2.0");
+            "a > 0.0 ? throw_eval(\"unknown function 'nope'\") : 2.0");
+}
+
+TEST(ExprCppGen, RaisingOperandsRunInOrder) {
+  // C++ leaves the order of + operands open; the VM raises the left one's
+  // error first, so two operands that may raise go through a braced list.
+  expr::SymbolTable table;
+  table.add_variable("a");
+  table.add_variable("b");
+  const std::vector<std::string> unbound(2);
+  expr::CppNames names;
+  names.slots = unbound;
+  EXPECT_EQ(expr::to_cpp(expr::compile(*expr::parse("a + b"), table), names),
+            "[&](const double (&args)[2]) -> double { return args[0] + "
+            "args[1]; }({throw_eval(\"unknown variable 'a'\"), "
+            "throw_eval(\"unknown variable 'b'\")})");
 }
 
 /// Property: for pure-arithmetic expressions, evaluating the C++ printed

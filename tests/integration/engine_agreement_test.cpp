@@ -287,7 +287,202 @@ TEST(EngineAgreement, EvaluationErrorsCarryTheirSite) {
     d.flow(a, fin);
     return Parts{a, "node " + a.id() + ", tag 'cost': unknown variable 'Q'"};
   }));
+  // A cost reading one.
+  cases.push_back(malformed([](uml::ModelBuilder&, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    const uml::NodeRef a = d.action("A").cost("Q + 1");
+    d.flow(a, fin);
+    return Parts{a, "node " + a.id() + ", tag 'cost': unknown variable 'Q'"};
+  }));
+  // Names bound elsewhere: a global initialized from a later global or
+  // from a local, and a cost-function body reading a local.
+  cases.push_back(malformed([](uml::ModelBuilder& mb, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    mb.global("G", uml::VariableType::Real, "H + 1");
+    mb.global("H", uml::VariableType::Real, "1");
+    const uml::NodeRef a = d.action("A").cost("1");
+    d.flow(a, fin);
+    return Parts{a, "initializer of variable G: unknown variable 'H'"};
+  }));
+  cases.push_back(malformed([](uml::ModelBuilder& mb, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    mb.local("L", uml::VariableType::Real, "1");
+    mb.global("G", uml::VariableType::Real, "L + 1");
+    const uml::NodeRef a = d.action("A").cost("1");
+    d.flow(a, fin);
+    return Parts{a, "initializer of variable G: unknown variable 'L'"};
+  }));
+  cases.push_back(malformed([](uml::ModelBuilder& mb, uml::DiagramBuilder& d,
+                               const uml::NodeRef& fin) {
+    mb.local("L", uml::VariableType::Real, "1");
+    mb.function("F", {}, "L + 1");
+    const uml::NodeRef a = d.action("A").cost("F()");
+    d.flow(a, fin);
+    return Parts{a, "node " + a.id() + ", tag 'cost': unknown variable 'L'"};
+  }));
   expect_one_text(cases);
+}
+
+/// A model whose main diagram runs one action `name` with cost `cost`
+/// after `declare` added what the cost reads.
+template <typename Declare>
+uml::Model one_action(const std::string& name, const std::string& cost,
+                      Declare declare) {
+  uml::ModelBuilder mb("OneAction");
+  declare(mb);
+  uml::DiagramBuilder d = mb.diagram("main");
+  d.sequence({d.initial(), d.action(name).cost(cost), d.final_node()});
+  return std::move(mb).build_unchecked();
+}
+
+TEST(EngineAgreement, GeneratedCodeBindsAndCallsLikeTheVm) {
+  // Where a printer can part from the VM: integer variables a long
+  // cannot hold, names C++ or the unit itself takes, calls with too few
+  // or too many arguments, recursion, an unstructured while-loop and
+  // labelled walks with forks, loops and regions.  The generated
+  // evaluator predicts the simulator's bits on each.
+  using uml::VariableType;
+  std::vector<std::pair<std::string, uml::Model>> models;
+  models.emplace_back("integer 1e300",
+                      one_action("A", "K > 1e299 ? 1 : 2", [](auto& mb) {
+                        mb.global("K", VariableType::Integer, "1e300");
+                      }));
+  models.emplace_back("integer NaN",
+                      one_action("A", "K != K ? 1 : 2", [](auto& mb) {
+                        mb.global("K", VariableType::Integer, "0 / 0");
+                      }));
+  models.emplace_back("global pid", one_action("A", "pid", [](auto& mb) {
+                        mb.global("pid", VariableType::Real, "7");
+                      }));
+  for (const char* name : {"T", "ctx", "int"}) {
+    models.emplace_back(std::string("global ") + name,
+                        one_action("T", name, [name](auto& mb) {
+                          mb.global(name, VariableType::Real, "1");
+                        }));
+  }
+  models.emplace_back("missing argument",
+                      one_action("A", "F(1)", [](auto& mb) {
+                        mb.function("F", {"a", "b"}, "a + b + 1");
+                      }));
+  models.emplace_back("extra argument",
+                      one_action("A", "F(1, 2)", [](auto& mb) {
+                        mb.function("F", {"a"}, "a + 1");
+                      }));
+  models.emplace_back("recursion", one_action("A", "F(3)", [](auto& mb) {
+                        mb.function("F", {"n"}, "n > 0 ? F(n - 1) : 1");
+                      }));
+  {
+    // A merge, an action adding 0.25 to X, and a decision back to the
+    // merge while X < 1.
+    uml::ModelBuilder mb("WhileLoop");
+    mb.global("X", VariableType::Real, "0");
+    uml::DiagramBuilder d = mb.diagram("main");
+    const uml::NodeRef init = d.initial();
+    const uml::NodeRef merge = d.merge("M");
+    const uml::NodeRef a = d.action("A").cost("0.001").code("X = X + 0.25;");
+    const uml::NodeRef decision = d.decision("D");
+    const uml::NodeRef fin = d.final_node();
+    d.sequence({init, merge, a, decision});
+    d.flow(decision, merge, "X < 1");
+    d.flow(decision, fin, "else");
+    models.emplace_back("while-loop", std::move(mb).build_unchecked());
+  }
+  {
+    // Labelled walks with forks: a fork whose first branch decides
+    // straight into the join, and a nested fork, run twice by a cycle.
+    uml::ModelBuilder mb("LabelledForks");
+    mb.local("R", VariableType::Real, "0");
+    uml::DiagramBuilder d = mb.diagram("main");
+    const uml::NodeRef init = d.initial();
+    const uml::NodeRef merge = d.merge("M");
+    const uml::NodeRef fork = d.fork("F");
+    const uml::NodeRef decision = d.decision("D");
+    const uml::NodeRef a = d.action("A").cost("1");
+    const uml::NodeRef inner = d.fork("F2");
+    const uml::NodeRef b = d.action("B").cost("2");
+    const uml::NodeRef c = d.action("C").cost("0.5 * (pid + 1)");
+    const uml::NodeRef inner_join = d.join("J2");
+    const uml::NodeRef join = d.join("J");
+    const uml::NodeRef count = d.action("Count").cost("0").code("R = R + 1;");
+    const uml::NodeRef again = d.decision("Again");
+    const uml::NodeRef fin = d.final_node();
+    d.sequence({init, merge, fork});
+    d.flow(fork, decision);
+    d.flow(fork, inner);
+    d.flow(decision, join, "pid > 0");
+    d.flow(decision, a, "else");
+    d.flow(a, join);
+    d.flow(inner, b);
+    d.flow(inner, c);
+    d.flow(b, inner_join);
+    d.flow(c, inner_join);
+    d.flow(inner_join, join);
+    d.sequence({join, count, again});
+    d.flow(again, merge, "R < 2");
+    d.flow(again, fin, "else");
+    models.emplace_back("labelled forks", std::move(mb).build_unchecked());
+  }
+  {
+    // A labelled body inside a loop, reading the loop variable and a
+    // local, and one inside a parallel region, reading tid.
+    uml::ModelBuilder mb("LabelledBodies");
+    mb.local("C", VariableType::Real, "0");
+    uml::DiagramBuilder counted = mb.diagram("counted");
+    const uml::NodeRef cinit = counted.initial();
+    const uml::NodeRef cmerge = counted.merge("M");
+    const uml::NodeRef work =
+        counted.action("W").cost("0.001 * k + 0.01").code("C = C + 1;");
+    const uml::NodeRef more = counted.decision("More");
+    const uml::NodeRef cfin = counted.final_node();
+    counted.sequence({cinit, cmerge, work, more});
+    counted.flow(more, cmerge, "C < 2 * (k + 1)");
+    counted.flow(more, cfin, "else");
+    uml::DiagramBuilder team = mb.diagram("team");
+    const uml::NodeRef tinit = team.initial();
+    const uml::NodeRef tmerge = team.merge("TM");
+    const uml::NodeRef step = team.action("S").cost("0.001 * (tid + 1)");
+    const uml::NodeRef spin = team.decision("Spin");
+    const uml::NodeRef tfin = team.final_node();
+    team.sequence({tinit, tmerge, step, spin});
+    team.flow(spin, tmerge, "tid > 5");
+    team.flow(spin, tfin, "else");
+    uml::DiagramBuilder main = mb.diagram("main");
+    main.sequence({main.initial(), main.loop("L", counted, "3", "k"),
+                   main.omp_parallel("R", team, "3"), main.final_node()});
+    uml::Model model = std::move(mb).build_unchecked();
+    model.set_main_diagram(main.id());
+    models.emplace_back("labelled bodies", std::move(model));
+  }
+  prophet::estimator::EstimationOptions options;
+  options.collect_trace = false;
+  options.collect_machine_report = false;
+  for (const auto& [name, model] : models) {
+    const auto program = prophet::lower::lower(model);
+    const auto simulator = analytic::SimulationBackend().prepare(program);
+    const auto generated = prophet::cgen::CodegenBackend().prepare(program);
+    for (int np = 1; np <= 4; ++np) {
+      for (int nodes = 1; nodes <= 2; ++nodes) {
+        for (int ppn = 1; ppn <= 2; ++ppn) {
+          prophet::machine::SystemParameters params;
+          params.processes = np;
+          params.nodes = nodes;
+          params.processors_per_node = ppn;
+          const auto expected = simulator->estimate(params, options);
+          const auto actual = generated->estimate(params, options);
+          const std::string point = name + " at np=" + std::to_string(np) +
+                                    " nodes=" + std::to_string(nodes) +
+                                    " ppn=" + std::to_string(ppn);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.predicted_time),
+                    std::bit_cast<std::uint64_t>(expected.predicted_time))
+              << point;
+          EXPECT_EQ(actual.events, expected.events) << point;
+          EXPECT_TRUE(prophet::testing::same_finish(
+              actual.per_process_finish, expected.per_process_finish))
+              << point;
+        }
+      }
+    }
+  }
 }
 
 TEST(EngineAgreement, CostFunctionsNestSixtyFiveCallsDeep) {

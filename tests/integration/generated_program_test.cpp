@@ -1,25 +1,21 @@
 // The paper's output against the simulator.  For every registry model,
 // three random seeds, five models that once made the two disagree and an
-// OpenMP region model, the Fig. 5 transformer's C++ (no --main) is
-// compiled together with a small driver and run over a wide grid of
-// system parameters.  Each run must predict exactly what
-// SimulationBackend predicts on the same lowering: the predicted time,
-// the event count and every process's finish time, bit for bit.
+// OpenMP region model, the Fig. 5 transformer's C++ is compiled and
+// loaded by the codegen engine and run over a wide grid of system
+// parameters.  Each run must predict exactly what SimulationBackend
+// predicts on the same lowering: the predicted time, the event count and
+// every process's finish time, bit for bit.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "openmp_region_model.hpp"
 #include "prophet/analytic/backend.hpp"
-#include "prophet/cgen/toolchain.hpp"
+#include "prophet/cgen/backend.hpp"
 #include "prophet/check/checker.hpp"
-#include "prophet/codegen/transformer.hpp"
 #include "prophet/lower/lower.hpp"
 #include "prophet/models/registry.hpp"
 #include "prophet/uml/builder.hpp"
@@ -28,38 +24,20 @@ namespace uml = prophet::uml;
 
 namespace {
 
-/// The driver compiled with each generated unit.  It declares the unit's
-/// entry point, as bench_fig8_evaluation does, runs every grid point
-/// given on argv ("np,nodes,ppn,nt") and prints one line per point: the
-/// predicted time, the events and each "pid:finish", doubles as %a.
-constexpr const char* kDriver = R"(
-#include <cstdio>
-
-prophet::estimator::FunctionModel prophet_program();
-
-int main(int argc, char** argv) {
-  prophet::estimator::EstimationOptions options;
-  options.collect_trace = false;
-  options.collect_machine_report = false;
-  auto program = prophet_program();
-  for (int i = 1; i < argc; ++i) {
-    prophet::machine::SystemParameters sp;
-    if (std::sscanf(argv[i], "%d,%d,%d,%d", &sp.processes, &sp.nodes,
-                    &sp.processors_per_node, &sp.threads_per_process) != 4) {
-      return 2;
-    }
-    const auto report =
-        prophet::estimator::SimulationManager(sp, options).run(program);
-    std::printf("%a %llu", report.predicted_time,
+/// The predicted time, the events and each "pid:finish" of `report`,
+/// doubles as %a.
+std::string bits(const prophet::estimator::PredictionReport& report) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof buffer, "%a %llu", report.predicted_time,
                 static_cast<unsigned long long>(report.events));
-    for (std::size_t pid = 0; pid < report.per_process_finish.size(); ++pid) {
-      std::printf(" %zu:%a", pid, report.per_process_finish[pid]);
-    }
-    std::printf("\n");
+  std::string line = buffer;
+  for (std::size_t pid = 0; pid < report.per_process_finish.size(); ++pid) {
+    std::snprintf(buffer, sizeof buffer, " %zu:%a", pid,
+                  report.per_process_finish[pid]);
+    line += buffer;
   }
-  return 0;
+  return line;
 }
-)";
 
 /// One input model: a registry reference, or a model built here.
 struct Case {
@@ -182,32 +160,12 @@ TEST_P(GeneratedProgram, MatchesSimulatorBitForBit) {
   const auto diagnostics =
       prophet::check::ModelChecker().check(program->model());
   ASSERT_TRUE(diagnostics.ok()) << diagnostics.to_string();
-  const std::string cpp = prophet::codegen::Transformer().transform(*program);
-
-  // The pid keeps concurrent runs of the suite (several build trees) apart.
-  const std::string base = ::testing::TempDir() + "/prophet_program_" +
-                           input.name + "_" + std::to_string(::getpid());
-  {
-    std::ofstream out(base + ".cpp");
-    ASSERT_TRUE(out.is_open());
-    out << cpp << kDriver;
-  }
-  prophet::cgen::CompileSpec spec;
-  spec.source_path = base + ".cpp";
-  spec.output_path = base;
-  spec.include_dir = std::string(PROPHET_SOURCE_DIR) + "/include";
-  spec.archives = prophet::cgen::runtime_archives(PROPHET_BINARY_DIR);
-  spec.optimization = "-O1";
-  spec.extra_flags_fallback = PROPHET_EXTRA_CXX_FLAGS;
-  const std::string compile = prophet::cgen::compile_command(spec);
-  std::string output;
-  ASSERT_EQ(prophet::cgen::run_command(compile, &output), 0)
-      << "generated code failed to compile:\n"
-      << output << "\n--- source ---\n"
-      << cpp;
-
-  std::vector<std::pair<std::string, prophet::machine::SystemParameters>> grid;
-  std::string command = base;
+  const auto generated = prophet::cgen::CodegenBackend().prepare(program);
+  const auto simulator =
+      prophet::analytic::SimulationBackend().prepare(program);
+  prophet::estimator::EstimationOptions options;
+  options.collect_trace = false;
+  options.collect_machine_report = false;
   for (int np = 1; np <= 16; ++np) {
     for (int nodes = 1; nodes <= 4; ++nodes) {
       for (int ppn = 1; ppn <= 4; ++ppn) {
@@ -220,41 +178,14 @@ TEST_P(GeneratedProgram, MatchesSimulatorBitForBit) {
           params.nodes = nodes;
           params.processors_per_node = ppn;
           params.threads_per_process = nt;
-          const std::string point =
-              std::to_string(np) + "," + std::to_string(nodes) + "," +
-              std::to_string(ppn) + "," + std::to_string(nt);
-          grid.emplace_back(point, params);
-          command += " " + point;
+          EXPECT_EQ(bits(generated->estimate(params, options)),
+                    bits(simulator->estimate(params, options)))
+              << "np,nodes,ppn,nt = " << np << "," << nodes << "," << ppn
+              << "," << nt;
         }
       }
     }
   }
-  ASSERT_EQ(prophet::cgen::run_command(command, &output), 0) << output;
-
-  prophet::estimator::EstimationOptions options;
-  options.collect_trace = false;
-  options.collect_machine_report = false;
-  const auto simulator =
-      prophet::analytic::SimulationBackend().prepare(program);
-  std::istringstream lines(output);
-  for (const auto& [point, params] : grid) {
-    const auto report = simulator->estimate(params, options);
-    std::ostringstream expected;
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%a %llu", report.predicted_time,
-                  static_cast<unsigned long long>(report.events));
-    expected << buffer;
-    for (std::size_t pid = 0; pid < report.per_process_finish.size(); ++pid) {
-      std::snprintf(buffer, sizeof buffer, " %zu:%a", pid,
-                    report.per_process_finish[pid]);
-      expected << buffer;
-    }
-    std::string line;
-    ASSERT_TRUE(std::getline(lines, line)) << output;
-    EXPECT_EQ(line, expected.str()) << "np,nodes,ppn,nt = " << point;
-  }
-  std::remove((base + ".cpp").c_str());
-  std::remove(base.c_str());
 }
 
 // ctest names each case after the model: .../MatchesSimulatorBitForBit/sample.

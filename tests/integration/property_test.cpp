@@ -60,7 +60,7 @@ TEST_P(RandomModelProperty, TransformsWithoutError) {
   const Prophet prophet(prophet::models::random_model(GetParam()));
   const std::string cpp = prophet.transform();
   EXPECT_NE(cpp.find("prophet_model"), std::string::npos);
-  EXPECT_NE(cpp.find("prophet_program"), std::string::npos);
+  EXPECT_NE(cpp.find("prophet_cgen_evaluator"), std::string::npos);
 }
 
 TEST_P(RandomModelProperty, GenerationIsDeterministic) {

@@ -19,6 +19,7 @@
 #include "prophet/lower/lower.hpp"
 #include "prophet/models/builtins.hpp"
 #include "prophet/models/registry.hpp"
+#include "prophet/pipeline/batch.hpp"
 #include "prophet/uml/builder.hpp"
 #include "same_finish.hpp"
 
@@ -385,6 +386,69 @@ TEST(SharedLowering, NullProgramsAreRejected) {
   EXPECT_THROW((void)analytic::SimulationBackend().prepare(
                    lower::ModelProgramPtr()),
                interp::InterpretError);
+}
+
+// --- Diagram nesting ---------------------------------------------------------
+
+/// A main diagram running a 1 s action, then an activity over itself.
+uml::Model self_nesting() {
+  uml::ModelBuilder mb("SelfNesting");
+  uml::DiagramBuilder main = mb.diagram("main");
+  main.sequence({main.initial(), main.action("A").cost("1"),
+                 main.activity("Again", main), main.final_node()});
+  return std::move(mb).build_unchecked();
+}
+
+TEST(DiagramNesting, SelfNestingActivityIsRejected) {
+  const uml::Model model = self_nesting();
+  const std::string main = model.diagrams()[0]->id();
+  try {
+    (void)lower::lower(model);
+    FAIL() << "lowered a diagram that nests itself";
+  } catch (const lower::LowerError& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "diagram " + main + ": cyclic diagram nesting via '" + main +
+                  "'");
+  }
+}
+
+TEST(DiagramNesting, CycleThroughALoopAndAnActivityIsRejected) {
+  uml::ModelBuilder mb("TwoDiagramCycle");
+  uml::DiagramBuilder main = mb.diagram("main");
+  uml::DiagramBuilder body = mb.diagram("body");
+  main.sequence({main.initial(), main.loop("L", body, "2"),
+                 main.final_node()});
+  body.sequence({body.initial(), body.activity("Back", main),
+                 body.final_node()});
+  const uml::Model model = std::move(mb).build_unchecked();
+  try {
+    (void)lower::lower(model);
+    FAIL() << "lowered a cycle of diagram nesting";
+  } catch (const lower::LowerError& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "diagram " + body.id() + ": cyclic diagram nesting via '" +
+                  main.id() + "'");
+  }
+}
+
+TEST(DiagramNesting, UncheckedSweepFailsItsJobs) {
+  // Without the checker, the lowering stops the model before any engine
+  // walks it: every job fails with the one text.
+  prophet::pipeline::BatchOptions options;
+  options.threads = 1;
+  options.run_checker = false;
+  options.backend = estimator::BackendKind::All;
+  prophet::pipeline::BatchRunner runner(options);
+  runner.add_model("self", self_nesting());
+  runner.add_scenario(0, params_np(1));
+  runner.add_scenario(0, params_np(2, 1, 2));
+  const auto report = runner.run();
+  ASSERT_EQ(report.results.size(), 2u);
+  for (const auto& result : report.results) {
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find("cyclic diagram nesting"), std::string::npos)
+        << result.error;
+  }
 }
 
 }  // namespace

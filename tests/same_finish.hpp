@@ -15,8 +15,7 @@ inline std::uint64_t finish_bits(double finish) {
 }
 
 /// Success when `actual` holds `expected`'s finish times, pid by pid, in
-/// the same bits (a NaN, a process that never finished, matches only the
-/// same NaN).
+/// the same bits.
 inline ::testing::AssertionResult same_finish(
     const std::vector<double>& actual, const std::vector<double>& expected) {
   if (actual.size() != expected.size()) {

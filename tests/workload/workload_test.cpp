@@ -318,21 +318,6 @@ TEST(Critical, SerializesThreads) {
   EXPECT_DOUBLE_EQ(rig.engine.now(), 4.0);
 }
 
-TEST(ForkJoin, WaitsForSlowestBranch) {
-  Rig rig;
-  auto proc = [](workload::ModelContext ctx) -> sim::Process {
-    auto engine = ctx.engine;
-    std::vector<std::function<sim::Process()>> branches;
-    branches.push_back([engine]() -> sim::Process { co_await engine->hold(1.0); });
-    branches.push_back([engine]() -> sim::Process { co_await engine->hold(5.0); });
-    branches.push_back([engine]() -> sim::Process { co_await engine->hold(3.0); });
-    co_await workload::fork_join(ctx, std::move(branches));
-  };
-  rig.engine.spawn(proc(rig.ctx()));
-  rig.engine.run();
-  EXPECT_DOUBLE_EQ(rig.engine.now(), 5.0);
-}
-
 TEST(Communicator, MailboxesCreatedLazily) {
   Rig rig(params_np(4, 4));
   EXPECT_EQ(rig.comm.mailbox_count(), 0u);
