@@ -99,9 +99,11 @@ class AnalyticEstimator {
   explicit AnalyticEstimator(uml::Model&& model);
 
   /// Shares an existing lowering: no parsing, no compilation — one pass
-  /// over the model's nodes and edges decides whether one walk serves
-  /// every process whatever np is, which lets evaluate_batch walk lanes
-  /// of different np together.  Throws AnalyticError on null programs.
+  /// over the model's programs decides whether one walk serves every
+  /// process whatever np is, which lets evaluate_batch walk lanes of
+  /// different np together, and whether a walk may read the topology,
+  /// which decides which lanes share a walk.  Throws AnalyticError on
+  /// null programs.
   explicit AnalyticEstimator(lower::ModelProgramPtr program);
   ~AnalyticEstimator();
 
@@ -143,26 +145,33 @@ class AnalyticEstimator {
   /// budget) loop would produce.
   ///
   /// The lanes are split into groups: runs of consecutive lanes of equal np (a
-  /// grid whose np axis turns slowest keeps each np's lanes together).  Each
-  /// group of two or more takes the *batched* walk that evaluate() takes for
-  /// one lane: pid 0 is walked across the group, with cost expressions
+  /// grid whose np axis turns slowest keeps each np's lanes together).  A
+  /// group of two or more walks each distinct *walk input* once.  A lane's walk
+  /// input is every SystemParameters field, except nodes and
+  /// processors_per_node when the model cannot read them: it has no
+  /// <<collective>>, and no node-tag program, decision guard, fragment value,
+  /// variable initializer or cost-function body reads nn or ppn (decided when
+  /// the estimator is built).  One distinct input takes the scalar walk that
+  /// evaluate() takes; several take the *batched* walk, with cost expressions
   /// evaluated through the vectorized expr VM (Compiled::eval_batch), one value
-  /// per lane.  When that walk read no pid/tid and ran no code fragment it
-  /// serves every process; otherwise pids 1..np-1 are walked in order, each
-  /// across the group, and fragments update each lane's own globals.  Only the
-  /// replay/bound assembly runs per lane.  A model in which no node-tag
-  /// program, decision guard or local initializer may read pid/tid and no node
-  /// carries a fragment (decided when the estimator is built) walks only pid 0,
-  /// so all its lanes form one group whatever their np.  A lane with no
-  /// neighbour of its np takes the scalar walk.  A group falls back to the
-  /// scalar walk when its lanes diverge (guard truthiness, message peers or
-  /// region thread counts differ across lanes; lane-varying trip counts mix
-  /// zero with non-zero or feed a loop body that does not collapse) or one of
-  /// them raises; errors then carry their exact per-lane messages, the first
-  /// lane's in lane order.  Each lane of a group that fell back is added to
-  /// `*lanes_fallback` when non-null; a lane with no neighbour is not.  Counter
-  /// totals may differ between the paths (batched dispatch counts instructions
-  /// once per group); predictions never do.
+  /// per input.  Pid 0 is walked first.  When that walk read no pid/tid and ran
+  /// no code fragment it serves every process; otherwise pids 1..np-1 are
+  /// walked in order, each across the inputs, and fragments update each
+  /// input's own globals.  The replay and bound assembly run per lane, over the
+  /// walks of the lane's input.  A model in which no node-tag program, decision
+  /// guard or local initializer may read pid/tid and no node carries a fragment
+  /// (decided when the estimator is built) walks only pid 0, so all its lanes
+  /// form one group whatever their np.  A lane with no neighbour of its np
+  /// takes the scalar walk.  A group falls back to the scalar walk when its
+  /// inputs diverge (guard truthiness, message peers or region thread counts
+  /// differ; varying trip counts mix zero with non-zero or feed a loop body
+  /// that does not collapse) or one of them raises; errors then carry their
+  /// exact per-lane messages, the first lane's in lane order.  Each lane of a
+  /// group that fell back is added to `*lanes_fallback` when non-null; a lane
+  /// with no neighbour is not.  `spmd_fast_path` and `events_replayed` count
+  /// per lane.  Other counter totals may differ between the paths (a walk
+  /// counts once however many lanes share it, and batched dispatch counts
+  /// instructions once per walk); predictions never do.
   [[nodiscard]] std::vector<AnalyticReport> evaluate_batch(
       std::span<const machine::SystemParameters> params,
       obs::AnalyticCounters* counters = nullptr,

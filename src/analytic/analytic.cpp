@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <deque>
@@ -164,41 +165,101 @@ struct SoaLanes {
   }
 };
 
-/// True when one walk can serve every process of every scenario lane,
-/// whatever its np: no node-tag program, decision guard or local
-/// initializer may read pid or tid, and no node carries a code fragment.
-/// This is the static form of the condition under which the walk of
-/// process 0 serves every process (the SPMD check of run_lanes), so such
-/// a model is sure to walk only pid 0 and lanes of any np can share it.
-bool shares_one_walk(const lower::ModelProgram& program) {
-  for (const auto& variable : program.variables()) {
-    if (variable.scope == uml::VariableScope::Local &&
-        variable.initializer.has_value() &&
-        variable.initializer->may_read_pid_tid()) {
-      return false;
+/// What a model's lowering lets evaluate_batch share, decided in one
+/// pass over it when the estimator is built.
+struct WalkSharing {
+  /// True when one walk can serve every process of every scenario lane,
+  /// whatever its np: no node-tag program, decision guard or local
+  /// initializer may read pid or tid, and no node carries a code
+  /// fragment.  This is the static form of the condition under which the
+  /// walk of process 0 serves every process (the SPMD check of
+  /// run_lanes), so such a model is sure to walk only pid 0 and lanes of
+  /// any np can share it.
+  bool one_walk = true;
+  /// True when a walk may read the machine's topology: a node is a
+  /// <<collective>> (its round time depends on nodes > 1), or a node
+  /// tag, decision guard, fragment assignment value, variable initializer
+  /// or cost-function body references the nn or ppn slot.  Otherwise
+  /// lanes that differ only in nodes and processors_per_node walk alike.
+  bool reads_topology = false;
+};
+
+WalkSharing walk_sharing(const lower::ModelProgram& program) {
+  WalkSharing sharing;
+  // Notes what one program the walk may evaluate reads; `per_pid`: a
+  // pid/tid read stops one walk from serving every process.
+  const auto scan = [&](const expr::Compiled& code, bool per_pid) {
+    if (per_pid && code.may_read_pid_tid()) {
+      sharing.one_walk = false;
     }
+    if (code.references_slot(program.nn_slot()) ||
+        code.references_slot(program.ppn_slot())) {
+      sharing.reads_topology = true;
+    }
+  };
+  // Global initializers read pid = tid = 0 in every process.
+  for (const auto& variable : program.variables()) {
+    if (variable.initializer.has_value()) {
+      scan(*variable.initializer,
+           variable.scope == uml::VariableScope::Local);
+    }
+  }
+  for (const auto& body : program.functions()) {
+    scan(body, false);
   }
   for (const auto& diagram : program.diagrams()) {
     for (const auto& node : diagram.nodes) {
+      if (node.op == Operation::Collective) {
+        sharing.reads_topology = true;
+      }
       if (!node.fragment.empty()) {
-        return false;
+        sharing.one_walk = false;
+      }
+      for (const auto& assignment : node.fragment) {
+        scan(assignment.value, false);
       }
       for (const auto& tag : node.tags) {
-        if (tag.has_value() && tag->may_read_pid_tid()) {
-          return false;
+        if (tag.has_value()) {
+          scan(*tag, true);
         }
       }
       if (node.op != Operation::Decision) {
         continue;
       }
       for (const auto& branch : node.branches) {
-        if (branch.guard != nullptr && branch.guard->may_read_pid_tid()) {
-          return false;
+        if (branch.guard != nullptr) {
+          scan(*branch.guard, true);
         }
       }
     }
   }
-  return true;
+  return sharing;
+}
+
+/// True when scenarios `a` and `b` have the same walk input: they agree,
+/// bit for bit, on every SystemParameters field the walk may read.  It
+/// reads nodes and processors_per_node only when `topology`
+/// (WalkSharing::reads_topology); the replay and the bounds read every
+/// field of each lane themselves.
+bool same_walk_input(const machine::SystemParameters& a,
+                     const machine::SystemParameters& b, bool topology) {
+  static_assert(sizeof(machine::SystemParameters) ==
+                    4 * sizeof(int) + 7 * sizeof(double),
+                "same_walk_input compares every SystemParameters field");
+  const auto same = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  return a.processes == b.processes &&
+         a.threads_per_process == b.threads_per_process &&
+         same(a.cpu_speed, b.cpu_speed) &&
+         same(a.network_latency, b.network_latency) &&
+         same(a.network_bandwidth, b.network_bandwidth) &&
+         same(a.network_overhead, b.network_overhead) &&
+         same(a.memory_latency, b.memory_latency) &&
+         same(a.memory_bandwidth, b.memory_bandwidth) &&
+         same(a.barrier_latency, b.barrier_latency) &&
+         (!topology || (a.nodes == b.nodes &&
+                        a.processors_per_node == b.processors_per_node));
 }
 
 /// One process's cursor into its timeline during replay.
@@ -276,11 +337,15 @@ struct SubWalkBuffers {
 /// error or a guard::GuardError can leave it mid-walk, and evaluate_batch
 /// then re-runs the group through evaluate() at once.
 struct Workspace {
+  // A batched group's distinct walk inputs, in order of first appearance
+  // (the walk's lanes), and each scenario lane's index among them.
+  std::vector<machine::SystemParameters> inputs;
+  std::vector<std::size_t> column_of;
   // A run's globals and np/nt/nn/ppn in their own slots, [slot * width +
   // lane], and its frame: slot -> lane array.
   std::vector<double> global_values;
   std::vector<double*> run_frame;
-  // Each process's walk, [pid * width + lane].
+  // Each process's walk, [pid * width + column].
   std::vector<WalkResult> walks;
   // One pid walk: its locals ([slot * width + lane]), its copy of the
   // run frame and its loop bindings.
@@ -325,23 +390,28 @@ struct AnalyticEstimator::Impl {
   /// — and the simulation backend — can consume the same program
   /// concurrently.
   lower::ModelProgramPtr program;
-  /// Whether lanes of different np may share one walk (shares_one_walk),
-  /// decided once, here: evaluate_batch then walks a chunk as one group
-  /// instead of one group per run of equal np.
-  bool one_walk = false;
+  /// What evaluate_batch may share, decided once, here: with one_walk it
+  /// walks a chunk as one group instead of one group per run of equal np,
+  /// and without reads_topology lanes of a group that differ only in
+  /// nodes and processors_per_node share one walk.
+  WalkSharing sharing;
 
   /// State of one evaluation over `lanes` scenarios: one lane for
-  /// evaluate(), a group of them for the batched walk.  Its buffers are
-  /// the thread's Workspace; the rest lives on the call's stack.  Storage
-  /// is slot-major — `width` lane values per slot — so the run frame is
-  /// exactly what expr::BatchEvalContext expects, and lane l's scalar
-  /// view is every bound pointer offset by l.  Every process's walk of a
-  /// run shares the globals, so code fragments update each lane's
-  /// globals in pid order.
+  /// evaluate(), a group of them for the batched walk.  The walk runs
+  /// once per distinct walk input (`inputs`, its lanes), and scenario
+  /// lane l reads the walk of input `column_of[l]`.  Its buffers are the
+  /// thread's Workspace; the rest lives on the call's stack.  Storage is
+  /// slot-major — `width` walk-lane values per slot — so the run frame is
+  /// exactly what expr::BatchEvalContext expects, and walk lane c's
+  /// scalar view is every bound pointer offset by c.  Every process's
+  /// walk of a run shares the globals, so code fragments update each
+  /// input's globals in pid order.
   struct EvalState {
     Workspace& ws;
     std::span<const machine::SystemParameters> lanes;
-    std::size_t width = 1;
+    std::span<const machine::SystemParameters> inputs;
+    std::span<const std::size_t> column_of;
+    std::size_t width = 1;  // the walk's lanes: inputs.size()
     expr::FunctionTable functions{};  // the bodies, over the run frame
     std::uint64_t elements = 0;      // model elements walked
     std::uint64_t fragments_executed = 0;
@@ -357,14 +427,16 @@ struct AnalyticEstimator::Impl {
   template <typename Lanes>
   void start_run(EvalState& st) const;
 
-  /// Walks process `pid` into `out` (one WalkResult per lane).
+  /// Walks process `pid` into `out` (one WalkResult per input).
   template <typename Lanes>
   void walk(EvalState& st, int pid, WalkResult* out) const;
 
-  /// The one driver, for evaluate() (ScalarLanes, one lane) and each
-  /// batched group (SoaLanes): validates and starts `st`'s run, walks
-  /// pid 0 and, unless that walk serves every process, pids 1..np-1 in
-  /// order, then hands each lane's report to `sink(lane, report)`.
+  /// The one walk-replay-bound path, for evaluate() and each batched
+  /// group: validates
+  /// every lane, starts `st`'s run over its distinct inputs (ScalarLanes
+  /// for one, SoaLanes for several), walks pid 0 and, unless that walk
+  /// serves every process, pids 1..np-1 in order, then hands each lane's
+  /// report, replayed over its input's walks, to `sink(lane, report)`.
   template <typename Lanes, typename Sink>
   void run_lanes(EvalState& st, Sink&& sink) const;
 
@@ -379,7 +451,7 @@ struct AnalyticEstimator::Impl {
 };
 
 AnalyticEstimator::Impl::Impl(lower::ModelProgramPtr p)
-    : program(std::move(p)), one_walk(shares_one_walk(*program)) {}
+    : program(std::move(p)), sharing(walk_sharing(*program)) {}
 
 namespace {
 
@@ -387,11 +459,12 @@ namespace {
 // Symbolic walk
 // ---------------------------------------------------------------------------
 
-/// Walks one process's control flow, emitting Events — for one scenario
-/// (ScalarLanes) or for a group of scenario lanes at once (SoaLanes).
-/// Lanes walk in lockstep: each step emits one structurally identical
-/// Event per lane, so one coalescing decision covers all of them, and
-/// whatever would make the lanes' walks differ raises BatchDivergence.
+/// Walks one process's control flow, emitting Events — for one walk
+/// input (ScalarLanes) or for several distinct ones at once (SoaLanes),
+/// each a lane of the walk.  Lanes walk in lockstep: each step emits one
+/// structurally identical Event per lane, so one coalescing decision
+/// covers all of them, and whatever would make the lanes' walks differ
+/// raises BatchDivergence.
 ///
 /// Sub-walkers (fork branches, parallel-region threads, critical bodies,
 /// expectation branches, a loop's first trip) share the lexical state —
@@ -429,7 +502,7 @@ struct Walker {
 
   [[nodiscard]] const machine::SystemParameters& params(
       std::size_t lane) const {
-    return st.lanes[lane];
+    return st.inputs[lane];
   }
 
   /// A sub-walker for nested concurrent constructs: shares the lexical
@@ -1400,13 +1473,13 @@ AnalyticReport assemble_report(const machine::SystemParameters& params,
 template <typename Lanes>
 void AnalyticEstimator::Impl::start_run(EvalState& st) const {
   Workspace& ws = st.ws;
-  const std::size_t width = Lanes::width(st.lanes.size());
+  const std::size_t width = Lanes::width(st.inputs.size());
   st.width = width;
   ws.global_values.assign(program->slot_count() * width, 0.0);
   ws.run_frame.assign(program->slot_count(), nullptr);
   st.functions = {program->functions(), ws.run_frame};
   for (std::size_t lane = 0; lane < width; ++lane) {
-    const machine::SystemParameters& params = st.lanes[lane];
+    const machine::SystemParameters& params = st.inputs[lane];
     ws.global_values[program->np_slot() * width + lane] =
         static_cast<double>(params.processes);
     ws.global_values[program->nt_slot() * width + lane] =
@@ -1458,9 +1531,9 @@ void AnalyticEstimator::Impl::run_lanes(EvalState& st, Sink&& sink) const {
   start_run<Lanes>(st);
   Workspace& ws = st.ws;
   const std::size_t width = st.width;
-  const auto np = static_cast<std::size_t>(st.lanes[0].processes);
-  // [pid * width + lane]: pid 0's walks, and the other pids' when pid 0's
-  // does not serve every process.
+  const auto np = static_cast<std::size_t>(st.inputs[0].processes);
+  // [pid * width + column]: pid 0's walks, and the other pids' when pid
+  // 0's does not serve every process.
   if (ws.walks.size() < width) {
     ws.walks.resize(width);
   }
@@ -1474,11 +1547,11 @@ void AnalyticEstimator::Impl::run_lanes(EvalState& st, Sink&& sink) const {
   const bool spmd = !st.pid_queried && st.fragments_executed == 0;
   if (spmd) {
     if (st.counters != nullptr) {
-      st.counters->spmd_fast_path += width;
+      st.counters->spmd_fast_path += st.lanes.size();
     }
   } else {
     // Only lanes of equal np share a run of a model that may get here.
-    assert(!one_walk);
+    assert(!sharing.one_walk);
     if (ws.walks.size() < np * width) {
       ws.walks.resize(np * width);
     }
@@ -1486,11 +1559,12 @@ void AnalyticEstimator::Impl::run_lanes(EvalState& st, Sink&& sink) const {
       walk<Lanes>(st, static_cast<int>(pid), &ws.walks[pid * width]);
     }
   }
-  for (std::size_t lane = 0; lane < width; ++lane) {
+  for (std::size_t lane = 0; lane < st.lanes.size(); ++lane) {
     const machine::SystemParameters& params = st.lanes[lane];
+    const std::size_t column = st.column_of[lane];
     ws.per_pid.resize(static_cast<std::size_t>(params.processes));
     for (std::size_t pid = 0; pid < ws.per_pid.size(); ++pid) {
-      ws.per_pid[pid] = &ws.walks[(spmd ? 0 : pid) * width + lane];
+      ws.per_pid[pid] = &ws.walks[(spmd ? 0 : pid) * width + column];
     }
     sink(lane, assemble_report(params, st.elements, st.counters, st.budget,
                                ws));
@@ -1500,8 +1574,12 @@ void AnalyticEstimator::Impl::run_lanes(EvalState& st, Sink&& sink) const {
 AnalyticReport AnalyticEstimator::Impl::evaluate(
     const machine::SystemParameters& params, obs::AnalyticCounters* counters,
     guard::Budget* budget) const {
+  static constexpr std::array<std::size_t, 1> kOnlyColumn{0};
+  const std::span<const machine::SystemParameters> lane(&params, 1);
   EvalState st{.ws = workspace(),
-               .lanes = std::span(&params, 1),
+               .lanes = lane,
+               .inputs = lane,
+               .column_of = kOnlyColumn,
                .counters = counters,
                .budget = budget};
   AnalyticReport report;
@@ -1524,18 +1602,44 @@ std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch(
   for (std::size_t begin = 0, end = 0; begin < lanes.size(); begin = end) {
     end = begin + 1;
     while (end < lanes.size() &&
-           (one_walk || lanes[end].processes == lanes[begin].processes)) {
+           (sharing.one_walk ||
+            lanes[end].processes == lanes[begin].processes)) {
       ++end;
     }
     const auto group = lanes.subspan(begin, end - begin);
     if (group.size() > 1) {
-      EvalState st{
-          .ws = ws, .lanes = group, .counters = counters, .budget = budget};
+      // The group walks each distinct input once (each lane scans the
+      // inputs gathered so far), then replays every lane over its
+      // input's walks.
+      ws.inputs.clear();
+      ws.column_of.clear();
+      for (const auto& params : group) {
+        std::size_t column = 0;
+        while (column < ws.inputs.size() &&
+               !same_walk_input(ws.inputs[column], params,
+                                sharing.reads_topology)) {
+          ++column;
+        }
+        if (column == ws.inputs.size()) {
+          ws.inputs.push_back(params);
+        }
+        ws.column_of.push_back(column);
+      }
+      EvalState st{.ws = ws,
+                   .lanes = group,
+                   .inputs = ws.inputs,
+                   .column_of = ws.column_of,
+                   .counters = counters,
+                   .budget = budget};
+      const auto sink = [&](std::size_t lane, AnalyticReport&& report) {
+        reports[begin + lane] = std::move(report);
+      };
       try {
-        run_lanes<SoaLanes>(st,
-                            [&](std::size_t lane, AnalyticReport&& report) {
-                              reports[begin + lane] = std::move(report);
-                            });
+        if (ws.inputs.size() == 1) {
+          run_lanes<ScalarLanes>(st, sink);
+        } else {
+          run_lanes<SoaLanes>(st, sink);
+        }
         continue;
       } catch (const guard::GuardError&) {
         throw;  // tripped budgets propagate — retrying would double-charge

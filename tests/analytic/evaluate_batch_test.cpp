@@ -2,9 +2,11 @@
 // contract: batched evaluation must be bit-identical to the scalar loop
 // (reports, per-process finish times, replayed-element counts), walk
 // pid-dependent models one pid at a time across each run of consecutive
-// lanes of equal np, leave a lane with no neighbour of its np to the
-// scalar walk, fall back cleanly when lanes diverge at run time, and
-// count every lane that fell back.
+// lanes of equal np, walk each distinct walk input of such a run once
+// (lanes that differ only in nodes and ppn share a walk unless the model
+// may read them), leave a lane with no neighbour of its np to the scalar
+// walk, fall back cleanly when lanes diverge at run time, and count every
+// lane that fell back.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -35,6 +37,16 @@ machine::SystemParameters params_np(int np, int nodes = 1, int ppn = 1) {
   params.nodes = nodes;
   params.processors_per_node = ppn;
   return params;
+}
+
+/// `lanes` with cpu_speed = 1 + lane: no two lanes share a walk input, so
+/// a run of equal np walks across all of its lanes.
+std::vector<machine::SystemParameters> distinct_inputs(
+    std::vector<machine::SystemParameters> lanes) {
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    lanes[lane].cpu_speed = 1.0 + static_cast<double>(lane);
+  }
+  return lanes;
 }
 
 std::vector<machine::SystemParameters> lane_grid() {
@@ -232,7 +244,11 @@ TEST(AnalyticBatch, ForksRegionsCriticalsAndProbBranchesBatch) {
   expect_batched("prob", branch_model("np > 2", 0.25), lanes);
 
   // A region whose cost reads tid walks each pid across its np group.
-  expect_batched("tid region", region_model("0.001 * (tid + 1)"), threaded);
+  // Its cost reads no topology, so lanes of one np that differ only in
+  // nodes would share one scalar walk: a cpu_speed per lane keeps each
+  // its own walk lane.
+  expect_batched("tid region", region_model("0.001 * (tid + 1)"),
+                 distinct_inputs(threaded));
 }
 
 // --- Models that read pid/tid or run code fragments --------------------------
@@ -245,9 +261,9 @@ analytic::AnalyticEstimator random_estimator() {
 TEST(AnalyticBatch, PidDependentModelsBatchOnePidAtATime) {
   // The random workload reads pid in its costs and guards and runs code
   // fragments that write a global a guard reads.  Lanes that share np
-  // walk each pid once across the group, in pid order over each lane's
-  // own globals: no lane falls back, the vectorized VM runs, and every
-  // report is the scalar walk's.
+  // walk each pid once across the group's distinct walk inputs, in pid
+  // order over each input's own globals: no lane falls back, the
+  // vectorized VM runs, and every report is the scalar walk's.
   const analytic::AnalyticEstimator analyzer = random_estimator();
   std::vector<machine::SystemParameters> lanes;
   for (const int nodes : {1, 2, 3, 4}) {
@@ -256,22 +272,38 @@ TEST(AnalyticBatch, PidDependentModelsBatchOnePidAtATime) {
     }
   }
   obs::AnalyticCounters counters;
-  EXPECT_EQ(batch_against_scalar(analyzer, lanes, &counters), 0u);
+  EXPECT_EQ(batch_against_scalar(analyzer, distinct_inputs(lanes), &counters),
+            0u);
   EXPECT_GT(counters.expr.batch_evals, 0u);
   EXPECT_EQ(counters.spmd_fast_path, 0u);  // every pid was walked
+
+  // The model reads no topology, so lanes that differ only in nodes and
+  // ppn share one walk input: the group walks each pid once, as one
+  // lane's evaluate() does, and replays every lane over that walk.
+  obs::AnalyticCounters shared;
+  EXPECT_EQ(batch_against_scalar(analyzer, lanes, &shared), 0u);
+  obs::AnalyticCounters one;
+  (void)analyzer.evaluate(lanes[0], &one);
+  EXPECT_EQ(shared.expr.instructions, one.expr.instructions);
+  EXPECT_EQ(shared.expr.evals, one.expr.evals);
+  EXPECT_EQ(shared.expr.batch_evals, 0u);
+  EXPECT_EQ(shared.spmd_fast_path, 0u);
+  EXPECT_EQ(shared.events_replayed, lanes.size() * one.events_replayed);
 }
 
 TEST(AnalyticBatch, LanesOfEqualNpBatchTogether) {
   // np = 1, 2, 2, 3, 3, 3, 8: the runs of np = 2 and np = 3 lanes batch
   // as two groups, and np = 1 and np = 8 take the scalar walk without
   // counting as fallbacks.  The counters are those of the groups and the lone
-  // lanes evaluated on their own.
+  // lanes evaluated on their own.  Each lane has its own cpu_speed, so no
+  // two lanes of a group share a walk input.
   const analytic::AnalyticEstimator analyzer = random_estimator();
   std::vector<machine::SystemParameters> lanes;
   int nodes = 0;
   for (const int np : {1, 2, 2, 3, 3, 3, 8}) {
     lanes.push_back(params_np(np, 1 + nodes++ % 2, 2));
   }
+  lanes = distinct_inputs(std::move(lanes));
   obs::AnalyticCounters mixed;
   EXPECT_EQ(batch_against_scalar(analyzer, lanes, &mixed), 0u);
   EXPECT_GT(mixed.expr.batch_evals, 0u);
@@ -303,7 +335,9 @@ TEST(AnalyticBatch, PidDependentDivergenceFallsBackPerGroup) {
 }
 
 TEST(AnalyticBatch, GroupsWiderThanTheDefaultWidthBatch) {
-  // 16 lanes of one np: the walk's lane arrays outgrow their inline room.
+  // 16 lanes of one np, each with its own cpu_speed so that every model
+  // walks them as 16 distinct inputs: the walk's lane arrays outgrow their
+  // inline room.
   std::vector<machine::SystemParameters> lanes;
   for (int nodes = 1; nodes <= 4; ++nodes) {
     for (int ppn = 1; ppn <= 4; ++ppn) {
@@ -311,6 +345,7 @@ TEST(AnalyticBatch, GroupsWiderThanTheDefaultWidthBatch) {
       lanes.back().threads_per_process = 3;
     }
   }
+  lanes = distinct_inputs(std::move(lanes));
   ASSERT_GT(lanes.size(), estimator::PreparedModel::kDefaultBatchLanes);
   const auto expect_batched = [&lanes](const char* name,
                                        const analytic::AnalyticEstimator&
@@ -324,6 +359,146 @@ TEST(AnalyticBatch, GroupsWiderThanTheDefaultWidthBatch) {
   expect_batched("critical", analytic::AnalyticEstimator(critical_model()));
   expect_batched("tid region", analytic::AnalyticEstimator(
                                    region_model("0.001 * (tid + 1)")));
+}
+
+// --- Walk inputs --------------------------------------------------------------
+
+/// main: init -> Work -> final, over a global X initialized to `x` and a
+/// cost function F() returning `f`; Work costs `cost` and runs `fragment`
+/// first when it is not empty.
+uml::Model action_model(const std::string& cost,
+                        const std::string& fragment = {},
+                        const std::string& x = "0",
+                        const std::string& f = "0.001") {
+  uml::ModelBuilder mb("Action");
+  mb.global("X", uml::VariableType::Real, x);
+  mb.function("F", {}, f);
+  uml::DiagramBuilder main = mb.diagram("main");
+  uml::NodeRef work = main.action("Work").cost(cost);
+  if (!fragment.empty()) {
+    work.code(fragment);
+  }
+  main.sequence({main.initial(), work, main.final_node()});
+  return std::move(mb).build();
+}
+
+/// main: init -> decision -[guard]-> A | -[else]-> B -> merge, where
+/// neither action's cost reads the topology.
+uml::Model guard_model(const std::string& guard) {
+  uml::ModelBuilder mb("Guard");
+  uml::DiagramBuilder main = mb.diagram("main");
+  const uml::NodeRef init = main.initial();
+  const uml::NodeRef decision = main.decision();
+  const uml::NodeRef a = main.action("A").cost("0.002");
+  const uml::NodeRef b = main.action("B").cost("0.001");
+  const uml::NodeRef merge = main.merge();
+  const uml::NodeRef fin = main.final_node();
+  main.flow(init, decision);
+  main.flow(decision, a, guard);
+  main.flow(decision, b, "else");
+  main.flow(a, merge);
+  main.flow(b, merge);
+  main.flow(merge, fin);
+  return std::move(mb).build();
+}
+
+/// main: init -> Work -> <<allreduce>> -> final.  Only the collective's
+/// round time depends on the topology (one node or several).
+uml::Model collective_model() {
+  uml::ModelBuilder mb("Collective");
+  uml::DiagramBuilder main = mb.diagram("main");
+  main.sequence({main.initial(), main.action("Work").cost("0.001"),
+                 main.allreduce("Sum", "1024 * np"), main.final_node()});
+  return std::move(mb).build();
+}
+
+/// main: init -> Work (cost reads nt) -> send to the next pid -> receive
+/// from the previous one -> barrier: the walk reads cpu_speed, nt,
+/// network_overhead and barrier_latency, and no topology.
+uml::Model machine_model() {
+  uml::ModelBuilder mb("Machine");
+  uml::DiagramBuilder main = mb.diagram("main");
+  main.sequence({main.initial(), main.action("Work").cost("0.001 * nt"),
+                 main.send("Next", "(pid + 1) % np", "1024"),
+                 main.recv("Previous", "(pid + np - 1) % np", "1024"),
+                 main.barrier(), main.final_node()});
+  return std::move(mb).build();
+}
+
+/// Batches `lanes`, bit-exact against evaluate() with no lane falling
+/// back, and expects them to walk as `inputs` distinct walk inputs: the
+/// group's VM evaluated each program of lanes[0]'s walk `inputs` lanes
+/// wide, vectorized when `inputs` > 1, and every lane replayed as many
+/// events as lanes[0] does on its own.
+void expect_walk_inputs(const char* name,
+                        const analytic::AnalyticEstimator& analyzer,
+                        const std::vector<machine::SystemParameters>& lanes,
+                        std::size_t inputs) {
+  obs::AnalyticCounters group;
+  EXPECT_EQ(batch_against_scalar(analyzer, lanes, &group), 0u) << name;
+  obs::AnalyticCounters one;
+  (void)analyzer.evaluate(lanes[0], &one);
+  EXPECT_EQ(group.expr.evals, inputs * one.expr.evals) << name;
+  EXPECT_EQ(group.expr.batch_evals > 0, inputs > 1) << name;
+  EXPECT_EQ(group.events_replayed, lanes.size() * one.events_replayed)
+      << name;
+}
+
+TEST(AnalyticBatch, TopologyReadersWalkOncePerInput) {
+  // One np, lanes that differ only in nodes and ppn.  A model that may
+  // read either walks each lane as its own input, however it reads them;
+  // a model that cannot shares one walk across the lanes.
+  std::vector<machine::SystemParameters> lanes;
+  for (const int nodes : {1, 2}) {
+    for (const int ppn : {1, 2}) {
+      lanes.push_back(params_np(4, nodes, ppn));
+    }
+  }
+  expect_walk_inputs("cost tag",
+                     analytic::AnalyticEstimator(action_model("0.001 * nn")),
+                     lanes, lanes.size());
+  expect_walk_inputs(
+      "fragment value",
+      analytic::AnalyticEstimator(action_model("0.001 * X", "X = nn;")),
+      lanes, lanes.size());
+  expect_walk_inputs(
+      "global initializer",
+      analytic::AnalyticEstimator(action_model("X", {}, "0.001 * ppn")),
+      lanes, lanes.size());
+  expect_walk_inputs(
+      "cost-function body",
+      analytic::AnalyticEstimator(action_model("F()", {}, "0", "0.001 * nn")),
+      lanes, lanes.size());
+  expect_walk_inputs("collective",
+                     analytic::AnalyticEstimator(collective_model()), lanes,
+                     lanes.size());
+  expect_walk_inputs("no reader",
+                     analytic::AnalyticEstimator(action_model("0.001")),
+                     lanes, 1);
+
+  // A guard that reads ppn takes each branch on some lanes: the batched
+  // walk starts across all four inputs, diverges and falls back.
+  {
+    const analytic::AnalyticEstimator analyzer(guard_model("ppn > 1"));
+    obs::AnalyticCounters counters;
+    EXPECT_EQ(batch_against_scalar(analyzer, lanes, &counters), lanes.size());
+    EXPECT_GT(counters.expr.batch_evals, 0u);
+  }
+
+  // Lanes that differ from the first only in cpu_speed, nt,
+  // network_overhead or barrier_latency each walk on their own; those
+  // that differ only in nodes and ppn share the first lane's walk.
+  std::vector<machine::SystemParameters> machines = lanes;
+  machines.push_back(lanes[0]);
+  machines.back().cpu_speed = 2;
+  machines.push_back(lanes[0]);
+  machines.back().threads_per_process = 2;
+  machines.push_back(lanes[0]);
+  machines.back().network_overhead = 1e-4;
+  machines.push_back(lanes[0]);
+  machines.back().barrier_latency = 1e-4;
+  expect_walk_inputs("machine", analytic::AnalyticEstimator(machine_model()),
+                     machines, 5);
 }
 
 TEST(AnalyticBatch, SingleLaneUsesTheScalarPath) {

@@ -5,6 +5,7 @@
 // output is checked against the simulator in generated_program_test.cpp.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -144,16 +145,24 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomModelThreeWay,
                          ::testing::Values(1u, 7u, 42u, 1234u));
 
 /// The batched analytic walk over random models, which run code
-/// fragments and read pid in costs and guards.  Each 8-lane chunk of
-/// np=1..8 nodes=1..4 ppn=1..2 shares one np, so every pid is walked once
-/// across the chunk; each lane must reproduce evaluate() to the bit, and
-/// no lane may fall back to the scalar walk.
+/// fragments and read pid in costs and guards.  Two lane sets:
+///  - np=1..8 nodes=1..4 ppn=1..2 in 8-lane chunks: each chunk shares one
+///    np, so every pid is walked once across the chunk;
+///  - one np (2..8, by seed) x nodes=1..4 x ppn=1..2 x cpu_speed {1, 2}.
+///    Random models read no topology, so lanes that differ only in nodes
+///    and ppn share a walk input.  In that order (cpu_speed fastest),
+///    2-lane chunks walk two distinct inputs and 8-lane chunks two
+///    inputs of four lanes each; with cpu_speed slowest, 8-lane chunks
+///    share one walk.
+/// Each lane must reproduce evaluate() to the bit, and no lane may fall
+/// back to the scalar walk.
 TEST(RandomModelBatch, PidByPidWalkMatchesScalarOverThreeHundredSeeds) {
-  std::vector<prophet::machine::SystemParameters> grid;
+  using prophet::machine::SystemParameters;
+  std::vector<SystemParameters> grid;
   for (int np = 1; np <= 8; ++np) {
     for (int nodes = 1; nodes <= 4; ++nodes) {
       for (int ppn = 1; ppn <= 2; ++ppn) {
-        prophet::machine::SystemParameters params;
+        SystemParameters params;
         params.processes = np;
         params.nodes = nodes;
         params.processors_per_node = ppn;
@@ -161,7 +170,22 @@ TEST(RandomModelBatch, PidByPidWalkMatchesScalarOverThreeHundredSeeds) {
       }
     }
   }
-  constexpr std::size_t kLanes = 8;
+  const auto speeds_fastest = [](int np) {
+    std::vector<SystemParameters> lanes;
+    for (int nodes = 1; nodes <= 4; ++nodes) {
+      for (int ppn = 1; ppn <= 2; ++ppn) {
+        for (const double speed : {1.0, 2.0}) {
+          SystemParameters params;
+          params.processes = np;
+          params.nodes = nodes;
+          params.processors_per_node = ppn;
+          params.cpu_speed = speed;
+          lanes.push_back(params);
+        }
+      }
+    }
+    return lanes;
+  };
   const auto bits = [](double value) {
     return std::bit_cast<std::uint64_t>(value);
   };
@@ -169,29 +193,40 @@ TEST(RandomModelBatch, PidByPidWalkMatchesScalarOverThreeHundredSeeds) {
   for (std::uint64_t seed = 1; seed <= 300 && !HasFailure(); ++seed) {
     const prophet::analytic::AnalyticEstimator estimator(
         prophet::models::random_model(seed, 30));
-    for (std::size_t begin = 0; begin < grid.size(); begin += kLanes) {
-      const auto lanes =
-          std::span<const prophet::machine::SystemParameters>(grid).subspan(
-              begin, kLanes);
-      const auto batched =
-          estimator.evaluate_batch(lanes, nullptr, nullptr, &lanes_fallback);
-      ASSERT_EQ(batched.size(), lanes.size());
-      for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-        const auto scalar = estimator.evaluate(lanes[lane]);
-        const auto& got = batched[lane];
-        EXPECT_EQ(bits(got.predicted_time), bits(scalar.predicted_time))
-            << "seed " << seed << " np " << lanes[lane].processes;
-        ASSERT_EQ(got.per_process_finish.size(),
-                  scalar.per_process_finish.size());
-        for (std::size_t pid = 0; pid < scalar.per_process_finish.size();
-             ++pid) {
-          EXPECT_EQ(bits(got.per_process_finish[pid]),
-                    bits(scalar.per_process_finish[pid]))
+    const auto check = [&](std::span<const SystemParameters> set,
+                           std::size_t width) {
+      for (std::size_t begin = 0; begin < set.size(); begin += width) {
+        const auto lanes = set.subspan(begin, width);
+        const auto batched =
+            estimator.evaluate_batch(lanes, nullptr, nullptr, &lanes_fallback);
+        ASSERT_EQ(batched.size(), lanes.size());
+        for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+          const auto scalar = estimator.evaluate(lanes[lane]);
+          const auto& got = batched[lane];
+          EXPECT_EQ(bits(got.predicted_time), bits(scalar.predicted_time))
               << "seed " << seed << " np " << lanes[lane].processes
-              << " pid " << pid;
+              << " width " << width << " lane " << begin + lane;
+          ASSERT_EQ(got.per_process_finish.size(),
+                    scalar.per_process_finish.size());
+          for (std::size_t pid = 0; pid < scalar.per_process_finish.size();
+               ++pid) {
+            EXPECT_EQ(bits(got.per_process_finish[pid]),
+                      bits(scalar.per_process_finish[pid]))
+                << "seed " << seed << " np " << lanes[lane].processes
+                << " width " << width << " lane " << begin + lane << " pid "
+                << pid;
+          }
         }
       }
-    }
+    };
+    check(grid, 8);
+    auto speeds = speeds_fastest(2 + static_cast<int>(seed % 7));
+    check(speeds, 2);
+    check(speeds, 8);
+    std::stable_partition(
+        speeds.begin(), speeds.end(),
+        [](const SystemParameters& params) { return params.cpu_speed == 1.0; });
+    check(speeds, 8);
   }
   EXPECT_EQ(lanes_fallback, 0u);
 }
