@@ -5,6 +5,12 @@
 // well-formedness rules over a model and produces diagnostics; the MCF
 // ("Model Checking File", an XML document in Fig. 2) enables/disables
 // rules and overrides their severities.
+//
+// The checker reads the lowering every engine runs (lower::ModelProgram):
+// its expression and nesting rules query the compiled programs and the
+// problems lowering recorded, and every such problem is an error of the
+// standard rules, so a model they pass always lowers.  Other rules read
+// the UML model, `program.model()`.
 #pragma once
 
 #include <memory>
@@ -13,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "prophet/lower/lower.hpp"
 #include "prophet/uml/model.hpp"
 #include "prophet/xml/dom.hpp"
 
@@ -94,7 +101,9 @@ class Rule {
   [[nodiscard]] const std::string& description() const { return description_; }
   [[nodiscard]] Severity default_severity() const { return default_severity_; }
 
-  virtual void run(const uml::Model& model, RuleContext& ctx) const = 0;
+  /// Reports findings on `program` (and its model, `program.model()`).
+  virtual void run(const lower::ModelProgram& program,
+                   RuleContext& ctx) const = 0;
 
  private:
   std::string name_;
@@ -128,7 +137,10 @@ class ModelChecker {
   /// Unknown rule names are reported as Info diagnostics on the next run.
   void configure(const xml::Document& mcf);
 
-  /// Runs all enabled rules.
+  /// Runs all enabled rules on `program`, the lowering of its model.
+  [[nodiscard]] Diagnostics check(const lower::ModelProgram& program) const;
+
+  /// Lowers `model`, then checks the lowering.
   [[nodiscard]] Diagnostics check(const uml::Model& model) const;
 
  private:

@@ -390,6 +390,19 @@ struct FunctionTable {
 [[nodiscard]] Compiled compile(const Expr& expr, const SymbolTable& table,
                                std::string site = {});
 
+/// The names compile() could not resolve at all, each sorted and without
+/// repeats: the "unknown variable" / "unknown function" errors left in
+/// code a run may reach (a folded-away dead branch takes its names with
+/// it).  A name bound to a slot never counts, even where a run leaves
+/// the slot unbound.
+struct Unresolved {
+  std::vector<std::string> variables;  ///< no binding of any kind
+  std::vector<std::string> functions;  ///< neither user nor built-in
+};
+
+/// What `program` could not resolve (see Unresolved).
+[[nodiscard]] Unresolved unresolved(const Compiled& program);
+
 /// Owning frame helper for simple hosts (tests, benches): one double of
 /// storage per slot, all bound by default.
 ///

@@ -30,7 +30,7 @@ class EvalError : public std::runtime_error {
 ///
 /// Variables and user functions are looked up here first; when the
 /// environment does not resolve a call, the evaluator falls back to the
-/// built-in math functions (see `builtin_names`).
+/// built-in math functions (abs, sqrt, pow, ...).
 class Environment {
  public:
   virtual ~Environment() = default;
@@ -84,11 +84,5 @@ class MapEnvironment : public Environment {
 
 /// True when `value` is "truthy" under the language's rules (!= 0).
 [[nodiscard]] inline bool truthy(double value) { return value != 0.0; }
-
-/// Names of all built-in functions (sqrt, pow, log, ... ); sorted.
-[[nodiscard]] std::span<const std::string_view> builtin_names();
-
-/// Returns the arity of a built-in, or nullopt when `name` is not one.
-[[nodiscard]] std::optional<int> builtin_arity(std::string_view name);
 
 }  // namespace prophet::expr

@@ -39,7 +39,4 @@ class SyntaxError : public std::runtime_error {
 /// Parses a single complete expression. Throws SyntaxError.
 [[nodiscard]] ExprPtr parse(std::string_view text);
 
-/// Returns true when `text` parses cleanly (used by the model checker).
-[[nodiscard]] bool parses(std::string_view text);
-
 }  // namespace prophet::expr

@@ -1,27 +1,29 @@
 // Shared model lowering — one UML -> executable-form transformation
-// behind every evaluation backend.
+// behind every evaluation backend and the model checker.
 //
 // The paper's thesis is that *transforming* the UML model into an
 // executable C++ form is what makes evaluation fast.  This module owns
-// that transformation for the in-process backends: `lower()` turns a
-// checked `uml::Model` into an immutable `ModelProgram` — the model-wide
+// that transformation for the in-process backends: a `ModelProgram`
+// turns any `uml::Model` into an immutable program — the model-wide
 // slot space, every expression tag/guard/initializer/function body
 // compiled to slot-resolved bytecode (expr::compile), code fragments
 // with statically resolved write targets, the static metadata the
 // analytic backend's loop-collapse/SPMD legality checks read, and each
 // node's resolved behaviour: its operation, constant tags, body diagram
-// and successors.
+// and successors.  What cannot be lowered (an expression that does not
+// parse, a missing body diagram, cyclic nesting, ...) is recorded in
+// `problems()` and left out; `lower()` throws the first problem.
 //
-// Backends do not lower; they consume a `ModelProgram`
+// Backends do not lower; they consume a `ModelProgram` without problems
 // (`shared_ptr<const>` — any number of backends and threads share one
 // lowering without synchronization) and keep only their per-run state.
 // The interpreter (simulation backend), the analytic estimator and the
 // paper's transformer, whose output the codegen engine compiles, switch
-// on the resolved operations and follow the resolved successors, so none of them decodes a stereotype, reads a
-// tag by name or searches a diagram's edges, and their semantics cannot
-// drift apart.  docs/lowering.md
-// documents the phases, the slot-binding rules and the metadata
-// contract.
+// on the resolved operations and follow the resolved successors, so none
+// of them decodes a stereotype, reads a tag by name or searches a
+// diagram's edges, and their semantics cannot drift apart; the model
+// checker reads the same program.  docs/lowering.md documents the
+// phases, the slot-binding rules and the metadata contract.
 #pragma once
 
 #include <array>
@@ -44,14 +46,46 @@
 
 namespace prophet::lower {
 
-/// Error thrown when a model cannot be lowered: unparseable expressions,
-/// malformed code fragments, missing referenced diagrams, no resolvable
-/// main diagram.  Backends wrap it in their own error type
+/// Error lower() throws when a model cannot be lowered, with the text of
+/// its first Problem.  Backends wrap it in their own error type
 /// (interp::InterpretError, analytic::AnalyticError) with the message
 /// preserved verbatim, so diagnostics are identical across consumers.
 class LowerError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
+};
+
+/// What kind of defect a Problem records.
+enum class ProblemKind : std::uint8_t {
+  Initializer,  ///< a variable's initializer does not parse
+  Function,     ///< a cost-function body does not parse
+  Guard,        ///< a guard does not parse
+  Tag,          ///< an expression tag does not parse
+  Fragment,     ///< a code-fragment statement is no parseable assignment
+  Body,         ///< a composite node's body diagram is missing or unknown
+  MainDiagram,  ///< the model has no resolvable main diagram
+  Nesting,      ///< a diagram nests itself, directly or through others
+};
+
+/// One defect lowering found: its texts and the element it names (the
+/// pointers its kind uses; null otherwise).  What failed is left out of
+/// the program: no program for that tag or guard, an empty body at that
+/// function id, `body = -1`, `entry() = -1`.
+struct Problem {
+  ProblemKind kind = ProblemKind::Tag;  ///< what failed
+  /// The text lower() throws ("guard of edge f2: expression syntax error
+  /// at offset 3: ...").
+  std::string message = {};
+  /// The parser's message (for a fragment, the statement's defect);
+  /// empty for Body, MainDiagram and Nesting.
+  std::string detail = {};
+  /// The diagram holding the element (Nesting: the nesting diagram).
+  const uml::ActivityDiagram* diagram = nullptr;
+  const uml::Node* node = nullptr;              ///< Tag, Fragment, Body, Nesting
+  const uml::ControlFlow* edge = nullptr;       ///< Guard
+  const uml::Variable* variable = nullptr;      ///< Initializer
+  const uml::CostFunction* function = nullptr;  ///< Function
+  std::string_view tag = {};                    ///< Tag: the tag's name
 };
 
 /// The expression-valued tags an evaluation site reads, as a dense enum.
@@ -309,10 +343,17 @@ void fold(obs::Registry& metrics, const LoweringStats& stats);
 class ModelProgram {
  public:
   /// Lowers `model`, borrowing it (see lower() for the owning form).
-  /// Throws LowerError on unparseable expressions, malformed fragments,
-  /// unresolvable diagram references, cyclic diagram nesting or a missing
-  /// main diagram.
+  /// Lowers any model, however malformed: every unparseable expression,
+  /// malformed fragment, unresolvable diagram reference, cyclic nesting
+  /// and missing main diagram is recorded in problems() and left out.
+  /// Engines take only programs without problems (what lower() returns).
   explicit ModelProgram(const uml::Model& model);
+
+  /// Every defect found, in the order lowering met it (the first is what
+  /// lower() throws); empty when the model lowered completely.
+  [[nodiscard]] std::span<const Problem> problems() const {
+    return problems_;
+  }
 
   /// The lowered model (borrowed or owned; never null).
   [[nodiscard]] const uml::Model& model() const { return *model_; }
@@ -358,8 +399,17 @@ class ModelProgram {
     return diagrams_;
   }
 
-  /// Index in diagrams() of the main diagram, where every process starts.
+  /// Index in diagrams() of the main diagram, where every process starts
+  /// (-1 when the model has none: a ProblemKind::MainDiagram problem).
   [[nodiscard]] int entry() const { return entry_; }
+
+  /// The compiled guard of `edge`, on any edge of the model; null for
+  /// unguarded and `else` edges and for a guard that does not parse.
+  [[nodiscard]] const expr::Compiled* guard(
+      const uml::ControlFlow& edge) const {
+    const auto it = guards_.find(&edge);
+    return it == guards_.end() ? nullptr : &it->second;
+  }
 
   /// The lowered programs of `node` (keyed access; engines walk
   /// diagrams() instead).  Every node of every diagram of the model has
@@ -395,6 +445,7 @@ class ModelProgram {
   std::map<std::string, int> uids_;          // node element id -> uid
 
   LoweringStats stats_;
+  std::vector<Problem> problems_;
 };
 
 /// Shared handle to an immutable lowering — the unit every backend's
@@ -402,8 +453,8 @@ class ModelProgram {
 using ModelProgramPtr = std::shared_ptr<const ModelProgram>;
 
 /// Lowers `model` into a shareable ModelProgram.  Borrows `model`; it
-/// must outlive every consumer of the program.  Throws LowerError (see
-/// ModelProgram constructor).
+/// must outlive every consumer of the program.  Throws LowerError with
+/// the text of the first of the program's problems(), if it has any.
 [[nodiscard]] ModelProgramPtr lower(const uml::Model& model);
 
 /// Owning overload (safe with temporaries): the program keeps the model

@@ -81,6 +81,8 @@ class ActivityDiagram final : public Element {
   [[nodiscard]] const std::vector<std::unique_ptr<Node>>& nodes() const {
     return nodes_;
   }
+  /// Edges in insertion order (the order in which the modeler drew them,
+  /// which fixes guard evaluation order).
   [[nodiscard]] const std::vector<std::unique_ptr<ControlFlow>>& edges()
       const {
     return edges_;
@@ -95,13 +97,6 @@ class ActivityDiagram final : public Element {
 
   /// The unique Initial node, or nullptr (checker enforces presence).
   [[nodiscard]] const Node* initial() const;
-
-  /// Edges leaving / entering a node, in insertion order (the order in
-  /// which the modeler drew them, which fixes guard evaluation order).
-  [[nodiscard]] std::vector<const ControlFlow*> outgoing(
-      std::string_view node_id) const;
-  [[nodiscard]] std::vector<const ControlFlow*> incoming(
-      std::string_view node_id) const;
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }

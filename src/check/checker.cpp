@@ -3,18 +3,21 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string_view>
+#include <tuple>
 #include <utility>
 
-#include "prophet/expr/analysis.hpp"
-#include "prophet/expr/parser.hpp"
 #include "prophet/uml/sysparams.hpp"
 
 namespace prophet::check {
 namespace {
 
+using lower::ModelProgram;
+using lower::ProblemKind;
 using uml::ActivityDiagram;
 using uml::ControlFlow;
 using uml::Model;
@@ -55,42 +58,65 @@ bool is_performance_element(const Node& node) {
   return node.has_stereotype();
 }
 
-/// Loop variables visible inside each diagram, accounting for nesting: a
-/// diagram used as a loop body sees the loop's variable plus everything
-/// visible at the loop's site.  Computed by fixpoint propagation so deeply
-/// nested loop bodies accumulate all enclosing variables.
-std::map<std::string, std::set<std::string>> visible_loop_vars(
-    const Model& model) {
-  std::map<std::string, std::set<std::string>> visible;
-  for (const auto& diagram : model.diagrams()) {
-    visible[diagram->id()];  // ensure entry
+/// A diagram's edges grouped by one endpoint's id, in edge order, from
+/// one sort: `of(id)` holds what a scan of the edges for `id` finds
+/// (repeated and dangling ids included), without a scan per node.
+class EdgeLists {
+ public:
+  /// An edge under its endpoint's id, with its place in the edge order.
+  using Entry = std::tuple<std::string_view, std::size_t, const ControlFlow*>;
+
+  EdgeLists(const ActivityDiagram& diagram,
+            const std::string& (ControlFlow::*endpoint)() const) {
+    for (const auto& edge : diagram.edges()) {
+      entries_.emplace_back(((*edge).*endpoint)(), entries_.size(),
+                            edge.get());
+    }
+    std::sort(entries_.begin(), entries_.end());  // by id, then edge order
   }
-  bool changed = true;
-  while (changed) {
+
+  [[nodiscard]] std::span<const Entry> of(std::string_view id) const {
+    const auto first = std::partition_point(
+        entries_.begin(), entries_.end(),
+        [id](const Entry& entry) { return std::get<0>(entry) < id; });
+    return {first, std::partition_point(first, entries_.end(),
+                                        [id](const Entry& entry) {
+                                          return std::get<0>(entry) == id;
+                                        })};
+  }
+
+ private:
+  std::vector<Entry> entries_;
+};
+
+/// Per lowered diagram, the slots of the loop variables its walks bind:
+/// a loop's variable in the loop's body, and whatever a nesting site
+/// binds in the diagram it nests, to a fixpoint.
+std::vector<std::vector<bool>> bound_loop_slots(const ModelProgram& program) {
+  const auto diagrams = program.diagrams();
+  std::vector<std::vector<bool>> bound(
+      diagrams.size(), std::vector<bool>(program.slot_count()));
+  for (bool changed = true; changed;) {
     changed = false;
-    for (const auto& diagram : model.diagrams()) {
-      for (const auto& node : diagram->nodes()) {
-        const std::string sub = node->subdiagram_id();
-        if (sub.empty() || visible.find(sub) == visible.end()) {
+    for (std::size_t d = 0; d < diagrams.size(); ++d) {
+      for (const auto& node : diagrams[d].nodes) {
+        if (node.body < 0) {
           continue;
         }
-        std::set<std::string> wanted = visible[diagram->id()];
-        if (node->kind() == NodeKind::Loop) {
-          const std::string var = node->tag_string(uml::tag::kLoopVar);
-          if (!var.empty()) {
-            wanted.insert(var);
-          }
-        }
-        auto& target = visible[sub];
-        for (const auto& name : wanted) {
-          if (target.insert(name).second) {
+        auto& body = bound[static_cast<std::size_t>(node.body)];
+        for (std::size_t slot = 0; slot < body.size(); ++slot) {
+          const bool binds = bound[d][slot] ||
+                             (node.op == lower::Operation::Loop &&
+                              slot == node.loop_var_slot);
+          if (binds && !body[slot]) {
+            body[slot] = true;
             changed = true;
           }
         }
       }
     }
   }
-  return visible;
+  return bound;
 }
 
 // --- Rules -------------------------------------------------------------------
@@ -100,7 +126,8 @@ class MainDiagramRule final : public Rule {
   MainDiagramRule()
       : Rule("main-diagram", "the model has a resolvable main diagram",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    const Model& model = program.model();
     if (model.diagrams().empty()) {
       ctx.report("model " + model.name(), "model contains no diagrams");
       return;
@@ -122,7 +149,7 @@ class UniqueIdsRule final : public Rule {
       : Rule("unique-ids",
              "diagram, node and edge ids are unique across the model",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
     // An element that claims an id: a diagram, or one of its nodes or
     // edges.  Its location is spelled out only when an id repeats.
     struct Element {
@@ -149,7 +176,7 @@ class UniqueIdsRule final : public Rule {
                                            it->second.location());
       }
     };
-    for (const auto& diagram : model.diagrams()) {
+    for (const auto& diagram : program.model().diagrams()) {
       claim(diagram->id(), {diagram.get()});
       for (const auto& node : diagram->nodes()) {
         claim(node->id(), {diagram.get(), node.get()});
@@ -166,8 +193,8 @@ class InitialNodeRule final : public Rule {
   InitialNodeRule()
       : Rule("initial-node", "each diagram has exactly one initial node",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
-    for (const auto& diagram : model.diagrams()) {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    for (const auto& diagram : program.model().diagrams()) {
       std::size_t count = 0;
       for (const auto& node : diagram->nodes()) {
         if (node->kind() == NodeKind::Initial) {
@@ -192,11 +219,13 @@ class InitialFinalEdgesRule final : public Rule {
              "initial nodes have one outgoing and no incoming edge; final "
              "nodes have no outgoing edges",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
-    for (const auto& diagram : model.diagrams()) {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    for (const auto& diagram : program.model().diagrams()) {
+      const EdgeLists outgoing(*diagram, &ControlFlow::source);
+      const EdgeLists incoming(*diagram, &ControlFlow::target);
       for (const auto& node : diagram->nodes()) {
-        const auto in = diagram->incoming(node->id()).size();
-        const auto out = diagram->outgoing(node->id()).size();
+        const auto in = incoming.of(node->id()).size();
+        const auto out = outgoing.of(node->id()).size();
         if (node->kind() == NodeKind::Initial) {
           if (in != 0) {
             ctx.report(loc_node(*diagram, *node),
@@ -223,8 +252,8 @@ class EdgeEndpointsRule final : public Rule {
       : Rule("edge-endpoints",
              "every edge connects two nodes of its own diagram",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
-    for (const auto& diagram : model.diagrams()) {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    for (const auto& diagram : program.model().diagrams()) {
       for (const auto& edge : diagram->edges()) {
         if (diagram->node(edge->source()) == nullptr) {
           ctx.report(loc_edge(*diagram, *edge),
@@ -250,15 +279,17 @@ class ConnectivityRule final : public Rule {
              "non-initial nodes have predecessors; non-final nodes have "
              "successors",
              Severity::Warning) {}
-  void run(const Model& model, RuleContext& ctx) const override {
-    for (const auto& diagram : model.diagrams()) {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    for (const auto& diagram : program.model().diagrams()) {
+      const EdgeLists outgoing(*diagram, &ControlFlow::source);
+      const EdgeLists incoming(*diagram, &ControlFlow::target);
       for (const auto& node : diagram->nodes()) {
-        const auto in = diagram->incoming(node->id()).size();
-        const auto out = diagram->outgoing(node->id()).size();
-        if (node->kind() != NodeKind::Initial && in == 0) {
+        if (node->kind() != NodeKind::Initial &&
+            incoming.of(node->id()).empty()) {
           ctx.report(loc_node(*diagram, *node), "node has no incoming edge");
         }
-        if (node->kind() != NodeKind::Final && out == 0) {
+        if (node->kind() != NodeKind::Final &&
+            outgoing.of(node->id()).empty()) {
           ctx.report(loc_node(*diagram, *node), "node has no outgoing edge");
         }
       }
@@ -272,19 +303,19 @@ class ReachabilityRule final : public Rule {
       : Rule("node-reachable",
              "every node is reachable from the diagram's initial node",
              Severity::Warning) {}
-  void run(const Model& model, RuleContext& ctx) const override {
-    for (const auto& diagram : model.diagrams()) {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    for (const auto& diagram : program.model().diagrams()) {
       const Node* initial = diagram->initial();
       if (initial == nullptr) {
         continue;  // initial-node rule reports this
       }
-      std::set<std::string> reached;
-      std::vector<std::string> frontier{initial->id()};
-      reached.insert(initial->id());
+      const EdgeLists outgoing(*diagram, &ControlFlow::source);
+      std::set<std::string_view> reached{initial->id()};
+      std::vector<std::string_view> frontier{initial->id()};
       while (!frontier.empty()) {
-        const std::string id = std::move(frontier.back());
+        const std::string_view id = frontier.back();
         frontier.pop_back();
-        for (const auto* edge : diagram->outgoing(id)) {
+        for (const auto& [source, position, edge] : outgoing.of(id)) {
           if (reached.insert(edge->target()).second) {
             frontier.push_back(edge->target());
           }
@@ -307,42 +338,57 @@ class DecisionGuardsRule final : public Rule {
              "decision nodes have >=2 guarded outgoing edges, at most one "
              "'else', and parseable guards",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
-    for (const auto& diagram : model.diagrams()) {
-      for (const auto& node : diagram->nodes()) {
-        if (node->kind() != NodeKind::Decision) {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    for (const auto& flow : program.diagrams()) {
+      const ActivityDiagram& diagram = *flow.diagram;
+      for (const auto& node : flow.nodes) {
+        if (node.op != lower::Operation::Decision) {
           continue;
         }
-        const auto outgoing = diagram->outgoing(node->id());
-        if (outgoing.size() < 2) {
-          ctx.report(loc_node(*diagram, *node),
+        // A decision's branches are its outgoing edges, in edge order.
+        const auto& branches = node.branches;
+        if (branches.size() < 2) {
+          ctx.report(loc_node(diagram, *node.node),
                      "decision node needs at least two outgoing edges, has " +
-                         std::to_string(outgoing.size()));
+                         std::to_string(branches.size()));
         }
         std::size_t else_count = 0;
-        for (const auto* edge : outgoing) {
-          if (!edge->has_guard()) {
-            ctx.report(loc_edge(*diagram, *edge),
+        for (const lower::Branch& branch : branches) {
+          if (!branch.edge->has_guard()) {
+            ctx.report(loc_edge(diagram, *branch.edge),
                        "edge leaving a decision node lacks a guard");
             continue;
           }
-          if (edge->is_else()) {
+          if (branch.is_else) {
             ++else_count;
             continue;
           }
-          if (!expr::parses(edge->guard())) {
-            ctx.report(loc_edge(*diagram, *edge),
-                       "guard '" + edge->guard() + "' does not parse");
+          if (branch.guard == nullptr) {
+            ctx.report(loc_edge(diagram, *branch.edge),
+                       "guard '" + branch.edge->guard() + "' does not parse");
           }
         }
         if (else_count > 1) {
-          ctx.report(loc_node(*diagram, *node),
+          ctx.report(loc_node(diagram, *node.node),
                      "decision node has multiple 'else' edges");
         }
         if (else_count == 0) {
-          ctx.report(Severity::Warning, loc_node(*diagram, *node),
+          ctx.report(Severity::Warning, loc_node(diagram, *node.node),
                      "decision node has no 'else' edge; execution stalls when "
                      "no guard holds");
+        }
+      }
+      // Guards on edges leaving no decision are ignored by the walk, but
+      // lowering parses them too.
+      for (const auto& edge : diagram.edges()) {
+        if (!edge->has_guard() || edge->is_else() ||
+            program.guard(*edge) != nullptr) {
+          continue;
+        }
+        const Node* source = diagram.node(edge->source());
+        if (source == nullptr || source->kind() != NodeKind::Decision) {
+          ctx.report(loc_edge(diagram, *edge),
+                     "guard '" + edge->guard() + "' does not parse");
         }
       }
     }
@@ -355,8 +401,8 @@ class GuardContextRule final : public Rule {
       : Rule("guard-context",
              "guards only appear on edges leaving decision nodes",
              Severity::Warning) {}
-  void run(const Model& model, RuleContext& ctx) const override {
-    for (const auto& diagram : model.diagrams()) {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    for (const auto& diagram : program.model().diagrams()) {
       for (const auto& edge : diagram->edges()) {
         if (!edge->has_guard()) {
           continue;
@@ -377,7 +423,8 @@ class StereotypeKnownRule final : public Rule {
       : Rule("stereotype-known",
              "applied stereotypes are defined in the model's profile",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    const Model& model = program.model();
     for (const auto& diagram : model.diagrams()) {
       for (const auto& node : diagram->nodes()) {
         if (node->has_stereotype() &&
@@ -398,7 +445,8 @@ class TagConformanceRule final : public Rule {
       : Rule("tag-conformance",
              "tagged values conform to the stereotype's tag definitions",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    const Model& model = program.model();
     for (const auto& diagram : model.diagrams()) {
       for (const auto& node : diagram->nodes()) {
         if (!node->has_stereotype()) {
@@ -444,26 +492,17 @@ class ExpressionTagsRule final : public Rule {
       : Rule("expression-tags",
              "expression-valued tags contain parseable expressions",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
-    for (const auto& diagram : model.diagrams()) {
-      for (const auto& node : diagram->nodes()) {
-        for (const auto tag_name : uml::expression_tags(node->stereotype())) {
-          if (!node->has_tag(tag_name)) {
-            continue;
-          }
-          const std::string text = node->tag_string(tag_name);
-          if (text.empty()) {
-            continue;
-          }
-          try {
-            (void)expr::parse(text);
-          } catch (const expr::SyntaxError& error) {
-            ctx.report(loc_node(*diagram, *node),
-                       "tag '" + std::string(tag_name) + "' = '" + text +
-                           "': " + error.what());
-          }
-        }
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    for (const auto& problem : program.problems()) {
+      std::string_view tag = problem.tag;
+      if (problem.kind == ProblemKind::Fragment) {
+        tag = uml::tag::kCode;
+      } else if (problem.kind != ProblemKind::Tag) {
+        continue;
       }
+      ctx.report(loc_node(*problem.diagram, *problem.node),
+                 "tag '" + std::string(tag) + "' = '" +
+                     problem.node->tag_string(tag) + "': " + problem.detail);
     }
   }
 };
@@ -475,80 +514,58 @@ class ExpressionVisibilityRule final : public Rule {
              "identifiers used by element expressions are declared variables, "
              "loop variables, system parameters, or defined cost functions",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
-    const auto loop_vars = visible_loop_vars(model);
-    for (const auto& diagram : model.diagrams()) {
-      const auto vars_it = loop_vars.find(diagram->id());
-      for (const auto& node : diagram->nodes()) {
-        for (const auto tag_name : uml::expression_tags(node->stereotype())) {
-          check_expression(model, *diagram, *node,
-                           node->tag_string(tag_name),
-                           vars_it == loop_vars.end()
-                               ? std::set<std::string>{}
-                               : vars_it->second,
-                           ctx);
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    // Declared variables and system parameters are visible everywhere;
+    // every other slot holds a loop variable, visible where walks bind it.
+    std::vector<bool> everywhere(program.slot_count());
+    for (std::size_t slot = 0; slot < everywhere.size(); ++slot) {
+      const std::string& name =
+          program.symbols().name_of(static_cast<expr::Slot>(slot));
+      everywhere[slot] = program.model().variable(name) != nullptr ||
+                         uml::is_system_parameter(name);
+    }
+    const auto bound = bound_loop_slots(program);
+    for (std::size_t d = 0; d < program.diagrams().size(); ++d) {
+      const lower::DiagramProgram& flow = program.diagrams()[d];
+      // Reports the variables `compiled` (the text `text`) reads that
+      // nothing binds in this diagram, then the functions it calls that
+      // no one defines.
+      const auto check = [&](const expr::Compiled& compiled,
+                             const std::string& text,
+                             const std::string& location) {
+        const expr::Unresolved unresolved = expr::unresolved(compiled);
+        std::vector<std::string> unknown = unresolved.variables;
+        for (const expr::Slot slot : compiled.referenced_slots()) {
+          if (!everywhere[slot] && !bound[d][slot]) {
+            unknown.push_back(program.symbols().name_of(slot));
+          }
+        }
+        std::sort(unknown.begin(), unknown.end());
+        for (const auto& name : unknown) {
+          ctx.report(location,
+                     "unknown variable '" + name + "' in '" + text + "'");
+        }
+        for (const auto& name : unresolved.functions) {
+          ctx.report(location, "undefined cost function '" + name + "' in '" +
+                                   text + "'");
+        }
+      };
+      for (const auto& node : flow.nodes) {
+        for (const auto tag : uml::expression_tags(node.node->stereotype())) {
+          const auto kind = lower::tag_kind(tag);
+          if (kind && node.tag(*kind)) {
+            check(*node.tag(*kind), node.node->tag_string(tag),
+                  loc_node(*flow.diagram, *node.node));
+          }
         }
       }
       // Guards use the same namespace.
-      for (const auto& edge : diagram->edges()) {
-        if (edge->has_guard() && !edge->is_else()) {
-          check_guard(model, *diagram, *edge,
-                      vars_it == loop_vars.end() ? std::set<std::string>{}
-                                                 : vars_it->second,
-                      ctx);
+      for (const auto& edge : flow.diagram->edges()) {
+        if (const expr::Compiled* guard = program.guard(*edge)) {
+          check(*guard, edge->guard(), loc_edge(*flow.diagram, *edge));
         }
       }
     }
-  }
-
- private:
-  static bool visible_variable(const Model& model,
-                               const std::set<std::string>& loop_vars,
-                               const std::string& name) {
-    return model.variable(name) != nullptr ||
-           uml::is_system_parameter(name) ||
-           loop_vars.find(name) != loop_vars.end();
-  }
-
-  void check_names(const Model& model, const std::string& location,
-                   const std::string& text,
-                   const std::set<std::string>& loop_vars,
-                   RuleContext& ctx) const {
-    expr::ExprPtr parsed;
-    try {
-      parsed = expr::parse(text);
-    } catch (const expr::SyntaxError&) {
-      return;  // expression-tags rule reports this
-    }
-    for (const auto& name : expr::free_variables(*parsed)) {
-      if (!visible_variable(model, loop_vars, name)) {
-        ctx.report(location, "unknown variable '" + name + "' in '" + text +
-                                 "'");
-      }
-    }
-    for (const auto& name : expr::called_user_functions(*parsed)) {
-      if (model.cost_function(name) == nullptr) {
-        ctx.report(location,
-                   "undefined cost function '" + name + "' in '" + text +
-                       "'");
-      }
-    }
-  }
-
-  void check_expression(const Model& model, const ActivityDiagram& diagram,
-                        const Node& node, const std::string& text,
-                        const std::set<std::string>& loop_vars,
-                        RuleContext& ctx) const {
-    if (text.empty()) {
-      return;
-    }
-    check_names(model, loc_node(diagram, node), text, loop_vars, ctx);
-  }
-
-  void check_guard(const Model& model, const ActivityDiagram& diagram,
-                   const ControlFlow& edge, const std::set<std::string>& vars,
-                   RuleContext& ctx) const {
-    check_names(model, loc_edge(diagram, edge), edge.guard(), vars, ctx);
   }
 };
 
@@ -560,59 +577,78 @@ class CostFunctionsRule final : public Rule {
              "globals, system parameters and other cost functions, and have "
              "no cyclic dependencies",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    const auto& functions = program.model().cost_functions();
     std::map<std::string, std::set<std::string>> calls;
     std::set<std::string> names;
-    for (const auto& fn : model.cost_functions()) {
+    for (const auto& fn : functions) {
       if (!names.insert(fn.name).second) {
         ctx.report("function " + fn.name, "duplicate cost-function name");
       }
     }
-    for (const auto& fn : model.cost_functions()) {
+    // CallUser ids name functions by their first declaration.
+    std::vector<const std::string*> name_of(functions.size());
+    for (const auto& fn : functions) {
+      if (const auto id = program.function_id(fn.name)) {
+        name_of[static_cast<std::size_t>(*id)] = &fn.name;
+      }
+    }
+    for (std::size_t f = 0; f < functions.size(); ++f) {
+      const uml::CostFunction& fn = functions[f];
       const std::string location = "function " + fn.name;
       if (!is_identifier(fn.name)) {
         ctx.report(location, "name is not a valid identifier");
       }
-      expr::ExprPtr body;
-      try {
-        body = expr::parse(fn.body);
-      } catch (const expr::SyntaxError& error) {
-        ctx.report(location, std::string("body does not parse: ") +
-                                 error.what());
+      const auto problems = program.problems();
+      const auto problem =
+          std::find_if(problems.begin(), problems.end(),
+                       [&](const auto& p) { return p.function == &fn; });
+      if (problem != problems.end()) {
+        ctx.report(location, "body does not parse: " + problem->detail);
         continue;
       }
-      for (const auto& name : expr::free_variables(*body)) {
-        const bool is_param =
-            std::find(fn.parameters.begin(), fn.parameters.end(), name) !=
-            fn.parameters.end();
-        const uml::Variable* variable = model.variable(name);
-        // Generated cost functions live at file scope (Fig. 8a) and can
-        // only see globals, never the model function's locals.
-        const bool is_global =
-            variable != nullptr &&
-            variable->scope == uml::VariableScope::Global;
-        if (!is_param && !is_global && !uml::is_system_parameter(name)) {
-          if (variable != nullptr) {
-            ctx.report(location, "references local variable '" + name +
-                                     "'; cost functions can only use globals "
-                                     "and parameters");
-          } else {
-            ctx.report(location, "unknown variable '" + name + "'");
-          }
+      // What the body reads that a call cannot see (generated cost
+      // functions live at file scope, Fig. 8a: they see parameters,
+      // globals and the structural system parameters), each name with
+      // its declaration, if it has one.
+      const expr::Compiled& body = program.functions()[f];
+      const expr::Unresolved unresolved = expr::unresolved(body);
+      std::vector<std::pair<std::string, const uml::Variable*>> unseen;
+      for (const auto& name : unresolved.variables) {
+        unseen.emplace_back(name, nullptr);
+      }
+      for (const expr::Slot slot : body.referenced_slots()) {
+        const std::string& name = program.symbols().name_of(slot);
+        const uml::Variable* variable = program.model().variable(name);
+        const bool structural =
+            slot == program.np_slot() || slot == program.nt_slot() ||
+            slot == program.nn_slot() || slot == program.ppn_slot();
+        if (variable != nullptr ? variable->scope != uml::VariableScope::Global
+                                : !structural) {
+          unseen.emplace_back(name, variable);
         }
       }
+      std::sort(unseen.begin(), unseen.end());
+      for (const auto& [name, variable] : unseen) {
+        ctx.report(location, variable != nullptr
+                                 ? "references local variable '" + name +
+                                       "'; cost functions can only use "
+                                       "globals and parameters"
+                                 : "unknown variable '" + name + "'");
+      }
+      for (const auto& name : unresolved.functions) {
+        ctx.report(location, "calls undefined function '" + name + "'");
+      }
       auto& callees = calls[fn.name];
-      for (const auto& name : expr::called_user_functions(*body)) {
-        if (model.cost_function(name) == nullptr) {
-          ctx.report(location, "calls undefined function '" + name + "'");
-        } else {
-          callees.insert(name);
+      for (const expr::Instr& in : body.code()) {
+        if (in.op == expr::Op::CallUser) {
+          callees.insert(*name_of[static_cast<std::size_t>(in.a)]);
         }
       }
     }
     // Cycle detection over the call graph (iterative DFS with colors).
     std::map<std::string, int> color;  // 0 white, 1 grey, 2 black
-    for (const auto& fn : model.cost_functions()) {
+    for (const auto& fn : functions) {
       if (color[fn.name] != 0) {
         continue;
       }
@@ -649,57 +685,17 @@ class SubdiagramsRule final : public Rule {
              "composite nodes reference existing diagrams and the diagram "
              "hierarchy is acyclic",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
-    // diagram id -> set of sub-diagram ids referenced from it
-    std::map<std::string, std::set<std::string>> references;
-    for (const auto& diagram : model.diagrams()) {
-      for (const auto& node : diagram->nodes()) {
-        const bool composite = node->kind() == NodeKind::Activity ||
-                               node->kind() == NodeKind::Loop;
-        const std::string sub = node->subdiagram_id();
-        if (!composite) {
-          continue;
-        }
-        if (sub.empty()) {
-          ctx.report(loc_node(*diagram, *node),
-                     "composite node lacks a 'diagram' tag");
-          continue;
-        }
-        if (model.diagram(sub) == nullptr) {
-          ctx.report(loc_node(*diagram, *node),
-                     "references unknown diagram '" + sub + "'");
-          continue;
-        }
-        references[diagram->id()].insert(sub);
-      }
-    }
-    // Cycle check over diagram references.
-    std::map<std::string, int> color;
-    for (const auto& diagram : model.diagrams()) {
-      if (color[diagram->id()] != 0) {
-        continue;
-      }
-      std::vector<std::pair<std::string, std::size_t>> stack{
-          {diagram->id(), 0}};
-      color[diagram->id()] = 1;
-      while (!stack.empty()) {
-        auto& [id, next] = stack.back();
-        const auto& subs = references[id];
-        if (next >= subs.size()) {
-          color[id] = 2;
-          stack.pop_back();
-          continue;
-        }
-        auto it = subs.begin();
-        std::advance(it, next);
-        ++next;
-        if (color[*it] == 1) {
-          ctx.report("diagram " + id,
-                     "cyclic diagram nesting via '" + *it + "'");
-        } else if (color[*it] == 0) {
-          color[*it] = 1;
-          stack.push_back({*it, 0});
-        }
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    for (const auto& problem : program.problems()) {
+      if (problem.kind == ProblemKind::Body) {
+        const std::string sub = problem.node->subdiagram_id();
+        ctx.report(loc_node(*problem.diagram, *problem.node),
+                   sub.empty() ? "composite node lacks a 'diagram' tag"
+                               : "references unknown diagram '" + sub + "'");
+      } else if (problem.kind == ProblemKind::Nesting) {
+        ctx.report("diagram " + problem.diagram->id(),
+                   "cyclic diagram nesting via '" +
+                       problem.node->subdiagram_id() + "'");
       }
     }
   }
@@ -712,31 +708,36 @@ class ForkJoinRule final : public Rule {
              "forks have >=2 outgoing edges, joins >=2 incoming, and each "
              "diagram balances forks with joins",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
-    for (const auto& diagram : model.diagrams()) {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    for (const auto& flow : program.diagrams()) {
+      std::optional<EdgeLists> incoming;  // built at the first join
       std::size_t forks = 0;
       std::size_t joins = 0;
-      for (const auto& node : diagram->nodes()) {
-        if (node->kind() == NodeKind::Fork) {
+      for (const auto& node : flow.nodes) {
+        if (node.op == lower::Operation::Fork) {
           ++forks;
-          const auto out = diagram->outgoing(node->id()).size();
+          // A fork's branches are its outgoing edges.
+          const auto out = node.branches.size();
           if (out < 2) {
-            ctx.report(loc_node(*diagram, *node),
+            ctx.report(loc_node(*flow.diagram, *node.node),
                        "fork needs at least two outgoing edges, has " +
                            std::to_string(out));
           }
-        } else if (node->kind() == NodeKind::Join) {
+        } else if (node.op == lower::Operation::Join) {
           ++joins;
-          const auto in = diagram->incoming(node->id()).size();
+          if (!incoming) {
+            incoming.emplace(*flow.diagram, &ControlFlow::target);
+          }
+          const auto in = incoming->of(node.node->id()).size();
           if (in < 2) {
-            ctx.report(loc_node(*diagram, *node),
+            ctx.report(loc_node(*flow.diagram, *node.node),
                        "join needs at least two incoming edges, has " +
                            std::to_string(in));
           }
         }
       }
       if (forks != joins) {
-        ctx.report(Severity::Warning, loc_diagram(*diagram),
+        ctx.report(Severity::Warning, loc_diagram(*flow.diagram),
                    "diagram has " + std::to_string(forks) + " fork(s) but " +
                        std::to_string(joins) + " join(s)");
       }
@@ -751,9 +752,11 @@ class VariablesRule final : public Rule {
              "variable names are unique, valid identifiers, do not shadow "
              "system parameters, and initializers parse",
              Severity::Error) {}
-  void run(const Model& model, RuleContext& ctx) const override {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
+    const Model& model = program.model();
     std::set<std::string> seen;
-    for (const auto& variable : model.variables()) {
+    for (std::size_t v = 0; v < model.variables().size(); ++v) {
+      const uml::Variable& variable = model.variables()[v];
       const std::string location = "variable " + variable.name;
       if (!is_identifier(variable.name)) {
         ctx.report(location, "name is not a valid identifier");
@@ -768,8 +771,9 @@ class VariablesRule final : public Rule {
       if (model.cost_function(variable.name) != nullptr) {
         ctx.report(location, "name collides with a cost function");
       }
+      // Lowering left out the initializer that does not parse.
       if (!variable.initializer.empty() &&
-          !expr::parses(variable.initializer)) {
+          !program.variables()[v].initializer) {
         ctx.report(location, "initializer '" + variable.initializer +
                                  "' does not parse");
       }
@@ -784,9 +788,9 @@ class ElementNamesRule final : public Rule {
              "performance modeling elements have non-empty, distinct names "
              "(they become C++ identifiers)",
              Severity::Warning) {}
-  void run(const Model& model, RuleContext& ctx) const override {
+  void run(const ModelProgram& program, RuleContext& ctx) const override {
     std::map<std::string, std::string> seen;  // name -> location
-    for (const auto& diagram : model.diagrams()) {
+    for (const auto& diagram : program.model().diagrams()) {
       for (const auto& node : diagram->nodes()) {
         if (!is_performance_element(*node)) {
           continue;
@@ -993,6 +997,10 @@ void ModelChecker::configure(const xml::Document& mcf) {
 }
 
 Diagnostics ModelChecker::check(const uml::Model& model) const {
+  return check(lower::ModelProgram(model));
+}
+
+Diagnostics ModelChecker::check(const lower::ModelProgram& program) const {
   Diagnostics diagnostics;
   for (const auto& note : configuration_notes_) {
     diagnostics.add(Diagnostic{Severity::Info, "mcf", "configuration", note});
@@ -1004,7 +1012,7 @@ Diagnostics ModelChecker::check(const uml::Model& model) const {
     const Severity severity =
         entry.severity_override.value_or(entry.rule->default_severity());
     RuleContext ctx(diagnostics, entry.rule->name(), severity);
-    entry.rule->run(model, ctx);
+    entry.rule->run(program, ctx);
   }
   return diagnostics;
 }

@@ -1,7 +1,7 @@
 // Internal: the built-in function table shared by the tree-walking
 // evaluator (eval.cpp) and the bytecode compiler (compile.cpp).  Not
-// installed; the public surface is builtin_names()/builtin_arity() in
-// eval.hpp and the per-built-in opcodes in compile.hpp.
+// installed; the public surface is the per-built-in opcodes in
+// compile.hpp.
 #pragma once
 
 #include <span>
@@ -18,8 +18,8 @@ struct Builtin {
   double (*fn2)(double, double);
 };
 
-/// The full table, sorted by name (the order builtin_names() exposes and
-/// the compiler's per-built-in opcodes follow).
+/// The full table, sorted by name (the order the compiler's per-built-in
+/// opcodes follow).
 [[nodiscard]] std::span<const Builtin> builtins();
 
 /// Binary search over builtins(); null when `name` is not a built-in.

@@ -96,6 +96,11 @@ std::optional<Ambient> SymbolTable::ambient_of(std::string_view name) const {
 // Compiler
 // ---------------------------------------------------------------------------
 
+// How the lazy errors of names no binding resolves begin: the tree
+// walker's texts, which unresolved() reads back.
+constexpr std::string_view kUnknownVariable = "unknown variable '";
+constexpr std::string_view kUnknownFunction = "unknown function '";
+
 /// Lowers one Expr tree: recursive emission with constant folding, exact
 /// algebraic identities and short-circuit elimination, plus stack-depth
 /// bookkeeping across the branchy encodings of && / || / ?:.
@@ -350,7 +355,7 @@ class Compiler {
         op = Op::LoadSlotOrUid;
       } else {
         b = static_cast<std::uint16_t>(
-            intern_string("unknown variable '" + name + "'"));
+            intern_string(std::string(kUnknownVariable) + name + "'"));
       }
       out_.code_.push_back({op, b, static_cast<std::int32_t>(*slot), 0});
       note_push();
@@ -373,7 +378,7 @@ class Compiler {
       note_push();
       return;
     }
-    emit_throw("unknown variable '" + name + "'");
+    emit_throw(std::string(kUnknownVariable) + name + "'");
   }
 
   /// Lazily-raised error: evaluating this instruction throws the exact
@@ -588,7 +593,7 @@ class Compiler {
     }
     const detail::Builtin* builtin = detail::find_builtin(call.callee());
     if (builtin == nullptr) {
-      emit_throw("unknown function '" + call.callee() + "'");
+      emit_throw(std::string(kUnknownFunction) + call.callee() + "'");
       depth_ -= argc;  // the (unreachable) result replaces the args
       return;
     }
@@ -619,6 +624,28 @@ class Compiler {
 Compiled compile(const Expr& expr, const SymbolTable& table,
                  std::string site) {
   return Compiler(table).run(expr, std::move(site));
+}
+
+Unresolved unresolved(const Compiled& program) {
+  Unresolved names;
+  for (const Instr& in : program.code()) {
+    const std::string_view text =
+        in.op == Op::Throw ? program.strings()[static_cast<std::size_t>(in.a)]
+                           : std::string_view();
+    for (const auto& [prefix, list] :
+         {std::pair{kUnknownVariable, &names.variables},
+          std::pair{kUnknownFunction, &names.functions}}) {
+      if (text.starts_with(prefix)) {  // the name, then its closing quote
+        list->emplace_back(
+            text.substr(prefix.size(), text.size() - prefix.size() - 1));
+      }
+    }
+  }
+  for (auto* list : {&names.variables, &names.functions}) {
+    std::sort(list->begin(), list->end());
+    list->erase(std::unique(list->begin(), list->end()), list->end());
+  }
+  return names;
 }
 
 // ---------------------------------------------------------------------------

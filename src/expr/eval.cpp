@@ -11,8 +11,8 @@ namespace {
 
 using detail::Builtin;
 
-// Sorted by name (builtin_names() exposes this order; find_builtin
-// binary-searches it; the compiler's direct-dispatch opcodes follow it).
+// Sorted by name (find_builtin binary-searches it; the compiler's
+// direct-dispatch opcodes follow it).
 constexpr std::array<Builtin, 16> kBuiltins{{
     {"abs", 1, [](double x) { return std::fabs(x); }, nullptr},
     {"ceil", 1, [](double x) { return std::ceil(x); }, nullptr},
@@ -170,24 +170,6 @@ double evaluate(const Expr& expr, const Environment& env) {
     }
   }
   throw EvalError("corrupt expression tree");
-}
-
-std::span<const std::string_view> builtin_names() {
-  static const std::array<std::string_view, kBuiltins.size()> names = [] {
-    std::array<std::string_view, kBuiltins.size()> out{};
-    for (std::size_t i = 0; i < kBuiltins.size(); ++i) {
-      out[i] = kBuiltins[i].name;
-    }
-    return out;
-  }();
-  return names;
-}
-
-std::optional<int> builtin_arity(std::string_view name) {
-  if (const Builtin* builtin = find_builtin(name)) {
-    return builtin->arity;
-  }
-  return std::nullopt;
 }
 
 namespace detail {

@@ -364,13 +364,4 @@ ExprPtr parse(std::string_view text) {
   return Parser(Lexer(text).tokenize()).parse_expression();
 }
 
-bool parses(std::string_view text) {
-  try {
-    (void)parse(text);
-    return true;
-  } catch (const SyntaxError&) {
-    return false;
-  }
-}
-
 }  // namespace prophet::expr

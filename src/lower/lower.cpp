@@ -45,9 +45,12 @@ constexpr TagRow kTagTable[] = {
 static_assert(std::size(kTagTable) == kTagKindCount,
               "every TagKind needs exactly one table row");
 
-/// Splits a code fragment into `name = expr` assignments.
+/// Splits a code fragment into `name = expr` assignments; each statement
+/// that is no parseable assignment goes to `fail` (with why) and is left
+/// out.
+template <class Fail>
 std::vector<Assignment> parse_code_fragment(const std::string& text,
-                                            const std::string& where) {
+                                            const Fail& fail) {
   std::vector<Assignment> assignments;
   std::size_t start = 0;
   while (start < text.size()) {
@@ -68,8 +71,8 @@ std::vector<Assignment> parse_code_fragment(const std::string& text,
     // Reject '==' and missing '='.
     if (equals == std::string::npos || equals + 1 >= statement.size() ||
         statement[equals + 1] == '=') {
-      throw LowerError("code fragment at " + where + ": statement '" +
-                       statement + "' is not an assignment");
+      fail("statement '" + statement + "' is not an assignment");
+      continue;
     }
     std::string target = statement.substr(0, equals);
     const auto target_end = target.find_last_not_of(" \t\r\n");
@@ -78,7 +81,7 @@ std::vector<Assignment> parse_code_fragment(const std::string& text,
       assignments.push_back(
           {target, expr::parse(statement.substr(equals + 1))});
     } catch (const expr::SyntaxError& error) {
-      throw LowerError("code fragment at " + where + ": " + error.what());
+      fail(error.what());
     }
   }
   return assignments;
@@ -91,15 +94,6 @@ std::string loop_var_name(const Node& node) {
     var = "i";
   }
   return var;
-}
-
-expr::ExprPtr parse_checked(const std::string& text,
-                            const std::string& where) {
-  try {
-    return expr::parse(text);
-  } catch (const expr::SyntaxError& error) {
-    throw LowerError(where + ": " + error.what());
-  }
 }
 
 /// The action-stereotype -> operation table: the one place a stereotype
@@ -334,7 +328,28 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     return program;
   };
 
-  // ---- Phase 1: parse (error order matches the historical builds).
+  // Records a defect of the element `problem` names; its text is
+  // `where`, then `detail` (the parser's message) when there is one.
+  const auto record = [this](Problem problem, std::string where,
+                             std::string detail = {}) {
+    problem.message =
+        detail.empty() ? std::move(where) : where + ": " + detail;
+    problem.detail = std::move(detail);
+    problems_.push_back(std::move(problem));
+  };
+  // Parses `text`, or records why it does not parse and returns null.
+  const auto parse = [&record](const std::string& text, Problem problem,
+                               std::string where) -> expr::ExprPtr {
+    try {
+      return expr::parse(text);
+    } catch (const expr::SyntaxError& error) {
+      record(std::move(problem), std::move(where), error.what());
+      return nullptr;
+    }
+  };
+
+  // ---- Phase 1: parse (problems in the order the historical builds
+  // threw them).
   struct ParsedVariable {
     const uml::Variable* decl = nullptr;
     expr::ExprPtr initializer;
@@ -344,8 +359,10 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     ParsedVariable parsed;
     parsed.decl = &variable;
     if (!variable.initializer.empty()) {
-      parsed.initializer = parse_checked(
-          variable.initializer, "initializer of variable " + variable.name);
+      parsed.initializer = parse(
+          variable.initializer,
+          {.kind = ProblemKind::Initializer, .variable = &variable},
+          "initializer of variable " + variable.name);
     }
     parsed_variables.push_back(std::move(parsed));
   }
@@ -356,7 +373,8 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
   std::vector<ParsedFunction> parsed_functions;
   for (const auto& fn : m.cost_functions()) {
     parsed_functions.push_back(
-        {&fn, parse_checked(fn.body, "cost function " + fn.name)});
+        {&fn, parse(fn.body, {.kind = ProblemKind::Function, .function = &fn},
+                    "cost function " + fn.name)});
   }
   // uid assignment: explicit `id` tags win; the rest get sequential
   // numbers skipping claimed values.
@@ -385,9 +403,13 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     }
     for (const auto& edge : diagram->edges()) {
       if (edge->has_guard() && !edge->is_else()) {
-        parsed_guards.emplace(edge.get(),
-                              parse_checked(edge->guard(),
-                                            "guard of edge " + edge->id()));
+        if (auto guard = parse(edge->guard(),
+                               {.kind = ProblemKind::Guard,
+                                .diagram = diagram.get(),
+                                .edge = edge.get()},
+                               "guard of edge " + edge->id())) {
+          parsed_guards.emplace(edge.get(), std::move(guard));
+        }
       }
     }
   }
@@ -408,9 +430,14 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
           continue;
         }
         expr::ExprPtr parsed =
-            parse_checked(text, "tag '" + std::string(name) + "' of node " +
-                                    node->id());
-        if (const auto kind = tag_kind(name)) {
+            parse(text,
+                  {.kind = ProblemKind::Tag,
+                   .diagram = diagram.get(),
+                   .node = node.get(),
+                   .tag = name},
+                  "tag '" + std::string(name) + "' of node " + node->id());
+        const auto kind = tag_kind(name);
+        if (parsed != nullptr && kind) {
           parsed_tags[node.get()].push_back({*kind, std::move(parsed)});
         }
       }
@@ -418,21 +445,30 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
         const std::string code = node->tag_string(uml::tag::kCode);
         if (!code.empty()) {
           parsed_fragments.emplace(
-              node.get(), parse_code_fragment(code, "node " + node->id()));
+              node.get(), parse_code_fragment(code, [&](std::string detail) {
+                record({.kind = ProblemKind::Fragment,
+                        .diagram = diagram.get(),
+                        .node = node.get()},
+                       "code fragment at node " + node->id(),
+                       std::move(detail));
+              }));
         }
       }
       // Composite nodes must reference existing diagrams.
       if ((node->kind() == NodeKind::Activity ||
            node->kind() == NodeKind::Loop) &&
           m.diagram(node->subdiagram_id()) == nullptr) {
-        throw LowerError("node " + node->id() +
-                         " references unknown diagram '" +
-                         node->subdiagram_id() + "'");
+        record({.kind = ProblemKind::Body,
+                .diagram = diagram.get(),
+                .node = node.get()},
+               "node " + node->id() + " references unknown diagram '" +
+                   node->subdiagram_id() + "'");
       }
     }
   }
   if (m.main_diagram() == nullptr) {
-    throw LowerError("model has no resolvable main diagram");
+    record({.kind = ProblemKind::MainDiagram},
+           "model has no resolvable main diagram");
   }
 
   // ---- Phase 2: build the slot space.  Every name that any dynamic
@@ -490,7 +526,9 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     for (const auto& parameter : parsed.decl->parameters) {
       fn_table.add_parameter(parameter);
     }
-    functions_.push_back(compile_timed(*parsed.body, fn_table, {}));
+    functions_.push_back(parsed.body == nullptr
+                             ? expr::Compiled()
+                             : compile_timed(*parsed.body, fn_table, {}));
   }
   for (auto& [edge, guard] : parsed_guards) {
     guards_.emplace(edge, compile_timed(*guard, node_table_,
@@ -556,13 +594,17 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
   // body diagram and successors, and each diagram's entry and step
   // limit, resolved once so no engine decodes the UML model.  Diagram
   // ids resolve to the first diagram carrying them, like
-  // Model::diagram().
+  // Model::diagram(); an unknown id resolves to -1.
   std::unordered_map<std::string_view, int> diagram_index;
   diagram_index.reserve(m.diagrams().size());
   for (std::size_t d = 0; d < m.diagrams().size(); ++d) {
     diagram_index.emplace(m.diagrams()[d]->id(), static_cast<int>(d));
   }
-  entry_ = diagram_index.at(m.main_diagram_id());
+  const auto diagram_of = [&diagram_index](std::string_view id) {
+    const auto it = diagram_index.find(id);
+    return it == diagram_index.end() ? -1 : it->second;
+  };
+  entry_ = diagram_of(m.main_diagram_id());
   for (std::size_t d = 0; d < m.diagrams().size(); ++d) {
     const uml::ActivityDiagram& diagram = *m.diagrams()[d];
     DiagramProgram& flow = diagrams_[d];
@@ -575,7 +617,7 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
       programs.node = &node;
       decode_operation(node, programs);
       if (node.kind() == NodeKind::Activity || node.kind() == NodeKind::Loop) {
-        programs.body = diagram_index.at(node.subdiagram_id());
+        programs.body = diagram_of(node.subdiagram_id());
       }
       if (flow.initial < 0 && node.kind() == NodeKind::Initial) {
         flow.initial = static_cast<int>(i);
@@ -588,21 +630,27 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     resolve_successors(diagram, guards_, flow);
   }
 
-  // ---- Phase 5: no diagram nests itself, directly or through others
-  // (the checker's `subdiagrams` rule).  Every walk, and the printed
-  // program, nests bodies at their call sites.
+  // ---- Phase 5: no diagram nests itself, directly or through others.
+  // Every walk, and the printed program, nests bodies at their call
+  // sites.  Each back edge of the depth-first search is one problem
+  // (once per diagram and nested diagram).
   std::vector<int> state(diagrams_.size(), 0);  // 1: on the path, 2: done
-  const auto visit = [this, &state](const auto& self, std::size_t d) -> void {
+  const auto visit = [this, &state, &record](const auto& self,
+                                             std::size_t d) -> void {
     state[d] = 1;
+    std::set<int> reported;  // nested diagrams already reported from d
     for (const auto& node : diagrams_[d].nodes) {
       const auto body = static_cast<std::size_t>(node.body);
-      if (node.body >= 0 && state[body] == 1) {
-        throw LowerError("diagram " + diagrams_[d].diagram->id() +
-                         ": cyclic diagram nesting via '" +
-                         diagrams_[body].diagram->id() + "'");
-      }
       if (node.body >= 0 && state[body] == 0) {
         self(self, body);
+      } else if (node.body >= 0 && state[body] == 1 &&
+                 reported.insert(node.body).second) {
+        record({.kind = ProblemKind::Nesting,
+                .diagram = diagrams_[d].diagram,
+                .node = node.node},
+               "diagram " + diagrams_[d].diagram->id() +
+                   ": cyclic diagram nesting via '" +
+                   diagrams_[body].diagram->id() + "'");
       }
     }
     state[d] = 2;
@@ -637,15 +685,20 @@ int ModelProgram::uid_of(const std::string& node_id) const {
 }
 
 ModelProgramPtr lower(const uml::Model& model) {
-  return std::make_shared<const ModelProgram>(model);
+  auto program = std::make_shared<ModelProgram>(model);
+  if (!program->problems().empty()) {
+    throw LowerError(program->problems().front().message);
+  }
+  return program;
 }
 
 ModelProgramPtr lower(uml::Model&& model) {
-  // Lower first (borrowing), then move the model in.  The lowered state
-  // keys nodes and edges by pointer; both are heap-allocated and owned
-  // through the model's diagram list, so they are stable across the
-  // move, and re-pointing the model itself after the move is safe.
-  auto program = std::make_shared<ModelProgram>(model);
+  // Lower first (borrowing; the program is not const until returned),
+  // then move the model in.  The lowered state keys nodes and edges by
+  // pointer; both are heap-allocated and owned through the model's
+  // diagram list, so they are stable across the move, and re-pointing
+  // the model itself after the move is safe.
+  const auto program = std::const_pointer_cast<ModelProgram>(lower(model));
   program->owned_.emplace(std::move(model));
   program->model_ = &*program->owned_;
   return program;

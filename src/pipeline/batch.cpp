@@ -452,48 +452,6 @@ const char* engine_stage(estimator::BackendKind kind) {
   }
 }
 
-/// Backend::prepare for every engine `selection` runs, reference first.
-/// The model is lowered exactly once (lower::lower) and the shared
-/// lower::ModelProgram fans out to every engine — cross-validating
-/// selections pay one lowering, not one per engine.  Returns a
-/// stage-prefixed error ("" on success) with the same stage names
-/// estimate failures use, so a model defect reports the same stage
-/// whether it surfaces at prepare or at evaluate.
-std::string prepare_backends(const uml::Model& model,
-                             estimator::BackendKind selection,
-                             std::vector<PreparedEngine>* prepared,
-                             guard::FaultPlan* fault_plan) {
-  const auto engines = estimator::engines(selection);
-  // Lowering failures report under the reference engine's stage name.
-  lower::ModelProgramPtr program;
-  try {
-    if (fault_plan != nullptr) {
-      fault_plan->visit("lower");
-    }
-    program = lower::lower(model);
-  } catch (const std::exception& error) {
-    return std::string(engine_stage(engines.front())) + error.what();
-  }
-  cgen::CodegenOptions cgen_options;
-  cgen_options.toolchain.fault_plan = fault_plan;
-  // One "prepare" fault visit per model, however many engines ride it.
-  bool visited_prepare = false;
-  for (const estimator::BackendKind engine : engines) {
-    try {
-      if (fault_plan != nullptr && !visited_prepare) {
-        visited_prepare = true;
-        fault_plan->visit("prepare");
-      }
-      prepared->push_back(
-          {engine,
-           cgen::make_backend(engine, cgen_options)->prepare(program)});
-    } catch (const std::exception& error) {
-      return std::string(engine_stage(engine)) + error.what();
-    }
-  }
-  return "";
-}
-
 /// CSV/metrics name of the bound a guard error tripped.
 std::string limit_name(const guard::GuardError& error) {
   if (dynamic_cast<const guard::Cancelled*>(&error) != nullptr) {
@@ -616,13 +574,28 @@ void BatchRunner::compile_one(std::size_t m, CompiledEntry* out) const {
     entry.error = source.error;
     return;
   }
+  // One lowering, which the checker reads and every engine (reference
+  // first) prepares from.  Lowering and prepare failures carry the stage
+  // names estimate failures use (lowering: the reference's).
+  const auto engines = estimator::engines(options_.backend);
+  const std::string stage = engine_stage(engines.front());
+  lower::ModelProgramPtr program;
+  try {
+    if (options_.fault_plan != nullptr) {
+      options_.fault_plan->visit("lower");
+    }
+    program = std::make_shared<const lower::ModelProgram>(*source.model);
+  } catch (const std::exception& error) {
+    entry.error = stage + error.what();
+    return;
+  }
   if (options_.run_checker) {
     try {
       if (options_.fault_plan != nullptr) {
         options_.fault_plan->visit("check");
       }
       const check::ModelChecker checker;
-      const check::Diagnostics diagnostics = checker.check(*source.model);
+      const check::Diagnostics diagnostics = checker.check(*program);
       entry.check_warnings = diagnostics.warning_count();
       if (!diagnostics.ok()) {
         entry.error = "check: " + std::to_string(diagnostics.error_count()) +
@@ -634,9 +607,27 @@ void BatchRunner::compile_one(std::size_t m, CompiledEntry* out) const {
       return;
     }
   }
-  entry.error = prepare_backends(*source.model, options_.backend,
-                                 &entry.engines, options_.fault_plan);
-  entry.ok = entry.error.empty();
+  if (!program->problems().empty()) {
+    entry.error = stage + program->problems().front().message;
+    return;
+  }
+  cgen::CodegenOptions cgen_options;
+  cgen_options.toolchain.fault_plan = options_.fault_plan;
+  for (const estimator::BackendKind engine : engines) {
+    try {
+      // One "prepare" fault visit per model, however many engines ride it.
+      if (options_.fault_plan != nullptr && engine == engines.front()) {
+        options_.fault_plan->visit("prepare");
+      }
+      entry.engines.push_back(
+          {engine,
+           cgen::make_backend(engine, cgen_options)->prepare(program)});
+    } catch (const std::exception& error) {
+      entry.error = std::string(engine_stage(engine)) + error.what();
+      return;
+    }
+  }
+  entry.ok = true;
 }
 
 void BatchRunner::run_chunk(const BatchJob* jobs, std::size_t count,

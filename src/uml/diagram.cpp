@@ -80,26 +80,4 @@ const Node* ActivityDiagram::initial() const {
   return nullptr;
 }
 
-std::vector<const ControlFlow*> ActivityDiagram::outgoing(
-    std::string_view node_id) const {
-  std::vector<const ControlFlow*> result;
-  for (const auto& edge : edges_) {
-    if (edge->source() == node_id) {
-      result.push_back(edge.get());
-    }
-  }
-  return result;
-}
-
-std::vector<const ControlFlow*> ActivityDiagram::incoming(
-    std::string_view node_id) const {
-  std::vector<const ControlFlow*> result;
-  for (const auto& edge : edges_) {
-    if (edge->target() == node_id) {
-      result.push_back(edge.get());
-    }
-  }
-  return result;
-}
-
 }  // namespace prophet::uml

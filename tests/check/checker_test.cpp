@@ -467,8 +467,9 @@ TEST(CheckerApi, CustomRule) {
     NameLengthRule()
         : check::Rule("name-length", "model names stay short",
                       check::Severity::Warning) {}
-    void run(const uml::Model& model, check::RuleContext& ctx) const override {
-      if (model.name().size() > 8) {
+    void run(const prophet::lower::ModelProgram& program,
+             check::RuleContext& ctx) const override {
+      if (program.model().name().size() > 8) {
         ctx.report("model", "name longer than 8 characters");
       }
     }

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "prophet/expr/analysis.hpp"
 #include "prophet/expr/compile.hpp"
 #include "prophet/expr/cppgen.hpp"
 #include "prophet/expr/eval.hpp"
@@ -110,29 +109,6 @@ TEST(ExprEval, CostFunctionsShadowBuiltins) {
 
 TEST(ExprEval, UnknownFunctionThrows) {
   EXPECT_THROW(eval("mystery(1)"), expr::EvalError);
-}
-
-TEST(ExprEval, BuiltinIntrospection) {
-  EXPECT_EQ(expr::builtin_arity("sqrt"), 1);
-  EXPECT_EQ(expr::builtin_arity("pow"), 2);
-  EXPECT_FALSE(expr::builtin_arity("FA1").has_value());
-  EXPECT_FALSE(expr::builtin_names().empty());
-}
-
-// --- Analysis ---------------------------------------------------------------
-
-TEST(ExprAnalysis, FreeVariables) {
-  const auto parsed = expr::parse("a + f(b, c * a) + 2");
-  const auto vars = expr::free_variables(*parsed);
-  EXPECT_EQ(vars, (std::set<std::string>{"a", "b", "c"}));
-}
-
-TEST(ExprAnalysis, CalledFunctions) {
-  const auto parsed = expr::parse("FA1() + sqrt(FB2(x))");
-  EXPECT_EQ(expr::called_functions(*parsed),
-            (std::set<std::string>{"FA1", "FB2", "sqrt"}));
-  EXPECT_EQ(expr::called_user_functions(*parsed),
-            (std::set<std::string>{"FA1", "FB2"}));
 }
 
 // --- C++ emission -------------------------------------------------------------

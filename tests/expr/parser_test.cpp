@@ -76,22 +76,21 @@ TEST(ExprParser, Ternary) {
 
 TEST(ExprParser, PaperCostFunctions) {
   // Expressions from the reproduction of Fig. 8a.
-  EXPECT_TRUE(expr::parses("0.000001 * P * P + 0.001"));
-  EXPECT_TRUE(expr::parses("0.5 * FA1()"));
-  EXPECT_TRUE(expr::parses("0.0005 * pid + 0.001"));
-  EXPECT_TRUE(expr::parses("M * (N * (N - 1) / 2) * c"));
-  EXPECT_TRUE(expr::parses("GV > 0"));
+  EXPECT_NO_THROW((void)expr::parse("0.000001 * P * P + 0.001"));
+  EXPECT_NO_THROW((void)expr::parse("0.5 * FA1()"));
+  EXPECT_NO_THROW((void)expr::parse("0.0005 * pid + 0.001"));
+  EXPECT_NO_THROW((void)expr::parse("M * (N * (N - 1) / 2) * c"));
+  EXPECT_NO_THROW((void)expr::parse("GV > 0"));
 }
 
 TEST(ExprParser, Whitespace) {
-  EXPECT_TRUE(expr::parses("  1\t+\n2  "));
+  EXPECT_NO_THROW((void)expr::parse("  1\t+\n2  "));
 }
 
 class ExprErrors : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ExprErrors, Rejected) {
   EXPECT_THROW((void)expr::parse(GetParam()), expr::SyntaxError);
-  EXPECT_FALSE(expr::parses(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, ExprErrors,

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "prophet/check/checker.hpp"
 #include "prophet/uml/builder.hpp"
@@ -100,7 +101,12 @@ TEST(StepBuilder, BranchScopeWiresGuardsAndProbTags) {
   const uml::Node* decision = find_node(model, "Kind");
   ASSERT_NE(decision, nullptr);
   EXPECT_EQ(decision->kind(), uml::NodeKind::Decision);
-  const auto outgoing = main->outgoing(decision->id());
+  std::vector<const uml::ControlFlow*> outgoing;
+  for (const auto& edge : main->edges()) {
+    if (edge->source() == decision->id()) {
+      outgoing.push_back(edge.get());
+    }
+  }
   ASSERT_EQ(outgoing.size(), 2u);
   EXPECT_EQ(outgoing[0]->guard(), "pid % 4 == 0");
   EXPECT_EQ(outgoing[0]->tag_number(uml::tag::kProb), 0.25);

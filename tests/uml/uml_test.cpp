@@ -115,9 +115,9 @@ TEST(Diagram, EdgesAndLookup) {
   diagram.add_edge(std::make_unique<uml::ControlFlow>("f1", "n1", "n2"));
   EXPECT_EQ(diagram.node_count(), 2u);
   EXPECT_EQ(diagram.initial()->id(), "n1");
-  ASSERT_EQ(diagram.outgoing("n1").size(), 1u);
-  EXPECT_EQ(diagram.outgoing("n1")[0]->target(), "n2");
-  EXPECT_EQ(diagram.incoming("n2").size(), 1u);
+  ASSERT_EQ(diagram.edge_count(), 1u);
+  EXPECT_EQ(diagram.edges()[0]->source(), "n1");
+  EXPECT_EQ(diagram.edges()[0]->target(), "n2");
   EXPECT_EQ(diagram.node("zz"), nullptr);
 }
 
