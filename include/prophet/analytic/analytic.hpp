@@ -12,7 +12,9 @@
 //
 //  1. Symbolic walk (per process): sum CPU demands from the workload
 //     cost expressions; collapse loops whose bodies are provably
-//     iteration-independent (trip count x one-iteration cost); resolve
+//     iteration-independent (trip count x one-iteration cost), or, when
+//     such a body communicates, walk its first trip and emit that trip's
+//     events again for the others; resolve
 //     decisions by evaluating their guards, falling back to expectation
 //     over `prob`-annotated branches; cost communication with the
 //     machine model's formulas (latency + size/bandwidth + per-message
@@ -21,7 +23,8 @@
 //     synchronization across processes with per-process clocks and a
 //     message ledger — no event queue, no facility simulation.
 //     O(events) while receives take messages in their send order
-//     (docs/analytic.md §3 gives the worst case).
+//     (docs/analytic.md §3 gives the worst case).  Scenarios that walk
+//     alike and place their processes alike share one replay.
 //  3. Contention correction: the predicted makespan is the maximum of
 //     the replay critical path, each node's total compute demand divided
 //     by its `processors_per_node` servers (the deterministic
@@ -122,8 +125,9 @@ class AnalyticEstimator {
       const machine::SystemParameters& params) const;
 
   /// Like evaluate(params), additionally counting the evaluation's
-  /// activity (loop collapses, SPMD sharing, replayed events, which
-  /// bound set the makespan, VM instructions) into `counters` when
+  /// activity (loop collapses, re-emitted trips, SPMD sharing, replayed
+  /// events, which bound set the makespan, VM instructions) into
+  /// `counters` when
   /// non-null.  Counters never feed back into the prediction: the report
   /// is bit-identical to the uncounted overload's.
   [[nodiscard]] AnalyticReport evaluate(
@@ -132,7 +136,9 @@ class AnalyticEstimator {
 
   /// Like evaluate(params, counters), additionally charging the walk
   /// (steps + VM instructions), non-collapsed loop trips and the replay
-  /// (delivered events) against `budget` when non-null.  Tripping raises
+  /// (delivered events) against `budget` when non-null.  A re-emitted
+  /// loop trip is charged the loop trips and VM instructions its first
+  /// trip's walk charged.  Tripping raises
   /// guard::ResourceExhausted / guard::Cancelled; a null budget adds no
   /// checks and the report stays bit-identical.
   [[nodiscard]] AnalyticReport evaluate(const machine::SystemParameters& params,
@@ -157,8 +163,12 @@ class AnalyticEstimator {
   /// per input.  Pid 0 is walked first.  When that walk read no pid/tid and ran
   /// no code fragment it serves every process; otherwise pids 1..np-1 are
   /// walked in order, each across the inputs, and fragments update each
-  /// input's own globals.  The replay and bound assembly run per lane, over the
-  /// walks of the lane's input.  A model in which no node-tag program, decision
+  /// input's own globals.  The replay runs once per distinct *replay input* of
+  /// the group, over the walks of its input: lanes of one walk input that agree
+  /// on ceil(np / nodes), the processes per node, place their processes alike
+  /// and share a replay.  The bound step runs per lane, over its replay, and
+  /// reads the lane's own processors_per_node and nodes.  A model in which no
+  /// node-tag program, decision
   /// guard or local initializer may read pid/tid and no node carries a fragment
   /// (decided when the estimator is built) walks only pid 0, so all its lanes
   /// form one group whatever their np.  A lane with no neighbour of its np
@@ -169,8 +179,10 @@ class AnalyticEstimator {
   /// exact per-lane messages, the first lane's in lane order.  Each lane of a
   /// group that fell back is added to `*lanes_fallback` when non-null; a lane
   /// with no neighbour is not.  `spmd_fast_path` and `events_replayed` count
-  /// per lane.  Other counter totals may differ between the paths (a walk
-  /// counts once however many lanes share it, and batched dispatch counts
+  /// per lane: a lane that shares a replay counts the events that replay
+  /// consumed, and is charged them against `budget`, and also counts in
+  /// `replays_shared`.  Other counter totals may differ between the paths (a
+  /// walk counts once however many lanes share it, and batched dispatch counts
   /// instructions once per walk); predictions never do.
   [[nodiscard]] std::vector<AnalyticReport> evaluate_batch(
       std::span<const machine::SystemParameters> params,

@@ -157,6 +157,14 @@ class Budget {
   /// Counter snapshot (approximate while the evaluation is running).
   [[nodiscard]] Usage usage() const;
 
+  /// The VM instructions and loop trips charged so far: usage()'s two
+  /// counters without its clock read, for an evaluator that charges
+  /// again what a stretch of its run charged.
+  [[nodiscard]] std::uint64_t vm_instructions() const {
+    return vm_instructions_;
+  }
+  [[nodiscard]] std::uint64_t loop_trips() const { return loop_trips_; }
+
   /// Arms a deterministic mid-run cancellation: the budget behaves as if
   /// cancel() were called once `sim_events` have been charged.  Used by
   /// FaultPlan's "cancel" site.

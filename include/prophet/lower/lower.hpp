@@ -65,6 +65,7 @@ enum class ProblemKind : std::uint8_t {
   Body,         ///< a composite node's body diagram is missing or unknown
   MainDiagram,  ///< the model has no resolvable main diagram
   Nesting,      ///< a diagram nests itself, directly or through others
+  DuplicateFunction,  ///< a cost-function name is declared again
 };
 
 /// One defect lowering found: its texts and the element it names (the
@@ -84,7 +85,8 @@ struct Problem {
   const uml::Node* node = nullptr;              ///< Tag, Fragment, Body, Nesting
   const uml::ControlFlow* edge = nullptr;       ///< Guard
   const uml::Variable* variable = nullptr;      ///< Initializer
-  const uml::CostFunction* function = nullptr;  ///< Function
+  /// Function, DuplicateFunction (the repeated declaration)
+  const uml::CostFunction* function = nullptr;
   std::string_view tag = {};                    ///< Tag: the tag's name
 };
 
@@ -344,8 +346,9 @@ class ModelProgram {
  public:
   /// Lowers `model`, borrowing it (see lower() for the owning form).
   /// Lowers any model, however malformed: every unparseable expression,
-  /// malformed fragment, unresolvable diagram reference, cyclic nesting
-  /// and missing main diagram is recorded in problems() and left out.
+  /// malformed fragment, unresolvable diagram reference, cyclic nesting,
+  /// missing main diagram and repeated cost-function name is recorded in
+  /// problems() and left out.
   /// Engines take only programs without problems (what lower() returns).
   explicit ModelProgram(const uml::Model& model);
 
@@ -386,10 +389,18 @@ class ModelProgram {
   }
 
   /// Compiled cost-function bodies, indexed by function id (the id
-  /// expr::Op::CallUser carries and function_id() returns).
+  /// expr::Op::CallUser carries and function_id() returns): one per
+  /// distinct name, the body of its first declaration.
   [[nodiscard]] std::span<const expr::Compiled> functions() const {
     return functions_;
   }
+
+  /// The compiled body of model().cost_functions()[declaration]: its
+  /// name's functions() entry, or, for a declaration that repeats an
+  /// earlier name (a DuplicateFunction problem), its own body, which no
+  /// call reaches.
+  [[nodiscard]] const expr::Compiled& declared_function(
+      std::size_t declaration) const;
 
   /// Function id of a cost function by name, if declared.
   [[nodiscard]] std::optional<int> function_id(std::string_view name) const;
@@ -437,6 +448,8 @@ class ModelProgram {
 
   std::vector<CompiledVariable> variables_;
   std::vector<expr::Compiled> functions_;    // indexed by function id
+  // Bodies of the declarations that repeat a name, by declaration index.
+  std::map<std::size_t, expr::Compiled> repeated_functions_;
   std::map<std::string, int, std::less<>> function_ids_;
   std::vector<DiagramProgram> diagrams_;
   int entry_ = 0;

@@ -61,8 +61,10 @@ struct SimCounters {
 /// Counted by the analytic estimator's symbolic walk and replay.
 struct AnalyticCounters {
   std::uint64_t loop_collapses = 0;   ///< loops folded to one walked body
+  std::uint64_t trips_reemitted = 0;  ///< loop trips re-emitted, not walked
   std::uint64_t spmd_fast_path = 0;   ///< one walk reused for all ranks
   std::uint64_t events_replayed = 0;  ///< events consumed by replay()
+  std::uint64_t replays_shared = 0;   ///< lanes served another lane's replay
   std::uint64_t schedule_wins = 0;    ///< makespan set by replayed schedule
   std::uint64_t capacity_wins = 0;    ///< makespan set by node capacity bound
   std::uint64_t critical_wins = 0;    ///< makespan set by critical-path bound

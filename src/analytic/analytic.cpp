@@ -84,8 +84,8 @@ void add_criticals(WalkResult& into, const WalkResult& from, double weight) {
 
 /// A loop variable binding on the walker's lexical stack.  `read` records
 /// whether an evaluated program statically references the binding's slot
-/// — the loop-collapsing fast path is valid only for bodies that never
-/// look at their trip variable.  (The bytecode analogue of the tree
+/// — a loop collapses or re-emits its first trip only when its body never
+/// looks at its trip variable.  (The bytecode analogue of the tree
 /// walker's resolution-time marking: a reference in a short-circuited
 /// subexpression now counts as a read, which can only disable a collapse
 /// — the fallback per-iteration walk is always exact.)
@@ -236,6 +236,33 @@ WalkSharing walk_sharing(const lower::ModelProgram& program) {
   return sharing;
 }
 
+/// Per diagram: whether walking it may emit a Send, Recv or Barrier
+/// event — it, or a diagram it nests, has a message, barrier or
+/// collective node.  Only a loop whose body may communicate can re-emit
+/// its trips (a compute-only trip collapses), so only its first trip is
+/// taped.
+std::vector<bool> communicating_diagrams(const lower::ModelProgram& program) {
+  const auto diagrams = program.diagrams();
+  std::vector<bool> communicates(diagrams.size(), false);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t d = 0; d < diagrams.size(); ++d) {
+      for (const auto& node : diagrams[d].nodes) {
+        if (!communicates[d] &&
+            (node.op == Operation::Send || node.op == Operation::Recv ||
+             node.op == Operation::Barrier ||
+             node.op == Operation::Collective ||
+             (node.body >= 0 &&
+              communicates[static_cast<std::size_t>(node.body)]))) {
+          communicates[d] = true;
+          changed = true;
+        }
+      }
+    }
+  }
+  return communicates;
+}
+
 /// True when scenarios `a` and `b` have the same walk input: they agree,
 /// bit for bit, on every SystemParameters field the walk may read.  It
 /// reads nodes and processors_per_node only when `topology`
@@ -260,6 +287,29 @@ bool same_walk_input(const machine::SystemParameters& a,
          same(a.barrier_latency, b.barrier_latency) &&
          (!topology || (a.nodes == b.nodes &&
                         a.processors_per_node == b.processors_per_node));
+}
+
+/// True when lanes `a` and `b`, walked from one walk input, replay alike.
+/// replay() reads, of SystemParameters, np, each pid's node
+/// (machine::node_of: pid / ceil(np / nn)) and link_time's memory and
+/// network latency and bandwidth; everything else it reads is the walks.
+/// So lanes that differ only in ppn, or in nodes without moving a
+/// process, share one replay; the bound step reads ppn (the capacity
+/// bound) and nodes (the size of node_loads) per lane.
+bool same_replay_input(const machine::SystemParameters& a,
+                       const machine::SystemParameters& b) {
+  const auto same = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  // machine::node_of's block: ceil(np / nn) consecutive pids per node.
+  const auto block = [](const machine::SystemParameters& params) {
+    return (params.processes + params.nodes - 1) / params.nodes;
+  };
+  return a.processes == b.processes && block(a) == block(b) &&
+         same(a.network_latency, b.network_latency) &&
+         same(a.network_bandwidth, b.network_bandwidth) &&
+         same(a.memory_latency, b.memory_latency) &&
+         same(a.memory_bandwidth, b.memory_bandwidth);
 }
 
 /// One process's cursor into its timeline during replay.
@@ -315,11 +365,44 @@ struct Mailbox {
   }
 };
 
+/// The raw emissions of a loop's first trip, in order, each across the
+/// walk's lanes: the emit_compute, emit_busy and emit_event calls its
+/// walker made, before they coalesced.  A loop whose later trips walk
+/// exactly like its first makes the same calls again for each of them,
+/// so each trip's leading Compute run merges into the previous trip's
+/// last event as a walk would merge it, (c + a) + b; appending the
+/// coalesced trip instead would add c + (a + b).
+struct Tape {
+  std::vector<EvKind> kinds;   // one per emission
+  std::vector<double> values;  // Compute: the elapsed lanes, then the
+                               // demand lanes; Busy: the elapsed lanes
+  std::vector<Event> events;   // Send, Recv, Barrier: one per lane
+
+  void clear() {
+    kinds.clear();
+    values.clear();
+    events.clear();
+  }
+};
+
 /// The buffers of one nesting depth's sub-walks (fork branches, region
 /// threads, critical bodies, prob branches, a loop's first trip).
 struct SubWalkBuffers {
   std::vector<WalkResult> results;  // one per lane
   std::vector<int> joins;           // a fork's join, per branch
+  Tape tape;                        // a loop's first trip
+};
+
+/// What one replay yields: everything the bound step reads of it.
+struct Replay {
+  std::size_t lane = 0;             // the first lane it served: its key
+  std::vector<double> finish;       // each process's clock, by pid
+  std::vector<int> node;            // each process's node, by pid
+  std::vector<double> node_demand;  // contended CPU seconds of each node
+                                    // a process is placed on
+  double schedule_bound = 0;        // the latest finish
+  double critical_bound = 0;        // the largest total lock-held demand
+  std::uint64_t events = 0;         // events consumed across all cursors
 };
 
 /// Every buffer an evaluation reads or writes.  There is one per thread
@@ -356,15 +439,15 @@ struct Workspace {
   // moves once made: the results a deeper walk writes to stay put while
   // rows are added under it.
   std::deque<SubWalkBuffers> sub_walks;
-  // Replay: each process's timeline and cursor, its node, each node's
-  // demand, and the ledger, one mailbox per destination pid.  (A queue
-  // per (dst, src) pair would take np^2 entries: 16.7 million at
-  // np=4096.)
+  // Replay: each process's timeline and cursor, and the ledger, one
+  // mailbox per destination pid.  (A queue per (dst, src) pair would take
+  // np^2 entries: 16.7 million at np=4096.)
   std::vector<const WalkResult*> per_pid;
   std::vector<ReplayProc> procs;
-  std::vector<int> node;
-  std::vector<double> node_demand;
   std::vector<Mailbox> ledger;
+  // A run's replays, one per distinct replay input, in order of their
+  // first lane.
+  std::vector<Replay> replays;
 };
 
 /// The calling thread's workspace, freed at thread exit.  Generated
@@ -395,6 +478,8 @@ struct AnalyticEstimator::Impl {
   /// and without reads_topology lanes of a group that differ only in
   /// nodes and processors_per_node share one walk.
   WalkSharing sharing;
+  /// communicating_diagrams(), by diagram index.
+  std::vector<bool> communicates;
 
   /// State of one evaluation over `lanes` scenarios: one lane for
   /// evaluate(), a group of them for the batched walk.  The walk runs
@@ -435,8 +520,9 @@ struct AnalyticEstimator::Impl {
   /// group: validates
   /// every lane, starts `st`'s run over its distinct inputs (ScalarLanes
   /// for one, SoaLanes for several), walks pid 0 and, unless that walk
-  /// serves every process, pids 1..np-1 in order, then hands each lane's
-  /// report, replayed over its input's walks, to `sink(lane, report)`.
+  /// serves every process, pids 1..np-1 in order, replays each distinct
+  /// replay input once over its input's walks, then hands each lane's
+  /// report, bounded from its replay, to `sink(lane, report)`.
   template <typename Lanes, typename Sink>
   void run_lanes(EvalState& st, Sink&& sink) const;
 
@@ -451,7 +537,9 @@ struct AnalyticEstimator::Impl {
 };
 
 AnalyticEstimator::Impl::Impl(lower::ModelProgramPtr p)
-    : program(std::move(p)), sharing(walk_sharing(*program)) {}
+    : program(std::move(p)),
+      sharing(walk_sharing(*program)),
+      communicates(communicating_diagrams(*program)) {}
 
 namespace {
 
@@ -497,6 +585,8 @@ struct Walker {
   // Steps of the whole process's walk, sub-walks included: paces the
   // deadline checkpoint (the step limit counts per diagram walk).
   std::uint64_t* process_steps = nullptr;
+  // Records this walker's emissions when set: a loop's first trip.
+  Tape* tape = nullptr;
 
   [[nodiscard]] std::size_t width() const { return Lanes::width(st.width); }
 
@@ -654,12 +744,20 @@ struct Walker {
   }
 
   // --- Event emission: lockstep across lanes ------------------------------
+  //
+  // Every event reaches `out` through emit_compute, emit_busy or
+  // emit_event, which is what a loop's tape records.
 
   void emit_compute(const double* elapsed, const double* demand) {
     for (std::size_t lane = 0; lane < width(); ++lane) {
       if (std::isnan(elapsed[lane]) || elapsed[lane] < 0) {
         throw AnalyticError("negative or NaN compute cost");
       }
+    }
+    if (tape != nullptr) {
+      tape->kinds.push_back(EvKind::Compute);
+      tape->values.insert(tape->values.end(), elapsed, elapsed + width());
+      tape->values.insert(tape->values.end(), demand, demand + width());
     }
     if (!out[0].events.empty() &&
         out[0].events.back().kind == EvKind::Compute) {
@@ -676,6 +774,10 @@ struct Walker {
   }
 
   void emit_busy(const double* elapsed) {
+    if (tape != nullptr) {
+      tape->kinds.push_back(EvKind::Busy);
+      tape->values.insert(tape->values.end(), elapsed, elapsed + width());
+    }
     if (!out[0].events.empty() && out[0].events.back().kind == EvKind::Busy) {
       for (std::size_t lane = 0; lane < width(); ++lane) {
         out[lane].events.back().elapsed += elapsed[lane];
@@ -684,6 +786,39 @@ struct Walker {
     }
     for (std::size_t lane = 0; lane < width(); ++lane) {
       out[lane].events.push_back({EvKind::Busy, elapsed[lane], 0, 0, 0, 0});
+    }
+  }
+
+  /// Appends a Send, Recv or Barrier event to each lane: `event(lane)`,
+  /// of one kind in every lane.
+  template <typename MakeEvent>
+  void emit_event(MakeEvent&& event) {
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      out[lane].events.push_back(event(lane));
+      if (tape != nullptr) {
+        tape->events.push_back(out[lane].events.back());
+      }
+    }
+    if (tape != nullptr) {
+      tape->kinds.push_back(out[0].events.back().kind);
+    }
+  }
+
+  /// Makes `trip`'s emissions again, in order.
+  void reemit(const Tape& trip) {
+    const double* value = trip.values.data();
+    const Event* event = trip.events.data();
+    for (const EvKind kind : trip.kinds) {
+      if (kind == EvKind::Compute) {
+        emit_compute(value, value + width());
+        value += 2 * width();
+      } else if (kind == EvKind::Busy) {
+        emit_busy(value);
+        value += width();
+      } else {
+        emit_event([event](std::size_t lane) { return event[lane]; });
+        event += width();
+      }
     }
   }
 
@@ -703,9 +838,8 @@ struct Walker {
       } else if (kind == EvKind::Busy) {
         emit_busy(elapsed.data());
       } else {
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          out[lane].events.push_back(from[lane].events[i]);
-        }
+        emit_event(
+            [from, i](std::size_t lane) { return from[lane].events[i]; });
       }
     }
   }
@@ -984,10 +1118,9 @@ struct Walker {
           seconds[lane] = params(lane).network_overhead;
         }
         emit_busy(seconds.data());
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          out[lane].events.push_back(
-              {EvKind::Send, 0, 0, bytes[lane], dest, node.msgtag});
-        }
+        emit_event([&](std::size_t lane) {
+          return Event{EvKind::Send, 0, 0, bytes[lane], dest, node.msgtag};
+        });
         return;
       }
       case Operation::Recv: {
@@ -995,31 +1128,29 @@ struct Walker {
         const Array<double> sources = eval_tag(node, TagKind::Source);
         const int source = uniform_int(sources);
         check_peers(node, workload::PeerRole::Source, sources);
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          out[lane].events.push_back(
-              {EvKind::Recv, 0, 0, 0, source, node.msgtag});
-        }
+        emit_event([&](std::size_t) {
+          return Event{EvKind::Recv, 0, 0, 0, source, node.msgtag};
+        });
         return;
       }
       case Operation::Barrier:
         require_comm(node);
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          out[lane].events.push_back({EvKind::Barrier,
-                                      machine::barrier_time(params(lane)), 0,
-                                      0, 0, 0});
-        }
+        emit_event([&](std::size_t lane) {
+          return Event{EvKind::Barrier, machine::barrier_time(params(lane)),
+                       0, 0, 0, 0};
+        });
         return;
       case Operation::Collective: {
         require_comm(node);
         const Array<double> bytes = eval_tag(node, TagKind::Size);
         check_peers(node, workload::PeerRole::Root,
                     eval_tag(node, TagKind::Root));
-        for (std::size_t lane = 0; lane < width(); ++lane) {
+        emit_event([&](std::size_t lane) {
           const double hold = workload::CollectiveElement::model_time(
               params(lane), node.collective, params(lane).processes,
               bytes[lane]);
-          out[lane].events.push_back({EvKind::Barrier, hold, 0, 0, 0, 0});
-        }
+          return Event{EvKind::Barrier, hold, 0, 0, 0, 0};
+        });
         return;
       }
       case Operation::OmpFor: {
@@ -1122,21 +1253,41 @@ struct Walker {
     double* const saved = (*frame)[node.loop_var_slot];
     (*frame)[node.loop_var_slot] = loop_value.data();
 
-    // First iteration into a capture buffer: when the body provably does
-    // not depend on the trip variable and has no side effects, the
-    // remaining iterations are the first one times (n - 1) — the symbolic
-    // trip-count resolution that keeps deep loop nests O(body), not
-    // O(body * n), and the one place lanes may differ in trip count.
+    // First iteration into a capture buffer.  A body that provably does
+    // not read the trip variable and has no side effects walks every trip
+    // alike, so the first trip stands for the rest.  A compute-only one
+    // collapses: the remaining iterations are the first one times (n - 1)
+    // — the symbolic trip-count resolution that keeps deep loop nests
+    // O(body), not O(body * n), and the one place lanes may differ in
+    // trip count.  One that communicates re-emits its first trip's tape
+    // for each later trip instead of walking it.
     const std::uint64_t fragments_before = st.fragments_executed;
-    WalkResult* first = sub_results(sub_buffers());
+    const std::uint64_t elements_before = st.elements;
+    const std::uint64_t trips_before =
+        st.budget != nullptr ? st.budget->loop_trips() : 0;
+    const std::uint64_t instructions_before =
+        st.budget != nullptr ? st.budget->vm_instructions() : 0;
+    SubWalkBuffers& row = sub_buffers();
+    WalkResult* first = sub_results(row);
+    // Only a shared count of two or more trips of a body that may
+    // communicate has trips to re-emit.
+    Tape* const tape =
+        uniform && iterations[0] > 1 &&
+                impl.communicates[static_cast<std::size_t>(node.body)]
+            ? &row.tape
+            : nullptr;
+    if (tape != nullptr) {
+      tape->clear();
+    }
     {
       Walker walker = sub(first);
       walker.allow_comm = allow_comm;
+      walker.tape = tape;
       walker.run_diagram(node.body);
     }
-    const bool collapsible = !bindings->back().read &&
-                             st.fragments_executed == fragments_before &&
-                             compute_only(first[0].events);
+    const bool invariant = !bindings->back().read &&
+                           st.fragments_executed == fragments_before;
+    const bool collapsible = invariant && compute_only(first[0].events);
     if (!uniform && !collapsible) {
       throw BatchDivergence{};  // per-trip replay needs one shared count
     }
@@ -1155,6 +1306,36 @@ struct Walker {
         add_criticals(out[lane], first[lane], rest);
       }
       emit_compute(elapsed.data(), demand.data());
+    } else if (invariant && tape != nullptr &&
+               first[0].critical_demand.empty()) {
+      // Each later trip counts the elements the first walked and charges
+      // what it charged, so a budget trips the same limit at the same
+      // stage on the same trip as walking each trip would.  (The tape
+      // holds no lock-held demand: a trip with a critical section walks.)
+      const std::uint64_t trip_elements = st.elements - elements_before;
+      const std::uint64_t nested_trips =
+          st.budget != nullptr ? st.budget->loop_trips() - trips_before : 0;
+      const std::uint64_t instructions =
+          st.budget != nullptr
+              ? st.budget->vm_instructions() - instructions_before
+              : 0;
+      for (std::int64_t k = 1; k < iterations[0]; ++k) {
+        if (st.budget != nullptr) {
+          st.budget->charge_loop_trips(1, "analytic-loop");
+          if (nested_trips > 0) {
+            st.budget->charge_loop_trips(nested_trips, "analytic-loop");
+          }
+          if (instructions > 0) {
+            st.budget->charge_vm_instructions(instructions, "expr-vm");
+          }
+        }
+        reemit(*tape);
+        st.elements += trip_elements;
+      }
+      if (st.counters != nullptr) {
+        st.counters->trips_reemitted +=
+            static_cast<std::uint64_t>(iterations[0] - 1);
+      }
     } else {
       for (std::int64_t k = 1; k < iterations[0]; ++k) {
         // Collapsed loops are O(1) and exempt; a non-collapsible body
@@ -1203,24 +1384,24 @@ struct Walker {
 // Replay: dependency resolution across processes
 // ---------------------------------------------------------------------------
 
-/// Replays `ws.per_pid`'s timelines under `params`: fills `finish` with
-/// each process's clock and `ws.node` and `ws.node_demand` with each
-/// process's node and each node's contended CPU seconds.  Returns the
-/// events consumed across all cursors.
-std::uint64_t replay(const machine::SystemParameters& params,
-                     guard::Budget* budget, Workspace& ws,
-                     std::vector<double>& finish) {
+/// Replays `ws.per_pid`'s timelines under `params`: fills `out`'s finish
+/// times, nodes and node demand (of the nodes a process is placed on: the
+/// others stay idle).  Returns the events consumed across all cursors.
+std::uint64_t replay_timelines(const machine::SystemParameters& params,
+                               guard::Budget* budget, Workspace& ws,
+                               Replay& out) {
   const int np = params.processes;
   const auto& per_pid = ws.per_pid;
   std::vector<ReplayProc>& procs = ws.procs;
   procs.assign(static_cast<std::size_t>(np), ReplayProc{});
-  std::vector<int>& node = ws.node;
+  std::vector<int>& node = out.node;
   node.resize(static_cast<std::size_t>(np));
   for (int pid = 0; pid < np; ++pid) {
     node[static_cast<std::size_t>(pid)] = machine::node_of(params, pid);
   }
-  std::vector<double>& node_demand = ws.node_demand;
-  node_demand.assign(static_cast<std::size_t>(params.nodes), 0.0);
+  std::vector<double>& node_demand = out.node_demand;
+  node_demand.assign(static_cast<std::size_t>(node.back() + 1), 0.0);
+  std::vector<double>& finish = out.finish;
   std::uint64_t replayed = 0;
 
   // Uniform fast path: the SPMD walks hand every process the same
@@ -1387,31 +1568,44 @@ std::uint64_t replay(const machine::SystemParameters& params,
   return replayed;
 }
 
+/// The replay step: replays `ws.per_pid`'s timelines under `params` into
+/// `out` and takes the two bounds that read nothing else, the latest
+/// finish and the largest total lock-held demand of a named critical
+/// section (its holders serialize).
+void replay(const machine::SystemParameters& params, guard::Budget* budget,
+            Workspace& ws, Replay& out) {
+  out.events = replay_timelines(params, budget, ws, out);
+  out.schedule_bound = 0;
+  for (const double finish : out.finish) {
+    out.schedule_bound = std::max(out.schedule_bound, finish);
+  }
+  std::map<std::string, double> critical_totals;
+  for (const auto* result : ws.per_pid) {
+    for (const auto& [name, demand] : result->critical_demand) {
+      critical_totals[name] += demand;
+    }
+  }
+  out.critical_bound = 0;
+  for (const auto& [name, demand] : critical_totals) {
+    out.critical_bound = std::max(out.critical_bound, demand);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Report assembly: replay + bounds
+// Report assembly: the bounds
 // ---------------------------------------------------------------------------
 
-/// Everything downstream of the symbolic walks of `ws.per_pid`:
-/// dependency replay, the capacity/critical contention bounds, and the
-/// report itself.  Shared verbatim by the scalar evaluate() and the
-/// batched per-lane finalize, which is what makes batched predictions
-/// bit-identical to scalar ones by construction.  Once the workspace is
-/// warm it allocates the report's two vectors, plus the lock totals of a
-/// model with critical sections.
-AnalyticReport assemble_report(const machine::SystemParameters& params,
-                               std::uint64_t elements,
-                               obs::AnalyticCounters* counters,
-                               guard::Budget* budget, Workspace& ws) {
-  const int np = params.processes;
+/// The bound step: the report of lane `params`, whose placement `replay`
+/// replayed.  Shared verbatim by the scalar evaluate() and every batched
+/// lane, which is what makes batched predictions bit-identical to scalar
+/// ones by construction.  It allocates the report's two vectors.
+AnalyticReport bound(const machine::SystemParameters& params,
+                     const Replay& replay, std::uint64_t elements,
+                     obs::AnalyticCounters* counters) {
   AnalyticReport report;
-  report.processes = np;
+  report.processes = params.processes;
   report.evaluated_elements = elements;
-  const std::uint64_t replayed =
-      replay(params, budget, ws, report.per_process_finish);
-  double schedule_bound = 0;
-  for (const double finish : report.per_process_finish) {
-    schedule_bound = std::max(schedule_bound, finish);
-  }
+  report.per_process_finish = replay.finish;
 
   // Contention correction: a node's processors can serve at most
   // `processors_per_node` compute-seconds per second, so its total demand
@@ -1420,25 +1614,17 @@ AnalyticReport assemble_report(const machine::SystemParameters& params,
   // total lock-held demand the same way.
   const auto servers = static_cast<double>(params.processors_per_node);
   double capacity_bound = 0;
-  for (const double demand : ws.node_demand) {
+  for (const double demand : replay.node_demand) {
     capacity_bound = std::max(capacity_bound, demand / servers);
   }
-  std::map<std::string, double> critical_totals;
-  for (const auto* result : ws.per_pid) {
-    for (const auto& [name, demand] : result->critical_demand) {
-      critical_totals[name] += demand;
-    }
-  }
-  double critical_bound = 0;
-  for (const auto& [name, demand] : critical_totals) {
-    critical_bound = std::max(critical_bound, demand);
-  }
+  const double schedule_bound = replay.schedule_bound;
+  const double critical_bound = replay.critical_bound;
   const double makespan =
       std::max(schedule_bound, std::max(capacity_bound, critical_bound));
   report.predicted_time = makespan;
 
   if (counters != nullptr) {
-    counters->events_replayed += replayed;
+    counters->events_replayed += replay.events;
     // Which bound set the prediction; ties resolve toward the replayed
     // schedule (the capacity/critical corrections only "win" when they
     // exceed it).
@@ -1451,15 +1637,18 @@ AnalyticReport assemble_report(const machine::SystemParameters& params,
     }
   }
 
-  report.node_loads.reserve(ws.node_demand.size());
-  for (const double demand : ws.node_demand) {
+  // One load per node of the lane, idle ones included.
+  report.node_loads.reserve(static_cast<std::size_t>(params.nodes));
+  for (std::size_t n = 0; n < static_cast<std::size_t>(params.nodes); ++n) {
     NodeLoad load;
-    load.compute_demand = demand;
-    load.utilization = makespan > 0 ? demand / (servers * makespan) : 0;
+    load.compute_demand =
+        n < replay.node_demand.size() ? replay.node_demand[n] : 0.0;
+    load.utilization =
+        makespan > 0 ? load.compute_demand / (servers * makespan) : 0;
     load.processes = 0;
     report.node_loads.push_back(load);
   }
-  for (const int node : ws.node) {
+  for (const int node : replay.node) {
     ++report.node_loads[static_cast<std::size_t>(node)].processes;
   }
   return report;
@@ -1559,15 +1748,41 @@ void AnalyticEstimator::Impl::run_lanes(EvalState& st, Sink&& sink) const {
       walk<Lanes>(st, static_cast<int>(pid), &ws.walks[pid * width]);
     }
   }
+  // Each distinct replay input (walk column and same_replay_input)
+  // replays once, for the first lane it serves; every lane takes its own
+  // bound step.
+  std::size_t held = 0;
   for (std::size_t lane = 0; lane < st.lanes.size(); ++lane) {
     const machine::SystemParameters& params = st.lanes[lane];
     const std::size_t column = st.column_of[lane];
-    ws.per_pid.resize(static_cast<std::size_t>(params.processes));
-    for (std::size_t pid = 0; pid < ws.per_pid.size(); ++pid) {
-      ws.per_pid[pid] = &ws.walks[(spmd ? 0 : pid) * width + column];
+    std::size_t r = 0;
+    while (r < held && (st.column_of[ws.replays[r].lane] != column ||
+                        !same_replay_input(st.lanes[ws.replays[r].lane],
+                                           params))) {
+      ++r;
     }
-    sink(lane, assemble_report(params, st.elements, st.counters, st.budget,
-                               ws));
+    if (r == held) {
+      if (ws.replays.size() == held) {
+        ws.replays.emplace_back();
+      }
+      ++held;
+      ws.replays[r].lane = lane;
+      ws.per_pid.resize(static_cast<std::size_t>(params.processes));
+      for (std::size_t pid = 0; pid < ws.per_pid.size(); ++pid) {
+        ws.per_pid[pid] = &ws.walks[(spmd ? 0 : pid) * width + column];
+      }
+      replay(params, st.budget, ws, ws.replays[r]);
+    } else {
+      // The lane is charged the events its own replay would consume.
+      if (st.budget != nullptr) {
+        st.budget->charge_replay_events(ws.replays[r].events,
+                                        "analytic-replay");
+      }
+      if (st.counters != nullptr) {
+        ++st.counters->replays_shared;
+      }
+    }
+    sink(lane, bound(params, ws.replays[r], st.elements, st.counters));
   }
 }
 

@@ -580,10 +580,9 @@ class CostFunctionsRule final : public Rule {
   void run(const ModelProgram& program, RuleContext& ctx) const override {
     const auto& functions = program.model().cost_functions();
     std::map<std::string, std::set<std::string>> calls;
-    std::set<std::string> names;
-    for (const auto& fn : functions) {
-      if (!names.insert(fn.name).second) {
-        ctx.report("function " + fn.name, "duplicate cost-function name");
+    for (const auto& problem : program.problems()) {
+      if (problem.kind == ProblemKind::DuplicateFunction) {
+        ctx.report("function " + problem.function->name, problem.detail);
       }
     }
     // CallUser ids name functions by their first declaration.
@@ -600,9 +599,10 @@ class CostFunctionsRule final : public Rule {
         ctx.report(location, "name is not a valid identifier");
       }
       const auto problems = program.problems();
-      const auto problem =
-          std::find_if(problems.begin(), problems.end(),
-                       [&](const auto& p) { return p.function == &fn; });
+      const auto problem = std::find_if(
+          problems.begin(), problems.end(), [&](const auto& p) {
+            return p.kind == ProblemKind::Function && p.function == &fn;
+          });
       if (problem != problems.end()) {
         ctx.report(location, "body does not parse: " + problem->detail);
         continue;
@@ -611,7 +611,7 @@ class CostFunctionsRule final : public Rule {
       // functions live at file scope, Fig. 8a: they see parameters,
       // globals and the structural system parameters), each name with
       // its declaration, if it has one.
-      const expr::Compiled& body = program.functions()[f];
+      const expr::Compiled& body = program.declared_function(f);
       const expr::Unresolved unresolved = expr::unresolved(body);
       std::vector<std::pair<std::string, const uml::Variable*>> unseen;
       for (const auto& name : unresolved.variables) {

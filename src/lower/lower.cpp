@@ -491,7 +491,11 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     }
   }
   for (const auto& fn : m.cost_functions()) {
-    function_ids_[fn.name] = base.add_function(fn.name);
+    // Ids name functions by their first declaration.
+    if (!function_ids_.emplace(fn.name, base.add_function(fn.name)).second) {
+      record({.kind = ProblemKind::DuplicateFunction, .function = &fn},
+             "cost function " + fn.name, "duplicate cost-function name");
+    }
   }
   nslots_ = base.slot_count();
 
@@ -517,8 +521,9 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     }
     variables_.push_back(std::move(compiled));
   }
-  functions_.reserve(parsed_functions.size());
-  for (auto& parsed : parsed_functions) {
+  functions_.reserve(function_ids_.size());
+  for (std::size_t f = 0; f < parsed_functions.size(); ++f) {
+    const ParsedFunction& parsed = parsed_functions[f];
     // Function bodies see their parameters, globals and the structural
     // system parameters — never pid/tid/uid or locals, mirroring the
     // file-scope C++ functions of Fig. 8a.
@@ -526,9 +531,15 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     for (const auto& parameter : parsed.decl->parameters) {
       fn_table.add_parameter(parameter);
     }
-    functions_.push_back(parsed.body == nullptr
-                             ? expr::Compiled()
-                             : compile_timed(*parsed.body, fn_table, {}));
+    expr::Compiled body = parsed.body == nullptr
+                              ? expr::Compiled()
+                              : compile_timed(*parsed.body, fn_table, {});
+    if (static_cast<std::size_t>(function_ids_.at(parsed.decl->name)) ==
+        functions_.size()) {
+      functions_.push_back(std::move(body));
+    } else {
+      repeated_functions_.emplace(f, std::move(body));
+    }
   }
   for (auto& [edge, guard] : parsed_guards) {
     guards_.emplace(edge, compile_timed(*guard, node_table_,
@@ -666,6 +677,16 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
   stats_.guards = guards_.size();
   stats_.functions = functions_.size();
   stats_.variables = variables_.size();
+}
+
+const expr::Compiled& ModelProgram::declared_function(
+    std::size_t declaration) const {
+  if (const auto it = repeated_functions_.find(declaration);
+      it != repeated_functions_.end()) {
+    return it->second;
+  }
+  return functions_[static_cast<std::size_t>(
+      *function_id(model_->cost_functions()[declaration].name))];
 }
 
 std::optional<int> ModelProgram::function_id(std::string_view name) const {

@@ -15,6 +15,7 @@
 #include "prophet/analytic/backend.hpp"
 #include "prophet/cgen/backend.hpp"
 #include "prophet/estimator/backend.hpp"
+#include "prophet/expr/compile.hpp"
 #include "prophet/interp/interpreter.hpp"
 #include "prophet/lower/lower.hpp"
 #include "prophet/models/builtins.hpp"
@@ -311,6 +312,73 @@ TEST(ModelProgram, LoweringErrorsCarryTheBackendMessageText) {
         std::string(error.what()).find("tag 'cost' of node " + node_id),
         std::string::npos)
         << error.what();
+  }
+}
+
+// --- Cost functions ---------------------------------------------------------
+
+/// Cost functions F (0.001), F (0.002) and G (0.003), and one action
+/// costing G(): the second F repeats a name.
+uml::Model repeated_function_model() {
+  uml::ModelBuilder mb("RepeatedFunction");
+  mb.function("F", {}, "0.001");
+  mb.function("F", {}, "0.002");
+  mb.function("G", {}, "0.003");
+  uml::DiagramBuilder main = mb.diagram("main");
+  main.sequence({main.initial(), main.action("Work").cost("G()"),
+                 main.final_node()});
+  return std::move(mb).build_unchecked();
+}
+
+TEST(CostFunctions, RepeatedNameIsAProblemAndIdsKeepTheirBodies) {
+  // A function id names a function by its first declaration, and so does
+  // the body at that id: G() reaches G's body, not the second F's.
+  const uml::Model model = repeated_function_model();
+  const lower::ModelProgram program(model);
+  ASSERT_EQ(program.problems().size(), 1u);
+  const lower::Problem& problem = program.problems().front();
+  EXPECT_EQ(problem.kind, lower::ProblemKind::DuplicateFunction);
+  EXPECT_EQ(problem.function, &model.cost_functions()[1]);
+  EXPECT_EQ(problem.message, "cost function F: duplicate cost-function name");
+  EXPECT_EQ(problem.detail, "duplicate cost-function name");
+  ASSERT_EQ(program.functions().size(), 2u);
+  EXPECT_EQ(program.function_id("F"), 0);
+  EXPECT_EQ(program.function_id("G"), 1);
+  const prophet::expr::EvalContext ctx;
+  EXPECT_EQ(program.functions()[0].eval(ctx), 0.001);
+  EXPECT_EQ(program.functions()[1].eval(ctx), 0.003);
+  // Each declaration keeps its own body for the checker.
+  EXPECT_EQ(program.declared_function(0).eval(ctx), 0.001);
+  EXPECT_EQ(program.declared_function(1).eval(ctx), 0.002);
+  EXPECT_EQ(program.declared_function(2).eval(ctx), 0.003);
+  try {
+    (void)lower::lower(model);
+    FAIL() << "lowered a repeated cost-function name";
+  } catch (const lower::LowerError& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "cost function F: duplicate cost-function name");
+  }
+}
+
+TEST(CostFunctions, UncheckedSweepFailsOnARepeatedName) {
+  // Without the checker every engine's job fails with the lowering's
+  // text; none prices G() with the second F's body.
+  prophet::pipeline::BatchOptions options;
+  options.threads = 1;
+  options.run_checker = false;
+  options.backend = estimator::BackendKind::All;
+  prophet::pipeline::BatchRunner runner(options);
+  runner.add_model("repeated", repeated_function_model());
+  runner.add_scenario(0, params_np(1));
+  runner.add_scenario(0, params_np(2, 1, 2));
+  const auto report = runner.run();
+  ASSERT_EQ(report.results.size(), 2u);
+  for (const auto& result : report.results) {
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(
+        result.error.find(": cost function F: duplicate cost-function name"),
+        std::string::npos)
+        << result.error;
   }
 }
 
