@@ -102,10 +102,9 @@ class AnalyticEstimator {
   explicit AnalyticEstimator(uml::Model&& model);
 
   /// Shares an existing lowering: no parsing, no compilation — one pass
-  /// over the model's programs decides whether one walk serves every
-  /// process whatever np is, which lets evaluate_batch walk lanes of
-  /// different np together, and whether a walk may read the topology,
-  /// which decides which lanes share a walk.  Throws AnalyticError on
+  /// over the model's programs decides which SystemParameters fields a
+  /// walk may read (np, and nodes and processors_per_node), which decides
+  /// which lanes of evaluate_batch share a walk.  Throws AnalyticError on
   /// null programs.
   explicit AnalyticEstimator(lower::ModelProgramPtr program);
   ~AnalyticEstimator();
@@ -121,69 +120,57 @@ class AnalyticEstimator {
   /// may evaluate one estimator concurrently (the contract the analytic
   /// Backend::prepare() handle exposes).  Nothing an evaluation calls
   /// re-enters an estimator, so one thread runs one evaluation at a time.
-  [[nodiscard]] AnalyticReport evaluate(
-      const machine::SystemParameters& params) const;
-
-  /// Like evaluate(params), additionally counting the evaluation's
-  /// activity (loop collapses, re-emitted trips, SPMD sharing, replayed
-  /// events, which bound set the makespan, VM instructions) into
-  /// `counters` when
-  /// non-null.  Counters never feed back into the prediction: the report
-  /// is bit-identical to the uncounted overload's.
+  ///
+  /// When `counters` is non-null, the evaluation's activity (loop
+  /// collapses, re-emitted trips, SPMD sharing, replayed events, which
+  /// bound set the makespan, VM instructions) is counted into it.  When
+  /// `budget` is non-null, the walk (steps + VM instructions),
+  /// non-collapsed loop trips and the replay (delivered events) are
+  /// charged against it; a re-emitted loop trip is charged the loop trips
+  /// and VM instructions its first trip's walk charged, and tripping
+  /// raises guard::ResourceExhausted / guard::Cancelled.  Neither feeds
+  /// back into the prediction: the report is bit-identical with or
+  /// without them.
   [[nodiscard]] AnalyticReport evaluate(
       const machine::SystemParameters& params,
-      obs::AnalyticCounters* counters) const;
-
-  /// Like evaluate(params, counters), additionally charging the walk
-  /// (steps + VM instructions), non-collapsed loop trips and the replay
-  /// (delivered events) against `budget` when non-null.  A re-emitted
-  /// loop trip is charged the loop trips and VM instructions its first
-  /// trip's walk charged.  Tripping raises
-  /// guard::ResourceExhausted / guard::Cancelled; a null budget adds no
-  /// checks and the report stays bit-identical.
-  [[nodiscard]] AnalyticReport evaluate(const machine::SystemParameters& params,
-                                        obs::AnalyticCounters* counters,
-                                        guard::Budget* budget) const;
+      obs::AnalyticCounters* counters = nullptr,
+      guard::Budget* budget = nullptr) const;
 
   /// Evaluates the model under every parameter set in `params` at once,
   /// returning one report per entry, in order.  Each report is
   /// bit-identical to what the scalar evaluate(params[i], counters,
   /// budget) loop would produce.
   ///
-  /// The lanes are split into groups: runs of consecutive lanes of equal np (a
-  /// grid whose np axis turns slowest keeps each np's lanes together).  A
-  /// group of two or more walks each distinct *walk input* once.  A lane's walk
-  /// input is every SystemParameters field, except nodes and
-  /// processors_per_node when the model cannot read them: it has no
-  /// <<collective>>, and no node-tag program, decision guard, fragment value,
-  /// variable initializer or cost-function body reads nn or ppn (decided when
-  /// the estimator is built).  One distinct input takes the scalar walk that
-  /// evaluate() takes; several take the *batched* walk, with cost expressions
-  /// evaluated through the vectorized expr VM (Compiled::eval_batch), one value
-  /// per input.  Pid 0 is walked first.  When that walk read no pid/tid and ran
-  /// no code fragment it serves every process; otherwise pids 1..np-1 are
-  /// walked in order, each across the inputs, and fragments update each
-  /// input's own globals.  The replay runs once per distinct *replay input* of
-  /// the group, over the walks of its input: lanes of one walk input that agree
-  /// on ceil(np / nodes), the processes per node, place their processes alike
-  /// and share a replay.  The bound step runs per lane, over its replay, and
-  /// reads the lane's own processors_per_node and nodes.  A model in which no
-  /// node-tag program, decision
-  /// guard or local initializer may read pid/tid and no node carries a fragment
-  /// (decided when the estimator is built) walks only pid 0, so all its lanes
-  /// form one group whatever their np.  A lane with no neighbour of its np
-  /// takes the scalar walk.  A group falls back to the scalar walk when its
-  /// inputs diverge (guard truthiness, message peers or region thread counts
-  /// differ; varying trip counts mix zero with non-zero or feed a loop body
-  /// that does not collapse) or one of them raises; errors then carry their
-  /// exact per-lane messages, the first lane's in lane order.  Each lane of a
-  /// group that fell back is added to `*lanes_fallback` when non-null; a lane
-  /// with no neighbour is not.  `spmd_fast_path` and `events_replayed` count
-  /// per lane: a lane that shares a replay counts the events that replay
-  /// consumed, and is charged them against `budget`, and also counts in
-  /// `replays_shared`.  Other counter totals may differ between the paths (a
-  /// walk counts once however many lanes share it, and batched dispatch counts
-  /// instructions once per walk); predictions never do.
+  /// Lanes that agree, bit for bit, on every SystemParameters field the
+  /// walk may read share one *walk input*, wherever they sit in the
+  /// chunk.  The walk reads np unless one walk serves every process of
+  /// any np and nothing it evaluates or prices reads np: no node-tag
+  /// program, decision guard or local initializer may read pid/tid, no
+  /// node carries a code fragment or is a send, receive, barrier or
+  /// <<collective>>, and no node-tag program, decision guard, variable
+  /// initializer or cost-function body reads np.  It reads nodes and
+  /// processors_per_node only through a <<collective>> or a program that
+  /// reads nn or ppn.  Every other field is always part of the input.
+  /// (All of this is decided when the estimator is built.)  Each distinct
+  /// input runs exactly what evaluate() runs, once: pid 0 is walked first,
+  /// and when that walk read no pid/tid and ran no code fragment it serves
+  /// every process; otherwise pids 1..np-1 are walked in order, and
+  /// fragments update the input's globals.  The replay then runs once per
+  /// distinct *replay input* of the input's lanes: lanes that agree on np,
+  /// ceil(np / nodes) and the link fields place their processes alike and
+  /// share a replay.  The bound step runs per lane, over its replay, and
+  /// reads the lane's own processors_per_node and nodes.
+  ///
+  /// A guard::GuardError propagates.  Any other error makes the chunk
+  /// re-run lane by lane through evaluate(), so the first lane in lane
+  /// order that raises does so with its exact scalar message; every lane
+  /// of such a chunk is added to `*lanes_fallback` when non-null.
+  /// `spmd_fast_path` and `events_replayed` count per lane: a lane that
+  /// shares a replay counts the events that replay consumed, and is
+  /// charged them against `budget`, and also counts in `replays_shared`.
+  /// A walk counts its VM activity once however many lanes share it, so
+  /// those totals may be lower than the scalar loop's; predictions never
+  /// differ.
   [[nodiscard]] std::vector<AnalyticReport> evaluate_batch(
       std::span<const machine::SystemParameters> params,
       obs::AnalyticCounters* counters = nullptr,

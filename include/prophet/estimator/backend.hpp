@@ -95,8 +95,9 @@ class PreparedModel {
   /// bit-identical to the one the scalar estimate(params[i], options)
   /// loop would produce — batching is an execution strategy, never a
   /// semantic change.  The default implementation IS that scalar loop,
-  /// so every backend is conformant by construction; backends with a
-  /// vectorized evaluation path (the analytic estimator) override it.
+  /// so every backend is conformant by construction; backends that can
+  /// share work between lanes (the analytic estimator, which walks each
+  /// distinct walk input once) override it.
   /// Throws on the first unevaluable scenario — callers needing per-lane
   /// error attribution (the sweep pipeline) catch and re-run each lane
   /// through estimate().
@@ -105,8 +106,8 @@ class PreparedModel {
       const EstimationOptions& options = {}) const;
 
   /// The lane width a sweep batches at unless told otherwise
-  /// (BatchOptions::batch_lanes = 0).  The analytic walk's lane arrays
-  /// hold this many lanes inline and spill to the heap above it.
+  /// (BatchOptions::batch_lanes = 0): the width of the chunks whose
+  /// lanes the analytic estimator shares walks and replays across.
   static constexpr std::size_t kDefaultBatchLanes = 8;
 
   /// The shared lowering this handle consumes (never null).  Two

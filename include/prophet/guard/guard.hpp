@@ -91,7 +91,9 @@ struct Usage {
 /// Base of the structured guard errors.  `limit()` names the tripped
 /// bound, `stage()` the check site that observed it ("sim-engine",
 /// "expr-vm", "analytic-walk", "analytic-replay", "interp-loop", ...),
-/// and `usage()` the counters at failure.
+/// and `usage()` the counters at failure.  The message names only the
+/// limit, its bound (or the injected event) and the stage, so every
+/// engine raises one text for one job; the numbers stay in `usage()`.
 class GuardError : public std::runtime_error {
  public:
   GuardError(const std::string& message, LimitKind limit, std::string stage,

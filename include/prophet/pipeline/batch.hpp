@@ -197,10 +197,10 @@ struct BatchOptions {
   estimator::BackendKind backend = estimator::BackendKind::Simulation;
   /// Lane width for batched estimation: consecutive same-model jobs are
   /// grouped into chunks of up to this many lanes and evaluated through
-  /// one PreparedModel::estimate_batch call — one batched analytic walk
-  /// per pid for the chunk's lanes of equal np instead of one scalar walk
-  /// per pid per lane.  0 picks PreparedModel::kDefaultBatchLanes (8); 1
-  /// disables batching.  Batching engages only on the unlimited fast
+  /// one PreparedModel::estimate_batch call — one analytic walk per
+  /// distinct walk input of the chunk instead of one walk per lane.  0
+  /// picks PreparedModel::kDefaultBatchLanes (8); 1 disables
+  /// batching.  Batching engages only on the unlimited fast
   /// path (no per-job limits or timeout, no fault plan); a chunk that
   /// fails or is cancelled falls back to per-job evaluation (counted in
   /// `batch.lanes_fallback`), so per-job error isolation, budgets and

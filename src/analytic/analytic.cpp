@@ -1,9 +1,7 @@
 #include "prophet/analytic/analytic.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <deque>
 #include <map>
@@ -11,7 +9,6 @@
 #include <sstream>
 #include <utility>
 
-#include "prophet/estimator/backend.hpp"
 #include "prophet/expr/compile.hpp"
 #include "prophet/expr/eval.hpp"
 #include "prophet/workload/runtime.hpp"
@@ -94,103 +91,41 @@ struct LoopBinding {
   bool read = false;
 };
 
-/// Internal control-flow signal of the batched walk: the lanes stopped
-/// sharing one walk (a guard's truthiness, a message peer or a region's
-/// thread count differs across lanes, or a lane-varying trip count mixes
-/// zero with non-zero or has a body that does not collapse).
-/// evaluate_batch catches it, like any lane error, and re-runs the
-/// group's lanes through the scalar walk, which is always exact — errors
-/// included.  Never escapes the analytic layer.
-struct BatchDivergence {};
-
-/// Lane policy of the scalar walk: one scenario, Compiled::eval.  Lane
-/// arrays hold their single value inline, so the walk allocates nothing
-/// per node.
-struct ScalarLanes {
-  template <typename T>
-  struct Array {
-    explicit Array(std::size_t /*width*/) {}
-    T value{};
-    T& operator[](std::size_t /*lane*/) { return value; }
-    const T& operator[](std::size_t /*lane*/) const { return value; }
-    T* data() { return &value; }
-    const T* data() const { return &value; }
-  };
-  using Context = expr::EvalContext;
-  static constexpr std::size_t width(std::size_t /*lanes*/) { return 1; }
-  static Context context(std::size_t /*width*/) { return {}; }
-  static void eval(const expr::Compiled& program, const Context& ctx,
-                   double* out) {
-    *out = program.eval(ctx);
-  }
-};
-
-/// Lane policy of the batched walk: a group of scenario lanes at once
-/// over a slot-major lane frame, Compiled::eval_batch.  Lane arrays hold
-/// up to the default sweep width inline, so a walk at that width or
-/// below allocates nothing per node for them; wider groups (a sweep's
-/// explicit `--batch-lanes` above it) spill to the heap.
-struct SoaLanes {
-  template <typename T>
-  class Array {
-   public:
-    explicit Array(std::size_t width) {
-      if (width > kInline) {
-        heap_.resize(width);
-      }
-    }
-    T& operator[](std::size_t lane) { return data()[lane]; }
-    const T& operator[](std::size_t lane) const { return data()[lane]; }
-    T* data() { return heap_.empty() ? inline_.data() : heap_.data(); }
-    const T* data() const {
-      return heap_.empty() ? inline_.data() : heap_.data();
-    }
-
-   private:
-    static constexpr std::size_t kInline =
-        estimator::PreparedModel::kDefaultBatchLanes;
-    std::array<T, kInline> inline_{};
-    std::vector<T> heap_;
-  };
-  using Context = expr::BatchEvalContext;
-  static std::size_t width(std::size_t lanes) { return lanes; }
-  static Context context(std::size_t width) {
-    Context ctx;
-    ctx.width = width;
-    return ctx;
-  }
-  static void eval(const expr::Compiled& program, const Context& ctx,
-                   double* out) {
-    program.eval_batch(ctx, out);
-  }
-};
-
-/// What a model's lowering lets evaluate_batch share, decided in one
-/// pass over it when the estimator is built.
+/// Which SystemParameters fields beyond the ones every walk reads a
+/// model's walks may read, decided in one pass over its lowering when
+/// the estimator is built.  Lanes that agree on the fields a walk may
+/// read walk alike (same_walk_input).
 struct WalkSharing {
-  /// True when one walk can serve every process of every scenario lane,
-  /// whatever its np: no node-tag program, decision guard or local
-  /// initializer may read pid or tid, and no node carries a code
-  /// fragment.  This is the static form of the condition under which the
-  /// walk of process 0 serves every process (the SPMD check of
-  /// run_lanes), so such a model is sure to walk only pid 0 and lanes of
-  /// any np can share it.
-  bool one_walk = true;
-  /// True when a walk may read the machine's topology: a node is a
-  /// <<collective>> (its round time depends on nodes > 1), or a node
-  /// tag, decision guard, fragment assignment value, variable initializer
-  /// or cost-function body references the nn or ppn slot.  Otherwise
-  /// lanes that differ only in nodes and processors_per_node walk alike.
+  /// The walk may read np: lanes of different np walk apart.
+  bool reads_np = false;
+  /// The walk may read nn or ppn: lanes of different nodes or
+  /// processors_per_node walk apart.
   bool reads_topology = false;
 };
 
+/// Decides WalkSharing.  A walk reads np when
+///  - one walk may not serve every process: a node-tag program, decision
+///    guard or local initializer may read pid or tid, or a node carries a
+///    code fragment, so pids 1..np-1 may be walked too (the SPMD check of
+///    Impl::run);
+///  - a node-tag program, decision guard, fragment value, variable
+///    initializer or cost-function body references the np slot;
+///  - a node is a Send or Recv (the peer rule bounds its rank by np), a
+///    Barrier (its tree rounds) or a <<collective>> (its time and its
+///    root's rule).
+/// A walk reads the topology when a node is a <<collective>> (its round
+/// time depends on nodes > 1), or a node-tag program, decision guard,
+/// fragment value, variable initializer or cost-function body references
+/// the nn or ppn slot.  Every other field it may read (cpu_speed, nt, the
+/// network, memory and barrier fields) is compared always.
 WalkSharing walk_sharing(const lower::ModelProgram& program) {
   WalkSharing sharing;
   // Notes what one program the walk may evaluate reads; `per_pid`: a
   // pid/tid read stops one walk from serving every process.
   const auto scan = [&](const expr::Compiled& code, bool per_pid) {
-    if (per_pid && code.may_read_pid_tid()) {
-      sharing.one_walk = false;
+    if ((per_pid && code.may_read_pid_tid()) ||
+        code.references_slot(program.np_slot())) {
+      sharing.reads_np = true;
     }
     if (code.references_slot(program.nn_slot()) ||
         code.references_slot(program.ppn_slot())) {
@@ -209,11 +144,16 @@ WalkSharing walk_sharing(const lower::ModelProgram& program) {
   }
   for (const auto& diagram : program.diagrams()) {
     for (const auto& node : diagram.nodes) {
+      if (node.op == Operation::Send || node.op == Operation::Recv ||
+          node.op == Operation::Barrier) {
+        sharing.reads_np = true;
+      }
       if (node.op == Operation::Collective) {
+        sharing.reads_np = true;
         sharing.reads_topology = true;
       }
       if (!node.fragment.empty()) {
-        sharing.one_walk = false;
+        sharing.reads_np = true;
       }
       for (const auto& assignment : node.fragment) {
         scan(assignment.value, false);
@@ -265,18 +205,19 @@ std::vector<bool> communicating_diagrams(const lower::ModelProgram& program) {
 
 /// True when scenarios `a` and `b` have the same walk input: they agree,
 /// bit for bit, on every SystemParameters field the walk may read.  It
-/// reads nodes and processors_per_node only when `topology`
-/// (WalkSharing::reads_topology); the replay and the bounds read every
-/// field of each lane themselves.
+/// reads processes only when `sharing.reads_np`, and nodes and
+/// processors_per_node only when `sharing.reads_topology`; the replay and
+/// the bounds read every field of each lane themselves.
 bool same_walk_input(const machine::SystemParameters& a,
-                     const machine::SystemParameters& b, bool topology) {
+                     const machine::SystemParameters& b,
+                     const WalkSharing& sharing) {
   static_assert(sizeof(machine::SystemParameters) ==
                     4 * sizeof(int) + 7 * sizeof(double),
                 "same_walk_input compares every SystemParameters field");
   const auto same = [](double x, double y) {
     return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
   };
-  return a.processes == b.processes &&
+  return (!sharing.reads_np || a.processes == b.processes) &&
          a.threads_per_process == b.threads_per_process &&
          same(a.cpu_speed, b.cpu_speed) &&
          same(a.network_latency, b.network_latency) &&
@@ -285,8 +226,9 @@ bool same_walk_input(const machine::SystemParameters& a,
          same(a.memory_latency, b.memory_latency) &&
          same(a.memory_bandwidth, b.memory_bandwidth) &&
          same(a.barrier_latency, b.barrier_latency) &&
-         (!topology || (a.nodes == b.nodes &&
-                        a.processors_per_node == b.processors_per_node));
+         (!sharing.reads_topology ||
+          (a.nodes == b.nodes &&
+           a.processors_per_node == b.processors_per_node));
 }
 
 /// True when lanes `a` and `b`, walked from one walk input, replay alike.
@@ -365,32 +307,15 @@ struct Mailbox {
   }
 };
 
-/// The raw emissions of a loop's first trip, in order, each across the
-/// walk's lanes: the emit_compute, emit_busy and emit_event calls its
-/// walker made, before they coalesced.  A loop whose later trips walk
-/// exactly like its first makes the same calls again for each of them,
-/// so each trip's leading Compute run merges into the previous trip's
-/// last event as a walk would merge it, (c + a) + b; appending the
-/// coalesced trip instead would add c + (a + b).
-struct Tape {
-  std::vector<EvKind> kinds;   // one per emission
-  std::vector<double> values;  // Compute: the elapsed lanes, then the
-                               // demand lanes; Busy: the elapsed lanes
-  std::vector<Event> events;   // Send, Recv, Barrier: one per lane
-
-  void clear() {
-    kinds.clear();
-    values.clear();
-    events.clear();
-  }
-};
-
 /// The buffers of one nesting depth's sub-walks (fork branches, region
 /// threads, critical bodies, prob branches, a loop's first trip).
 struct SubWalkBuffers {
-  std::vector<WalkResult> results;  // one per lane
-  std::vector<int> joins;           // a fork's join, per branch
-  Tape tape;                        // a loop's first trip
+  WalkResult result;
+  std::vector<int> joins;  // a fork's join, per branch
+  // A loop's first trip: the raw emissions of its walker, in order (the
+  // emit_compute, emit_busy and emit_event calls it made, before they
+  // coalesced), for Walker::emit_all to make again.
+  std::vector<Event> tape;
 };
 
 /// What one replay yields: everything the bound step reads of it.
@@ -407,7 +332,7 @@ struct Replay {
 
 /// Every buffer an evaluation reads or writes.  There is one per thread
 /// (workspace()), so the buffers keep their capacity across lanes,
-/// groups, chunks and sweeps, and a warm evaluation allocates only its
+/// inputs, chunks and sweeps, and a warm evaluation allocates only its
 /// report (and, for a model with critical sections, each walk's map of
 /// lock-held demand).
 ///
@@ -416,22 +341,22 @@ struct Replay {
 /// the budget) calls back into an estimator — so the workspace needs no
 /// lock and no reentrancy guard.  It holds buffers only: nothing
 /// borrowed from a call (lanes, counters, budget) outlives the call.
-/// Every run re-initializes what it reads, because a divergence, a lane
-/// error or a guard::GuardError can leave it mid-walk, and evaluate_batch
-/// then re-runs the group through evaluate() at once.
+/// Every run re-initializes what it reads, because a lane error or a
+/// guard::GuardError can leave it mid-walk, and evaluate_batch then
+/// re-runs the chunk through evaluate() at once.
 struct Workspace {
-  // A batched group's distinct walk inputs, in order of first appearance
-  // (the walk's lanes), and each scenario lane's index among them.
-  std::vector<machine::SystemParameters> inputs;
-  std::vector<std::size_t> column_of;
-  // A run's globals and np/nt/nn/ppn in their own slots, [slot * width +
-  // lane], and its frame: slot -> lane array.
+  // A chunk's distinct walk inputs, each as the first lane that has it,
+  // and each lane's index among them.
+  std::vector<std::size_t> inputs;
+  std::vector<std::size_t> input_of;
+  // A run's globals and np/nt/nn/ppn in their own slots, and its frame:
+  // slot -> binding.
   std::vector<double> global_values;
   std::vector<double*> run_frame;
-  // Each process's walk, [pid * width + column].
+  // Each process's walk, by pid.
   std::vector<WalkResult> walks;
-  // One pid walk: its locals ([slot * width + lane]), its copy of the
-  // run frame and its loop bindings.
+  // One pid walk: its locals (by slot), its copy of the run frame and its
+  // loop bindings.
   std::vector<double> locals;
   std::vector<double*> frame;
   std::vector<LoopBinding> bindings;
@@ -445,8 +370,8 @@ struct Workspace {
   std::vector<const WalkResult*> per_pid;
   std::vector<ReplayProc> procs;
   std::vector<Mailbox> ledger;
-  // A run's replays, one per distinct replay input, in order of their
-  // first lane.
+  // An input's replays, one per distinct replay input of its lanes, in
+  // order of their first lane.
   std::vector<Replay> replays;
 };
 
@@ -473,30 +398,19 @@ struct AnalyticEstimator::Impl {
   /// — and the simulation backend — can consume the same program
   /// concurrently.
   lower::ModelProgramPtr program;
-  /// What evaluate_batch may share, decided once, here: with one_walk it
-  /// walks a chunk as one group instead of one group per run of equal np,
-  /// and without reads_topology lanes of a group that differ only in
-  /// nodes and processors_per_node share one walk.
+  /// Which fields of SystemParameters a walk may read, decided once,
+  /// here: lanes that agree on them share one walk.
   WalkSharing sharing;
   /// communicating_diagrams(), by diagram index.
   std::vector<bool> communicates;
 
-  /// State of one evaluation over `lanes` scenarios: one lane for
-  /// evaluate(), a group of them for the batched walk.  The walk runs
-  /// once per distinct walk input (`inputs`, its lanes), and scenario
-  /// lane l reads the walk of input `column_of[l]`.  Its buffers are the
-  /// thread's Workspace; the rest lives on the call's stack.  Storage is
-  /// slot-major — `width` walk-lane values per slot — so the run frame is
-  /// exactly what expr::BatchEvalContext expects, and walk lane c's
-  /// scalar view is every bound pointer offset by c.  Every process's
-  /// walk of a run shares the globals, so code fragments update each
-  /// input's globals in pid order.
+  /// State of the run of one walk input: the walk input itself and what
+  /// every process's walk of it shares and counts (the globals, which
+  /// code fragments update in pid order, live in the thread's Workspace,
+  /// like every buffer).
   struct EvalState {
     Workspace& ws;
-    std::span<const machine::SystemParameters> lanes;
-    std::span<const machine::SystemParameters> inputs;
-    std::span<const std::size_t> column_of;
-    std::size_t width = 1;  // the walk's lanes: inputs.size()
+    const machine::SystemParameters& params;  // the walk input
     expr::FunctionTable functions{};  // the bodies, over the run frame
     std::uint64_t elements = 0;      // model elements walked
     std::uint64_t fragments_executed = 0;
@@ -507,24 +421,23 @@ struct AnalyticEstimator::Impl {
 
   explicit Impl(lower::ModelProgramPtr p);
 
-  /// Sizes `st`'s storage for its lanes and binds the run frame: the
-  /// structural parameters, then the global variables.
-  template <typename Lanes>
+  /// Binds `st`'s run frame: the structural parameters, then the global
+  /// variables.
   void start_run(EvalState& st) const;
 
-  /// Walks process `pid` into `out` (one WalkResult per input).
-  template <typename Lanes>
-  void walk(EvalState& st, int pid, WalkResult* out) const;
+  /// Walks process `pid` into `out`.
+  void walk(EvalState& st, int pid, WalkResult& out) const;
 
-  /// The one walk-replay-bound path, for evaluate() and each batched
-  /// group: validates
-  /// every lane, starts `st`'s run over its distinct inputs (ScalarLanes
-  /// for one, SoaLanes for several), walks pid 0 and, unless that walk
-  /// serves every process, pids 1..np-1 in order, replays each distinct
-  /// replay input once over its input's walks, then hands each lane's
-  /// report, bounded from its replay, to `sink(lane, report)`.
-  template <typename Lanes, typename Sink>
-  void run_lanes(EvalState& st, Sink&& sink) const;
+  /// The one walk-replay-bound path, for evaluate() and evaluate_batch():
+  /// validates every lane and gathers the lanes' distinct walk inputs
+  /// (same_walk_input).  Each input starts a run, walks pid 0 and, unless
+  /// that walk serves every process, pids 1..np-1 in order, then replays
+  /// each distinct replay input of its lanes once, and hands each of its
+  /// lanes' reports, bounded from its replay, to `sink(lane, report)`.
+  template <typename Sink>
+  void run(std::span<const machine::SystemParameters> lanes,
+           obs::AnalyticCounters* counters, guard::Budget* budget,
+           Sink&& sink) const;
 
   AnalyticReport evaluate(const machine::SystemParameters& params,
                           obs::AnalyticCounters* counters,
@@ -547,12 +460,8 @@ namespace {
 // Symbolic walk
 // ---------------------------------------------------------------------------
 
-/// Walks one process's control flow, emitting Events — for one walk
-/// input (ScalarLanes) or for several distinct ones at once (SoaLanes),
-/// each a lane of the walk.  Lanes walk in lockstep: each step emits one
-/// structurally identical Event per lane, so one coalescing decision
-/// covers all of them, and whatever would make the lanes' walks differ
-/// raises BatchDivergence.
+/// Walks one process's control flow under one walk input, emitting
+/// Events.
 ///
 /// Sub-walkers (fork branches, parallel-region threads, critical bodies,
 /// expectation branches, a loop's first trip) share the lexical state —
@@ -560,24 +469,21 @@ namespace {
 /// results so the parent can aggregate elapsed/demand.  The walk is
 /// strictly sequential, so the shared frame needs no snapshotting
 /// (unlike the coroutine interpreter's per-scope copies).
-template <typename Lanes>
 struct Walker {
   using Impl = AnalyticEstimator::Impl;
   using EvalState = Impl::EvalState;
-  template <typename T>
-  using Array = typename Lanes::template Array<T>;
 
   Walker(const Impl& impl_in, EvalState& st_in, WalkResult* out_in)
       : impl(impl_in), st(st_in), out(out_in) {}
 
   const Impl& impl;
   EvalState& st;
-  WalkResult* out;  // one per lane
+  WalkResult* out;        // null while binding globals (start_run)
   std::size_t depth = 0;  // sub-walk nesting: this walker's buffer row
   int pid = 0;
   int tid = 0;
   std::vector<double*>* frame = nullptr;  // shared per-process slot frame
-  double* locals = nullptr;               // [slot * width + lane]
+  double* locals = nullptr;               // by slot
   std::vector<LoopBinding>* bindings = nullptr;
   int region_threads = 0;  // > 0 inside an <<ompparallel>> region
   bool allow_comm = true;
@@ -586,19 +492,16 @@ struct Walker {
   // deadline checkpoint (the step limit counts per diagram walk).
   std::uint64_t* process_steps = nullptr;
   // Records this walker's emissions when set: a loop's first trip.
-  Tape* tape = nullptr;
+  std::vector<Event>* tape = nullptr;
 
-  [[nodiscard]] std::size_t width() const { return Lanes::width(st.width); }
-
-  [[nodiscard]] const machine::SystemParameters& params(
-      std::size_t lane) const {
-    return st.inputs[lane];
+  [[nodiscard]] const machine::SystemParameters& params() const {
+    return st.params;
   }
 
   /// A sub-walker for nested concurrent constructs: shares the lexical
-  /// state, writes to its own results, and may not communicate.
-  [[nodiscard]] Walker sub(WalkResult* sub_out) const {
-    Walker walker(impl, st, sub_out);
+  /// state, writes to its own result, and may not communicate.
+  [[nodiscard]] Walker sub(WalkResult& sub_out) const {
+    Walker walker(impl, st, &sub_out);
     walker.depth = depth + 1;
     walker.pid = pid;
     walker.tid = tid;
@@ -622,17 +525,12 @@ struct Walker {
     return rows[depth];
   }
 
-  /// Cleared results, one per lane, for this walker's next sub-walk.
-  /// Every construct consumes them before it walks on or starts another
-  /// sub-walk, which reuses them.
-  [[nodiscard]] WalkResult* sub_results(SubWalkBuffers& row) const {
-    if (row.results.size() < width()) {
-      row.results.resize(width());
-    }
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      row.results[lane].clear();
-    }
-    return row.results.data();
+  /// The cleared result of this walker's next sub-walk.  Every construct
+  /// consumes it before it walks on or starts another sub-walk, which
+  /// reuses it.
+  [[nodiscard]] static WalkResult& sub_result(SubWalkBuffers& row) {
+    row.result.clear();
+    return row.result;
   }
 
   // --- Expression evaluation ---------------------------------------------
@@ -655,14 +553,14 @@ struct Walker {
     }
   }
 
-  /// Evaluates `program` for every lane into `lanes` (width() doubles).
-  void eval_program(const expr::Compiled& program, int uid,
-                    double* lanes) const {
+  /// Evaluates `program` as element `uid` of this walker's pid and tid.
+  [[nodiscard]] double eval_program(const expr::Compiled& program,
+                                    int uid) const {
     if (program.may_read_pid_tid()) {
       st.pid_queried = true;
     }
     mark_loop_reads(program);
-    typename Lanes::Context ctx = Lanes::context(width());
+    expr::EvalContext ctx;
     ctx.frame = *frame;
     ctx.functions = &st.functions;
     ctx.pid = static_cast<double>(pid);
@@ -670,40 +568,21 @@ struct Walker {
     ctx.uid = static_cast<double>(uid);
     ctx.counters = st.counters != nullptr ? &st.counters->expr : nullptr;
     ctx.budget = st.budget;
-    Lanes::eval(program, ctx, lanes);
+    return program.eval(ctx);
   }
 
-  /// Evaluates the node's `kind` tag program across lanes; absent tags
-  /// are 0.0.
-  [[nodiscard]] Array<double> eval_tag(const NodePrograms& node,
-                                       lower::TagKind kind) const {
-    Array<double> lanes(width());
-    if (const auto& tag = node.tag(kind); tag.has_value()) {
-      eval_program(*tag, node.uid, lanes.data());
-    }
-    return lanes;
+  /// The value of the node's `kind` tag program; absent tags are 0.0.
+  [[nodiscard]] double eval_tag(const NodePrograms& node,
+                                lower::TagKind kind) const {
+    const auto& tag = node.tag(kind);
+    return tag.has_value() ? eval_program(*tag, node.uid) : 0.0;
   }
 
-  /// The lanes' common integer value: message peers and region thread
-  /// counts shape the event structure, so they must agree across lanes.
-  [[nodiscard]] int uniform_int(const Array<double>& lanes) const {
-    const int value = static_cast<int>(lanes[0]);
-    for (std::size_t lane = 1; lane < width(); ++lane) {
-      if (static_cast<int>(lanes[lane]) != value) {
-        throw BatchDivergence{};
-      }
-    }
-    return value;
-  }
-
-  /// Applies the peer rule to each lane's rank of `node`'s `role` peer.
-  void check_peers(const NodePrograms& node, workload::PeerRole role,
-                   const Array<double>& ranks) const {
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      (void)workload::peer_rank(node.node->name(), role,
-                                static_cast<int>(ranks[lane]),
-                                params(lane).processes);
-    }
+  /// Applies the peer rule to `rank`, `node`'s `role` peer.
+  void check_peer(const NodePrograms& node, workload::PeerRole role,
+                  double rank) const {
+    (void)workload::peer_rank(node.node->name(), role, static_cast<int>(rank),
+                              params().processes);
   }
 
   void run_fragment(const NodePrograms& node) {
@@ -716,9 +595,8 @@ struct Walker {
                           "probability-weighted branches");
     }
     ++st.fragments_executed;
-    Array<double> value(width());
     for (const auto& assignment : node.fragment) {
-      eval_program(assignment.value, node.uid, value.data());
+      const double value = eval_program(assignment.value, node.uid);
       double* target = nullptr;
       using Target = Impl::CompiledAssignment::Target;
       switch (assignment.target) {
@@ -736,117 +614,65 @@ struct Walker {
                             " assigns undeclared variable '" +
                             assignment.name + "'");
       }
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        target[assignment.slot * width() + lane] =
-            assignment.coerce_int ? std::trunc(value[lane]) : value[lane];
-      }
+      target[assignment.slot] =
+          assignment.coerce_int ? std::trunc(value) : value;
     }
   }
 
-  // --- Event emission: lockstep across lanes ------------------------------
+  // --- Event emission ------------------------------------------------------
   //
   // Every event reaches `out` through emit_compute, emit_busy or
   // emit_event, which is what a loop's tape records.
 
-  void emit_compute(const double* elapsed, const double* demand) {
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      if (std::isnan(elapsed[lane]) || elapsed[lane] < 0) {
-        throw AnalyticError("negative or NaN compute cost");
-      }
+  void emit_compute(double elapsed, double demand) {
+    if (std::isnan(elapsed) || elapsed < 0) {
+      throw AnalyticError("negative or NaN compute cost");
     }
     if (tape != nullptr) {
-      tape->kinds.push_back(EvKind::Compute);
-      tape->values.insert(tape->values.end(), elapsed, elapsed + width());
-      tape->values.insert(tape->values.end(), demand, demand + width());
+      tape->push_back({EvKind::Compute, elapsed, demand, 0, 0, 0});
     }
-    if (!out[0].events.empty() &&
-        out[0].events.back().kind == EvKind::Compute) {
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        out[lane].events.back().elapsed += elapsed[lane];
-        out[lane].events.back().demand += demand[lane];
-      }
+    if (!out->events.empty() && out->events.back().kind == EvKind::Compute) {
+      out->events.back().elapsed += elapsed;
+      out->events.back().demand += demand;
       return;
     }
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      out[lane].events.push_back(
-          {EvKind::Compute, elapsed[lane], demand[lane], 0, 0, 0});
-    }
+    out->events.push_back({EvKind::Compute, elapsed, demand, 0, 0, 0});
   }
 
-  void emit_busy(const double* elapsed) {
+  void emit_busy(double elapsed) {
     if (tape != nullptr) {
-      tape->kinds.push_back(EvKind::Busy);
-      tape->values.insert(tape->values.end(), elapsed, elapsed + width());
+      tape->push_back({EvKind::Busy, elapsed, 0, 0, 0, 0});
     }
-    if (!out[0].events.empty() && out[0].events.back().kind == EvKind::Busy) {
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        out[lane].events.back().elapsed += elapsed[lane];
-      }
+    if (!out->events.empty() && out->events.back().kind == EvKind::Busy) {
+      out->events.back().elapsed += elapsed;
       return;
     }
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      out[lane].events.push_back({EvKind::Busy, elapsed[lane], 0, 0, 0, 0});
-    }
+    out->events.push_back({EvKind::Busy, elapsed, 0, 0, 0, 0});
   }
 
-  /// Appends a Send, Recv or Barrier event to each lane: `event(lane)`,
-  /// of one kind in every lane.
-  template <typename MakeEvent>
-  void emit_event(MakeEvent&& event) {
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      out[lane].events.push_back(event(lane));
-      if (tape != nullptr) {
-        tape->events.push_back(out[lane].events.back());
-      }
-    }
+  /// Appends a Send, Recv or Barrier event.
+  void emit_event(const Event& event) {
+    out->events.push_back(event);
     if (tape != nullptr) {
-      tape->kinds.push_back(out[0].events.back().kind);
+      tape->push_back(event);
     }
   }
 
-  /// Makes `trip`'s emissions again, in order.
-  void reemit(const Tape& trip) {
-    const double* value = trip.values.data();
-    const Event* event = trip.events.data();
-    for (const EvKind kind : trip.kinds) {
-      if (kind == EvKind::Compute) {
-        emit_compute(value, value + width());
-        value += 2 * width();
-      } else if (kind == EvKind::Busy) {
-        emit_busy(value);
-        value += width();
+  /// Makes the emissions `events` hold again, in order: a sub-walk's
+  /// events, re-coalescing adjacent Compute/Busy runs as they splice in,
+  /// or a loop trip's tape.  A tape holds raw emissions, so each
+  /// re-emitted trip's leading Compute run merges into the previous
+  /// trip's last event as a walk would merge it, (c + a) + b; appending
+  /// the coalesced trip instead would add c + (a + b).
+  void emit_all(const std::vector<Event>& events) {
+    for (const Event& event : events) {
+      if (event.kind == EvKind::Compute) {
+        emit_compute(event.elapsed, event.demand);
+      } else if (event.kind == EvKind::Busy) {
+        emit_busy(event.elapsed);
       } else {
-        emit_event([event](std::size_t lane) { return event[lane]; });
-        event += width();
+        emit_event(event);
       }
-    }
-  }
-
-  /// Splices sub-results, re-coalescing adjacent Compute/Busy runs (event
-  /// i has the same kind in every lane).
-  void append_events(const WalkResult* from) {
-    Array<double> elapsed(width());
-    Array<double> demand(width());
-    for (std::size_t i = 0; i < from[0].events.size(); ++i) {
-      const EvKind kind = from[0].events[i].kind;
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        elapsed[lane] = from[lane].events[i].elapsed;
-        demand[lane] = from[lane].events[i].demand;
-      }
-      if (kind == EvKind::Compute) {
-        emit_compute(elapsed.data(), demand.data());
-      } else if (kind == EvKind::Busy) {
-        emit_busy(elapsed.data());
-      } else {
-        emit_event(
-            [from, i](std::size_t lane) { return from[lane].events[i]; });
-      }
-    }
-  }
-
-  void merge_criticals(const WalkResult* from, double weight) {
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      add_criticals(out[lane], from[lane], weight);
     }
   }
 
@@ -939,19 +765,11 @@ struct Walker {
       }
       return node.next;
     }
-    Array<double> value(width());
     for (const auto& branch : node.branches) {
       if (branch.guard == nullptr) {
         continue;  // unguarded or `else` edge: never taken here
       }
-      eval_program(*branch.guard, node.uid, value.data());
-      const bool taken = expr::truthy(value[0]);
-      for (std::size_t lane = 1; lane < width(); ++lane) {
-        if (expr::truthy(value[lane]) != taken) {
-          throw BatchDivergence{};  // lanes branch apart
-        }
-      }
-      if (taken) {
+      if (expr::truthy(eval_program(*branch.guard, node.uid))) {
         return branch.target;
       }
     }
@@ -966,28 +784,25 @@ struct Walker {
     SubWalkBuffers& row = sub_buffers();
     std::vector<int>& joins = row.joins;
     joins.assign(node.branches.size(), -1);
-    Array<double> max_elapsed(width());
-    Array<double> total_demand(width());
+    double max_elapsed = 0;
+    double total_demand = 0;
     for (std::size_t i = 0; i < node.branches.size(); ++i) {
       if (node.branches[i].target < 0) {
         throw AnalyticError(node.defect);
       }
-      WalkResult* branch = sub_results(row);
+      WalkResult& branch = sub_result(row);
       Walker walker = sub(branch);
       walker.walk(diagram, node.branches[i].target, Operation::Join,
                   &joins[i]);
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        max_elapsed[lane] =
-            std::max(max_elapsed[lane], sum_elapsed(branch[lane].events));
-        total_demand[lane] += sum_demand(branch[lane].events);
-      }
-      merge_criticals(branch, 1.0);
+      max_elapsed = std::max(max_elapsed, sum_elapsed(branch.events));
+      total_demand += sum_demand(branch.events);
+      add_criticals(*out, branch, 1.0);
     }
     if (std::string error = lower::fork_join_error(diagram, node, joins);
         !error.empty()) {
       throw AnalyticError(error);
     }
-    emit_compute(max_elapsed.data(), total_demand.data());
+    emit_compute(max_elapsed, total_demand);
     return joins[0];
   }
 
@@ -1036,8 +851,8 @@ struct Walker {
     }
 
     int merge = -1;
-    Array<double> expected_elapsed(width());
-    Array<double> expected_demand(width());
+    double expected_elapsed = 0;
+    double expected_demand = 0;
     SubWalkBuffers& row = sub_buffers();
     for (std::size_t i = 0; i < branches.size(); ++i) {
       if (branches[i].target < 0) {
@@ -1046,7 +861,7 @@ struct Walker {
       }
       const double weight = weight_of(branches[i]) / norm;
       int branch_merge = -1;
-      WalkResult* branch = sub_results(row);
+      WalkResult& branch = sub_result(row);
       Walker walker = sub(branch);
       walker.allow_fragments = false;
       walker.walk(diagram, branches[i].target, Operation::Merge,
@@ -1067,13 +882,11 @@ struct Walker {
             diagram.nodes[static_cast<std::size_t>(branch_merge)].node->id() +
             "')");
       }
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        expected_elapsed[lane] += weight * sum_elapsed(branch[lane].events);
-        expected_demand[lane] += weight * sum_demand(branch[lane].events);
-      }
-      merge_criticals(branch, weight);
+      expected_elapsed += weight * sum_elapsed(branch.events);
+      expected_demand += weight * sum_demand(branch.events);
+      add_criticals(*out, branch, weight);
     }
-    emit_compute(expected_elapsed.data(), expected_demand.data());
+    emit_compute(expected_elapsed, expected_demand);
     ++st.elements;  // the consumed merge
     return next_node(diagram.nodes[static_cast<std::size_t>(merge)]);
   }
@@ -1093,77 +906,59 @@ struct Walker {
         break;
     }
     run_fragment(node);
-    Array<double> seconds(width());
     switch (node.op) {
       case Operation::Compute: {
-        Array<double> cost = eval_tag(node, TagKind::Cost);
+        double cost = eval_tag(node, TagKind::Cost);
         if (!node.cost().has_value() && node.time.has_value()) {
-          std::fill_n(cost.data(), width(), *node.time);
+          cost = *node.time;
         }
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          seconds[lane] = machine::compute_time(
-              params(lane), workload::action_cost(node.node->name(),
-                                                  cost[lane]));
-        }
-        emit_compute(seconds.data(), seconds.data());
+        const double seconds = machine::compute_time(
+            params(), workload::action_cost(node.node->name(), cost));
+        emit_compute(seconds, seconds);
         return;
       }
       case Operation::Send: {
         require_comm(node);
-        const Array<double> dests = eval_tag(node, TagKind::Dest);
-        const int dest = uniform_int(dests);
-        const Array<double> bytes = eval_tag(node, TagKind::Size);
-        check_peers(node, workload::PeerRole::Dest, dests);
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          seconds[lane] = params(lane).network_overhead;
-        }
-        emit_busy(seconds.data());
-        emit_event([&](std::size_t lane) {
-          return Event{EvKind::Send, 0, 0, bytes[lane], dest, node.msgtag};
-        });
+        const double dest = eval_tag(node, TagKind::Dest);
+        const double bytes = eval_tag(node, TagKind::Size);
+        check_peer(node, workload::PeerRole::Dest, dest);
+        emit_busy(params().network_overhead);
+        emit_event({EvKind::Send, 0, 0, bytes, static_cast<int>(dest),
+                    node.msgtag});
         return;
       }
       case Operation::Recv: {
         require_comm(node);
-        const Array<double> sources = eval_tag(node, TagKind::Source);
-        const int source = uniform_int(sources);
-        check_peers(node, workload::PeerRole::Source, sources);
-        emit_event([&](std::size_t) {
-          return Event{EvKind::Recv, 0, 0, 0, source, node.msgtag};
-        });
+        const double source = eval_tag(node, TagKind::Source);
+        check_peer(node, workload::PeerRole::Source, source);
+        emit_event({EvKind::Recv, 0, 0, 0, static_cast<int>(source),
+                    node.msgtag});
         return;
       }
       case Operation::Barrier:
         require_comm(node);
-        emit_event([&](std::size_t lane) {
-          return Event{EvKind::Barrier, machine::barrier_time(params(lane)),
-                       0, 0, 0, 0};
-        });
+        emit_event(
+            {EvKind::Barrier, machine::barrier_time(params()), 0, 0, 0, 0});
         return;
       case Operation::Collective: {
         require_comm(node);
-        const Array<double> bytes = eval_tag(node, TagKind::Size);
-        check_peers(node, workload::PeerRole::Root,
-                    eval_tag(node, TagKind::Root));
-        emit_event([&](std::size_t lane) {
-          const double hold = workload::CollectiveElement::model_time(
-              params(lane), node.collective, params(lane).processes,
-              bytes[lane]);
-          return Event{EvKind::Barrier, hold, 0, 0, 0, 0};
-        });
+        const double bytes = eval_tag(node, TagKind::Size);
+        check_peer(node, workload::PeerRole::Root,
+                   eval_tag(node, TagKind::Root));
+        const double hold = workload::CollectiveElement::model_time(
+            params(), node.collective, params().processes, bytes);
+        emit_event({EvKind::Barrier, hold, 0, 0, 0, 0});
         return;
       }
       case Operation::OmpFor: {
-        const Array<double> iterations = eval_tag(node, TagKind::Iterations);
-        const Array<double> itercost = eval_tag(node, TagKind::IterCost);
+        const double iterations = eval_tag(node, TagKind::Iterations);
+        const double itercost = eval_tag(node, TagKind::IterCost);
         const int threads = region_threads > 0 ? region_threads : 1;
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          const double compute = workload::workshare_compute(
-              node.node->name(), iterations[lane], itercost[lane],
-              node.schedule, node.chunk, threads, tid);
-          seconds[lane] = machine::compute_time(params(lane), compute);
-        }
-        emit_compute(seconds.data(), seconds.data());
+        const double compute = workload::workshare_compute(
+            node.node->name(), iterations, itercost, node.schedule,
+            node.chunk, threads, tid);
+        const double seconds = machine::compute_time(params(), compute);
+        emit_compute(seconds, seconds);
         return;
       }
       case Operation::OmpBarrier:
@@ -1175,18 +970,15 @@ struct Walker {
         execute_region(node);
         return;
       case Operation::Critical: {
-        WalkResult* body = sub_results(sub_buffers());
+        WalkResult& body = sub_result(sub_buffers());
         Walker walker = sub(body);
         walker.run_diagram(node.body);
         // The body runs on this process's critical path; the lock-held
         // time additionally serializes against every other holder of
         // the lock.
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          out[lane].critical_demand[node.lock] +=
-              sum_elapsed(body[lane].events);
-        }
-        merge_criticals(body, 1.0);
-        append_events(body);
+        out->critical_demand[node.lock] += sum_elapsed(body.events);
+        add_criticals(*out, body, 1.0);
+        emit_all(body.events);
         return;
       }
       case Operation::Inline:
@@ -1201,66 +993,48 @@ struct Walker {
   }
 
   void execute_region(const NodePrograms& node) {
-    Array<double> requested(width());
-    if (node.num_threads().has_value()) {
-      requested = eval_tag(node, lower::TagKind::NumThreads);
-    } else {
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        requested[lane] = params(lane).threads_per_process;
-      }
-    }
-    const int threads =
-        workload::region_threads(node.node->name(), uniform_int(requested));
-    Array<double> max_elapsed(width());
-    Array<double> total_demand(width());
+    const double requested =
+        node.num_threads().has_value()
+            ? eval_tag(node, lower::TagKind::NumThreads)
+            : static_cast<double>(params().threads_per_process);
+    const int threads = workload::region_threads(node.node->name(),
+                                                 static_cast<int>(requested));
+    double max_elapsed = 0;
+    double total_demand = 0;
     SubWalkBuffers& row = sub_buffers();
     for (int thread = 0; thread < threads; ++thread) {
-      WalkResult* thread_result = sub_results(row);
+      WalkResult& thread_result = sub_result(row);
       Walker walker = sub(thread_result);
       walker.tid = thread;
       walker.region_threads = threads;
       walker.run_diagram(node.body);
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        max_elapsed[lane] = std::max(max_elapsed[lane],
-                                     sum_elapsed(thread_result[lane].events));
-        total_demand[lane] += sum_demand(thread_result[lane].events);
-      }
-      merge_criticals(thread_result, 1.0);
+      max_elapsed = std::max(max_elapsed, sum_elapsed(thread_result.events));
+      total_demand += sum_demand(thread_result.events);
+      add_criticals(*out, thread_result, 1.0);
     }
-    emit_compute(max_elapsed.data(), total_demand.data());
+    emit_compute(max_elapsed, total_demand);
   }
 
   void execute_loop(const NodePrograms& node) {
-    const Array<double> raw = eval_tag(node, lower::TagKind::Iterations);
-    Array<std::int64_t> iterations(width());
-    bool uniform = true;
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      iterations[lane] = workload::loop_trips(raw[lane], node.node->id()).trips;
-      uniform = uniform && iterations[lane] == iterations[0];
-    }
-    if (uniform && iterations[0] == 0) {
+    const std::int64_t iterations =
+        workload::loop_trips(eval_tag(node, lower::TagKind::Iterations),
+                             node.node->id())
+            .trips;
+    if (iterations == 0) {
       return;
     }
-    if (!uniform) {
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        if (iterations[lane] == 0) {
-          throw BatchDivergence{};  // zero/nonzero mix: structure diverges
-        }
-      }
-    }
     bindings->push_back({node.loop_var_slot, false});
-    Array<double> loop_value(width());
+    double loop_value = 0;
     double* const saved = (*frame)[node.loop_var_slot];
-    (*frame)[node.loop_var_slot] = loop_value.data();
+    (*frame)[node.loop_var_slot] = &loop_value;
 
     // First iteration into a capture buffer.  A body that provably does
     // not read the trip variable and has no side effects walks every trip
     // alike, so the first trip stands for the rest.  A compute-only one
     // collapses: the remaining iterations are the first one times (n - 1)
     // — the symbolic trip-count resolution that keeps deep loop nests
-    // O(body), not O(body * n), and the one place lanes may differ in
-    // trip count.  One that communicates re-emits its first trip's tape
-    // for each later trip instead of walking it.
+    // O(body), not O(body * n).  One that communicates re-emits its first
+    // trip's tape for each later trip instead of walking it.
     const std::uint64_t fragments_before = st.fragments_executed;
     const std::uint64_t elements_before = st.elements;
     const std::uint64_t trips_before =
@@ -1268,12 +1042,11 @@ struct Walker {
     const std::uint64_t instructions_before =
         st.budget != nullptr ? st.budget->vm_instructions() : 0;
     SubWalkBuffers& row = sub_buffers();
-    WalkResult* first = sub_results(row);
-    // Only a shared count of two or more trips of a body that may
-    // communicate has trips to re-emit.
-    Tape* const tape =
-        uniform && iterations[0] > 1 &&
-                impl.communicates[static_cast<std::size_t>(node.body)]
+    WalkResult& first = sub_result(row);
+    // Only two or more trips of a body that may communicate have trips
+    // to re-emit.
+    std::vector<Event>* const tape =
+        iterations > 1 && impl.communicates[static_cast<std::size_t>(node.body)]
             ? &row.tape
             : nullptr;
     if (tape != nullptr) {
@@ -1287,27 +1060,19 @@ struct Walker {
     }
     const bool invariant = !bindings->back().read &&
                            st.fragments_executed == fragments_before;
-    const bool collapsible = invariant && compute_only(first[0].events);
-    if (!uniform && !collapsible) {
-      throw BatchDivergence{};  // per-trip replay needs one shared count
-    }
+    const bool collapsible = invariant && compute_only(first.events);
     if (collapsible && st.counters != nullptr) {
       ++st.counters->loop_collapses;
     }
-    append_events(first);
-    merge_criticals(first, 1.0);
+    emit_all(first.events);
+    add_criticals(*out, first, 1.0);
     if (collapsible) {
-      Array<double> elapsed(width());
-      Array<double> demand(width());
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        const auto rest = static_cast<double>(iterations[lane] - 1);
-        elapsed[lane] = rest * sum_elapsed(first[lane].events);
-        demand[lane] = rest * sum_demand(first[lane].events);
-        add_criticals(out[lane], first[lane], rest);
-      }
-      emit_compute(elapsed.data(), demand.data());
+      const auto rest = static_cast<double>(iterations - 1);
+      add_criticals(*out, first, rest);
+      emit_compute(rest * sum_elapsed(first.events),
+                   rest * sum_demand(first.events));
     } else if (invariant && tape != nullptr &&
-               first[0].critical_demand.empty()) {
+               first.critical_demand.empty()) {
       // Each later trip counts the elements the first walked and charges
       // what it charged, so a budget trips the same limit at the same
       // stage on the same trip as walking each trip would.  (The tape
@@ -1319,7 +1084,7 @@ struct Walker {
           st.budget != nullptr
               ? st.budget->vm_instructions() - instructions_before
               : 0;
-      for (std::int64_t k = 1; k < iterations[0]; ++k) {
+      for (std::int64_t k = 1; k < iterations; ++k) {
         if (st.budget != nullptr) {
           st.budget->charge_loop_trips(1, "analytic-loop");
           if (nested_trips > 0) {
@@ -1329,22 +1094,22 @@ struct Walker {
             st.budget->charge_vm_instructions(instructions, "expr-vm");
           }
         }
-        reemit(*tape);
+        emit_all(*tape);
         st.elements += trip_elements;
       }
       if (st.counters != nullptr) {
         st.counters->trips_reemitted +=
-            static_cast<std::uint64_t>(iterations[0] - 1);
+            static_cast<std::uint64_t>(iterations - 1);
       }
     } else {
-      for (std::int64_t k = 1; k < iterations[0]; ++k) {
+      for (std::int64_t k = 1; k < iterations; ++k) {
         // Collapsed loops are O(1) and exempt; a non-collapsible body
         // replays per trip, so each trip is charged — this is where a
         // runaway trip count trips max_loop_trips (or the deadline).
         if (st.budget != nullptr) {
           st.budget->charge_loop_trips(1, "analytic-loop");
         }
-        std::fill_n(loop_value.data(), width(), static_cast<double>(k));
+        loop_value = static_cast<double>(k);
         run_diagram(node.body);
       }
     }
@@ -1352,25 +1117,20 @@ struct Walker {
     bindings->pop_back();
   }
 
-  /// Initializes the `scope` variables into `storage` ([slot * width +
-  /// lane]) in declaration order, binding each into the frame as it goes
-  /// (a forward reference falls through to globals/system parameters,
-  /// like the tree walker's growing map).
+  /// Initializes the `scope` variables into `storage` (by slot) in
+  /// declaration order, binding each into the frame as it goes (a forward
+  /// reference falls through to globals/system parameters, like the tree
+  /// walker's growing map).
   void bind_variables(uml::VariableScope scope, double* storage) {
-    Array<double> value(width());
     for (const auto& variable : impl.program->variables()) {
       if (variable.scope != scope) {
         continue;
       }
-      std::fill_n(value.data(), width(), 0.0);
-      if (variable.initializer.has_value()) {
-        eval_program(*variable.initializer, 0, value.data());
-      }
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        storage[variable.slot * width() + lane] =
-            variable.coerce_int ? std::trunc(value[lane]) : value[lane];
-      }
-      (*frame)[variable.slot] = &storage[variable.slot * width()];
+      const double value = variable.initializer.has_value()
+                               ? eval_program(*variable.initializer, 0)
+                               : 0.0;
+      storage[variable.slot] = variable.coerce_int ? std::trunc(value) : value;
+      (*frame)[variable.slot] = &storage[variable.slot];
     }
   }
 
@@ -1659,51 +1419,41 @@ AnalyticReport bound(const machine::SystemParameters& params,
 // Impl: run set-up and the driver — walk, replay, bound
 // ---------------------------------------------------------------------------
 
-template <typename Lanes>
 void AnalyticEstimator::Impl::start_run(EvalState& st) const {
   Workspace& ws = st.ws;
-  const std::size_t width = Lanes::width(st.inputs.size());
-  st.width = width;
-  ws.global_values.assign(program->slot_count() * width, 0.0);
+  ws.global_values.assign(program->slot_count(), 0.0);
   ws.run_frame.assign(program->slot_count(), nullptr);
   st.functions = {program->functions(), ws.run_frame};
-  for (std::size_t lane = 0; lane < width; ++lane) {
-    const machine::SystemParameters& params = st.inputs[lane];
-    ws.global_values[program->np_slot() * width + lane] =
-        static_cast<double>(params.processes);
-    ws.global_values[program->nt_slot() * width + lane] =
-        static_cast<double>(params.threads_per_process);
-    ws.global_values[program->nn_slot() * width + lane] =
-        static_cast<double>(params.nodes);
-    ws.global_values[program->ppn_slot() * width + lane] =
-        static_cast<double>(params.processors_per_node);
-  }
+  ws.global_values[program->np_slot()] =
+      static_cast<double>(st.params.processes);
+  ws.global_values[program->nt_slot()] =
+      static_cast<double>(st.params.threads_per_process);
+  ws.global_values[program->nn_slot()] = static_cast<double>(st.params.nodes);
+  ws.global_values[program->ppn_slot()] =
+      static_cast<double>(st.params.processors_per_node);
   for (const expr::Slot slot : {program->np_slot(), program->nt_slot(),
                                 program->nn_slot(), program->ppn_slot()}) {
-    ws.run_frame[slot] = &ws.global_values[slot * width];
+    ws.run_frame[slot] = &ws.global_values[slot];
   }
   // Global variables, initialized in declaration order and bound into
   // the run frame one by one (interpreter start_run semantics), with
   // pid = tid = 0 for every process.
   ws.bindings.clear();
-  Walker<Lanes> globals(*this, st, nullptr);
+  Walker globals(*this, st, nullptr);
   globals.frame = &ws.run_frame;
   globals.bindings = &ws.bindings;
   globals.bind_variables(uml::VariableScope::Global, ws.global_values.data());
 }
 
-template <typename Lanes>
 void AnalyticEstimator::Impl::walk(EvalState& st, int pid,
-                                   WalkResult* out) const {
+                                   WalkResult& out) const {
   Workspace& ws = st.ws;
-  ws.locals.assign(program->slot_count() * st.width, 0.0);
+  ws.locals.assign(program->slot_count(), 0.0);
   ws.frame.assign(ws.run_frame.begin(), ws.run_frame.end());
   ws.bindings.clear();
-  for (std::size_t lane = 0; lane < st.width; ++lane) {
-    out[lane].clear();
-  }
+  out.clear();
   std::uint64_t process_steps = 0;
-  Walker<Lanes> walker(*this, st, out);
+  Walker walker(*this, st, &out);
   walker.pid = pid;
   walker.frame = &ws.frame;
   walker.locals = ws.locals.data();
@@ -1712,95 +1462,107 @@ void AnalyticEstimator::Impl::walk(EvalState& st, int pid,
   walker.walk_process();
 }
 
-template <typename Lanes, typename Sink>
-void AnalyticEstimator::Impl::run_lanes(EvalState& st, Sink&& sink) const {
-  for (const auto& params : st.lanes) {
-    params.validate();
+template <typename Sink>
+void AnalyticEstimator::Impl::run(
+    std::span<const machine::SystemParameters> lanes,
+    obs::AnalyticCounters* counters, guard::Budget* budget,
+    Sink&& sink) const {
+  Workspace& ws = workspace();
+  // Each lane's walk input: the first lane it shares a walk with
+  // (same_walk_input), found by scanning the inputs gathered so far.
+  ws.inputs.clear();
+  ws.input_of.clear();
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    lanes[lane].validate();
+    std::size_t input = 0;
+    while (input < ws.inputs.size() &&
+           !same_walk_input(lanes[ws.inputs[input]], lanes[lane], sharing)) {
+      ++input;
+    }
+    if (input == ws.inputs.size()) {
+      ws.inputs.push_back(lane);
+    }
+    ws.input_of.push_back(input);
   }
-  start_run<Lanes>(st);
-  Workspace& ws = st.ws;
-  const std::size_t width = st.width;
-  const auto np = static_cast<std::size_t>(st.inputs[0].processes);
-  // [pid * width + column]: pid 0's walks, and the other pids' when pid
-  // 0's does not serve every process.
-  if (ws.walks.size() < width) {
-    ws.walks.resize(width);
-  }
-  // Global initializers read pid = tid = 0 in every process; only the
-  // walk's own reads decide whether one walk serves them all.
-  st.pid_queried = false;
-  walk<Lanes>(st, 0, ws.walks.data());
-  // A walk that read no pid/tid and mutated no state is every process's
-  // timeline, so it serves all np of each lane — the SPMD fast path
-  // that makes grid sweeps cheap.
-  const bool spmd = !st.pid_queried && st.fragments_executed == 0;
-  if (spmd) {
-    if (st.counters != nullptr) {
-      st.counters->spmd_fast_path += st.lanes.size();
+  for (std::size_t input = 0; input < ws.inputs.size(); ++input) {
+    const std::size_t first = ws.inputs[input];
+    EvalState st{.ws = ws,
+                 .params = lanes[first],
+                 .counters = counters,
+                 .budget = budget};
+    start_run(st);
+    if (ws.walks.empty()) {
+      ws.walks.resize(1);
     }
-  } else {
-    // Only lanes of equal np share a run of a model that may get here.
-    assert(!sharing.one_walk);
-    if (ws.walks.size() < np * width) {
-      ws.walks.resize(np * width);
-    }
-    for (std::size_t pid = 1; pid < np; ++pid) {
-      walk<Lanes>(st, static_cast<int>(pid), &ws.walks[pid * width]);
-    }
-  }
-  // Each distinct replay input (walk column and same_replay_input)
-  // replays once, for the first lane it serves; every lane takes its own
-  // bound step.
-  std::size_t held = 0;
-  for (std::size_t lane = 0; lane < st.lanes.size(); ++lane) {
-    const machine::SystemParameters& params = st.lanes[lane];
-    const std::size_t column = st.column_of[lane];
-    std::size_t r = 0;
-    while (r < held && (st.column_of[ws.replays[r].lane] != column ||
-                        !same_replay_input(st.lanes[ws.replays[r].lane],
-                                           params))) {
-      ++r;
-    }
-    if (r == held) {
-      if (ws.replays.size() == held) {
-        ws.replays.emplace_back();
+    // Global initializers read pid = tid = 0 in every process; only the
+    // walk's own reads decide whether one walk serves them all.
+    st.pid_queried = false;
+    walk(st, 0, ws.walks[0]);
+    // A walk that read no pid/tid and mutated no state is every process's
+    // timeline, so it serves all np of each of the input's lanes — the
+    // SPMD fast path that makes grid sweeps cheap.  Otherwise the model
+    // reads np (WalkSharing), so the input's lanes share its np.
+    const bool spmd = !st.pid_queried && st.fragments_executed == 0;
+    if (!spmd) {
+      const auto np = static_cast<std::size_t>(st.params.processes);
+      if (ws.walks.size() < np) {
+        ws.walks.resize(np);
       }
-      ++held;
-      ws.replays[r].lane = lane;
-      ws.per_pid.resize(static_cast<std::size_t>(params.processes));
-      for (std::size_t pid = 0; pid < ws.per_pid.size(); ++pid) {
-        ws.per_pid[pid] = &ws.walks[(spmd ? 0 : pid) * width + column];
-      }
-      replay(params, st.budget, ws, ws.replays[r]);
-    } else {
-      // The lane is charged the events its own replay would consume.
-      if (st.budget != nullptr) {
-        st.budget->charge_replay_events(ws.replays[r].events,
-                                        "analytic-replay");
-      }
-      if (st.counters != nullptr) {
-        ++st.counters->replays_shared;
+      for (std::size_t pid = 1; pid < np; ++pid) {
+        walk(st, static_cast<int>(pid), ws.walks[pid]);
       }
     }
-    sink(lane, bound(params, ws.replays[r], st.elements, st.counters));
+    // Each distinct replay input of the input's lanes (same_replay_input)
+    // replays once, for the first lane it serves; every lane takes its
+    // own bound step.
+    std::size_t held = 0;
+    for (std::size_t lane = first; lane < lanes.size(); ++lane) {
+      if (ws.input_of[lane] != input) {
+        continue;
+      }
+      const machine::SystemParameters& params = lanes[lane];
+      std::size_t r = 0;
+      while (r < held &&
+             !same_replay_input(lanes[ws.replays[r].lane], params)) {
+        ++r;
+      }
+      if (r == held) {
+        if (ws.replays.size() == held) {
+          ws.replays.emplace_back();
+        }
+        ++held;
+        ws.replays[r].lane = lane;
+        ws.per_pid.resize(static_cast<std::size_t>(params.processes));
+        for (std::size_t pid = 0; pid < ws.per_pid.size(); ++pid) {
+          ws.per_pid[pid] = &ws.walks[spmd ? 0 : pid];
+        }
+        replay(params, budget, ws, ws.replays[r]);
+      } else {
+        // The lane is charged the events its own replay would consume.
+        if (budget != nullptr) {
+          budget->charge_replay_events(ws.replays[r].events,
+                                       "analytic-replay");
+        }
+        if (counters != nullptr) {
+          ++counters->replays_shared;
+        }
+      }
+      if (spmd && counters != nullptr) {
+        ++counters->spmd_fast_path;
+      }
+      sink(lane, bound(params, ws.replays[r], st.elements, counters));
+    }
   }
 }
 
 AnalyticReport AnalyticEstimator::Impl::evaluate(
     const machine::SystemParameters& params, obs::AnalyticCounters* counters,
     guard::Budget* budget) const {
-  static constexpr std::array<std::size_t, 1> kOnlyColumn{0};
-  const std::span<const machine::SystemParameters> lane(&params, 1);
-  EvalState st{.ws = workspace(),
-               .lanes = lane,
-               .inputs = lane,
-               .column_of = kOnlyColumn,
-               .counters = counters,
-               .budget = budget};
   AnalyticReport report;
-  run_lanes<ScalarLanes>(st, [&report](std::size_t, AnalyticReport&& lane) {
-    report = std::move(lane);
-  });
+  run(std::span(&params, 1), counters, budget,
+      [&report](std::size_t, AnalyticReport&& lane) {
+        report = std::move(lane);
+      });
   return report;
 }
 
@@ -1809,69 +1571,24 @@ std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch(
     obs::AnalyticCounters* counters, guard::Budget* budget,
     std::size_t* lanes_fallback) const {
   std::vector<AnalyticReport> reports(lanes.size());
-  Workspace& ws = workspace();
-  // Walk groups are runs of consecutive lanes of equal np (row-major
-  // grids keep np constant across consecutive jobs), or the whole chunk
-  // when one walk serves any np.  Groups run in lane order, so the first
-  // error raised is the scalar loop's.
-  for (std::size_t begin = 0, end = 0; begin < lanes.size(); begin = end) {
-    end = begin + 1;
-    while (end < lanes.size() &&
-           (sharing.one_walk ||
-            lanes[end].processes == lanes[begin].processes)) {
-      ++end;
+  try {
+    run(lanes, counters, budget,
+        [&reports](std::size_t lane, AnalyticReport&& report) {
+          reports[lane] = std::move(report);
+        });
+    return reports;
+  } catch (const guard::GuardError&) {
+    throw;  // tripped budgets propagate — retrying would double-charge
+  } catch (...) {
+    // A lane raised, maybe not the first lane in lane order that does:
+    // the chunk re-runs lane by lane, so that lane's error surfaces with
+    // its scalar message.
+    if (lanes_fallback != nullptr) {
+      *lanes_fallback += lanes.size();
     }
-    const auto group = lanes.subspan(begin, end - begin);
-    if (group.size() > 1) {
-      // The group walks each distinct input once (each lane scans the
-      // inputs gathered so far), then replays every lane over its
-      // input's walks.
-      ws.inputs.clear();
-      ws.column_of.clear();
-      for (const auto& params : group) {
-        std::size_t column = 0;
-        while (column < ws.inputs.size() &&
-               !same_walk_input(ws.inputs[column], params,
-                                sharing.reads_topology)) {
-          ++column;
-        }
-        if (column == ws.inputs.size()) {
-          ws.inputs.push_back(params);
-        }
-        ws.column_of.push_back(column);
-      }
-      EvalState st{.ws = ws,
-                   .lanes = group,
-                   .inputs = ws.inputs,
-                   .column_of = ws.column_of,
-                   .counters = counters,
-                   .budget = budget};
-      const auto sink = [&](std::size_t lane, AnalyticReport&& report) {
-        reports[begin + lane] = std::move(report);
-      };
-      try {
-        if (ws.inputs.size() == 1) {
-          run_lanes<ScalarLanes>(st, sink);
-        } else {
-          run_lanes<SoaLanes>(st, sink);
-        }
-        continue;
-      } catch (const guard::GuardError&) {
-        throw;  // tripped budgets propagate — retrying would double-charge
-      } catch (...) {
-        // Divergence or a lane error: the scalar walk re-evaluates the
-        // group's lanes exactly, raising any error with its scalar
-        // message.
-        if (lanes_fallback != nullptr) {
-          *lanes_fallback += group.size();
-        }
-      }
-    }
-    // A group that fell back, or a lane with no neighbour of its np (no
-    // batched walk was started for it, so it is not a fallback).
-    for (std::size_t lane = begin; lane < end; ++lane) {
-      reports[lane] = evaluate(lanes[lane], counters, budget);
-    }
+  }
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    reports[lane] = evaluate(lanes[lane], counters, budget);
   }
   return reports;
 }
@@ -1934,17 +1651,6 @@ AnalyticEstimator::AnalyticEstimator(lower::ModelProgramPtr program) {
 }
 
 AnalyticEstimator::~AnalyticEstimator() = default;
-
-AnalyticReport AnalyticEstimator::evaluate(
-    const machine::SystemParameters& params) const {
-  return impl_->evaluate(params, nullptr, nullptr);
-}
-
-AnalyticReport AnalyticEstimator::evaluate(
-    const machine::SystemParameters& params,
-    obs::AnalyticCounters* counters) const {
-  return impl_->evaluate(params, counters, nullptr);
-}
 
 AnalyticReport AnalyticEstimator::evaluate(
     const machine::SystemParameters& params, obs::AnalyticCounters* counters,

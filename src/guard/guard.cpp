@@ -26,19 +26,6 @@ std::uint64_t hash_site(std::string_view site) {
   return h;
 }
 
-std::string format_usage(const Usage& usage) {
-  char text[160];
-  std::snprintf(text, sizeof(text),
-                " [sim_events=%llu vm_instructions=%llu replay_events=%llu "
-                "loop_trips=%llu elapsed=%.3fs]",
-                static_cast<unsigned long long>(usage.sim_events),
-                static_cast<unsigned long long>(usage.vm_instructions),
-                static_cast<unsigned long long>(usage.replay_events),
-                static_cast<unsigned long long>(usage.loop_trips),
-                usage.elapsed_seconds);
-  return text;
-}
-
 }  // namespace
 
 std::string_view to_string(LimitKind kind) {
@@ -108,6 +95,10 @@ void Budget::cancel_at_sim_event(std::uint64_t event) {
   cancel_at_sim_event_ = event == 0 ? 1 : event;
 }
 
+// A tripped limit's text names the limit, its bound and the stage, never
+// the usage: usage() differs between engines (only the simulator's VM
+// counts instructions) and between runs (the elapsed time), and one job
+// must raise one text in every engine.
 void Budget::trip(LimitKind kind, std::string_view stage) const {
   const Usage at = usage();
   std::string message;
@@ -120,7 +111,7 @@ void Budget::trip(LimitKind kind, std::string_view stage) const {
     }
     std::snprintf(bound, sizeof(bound), "%.3f s", seconds);
     message = "wall_clock limit (" + std::string(bound) + ") exceeded in " +
-              std::string(stage) + format_usage(at);
+              std::string(stage);
     throw ResourceExhausted(message, kind, std::string(stage), at);
   }
   std::uint64_t bound = 0;
@@ -141,24 +132,21 @@ void Budget::trip(LimitKind kind, std::string_view stage) const {
       break;  // handled above
   }
   message = std::string(to_string(kind)) + " limit (" +
-            std::to_string(bound) + ") exceeded in " + std::string(stage) +
-            format_usage(at);
+            std::to_string(bound) + ") exceeded in " + std::string(stage);
   throw ResourceExhausted(message, kind, std::string(stage), at);
 }
 
 void Budget::check(std::uint64_t charged, std::string_view stage) {
   if (cancel_requested()) {
-    const Usage at = usage();
-    throw Cancelled("cancelled in " + std::string(stage) + format_usage(at),
-                    LimitKind::WallClock, std::string(stage), at);
+    throw Cancelled("cancelled in " + std::string(stage), LimitKind::WallClock,
+                    std::string(stage), usage());
   }
   if (cancel_at_sim_event_ != 0 && sim_events_ >= cancel_at_sim_event_) {
     cancel();
-    const Usage at = usage();
     throw Cancelled("cancelled (injected at simulated event " +
                         std::to_string(cancel_at_sim_event_) + ") in " +
-                        std::string(stage) + format_usage(at),
-                    LimitKind::WallClock, std::string(stage), at);
+                        std::string(stage),
+                    LimitKind::WallClock, std::string(stage), usage());
   }
   // Amortize the clock read: only every kDeadlineStride charge units —
   // but a checkpoint() (charged == 0) always looks at the clock.

@@ -1,16 +1,18 @@
 // AnalyticEstimator::evaluate_batch and the estimate_batch backend
 // contract: batched evaluation must be bit-identical to the scalar loop
-// (reports, per-process finish times, replayed-element counts), walk
-// pid-dependent models one pid at a time across each run of consecutive
-// lanes of equal np, walk each distinct walk input of such a run once
-// (lanes that differ only in nodes and ppn share a walk unless the model
-// may read them), leave a lane with no neighbour of its np to the scalar
-// walk, fall back cleanly when lanes diverge at run time, and count every
-// lane that fell back.
+// (reports, per-process finish times, replayed-element counts) and walk
+// each distinct walk input of a chunk once, wherever its lanes sit: lanes
+// that agree on every SystemParameters field the walk may read share a
+// walk (np only when the model may read it, nodes and ppn only when it
+// may read the topology).  A chunk with a lane error re-runs lane by
+// lane, raises the first lane's error in lane order and counts every
+// lane as a fallback.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,8 +41,7 @@ machine::SystemParameters params_np(int np, int nodes = 1, int ppn = 1) {
   return params;
 }
 
-/// `lanes` with cpu_speed = 1 + lane: no two lanes share a walk input, so
-/// a run of equal np walks across all of its lanes.
+/// `lanes` with cpu_speed = 1 + lane: no two lanes share a walk input.
 std::vector<machine::SystemParameters> distinct_inputs(
     std::vector<machine::SystemParameters> lanes) {
   for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
@@ -85,6 +86,9 @@ TEST(AnalyticBatch, MatchesScalarLoopBitExactly) {
 }
 
 TEST(AnalyticBatch, SpmdFastPathTakesOneBatchedWalk) {
+  // kernel6 reads neither np nor the topology, so the whole chunk, four
+  // np values on two node counts, walks once: as many VM evaluations as
+  // one lane's evaluate().
   const analytic::AnalyticEstimator analyzer(
       prophet::models::kernel6_model(64, 16, 1e-8));
   const auto lanes = lane_grid();
@@ -94,15 +98,18 @@ TEST(AnalyticBatch, SpmdFastPathTakesOneBatchedWalk) {
       analyzer.evaluate_batch(lanes, &counters, nullptr, &lanes_fallback);
   ASSERT_EQ(batched.size(), lanes.size());
   EXPECT_EQ(lanes_fallback, 0u);
-  // Every lane finalized through the shared batched walk.
+  // Every lane finalized through the shared walk.
   EXPECT_EQ(counters.spmd_fast_path, lanes.size());
-  EXPECT_GT(counters.expr.batch_evals, 0u);
+  obs::AnalyticCounters one;
+  (void)analyzer.evaluate(lanes[0], &one);
+  EXPECT_EQ(counters.expr.evals, one.expr.evals);
+  EXPECT_EQ(counters.expr.instructions, one.expr.instructions);
 }
 
 // --- Batched walks against the scalar loop ----------------------------------
 
 /// Batches `lanes`, expects every report bit-exact against evaluate(),
-/// and returns how many lanes the scalar walk served.
+/// and returns how many lanes fell back to it.
 std::size_t batch_against_scalar(
     const analytic::AnalyticEstimator& analyzer,
     const std::vector<machine::SystemParameters>& lanes,
@@ -116,6 +123,36 @@ std::size_t batch_against_scalar(
     expect_reports_identical(batched[lane], analyzer.evaluate(lanes[lane]));
   }
   return lanes_fallback;
+}
+
+/// The VM evaluations evaluate() runs for each of `lanes`, summed: what
+/// a batch runs when each of them is a walk input of its own.
+std::uint64_t scalar_evals(const analytic::AnalyticEstimator& analyzer,
+                           std::span<const machine::SystemParameters> lanes) {
+  obs::AnalyticCounters counters;
+  for (const auto& params : lanes) {
+    (void)analyzer.evaluate(params, &counters);
+  }
+  return counters.expr.evals;
+}
+
+/// Batches `lanes`, bit-exact against evaluate() with no lane falling
+/// back, and expects the chunk to walk once per entry of `firsts`, the
+/// first lane of each distinct walk input: as many VM evaluations as
+/// evaluate() runs for them.  Every lane replays what its own evaluate()
+/// replays.
+void expect_walks(const char* name,
+                  const analytic::AnalyticEstimator& analyzer,
+                  const std::vector<machine::SystemParameters>& lanes,
+                  const std::vector<machine::SystemParameters>& firsts) {
+  obs::AnalyticCounters counters;
+  EXPECT_EQ(batch_against_scalar(analyzer, lanes, &counters), 0u) << name;
+  EXPECT_EQ(counters.expr.evals, scalar_evals(analyzer, firsts)) << name;
+  obs::AnalyticCounters scalar;
+  for (const auto& params : lanes) {
+    (void)analyzer.evaluate(params, &scalar);
+  }
+  EXPECT_EQ(counters.events_replayed, scalar.events_replayed) << name;
 }
 
 /// main: init -> decision -[guard]-> Big | -[else]-> Small -> merge.  A
@@ -202,25 +239,25 @@ uml::Model critical_model() {
   return std::move(mb).build();
 }
 
-TEST(AnalyticBatch, RuntimeDivergenceFallsBackPerLane) {
-  // Eligible models whose lanes stop sharing one walk at run time: the
-  // batched walk is abandoned and every lane re-runs through the scalar
-  // walk, bit-exact.
+TEST(AnalyticBatch, LanesThatWalkApartNeverFallBack) {
+  // Models whose walks differ from lane to lane: each distinct walk
+  // input walks on its own, so no lane falls back and every report is
+  // the scalar walk's.
   const auto lanes = lane_grid();
-  // np > 2 holds on some lanes only: the lanes branch apart.
-  EXPECT_EQ(batch_against_scalar(
-                analytic::AnalyticEstimator(branch_model("np > 2")), lanes),
-            lanes.size());
-  // Trip counts vary with np and the body reads its trip variable: the
-  // loop cannot collapse, and per-trip replay needs one shared count.
-  EXPECT_EQ(batch_against_scalar(
-                analytic::AnalyticEstimator(loop_model("0.001 * (i + 1)")),
-                lanes),
-            lanes.size());
+  // np > 2 holds on some lanes only: the lanes branch apart (and the
+  // costs read np and nn, so every lane is its own input).
+  expect_walks("branch", analytic::AnalyticEstimator(branch_model("np > 2")),
+               lanes, lanes);
+  // Trip counts vary with np and the body reads its trip variable: each
+  // np walks every trip of its own count, and lanes of one np that differ
+  // only in nodes share that walk.
+  expect_walks("trips",
+               analytic::AnalyticEstimator(loop_model("0.001 * (i + 1)")),
+               lanes, {lanes[0], lanes[2], lanes[4], lanes[6]});
   // The same trip counts over a body that ignores i collapse per lane.
-  EXPECT_EQ(batch_against_scalar(
-                analytic::AnalyticEstimator(loop_model("0.001 * nn")), lanes),
-            0u);
+  expect_walks("collapse",
+               analytic::AnalyticEstimator(loop_model("0.001 * nn")), lanes,
+               lanes);
 }
 
 TEST(AnalyticBatch, ForksRegionsCriticalsAndProbBranchesBatch) {
@@ -229,24 +266,23 @@ TEST(AnalyticBatch, ForksRegionsCriticalsAndProbBranchesBatch) {
   for (auto& params : threaded) {
     params.threads_per_process = 3;
   }
+  // Every lane is its own walk input: each model reads np and nn (or
+  // each lane has its own cpu_speed).
   const auto expect_batched = [](const char* name, uml::Model model,
                                  const std::vector<machine::SystemParameters>&
                                      model_lanes) {
-    const analytic::AnalyticEstimator analyzer(std::move(model));
-    obs::AnalyticCounters counters;
-    EXPECT_EQ(batch_against_scalar(analyzer, model_lanes, &counters), 0u)
-        << name;
-    EXPECT_GT(counters.expr.batch_evals, 0u) << name;
+    expect_walks(name, analytic::AnalyticEstimator(std::move(model)),
+                 model_lanes, model_lanes);
   };
   expect_batched("fork", fork_model(), lanes);
   expect_batched("region", region_model("0.001 * nn"), threaded);
   expect_batched("critical", critical_model(), lanes);
   expect_batched("prob", branch_model("np > 2", 0.25), lanes);
 
-  // A region whose cost reads tid walks each pid across its np group.
-  // Its cost reads no topology, so lanes of one np that differ only in
-  // nodes would share one scalar walk: a cpu_speed per lane keeps each
-  // its own walk lane.
+  // A region whose cost reads tid walks each pid of each input.  Its
+  // cost reads no topology, so lanes of one np that differ only in
+  // nodes would share one walk: a cpu_speed per lane keeps each its own
+  // walk input.
   expect_batched("tid region", region_model("0.001 * (tid + 1)"),
                  distinct_inputs(threaded));
 }
@@ -260,10 +296,9 @@ analytic::AnalyticEstimator random_estimator() {
 
 TEST(AnalyticBatch, PidDependentModelsBatchOnePidAtATime) {
   // The random workload reads pid in its costs and guards and runs code
-  // fragments that write a global a guard reads.  Lanes that share np
-  // walk each pid once across the group's distinct walk inputs, in pid
-  // order over each input's own globals: no lane falls back, the
-  // vectorized VM runs, and every report is the scalar walk's.
+  // fragments that write a global a guard reads.  Each distinct walk
+  // input walks every pid once, in pid order over its own globals: no
+  // lane falls back, and every report is the scalar walk's.
   const analytic::AnalyticEstimator analyzer = random_estimator();
   std::vector<machine::SystemParameters> lanes;
   for (const int nodes : {1, 2, 3, 4}) {
@@ -271,14 +306,14 @@ TEST(AnalyticBatch, PidDependentModelsBatchOnePidAtATime) {
       lanes.push_back(params_np(3, nodes, ppn));
     }
   }
+  const auto distinct = distinct_inputs(lanes);
+  expect_walks("distinct", analyzer, distinct, distinct);
   obs::AnalyticCounters counters;
-  EXPECT_EQ(batch_against_scalar(analyzer, distinct_inputs(lanes), &counters),
-            0u);
-  EXPECT_GT(counters.expr.batch_evals, 0u);
+  (void)analyzer.evaluate_batch(distinct, &counters);
   EXPECT_EQ(counters.spmd_fast_path, 0u);  // every pid was walked
 
   // The model reads no topology, so lanes that differ only in nodes and
-  // ppn share one walk input: the group walks each pid once, as one
+  // ppn share one walk input: the chunk walks each pid once, as one
   // lane's evaluate() does, and replays every lane over that walk.
   obs::AnalyticCounters shared;
   EXPECT_EQ(batch_against_scalar(analyzer, lanes, &shared), 0u);
@@ -286,58 +321,68 @@ TEST(AnalyticBatch, PidDependentModelsBatchOnePidAtATime) {
   (void)analyzer.evaluate(lanes[0], &one);
   EXPECT_EQ(shared.expr.instructions, one.expr.instructions);
   EXPECT_EQ(shared.expr.evals, one.expr.evals);
-  EXPECT_EQ(shared.expr.batch_evals, 0u);
   EXPECT_EQ(shared.spmd_fast_path, 0u);
   EXPECT_EQ(shared.events_replayed, lanes.size() * one.events_replayed);
 }
 
 TEST(AnalyticBatch, LanesOfEqualNpBatchTogether) {
-  // np = 1, 2, 2, 3, 3, 3, 8: the runs of np = 2 and np = 3 lanes batch
-  // as two groups, and np = 1 and np = 8 take the scalar walk without
-  // counting as fallbacks.  The counters are those of the groups and the lone
-  // lanes evaluated on their own.  Each lane has its own cpu_speed, so no
-  // two lanes of a group share a walk input.
+  // np = 1, 2, 2, 3, 3, 3, 8 over alternating node counts: the model reads
+  // pid (so np) and no topology, so lanes of one np share a walk.  The
+  // counters are those of one lane of each np evaluated on its own, and
+  // each lane replays what its own evaluate() replays.
   const analytic::AnalyticEstimator analyzer = random_estimator();
   std::vector<machine::SystemParameters> lanes;
   int nodes = 0;
   for (const int np : {1, 2, 2, 3, 3, 3, 8}) {
     lanes.push_back(params_np(np, 1 + nodes++ % 2, 2));
   }
-  lanes = distinct_inputs(std::move(lanes));
   obs::AnalyticCounters mixed;
   EXPECT_EQ(batch_against_scalar(analyzer, lanes, &mixed), 0u);
-  EXPECT_GT(mixed.expr.batch_evals, 0u);
 
-  const std::span<const machine::SystemParameters> all(lanes);
   obs::AnalyticCounters parts;
-  (void)analyzer.evaluate(lanes[0], &parts);
-  (void)analyzer.evaluate_batch(all.subspan(1, 2), &parts);
-  (void)analyzer.evaluate_batch(all.subspan(3, 3), &parts);
-  (void)analyzer.evaluate(lanes[6], &parts);
+  for (const std::size_t lane : {0, 1, 3, 6}) {
+    (void)analyzer.evaluate(lanes[lane], &parts);
+  }
   EXPECT_EQ(mixed.expr.instructions, parts.expr.instructions);
   EXPECT_EQ(mixed.expr.evals, parts.expr.evals);
-  EXPECT_EQ(mixed.expr.batch_evals, parts.expr.batch_evals);
-  EXPECT_EQ(mixed.events_replayed, parts.events_replayed);
+  obs::AnalyticCounters scalar;
+  for (const auto& params : lanes) {
+    (void)analyzer.evaluate(params, &scalar);
+  }
+  EXPECT_EQ(mixed.events_replayed, scalar.events_replayed);
 }
 
-TEST(AnalyticBatch, PidDependentDivergenceFallsBackPerGroup) {
-  // `pid == 0 && nn > 1` splits pid 0's walk between lanes on one node
-  // and lanes on two: every np group of the grid falls back, exactly.
+TEST(AnalyticBatch, NonConsecutiveLanesOfOneInputShareAWalk) {
+  // np alternates 2, 3, 2, 3, ... over varying nodes and ppn: the lanes
+  // of each np share one walk however far apart they sit in the chunk.
+  const analytic::AnalyticEstimator analyzer = random_estimator();
+  std::vector<machine::SystemParameters> lanes;
+  for (int nodes = 1; nodes <= 2; ++nodes) {
+    for (int ppn = 1; ppn <= 2; ++ppn) {
+      lanes.push_back(params_np(2, nodes, ppn));
+      lanes.push_back(params_np(3, nodes, ppn));
+    }
+  }
+  expect_walks("alternating np", analyzer, lanes, {lanes[0], lanes[1]});
+}
+
+TEST(AnalyticBatch, PidDependentBranchesWalkEachInputApart) {
+  // `pid == 0 && nn > 1` reads pid and the topology: every lane of the
+  // grid is its own walk input, and pid 0 takes a different branch on
+  // one node than on two, without any lane falling back.
   const analytic::AnalyticEstimator analyzer(
       branch_model("pid == 0 && nn > 1"));
   const auto lanes = lane_grid();
-  EXPECT_EQ(batch_against_scalar(analyzer, lanes), lanes.size());
-  // Only the group whose lanes disagree falls back.
+  expect_walks("grid", analyzer, lanes, lanes);
   const std::vector<machine::SystemParameters> agreeing_first = {
       params_np(2, 2, 1), params_np(2, 2, 2), params_np(4, 1, 2),
       params_np(4, 2, 2)};
-  EXPECT_EQ(batch_against_scalar(analyzer, agreeing_first), 2u);
+  expect_walks("agreeing first", analyzer, agreeing_first, agreeing_first);
 }
 
 TEST(AnalyticBatch, GroupsWiderThanTheDefaultWidthBatch) {
-  // 16 lanes of one np, each with its own cpu_speed so that every model
-  // walks them as 16 distinct inputs: the walk's lane arrays outgrow their
-  // inline room.
+  // 16 lanes of one np, wider than a sweep's default chunk, each with its
+  // own cpu_speed so that every model walks them as 16 distinct inputs.
   std::vector<machine::SystemParameters> lanes;
   for (int nodes = 1; nodes <= 4; ++nodes) {
     for (int ppn = 1; ppn <= 4; ++ppn) {
@@ -350,9 +395,7 @@ TEST(AnalyticBatch, GroupsWiderThanTheDefaultWidthBatch) {
   const auto expect_batched = [&lanes](const char* name,
                                        const analytic::AnalyticEstimator&
                                            analyzer) {
-    obs::AnalyticCounters counters;
-    EXPECT_EQ(batch_against_scalar(analyzer, lanes, &counters), 0u) << name;
-    EXPECT_GT(counters.expr.batch_evals, 0u) << name;
+    expect_walks(name, analyzer, lanes, lanes);
   };
   expect_batched("random", random_estimator());
   expect_batched("fork", analytic::AnalyticEstimator(fork_model()));
@@ -363,15 +406,17 @@ TEST(AnalyticBatch, GroupsWiderThanTheDefaultWidthBatch) {
 
 // --- Walk inputs --------------------------------------------------------------
 
-/// main: init -> Work -> final, over a global X initialized to `x` and a
-/// cost function F() returning `f`; Work costs `cost` and runs `fragment`
-/// first when it is not empty.
+/// main: init -> Work -> final, over a global X initialized to `x`, a
+/// local L initialized to `l` and a cost function F() returning `f`;
+/// Work costs `cost` and runs `fragment` first when it is not empty.
 uml::Model action_model(const std::string& cost,
                         const std::string& fragment = {},
                         const std::string& x = "0",
-                        const std::string& f = "0.001") {
+                        const std::string& f = "0.001",
+                        const std::string& l = "0") {
   uml::ModelBuilder mb("Action");
   mb.global("X", uml::VariableType::Real, x);
+  mb.local("L", uml::VariableType::Real, l);
   mb.function("F", {}, f);
   uml::DiagramBuilder main = mb.diagram("main");
   uml::NodeRef work = main.action("Work").cost(cost);
@@ -402,13 +447,14 @@ uml::Model guard_model(const std::string& guard) {
   return std::move(mb).build();
 }
 
-/// main: init -> Work -> <<allreduce>> -> final.  Only the collective's
-/// round time depends on the topology (one node or several).
-uml::Model collective_model() {
+/// main: init -> Work -> <<allreduce>> of `bytes` -> final.  Only the
+/// collective's round time depends on the topology (one node or
+/// several).
+uml::Model collective_model(const std::string& bytes = "1024 * np") {
   uml::ModelBuilder mb("Collective");
   uml::DiagramBuilder main = mb.diagram("main");
   main.sequence({main.initial(), main.action("Work").cost("0.001"),
-                 main.allreduce("Sum", "1024 * np"), main.final_node()});
+                 main.allreduce("Sum", bytes), main.final_node()});
   return std::move(mb).build();
 }
 
@@ -425,25 +471,6 @@ uml::Model machine_model() {
   return std::move(mb).build();
 }
 
-/// Batches `lanes`, bit-exact against evaluate() with no lane falling
-/// back, and expects them to walk as `inputs` distinct walk inputs: the
-/// group's VM evaluated each program of lanes[0]'s walk `inputs` lanes
-/// wide, vectorized when `inputs` > 1, and every lane replayed as many
-/// events as lanes[0] does on its own.
-void expect_walk_inputs(const char* name,
-                        const analytic::AnalyticEstimator& analyzer,
-                        const std::vector<machine::SystemParameters>& lanes,
-                        std::size_t inputs) {
-  obs::AnalyticCounters group;
-  EXPECT_EQ(batch_against_scalar(analyzer, lanes, &group), 0u) << name;
-  obs::AnalyticCounters one;
-  (void)analyzer.evaluate(lanes[0], &one);
-  EXPECT_EQ(group.expr.evals, inputs * one.expr.evals) << name;
-  EXPECT_EQ(group.expr.batch_evals > 0, inputs > 1) << name;
-  EXPECT_EQ(group.events_replayed, lanes.size() * one.events_replayed)
-      << name;
-}
-
 TEST(AnalyticBatch, TopologyReadersWalkOncePerInput) {
   // One np, lanes that differ only in nodes and ppn.  A model that may
   // read either walks each lane as its own input, however it reads them;
@@ -454,36 +481,20 @@ TEST(AnalyticBatch, TopologyReadersWalkOncePerInput) {
       lanes.push_back(params_np(4, nodes, ppn));
     }
   }
-  expect_walk_inputs("cost tag",
-                     analytic::AnalyticEstimator(action_model("0.001 * nn")),
-                     lanes, lanes.size());
-  expect_walk_inputs(
-      "fragment value",
-      analytic::AnalyticEstimator(action_model("0.001 * X", "X = nn;")),
-      lanes, lanes.size());
-  expect_walk_inputs(
-      "global initializer",
-      analytic::AnalyticEstimator(action_model("X", {}, "0.001 * ppn")),
-      lanes, lanes.size());
-  expect_walk_inputs(
-      "cost-function body",
-      analytic::AnalyticEstimator(action_model("F()", {}, "0", "0.001 * nn")),
-      lanes, lanes.size());
-  expect_walk_inputs("collective",
-                     analytic::AnalyticEstimator(collective_model()), lanes,
-                     lanes.size());
-  expect_walk_inputs("no reader",
-                     analytic::AnalyticEstimator(action_model("0.001")),
-                     lanes, 1);
-
-  // A guard that reads ppn takes each branch on some lanes: the batched
-  // walk starts across all four inputs, diverges and falls back.
-  {
-    const analytic::AnalyticEstimator analyzer(guard_model("ppn > 1"));
-    obs::AnalyticCounters counters;
-    EXPECT_EQ(batch_against_scalar(analyzer, lanes, &counters), lanes.size());
-    EXPECT_GT(counters.expr.batch_evals, 0u);
-  }
+  const auto expect_own_walks = [&lanes](const char* name, uml::Model model) {
+    expect_walks(name, analytic::AnalyticEstimator(std::move(model)), lanes,
+                 lanes);
+  };
+  expect_own_walks("cost tag", action_model("0.001 * nn"));
+  expect_own_walks("fragment value", action_model("0.001 * X", "X = nn;"));
+  expect_own_walks("global initializer", action_model("X", {}, "0.001 * ppn"));
+  expect_own_walks("cost-function body",
+                   action_model("F()", {}, "0", "0.001 * nn"));
+  expect_own_walks("collective", collective_model());
+  // A guard that reads ppn takes each branch on some lanes.
+  expect_own_walks("guard", guard_model("ppn > 1"));
+  expect_walks("no reader", analytic::AnalyticEstimator(action_model("0.001")),
+               lanes, {lanes[0]});
 
   // Lanes that differ from the first only in cpu_speed, nt,
   // network_overhead or barrier_latency each walk on their own; those
@@ -497,8 +508,143 @@ TEST(AnalyticBatch, TopologyReadersWalkOncePerInput) {
   machines.back().network_overhead = 1e-4;
   machines.push_back(lanes[0]);
   machines.back().barrier_latency = 1e-4;
-  expect_walk_inputs("machine", analytic::AnalyticEstimator(machine_model()),
-                     machines, 5);
+  expect_walks("machine", analytic::AnalyticEstimator(machine_model()),
+               machines,
+               {machines[0], machines[4], machines[5], machines[6],
+                machines[7]});
+}
+
+// --- np -----------------------------------------------------------------------
+
+/// np 1, 2, 4 and 7, each on one node of one processor and on two nodes
+/// of two: np turns slowest.
+std::vector<machine::SystemParameters> np_lanes() {
+  std::vector<machine::SystemParameters> lanes;
+  for (const int np : {1, 2, 4, 7}) {
+    lanes.push_back(params_np(np, 1, 1));
+    lanes.push_back(params_np(np, 2, 2));
+  }
+  return lanes;
+}
+
+/// main: init -> <<loop+>> of 16 trips over a <<loop+>> of 8 trips over
+/// one action costing 0.0001: a compute-only nest whose trips read no
+/// trip variable.
+uml::Model loop_nest_model() {
+  uml::ModelBuilder mb("Nest");
+  uml::DiagramBuilder main = mb.diagram("main");
+  uml::DiagramBuilder outer = mb.diagram("outer");
+  uml::DiagramBuilder inner = mb.diagram("inner");
+  inner.sequence({inner.initial(), inner.action("Work").cost("0.0001"),
+                  inner.final_node()});
+  outer.sequence({outer.initial(), outer.loop("Inner", inner, "8", "j"),
+                  outer.final_node()});
+  main.sequence({main.initial(), main.loop("Outer", outer, "16", "i"),
+                 main.final_node()});
+  return std::move(mb).build();
+}
+
+/// main: init -> Work -> barrier -> final.
+uml::Model barrier_model() {
+  uml::ModelBuilder mb("Barrier");
+  uml::DiagramBuilder main = mb.diagram("main");
+  main.sequence({main.initial(), main.action("Work").cost("0.001"),
+                 main.barrier(), main.final_node()});
+  return std::move(mb).build();
+}
+
+TEST(AnalyticBatch, OneWalkModelsShareAWalkAcrossNp) {
+  // A model whose walk reads neither np nor pid, runs no fragment and
+  // does not communicate walks once for a chunk of four np values, and
+  // every lane replays its own np over that walk.
+  const auto lanes = np_lanes();
+  expect_walks("kernel6",
+               analytic::AnalyticEstimator(
+                   prophet::models::kernel6_model(64, 16, 1e-8)),
+               lanes, {lanes[0]});
+  expect_walks("loop nest", analytic::AnalyticEstimator(loop_nest_model()),
+               lanes, {lanes[0]});
+}
+
+TEST(AnalyticBatch, NpReadersWalkEachNpApart) {
+  // Each way a walk may read np keeps the lanes of different np apart;
+  // the two lanes of one np differ only in nodes and ppn and share a walk
+  // unless the model reads the topology too.
+  const auto lanes = np_lanes();
+  const std::vector<machine::SystemParameters> one_per_np = {
+      lanes[0], lanes[2], lanes[4], lanes[6]};
+  const auto expect_np_walks = [&](const char* name, uml::Model model) {
+    expect_walks(name, analytic::AnalyticEstimator(std::move(model)), lanes,
+                 one_per_np);
+  };
+  expect_np_walks("cost tag", action_model("0.001 * np"));
+  expect_np_walks("guard", guard_model("np > 2"));
+  expect_np_walks("fragment value", action_model("0.001 * X", "X = np;"));
+  expect_np_walks("fragment", action_model("0.001 * X", "X = X + 1;"));
+  expect_np_walks("global initializer", action_model("X", {}, "0.001 * np"));
+  expect_np_walks("cost-function body",
+                  action_model("F()", {}, "0", "0.001 * np"));
+  expect_np_walks("pid tag", action_model("0.001 * (pid + 1)"));
+  expect_np_walks("pid guard", guard_model("pid == 0"));
+  expect_np_walks("pid local initializer",
+                  action_model("L", {}, "0", "0.001", "0.001 * (pid + 1)"));
+  expect_np_walks("send/recv pair", machine_model());
+  expect_np_walks("barrier", barrier_model());
+  // A collective reads the topology too: every lane walks on its own.
+  expect_walks("collective",
+               analytic::AnalyticEstimator(collective_model("1024")), lanes,
+               lanes);
+}
+
+// --- Errors -------------------------------------------------------------------
+
+/// main: init -> Work -> a send to pid 1 that nobody receives: valid at
+/// np >= 2, while np = 1 breaks the peer rule.
+uml::Model send_to_one_model() {
+  uml::ModelBuilder mb("SendToOne");
+  uml::DiagramBuilder main = mb.diagram("main");
+  main.sequence({main.initial(), main.action("Work").cost("0.001"),
+                 main.send("ToOne", "1", "1024"), main.final_node()});
+  return std::move(mb).build_unchecked();  // a send with no receive
+}
+
+TEST(AnalyticBatch, LaneErrorsRaiseTheFirstInLaneOrder) {
+  const analytic::AnalyticEstimator analyzer(send_to_one_model());
+  const auto error_of = [](const auto& evaluate) {
+    try {
+      evaluate();
+    } catch (const std::exception& error) {
+      return std::string(error.what());
+    }
+    return std::string();
+  };
+  std::vector<machine::SystemParameters> lanes = {
+      params_np(7, 2, 2), params_np(4, 1, 1), params_np(2, 2, 2),
+      params_np(1, 1, 1)};
+  const std::string expected =
+      error_of([&] { (void)analyzer.evaluate(lanes.back()); });
+  ASSERT_FALSE(expected.empty());
+  // The send reads np, so np = 1 walks on its own and its walk raises;
+  // the chunk re-runs lane by lane and counts every lane.
+  std::size_t fallback = 0;
+  EXPECT_EQ(error_of([&] {
+              (void)analyzer.evaluate_batch(lanes, nullptr, nullptr,
+                                            &fallback);
+            }),
+            expected);
+  EXPECT_EQ(fallback, lanes.size());
+  // An invalid lane after it is met first, while the chunk's walk inputs
+  // are gathered; the error raised is still the first in lane order.
+  lanes.push_back(params_np(4, 1, 0));
+  ASSERT_NE(error_of([&] { (void)analyzer.evaluate(lanes.back()); }),
+            expected);
+  fallback = 0;
+  EXPECT_EQ(error_of([&] {
+              (void)analyzer.evaluate_batch(lanes, nullptr, nullptr,
+                                            &fallback);
+            }),
+            expected);
+  EXPECT_EQ(fallback, lanes.size());
 }
 
 TEST(AnalyticBatch, SingleLaneUsesTheScalarPath) {

@@ -1,7 +1,7 @@
 // The analytic engine computes each distinct walk trip and each distinct
 // replay once.  A loop whose body reads no trip variable and runs no code
 // fragment but communicates walks its first trip and re-emits that trip's
-// raw emissions for the others; lanes of a group that place their
+// raw emissions for the others; lanes of one walk input that place their
 // processes alike share one replay.  Both must be invisible: reports are
 // bit-identical to a walk of every trip (a twin model whose body reads
 // its trip variable, times zero) and to each lane's own evaluate(), and a
@@ -185,9 +185,9 @@ const Twin kTwins[] = {
     {"critical", critical_ring, false, true},
 };
 
-/// np 2..4 over one and two nodes at two CPU speeds: each np's group
-/// walks two distinct inputs at once, and each input's two lanes replay
-/// on their own placements.
+/// np 2..4 over one and two nodes at two CPU speeds: each np walks two
+/// distinct inputs, and each input's two lanes replay on their own
+/// placements.
 std::vector<machine::SystemParameters> ring_lanes() {
   std::vector<machine::SystemParameters> lanes;
   for (const int np : {2, 3, 4}) {

@@ -211,6 +211,40 @@ TEST(CodegenBackend, SimEventLimitTripsStructured) {
                guard::ResourceExhausted);
 }
 
+TEST(CodegenBackend, TrippedLimitReadsAsInTheSimulator) {
+  // The simulator's VM counts instructions that the generated evaluator
+  // runs as plain C++, and the two take different times; the text of a
+  // tripped limit names only the limit, its bound and the stage, so the
+  // two engines raise one text for one job.
+  prophet::uml::ModelBuilder mb("Costly");
+  prophet::uml::DiagramBuilder main = mb.diagram("main");
+  prophet::uml::DiagramBuilder body = mb.diagram("body");
+  body.sequence({body.initial(), body.action("Work").cost("0.001 * (pid + 1)"),
+                 body.final_node()});
+  main.sequence({main.initial(), main.loop("Trips", body, "1000000", "i"),
+                 main.final_node()});
+  const auto program = prophet::lower::lower(std::move(mb).build());
+  guard::Limits limits;
+  limits.max_sim_events = 50;
+  const auto what = [&](const estimator::Backend& backend) {
+    guard::Budget budget(limits);
+    auto options = no_trace();
+    options.budget = &budget;
+    try {
+      (void)backend.prepare(program)->estimate(sp(2), options);
+    } catch (const guard::ResourceExhausted& tripped) {
+      EXPECT_EQ(tripped.limit(), guard::LimitKind::SimEvents);
+      EXPECT_GT(tripped.usage().sim_events, 50u);
+      return std::string(tripped.what());
+    }
+    ADD_FAILURE() << "expected ResourceExhausted";
+    return std::string();
+  };
+  const std::string simulated = what(prophet::analytic::SimulationBackend());
+  EXPECT_EQ(simulated, "sim_events limit (50) exceeded in sim-engine");
+  EXPECT_EQ(what(cgen::CodegenBackend()), simulated);
+}
+
 TEST(CodegenBackend, UnlimitedEstimateMatchesLimitedBelowTheBound) {
   // The guard contract: enforcing generous limits must not perturb the
   // prediction by a single bit.

@@ -144,10 +144,12 @@ TEST_P(RandomModelThreeWay, BackendsAgreeFromOneLowering) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomModelThreeWay,
                          ::testing::Values(1u, 7u, 42u, 1234u));
 
-/// The batched analytic walk over random models, which run code
-/// fragments and read pid in costs and guards.  Two lane sets:
+/// AnalyticEstimator::evaluate_batch over random models, which run code
+/// fragments and read pid in costs and guards.  Three lane sets:
 ///  - np=1..8 nodes=1..4 ppn=1..2 in 8-lane chunks: each chunk shares one
 ///    np, so every pid is walked once across the chunk;
+///  - the same lanes with np turning fastest: each 8-lane chunk walks
+///    eight inputs, one per np;
 ///  - one np (2..8, by seed) x nodes=1..4 x ppn=1..2 x cpu_speed {1, 2}.
 ///    Random models read no topology, so lanes that differ only in nodes
 ///    and ppn share a walk input.  In that order (cpu_speed fastest),
@@ -155,7 +157,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomModelThreeWay,
 ///    inputs of four lanes each; with cpu_speed slowest, 8-lane chunks
 ///    share one walk.
 /// Each lane must reproduce evaluate() to the bit, and no lane may fall
-/// back to the scalar walk.
+/// back to lane-by-lane evaluation.
 TEST(RandomModelBatch, PidByPidWalkMatchesScalarOverThreeHundredSeeds) {
   using prophet::machine::SystemParameters;
   std::vector<SystemParameters> grid;
@@ -186,6 +188,20 @@ TEST(RandomModelBatch, PidByPidWalkMatchesScalarOverThreeHundredSeeds) {
     }
     return lanes;
   };
+  // np turns fastest: each 8-lane chunk spans every np, so each lane is a
+  // walk input of its own.
+  std::vector<SystemParameters> np_fastest;
+  for (int nodes = 1; nodes <= 4; ++nodes) {
+    for (int ppn = 1; ppn <= 2; ++ppn) {
+      for (int np = 1; np <= 8; ++np) {
+        SystemParameters params;
+        params.processes = np;
+        params.nodes = nodes;
+        params.processors_per_node = ppn;
+        np_fastest.push_back(params);
+      }
+    }
+  }
   const auto bits = [](double value) {
     return std::bit_cast<std::uint64_t>(value);
   };
@@ -220,6 +236,7 @@ TEST(RandomModelBatch, PidByPidWalkMatchesScalarOverThreeHundredSeeds) {
       }
     };
     check(grid, 8);
+    check(np_fastest, 8);
     auto speeds = speeds_fastest(2 + static_cast<int>(seed % 7));
     check(speeds, 2);
     check(speeds, 8);

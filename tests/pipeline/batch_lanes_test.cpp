@@ -133,20 +133,31 @@ TEST(BatchLanes, XmiRegistrationMatchesInMemoryModels) {
 }
 
 TEST(BatchLanes, MetricsReportBatchWidthAndBatchedEvals) {
-  BatchOptions options;
-  options.threads = 1;
-  options.batch_lanes = 8;
-  options.backend = BackendKind::Analytic;
-  options.collect_metrics = true;
-  BatchRunner runner(options);
-  const int index = runner.add_model_reference("@kernel6");
-  runner.add_sweep(index, ScenarioGrid::parse("np=1..16 nodes=1,2"));
-  const BatchReport report = runner.run();
+  const auto run = [](int batch_lanes) {
+    BatchOptions options;
+    options.threads = 1;
+    options.batch_lanes = batch_lanes;
+    options.backend = BackendKind::Analytic;
+    options.collect_metrics = true;
+    BatchRunner runner(options);
+    const int index = runner.add_model_reference("@kernel6");
+    runner.add_sweep(index, ScenarioGrid::parse("np=1..16 nodes=1,2"));
+    return runner.run();
+  };
+  const BatchReport report = run(8);
   for (const auto& result : report.results) {
     ASSERT_TRUE(result.ok) << result.error;
   }
-  // The vectorized VM actually ran...
-  EXPECT_GT(report.metrics.counter_value("expr.batch_evals"), 0u);
+  // @kernel6 reads neither np nor the topology, so each 8-lane chunk
+  // walks once: an eighth of the VM evaluations of the same sweep at one
+  // lane, with no lane falling back...
+  const BatchReport scalar = run(1);
+  EXPECT_GT(report.metrics.counter_value("expr.evals"), 0u);
+  EXPECT_EQ(8 * report.metrics.counter_value("expr.evals"),
+            scalar.metrics.counter_value("expr.evals"));
+  EXPECT_EQ(8 * report.metrics.counter_value("expr.instructions"),
+            scalar.metrics.counter_value("expr.instructions"));
+  EXPECT_EQ(report.metrics.counter_value("batch.lanes_fallback"), 0u);
   // ...and the configured lane width is visible.
   EXPECT_EQ(report.metrics.gauge_value("expr.batch_width"), 8.0);
 }
