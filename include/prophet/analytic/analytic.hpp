@@ -161,6 +161,15 @@ class AnalyticEstimator {
   /// share a replay.  The bound step runs per lane, over its replay, and
   /// reads the lane's own processors_per_node and nodes.
   ///
+  /// A thread keeps the walks of the last input its last evaluate_batch
+  /// call walked: the next call on the thread serves its first input, in
+  /// lane order, from them when they are this estimator's walks of that
+  /// input (estimators are told apart by an id, never by address), and
+  /// counts it in `walks_kept`.  A call with `budget` takes only walks
+  /// made under a budget, and is charged what they charged (loop trips,
+  /// then VM instructions).  Any walk drops them, evaluate()'s included;
+  /// evaluate() never takes them.
+  ///
   /// A guard::GuardError propagates.  Any other error makes the chunk
   /// re-run lane by lane through evaluate(), so the first lane in lane
   /// order that raises does so with its exact scalar message; every lane
@@ -168,9 +177,9 @@ class AnalyticEstimator {
   /// `spmd_fast_path` and `events_replayed` count per lane: a lane that
   /// shares a replay counts the events that replay consumed, and is
   /// charged them against `budget`, and also counts in `replays_shared`.
-  /// A walk counts its VM activity once however many lanes share it, so
-  /// those totals may be lower than the scalar loop's; predictions never
-  /// differ.
+  /// A walk counts its VM activity once however many lanes and calls
+  /// share it, so those totals may be lower than the scalar loop's;
+  /// predictions never differ.
   [[nodiscard]] std::vector<AnalyticReport> evaluate_batch(
       std::span<const machine::SystemParameters> params,
       obs::AnalyticCounters* counters = nullptr,

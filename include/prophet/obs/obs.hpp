@@ -65,6 +65,7 @@ struct AnalyticCounters {
   std::uint64_t spmd_fast_path = 0;   ///< one walk reused for all ranks
   std::uint64_t events_replayed = 0;  ///< events consumed by replay()
   std::uint64_t replays_shared = 0;   ///< lanes served another lane's replay
+  std::uint64_t walks_kept = 0;       ///< inputs served by a kept walk
   std::uint64_t schedule_wins = 0;    ///< makespan set by replayed schedule
   std::uint64_t capacity_wins = 0;    ///< makespan set by node capacity bound
   std::uint64_t critical_wins = 0;    ///< makespan set by critical-path bound

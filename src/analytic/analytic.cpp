@@ -1,6 +1,7 @@
 #include "prophet/analytic/analytic.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <deque>
@@ -330,6 +331,22 @@ struct Replay {
   std::uint64_t events = 0;         // events consumed across all cursors
 };
 
+/// What a thread's walks (Workspace::walks) are the walks of, so that the
+/// thread's next evaluate_batch call may serve its first walk input from
+/// them (Impl::run).  Every walk clears `estimator` before it writes, so
+/// a walk that throws keeps nothing.
+struct WalkTag {
+  std::uint64_t estimator = 0;      // Impl::id; 0: the walks serve nothing
+  machine::SystemParameters input;  // the walk input
+  bool spmd = false;                // pid 0's walk serves every process
+  std::uint64_t elements = 0;       // model elements walked
+  // Walked under a budget: `loop_trips` and `vm_instructions` are what
+  // the walk charged, and a call with a budget is charged them again.
+  bool budgeted = false;
+  std::uint64_t loop_trips = 0;
+  std::uint64_t vm_instructions = 0;
+};
+
 /// Every buffer an evaluation reads or writes.  There is one per thread
 /// (workspace()), so the buffers keep their capacity across lanes,
 /// inputs, chunks and sweeps, and a warm evaluation allocates only its
@@ -339,9 +356,10 @@ struct Replay {
 /// Thread contract: only one evaluation runs on a thread at a time —
 /// nothing an evaluation calls (the expression VM, the workload rules,
 /// the budget) calls back into an estimator — so the workspace needs no
-/// lock and no reentrancy guard.  It holds buffers only: nothing
-/// borrowed from a call (lanes, counters, budget) outlives the call.
-/// Every run re-initializes what it reads, because a lane error or a
+/// lock and no reentrancy guard.  It holds buffers and the tag of its
+/// walks: nothing borrowed from a call (lanes, counters, budget, the
+/// estimator) outlives the call.  Every run re-initializes what it reads
+/// except the walks its tag vouches for, because a lane error or a
 /// guard::GuardError can leave it mid-walk, and evaluate_batch then
 /// re-runs the chunk through evaluate() at once.
 struct Workspace {
@@ -353,8 +371,9 @@ struct Workspace {
   // slot -> binding.
   std::vector<double> global_values;
   std::vector<double*> run_frame;
-  // Each process's walk, by pid.
+  // Each process's walk, by pid, and what they are the walks of.
   std::vector<WalkResult> walks;
+  WalkTag tag;
   // One pid walk: its locals (by slot), its copy of the run frame and its
   // loop bindings.
   std::vector<double> locals;
@@ -384,6 +403,12 @@ Workspace& workspace() {
   return ws;
 }
 
+/// A number no other estimator of the process draws.
+std::uint64_t next_estimator_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -403,6 +428,10 @@ struct AnalyticEstimator::Impl {
   WalkSharing sharing;
   /// communicating_diagrams(), by diagram index.
   std::vector<bool> communicates;
+  /// Tells this estimator's walks apart from every other's in a thread's
+  /// workspace (WalkTag): drawn from a counter, never the address, which
+  /// a later estimator may take.
+  std::uint64_t id;
 
   /// State of the run of one walk input: the walk input itself and what
   /// every process's walk of it shares and counts (the globals, which
@@ -425,18 +454,26 @@ struct AnalyticEstimator::Impl {
   /// variables.
   void start_run(EvalState& st) const;
 
-  /// Walks process `pid` into `out`.
+  /// Walks process `pid` into `out`, one of the workspace's walks.
   void walk(EvalState& st, int pid, WalkResult& out) const;
+
+  /// Walks `st`'s input into the workspace's walks: starts a run, walks
+  /// pid 0 and, unless that walk serves every process, pids 1..np-1 in
+  /// order.  Returns whether pid 0's walk serves every process.
+  bool walk_input(EvalState& st) const;
 
   /// The one walk-replay-bound path, for evaluate() and evaluate_batch():
   /// validates every lane and gathers the lanes' distinct walk inputs
-  /// (same_walk_input).  Each input starts a run, walks pid 0 and, unless
-  /// that walk serves every process, pids 1..np-1 in order, then replays
+  /// (same_walk_input).  Each input is walked (walk_input), then replays
   /// each distinct replay input of its lanes once, and hands each of its
   /// lanes' reports, bounded from its replay, to `sink(lane, report)`.
+  /// With `keep`, the first input is served from the thread's walks when
+  /// their tag says they are this estimator's walks of it, and the last
+  /// input walked is tagged for the thread's next call; without, the
+  /// tag is neither read nor set.
   template <typename Sink>
   void run(std::span<const machine::SystemParameters> lanes,
-           obs::AnalyticCounters* counters, guard::Budget* budget,
+           obs::AnalyticCounters* counters, guard::Budget* budget, bool keep,
            Sink&& sink) const;
 
   AnalyticReport evaluate(const machine::SystemParameters& params,
@@ -452,7 +489,8 @@ struct AnalyticEstimator::Impl {
 AnalyticEstimator::Impl::Impl(lower::ModelProgramPtr p)
     : program(std::move(p)),
       sharing(walk_sharing(*program)),
-      communicates(communicating_diagrams(*program)) {}
+      communicates(communicating_diagrams(*program)),
+      id(next_estimator_id()) {}
 
 namespace {
 
@@ -1448,6 +1486,7 @@ void AnalyticEstimator::Impl::start_run(EvalState& st) const {
 void AnalyticEstimator::Impl::walk(EvalState& st, int pid,
                                    WalkResult& out) const {
   Workspace& ws = st.ws;
+  ws.tag.estimator = 0;  // the walks are no longer what the tag says
   ws.locals.assign(program->slot_count(), 0.0);
   ws.frame.assign(ws.run_frame.begin(), ws.run_frame.end());
   ws.bindings.clear();
@@ -1462,10 +1501,37 @@ void AnalyticEstimator::Impl::walk(EvalState& st, int pid,
   walker.walk_process();
 }
 
+bool AnalyticEstimator::Impl::walk_input(EvalState& st) const {
+  Workspace& ws = st.ws;
+  start_run(st);
+  if (ws.walks.empty()) {
+    ws.walks.resize(1);
+  }
+  // Global initializers read pid = tid = 0 in every process; only the
+  // walk's own reads decide whether one walk serves them all.
+  st.pid_queried = false;
+  walk(st, 0, ws.walks[0]);
+  // A walk that read no pid/tid and mutated no state is every process's
+  // timeline, so it serves all np of each of the input's lanes — the
+  // SPMD fast path that makes grid sweeps cheap.  Otherwise the model
+  // reads np (WalkSharing), so the input's lanes share its np.
+  const bool spmd = !st.pid_queried && st.fragments_executed == 0;
+  if (!spmd) {
+    const auto np = static_cast<std::size_t>(st.params.processes);
+    if (ws.walks.size() < np) {
+      ws.walks.resize(np);
+    }
+    for (std::size_t pid = 1; pid < np; ++pid) {
+      walk(st, static_cast<int>(pid), ws.walks[pid]);
+    }
+  }
+  return spmd;
+}
+
 template <typename Sink>
 void AnalyticEstimator::Impl::run(
     std::span<const machine::SystemParameters> lanes,
-    obs::AnalyticCounters* counters, guard::Budget* budget,
+    obs::AnalyticCounters* counters, guard::Budget* budget, bool keep,
     Sink&& sink) const {
   Workspace& ws = workspace();
   // Each lane's walk input: the first lane it shares a walk with
@@ -1490,26 +1556,48 @@ void AnalyticEstimator::Impl::run(
                  .params = lanes[first],
                  .counters = counters,
                  .budget = budget};
-    start_run(st);
-    if (ws.walks.empty()) {
-      ws.walks.resize(1);
-    }
-    // Global initializers read pid = tid = 0 in every process; only the
-    // walk's own reads decide whether one walk serves them all.
-    st.pid_queried = false;
-    walk(st, 0, ws.walks[0]);
-    // A walk that read no pid/tid and mutated no state is every process's
-    // timeline, so it serves all np of each of the input's lanes — the
-    // SPMD fast path that makes grid sweeps cheap.  Otherwise the model
-    // reads np (WalkSharing), so the input's lanes share its np.
-    const bool spmd = !st.pid_queried && st.fragments_executed == 0;
-    if (!spmd) {
-      const auto np = static_cast<std::size_t>(st.params.processes);
-      if (ws.walks.size() < np) {
-        ws.walks.resize(np);
+    WalkTag& tag = ws.tag;
+    bool spmd = false;
+    // The workspace holds the walks of the last input walked, which for
+    // the first input are the thread's previous call's: they serve it
+    // when they are this estimator's walks of it, made under a budget if
+    // this call has one, so that what they charged is known.  (A later
+    // input differs from the one walked before it.)  They are charged
+    // again, loop trips then instructions, as a re-emitted trip is; their
+    // VM activity is not counted again.
+    if (keep && tag.estimator == id &&
+        (budget == nullptr || tag.budgeted) &&
+        same_walk_input(tag.input, st.params, sharing)) {
+      if (budget != nullptr && tag.loop_trips > 0) {
+        budget->charge_loop_trips(tag.loop_trips, "analytic-loop");
       }
-      for (std::size_t pid = 1; pid < np; ++pid) {
-        walk(st, static_cast<int>(pid), ws.walks[pid]);
+      if (budget != nullptr && tag.vm_instructions > 0) {
+        budget->charge_vm_instructions(tag.vm_instructions, "expr-vm");
+      }
+      if (counters != nullptr) {
+        ++counters->walks_kept;
+      }
+      st.elements = tag.elements;
+      spmd = tag.spmd;
+    } else {
+      const std::uint64_t trips_before =
+          budget != nullptr ? budget->loop_trips() : 0;
+      const std::uint64_t instructions_before =
+          budget != nullptr ? budget->vm_instructions() : 0;
+      spmd = walk_input(st);
+      if (keep) {
+        tag = {.estimator = id,
+               .input = st.params,
+               .spmd = spmd,
+               .elements = st.elements,
+               .budgeted = budget != nullptr,
+               .loop_trips = budget != nullptr
+                                 ? budget->loop_trips() - trips_before
+                                 : 0,
+               .vm_instructions =
+                   budget != nullptr
+                       ? budget->vm_instructions() - instructions_before
+                       : 0};
       }
     }
     // Each distinct replay input of the input's lanes (same_replay_input)
@@ -1559,7 +1647,7 @@ AnalyticReport AnalyticEstimator::Impl::evaluate(
     const machine::SystemParameters& params, obs::AnalyticCounters* counters,
     guard::Budget* budget) const {
   AnalyticReport report;
-  run(std::span(&params, 1), counters, budget,
+  run(std::span(&params, 1), counters, budget, /*keep=*/false,
       [&report](std::size_t, AnalyticReport&& lane) {
         report = std::move(lane);
       });
@@ -1572,7 +1660,7 @@ std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch(
     std::size_t* lanes_fallback) const {
   std::vector<AnalyticReport> reports(lanes.size());
   try {
-    run(lanes, counters, budget,
+    run(lanes, counters, budget, /*keep=*/true,
         [&reports](std::size_t lane, AnalyticReport&& report) {
           reports[lane] = std::move(report);
         });

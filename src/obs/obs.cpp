@@ -133,6 +133,7 @@ void Registry::fold(std::string_view prefix,
   counter(key.with("spmd_fast_path")).add(counters.spmd_fast_path);
   counter(key.with("events_replayed")).add(counters.events_replayed);
   counter(key.with("replays_shared")).add(counters.replays_shared);
+  counter(key.with("walks_kept")).add(counters.walks_kept);
   counter(key.with("schedule_wins")).add(counters.schedule_wins);
   counter(key.with("capacity_wins")).add(counters.capacity_wins);
   counter(key.with("critical_wins")).add(counters.critical_wins);

@@ -407,9 +407,11 @@ std::vector<BatchRunner::CompiledEntry> BatchRunner::compile_models(
         return;
       }
       const std::size_t m = to_compile[ticket];
-      const obs::TraceLog::HostSpan span(log, 0, worker_id,
-                                         "compile " + models_[m].name,
-                                         "host.compile");
+      // Named only when traced: a span on a null log records nothing.
+      const obs::TraceLog::HostSpan span(
+          log, 0, worker_id,
+          log != nullptr ? "compile " + models_[m].name : std::string(),
+          "host.compile");
       compile_one(m, &entries[m]);
     }
   };
@@ -890,11 +892,15 @@ BatchReport BatchRunner::run() const {
           (log != nullptr && trace_job[chunk.begin] != 0) ? &sim_trace
                                                           : nullptr;
       {
-        std::string name =
-            "estimate " + first.model_name + " #" + std::to_string(first.id);
-        if (chunk.size > 1) {
-          name += "-#" +
-                  std::to_string(jobs_[chunk.begin + chunk.size - 1].id);
+        // Named only when traced: a span on a null log records nothing.
+        std::string name;
+        if (log != nullptr) {
+          name = "estimate " + first.model_name + " #" +
+                 std::to_string(first.id);
+          if (chunk.size > 1) {
+            name += "-#" +
+                    std::to_string(jobs_[chunk.begin + chunk.size - 1].id);
+          }
         }
         const obs::TraceLog::HostSpan span(log, 0, worker_id,
                                            std::move(name), "host.estimate");

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "prophet/analytic/backend.hpp"
 #include "prophet/cgen/backend.hpp"
 #include "prophet/estimator/backend.hpp"
+#include "prophet/obs/obs.hpp"
 #include "prophet/prophet.hpp"
 #include "prophet/uml/builder.hpp"
 #include "same_finish.hpp"
@@ -25,6 +27,7 @@ namespace analytic = prophet::analytic;
 namespace cgen = prophet::cgen;
 namespace estimator = prophet::estimator;
 namespace machine = prophet::machine;
+namespace obs = prophet::obs;
 namespace uml = prophet::uml;
 
 namespace {
@@ -530,36 +533,59 @@ TEST(Backend, PreparedEstimateSkipsMachineReportOnRequest) {
             prepared->estimate(params_np(2)).predicted_time);
 }
 
-// One prepared handle, many threads: estimate() must be deterministic
-// under concurrency (the batch pipeline's worker pool leans on this).
-// The assertions check result identity; the sanitizer CI job adds
-// ASan/UBSan memory-error coverage.  Note neither detects data races —
-// race-freedom rests on the PreparedModel design (no mutable shared
-// state), not on this test alone.
+// One prepared handle, many threads: estimate() and estimate_batch() must
+// be deterministic under concurrency (the batch pipeline's worker pool
+// leans on this).  Each thread's batches are 8-lane chunks whose np
+// spans two chunks, so every thread keeps its analytic walks from chunk
+// to chunk in its own workspace.  The assertions check result identity;
+// the sanitizer CI job adds ASan/UBSan memory-error coverage, and the
+// TSan CI job runs this test, so a data race fails it there.
 TEST(Backend, PreparedEstimateIsThreadSafeUnderConcurrentCalls) {
   const uml::Model model = prophet::models::kernel6_model(64, 16, 1e-8);
   const std::vector<machine::SystemParameters> grid = {
       params_np(1), params_np(2), params_np(4, 2, 2), params_np(8, 2, 4)};
+  // np = 4 and 8, each over nodes = 1..4 x ppn = 1..4: four chunks.
+  constexpr std::size_t kLanes = 8;
+  std::vector<machine::SystemParameters> chunked;
+  for (const int np : {4, 8}) {
+    for (int nodes = 1; nodes <= 4; ++nodes) {
+      for (int ppn = 1; ppn <= 4; ++ppn) {
+        chunked.push_back(params_np(np, nodes, ppn));
+      }
+    }
+  }
   for (const estimator::BackendKind kind :
        {estimator::BackendKind::Simulation, estimator::BackendKind::Analytic}) {
     const auto prepared = cgen::make_backend(kind)->prepare(model);
     std::vector<double> expected;
-    expected.reserve(grid.size());
     for (const auto& params : grid) {
+      expected.push_back(prepared->estimate(params).predicted_time);
+    }
+    for (const auto& params : chunked) {
       expected.push_back(prepared->estimate(params).predicted_time);
     }
 
     constexpr int kThreads = 4;
     constexpr int kRounds = 8;
     std::vector<std::vector<double>> seen(kThreads);
+    std::vector<obs::Registry> metrics(kThreads);
     std::vector<std::thread> pool;
     pool.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       pool.emplace_back([&, t] {
+        std::vector<double>& mine = seen[static_cast<std::size_t>(t)];
+        estimator::EstimationOptions options;
+        options.metrics = &metrics[static_cast<std::size_t>(t)];
         for (int round = 0; round < kRounds; ++round) {
           for (const auto& params : grid) {
-            seen[static_cast<std::size_t>(t)].push_back(
-                prepared->estimate(params).predicted_time);
+            mine.push_back(prepared->estimate(params).predicted_time);
+          }
+          for (std::size_t begin = 0; begin < chunked.size();
+               begin += kLanes) {
+            for (const auto& report : prepared->estimate_batch(
+                     std::span(chunked).subspan(begin, kLanes), options)) {
+              mine.push_back(report.predicted_time);
+            }
           }
         }
       });
@@ -568,12 +594,19 @@ TEST(Backend, PreparedEstimateIsThreadSafeUnderConcurrentCalls) {
       thread.join();
     }
     for (int t = 0; t < kThreads; ++t) {
+      // kernel6 walks one input for every lane: after each round's
+      // estimate() calls, the first chunk walks and the other three are
+      // served from its walk.
+      EXPECT_EQ(metrics[static_cast<std::size_t>(t)].counter_value(
+                    "analytic.walks_kept"),
+                kind == estimator::BackendKind::Analytic ? 3u * kRounds : 0u)
+          << "thread " << t;
       ASSERT_EQ(seen[static_cast<std::size_t>(t)].size(),
-                grid.size() * kRounds);
+                expected.size() * kRounds);
       for (std::size_t i = 0; i < seen[static_cast<std::size_t>(t)].size();
            ++i) {
         EXPECT_EQ(seen[static_cast<std::size_t>(t)][i],
-                  expected[i % grid.size()])
+                  expected[i % expected.size()])
             << "backend " << estimator::to_string(kind) << ", thread " << t;
       }
     }

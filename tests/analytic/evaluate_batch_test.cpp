@@ -6,19 +6,25 @@
 // walk (np only when the model may read it, nodes and ppn only when it
 // may read the topology).  A chunk with a lane error re-runs lane by
 // lane, raises the first lane's error in lane order and counts every
-// lane as a fallback.
+// lane as a fallback.  A thread's chunk whose first walk input is the
+// one the thread's previous chunk walked last is served from that walk,
+// and charged what it charged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "prophet/analytic/analytic.hpp"
 #include "prophet/analytic/backend.hpp"
 #include "prophet/estimator/backend.hpp"
+#include "prophet/guard/guard.hpp"
+#include "prophet/lower/lower.hpp"
 #include "prophet/models/registry.hpp"
 #include "prophet/obs/obs.hpp"
 #include "prophet/prophet.hpp"
@@ -27,6 +33,7 @@
 
 namespace analytic = prophet::analytic;
 namespace estimator = prophet::estimator;
+namespace guard = prophet::guard;
 namespace machine = prophet::machine;
 namespace obs = prophet::obs;
 namespace uml = prophet::uml;
@@ -289,9 +296,9 @@ TEST(AnalyticBatch, ForksRegionsCriticalsAndProbBranchesBatch) {
 
 // --- Models that read pid/tid or run code fragments --------------------------
 
-analytic::AnalyticEstimator random_estimator() {
+analytic::AnalyticEstimator registry_estimator(const std::string& name) {
   return analytic::AnalyticEstimator(
-      prophet::models::Registry::builtin().make("@random"));
+      prophet::models::Registry::builtin().make(name));
 }
 
 TEST(AnalyticBatch, PidDependentModelsBatchOnePidAtATime) {
@@ -299,7 +306,7 @@ TEST(AnalyticBatch, PidDependentModelsBatchOnePidAtATime) {
   // fragments that write a global a guard reads.  Each distinct walk
   // input walks every pid once, in pid order over its own globals: no
   // lane falls back, and every report is the scalar walk's.
-  const analytic::AnalyticEstimator analyzer = random_estimator();
+  const analytic::AnalyticEstimator analyzer = registry_estimator("@random");
   std::vector<machine::SystemParameters> lanes;
   for (const int nodes : {1, 2, 3, 4}) {
     for (const int ppn : {1, 2}) {
@@ -330,7 +337,7 @@ TEST(AnalyticBatch, LanesOfEqualNpBatchTogether) {
   // pid (so np) and no topology, so lanes of one np share a walk.  The
   // counters are those of one lane of each np evaluated on its own, and
   // each lane replays what its own evaluate() replays.
-  const analytic::AnalyticEstimator analyzer = random_estimator();
+  const analytic::AnalyticEstimator analyzer = registry_estimator("@random");
   std::vector<machine::SystemParameters> lanes;
   int nodes = 0;
   for (const int np : {1, 2, 2, 3, 3, 3, 8}) {
@@ -355,7 +362,7 @@ TEST(AnalyticBatch, LanesOfEqualNpBatchTogether) {
 TEST(AnalyticBatch, NonConsecutiveLanesOfOneInputShareAWalk) {
   // np alternates 2, 3, 2, 3, ... over varying nodes and ppn: the lanes
   // of each np share one walk however far apart they sit in the chunk.
-  const analytic::AnalyticEstimator analyzer = random_estimator();
+  const analytic::AnalyticEstimator analyzer = registry_estimator("@random");
   std::vector<machine::SystemParameters> lanes;
   for (int nodes = 1; nodes <= 2; ++nodes) {
     for (int ppn = 1; ppn <= 2; ++ppn) {
@@ -397,7 +404,7 @@ TEST(AnalyticBatch, GroupsWiderThanTheDefaultWidthBatch) {
                                            analyzer) {
     expect_walks(name, analyzer, lanes, lanes);
   };
-  expect_batched("random", random_estimator());
+  expect_batched("random", registry_estimator("@random"));
   expect_batched("fork", analytic::AnalyticEstimator(fork_model()));
   expect_batched("critical", analytic::AnalyticEstimator(critical_model()));
   expect_batched("tid region", analytic::AnalyticEstimator(
@@ -660,6 +667,290 @@ TEST(AnalyticBatch, EmptySpanYieldsNoReports) {
   const analytic::AnalyticEstimator analyzer(
       prophet::models::kernel6_model(8, 2, 1e-8));
   EXPECT_TRUE(analyzer.evaluate_batch({}).empty());
+}
+
+// --- Kept walks ---------------------------------------------------------------
+
+/// The benchmark's wide grid, np turning slowest: np = 1..16, each over
+/// nodes = 1..4 x ppn = 1..4.
+std::vector<machine::SystemParameters> wide_grid() {
+  std::vector<machine::SystemParameters> lanes;
+  for (int np = 1; np <= 16; ++np) {
+    for (int nodes = 1; nodes <= 4; ++nodes) {
+      for (int ppn = 1; ppn <= 4; ++ppn) {
+        lanes.push_back(params_np(np, nodes, ppn));
+      }
+    }
+  }
+  return lanes;
+}
+
+/// np = 4 over nodes = 1, 2 x ppn = 1, 2: one walk input for a model
+/// that reads no topology.
+std::vector<machine::SystemParameters> np4_lanes() {
+  std::vector<machine::SystemParameters> lanes;
+  for (const int nodes : {1, 2}) {
+    for (const int ppn : {1, 2}) {
+      lanes.push_back(params_np(4, nodes, ppn));
+    }
+  }
+  return lanes;
+}
+
+/// Expects `reports` bit-exact against evaluate() on each of `lanes`.
+void expect_scalar(const char* name,
+                   const analytic::AnalyticEstimator& analyzer,
+                   const std::vector<analytic::AnalyticReport>& reports,
+                   const std::vector<machine::SystemParameters>& lanes) {
+  ASSERT_EQ(reports.size(), lanes.size()) << name;
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    SCOPED_TRACE(std::string(name) + ", lane " + std::to_string(lane));
+    expect_reports_identical(reports[lane], analyzer.evaluate(lanes[lane]));
+  }
+}
+
+TEST(KeptWalk, ConsecutiveChunksWalkEachInputOnce) {
+  // The wide grid in 8-lane chunks on one thread: a chunk whose first
+  // walk input is the one the chunk before it walked last is served from
+  // that walk, so the sweep walks each input once.  @kernel6 has one
+  // input for the whole grid; the other three read pid, so np, and no
+  // topology: one input per np, whose 16 lanes span two chunks.
+  const auto grid = wide_grid();
+  std::vector<machine::SystemParameters> one_per_np;
+  for (std::size_t lane = 0; lane < grid.size(); lane += 16) {
+    one_per_np.push_back(grid[lane]);
+  }
+  struct Case {
+    const char* name;
+    std::uint64_t kept;
+    bool one_input;
+  };
+  for (const Case& model : {Case{"@kernel6", 31, true},
+                            Case{"@random", 16, false},
+                            Case{"@stencil2d", 16, false},
+                            Case{"@pipeline", 16, false}}) {
+    const analytic::AnalyticEstimator analyzer =
+        registry_estimator(model.name);
+    obs::AnalyticCounters counters;
+    std::vector<analytic::AnalyticReport> reports;
+    for (std::size_t begin = 0; begin < grid.size(); begin += 8) {
+      for (auto& report : analyzer.evaluate_batch(
+               std::span(grid).subspan(begin, 8), &counters)) {
+        reports.push_back(std::move(report));
+      }
+    }
+    // Compared only now: evaluate() walks, so a call between two chunks
+    // would leave the second nothing to keep.
+    EXPECT_EQ(counters.walks_kept, model.kept) << model.name;
+    EXPECT_EQ(counters.expr.evals,
+              model.one_input
+                  ? scalar_evals(analyzer, std::span(grid).first(1))
+                  : scalar_evals(analyzer, one_per_np))
+        << model.name;
+    expect_scalar(model.name, analyzer, reports, grid);
+  }
+}
+
+TEST(KeptWalk, EstimatorsNeverShareAWalk) {
+  // Two one-walk models, so every lane of both has one walk input,
+  // alternating on one thread: each chunk walks its own model.
+  const analytic::AnalyticEstimator kernel6(
+      prophet::models::kernel6_model(64, 16, 1e-8));
+  const analytic::AnalyticEstimator nest(loop_nest_model());
+  const auto lanes = np_lanes();
+  std::vector<std::vector<analytic::AnalyticReport>> reports;
+  obs::AnalyticCounters counters;
+  for (int round = 0; round < 2; ++round) {
+    for (const analytic::AnalyticEstimator* analyzer : {&kernel6, &nest}) {
+      reports.push_back(analyzer->evaluate_batch(lanes, &counters));
+    }
+  }
+  EXPECT_EQ(counters.walks_kept, 0u);
+  const auto first = std::span(lanes).first(1);
+  EXPECT_EQ(counters.expr.evals, 2 * scalar_evals(kernel6, first) +
+                                     2 * scalar_evals(nest, first));
+  for (std::size_t call = 0; call < reports.size(); ++call) {
+    expect_scalar(call % 2 == 0 ? "kernel6" : "nest",
+                  call % 2 == 0 ? kernel6 : nest, reports[call], lanes);
+  }
+}
+
+TEST(KeptWalk, AChunkAfterEvaluateWalksAgain) {
+  const analytic::AnalyticEstimator analyzer(
+      prophet::models::kernel6_model(64, 16, 1e-8));
+  const auto lanes = np_lanes();
+  const std::uint64_t one_walk =
+      scalar_evals(analyzer, std::span(lanes).first(1));
+  (void)analyzer.evaluate_batch(lanes);
+  obs::AnalyticCounters kept;
+  (void)analyzer.evaluate_batch(lanes, &kept);
+  EXPECT_EQ(kept.walks_kept, 1u);
+  EXPECT_EQ(kept.expr.evals, 0u);
+  // evaluate() neither reads the tag, so it walks, nor sets it, so the
+  // chunk after it walks too.
+  obs::AnalyticCounters scalar;
+  expect_reports_identical(analyzer.evaluate(lanes.front(), &scalar),
+                           analyzer.evaluate(lanes.front()));
+  EXPECT_EQ(scalar.expr.evals, one_walk);
+  obs::AnalyticCounters again;
+  const auto reports = analyzer.evaluate_batch(lanes, &again);
+  EXPECT_EQ(again.walks_kept, 0u);
+  EXPECT_EQ(again.expr.evals, one_walk);
+  expect_scalar("after evaluate", analyzer, reports, lanes);
+}
+
+TEST(KeptWalk, ANewEstimatorNeverTakesAnOldOnesWalk) {
+  // The second estimator is built where the first was, from a lowering
+  // made beforehand, so its state is allocated first thing after the
+  // first one's is freed and usually lands where that was: it still
+  // walks afresh.
+  const auto lanes = np_lanes();
+  const auto first = prophet::lower::lower(
+      prophet::models::kernel6_model(64, 16, 1e-8));
+  const auto second = prophet::lower::lower(loop_nest_model());
+  std::optional<analytic::AnalyticEstimator> analyzer;
+  analyzer.emplace(first);
+  (void)analyzer->evaluate_batch(lanes);
+  analyzer.reset();
+  analyzer.emplace(second);
+  obs::AnalyticCounters counters;
+  const auto reports = analyzer->evaluate_batch(lanes, &counters);
+  EXPECT_GT(counters.expr.evals, 0u);
+  EXPECT_EQ(counters.walks_kept, 0u);
+  expect_scalar("rebuilt", *analyzer, reports, lanes);
+}
+
+TEST(KeptWalk, AWalkThatThrowsKeepsNothing) {
+  // np = 2 keeps its walk; np = 1's walk breaks the peer rule part way
+  // and leaves its partial walk where np = 2's was.
+  const analytic::AnalyticEstimator analyzer(send_to_one_model());
+  const std::vector<machine::SystemParameters> valid = {params_np(2, 1, 1),
+                                                        params_np(2, 2, 2)};
+  (void)analyzer.evaluate_batch(valid);
+  const std::vector<machine::SystemParameters> invalid = {params_np(2),
+                                                          params_np(1)};
+  EXPECT_THROW((void)analyzer.evaluate_batch(invalid), std::invalid_argument);
+  obs::AnalyticCounters counters;
+  const auto reports = analyzer.evaluate_batch(valid, &counters);
+  EXPECT_EQ(counters.walks_kept, 0u);
+  expect_scalar("after a throw", analyzer, reports, valid);
+
+  // A walk that trips its budget propagates without the lane-by-lane
+  // re-run, and keeps nothing either.
+  (void)analyzer.evaluate_batch(valid);
+  guard::Limits limits;
+  limits.max_vm_instructions = 1;
+  guard::Budget tight(limits);
+  const std::vector<machine::SystemParameters> wider = {params_np(3)};
+  EXPECT_THROW((void)analyzer.evaluate_batch(wider, nullptr, &tight),
+               guard::ResourceExhausted);
+  obs::AnalyticCounters after_trip;
+  const auto retried = analyzer.evaluate_batch(valid, &after_trip);
+  EXPECT_EQ(after_trip.walks_kept, 0u);
+  expect_scalar("after a trip", analyzer, retried, valid);
+}
+
+/// Runs `body` on a new thread, whose analytic workspace keeps nothing.
+template <typename Body>
+void on_a_new_thread(Body&& body) {
+  std::thread(std::forward<Body>(body)).join();
+}
+
+TEST(KeptWalk, AKeptWalkIsChargedWhatItsWalkCharged) {
+  // A chunk served from a kept walk leaves its budget where the same
+  // chunk leaves it on a new thread, which walks.
+  const auto lanes = np4_lanes();
+  const auto expect_charged_alike =
+      [&lanes](const char* name, const analytic::AnalyticEstimator& analyzer,
+               bool loops) {
+        guard::Budget first;  // unlimited: the walk is kept with its charges
+        (void)analyzer.evaluate_batch(lanes, nullptr, &first);
+        guard::Budget warm;
+        obs::AnalyticCounters counters;
+        const auto kept = analyzer.evaluate_batch(lanes, &counters, &warm);
+        EXPECT_EQ(counters.walks_kept, 1u) << name;
+        guard::Budget cold;
+        std::vector<analytic::AnalyticReport> walked;
+        on_a_new_thread(
+            [&] { walked = analyzer.evaluate_batch(lanes, nullptr, &cold); });
+        EXPECT_GT(cold.vm_instructions(), 0u) << name;
+        if (loops) {
+          EXPECT_GT(cold.loop_trips(), 0u) << name;
+        }
+        EXPECT_EQ(warm.vm_instructions(), cold.vm_instructions()) << name;
+        EXPECT_EQ(warm.loop_trips(), cold.loop_trips()) << name;
+        EXPECT_EQ(warm.usage().replay_events, cold.usage().replay_events)
+            << name;
+        ASSERT_EQ(kept.size(), walked.size()) << name;
+        for (std::size_t lane = 0; lane < kept.size(); ++lane) {
+          expect_reports_identical(kept[lane], walked[lane]);
+        }
+      };
+  // Every trip walked, each charged a loop trip; trips re-emitted,
+  // charged their first trip's loop trips and instructions; pid walks
+  // over code fragments.
+  expect_charged_alike(
+      "trips", analytic::AnalyticEstimator(loop_model("0.001 * (i + 1)")),
+      true);
+  expect_charged_alike("@stencil2d", registry_estimator("@stencil2d"), true);
+  expect_charged_alike("@random", registry_estimator("@random"), false);
+}
+
+TEST(KeptWalk, AKeptWalkTripsTheLimitItsWalkWouldTrip) {
+  const analytic::AnalyticEstimator analyzer = registry_estimator("@random");
+  const auto lanes = np4_lanes();
+  guard::Budget first;
+  (void)analyzer.evaluate_batch(lanes, nullptr, &first);
+  ASSERT_GT(first.vm_instructions(), 1u);
+  guard::Limits limits;
+  limits.max_vm_instructions = first.vm_instructions() - 1;
+  struct Trip {
+    std::string what;
+    std::string stage;
+    guard::LimitKind limit = guard::LimitKind::WallClock;
+  };
+  const auto trip_of = [&] {
+    Trip trip;
+    guard::Budget budget(limits);
+    try {
+      (void)analyzer.evaluate_batch(lanes, nullptr, &budget);
+    } catch (const guard::GuardError& error) {
+      trip = {error.what(), error.stage(), error.limit()};
+    }
+    return trip;
+  };
+  const Trip kept = trip_of();
+  Trip walked;
+  on_a_new_thread([&] { walked = trip_of(); });
+  EXPECT_EQ(kept.limit, guard::LimitKind::VmInstructions);
+  EXPECT_EQ(kept.stage, "expr-vm");
+  EXPECT_EQ(kept.what, walked.what);
+  EXPECT_EQ(kept.stage, walked.stage);
+  EXPECT_EQ(kept.limit, walked.limit);
+}
+
+TEST(KeptWalk, AWalkKeptWithoutABudgetWalksAgainUnderOne) {
+  // Without a budget a walk's charges are not known, so a call with one
+  // walks again and keeps that walk; a call without one takes either.
+  const analytic::AnalyticEstimator analyzer = registry_estimator("@random");
+  const auto lanes = np4_lanes();
+  const std::uint64_t one_walk =
+      scalar_evals(analyzer, std::span(lanes).first(1));
+  (void)analyzer.evaluate_batch(lanes);
+  guard::Budget budget;
+  obs::AnalyticCounters walked;
+  (void)analyzer.evaluate_batch(lanes, &walked, &budget);
+  EXPECT_EQ(walked.walks_kept, 0u);
+  EXPECT_EQ(walked.expr.evals, one_walk);
+  guard::Budget again;
+  obs::AnalyticCounters kept;
+  (void)analyzer.evaluate_batch(lanes, &kept, &again);
+  EXPECT_EQ(kept.walks_kept, 1u);
+  EXPECT_EQ(again.vm_instructions(), budget.vm_instructions());
+  obs::AnalyticCounters unbudgeted;
+  const auto reports = analyzer.evaluate_batch(lanes, &unbudgeted);
+  EXPECT_EQ(unbudgeted.walks_kept, 1u);
+  expect_scalar("unbudgeted", analyzer, reports, lanes);
 }
 
 // --- PreparedModel::estimate_batch ------------------------------------------

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "prophet/analytic/analytic.hpp"
@@ -16,6 +17,7 @@
 #include "prophet/cgen/backend.hpp"
 #include "prophet/interp/interpreter.hpp"
 #include "prophet/lower/lower.hpp"
+#include "prophet/obs/obs.hpp"
 #include "prophet/prophet.hpp"
 #include "prophet/traverse/handlers.hpp"
 #include "prophet/xmi/xmi.hpp"
@@ -156,8 +158,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomModelThreeWay,
 ///    2-lane chunks walk two distinct inputs and 8-lane chunks two
 ///    inputs of four lanes each; with cpu_speed slowest, 8-lane chunks
 ///    share one walk.
-/// Each lane must reproduce evaluate() to the bit, and no lane may fall
-/// back to lane-by-lane evaluation.
+/// The first set in 4-lane chunks and the third in 3-lane chunks make a
+/// chunk's first walk input the one the chunk before it walked last, so
+/// the chunk takes that walk: alone, or before walking another input.
+/// A set's chunks all run before any evaluate() call, which would leave
+/// them no walk to take.  Each lane must reproduce evaluate() to the bit,
+/// and no lane may fall back to lane-by-lane evaluation.
 TEST(RandomModelBatch, PidByPidWalkMatchesScalarOverThreeHundredSeeds) {
   using prophet::machine::SystemParameters;
   std::vector<SystemParameters> grid;
@@ -206,39 +212,44 @@ TEST(RandomModelBatch, PidByPidWalkMatchesScalarOverThreeHundredSeeds) {
     return std::bit_cast<std::uint64_t>(value);
   };
   std::size_t lanes_fallback = 0;
+  prophet::obs::AnalyticCounters counters;
   for (std::uint64_t seed = 1; seed <= 300 && !HasFailure(); ++seed) {
     const prophet::analytic::AnalyticEstimator estimator(
         prophet::models::random_model(seed, 30));
     const auto check = [&](std::span<const SystemParameters> set,
                            std::size_t width) {
+      std::vector<prophet::analytic::AnalyticReport> batched;
       for (std::size_t begin = 0; begin < set.size(); begin += width) {
-        const auto lanes = set.subspan(begin, width);
-        const auto batched =
-            estimator.evaluate_batch(lanes, nullptr, nullptr, &lanes_fallback);
-        ASSERT_EQ(batched.size(), lanes.size());
-        for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-          const auto scalar = estimator.evaluate(lanes[lane]);
-          const auto& got = batched[lane];
-          EXPECT_EQ(bits(got.predicted_time), bits(scalar.predicted_time))
-              << "seed " << seed << " np " << lanes[lane].processes
-              << " width " << width << " lane " << begin + lane;
-          ASSERT_EQ(got.per_process_finish.size(),
-                    scalar.per_process_finish.size());
-          for (std::size_t pid = 0; pid < scalar.per_process_finish.size();
-               ++pid) {
-            EXPECT_EQ(bits(got.per_process_finish[pid]),
-                      bits(scalar.per_process_finish[pid]))
-                << "seed " << seed << " np " << lanes[lane].processes
-                << " width " << width << " lane " << begin + lane << " pid "
-                << pid;
-          }
+        for (auto& report : estimator.evaluate_batch(
+                 set.subspan(begin, std::min(width, set.size() - begin)),
+                 &counters, nullptr, &lanes_fallback)) {
+          batched.push_back(std::move(report));
+        }
+      }
+      ASSERT_EQ(batched.size(), set.size());
+      for (std::size_t lane = 0; lane < set.size(); ++lane) {
+        const auto scalar = estimator.evaluate(set[lane]);
+        const auto& got = batched[lane];
+        EXPECT_EQ(bits(got.predicted_time), bits(scalar.predicted_time))
+            << "seed " << seed << " np " << set[lane].processes << " width "
+            << width << " lane " << lane;
+        ASSERT_EQ(got.per_process_finish.size(),
+                  scalar.per_process_finish.size());
+        for (std::size_t pid = 0; pid < scalar.per_process_finish.size();
+             ++pid) {
+          EXPECT_EQ(bits(got.per_process_finish[pid]),
+                    bits(scalar.per_process_finish[pid]))
+              << "seed " << seed << " np " << set[lane].processes
+              << " width " << width << " lane " << lane << " pid " << pid;
         }
       }
     };
     check(grid, 8);
+    check(grid, 4);
     check(np_fastest, 8);
     auto speeds = speeds_fastest(2 + static_cast<int>(seed % 7));
     check(speeds, 2);
+    check(speeds, 3);
     check(speeds, 8);
     std::stable_partition(
         speeds.begin(), speeds.end(),
@@ -246,6 +257,7 @@ TEST(RandomModelBatch, PidByPidWalkMatchesScalarOverThreeHundredSeeds) {
     check(speeds, 8);
   }
   EXPECT_EQ(lanes_fallback, 0u);
+  EXPECT_GT(counters.walks_kept, 0u);
 }
 
 /// Statistics handler sanity over random models.

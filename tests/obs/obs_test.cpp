@@ -102,12 +102,14 @@ TEST(Registry, FoldsPodBlocksUnderPrefix) {
   analytic.schedule_wins = 1;
   analytic.trips_reemitted = 8;
   analytic.replays_shared = 9;
+  analytic.walks_kept = 10;
   registry.fold("analytic.", analytic);
   EXPECT_EQ(registry.counter_value("analytic.loop_collapses"), 6U);
   EXPECT_EQ(registry.counter_value("analytic.events_replayed"), 7U);
   EXPECT_EQ(registry.counter_value("analytic.schedule_wins"), 1U);
   EXPECT_EQ(registry.counter_value("analytic.trips_reemitted"), 8U);
   EXPECT_EQ(registry.counter_value("analytic.replays_shared"), 9U);
+  EXPECT_EQ(registry.counter_value("analytic.walks_kept"), 10U);
 
   // Folding again accumulates.
   registry.fold("expr.", expr);

@@ -148,15 +148,18 @@ TEST(BatchLanes, MetricsReportBatchWidthAndBatchedEvals) {
   for (const auto& result : report.results) {
     ASSERT_TRUE(result.ok) << result.error;
   }
-  // @kernel6 reads neither np nor the topology, so each 8-lane chunk
-  // walks once: an eighth of the VM evaluations of the same sweep at one
-  // lane, with no lane falling back...
+  // @kernel6 reads neither np nor the topology, so the first 8-lane
+  // chunk walks once and the thread's walk serves the three chunks after
+  // it: a 32nd of the VM evaluations of the same sweep at one lane, where
+  // each job walks, with no lane falling back...
   const BatchReport scalar = run(1);
   EXPECT_GT(report.metrics.counter_value("expr.evals"), 0u);
-  EXPECT_EQ(8 * report.metrics.counter_value("expr.evals"),
+  EXPECT_EQ(32 * report.metrics.counter_value("expr.evals"),
             scalar.metrics.counter_value("expr.evals"));
-  EXPECT_EQ(8 * report.metrics.counter_value("expr.instructions"),
+  EXPECT_EQ(32 * report.metrics.counter_value("expr.instructions"),
             scalar.metrics.counter_value("expr.instructions"));
+  EXPECT_EQ(report.metrics.counter_value("analytic.walks_kept"), 3u);
+  EXPECT_EQ(scalar.metrics.counter_value("analytic.walks_kept"), 0u);
   EXPECT_EQ(report.metrics.counter_value("batch.lanes_fallback"), 0u);
   // ...and the configured lane width is visible.
   EXPECT_EQ(report.metrics.gauge_value("expr.batch_width"), 8.0);
