@@ -170,10 +170,12 @@ class AnalyticEstimator {
   /// then VM instructions).  Any walk drops them, evaluate()'s included;
   /// evaluate() never takes them.
   ///
-  /// A guard::GuardError propagates.  Any other error makes the chunk
-  /// re-run lane by lane through evaluate(), so the first lane in lane
-  /// order that raises does so with its exact scalar message; every lane
-  /// of such a chunk is added to `*lanes_fallback` when non-null.
+  /// Throws when any lane cannot be evaluated: a guard::GuardError, or
+  /// the error a lane raises while the lanes are validated, walked and
+  /// replayed, worded as evaluate() words it for that lane.  Which
+  /// failing lane's error is raised is unspecified; a caller that needs
+  /// each lane's own error (the sweep pipeline) re-runs the lanes one by
+  /// one.  The fourth parameter is never written.
   /// `spmd_fast_path` and `events_replayed` count per lane: a lane that
   /// shares a replay counts the events that replay consumed, and is
   /// charged them against `budget`, and also counts in `replays_shared`.
@@ -183,8 +185,7 @@ class AnalyticEstimator {
   [[nodiscard]] std::vector<AnalyticReport> evaluate_batch(
       std::span<const machine::SystemParameters> params,
       obs::AnalyticCounters* counters = nullptr,
-      guard::Budget* budget = nullptr,
-      std::size_t* lanes_fallback = nullptr) const;
+      guard::Budget* budget = nullptr, std::size_t* = nullptr) const;
 
   /// The shared lowering this estimator evaluates (never null).
   [[nodiscard]] lower::ModelProgramPtr lowering() const;

@@ -98,9 +98,9 @@ class PreparedModel {
   /// so every backend is conformant by construction; backends that can
   /// share work between lanes (the analytic estimator, which walks each
   /// distinct walk input once) override it.
-  /// Throws on the first unevaluable scenario — callers needing per-lane
-  /// error attribution (the sweep pipeline) catch and re-run each lane
-  /// through estimate().
+  /// Throws when any scenario cannot be evaluated; which one's error it
+  /// raises is unspecified — callers needing per-lane error attribution
+  /// (the sweep pipeline) catch and re-run each lane through estimate().
   [[nodiscard]] virtual std::vector<PredictionReport> estimate_batch(
       std::span<const machine::SystemParameters> params,
       const EstimationOptions& options = {}) const;

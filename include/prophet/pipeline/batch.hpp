@@ -226,13 +226,11 @@ struct BatchOptions {
   double progress_interval_seconds = 0.5;
   /// Per-job resource limits (guard::Limits).  A job that trips a bound
   /// is marked failed with ScenarioResult::tripped_limit naming it; the
-  /// rest of the sweep completes.  Default bounds nothing and the
-  /// evaluation path stays bit-identical.
+  /// rest of the sweep completes.  `limits.wall_seconds` is the per-job
+  /// wall-clock timeout (`prophetc sweep --job-timeout`); timed-out jobs
+  /// count into the `batch.jobs_timed_out` metric.  Default bounds
+  /// nothing and the evaluation path stays bit-identical.
   guard::Limits limits;
-  /// Per-job wall-clock timeout in seconds (0: none).  Composed with
-  /// `limits.wall_seconds` — the tighter bound wins.  Timed-out jobs
-  /// count into the `batch.jobs_timed_out` metric.
-  double job_timeout_seconds = 0;
   /// Whole-sweep deadline in seconds measured from run() (0: none).
   /// When it passes, running jobs are cancelled cooperatively, unclaimed
   /// jobs are marked failed, and the report — partial CSV, metrics, the

@@ -360,8 +360,8 @@ struct WalkTag {
 /// walks: nothing borrowed from a call (lanes, counters, budget, the
 /// estimator) outlives the call.  Every run re-initializes what it reads
 /// except the walks its tag vouches for, because a lane error or a
-/// guard::GuardError can leave it mid-walk, and evaluate_batch then
-/// re-runs the chunk through evaluate() at once.
+/// guard::GuardError can leave it mid-walk, and the thread's next call
+/// (the sweep re-runs a failed chunk lane by lane at once) reuses it.
 struct Workspace {
   // A chunk's distinct walk inputs, each as the first lane that has it,
   // and each lane's index among them.
@@ -475,15 +475,6 @@ struct AnalyticEstimator::Impl {
   void run(std::span<const machine::SystemParameters> lanes,
            obs::AnalyticCounters* counters, guard::Budget* budget, bool keep,
            Sink&& sink) const;
-
-  AnalyticReport evaluate(const machine::SystemParameters& params,
-                          obs::AnalyticCounters* counters,
-                          guard::Budget* budget) const;
-
-  std::vector<AnalyticReport> evaluate_batch(
-      std::span<const machine::SystemParameters> lanes,
-      obs::AnalyticCounters* counters, guard::Budget* budget,
-      std::size_t* lanes_fallback) const;
 };
 
 AnalyticEstimator::Impl::Impl(lower::ModelProgramPtr p)
@@ -1643,44 +1634,6 @@ void AnalyticEstimator::Impl::run(
   }
 }
 
-AnalyticReport AnalyticEstimator::Impl::evaluate(
-    const machine::SystemParameters& params, obs::AnalyticCounters* counters,
-    guard::Budget* budget) const {
-  AnalyticReport report;
-  run(std::span(&params, 1), counters, budget, /*keep=*/false,
-      [&report](std::size_t, AnalyticReport&& lane) {
-        report = std::move(lane);
-      });
-  return report;
-}
-
-std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch(
-    std::span<const machine::SystemParameters> lanes,
-    obs::AnalyticCounters* counters, guard::Budget* budget,
-    std::size_t* lanes_fallback) const {
-  std::vector<AnalyticReport> reports(lanes.size());
-  try {
-    run(lanes, counters, budget, /*keep=*/true,
-        [&reports](std::size_t lane, AnalyticReport&& report) {
-          reports[lane] = std::move(report);
-        });
-    return reports;
-  } catch (const guard::GuardError&) {
-    throw;  // tripped budgets propagate — retrying would double-charge
-  } catch (...) {
-    // A lane raised, maybe not the first lane in lane order that does:
-    // the chunk re-runs lane by lane, so that lane's error surfaces with
-    // its scalar message.
-    if (lanes_fallback != nullptr) {
-      *lanes_fallback += lanes.size();
-    }
-  }
-  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-    reports[lane] = evaluate(lanes[lane], counters, budget);
-  }
-  return reports;
-}
-
 // ---------------------------------------------------------------------------
 // Public surface
 // ---------------------------------------------------------------------------
@@ -1743,14 +1696,24 @@ AnalyticEstimator::~AnalyticEstimator() = default;
 AnalyticReport AnalyticEstimator::evaluate(
     const machine::SystemParameters& params, obs::AnalyticCounters* counters,
     guard::Budget* budget) const {
-  return impl_->evaluate(params, counters, budget);
+  AnalyticReport report;
+  impl_->run(std::span(&params, 1), counters, budget, /*keep=*/false,
+             [&report](std::size_t, AnalyticReport&& lane) {
+               report = std::move(lane);
+             });
+  return report;
 }
 
 std::vector<AnalyticReport> AnalyticEstimator::evaluate_batch(
     std::span<const machine::SystemParameters> params,
     obs::AnalyticCounters* counters, guard::Budget* budget,
-    std::size_t* lanes_fallback) const {
-  return impl_->evaluate_batch(params, counters, budget, lanes_fallback);
+    std::size_t* /*never written*/) const {
+  std::vector<AnalyticReport> reports(params.size());
+  impl_->run(params, counters, budget, /*keep=*/true,
+             [&reports](std::size_t lane, AnalyticReport&& report) {
+               reports[lane] = std::move(report);
+             });
+  return reports;
 }
 
 lower::ModelProgramPtr AnalyticEstimator::lowering() const {

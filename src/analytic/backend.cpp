@@ -97,10 +97,8 @@ class AnalyticPrepared final : public estimator::PreparedModel {
       const estimator::EstimationOptions& options) const override {
     obs::AnalyticCounters counters;
     const bool metrics = options.metrics != nullptr;
-    std::size_t lanes_fallback = 0;
-    std::vector<AnalyticReport> analytic =
-        estimator_.evaluate_batch(params, metrics ? &counters : nullptr,
-                                  options.budget, &lanes_fallback);
+    std::vector<AnalyticReport> analytic = estimator_.evaluate_batch(
+        params, metrics ? &counters : nullptr, options.budget);
     std::vector<estimator::PredictionReport> reports;
     reports.reserve(analytic.size());
     for (auto& lane : analytic) {
@@ -108,9 +106,6 @@ class AnalyticPrepared final : public estimator::PreparedModel {
     }
     if (metrics) {
       fold_runs(options, counters, params.size());
-      if (lanes_fallback > 0) {
-        options.metrics->counter("batch.lanes_fallback").add(lanes_fallback);
-      }
     }
     return reports;
   }

@@ -348,35 +348,44 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     }
   };
 
-  // ---- Phase 1: parse (problems in the order the historical builds
-  // threw them).
-  struct ParsedVariable {
-    const uml::Variable* decl = nullptr;
-    expr::ExprPtr initializer;
-  };
-  std::vector<ParsedVariable> parsed_variables;
+  // ---- Phase 1: names.  Every name that any dynamic scope could bind
+  // gets exactly one slot; resolution precedence is realized by which
+  // storage a frame entry points at.
+  expr::SymbolTable base;
+  slot_np_ = base.add_variable(std::string(uml::sysparam::kProcesses));
+  slot_nt_ = base.add_variable(std::string(uml::sysparam::kThreads));
+  slot_nn_ = base.add_variable(std::string(uml::sysparam::kNodes));
+  slot_ppn_ =
+      base.add_variable(std::string(uml::sysparam::kProcessorsPerNode));
   for (const auto& variable : m.variables()) {
-    ParsedVariable parsed;
-    parsed.decl = &variable;
-    if (!variable.initializer.empty()) {
-      parsed.initializer = parse(
-          variable.initializer,
-          {.kind = ProblemKind::Initializer, .variable = &variable},
-          "initializer of variable " + variable.name);
+    base.add_variable(variable.name);
+  }
+  for (const auto& diagram : m.diagrams()) {
+    for (const auto& node : diagram->nodes()) {
+      if (node->kind() == NodeKind::Loop) {
+        base.add_variable(loop_var_name(*node));
+      }
     }
-    parsed_variables.push_back(std::move(parsed));
   }
-  struct ParsedFunction {
-    const uml::CostFunction* decl = nullptr;
-    expr::ExprPtr body;
-  };
-  std::vector<ParsedFunction> parsed_functions;
+  // Ids name functions by their first declaration; a repeated name is
+  // recorded after every parse problem.
+  std::vector<const uml::CostFunction*> repeated;
   for (const auto& fn : m.cost_functions()) {
-    parsed_functions.push_back(
-        {&fn, parse(fn.body, {.kind = ProblemKind::Function, .function = &fn},
-                    "cost function " + fn.name)});
+    if (!function_ids_.emplace(fn.name, base.add_function(fn.name)).second) {
+      repeated.push_back(&fn);
+    }
   }
-  // uid assignment: explicit `id` tags win; the rest get sequential
+  nslots_ = base.slot_count();
+
+  node_table_ = base;
+  node_table_.bind_ambient(std::string(uml::sysparam::kProcessId),
+                           expr::Ambient::Pid);
+  node_table_.bind_ambient(std::string(uml::sysparam::kThreadId),
+                           expr::Ambient::Tid);
+  node_table_.bind_ambient(std::string(uml::sysparam::kElementUid),
+                           expr::Ambient::Uid);
+
+  // ---- Phase 2: uids.  Explicit `id` tags win; the rest get sequential
   // numbers skipping claimed values.
   std::set<int> claimed;
   for (const auto& diagram : m.diagrams()) {
@@ -390,7 +399,6 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     }
   }
   int next = 1;
-  std::map<const uml::ControlFlow*, expr::ExprPtr> parsed_guards;
   for (const auto& diagram : m.diagrams()) {
     for (const auto& node : diagram->nodes()) {
       if (uids_.find(node->id()) == uids_.end()) {
@@ -401,26 +409,76 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
         claimed.insert(next);
       }
     }
+  }
+
+  // ---- Phase 3: expressions where they land.  Each is parsed and
+  // compiled into the slot that holds its program, in model order, so
+  // problems keep the order the historical builds threw them in.
+  for (const auto& variable : m.variables()) {
+    CompiledVariable& compiled = variables_.emplace_back();
+    compiled.name = variable.name;
+    compiled.slot = *base.slot_of(variable.name);
+    compiled.scope = variable.scope;
+    compiled.coerce_int = variable.type == uml::VariableType::Integer;
+    if (!variable.initializer.empty()) {
+      std::string site = "initializer of variable " + variable.name;
+      if (const auto ast = parse(
+              variable.initializer,
+              {.kind = ProblemKind::Initializer, .variable = &variable},
+              site)) {
+        compiled.initializer =
+            compile_timed(*ast, node_table_, std::move(site));
+      }
+    }
+  }
+  functions_.reserve(function_ids_.size());
+  for (std::size_t f = 0; f < m.cost_functions().size(); ++f) {
+    const uml::CostFunction& fn = m.cost_functions()[f];
+    expr::Compiled body;
+    if (const auto ast =
+            parse(fn.body, {.kind = ProblemKind::Function, .function = &fn},
+                  "cost function " + fn.name)) {
+      // Function bodies see their parameters, globals and the structural
+      // system parameters — never pid/tid/uid or locals, mirroring the
+      // file-scope C++ functions of Fig. 8a.
+      expr::SymbolTable fn_table = base;
+      for (const auto& parameter : fn.parameters) {
+        fn_table.add_parameter(parameter);
+      }
+      body = compile_timed(*ast, fn_table, {});
+    }
+    if (static_cast<std::size_t>(function_ids_.at(fn.name)) ==
+        functions_.size()) {
+      functions_.push_back(std::move(body));
+    } else {
+      repeated_functions_.emplace(f, std::move(body));
+    }
+  }
+  for (const auto& diagram : m.diagrams()) {
     for (const auto& edge : diagram->edges()) {
       if (edge->has_guard() && !edge->is_else()) {
-        if (auto guard = parse(edge->guard(),
-                               {.kind = ProblemKind::Guard,
-                                .diagram = diagram.get(),
-                                .edge = edge.get()},
-                               "guard of edge " + edge->id())) {
-          parsed_guards.emplace(edge.get(), std::move(guard));
+        std::string site = "guard of edge " + edge->id();
+        if (const auto ast = parse(edge->guard(),
+                                   {.kind = ProblemKind::Guard,
+                                    .diagram = diagram.get(),
+                                    .edge = edge.get()},
+                                   site)) {
+          guards_.emplace(edge.get(),
+                          compile_timed(*ast, node_table_, std::move(site)));
         }
       }
     }
   }
-  struct ParsedTag {
-    TagKind kind = TagKind::Cost;
-    expr::ExprPtr value;
-  };
-  std::map<const Node*, std::vector<ParsedTag>> parsed_tags;
-  std::map<const Node*, std::vector<Assignment>> parsed_fragments;
+  diagrams_.reserve(m.diagrams().size());
   for (const auto& diagram : m.diagrams()) {
+    DiagramProgram& flow = diagrams_.emplace_back();
+    flow.nodes.reserve(diagram->node_count());
     for (const auto& node : diagram->nodes()) {
+      NodePrograms& programs = flow.nodes.emplace_back();
+      programs.uid = uids_.at(node->id());
+      if (node->kind() == NodeKind::Loop) {
+        programs.loop_var_slot = *base.slot_of(loop_var_name(*node));
+      }
       for (const auto name : uml::expression_tags(node->stereotype())) {
         if (!node->has_tag(name)) {
           continue;
@@ -429,29 +487,55 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
         if (text.empty()) {
           continue;
         }
-        expr::ExprPtr parsed =
+        const auto ast =
             parse(text,
                   {.kind = ProblemKind::Tag,
                    .diagram = diagram.get(),
                    .node = node.get(),
                    .tag = name},
                   "tag '" + std::string(name) + "' of node " + node->id());
-        const auto kind = tag_kind(name);
-        if (parsed != nullptr && kind) {
-          parsed_tags[node.get()].push_back({*kind, std::move(parsed)});
+        if (const auto kind = tag_kind(name); ast != nullptr && kind) {
+          programs.tags[static_cast<std::size_t>(*kind)] = compile_timed(
+              *ast, node_table_,
+              "node " + node->id() + ", tag '" + std::string(name) + "'");
         }
       }
       if (node->has_tag(uml::tag::kCode)) {
         const std::string code = node->tag_string(uml::tag::kCode);
-        if (!code.empty()) {
-          parsed_fragments.emplace(
-              node.get(), parse_code_fragment(code, [&](std::string detail) {
-                record({.kind = ProblemKind::Fragment,
-                        .diagram = diagram.get(),
-                        .node = node.get()},
-                       "code fragment at node " + node->id(),
-                       std::move(detail));
-              }));
+        const std::string site = "code fragment at node " + node->id();
+        for (auto& assignment :
+             parse_code_fragment(code, [&](std::string detail) {
+               record({.kind = ProblemKind::Fragment,
+                       .diagram = diagram.get(),
+                       .node = node.get()},
+                      site, std::move(detail));
+             })) {
+          CompiledAssignment& compiled = programs.fragment.emplace_back();
+          compiled.name = std::move(assignment.target);
+          compiled.value =
+              compile_timed(*assignment.value, node_table_, site);
+          // Static write-target resolution: the tree walker consulted
+          // the per-process locals map first, then the globals map —
+          // both hold exactly the declared variables of that scope.
+          bool local = false;
+          bool global = false;
+          for (const auto& variable : m.variables()) {
+            if (variable.name != compiled.name) {
+              continue;
+            }
+            local = local || variable.scope == uml::VariableScope::Local;
+            global = global || variable.scope == uml::VariableScope::Global;
+          }
+          if (local || global) {
+            compiled.target = local ? CompiledAssignment::Target::Local
+                                    : CompiledAssignment::Target::Global;
+            compiled.slot = *base.slot_of(compiled.name);
+          }
+          if (const uml::Variable* declared = m.variable(compiled.name)) {
+            compiled.coerce_int =
+                declared->type == uml::VariableType::Integer;
+          }
+          ++stats_.fragment_assignments;
         }
       }
       // Composite nodes must reference existing diagrams.
@@ -470,135 +554,9 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     record({.kind = ProblemKind::MainDiagram},
            "model has no resolvable main diagram");
   }
-
-  // ---- Phase 2: build the slot space.  Every name that any dynamic
-  // scope could bind gets exactly one slot; resolution precedence is
-  // realized by which storage a frame entry points at.
-  expr::SymbolTable base;
-  slot_np_ = base.add_variable(std::string(uml::sysparam::kProcesses));
-  slot_nt_ = base.add_variable(std::string(uml::sysparam::kThreads));
-  slot_nn_ = base.add_variable(std::string(uml::sysparam::kNodes));
-  slot_ppn_ =
-      base.add_variable(std::string(uml::sysparam::kProcessorsPerNode));
-  for (const auto& variable : m.variables()) {
-    base.add_variable(variable.name);
-  }
-  for (const auto& diagram : m.diagrams()) {
-    for (const auto& node : diagram->nodes()) {
-      if (node->kind() == NodeKind::Loop) {
-        base.add_variable(loop_var_name(*node));
-      }
-    }
-  }
-  for (const auto& fn : m.cost_functions()) {
-    // Ids name functions by their first declaration.
-    if (!function_ids_.emplace(fn.name, base.add_function(fn.name)).second) {
-      record({.kind = ProblemKind::DuplicateFunction, .function = &fn},
-             "cost function " + fn.name, "duplicate cost-function name");
-    }
-  }
-  nslots_ = base.slot_count();
-
-  node_table_ = base;
-  node_table_.bind_ambient(std::string(uml::sysparam::kProcessId),
-                           expr::Ambient::Pid);
-  node_table_.bind_ambient(std::string(uml::sysparam::kThreadId),
-                           expr::Ambient::Tid);
-  node_table_.bind_ambient(std::string(uml::sysparam::kElementUid),
-                           expr::Ambient::Uid);
-
-  // ---- Phase 3: lower everything to bytecode.
-  for (auto& parsed : parsed_variables) {
-    CompiledVariable compiled;
-    compiled.name = parsed.decl->name;
-    compiled.slot = *base.slot_of(parsed.decl->name);
-    compiled.scope = parsed.decl->scope;
-    compiled.coerce_int = parsed.decl->type == uml::VariableType::Integer;
-    if (parsed.initializer != nullptr) {
-      compiled.initializer =
-          compile_timed(*parsed.initializer, node_table_,
-                        "initializer of variable " + compiled.name);
-    }
-    variables_.push_back(std::move(compiled));
-  }
-  functions_.reserve(function_ids_.size());
-  for (std::size_t f = 0; f < parsed_functions.size(); ++f) {
-    const ParsedFunction& parsed = parsed_functions[f];
-    // Function bodies see their parameters, globals and the structural
-    // system parameters — never pid/tid/uid or locals, mirroring the
-    // file-scope C++ functions of Fig. 8a.
-    expr::SymbolTable fn_table = base;
-    for (const auto& parameter : parsed.decl->parameters) {
-      fn_table.add_parameter(parameter);
-    }
-    expr::Compiled body = parsed.body == nullptr
-                              ? expr::Compiled()
-                              : compile_timed(*parsed.body, fn_table, {});
-    if (static_cast<std::size_t>(function_ids_.at(parsed.decl->name)) ==
-        functions_.size()) {
-      functions_.push_back(std::move(body));
-    } else {
-      repeated_functions_.emplace(f, std::move(body));
-    }
-  }
-  for (auto& [edge, guard] : parsed_guards) {
-    guards_.emplace(edge, compile_timed(*guard, node_table_,
-                                        "guard of edge " + edge->id()));
-  }
-  diagrams_.reserve(m.diagrams().size());
-  for (const auto& diagram : m.diagrams()) {
-    DiagramProgram& flow = diagrams_.emplace_back();
-    flow.nodes.reserve(diagram->node_count());
-    for (const auto& node : diagram->nodes()) {
-      NodePrograms& programs = flow.nodes.emplace_back();
-      programs.uid = uids_.at(node->id());
-      if (node->kind() == NodeKind::Loop) {
-        programs.loop_var_slot = *base.slot_of(loop_var_name(*node));
-      }
-      if (const auto tags = parsed_tags.find(node.get());
-          tags != parsed_tags.end()) {
-        for (auto& [kind, value] : tags->second) {
-          programs.tags[static_cast<std::size_t>(kind)] = compile_timed(
-              *value, node_table_,
-              "node " + node->id() + ", tag '" +
-                  std::string(tag_name(kind)) + "'");
-        }
-      }
-      if (const auto fragment = parsed_fragments.find(node.get());
-          fragment != parsed_fragments.end()) {
-        for (auto& assignment : fragment->second) {
-          CompiledAssignment compiled;
-          compiled.name = assignment.target;
-          compiled.value = compile_timed(*assignment.value, node_table_,
-                                         "code fragment at node " +
-                                             node->id());
-          // Static write-target resolution: the tree walker consulted
-          // the per-process locals map first, then the globals map —
-          // both hold exactly the declared variables of that scope.
-          bool local = false;
-          bool global = false;
-          for (const auto& variable : m.variables()) {
-            if (variable.name != assignment.target) {
-              continue;
-            }
-            local = local || variable.scope == uml::VariableScope::Local;
-            global = global || variable.scope == uml::VariableScope::Global;
-          }
-          if (local || global) {
-            compiled.target = local ? CompiledAssignment::Target::Local
-                                    : CompiledAssignment::Target::Global;
-            compiled.slot = *base.slot_of(assignment.target);
-          }
-          if (const uml::Variable* declared =
-                  m.variable(assignment.target)) {
-            compiled.coerce_int =
-                declared->type == uml::VariableType::Integer;
-          }
-          ++stats_.fragment_assignments;
-          programs.fragment.push_back(std::move(compiled));
-        }
-      }
-    }
+  for (const uml::CostFunction* fn : repeated) {
+    record({.kind = ProblemKind::DuplicateFunction, .function = fn},
+           "cost function " + fn->name, "duplicate cost-function name");
   }
 
   // ---- Phase 4: control flow.  Each node's operation, constant tags,

@@ -546,18 +546,6 @@ std::string estimate_stage(std::span<const PreparedEngine> engines,
   return "";
 }
 
-/// The per-job limit set: options.limits with `--job-timeout` folded
-/// into the wall clock (the tighter bound wins).
-guard::Limits job_limits(const BatchOptions& options) {
-  guard::Limits limits = options.limits;
-  if (options.job_timeout_seconds > 0 &&
-      (limits.wall_seconds <= 0 ||
-       options.job_timeout_seconds < limits.wall_seconds)) {
-    limits.wall_seconds = options.job_timeout_seconds;
-  }
-  return limits;
-}
-
 ScenarioResult result_for(const BatchJob& job) {
   ScenarioResult result;
   result.job_id = job.id;
@@ -645,8 +633,7 @@ void BatchRunner::run_chunk(const BatchJob* jobs, std::size_t count,
   // chunks form only without per-job limits and fault plans, so there
   // its only duty is sweep cancellation, which is safe to share across
   // the lanes.
-  const guard::Limits limits = job_limits(options_);
-  guard::Budget budget(limits, sweep);
+  guard::Budget budget(options_.limits, sweep);
   bool armed = false;
   if (options_.fault_plan != nullptr) {
     if (const auto event = options_.fault_plan->cancel_at_event()) {
@@ -655,7 +642,7 @@ void BatchRunner::run_chunk(const BatchJob* jobs, std::size_t count,
     }
   }
   guard::Budget* job_budget =
-      limits.any() || sweep != nullptr || armed ? &budget : nullptr;
+      options_.limits.any() || sweep != nullptr || armed ? &budget : nullptr;
 
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t lane = 0; lane < count; ++lane) {
@@ -802,7 +789,7 @@ BatchReport BatchRunner::run() const {
       options_.batch_lanes == 0
           ? static_cast<int>(estimator::PreparedModel::kDefaultBatchLanes)
           : options_.batch_lanes;
-  const bool batching = lanes >= 2 && !job_limits(options_).any() &&
+  const bool batching = lanes >= 2 && !options_.limits.any() &&
                         options_.fault_plan == nullptr;
   std::vector<Chunk> chunks;
   chunks.reserve(jobs_.size());

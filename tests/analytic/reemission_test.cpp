@@ -314,7 +314,7 @@ TEST(TripReemission, EndlessExchangeStopsOnTheJobTimeout) {
   prophet::pipeline::BatchOptions options;
   options.threads = 1;
   options.backend = prophet::estimator::BackendKind::Analytic;
-  options.job_timeout_seconds = 0.02;
+  options.limits.wall_seconds = 0.02;
   prophet::pipeline::BatchRunner runner(options);
   const int ring = runner.add_model("ring", merge_ring("Z", "1e12"));
   runner.add_sweep(ring, prophet::pipeline::ScenarioGrid::parse("np=2", {}));

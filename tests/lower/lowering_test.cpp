@@ -315,6 +315,61 @@ TEST(ModelProgram, LoweringErrorsCarryTheBackendMessageText) {
   }
 }
 
+TEST(ModelProgram, ProblemsKeepTheirOrder) {
+  // One defect of each kind, declared out of problem order: the repeated
+  // name before the broken body, functions before the variable, and the
+  // bad guard in a later diagram than the bad tag.
+  uml::ModelBuilder mb("EveryDefect");
+  mb.function("F", {}, "0.001");
+  mb.function("F", {}, "0.002");
+  mb.function("H", {}, "2 *");
+  mb.global("G", uml::VariableType::Real, "(1");
+  uml::DiagramBuilder main = mb.diagram("main");
+  uml::DiagramBuilder side = mb.diagram("side");
+  uml::NodeRef tag = main.action("A").cost("1 +");
+  uml::NodeRef fragment = main.action("B").code("x == 1");
+  uml::NodeRef body = main.activity("Missing", "no-such-diagram");
+  uml::NodeRef again = main.activity("Again", main);
+  main.sequence({main.initial(), tag, fragment, body, again,
+                 main.final_node()});
+  uml::NodeRef choose = side.decision("Choose");
+  uml::NodeRef done = side.final_node();
+  side.sequence({side.initial(), choose});
+  const std::string edge = side.flow(choose, done, "np <").edge().id();
+  side.flow(choose, done, "else");
+  uml::Model model = std::move(mb).build_unchecked();
+  model.set_main_diagram("no-such-diagram");
+
+  const lower::ModelProgram program(model);
+  std::vector<lower::ProblemKind> kinds;
+  std::vector<std::string> wheres;
+  for (const lower::Problem& problem : program.problems()) {
+    kinds.push_back(problem.kind);
+    wheres.push_back(problem.message.substr(0, problem.message.find(':')));
+  }
+  using Kind = lower::ProblemKind;
+  EXPECT_EQ(kinds, (std::vector<Kind>{Kind::Initializer, Kind::Function,
+                                      Kind::Guard, Kind::Tag, Kind::Fragment,
+                                      Kind::Body, Kind::MainDiagram,
+                                      Kind::DuplicateFunction,
+                                      Kind::Nesting}));
+  EXPECT_EQ(wheres,
+            (std::vector<std::string>{
+                "initializer of variable G", "cost function H",
+                "guard of edge " + edge, "tag 'cost' of node " + tag.id(),
+                "code fragment at node " + fragment.id(),
+                "node " + body.id() +
+                    " references unknown diagram 'no-such-diagram'",
+                "model has no resolvable main diagram", "cost function F",
+                "diagram " + main.id()}));
+  try {
+    (void)lower::lower(model);
+    FAIL() << "lowered a model with every kind of defect";
+  } catch (const lower::LowerError& error) {
+    EXPECT_EQ(std::string(error.what()), program.problems().front().message);
+  }
+}
+
 // --- Cost functions ---------------------------------------------------------
 
 /// Cost functions F (0.001), F (0.002) and G (0.003), and one action

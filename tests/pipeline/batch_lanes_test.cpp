@@ -3,15 +3,20 @@
 // for every registered model, at several lane widths and thread counts,
 // on the suggested grids and on the benchmark's wide grid;
 // chunking must respect the eligibility rules (per-job limits and fault
-// plans fall back to singleton jobs); models registered as XMI text must
-// predict exactly what their in-memory originals do; and the batch
-// observability signals must fire.
+// plans fall back to singleton jobs); a failed chunk must give each job
+// its own error; models registered as XMI text must predict exactly what
+// their in-memory originals do; and the batch observability signals must
+// fire.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "../obs/mini_json.hpp"
 
 #include "prophet/estimator/backend.hpp"
 #include "prophet/models/registry.hpp"
@@ -163,6 +168,63 @@ TEST(BatchLanes, MetricsReportBatchWidthAndBatchedEvals) {
   EXPECT_EQ(report.metrics.counter_value("batch.lanes_fallback"), 0u);
   // ...and the configured lane width is visible.
   EXPECT_EQ(report.metrics.gauge_value("expr.batch_width"), 8.0);
+}
+
+TEST(BatchLanes, AFailingAnalyticChunkGivesEachJobItsOwnError) {
+  // @pingpong is defined for two ranks: np = 1 breaks the peer rule in
+  // its walk, and np = 3 and 4 deadlock in the replay.  The last job is
+  // invalid (nodes = 0) and is rejected while the chunk's walk inputs are
+  // gathered, before any walk.  The engine raises one of these for the
+  // whole 8-lane chunk; the sweep re-runs each lane as a chunk of one.
+  const auto run = [](int batch_lanes) {
+    BatchOptions options;
+    options.threads = 1;
+    options.batch_lanes = batch_lanes;
+    options.backend = BackendKind::Analytic;
+    options.collect_metrics = true;
+    BatchRunner runner(options);
+    const int index = runner.add_model_reference("@pingpong");
+    for (int np = 1; np <= 4; ++np) {
+      for (int nodes = 1; nodes <= 2; ++nodes) {
+        prophet::machine::SystemParameters params;
+        params.processes = np;
+        params.nodes = np == 4 && nodes == 2 ? 0 : nodes;
+        runner.add_scenario(index, params);
+      }
+    }
+    return runner.run();
+  };
+  const auto engine_counters = [](const BatchReport& report) {
+    const mini_json::Value doc = mini_json::parse(report.metrics.to_json());
+    std::map<std::string, double> engine;
+    for (const auto& [name, value] : doc.at("counters").object()) {
+      if (name.rfind("analytic.", 0) == 0 || name.rfind("expr.", 0) == 0) {
+        engine[name] = value.number();
+      }
+    }
+    return engine;
+  };
+  const BatchReport scalar = run(1);
+  const BatchReport batched = run(8);
+  ASSERT_EQ(scalar.results.size(), 8u);
+  ASSERT_EQ(batched.results.size(), scalar.results.size());
+  std::set<std::string> errors;
+  for (std::size_t i = 0; i < scalar.results.size(); ++i) {
+    const auto& expected = scalar.results[i];
+    const auto& result = batched.results[i];
+    EXPECT_EQ(result.ok, expected.ok) << "job " << i;
+    EXPECT_EQ(result.error, expected.error) << "job " << i;
+    EXPECT_EQ(result.tripped_limit, expected.tripped_limit) << "job " << i;
+    EXPECT_EQ(expected.ok, expected.params.processes == 2) << "job " << i;
+    errors.insert(expected.error);
+  }
+  // A peer error, two deadlocks, the invalid job and no error at all.
+  EXPECT_EQ(errors.size(), 5u);
+  EXPECT_EQ(batched.metrics.counter_value("batch.lanes_fallback"), 8u);
+  EXPECT_EQ(scalar.metrics.counter_value("batch.lanes_fallback"), 0u);
+  const auto counters = engine_counters(scalar);
+  ASSERT_GT(counters.count("analytic.runs"), 0u);
+  EXPECT_EQ(engine_counters(batched), counters);
 }
 
 TEST(BatchLanes, PerJobLimitsDisableChunking) {

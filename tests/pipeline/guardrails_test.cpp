@@ -57,7 +57,7 @@ TEST(BatchCsv, QuotesErrorAndModelFieldsPerRfc4180) {
 TEST(BatchGuards, JobTimeoutFailsRunawayJobAndSpareTheRest) {
   BatchOptions options;
   options.threads = 1;
-  options.job_timeout_seconds = 0.2;
+  options.limits.wall_seconds = 0.2;
   BatchRunner runner(options);
   const int sample = runner.add_model("sample", prophet::models::sample_model());
   const int spin = runner.add_model("spin", prophet::models::spin_model(1e12));
@@ -116,7 +116,7 @@ TEST(BatchGuards, LimitsDoNotChangeSuccessfulPredictions) {
     if (limited) {
       options.limits.max_sim_events = 1000000;
       options.limits.max_loop_trips = 1000000;
-      options.job_timeout_seconds = 600;
+      options.limits.wall_seconds = 600;
     }
     BatchRunner runner(options);
     const int sample =
@@ -261,7 +261,7 @@ TEST(BatchGuards, CodegenRunawayTripsWallClockNotHang) {
   BatchOptions options;
   options.threads = 1;
   options.backend = BackendKind::Codegen;
-  options.job_timeout_seconds = 0.3;
+  options.limits.wall_seconds = 0.3;
   BatchRunner runner(options);
   const int spin = runner.add_model("spin", prophet::models::spin_model(1e12));
   runner.add_sweep(spin, ScenarioGrid::parse("np=1", {}));
@@ -316,7 +316,7 @@ TEST(BatchGuards, AnalyticRunawayTripsWallClock) {
   BatchOptions options;
   options.threads = 1;
   options.backend = BackendKind::Analytic;
-  options.job_timeout_seconds = 0.3;
+  options.limits.wall_seconds = 0.3;
   BatchRunner runner(options);
   const int spin = runner.add_model("spin", prophet::models::spin_model(1e12));
   runner.add_sweep(spin, ScenarioGrid::parse("np=1", {}));

@@ -723,7 +723,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
     } else if (args[i] == "--progress") {
       progress = true;
     } else if (args[i] == "--job-timeout") {
-      if (!take_seconds(args, i, options.job_timeout_seconds, &error)) {
+      if (!take_seconds(args, i, options.limits.wall_seconds, &error)) {
         return parse_error(error);
       }
     } else if (args[i] == "--deadline") {
